@@ -14,8 +14,10 @@ integrals use the trapezoid rule on [0, t_i].  The initial-state maps follow
 the variation-of-constants identities, so substituting their output back
 into the discretized condition closes to solver roundoff.
 
-Assembled operators are immutable and shareable; assembly is a pure
-reduction over propagator columns.
+Assembly takes a propagation through its sweep interface (``column``,
+``duhamel``, ``weighted_forcing``): the stepper's one-step factors or a full
+propagator table.  Assembled operators are immutable and shareable;
+assembly is a pure reduction over the initial column.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from .evolution import (
     PropagatorTable,
     Scheme,
     TimeGrid,
-    evolution_stepper,
     holder_seminorm,
+    step_factors,
 )
 from .spatial import smallest_singular_value
 
@@ -120,28 +122,29 @@ def _states_of(traj) -> np.ndarray:
     return np.asarray(states, dtype=float)
 
 
-def _check_grid(traj, table: PropagatorTable) -> None:
+def _check_grid(traj, prop) -> None:
     grid = getattr(traj, "grid", None)
-    if grid is not None and (grid.K != table.grid.K or grid.T != table.grid.T):
+    if grid is not None and (grid.K != prop.grid.K or grid.T != prop.grid.T):
         raise ValueError("trajectory and propagator table live on different time grids")
 
 
-def assemble_phi(table: PropagatorTable, cond: AveragingCondition) -> PhiOperator:
+def _phi_matrix(prop, cond: AveragingCondition) -> np.ndarray:
+    return np.einsum("j,jab->ab", cond.quad_weights * cond.weight, prop.column)
+
+
+def assemble_phi(prop, cond: AveragingCondition) -> PhiOperator:
     """Phi = sum_j qw_j w(t_j) U(t_j, 0), reproducible from the table exactly."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
         raise ValueError("terminal-difference conditions have no averaging operator")
-    column = table.initial_column()
-    matrix = np.einsum("j,jab->ab", cond.quad_weights * cond.weight, column)
+    matrix = _phi_matrix(prop, cond)
     return PhiOperator(
         matrix=matrix, condition=cond, sigma_min=smallest_singular_value(matrix)
     )
 
 
-def assemble_phi_tilde(table: PropagatorTable, cond: AveragingCondition) -> PhiOperator:
+def assemble_phi_tilde(prop, cond: AveragingCondition) -> PhiOperator:
     """Terminal-weighted variant w0 U(T,0) + sum_j qw_j w(t_j) U(t_j, 0)."""
-    column = table.initial_column()
-    matrix = np.einsum("j,jab->ab", cond.quad_weights * cond.weight, column)
-    matrix = matrix + cond.w0 * table.op(table.grid.K, 0)
+    matrix = _phi_matrix(prop, cond) + cond.w0 * prop.column[-1]
     return PhiOperator(
         matrix=matrix, condition=cond, sigma_min=smallest_singular_value(matrix)
     )
@@ -150,60 +153,78 @@ def assemble_phi_tilde(table: PropagatorTable, cond: AveragingCondition) -> PhiO
 def duhamel_sums(table: PropagatorTable, f_states: np.ndarray) -> np.ndarray:
     """Trapezoid Duhamel sums G_i = int_0^{t_i} U(t_i, s) f(s) ds for every node.
 
-    This single inner rule is shared by the forcing functional, the
-    terminal-difference shift, and the solver's trajectory reconstruction,
-    which is what makes the recovered initial state consistent with the
-    discretized condition.
+    This single inner rule is shared by the forcing functional and the
+    solver's trajectory reconstruction, which is what makes the recovered
+    initial state consistent with the discretized condition.  Read off the
+    full table, it is the oracle for the factor recursion of
+    :meth:`StepFactors.duhamel`.
     """
-    kk = table.grid.K + 1
-    h = table.grid.h
-    sums = np.zeros_like(f_states)
-    for i in range(1, kk):
-        wts = np.full(i + 1, h)
-        wts[0] = wts[-1] = 0.5 * h
-        sums[i] = np.einsum("m,mab,mb->a", wts, table.rows[i], f_states[: i + 1])
-    return sums
+    return table.duhamel(f_states)
 
 
-def apply_psi(f_traj, table: PropagatorTable, cond: AveragingCondition) -> np.ndarray:
-    """Psi f = sum_i qw_i w(t_i) G_i with G the Duhamel sums; Psi(0) = 0 exactly."""
-    _check_grid(f_traj, table)
-    f_states = _states_of(f_traj)
-    if f_states.shape != (table.grid.K + 1, table.dim):
-        raise ValueError(
-            f"forcing trajectory must have shape {(table.grid.K + 1, table.dim)}, "
-            f"got {f_states.shape}"
-        )
-    sums = duhamel_sums(table, f_states)
+def _psi(cond: AveragingCondition, sums: np.ndarray) -> np.ndarray:
     return np.einsum("i,ia->a", cond.quad_weights * cond.weight, sums)
 
 
+def apply_psi(f_traj, prop, cond: AveragingCondition) -> np.ndarray:
+    """Psi f = sum_i qw_i w(t_i) G_i with G the Duhamel sums; Psi(0) = 0 exactly."""
+    _check_grid(f_traj, prop)
+    f_states = _states_of(f_traj)
+    if f_states.shape != (prop.grid.K + 1, prop.dim):
+        raise ValueError(
+            f"forcing trajectory must have shape {(prop.grid.K + 1, prop.dim)}, "
+            f"got {f_states.shape}"
+        )
+    return _psi(cond, prop.duhamel(f_states))
+
+
 def terminal_forcing(table: PropagatorTable, cond: AveragingCondition, f_states: np.ndarray) -> np.ndarray:
-    """N(T) f = sum_j qw_j U(T, t_j) f(t_j)."""
-    return np.einsum("j,jab,jb->a", cond.quad_weights, table.final_row(), f_states)
+    """N(T) f = sum_j qw_j U(T, t_j) f(t_j), read off the table's final row."""
+    return table.weighted_forcing(cond.quad_weights, f_states)
 
 
-def resolvent_matrix(cond: AveragingCondition, table: PropagatorTable) -> np.ndarray:
+def resolvent_matrix(cond: AveragingCondition, prop) -> np.ndarray:
     """The variant's resolvent: Phi, I + Phi, or I - w0 U(T, 0)."""
     if cond.variant is Variant.TIME_AVERAGE:
-        return assemble_phi(table, cond).matrix
+        return _phi_matrix(prop, cond)
     if cond.variant is Variant.INITIAL_PLUS_AVERAGE:
-        return np.eye(table.dim) + assemble_phi(table, cond).matrix
-    return np.eye(table.dim) - cond.w0 * table.op(table.grid.K, 0)
+        return np.eye(prop.dim) + _phi_matrix(prop, cond)
+    return np.eye(prop.dim) - cond.w0 * prop.column[-1]
+
+
+def check_resolvent(
+    cond: AveragingCondition, resolvent: np.ndarray, sigma_floor: float | None = None
+) -> tuple[float, float]:
+    """(sigma_min, floor) of a variant resolvent from one SVD.
+
+    The floor defaults to 1e-10 times the spectral norm.  Raises
+    SingularOperatorError when sigma_min sits at or below it.
+    """
+    singular_values = np.linalg.svd(resolvent, compute_uv=False)
+    sigma = float(singular_values[-1])
+    floor = 1e-10 * singular_values[0] if sigma_floor is None else sigma_floor
+    if sigma <= floor:
+        raise SingularOperatorError(
+            f"{cond.variant.value} resolvent is numerically singular "
+            f"(sigma_min={sigma:.3e} <= floor={floor:.3e})",
+            sigma_min=sigma,
+        )
+    return sigma, floor
 
 
 def data_shift(
-    cond: AveragingCondition, table: PropagatorTable, M: np.ndarray, f_states: np.ndarray
+    cond: AveragingCondition, prop, M: np.ndarray, f_states: np.ndarray, sums: np.ndarray
 ) -> np.ndarray:
-    """Right-hand side of the variant resolvent equation: M - Psi f or M + w0 N(T) f."""
+    """Right-hand side of the variant resolvent equation: M - Psi f or
+    M + w0 N(T) f, given the Duhamel sums of f."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
-        return M + cond.w0 * terminal_forcing(table, cond, f_states)
-    return M - apply_psi(f_states, table, cond)
+        return M + cond.w0 * prop.weighted_forcing(cond.quad_weights, f_states)
+    return M - _psi(cond, sums)
 
 
 def initial_state_map(
     cond: AveragingCondition,
-    table: PropagatorTable,
+    prop,
     M: np.ndarray,
     f_traj,
     sigma_floor: float | None = None,
@@ -214,19 +235,13 @@ def initial_state_map(
     the resolvent's smallest singular value sits at or below the floor
     (default 1e-10 times its spectral norm).
     """
-    _check_grid(f_traj, table)
+    _check_grid(f_traj, prop)
     M = np.asarray(M, dtype=float)
     f_states = _states_of(f_traj)
-    resolvent = resolvent_matrix(cond, table)
-    sigma = smallest_singular_value(resolvent)
-    floor = 1e-10 * np.linalg.norm(resolvent, 2) if sigma_floor is None else sigma_floor
-    if sigma <= floor:
-        raise SingularOperatorError(
-            f"{cond.variant.value} resolvent is numerically singular "
-            f"(sigma_min={sigma:.3e} <= floor={floor:.3e})",
-            sigma_min=sigma,
-        )
-    return np.linalg.solve(resolvent, data_shift(cond, table, M, f_states))
+    resolvent = resolvent_matrix(cond, prop)
+    check_resolvent(cond, resolvent, sigma_floor)
+    shift = data_shift(cond, prop, M, f_states, prop.duhamel(f_states))
+    return np.linalg.solve(resolvent, shift)
 
 
 @dataclass(frozen=True)
@@ -302,8 +317,8 @@ def phi_lipschitz_probe(
             semi = holder_seminorm(p, rho)
             if semi > eta:
                 raise ValueError(f"{label} path leaves the declared neighborhood: {semi} > {eta}")
-    phi_a = assemble_phi(evolution_stepper(path_a, scheme), cond).matrix
-    phi_b = assemble_phi(evolution_stepper(path_b, scheme), cond).matrix
+    phi_a = assemble_phi(step_factors(path_a, scheme), cond).matrix
+    phi_b = assemble_phi(step_factors(path_b, scheme), cond).matrix
     diff = phi_a - phi_b
     if smoother is not None:
         diff = smoother @ diff

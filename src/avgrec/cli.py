@@ -22,7 +22,7 @@ import numpy as np
 from . import artifacts as art
 from .averaging import AveragingCondition, Variant, WEIGHT_PRESETS
 from .errors import ConfigurationError, NumericalError
-from .evolution import PropagatorMethod, TimeGrid
+from .evolution import SERIES_MEMORY_BUDGET, PropagatorMethod, TimeGrid, series_peak_bytes
 from .models import (
     ChemotaxisModel,
     ExponentBook,
@@ -253,6 +253,14 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("[time] steps: must be at least 1")
     if cfg.horizon <= 0:
         raise ConfigurationError("[time] horizon: must be positive")
+    if cfg.method == "series":
+        need = series_peak_bytes(cfg.grid_n, cfg.steps)
+        if need > SERIES_MEMORY_BUDGET:
+            raise ConfigurationError(
+                f"[solver] method: the kernel series at n={cfg.grid_n}, K={cfg.steps} "
+                f"needs an estimated {need / 2**20:.0f} MiB, over the "
+                f"{SERIES_MEMORY_BUDGET / 2**20:.0f} MiB budget; use method = stepper"
+            )
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -11,6 +11,15 @@ v' = A(t) v are provided:
 * composed one-step integrators (backward Euler / Crank-Nicolson), whose
   cocycle identity holds by construction.
 
+A fixed-point sweep needs only the initial column U(t_i, 0), the Duhamel
+sums and the terminal forcing.  For the stepper these follow from the K
+one-step factors S_j by recursion (:class:`StepFactors`), in O(K n^3) time
+and O(K n^2) memory.  The full lower-triangular table (:class:`PropagatorTable`,
+O(K^2 n^2) memory) is kept for the kernel series, which produces it anyway,
+and as the cross-validation and cocycle oracle of the recursion.  Both
+expose the same sweep interface: ``column``, ``duhamel(f)`` and
+``weighted_forcing(qw, f)``.
+
 The kernel k carries an integrable (t-s)^(rho-1) singularity when A is only
 rho-Hoelder in time.  Discrete convolutions therefore use a product rule:
 interior nodes weighted h, and the singular cell adjacent to the lower
@@ -23,8 +32,9 @@ columns and is safe to reuse across threads afterwards.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +44,9 @@ from .spatial import matrix_exponential
 
 DEFAULT_MAX_TERMS = 50
 DEFAULT_TOL_FACTOR = 1e-10
+# Largest estimated peak (bytes) admitted for the kernel series; see
+# series_peak_bytes.
+SERIES_MEMORY_BUDGET = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -151,9 +164,68 @@ class PropagatorTable:
         """U(t_i, 0) for all i, shape (K+1, n, n)."""
         return np.stack([row[0] for row in self.rows])
 
+    @cached_property
+    def column(self) -> np.ndarray:
+        """The initial column under its sweep-interface name."""
+        return self.initial_column()
+
     def final_row(self) -> np.ndarray:
         """U(T, t_j) for all j, shape (K+1, n, n)."""
         return self.rows[self.grid.K]
+
+    def duhamel(self, f_states: np.ndarray) -> np.ndarray:
+        """Trapezoid Duhamel sums G_i = sum_m wts_m U(t_i, t_m) f(t_m) over
+        m = 0..i, with half weights at both ends, read off the table rows."""
+        h = self.grid.h
+        sums = np.zeros_like(f_states)
+        for i in range(1, self.grid.K + 1):
+            wts = np.full(i + 1, h)
+            wts[0] = wts[-1] = 0.5 * h
+            sums[i] = np.einsum("m,mab,mb->a", wts, self.rows[i], f_states[: i + 1])
+        return sums
+
+    def weighted_forcing(self, quad_weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
+        """sum_j qw_j U(T, t_j) f(t_j), read off the final row."""
+        return np.einsum("j,jab,jb->a", quad_weights, self.final_row(), f_states)
+
+
+@dataclass(frozen=True)
+class StepFactors:
+    """One-step factors S_j = U(t_{j+1}, t_j) of a stepper and the initial
+    column they generate: the sweep interface in O(K n^2) memory.
+
+    Every sweep quantity follows from the factors by a forward recursion,
+    O(K n^3) in all:
+    * the column  P_0 = I,  P_i = S_{i-1} P_{i-1};
+    * the weighted sums  R_0 = 0,  R_i = S_{i-1} (R_{i-1} + c_{i-1} f_{i-1}),
+      so that R_i = sum_{m<i} c_m U(t_i, t_m) f_m.
+    """
+
+    grid: TimeGrid
+    factors: np.ndarray  # (K, n, n)
+    column: np.ndarray  # (K+1, n, n)
+
+    @property
+    def dim(self) -> int:
+        return self.factors.shape[-1]
+
+    def _left_sums(self, weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
+        """R_i = sum_{m<i} weights_m U(t_i, t_m) f(t_m) for i = 0..K."""
+        sums = np.zeros_like(f_states)
+        for i in range(1, self.grid.K + 1):
+            sums[i] = self.factors[i - 1] @ (sums[i - 1] + weights[i - 1] * f_states[i - 1])
+        return sums
+
+    def duhamel(self, f_states: np.ndarray) -> np.ndarray:
+        """Trapezoid Duhamel sums G_i = H_i - (h/2) P_i f_0 + (h/2) f_i, with
+        H_i the left sums at uniform weight h."""
+        h = self.grid.h
+        interior = self._left_sums(np.full(self.grid.K + 1, h), f_states)
+        return interior - 0.5 * h * (self.column @ f_states[0]) + 0.5 * h * f_states
+
+    def weighted_forcing(self, quad_weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
+        """sum_j qw_j U(T, t_j) f(t_j) = R_K + qw_K f_K for any quadrature weights."""
+        return self._left_sums(quad_weights, f_states)[-1] + quad_weights[-1] * f_states[-1]
 
 
 def frozen_semigroup(path: OperatorPath, i: int, j: int) -> np.ndarray:
@@ -261,6 +333,12 @@ def volterra_resolvent(
     return KernelTable.from_values(path.grid, w4, path.holder_rho)
 
 
+def series_peak_bytes(n: int, K: int) -> int:
+    """Estimated peak memory of :func:`evolution_series`: its four dense
+    (K+1) x (K+1) tables of n x n float64 blocks (a, k, w and U)."""
+    return 4 * 8 * (K + 1) ** 2 * n * n
+
+
 def evolution_series(
     path: OperatorPath, tol: float | None = None, max_terms: int = DEFAULT_MAX_TERMS
 ) -> PropagatorTable:
@@ -280,32 +358,53 @@ def evolution_series(
     return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.KERNEL_SERIES, rows=rows)
 
 
-def evolution_stepper(path: OperatorPath, scheme: Scheme = Scheme.CRANK_NICOLSON) -> PropagatorTable:
-    """Propagator from composed one-step matrices.
+def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
+    """S_j for j = 0..K-1 from one stacked solve, shape (K, n, n).
 
     Backward Euler: S_j = (I - h A(t_{j+1}))^{-1};
     Crank-Nicolson: S_j = (I - h/2 A(t_{j+1}))^{-1} (I + h/2 A(t_j)).
-    U(t_i, t_j) = S_{i-1} ... S_j, so the cocycle identity holds by
-    construction (up to roundoff in the stored products).
     """
-    kk = path.grid.K + 1
-    n = path.dim
     h = path.grid.h
+    eye = np.eye(path.dim)
+    if scheme is Scheme.BACKWARD_EULER:
+        lhs, rhs = eye - h * path.matrices[1:], eye
+    else:
+        lhs = eye - 0.5 * h * path.matrices[1:]
+        rhs = eye + 0.5 * h * path.matrices[:-1]
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        # The stacked solve does not say which matrix failed; find the first.
+        for j, matrix in enumerate(lhs):
+            try:
+                np.linalg.solve(matrix, eye)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular one-step matrix at node {j + 1}: {exc}") from exc
+        raise
+
+
+def step_factors(path: OperatorPath, scheme: Scheme = Scheme.CRANK_NICOLSON) -> StepFactors:
+    """One-step factors and the initial column U(t_i, 0) = S_{i-1} ... S_0."""
+    factors = _one_step_factors(path, scheme)
+    column = np.empty((path.grid.K + 1, path.dim, path.dim))
+    column[0] = np.eye(path.dim)
+    for i in range(1, path.grid.K + 1):
+        column[i] = factors[i - 1] @ column[i - 1]
+    return StepFactors(grid=path.grid, factors=factors, column=column)
+
+
+def evolution_stepper(path: OperatorPath, scheme: Scheme = Scheme.CRANK_NICOLSON) -> PropagatorTable:
+    """Full table of composed one-step factors, U(t_i, t_j) = S_{i-1} ... S_j.
+
+    The cocycle identity holds by construction (up to roundoff in the stored
+    products).  The solver uses :func:`step_factors`; this table is the
+    oracle that the factor recursion is checked against.
+    """
+    n = path.dim
     eye = np.eye(n)
-    factors = []
-    for j in range(path.grid.K):
-        try:
-            if scheme is Scheme.BACKWARD_EULER:
-                step = np.linalg.solve(eye - h * path.matrices[j + 1], eye)
-            else:
-                step = np.linalg.solve(
-                    eye - 0.5 * h * path.matrices[j + 1], eye + 0.5 * h * path.matrices[j]
-                )
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular one-step matrix at node {j + 1}: {exc}") from exc
-        factors.append(step)
+    factors = _one_step_factors(path, scheme)
     rows = [eye[None, :, :].copy()]
-    for i in range(1, kk):
+    for i in range(1, path.grid.K + 1):
         row = np.empty((i + 1, n, n))
         row[:i] = np.matmul(factors[i - 1], rows[i - 1])
         row[i] = eye
@@ -391,19 +490,22 @@ def semigroup_perturbation_check(
 
 
 _DUMP_MAGIC = b"AVPT"
+_DUMP_HEADER = "<4sqqdBB"
 _METHOD_CODES = {PropagatorMethod.KERNEL_SERIES: 0, PropagatorMethod.STEPPER: 1}
+_SCHEME_CODES = {None: 0, Scheme.BACKWARD_EULER: 1, Scheme.CRANK_NICOLSON: 2}
 
 
 def save_propagator(table: PropagatorTable, path: str | Path) -> None:
-    """Binary dump: magic, n, K, T, method tag, then the lower triangle
-    row-major as little-endian 64-bit floats (cache format for CLI runs)."""
+    """Binary dump: magic, n, K, T, method tag, scheme tag, then the lower
+    triangle row-major as little-endian 64-bit floats."""
     header = struct.pack(
-        "<4sqqdB",
+        _DUMP_HEADER,
         _DUMP_MAGIC,
         table.dim,
         table.grid.K,
         table.grid.T,
         _METHOD_CODES[table.method_tag],
+        _SCHEME_CODES[table.scheme],
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -412,14 +514,30 @@ def save_propagator(table: PropagatorTable, path: str | Path) -> None:
 
 
 def load_propagator(path: str | Path) -> PropagatorTable:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sqqdB"))
-        magic, n, K, T, code = struct.unpack("<4sqqdB", header)
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"not a propagator dump: bad magic {magic!r}")
-        method = {v: k for k, v in _METHOD_CODES.items()}[code]
-        rows = []
-        for i in range(K + 1):
-            buf = fh.read((i + 1) * n * n * 8)
-            rows.append(np.frombuffer(buf, dtype="<f8").reshape(i + 1, n, n).astype(float))
-    return PropagatorTable(grid=TimeGrid(T=T, K=K), method_tag=method, rows=rows)
+    """Inverse of :func:`save_propagator`; rejects foreign, truncated or
+    oversized files with ValueError."""
+    data = Path(path).read_bytes()
+    size = struct.calcsize(_DUMP_HEADER)
+    if data[:4] != _DUMP_MAGIC:
+        raise ValueError(f"not a propagator dump: bad magic {data[:4]!r}")
+    if len(data) < size:
+        raise ValueError(f"propagator dump {path} holds {len(data)} bytes, less than its header")
+    _, n, K, T, method_code, scheme_code = struct.unpack_from(_DUMP_HEADER, data)
+    methods = {v: k for k, v in _METHOD_CODES.items()}
+    schemes = {v: k for k, v in _SCHEME_CODES.items()}
+    if n < 1 or K < 1 or method_code not in methods or scheme_code not in schemes:
+        raise ValueError(f"propagator dump {path} has a corrupt header")
+    expected = size + 8 * n * n * (K + 1) * (K + 2) // 2
+    if len(data) != expected:
+        raise ValueError(
+            f"propagator dump {path} holds {len(data)} bytes, expected {expected} for n={n}, K={K}"
+        )
+    method = methods[method_code]
+    scheme = schemes[scheme_code]
+    values = np.frombuffer(data, dtype="<f8", offset=size).astype(float)
+    rows = []
+    offset = 0
+    for i in range(K + 1):
+        rows.append(values[offset : offset + (i + 1) * n * n].reshape(i + 1, n, n))
+        offset += (i + 1) * n * n
+    return PropagatorTable(grid=TimeGrid(T=T, K=K), method_tag=method, rows=rows, scheme=scheme)

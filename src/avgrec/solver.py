@@ -1,12 +1,19 @@
 """Fixed-point recovery of initial states from nonlocal observations.
 
 The iteration map follows the variation-of-constants reformulation: given a
-trajectory guess u, freeze the coefficients A(u(t_j)), build the propagator
-table (one-step Crank-Nicolson by default; the kernel series is available
-behind a flag), compute the candidate initial state through the variant's
-resolvent, and reconstruct
+trajectory guess u, freeze the coefficients A(u(t_j)), build the propagation,
+compute the candidate initial state through the variant's resolvent, and
+reconstruct
 
     u_new(t_j) = U(t_j, 0) Xi + int_0^{t_j} U(t_j, s) f(u(s)) ds .
+
+The default propagation is the K one-step Crank-Nicolson factors: the
+initial column U(t_j, 0), the Duhamel sums and the terminal forcing follow
+from them by recursion, so a sweep costs O(K n^3) time and O(K n^2) memory.
+The kernel series (behind a flag) builds its full O(K^2 n^2) table and
+serves the same quantities from it.  Each sweep forms the Duhamel sums once
+and uses them for both the data shift and the reconstruction; the full
+stepper table is only a test oracle.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -30,21 +37,21 @@ import numpy as np
 from .averaging import (
     AveragingCondition,
     Variant,
+    check_resolvent,
     data_shift,
-    duhamel_sums,
     resolvent_matrix,
 )
-from .errors import ConfigurationError, ConvergenceError, NumericalError, SingularOperatorError
+from .errors import ConfigurationError, ConvergenceError, NumericalError
 from .evolution import (
     OperatorPath,
     PropagatorMethod,
     Scheme,
     TimeGrid,
     evolution_series,
-    evolution_stepper,
+    step_factors,
 )
 from .models import check_ball
-from .spatial import SobolevScale, smallest_singular_value, sobolev_norm
+from .spatial import SobolevScale, sobolev_norm
 
 DIVERGENCE_FACTOR = 1e8
 
@@ -180,11 +187,12 @@ def operator_path(model, traj: Trajectory, enforce_ball: bool = False) -> Operat
     return OperatorPath(grid=traj.grid, matrices=mats, holder_rho=model.exponents.rho)
 
 
-def _build_table(model, traj: Trajectory, config: RecoveryConfig):
+def _propagation(model, traj: Trajectory, config: RecoveryConfig):
+    """The sweep interface on A(u): one-step factors, or the series table."""
     path = operator_path(model, traj)
     if config.method is PropagatorMethod.KERNEL_SERIES:
         return evolution_series(path)
-    return evolution_stepper(path, config.scheme)
+    return step_factors(path, config.scheme)
 
 
 @dataclass(frozen=True)
@@ -192,6 +200,25 @@ class _IterateInfo:
     xi: np.ndarray
     sigma_min: float
     ball_exits: int
+
+
+def _initial_state(
+    model, cond: AveragingCondition, M: np.ndarray, u: Trajectory, config: RecoveryConfig
+):
+    """Xi(u) with the sigma_min of its resolvent, the propagation and the
+    Duhamel sums of f(u) it was computed from."""
+    try:
+        prop = _propagation(model, u, config)
+        f_states = np.stack([model.evaluate_f(state) for state in u.states])
+        if not (np.all(np.isfinite(f_states)) and np.all(np.isfinite(prop.column))):
+            raise ConvergenceError("iteration produced non-finite operator or forcing values")
+        sums = prop.duhamel(f_states)
+        resolvent = resolvent_matrix(cond, prop)
+        sigma, _ = check_resolvent(cond, resolvent, config.sigma_floor)
+        xi = np.linalg.solve(resolvent, data_shift(cond, prop, M, f_states, sums))
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        raise ConvergenceError(f"iteration left the computable regime: {exc}") from exc
+    return xi, sigma, prop, sums
 
 
 def _iterate_detail(
@@ -205,28 +232,8 @@ def _iterate_detail(
         warnings.warn(
             f"{ball_exits} iterate states left the model ball; continuing", stacklevel=3
         )
-    try:
-        table = _build_table(model, u, config)
-        f_states = np.stack([model.evaluate_f(state) for state in u.states])
-        if not (np.all(np.isfinite(f_states)) and all(np.all(np.isfinite(r)) for r in table.rows)):
-            raise ConvergenceError("iteration produced non-finite operator or forcing values")
-        resolvent = resolvent_matrix(cond, table)
-        sigma = smallest_singular_value(resolvent)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        raise ConvergenceError(f"iteration left the computable regime: {exc}") from exc
-    floor = (
-        1e-10 * np.linalg.norm(resolvent, 2) if config.sigma_floor is None else config.sigma_floor
-    )
-    if sigma <= floor:
-        raise SingularOperatorError(
-            f"{cond.variant.value} resolvent is numerically singular "
-            f"(sigma_min={sigma:.3e} <= floor={floor:.3e})",
-            sigma_min=sigma,
-        )
-    xi = np.linalg.solve(resolvent, data_shift(cond, table, M, f_states))
-    sums = duhamel_sums(table, f_states)
-    column = table.initial_column()
-    new_states = column @ xi + sums
+    xi, sigma, prop, sums = _initial_state(model, cond, M, u, config)
+    new_states = prop.column @ xi + sums
     if config.relaxation < 1.0:
         new_states = config.relaxation * new_states + (1.0 - config.relaxation) * u.states
     if not np.all(np.isfinite(new_states)):
@@ -298,10 +305,7 @@ def fixed_point_recover(
             report=report,
         )
     # Xi evaluated on the converged trajectory, per the fixed-point identity.
-    table = _build_table(model, u, config)
-    f_states = np.stack([model.evaluate_f(state) for state in u.states])
-    resolvent = resolvent_matrix(cond, table)
-    u0 = np.linalg.solve(resolvent, data_shift(cond, table, M, f_states))
+    u0 = _initial_state(model, cond, M, u, config)[0]
     report.residual = averaging_residual(cond, u, M)
     return u0, u, report
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from avgrec.artifacts import (
 )
 from avgrec.cli import (
     ExperimentConfig,
+    _validate_config,
     build_model,
     initial_profile,
     main,
@@ -269,3 +271,37 @@ class TestMainExitCodes:
         config = tmp_path / "ok.ini"
         config.write_text(fast_config(tmp_path))
         assert main(["recover", "--config", str(config), "--method", "series", "--quiet"]) == 0
+
+
+class TestMemoryAdmission:
+    @staticmethod
+    def large_config(tmp_path, method):
+        """recover on n=256, K=128: the series estimate is 33282 MiB."""
+        return (
+            "[grid]\nn = 256\n[time]\nsteps = 128\n"
+            f"[solver]\nmethod = {method}\n[run]\nout = {tmp_path / 'run'}\n"
+        )
+
+    def test_over_budget_series_rejected_with_estimate(self, tmp_path, capsys):
+        config = tmp_path / "large.ini"
+        config.write_text(self.large_config(tmp_path, "series"))
+        assert main(["recover", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "33282 MiB" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_method_flag_override_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "large.ini"
+        config.write_text(self.large_config(tmp_path, "stepper"))
+        assert main(["recover", "--config", str(config), "--method", "series", "--quiet"]) == 2
+        assert "33282 MiB" in capsys.readouterr().err
+
+    def test_same_grid_admitted_with_stepper(self, tmp_path):
+        cfg = parse_config(self.large_config(tmp_path, "stepper"))
+        assert (cfg.grid_n, cfg.steps, cfg.method) == (256, 128, "stepper")
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
+    @pytest.mark.parametrize("method", ["stepper", "series"])
+    def test_shipped_configs_admitted(self, name, method):
+        cfg = parse_config((CONFIG_DIR / name).read_text())
+        _validate_config(replace(cfg, method=method))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgrec.errors import ConvergenceError
+from avgrec.averaging import AveragingCondition, Variant, duhamel_sums, terminal_forcing
+from avgrec.errors import ConvergenceError, NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
@@ -19,6 +20,7 @@ from avgrec.evolution import (
     load_propagator,
     save_propagator,
     semigroup_perturbation_check,
+    step_factors,
     volterra_resolvent,
     weighted_kernel_max,
 )
@@ -257,6 +259,71 @@ class TestEvolutionStepper:
             assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
+def random_path(n=6, K=24, T=0.8, seed=17):
+    """Nonconstant, non-commuting generator path."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(T=T, K=K)
+    base = stable_symmetric(n, rng)
+    drift = 0.5 * rng.standard_normal((n, n))
+    mats = np.stack([base + np.sin(3.0 * t) * drift for t in grid.nodes])
+    return OperatorPath(grid=grid, matrices=mats, holder_rho=0.5)
+
+
+def rel_err(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+class TestStepFactorsAgainstTable:
+    """The factor recursion reproduces the full-table oracle."""
+
+    def test_column(self, scheme):
+        path = random_path()
+        table = evolution_stepper(path, scheme)
+        assert rel_err(step_factors(path, scheme).column, table.initial_column()) <= 1e-13
+
+    def test_duhamel(self, scheme):
+        path = random_path()
+        f_states = np.random.default_rng(5).standard_normal((path.grid.K + 1, path.dim))
+        got = step_factors(path, scheme).duhamel(f_states)
+        assert np.array_equal(got[0], np.zeros(path.dim))
+        assert rel_err(got, duhamel_sums(evolution_stepper(path, scheme), f_states)) <= 1e-13
+
+    @pytest.mark.parametrize("quadrature", ["trapezoid", "random"])
+    def test_weighted_forcing(self, scheme, quadrature):
+        path = random_path()
+        grid = path.grid
+        rng = np.random.default_rng(8)
+        qw = None
+        if quadrature == "random":
+            qw = rng.uniform(0.1, 1.0, grid.K + 1)
+            qw *= grid.T / qw.sum()
+        cond = AveragingCondition(
+            grid=grid,
+            variant=Variant.TERMINAL_DIFFERENCE,
+            weight=np.ones(grid.K + 1),
+            w0=0.5,
+            quad_weights=qw,
+        )
+        f_states = rng.standard_normal((grid.K + 1, path.dim))
+        got = step_factors(path, scheme).weighted_forcing(cond.quad_weights, f_states)
+        expected = terminal_forcing(evolution_stepper(path, scheme), cond, f_states)
+        assert rel_err(got, expected) <= 1e-13
+
+
+class TestStepFactors:
+    def test_singular_node_named(self):
+        # Backward Euler at h = 1/8: I - h A(t_3) vanishes for A(t_3) = 8 I.
+        path = constant_path(-np.eye(3), K=8, T=1.0)
+        mats = path.matrices.copy()
+        mats[3] = 8.0 * np.eye(3)
+        bad = OperatorPath(grid=path.grid, matrices=mats, holder_rho=0.5)
+        with pytest.raises(NumericalError, match="node 3"):
+            step_factors(bad, Scheme.BACKWARD_EULER)
+        with pytest.raises(NumericalError, match="node 3"):
+            evolution_stepper(bad, Scheme.BACKWARD_EULER)
+
+
 class TestSeriesCocycle:
     def test_defect_small_and_decreasing(self, series_family):
         defects = []
@@ -341,9 +408,32 @@ class TestBinaryDump:
         assert loaded.grid.K == table.grid.K
         assert loaded.grid.T == table.grid.T
         assert loaded.method_tag is table.method_tag
+        assert loaded.scheme is table.scheme
         for i in (0, 5, 32):
             for j in (0, i // 2, i):
                 assert np.array_equal(loaded.op(i, j), table.op(i, j))
+
+    def test_series_round_trip_has_no_scheme(self, tmp_path, series_family):
+        target = tmp_path / "series.bin"
+        save_propagator(series_family[32]["series"], target)
+        assert load_propagator(target).scheme is None
+
+    def test_truncated_file_rejected(self, tmp_path, series_family):
+        target = tmp_path / "table.bin"
+        save_propagator(series_family[32]["stepper"], target)
+        data = target.read_bytes()
+        target.write_bytes(data[:-8])
+        with pytest.raises(ValueError, match=f"holds {len(data) - 8} bytes, expected {len(data)}"):
+            load_propagator(target)
+
+    def test_corrupt_header_rejected(self, tmp_path, series_family):
+        target = tmp_path / "table.bin"
+        save_propagator(series_family[32]["stepper"], target)
+        data = bytearray(target.read_bytes())
+        data[28] = 7  # method tag: no such method
+        target.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="corrupt header"):
+            load_propagator(target)
 
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -295,6 +295,43 @@ class TestVariantDegeneracy:
         assert np.abs(traj.states - reconstructed).max() <= 10 * RecoveryConfig().tol_fixed_point
 
 
+class TestStepperSweep:
+    """The stepper recovery runs on the one-step factors, never on the table."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_matches_table_routed_reference(self, small_chemo, variant, monkeypatch):
+        import avgrec.averaging
+        import avgrec.evolution
+        import avgrec.solver
+
+        grid_t = TimeGrid(T=0.5, K=32)
+        cond = AveragingCondition.from_preset(grid_t, variant, "constant", w0=0.5)
+        truth = forward_solve(small_chemo, 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes), grid_t)
+        M = np.einsum("j,ja->a", cond.quad_weights * cond.weight, truth.states)
+        if variant is Variant.INITIAL_PLUS_AVERAGE:
+            M = M + truth.states[0]
+        elif variant is Variant.TERMINAL_DIFFERENCE:
+            M = truth.states[0] - cond.w0 * truth.states[-1]
+
+        def table_route(model, traj, config):
+            return evolution_stepper(operator_path(model, traj), config.scheme)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(avgrec.solver, "_propagation", table_route)
+            reference, _, _ = fixed_point_recover(small_chemo, cond, M)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the stepper sweep built the full propagator table")
+
+        monkeypatch.setattr(avgrec.evolution, "evolution_stepper", forbidden)
+        monkeypatch.setattr(avgrec.solver, "evolution_stepper", forbidden, raising=False)
+        monkeypatch.setattr(avgrec.averaging, "duhamel_sums", forbidden)
+        monkeypatch.setattr(avgrec.evolution.PropagatorTable, "duhamel", forbidden)
+        u0, _, report = fixed_point_recover(small_chemo, cond, M)
+        assert report.converged
+        assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
 class TestSmallnessScan:
     def test_zero_amplitude_trivially_converges(self, small_chemo):
         grid_t = TimeGrid(T=0.5, K=16)
