@@ -178,9 +178,9 @@ def apply_psi(f_traj, prop, cond: AveragingCondition) -> np.ndarray:
     return _psi(cond, prop.duhamel(f_states))
 
 
-def terminal_forcing(table: PropagatorTable, cond: AveragingCondition, f_states: np.ndarray) -> np.ndarray:
-    """N(T) f = sum_j qw_j U(T, t_j) f(t_j), read off the table's final row."""
-    return table.weighted_forcing(cond.quad_weights, f_states)
+def terminal_forcing(prop, cond: AveragingCondition, f_states: np.ndarray) -> np.ndarray:
+    """N(T) f = sum_j qw_j U(T, t_j) f(t_j) with the condition's quadrature."""
+    return prop.weighted_forcing(cond.quad_weights, f_states)
 
 
 def resolvent_matrix(cond: AveragingCondition, prop) -> np.ndarray:
@@ -213,12 +213,19 @@ def check_resolvent(
 
 
 def data_shift(
-    cond: AveragingCondition, prop, M: np.ndarray, f_states: np.ndarray, sums: np.ndarray
+    cond: AveragingCondition,
+    prop,
+    M: np.ndarray,
+    f_states: np.ndarray,
+    sums: np.ndarray | None = None,
 ) -> np.ndarray:
     """Right-hand side of the variant resolvent equation: M - Psi f or
-    M + w0 N(T) f, given the Duhamel sums of f."""
+    M + w0 N(T) f.  ``sums`` are the Duhamel sums of f when already formed;
+    only the averaging variants read them."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
-        return M + cond.w0 * prop.weighted_forcing(cond.quad_weights, f_states)
+        return M + cond.w0 * terminal_forcing(prop, cond, f_states)
+    if sums is None:
+        sums = prop.duhamel(f_states)
     return M - _psi(cond, sums)
 
 
@@ -228,20 +235,20 @@ def initial_state_map(
     M: np.ndarray,
     f_traj,
     sigma_floor: float | None = None,
+    sums: np.ndarray | None = None,
 ) -> np.ndarray:
     """Candidate initial state for the fixed-point reformulation.
 
     Solves the variant resolvent equation; raises SingularOperatorError when
     the resolvent's smallest singular value sits at or below the floor
-    (default 1e-10 times its spectral norm).
+    (default 1e-10 times its spectral norm).  Precomputed Duhamel sums of
+    f may be passed as ``sums``.
     """
     _check_grid(f_traj, prop)
     M = np.asarray(M, dtype=float)
-    f_states = _states_of(f_traj)
     resolvent = resolvent_matrix(cond, prop)
     check_resolvent(cond, resolvent, sigma_floor)
-    shift = data_shift(cond, prop, M, f_states, prop.duhamel(f_states))
-    return np.linalg.solve(resolvent, shift)
+    return np.linalg.solve(resolvent, data_shift(cond, prop, M, _states_of(f_traj), sums))
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,8 @@ def _initial_state(
         if not (np.all(np.isfinite(f_states)) and np.all(np.isfinite(prop.column))):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
         sums = prop.duhamel(f_states)
+        # The steps of averaging.initial_state_map, kept apart so that the
+        # sweep's sigma_min reaches the report from the same SVD.
         resolvent = resolvent_matrix(cond, prop)
         sigma, _ = check_resolvent(cond, resolvent, config.sigma_floor)
         xi = np.linalg.solve(resolvent, data_shift(cond, prop, M, f_states, sums))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,7 +288,7 @@ class TestInitialStateMap:
         M = rng.standard_normal(16)
         f_traj = Trajectory(grid=grid_t, states=f_states)
         xi = initial_state_map(cond, table, M, f_traj)
-        states = table.initial_column() @ xi + duhamel_sums(table, f_states)
+        states = table.column @ xi + duhamel_sums(table, f_states)
         average = np.einsum("j,ja->a", cond.quad_weights * cond.weight, states)
         if variant is Variant.TIME_AVERAGE:
             defect = average - M
@@ -296,6 +298,33 @@ class TestInitialStateMap:
             defect = states[0] - cond.w0 * states[-1] - M
         bound = 1e-8 * (np.linalg.norm(M) + np.linalg.norm(f_states))
         assert np.linalg.norm(defect) <= bound
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_precomputed_sums_reused(self, variant):
+        # Given the Duhamel sums, the map forms none itself; the terminal
+        # variant never needs them.
+        grid_t = TimeGrid(T=0.5, K=12)
+        table = evolution_stepper(constant_path(-np.diag([1.0, 2.0, 3.0]), grid_t))
+        cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
+        rng = np.random.default_rng(2)
+        f_states = rng.standard_normal((13, 3))
+        M = rng.standard_normal(3)
+        sums = duhamel_sums(table, f_states)
+        expected = initial_state_map(cond, table, M, f_states)
+
+        def no_duhamel(f):
+            raise AssertionError("Duhamel sums recomputed")
+
+        prop = SimpleNamespace(
+            grid=table.grid,
+            dim=table.dim,
+            column=table.column,
+            weighted_forcing=table.weighted_forcing,
+            duhamel=no_duhamel,
+        )
+        given = None if variant is Variant.TERMINAL_DIFFERENCE else sums
+        got = initial_state_map(cond, prop, M, f_states, sums=given)
+        assert np.array_equal(got, expected)
 
 
 class TestInvertibilityReport:

@@ -276,7 +276,7 @@ class TestMainExitCodes:
 class TestMemoryAdmission:
     @staticmethod
     def large_config(tmp_path, method):
-        """recover on n=256, K=128: the series estimate is 33282 MiB."""
+        """recover on n=256, K=128: the series estimate is 58244 MiB."""
         return (
             "[grid]\nn = 256\n[time]\nsteps = 128\n"
             f"[solver]\nmethod = {method}\n[run]\nout = {tmp_path / 'run'}\n"
@@ -287,14 +287,14 @@ class TestMemoryAdmission:
         config.write_text(self.large_config(tmp_path, "series"))
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "33282 MiB" in err
+        assert "configuration error" in err and "58244 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_method_flag_override_is_checked(self, tmp_path, capsys):
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper"))
         assert main(["recover", "--config", str(config), "--method", "series", "--quiet"]) == 2
-        assert "33282 MiB" in capsys.readouterr().err
+        assert "58244 MiB" in capsys.readouterr().err
 
     def test_same_grid_admitted_with_stepper(self, tmp_path):
         cfg = parse_config(self.large_config(tmp_path, "stepper"))

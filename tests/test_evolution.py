@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from avgrec.evolution import (
     load_propagator,
     save_propagator,
     semigroup_perturbation_check,
+    series_peak_bytes,
     step_factors,
     volterra_resolvent,
     weighted_kernel_max,
@@ -280,7 +282,7 @@ class TestStepFactorsAgainstTable:
     def test_column(self, scheme):
         path = random_path()
         table = evolution_stepper(path, scheme)
-        assert rel_err(step_factors(path, scheme).column, table.initial_column()) <= 1e-13
+        assert rel_err(step_factors(path, scheme).column, table.column) <= 1e-13
 
     def test_duhamel(self, scheme):
         path = random_path()
@@ -322,6 +324,30 @@ class TestStepFactors:
             step_factors(bad, Scheme.BACKWARD_EULER)
         with pytest.raises(NumericalError, match="node 3"):
             evolution_stepper(bad, Scheme.BACKWARD_EULER)
+
+
+    @pytest.mark.parametrize("K", [6, 9])
+    def test_backward_euler_factors(self, K):
+        # K == n is the shape where a stack of vectors could pass for a
+        # stack of identity right-hand sides.
+        path = random_path(n=6, K=K)
+        h = path.grid.h
+        expected = np.stack([np.linalg.inv(np.eye(6) - h * m) for m in path.matrices[1:]])
+        factors = step_factors(path, Scheme.BACKWARD_EULER).factors
+        assert factors.shape == (K, 6, 6)
+        assert rel_err(factors, expected) <= 1e-13
+
+
+def test_series_peak_estimate_matches_traced_allocation():
+    path = random_path(n=16, K=48, seed=4)
+    tracemalloc.start()
+    try:
+        evolution_series(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimate = series_peak_bytes(16, 48)
+    assert 0.95 * estimate <= peak <= 1.05 * estimate
 
 
 class TestSeriesCocycle:

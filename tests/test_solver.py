@@ -159,7 +159,7 @@ class TestIterateOnce:
         table = evolution_stepper(operator_path(linear16, Trajectory.zero(grid_t, 16)))
         start = Trajectory(grid=grid_t, states=RNG.standard_normal((33, 16)))
         got = iterate_once(linear16, cond, M, start, RecoveryConfig())
-        expected = table.initial_column() @ x0
+        expected = table.column @ x0
         assert np.abs(got.states - expected).max() <= 1e-8
 
     def test_zero_data_zero_fixed_point(self, small_chemo):
@@ -291,7 +291,7 @@ class TestVariantDegeneracy:
         np.testing.assert_array_equal(u0, M)
         table = evolution_stepper(operator_path(small_chemo, traj))
         f_states = np.stack([small_chemo.evaluate_f(s) for s in traj.states])
-        reconstructed = table.initial_column() @ M + duhamel_sums(table, f_states)
+        reconstructed = table.column @ M + duhamel_sums(table, f_states)
         assert np.abs(traj.states - reconstructed).max() <= 10 * RecoveryConfig().tol_fixed_point
 
 
