@@ -4,7 +4,7 @@ through each nonlocal condition, recover the initial state, and compare the
 recovery error against the forward solver's measured accuracy."""
 import numpy as np
 
-from avgrec.averaging import AveragingCondition, Variant
+from avgrec.averaging import AveragingCondition, Variant, observe
 from avgrec.evolution import TimeGrid
 from avgrec.models import ChemotaxisModel, NonlocalRDModel
 from avgrec.solver import (
@@ -14,15 +14,6 @@ from avgrec.solver import (
     self_convergence_error,
 )
 from avgrec.spatial import BoundaryKind, build_grid
-
-
-def observation(variant, cond, truth):
-    average = np.einsum("j,ja->a", cond.quad_weights * cond.weight, truth.states)
-    if variant is Variant.TIME_AVERAGE:
-        return average
-    if variant is Variant.INITIAL_PLUS_AVERAGE:
-        return truth.states[0] + average
-    return truth.states[0] - cond.w0 * truth.states[-1]
 
 
 def main():
@@ -40,7 +31,7 @@ def main():
             e_h = self_convergence_error(model, u0_true, tg)
             for variant in Variant:
                 cond = AveragingCondition.from_preset(tg, variant, "constant", w0=0.5)
-                M = observation(variant, cond, truth)
+                M = observe(cond, truth.states)
                 u0, _, _ = fixed_point_recover(model, cond, M, RecoveryConfig())
                 err = np.linalg.norm(u0 - u0_true) / np.linalg.norm(u0_true)
                 print(

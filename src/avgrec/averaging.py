@@ -116,6 +116,17 @@ class PhiOperator:
     sigma_min: float
 
 
+def observe(cond: AveragingCondition, states: np.ndarray) -> np.ndarray:
+    """The discretised condition on a trajectory's states, shape (K+1, n):
+    sum_j qw_j w(t_j) u(t_j), u(0) plus that average, or u(0) - w0 u(T)."""
+    if cond.variant is Variant.TERMINAL_DIFFERENCE:
+        return states[0] - cond.w0 * states[-1]
+    average = np.einsum("j,ja->a", cond.quad_weights * cond.weight, states)
+    if cond.variant is Variant.TIME_AVERAGE:
+        return average
+    return states[0] + average
+
+
 def _states_of(traj) -> np.ndarray:
     """Accept a Trajectory-like object (``.states``) or a plain (K+1, n) array."""
     states = getattr(traj, "states", traj)
@@ -137,14 +148,6 @@ def assemble_phi(prop, cond: AveragingCondition) -> PhiOperator:
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
         raise ValueError("terminal-difference conditions have no averaging operator")
     matrix = _phi_matrix(prop, cond)
-    return PhiOperator(
-        matrix=matrix, condition=cond, sigma_min=smallest_singular_value(matrix)
-    )
-
-
-def assemble_phi_tilde(prop, cond: AveragingCondition) -> PhiOperator:
-    """Terminal-weighted variant w0 U(T,0) + sum_j qw_j w(t_j) U(t_j, 0)."""
-    matrix = _phi_matrix(prop, cond) + cond.w0 * prop.column[-1]
     return PhiOperator(
         matrix=matrix, condition=cond, sigma_min=smallest_singular_value(matrix)
     )

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts as art
-from .averaging import AveragingCondition, Variant, WEIGHT_PRESETS
+from .averaging import AveragingCondition, Variant, WEIGHT_PRESETS, observe
 from .errors import ConfigurationError, NumericalError
 from .evolution import SERIES_MEMORY_BUDGET, PropagatorMethod, TimeGrid, series_peak_bytes
 from .models import (
@@ -33,7 +33,6 @@ from .models import (
 from .solver import (
     RecoveryConfig,
     Trajectory,
-    averaging_residual,
     contraction_probe,
     fixed_point_recover,
     forward_solve,
@@ -383,13 +382,7 @@ def build_observation(cfg: ExperimentConfig, model, cond: AveragingCondition) ->
     if cfg.data_source == "file":
         return art.read_field_csv(cfg.data_path)
     truth = forward_solve(model, initial_profile(cfg, grid), cond.grid)
-    average = np.einsum("j,ja->a", cond.quad_weights * cond.weight, truth.states)
-    variant = Variant(cfg.variant)
-    if variant is Variant.TIME_AVERAGE:
-        return average
-    if variant is Variant.INITIAL_PLUS_AVERAGE:
-        return truth.states[0] + average
-    return truth.states[0] - cfg.w0 * truth.states[-1]
+    return observe(cond, truth.states)
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

@@ -6,8 +6,10 @@ v' = A(t) v are provided:
 * the frozen-coefficient kernel series
       U = a + a * w,    a(t, s) = exp((t-s) A(s)),
       w  = resolvent of  k(t, s) = [A(t) - A(s)] a(t, s),
-  where * is the Volterra convolution in time and w solves the fixed
-  point w = k + k * w;
+  where * is the Volterra convolution in time and w solves
+  w = k + k * w.  On strictly lower-triangular tables the map w -> k * w
+  is nilpotent, so the discrete equation is solved exactly by forward
+  substitution over the rows, with no tolerance and no sweep cap;
 * composed one-step integrators (backward Euler / Crank-Nicolson), whose
   cocycle identity holds by construction.
 
@@ -31,19 +33,15 @@ columns and is safe to reuse across threads afterwards.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import NumericalError
 from .spatial import matrix_exponential
 
-DEFAULT_MAX_TERMS = 50
-DEFAULT_TOL_FACTOR = 1e-10
 # Largest estimated peak (bytes) admitted for the kernel series; see
 # series_peak_bytes.
 SERIES_MEMORY_BUDGET = 2 * 2**30
@@ -122,11 +120,6 @@ class KernelTable:
     def from_values(cls, grid: TimeGrid, values: np.ndarray, rho: float) -> "KernelTable":
         bound = weighted_kernel_max(grid, values, rho)
         return cls(grid=grid, values=values, singularity_exponent=rho - 1.0, weighted_bound=bound)
-
-    def at(self, i: int, j: int) -> np.ndarray:
-        if not 0 <= j < i <= self.grid.K:
-            raise ValueError(f"kernel table is strictly lower triangular, got (i,j)=({i},{j})")
-        return self.values[i, j]
 
 
 def weighted_kernel_max(grid: TimeGrid, values: np.ndarray, rho: float) -> float:
@@ -254,16 +247,14 @@ def _convolve(f4: np.ndarray, g4: np.ndarray, h: float, rho: float) -> np.ndarra
 
     (f*g)[i,j] = sum_{j<m<i} h f[i,m] g[m,j]  +  (h/rho) f[i,j+1] g[j+1,j].
 
-    g must be strictly lower triangular; f may carry its natural diagonal
+    g must be strictly lower triangular; f carries its natural diagonal
     (identity for semigroup tables), which supplies the i = j+1 cell of the
     correction and is excluded from the interior sum.
     """
     kk, _, n, _ = f4.shape
-    interior = f4
-    if f4[0, 0].any() or f4[kk - 1, kk - 1].any():
-        interior = f4.copy()
-        idx = np.arange(kk)
-        interior[idx, idx] = 0.0
+    interior = f4.copy()
+    idx = np.arange(kk)
+    interior[idx, idx] = 0.0
     out = h * _unblock(_block(interior) @ _block(g4), kk, n)
     sub = g4[np.arange(1, kk), np.arange(kk - 1)]  # g[j+1, j]
     corr = np.einsum("ijab,jbc->ijac", f4[:, 1:, :, :], sub)
@@ -294,38 +285,36 @@ def _frozen_tables(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
     return a4, k4
 
 
-def _resolvent_iterate(
-    k4: np.ndarray, h: float, rho: float, tol: float | None, max_terms: int
-) -> np.ndarray:
-    scale = float(np.sqrt((k4**2).sum(axis=(2, 3))).max())
-    if tol is None:
-        tol = DEFAULT_TOL_FACTOR * max(scale, 1e-300)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    w = k4.copy()
-    increment = 0.0
-    for _ in range(max_terms):
-        w_new = k4 + _convolve(k4, w, h, rho)
-        increment = float(np.sqrt(((w_new - w) ** 2).sum(axis=(2, 3))).max())
-        w = w_new
-        if increment <= tol:
-            return w
-    raise ConvergenceError(
-        f"resolvent iteration did not reach tol={tol:.3g} in {max_terms} sweeps",
-        last_increment=increment,
-    )
+def _resolvent_solve(k4: np.ndarray, h: float, rho: float) -> np.ndarray:
+    """w = k + k*w by forward substitution over rows, exact up to roundoff.
 
-
-def volterra_resolvent(
-    path: OperatorPath, tol: float | None = None, max_terms: int = DEFAULT_MAX_TERMS
-) -> KernelTable:
-    """Resolvent kernel w solving w = k + k*w by fixed-point sweeps.
-
-    Stops when the sweep increment's table max-norm (Frobenius per entry)
-    drops below ``tol``; the default is 1e-10 times the kernel table scale.
+    Entry (i, j) of k*w reads w only on rows m < i, and k has a zero
+    diagonal, so every row follows from the rows above it.  In particular
+    w[j+1, j] = k[j+1, j], which fixes the end-cell term (h/rho) k[i,j+1]
+    w[j+1,j] before the solve.  Rows are kept in the blocked layout so that
+    the interior sum of row i is one matrix product.
     """
+    kk, _, n, _ = k4.shape
+    k2 = _block(k4)
+    w2 = np.zeros_like(k2)
+    sub = k4[np.arange(1, kk), np.arange(kk - 1)]  # w[j+1, j] = k[j+1, j]
+    for i in range(1, kk):
+        rows = slice(i * n, (i + 1) * n)
+        cols = slice(0, i * n)
+        # k[i, j+1] w[j+1, j] for j < i; the j = i-1 cell reads k[i, i] = 0.
+        cells = np.matmul(k4[i, 1 : i + 1], sub[:i]).transpose(1, 0, 2).reshape(n, i * n)
+        w2[rows, cols] = (
+            k2[rows, cols]
+            + h * (k2[rows, n : i * n] @ w2[n : i * n, cols])
+            + (h / rho) * cells
+        )
+    return _unblock(w2, kk, n)
+
+
+def volterra_resolvent(path: OperatorPath) -> KernelTable:
+    """Resolvent kernel w solving w = k + k*w, by forward substitution."""
     _, k4 = _frozen_tables(path)
-    w4 = _resolvent_iterate(k4, path.grid.h, path.holder_rho, tol, max_terms)
+    w4 = _resolvent_solve(k4, path.grid.h, path.holder_rho)
     return KernelTable.from_values(path.grid, w4, path.holder_rho)
 
 
@@ -340,15 +329,13 @@ def series_peak_bytes(n: int, K: int) -> int:
     return 7 * 8 * (K + 1) ** 2 * n * n
 
 
-def evolution_series(
-    path: OperatorPath, tol: float | None = None, max_terms: int = DEFAULT_MAX_TERMS
-) -> PropagatorTable:
+def evolution_series(path: OperatorPath) -> PropagatorTable:
     """Propagator from the kernel series U = a + a*w.
 
     Exact (up to roundoff) for constant paths, where the kernel vanishes.
     """
     a4, k4 = _frozen_tables(path)
-    w4 = _resolvent_iterate(k4, path.grid.h, path.holder_rho, tol, max_terms)
+    w4 = _resolvent_solve(k4, path.grid.h, path.holder_rho)
     u4 = a4 + _convolve(a4, w4, path.grid.h, path.holder_rho)
     eye = np.eye(path.dim)
     rows = []
@@ -491,57 +478,3 @@ def semigroup_perturbation_check(
         stable_plain=fine_plain <= 2.0 * coarse_plain,
         stable_smoothed=fine_smooth <= 2.0 * coarse_smooth,
     )
-
-
-_DUMP_MAGIC = b"AVPT"
-_DUMP_HEADER = "<4sqqdBB"
-_METHOD_CODES = {PropagatorMethod.KERNEL_SERIES: 0, PropagatorMethod.STEPPER: 1}
-_SCHEME_CODES = {None: 0, Scheme.BACKWARD_EULER: 1, Scheme.CRANK_NICOLSON: 2}
-
-
-def save_propagator(table: PropagatorTable, path: str | Path) -> None:
-    """Binary dump: magic, n, K, T, method tag, scheme tag, then the lower
-    triangle row-major as little-endian 64-bit floats."""
-    header = struct.pack(
-        _DUMP_HEADER,
-        _DUMP_MAGIC,
-        table.dim,
-        table.grid.K,
-        table.grid.T,
-        _METHOD_CODES[table.method_tag],
-        _SCHEME_CODES[table.scheme],
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for row in table.rows:
-            fh.write(np.ascontiguousarray(row, dtype="<f8").tobytes())
-
-
-def load_propagator(path: str | Path) -> PropagatorTable:
-    """Inverse of :func:`save_propagator`; rejects foreign, truncated or
-    oversized files with ValueError."""
-    data = Path(path).read_bytes()
-    size = struct.calcsize(_DUMP_HEADER)
-    if data[:4] != _DUMP_MAGIC:
-        raise ValueError(f"not a propagator dump: bad magic {data[:4]!r}")
-    if len(data) < size:
-        raise ValueError(f"propagator dump {path} holds {len(data)} bytes, less than its header")
-    _, n, K, T, method_code, scheme_code = struct.unpack_from(_DUMP_HEADER, data)
-    methods = {v: k for k, v in _METHOD_CODES.items()}
-    schemes = {v: k for k, v in _SCHEME_CODES.items()}
-    if n < 1 or K < 1 or method_code not in methods or scheme_code not in schemes:
-        raise ValueError(f"propagator dump {path} has a corrupt header")
-    expected = size + 8 * n * n * (K + 1) * (K + 2) // 2
-    if len(data) != expected:
-        raise ValueError(
-            f"propagator dump {path} holds {len(data)} bytes, expected {expected} for n={n}, K={K}"
-        )
-    method = methods[method_code]
-    scheme = schemes[scheme_code]
-    values = np.frombuffer(data, dtype="<f8", offset=size).astype(float)
-    rows = []
-    offset = 0
-    for i in range(K + 1):
-        rows.append(values[offset : offset + (i + 1) * n * n].reshape(i + 1, n, n))
-        offset += (i + 1) * n * n
-    return PropagatorTable(grid=TimeGrid(T=T, K=K), method_tag=method, rows=rows, scheme=scheme)

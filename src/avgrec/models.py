@@ -191,18 +191,6 @@ class ChemotaxisModel:
         return -self.chi_fn(self.signal(u)) * u**2
 
 
-def chemotaxis_signal(model: ChemotaxisModel, u: np.ndarray) -> np.ndarray:
-    return model.signal(u)
-
-
-def chemotaxis_A(model: ChemotaxisModel, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-    return model.assemble_A(u, enforce_ball=enforce_ball)
-
-
-def chemotaxis_f(model: ChemotaxisModel, u: np.ndarray) -> np.ndarray:
-    return model.evaluate_f(u)
-
-
 def rd_exponents(p: float = 4.0, ell: float = 2.0, delta: int = 1) -> ExponentBook:
     """Admissible exponents for the 1-D nonlocal reaction-diffusion model."""
     cap = min(1.0 / p, 0.5 * (delta + 1.0 / p))
@@ -330,14 +318,6 @@ class NonlocalRDModel:
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(u, self.poly_coeffs)
-
-
-def rd_A(model: NonlocalRDModel, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-    return model.assemble_A(u, enforce_ball=enforce_ball)
-
-
-def rd_f(model: NonlocalRDModel, u: np.ndarray) -> np.ndarray:
-    return model.evaluate_f(u)
 
 
 def generic_exponents(ell: float = 1.0) -> ExponentBook:

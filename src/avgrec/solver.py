@@ -36,9 +36,9 @@ import numpy as np
 
 from .averaging import (
     AveragingCondition,
-    Variant,
     check_resolvent,
     data_shift,
+    observe,
     resolvent_matrix,
 )
 from .errors import ConfigurationError, ConvergenceError, NumericalError
@@ -246,14 +246,6 @@ def _iterate_detail(
     )
 
 
-def iterate_once(
-    model, cond: AveragingCondition, M: np.ndarray, u: Trajectory, config: RecoveryConfig
-) -> Trajectory:
-    """One sweep of the fixed-point map (with the configured relaxation)."""
-    new_u, _ = _iterate_detail(model, cond, M, u, config)
-    return new_u
-
-
 def fixed_point_recover(
     model,
     cond: AveragingCondition,
@@ -358,13 +350,7 @@ def averaging_residual(cond: AveragingCondition, traj: Trajectory, M: np.ndarray
     if traj.grid.K != cond.grid.K or traj.grid.T != cond.grid.T:
         raise ValueError("trajectory and condition live on different time grids")
     M = np.asarray(M, dtype=float)
-    average = np.einsum("j,ja->a", cond.quad_weights * cond.weight, traj.states)
-    if cond.variant is Variant.TIME_AVERAGE:
-        defect = average - M
-    elif cond.variant is Variant.INITIAL_PLUS_AVERAGE:
-        defect = traj.states[0] + average - M
-    else:
-        defect = traj.states[0] - cond.w0 * traj.states[-1] - M
+    defect = observe(cond, traj.states) - M
     m_norm = np.linalg.norm(M)
     return float(np.linalg.norm(defect) / (m_norm if m_norm > 0 else 1.0))
 
@@ -501,8 +487,9 @@ def contraction_probe(
     ratios = []
     per_run = []
     failures = []
-    _, base_traj, base_rep = fixed_point_recover(model, cond, M, config)
+    base_u0, base_traj, base_rep = fixed_point_recover(model, cond, M, config)
     limits.append(base_traj)
+    u0s.append(base_u0)
     ratios.extend(base_rep.contraction_estimates)
     per_run.append(tuple(base_rep.contraction_estimates))
     for trial in range(trials):

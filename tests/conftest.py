@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avgrec.averaging import AveragingCondition, Variant
+from avgrec.averaging import AveragingCondition, Variant, observe
 from avgrec.evolution import (
     OperatorPath,
     Scheme,
@@ -73,15 +73,6 @@ def sqrt_holder_path(K, T=1.0):
     return OperatorPath(grid=grid_t, matrices=mats, holder_rho=0.5)
 
 
-def manufactured_observation(variant, cond, truth):
-    average = np.einsum("j,ja->a", cond.quad_weights * cond.weight, truth.states)
-    if variant is Variant.TIME_AVERAGE:
-        return average
-    if variant is Variant.INITIAL_PLUS_AVERAGE:
-        return truth.states[0] + average
-    return truth.states[0] - cond.w0 * truth.states[-1]
-
-
 @pytest.fixture(scope="session")
 def manufactured(chemo32, rd32):
     """Forward truths, measured forward errors, and recoveries for both
@@ -97,7 +88,7 @@ def manufactured(chemo32, rd32):
             per_variant = {}
             for variant in Variant:
                 cond = AveragingCondition.from_preset(tg, variant, "constant", w0=0.5)
-                M = manufactured_observation(variant, cond, truth)
+                M = observe(cond, truth.states)
                 u0, traj, report = fixed_point_recover(model, cond, M, RecoveryConfig())
                 per_variant[variant] = {
                     "cond": cond,

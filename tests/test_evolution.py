@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgrec.averaging import AveragingCondition, Variant, duhamel_sums, terminal_forcing
-from avgrec.errors import ConvergenceError, NumericalError
+from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
@@ -18,8 +18,6 @@ from avgrec.evolution import (
     evolution_stepper,
     frozen_semigroup,
     holder_seminorm,
-    load_propagator,
-    save_propagator,
     semigroup_perturbation_check,
     series_peak_bytes,
     step_factors,
@@ -128,11 +126,11 @@ class TestCommutatorKernel:
 class TestVolterraResolvent:
     def test_constant_path_zero_table(self):
         path = constant_path(stable_symmetric(4))
-        table = volterra_resolvent(path, tol=1e-12)
+        table = volterra_resolvent(path)
         assert np.abs(table.values).max() == 0.0
 
     def test_small_kernel_returns_kernel(self):
-        # With k*k below tolerance the resolvent equals the kernel itself.
+        # With k*k far below the kernel itself the resolvent equals the kernel.
         a0 = stable_symmetric(3)
         b = 1e-7 * np.eye(3)
         grid = TimeGrid(T=1.0, K=8)
@@ -140,19 +138,19 @@ class TestVolterraResolvent:
             grid=grid, matrices=np.stack([a0 + t * b for t in grid.nodes]), holder_rho=0.5
         )
         tol = 1e-9
-        table = volterra_resolvent(path, tol=tol)
+        table = volterra_resolvent(path)
         for i in range(1, 9):
             for j in range(i):
                 np.testing.assert_allclose(
-                    table.at(i, j), commutator_kernel(path, i, j), atol=2 * tol
+                    table.values[i, j], commutator_kernel(path, i, j), atol=2 * tol
                 )
 
     def test_residual_oracle(self):
         # Direct-loop evaluation of w - k - k*w, independent of the block
-        # implementation inside the solver.
+        # implementation inside the solver.  The forward substitution is
+        # exact, so the residual sits at roundoff.
         path = sqrt_holder_path(24)
-        tol = 1e-10
-        table = volterra_resolvent(path, tol=tol)
+        table = volterra_resolvent(path)
         K = path.grid.K
         h = path.grid.h
         rho = path.holder_rho
@@ -164,22 +162,16 @@ class TestVolterraResolvent:
             for j in range(i):
                 conv = np.zeros((4, 4))
                 for m in range(j + 1, i):
-                    conv += h * k[i, m] @ table.at(m, j)
+                    conv += h * k[i, m] @ table.values[m, j]
                 if i >= j + 2:
-                    conv += (h / rho) * k[i, j + 1] @ table.at(j + 1, j)
-                res = table.at(i, j) - k[i, j] - conv
+                    conv += (h / rho) * k[i, j + 1] @ table.values[j + 1, j]
+                res = table.values[i, j] - k[i, j] - conv
                 worst = max(worst, np.linalg.norm(res))
-        assert worst <= 2 * tol
-
-    def test_nonconvergence_signalled(self):
-        path = sqrt_holder_path(16)
-        with pytest.raises(ConvergenceError) as err:
-            volterra_resolvent(path, tol=1e-16, max_terms=1)
-        assert err.value.last_increment > 0
+        scale = np.sqrt((table.values**2).sum(axis=(2, 3))).max()
+        assert worst <= 1e-14 * scale
 
     def test_kernel_bound_stable_under_refinement(self):
-        bounds = [volterra_resolvent(sqrt_holder_path(K), tol=1e-8).weighted_bound
-                  for K in (32, 64, 128)]
+        bounds = [volterra_resolvent(sqrt_holder_path(K)).weighted_bound for K in (32, 64, 128)]
         assert max(bounds) / min(bounds) < 2.0
 
 
@@ -425,57 +417,14 @@ class TestSemigroupPerturbation:
         assert report.stable_plain and report.stable_smoothed
 
 
-class TestBinaryDump:
-    def test_round_trip(self, tmp_path, series_family):
-        table = series_family[32]["stepper"]
-        target = tmp_path / "table.bin"
-        save_propagator(table, target)
-        loaded = load_propagator(target)
-        assert loaded.grid.K == table.grid.K
-        assert loaded.grid.T == table.grid.T
-        assert loaded.method_tag is table.method_tag
-        assert loaded.scheme is table.scheme
-        for i in (0, 5, 32):
-            for j in (0, i // 2, i):
-                assert np.array_equal(loaded.op(i, j), table.op(i, j))
-
-    def test_series_round_trip_has_no_scheme(self, tmp_path, series_family):
-        target = tmp_path / "series.bin"
-        save_propagator(series_family[32]["series"], target)
-        assert load_propagator(target).scheme is None
-
-    def test_truncated_file_rejected(self, tmp_path, series_family):
-        target = tmp_path / "table.bin"
-        save_propagator(series_family[32]["stepper"], target)
-        data = target.read_bytes()
-        target.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match=f"holds {len(data) - 8} bytes, expected {len(data)}"):
-            load_propagator(target)
-
-    def test_corrupt_header_rejected(self, tmp_path, series_family):
-        target = tmp_path / "table.bin"
-        save_propagator(series_family[32]["stepper"], target)
-        data = bytearray(target.read_bytes())
-        data[28] = 7  # method tag: no such method
-        target.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="corrupt header"):
-            load_propagator(target)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_propagator(bad)
-
-
 class TestWeightedKernelMax:
     def test_matches_direct_computation(self):
         path = sqrt_holder_path(16)
-        table = volterra_resolvent(path, tol=1e-8)
+        table = volterra_resolvent(path)
         grid = path.grid
         direct = 0.0
         for i in range(1, 17):
             for j in range(i):
                 gap = grid.nodes[i] - grid.nodes[j]
-                direct = max(direct, gap**0.5 * np.linalg.norm(table.at(i, j)))
+                direct = max(direct, gap**0.5 * np.linalg.norm(table.values[i, j]))
         assert weighted_kernel_max(grid, table.values, 0.5) == pytest.approx(direct, rel=1e-12)

@@ -9,16 +9,11 @@ from avgrec.models import (
     NonlocalRDModel,
     QuasilinearModel,
     ShiftedModel,
-    chemotaxis_A,
     chemotaxis_exponents,
-    chemotaxis_f,
-    chemotaxis_signal,
     equilibrium_shift,
     generic_exponents,
     growth_estimate_probe,
-    rd_A,
     rd_exponents,
-    rd_f,
     validate_exponents,
 )
 from avgrec.spatial import BoundaryKind, build_grid, sobolev_norm
@@ -64,26 +59,26 @@ class TestExponentBook:
 
 class TestChemotaxisModel:
     def test_signal_zero(self, chemo):
-        assert np.allclose(chemotaxis_signal(chemo, np.zeros(16)), 0.0)
+        assert np.allclose(chemo.signal(np.zeros(16)), 0.0)
 
     def test_signal_constant(self, chemo):
-        np.testing.assert_allclose(chemotaxis_signal(chemo, np.full(16, 2.0)), 2.0, rtol=1e-12)
+        np.testing.assert_allclose(chemo.signal(np.full(16, 2.0)), 2.0, rtol=1e-12)
 
     def test_signal_eigenmode(self, chemo):
         k = 4
         q = chemo.base.eigenvectors[:, k]
         expected = q / (1.0 - chemo.base.eigenvalues[k])
-        np.testing.assert_allclose(chemotaxis_signal(chemo, q), expected, rtol=1e-12)
+        np.testing.assert_allclose(chemo.signal(q), expected, rtol=1e-12)
 
     def test_linearization_at_zero_is_scaled_laplacian(self, chemo):
-        a0 = chemotaxis_A(chemo, np.zeros(16))
+        a0 = chemo.assemble_A(np.zeros(16))
         expected = chemo.a_fn(np.zeros(16))[0] * chemo.base.matrix
         assert np.abs(a0 - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_constant_state_closed_form(self, chemo_half):
         c = 0.3
         u = np.full(16, c)
-        got = chemotaxis_A(chemo_half, u)
+        got = chemo_half.assemble_A(u)
         # v = c, dv = 0: A(u) w = a(c) Lap w - chi(c) c w
         a_c = np.exp(-0.5 * c)
         chi_c = 0.5 * np.exp(-0.5 * c)
@@ -97,7 +92,7 @@ class TestChemotaxisModel:
             for _ in range(count):
                 u, w = 0.4 * rng.standard_normal((2, 16))
                 num = np.linalg.norm(
-                    chemotaxis_A(chemo, u) - chemotaxis_A(chemo, w), 2
+                    chemo.assemble_A(u) - chemo.assemble_A(w), 2
                 )
                 den = sobolev_norm(chemo.scale, u - w, 0.0)
                 worst = max(worst, num / den)
@@ -108,11 +103,11 @@ class TestChemotaxisModel:
         assert c100 <= 2.0 * c50
 
     def test_forcing_zero_at_zero(self, chemo):
-        assert np.array_equal(chemotaxis_f(chemo, np.zeros(16)), np.zeros(16))
+        assert np.array_equal(chemo.evaluate_f(np.zeros(16)), np.zeros(16))
 
     def test_forcing_constant_closed_form(self, chemo):
         c = 0.2
-        got = chemotaxis_f(chemo, np.full(16, c))
+        got = chemo.evaluate_f(np.full(16, c))
         expected = -np.exp(-c) * c**2  # chi(c) c^2 with delta = 1
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -129,7 +124,7 @@ class TestChemotaxisModel:
 
     def test_ball_violation_diagnosed(self, chemo):
         with pytest.raises(BallViolationError) as err:
-            chemotaxis_A(chemo, np.full(16, 10.0))
+            chemo.assemble_A(np.full(16, 10.0))
         assert err.value.norm > err.value.radius
 
     def test_dirichlet_grid_rejected(self):
@@ -145,14 +140,14 @@ class TestNonlocalRDModel:
         grid = build_grid(12, 1.0, BoundaryKind.NEUMANN)
         model = NonlocalRDModel.default(grid)
         # l(0) = 0 so a = 1 + 0^2 = 1
-        got = rd_A(model, np.zeros(12))
+        got = model.assemble_A(np.zeros(12))
         np.testing.assert_allclose(got, model.base.matrix, atol=1e-13)
 
     def test_unit_functional_doubles_laplacian(self, rd):
         # int u = 1 makes the coefficient 1 + 1^2 = 2
         grid = rd.base.grid
         u = np.full(grid.n, 1.0 / grid.length)
-        got = rd_A(rd, u)
+        got = rd.assemble_A(u)
         np.testing.assert_allclose(got, 2.0 * rd.base.matrix, rtol=1e-12)
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
@@ -161,14 +156,14 @@ class TestNonlocalRDModel:
         rng = np.random.default_rng(7)
         for _ in range(5):
             u = 0.5 * rng.standard_normal(10)
-            mat = rd_A(model, u)
+            mat = model.assemble_A(u)
             assert np.abs(mat - mat.T).max() <= 1e-12 * np.abs(mat).max()
 
     def test_neumann_row_sums_vanish(self, rd):
         rng = np.random.default_rng(9)
         for _ in range(5):
             u = 0.5 * rng.standard_normal(16)
-            mat = rd_A(rd, u)
+            mat = rd.assemble_A(u)
             assert np.abs(mat.sum(axis=1)).max() <= 1e-9
 
     def test_ellipticity_violation_raises(self):
@@ -184,7 +179,7 @@ class TestNonlocalRDModel:
         )
         u = np.full(8, -3.0)  # l(u) = -3 makes the coefficient negative
         with pytest.raises(ModelError):
-            rd_A(model, u)
+            model.assemble_A(u)
 
     def test_bad_polynomial_rejected(self):
         grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
@@ -192,8 +187,8 @@ class TestNonlocalRDModel:
             NonlocalRDModel.default(grid, poly_coeffs=(0.0, 1.0, 0.0, -1.0))
 
     def test_forcing_pointwise_cubic(self, rd):
-        assert np.array_equal(rd_f(rd, np.zeros(16)), np.zeros(16))
-        np.testing.assert_allclose(rd_f(rd, np.full(16, 2.0)), -8.0, rtol=1e-14)
+        assert np.array_equal(rd.evaluate_f(np.zeros(16)), np.zeros(16))
+        np.testing.assert_allclose(rd.evaluate_f(np.full(16, 2.0)), -8.0, rtol=1e-14)
 
     def test_forcing_derivative_growth_bound(self, rd):
         # |f'(r) - f'(s)| <= c (|r| + |s|) |r - s| with f = -r^3, c = 3
@@ -226,7 +221,7 @@ class TestNonlocalRDModel:
         )
         u = np.full(8, 3.0)
         expected = 1.0 + np.tanh(3.0) ** 2
-        got = rd_A(model, u, enforce_ball=False)
+        got = model.assemble_A(u, enforce_ball=False)
         np.testing.assert_allclose(got, expected * model.base.matrix, rtol=1e-12)
 
 

@@ -13,12 +13,13 @@ from avgrec.solver import (
     RecoveryConfig,
     Trajectory,
     WeightedNormSpec,
+    _iterate_detail,
     averaging_residual,
     contraction_probe,
     fixed_point_recover,
     forward_solve,
-    iterate_once,
     operator_path,
+    random_admissible_trajectory,
     self_convergence_error,
     smallness_scan,
     weighted_distance,
@@ -158,14 +159,14 @@ class TestIterateOnce:
         M = linear_observation(linear16, cond, x0)
         table = evolution_stepper(operator_path(linear16, Trajectory.zero(grid_t, 16)))
         start = Trajectory(grid=grid_t, states=RNG.standard_normal((33, 16)))
-        got = iterate_once(linear16, cond, M, start, RecoveryConfig())
+        got, _ = _iterate_detail(linear16, cond, M, start, RecoveryConfig())
         expected = table.column @ x0
         assert np.abs(got.states - expected).max() <= 1e-8
 
     def test_zero_data_zero_fixed_point(self, small_chemo):
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        got = iterate_once(
+        got, _ = _iterate_detail(
             small_chemo, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig()
         )
         assert np.all(got.states == 0.0)
@@ -174,7 +175,7 @@ class TestIterateOnce:
         grid_t = TimeGrid(T=0.5, K=32)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         M = 1e-3 * np.cos(np.pi * small_chemo.base.grid.nodes)
-        traj = iterate_once(
+        traj, _ = _iterate_detail(
             small_chemo, cond, M, Trajectory.zero(grid_t, 16), RecoveryConfig()
         )
         from avgrec.spatial import sobolev_norm
@@ -208,7 +209,9 @@ class TestFixedPointRecover:
         data = run["variants"][Variant.TIME_AVERAGE]
         config = RecoveryConfig()
         spec = WeightedNormSpec.from_model(run["model"])
-        moved = iterate_once(run["model"], data["cond"], data["M"], data["trajectory"], config)
+        moved, _ = _iterate_detail(
+            run["model"], data["cond"], data["M"], data["trajectory"], config
+        )
         assert weighted_distance(moved, data["trajectory"], spec) <= config.tol_fixed_point
 
     def test_report_serializable(self, manufactured):
@@ -365,6 +368,23 @@ class TestContractionProbe:
         assert probe.all_converged
         assert probe.limit_spread <= 1e-10
         assert probe.initial_state_spread <= 1e-10
+
+    def test_initial_state_spread_includes_base_run(self, small_chemo):
+        # With one trial the only pair is the base run and that trial; a
+        # loose tolerance leaves their recovered initial states apart.
+        grid_t = TimeGrid(T=0.5, K=16)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        config = RecoveryConfig(tol_fixed_point=1e-4)
+        probe = contraction_probe(small_chemo, cond, M, config, trials=1, seed=4)
+        base_u0, _, _ = fixed_point_recover(small_chemo, cond, M, config)
+        spec = WeightedNormSpec.from_model(small_chemo)
+        rng = np.random.default_rng(4)
+        start = random_admissible_trajectory(grid_t, 16, spec, config.ball_L, rng)
+        trial_u0, _, _ = fixed_point_recover(small_chemo, cond, M, config, initial=start)
+        expected = float(np.linalg.norm(base_u0 - trial_u0))
+        assert expected > 0.0
+        assert probe.initial_state_spread == expected
 
     def test_zero_data_zero_limits(self, small_chemo):
         grid_t = TimeGrid(T=0.5, K=16)
