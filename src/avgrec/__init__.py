@@ -10,6 +10,7 @@ from .evolution import (
     TimeGrid,
     evolution_series,
     evolution_stepper,
+    series_table,
 )
 from .models import ChemotaxisModel, ExponentBook, LinearTestModel, NonlocalRDModel
 from .solver import (
@@ -44,6 +45,7 @@ __all__ = [
     "evolution_stepper",
     "fixed_point_recover",
     "forward_solve",
+    "series_table",
 ]
 
 __version__ = "0.1.0"

@@ -15,9 +15,10 @@ the variation-of-constants identities, so substituting their output back
 into the discretized condition closes to solver roundoff.
 
 Assembly takes a propagation through its sweep interface (``column``,
-``duhamel``, ``weighted_forcing``): the stepper's one-step factors or a full
-propagator table.  Assembled operators are immutable and shareable;
-assembly is a pure reduction over the initial column.
+``duhamel``, ``weighted_forcing``): the stepper's one-step factors, the
+kernel series' frozen steps, or a full propagator table (the test oracle).
+Assembled operators are immutable and shareable; assembly is a pure
+reduction over the initial column.
 """
 from __future__ import annotations
 

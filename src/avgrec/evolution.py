@@ -14,13 +14,15 @@ v' = A(t) v are provided:
   cocycle identity holds by construction.
 
 A fixed-point sweep needs only the initial column U(t_i, 0), the Duhamel
-sums and the terminal forcing.  For the stepper these follow from the K
-one-step factors S_j by recursion (:class:`StepFactors`), in O(K n^3) time
-and O(K n^2) memory.  The full lower-triangular table (:class:`PropagatorTable`,
-O(K^2 n^2) memory) is kept for the kernel series, which produces it anyway,
-and as the cross-validation and cocycle oracle of the recursion.  Both
-expose the same sweep interface: ``column``, ``duhamel(f)`` and
-``weighted_forcing(qw, f)``.
+sums and the terminal forcing.  Both constructions serve them by forward
+recursion in O(K n^2) memory: the stepper from its K one-step factors S_j
+(:class:`StepFactors`, O(K n^3) time), the kernel series from its K frozen
+steps exp(h A_j) (:class:`SeriesSweep`, O(K^2 n^3) for the column and
+O(K^2 n^2) per Duhamel sum), neither forming a table.  Both expose the same
+sweep interface: ``column``, ``duhamel(f)`` and ``weighted_forcing(qw, f)``.
+The full lower-triangular tables (:class:`PropagatorTable`, O(K^2 n^2)
+memory, from :func:`evolution_stepper` and :func:`series_table`) are the
+cross-validation and cocycle oracles of the recursions.
 
 The kernel k carries an integrable (t-s)^(rho-1) singularity when A is only
 rho-Hoelder in time.  Discrete convolutions therefore use a product rule:
@@ -28,8 +30,7 @@ interior nodes weighted h, and the singular cell adjacent to the lower
 endpoint replaced by the exact cell integral of (t-s)^(rho-1) against the
 nearest kernel value, which amounts to an extra weight h/rho on that cell.
 
-Tables are immutable once built; construction reduces over independent
-columns and is safe to reuse across threads afterwards.
+Tables and sweeps are immutable once built and safe to reuse across threads.
 """
 from __future__ import annotations
 
@@ -178,8 +179,25 @@ class PropagatorTable:
         return np.einsum("j,jab,jb->a", quad_weights, self.final_row(), f_states)
 
 
+class _Sweep:
+    """Duhamel sums and terminal forcing from a propagation's initial
+    ``column`` and its left sums R_i = sum_{m<i} c_m U(t_i, t_m) f(t_m)
+    (``_left_sums(c, f)``, R_0 = 0)."""
+
+    def duhamel(self, f_states: np.ndarray) -> np.ndarray:
+        """Trapezoid Duhamel sums G_i = H_i - (h/2) P_i f_0 + (h/2) f_i, with
+        H_i the left sums at uniform weight h."""
+        h = self.grid.h
+        interior = self._left_sums(np.full(self.grid.K + 1, h), f_states)
+        return interior - 0.5 * h * (self.column @ f_states[0]) + 0.5 * h * f_states
+
+    def weighted_forcing(self, quad_weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
+        """sum_j qw_j U(T, t_j) f(t_j) = R_K + qw_K f_K for any quadrature weights."""
+        return self._left_sums(quad_weights, f_states)[-1] + quad_weights[-1] * f_states[-1]
+
+
 @dataclass(frozen=True)
-class StepFactors:
+class StepFactors(_Sweep):
     """One-step factors S_j = U(t_{j+1}, t_j) of a stepper and the initial
     column they generate: the sweep interface in O(K n^2) memory.
 
@@ -204,17 +222,6 @@ class StepFactors:
         for i in range(1, self.grid.K + 1):
             sums[i] = self.factors[i - 1] @ (sums[i - 1] + weights[i - 1] * f_states[i - 1])
         return sums
-
-    def duhamel(self, f_states: np.ndarray) -> np.ndarray:
-        """Trapezoid Duhamel sums G_i = H_i - (h/2) P_i f_0 + (h/2) f_i, with
-        H_i the left sums at uniform weight h."""
-        h = self.grid.h
-        interior = self._left_sums(np.full(self.grid.K + 1, h), f_states)
-        return interior - 0.5 * h * (self.column @ f_states[0]) + 0.5 * h * f_states
-
-    def weighted_forcing(self, quad_weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
-        """sum_j qw_j U(T, t_j) f(t_j) = R_K + qw_K f_K for any quadrature weights."""
-        return self._left_sums(quad_weights, f_states)[-1] + quad_weights[-1] * f_states[-1]
 
 
 def frozen_semigroup(path: OperatorPath, i: int, j: int) -> np.ndarray:
@@ -262,6 +269,14 @@ def _convolve(f4: np.ndarray, g4: np.ndarray, h: float, rho: float) -> np.ndarra
     return out
 
 
+def _frozen_steps(path: OperatorPath) -> np.ndarray:
+    """The K frozen steps exp(h A(t_j)), j = 0..K-1, shape (K, n, n)."""
+    steps = np.empty((path.grid.K, path.dim, path.dim))
+    for j in range(path.grid.K):
+        steps[j] = matrix_exponential(path.matrices[j], path.grid.h)
+    return steps
+
+
 def _frozen_tables(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
     """Dense tables a[i,j] = exp((t_i-t_j)A(t_j)) and k[i,j] = [A_i - A_j] a[i,j].
 
@@ -270,17 +285,16 @@ def _frozen_tables(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
     """
     kk = path.grid.K + 1
     n = path.dim
-    h = path.grid.h
     eye = np.eye(n)
+    steps = _frozen_steps(path)
     a4 = np.zeros((kk, kk, n, n))
     k4 = np.zeros((kk, kk, n, n))
     for j in range(kk):
         a4[j, j] = eye
         if j == kk - 1:
             continue
-        step = matrix_exponential(path.matrices[j], h)
         for i in range(j + 1, kk):
-            a4[i, j] = step @ a4[i - 1, j]
+            a4[i, j] = steps[j] @ a4[i - 1, j]
         k4[j + 1 :, j] = np.matmul(path.matrices[j + 1 :] - path.matrices[j], a4[j + 1 :, j])
     return a4, k4
 
@@ -318,21 +332,12 @@ def volterra_resolvent(path: OperatorPath) -> KernelTable:
     return KernelTable.from_values(path.grid, w4, path.holder_rho)
 
 
-def series_peak_bytes(n: int, K: int) -> int:
-    """Estimated peak memory of :func:`evolution_series` in bytes: seven dense
-    (K+1) x (K+1) tables of n x n float64 blocks.
-
-    The final convolution a*w holds a, k, w, the diagonal-free copy of a, two
-    blocked operands and their product at once; allocation traces of the
-    construction peak at 7.0 tables for n >= 16.
-    """
-    return 7 * 8 * (K + 1) ** 2 * n * n
-
-
-def evolution_series(path: OperatorPath) -> PropagatorTable:
-    """Propagator from the kernel series U = a + a*w.
+def series_table(path: OperatorPath) -> PropagatorTable:
+    """Full table of the kernel series U = a + a*w from dense (K+1)^2 tables.
 
     Exact (up to roundoff) for constant paths, where the kernel vanishes.
+    The solver uses :func:`evolution_series`; this table is the oracle that
+    its recursion is checked against.
     """
     a4, k4 = _frozen_tables(path)
     w4 = _resolvent_solve(k4, path.grid.h, path.holder_rho)
@@ -344,6 +349,94 @@ def evolution_series(path: OperatorPath) -> PropagatorTable:
         row[i] = eye
         rows.append(row)
     return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.KERNEL_SERIES, rows=rows)
+
+
+def _series_left_sums(path: OperatorPath, steps: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """R_i = sum_{m<i} U(t_i, t_m) rhs_m for the series U = a + a*w, i = 0..K,
+    with rhs of shape (K+1, n, r).
+
+    Expanding both convolutions, with s_m = k[m+1, m] rhs_m,
+    g_0 = rhs_0 and g_m = rhs_m + h y_m + (h/rho) s_{m-1}:
+        R_m = sum_{l<m} a[m, l] g_l + (h/rho) s_{m-1},
+        y_m = sum_{l<m} w[m, l] rhs_l = sum_{l<m} k[m, l] g_l.
+    The products p_l = a[m, l] g_l are carried from node to node by
+    p_l <- exp(h A_l) p_l, and k[m, l] g_l is formed as (A_m - A_l) p_l, so
+    that it is exactly zero on a constant path.
+    """
+    K = path.grid.K
+    h = path.grid.h
+    end = h / path.holder_rho
+    mats = path.matrices
+    sums = np.zeros_like(rhs)
+    carried = np.empty((K,) + rhs.shape[1:])  # p_l for l < m
+    g = rhs[0]
+    for m in range(1, K + 1):
+        carried[: m - 1] = np.matmul(steps[: m - 1], carried[: m - 1])
+        carried[m - 1] = steps[m - 1] @ g
+        s = (mats[m] - mats[m - 1]) @ (steps[m - 1] @ rhs[m - 1])
+        sums[m] = carried[:m].sum(axis=0) + end * s
+        if m < K:
+            y = np.matmul(mats[m] - mats[:m], carried[:m]).sum(axis=0)
+            g = rhs[m] + h * y + end * s
+    return sums
+
+
+@dataclass(frozen=True)
+class SeriesSweep(_Sweep):
+    """The kernel series' sweep interface in O(K n^2) memory: the path, its
+    K frozen steps exp(h A_j) and the initial column.
+
+    Column and left sums come from the forward recursion of
+    :func:`_series_left_sums`; a, k, w and U are never formed.
+    """
+
+    path: OperatorPath
+    steps: np.ndarray  # (K, n, n)
+    column: np.ndarray  # (K+1, n, n)
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.path.grid
+
+    @property
+    def dim(self) -> int:
+        return self.path.dim
+
+    def _left_sums(self, weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
+        """R_i = sum_{m<i} weights_m U(t_i, t_m) f(t_m) for i = 0..K."""
+        rhs = (weights[:, None] * f_states)[:, :, None]
+        return _series_left_sums(self.path, self.steps, rhs)[:, :, 0]
+
+
+def series_peak_bytes(n: int, K: int) -> int:
+    """Estimated peak memory of :func:`evolution_series` in bytes: six
+    stacks of K+1 float64 n x n blocks.
+
+    The column recursion holds the frozen steps, the carried products, the
+    right-hand side (I, 0, ..., 0), the sums, and at the last nodes the
+    differences A_m - A_l and their products with the carried blocks;
+    allocation traces of the construction peak at 5.9-6.0 stacks for
+    n = 16 to 256.
+    """
+    return 6 * 8 * (K + 1) * n * n
+
+
+def evolution_series(path: OperatorPath) -> SeriesSweep:
+    """Sweep interface of the kernel series U = a + a*w.
+
+    The column U(t_i, 0) is the recursion on the matrix right-hand side
+    (I, 0, ..., 0), O(K^2 n^3) once per build; each Duhamel sum is
+    O(K^2 n^2).  On a constant path the kernel is exactly zero and the
+    column equals the frozen semigroup of :func:`series_table` bit for bit.
+    """
+    n = path.dim
+    eye = np.eye(n)
+    steps = _frozen_steps(path)
+    rhs = np.zeros((path.grid.K + 1, n, n))
+    rhs[0] = eye
+    column = _series_left_sums(path, steps, rhs)
+    column[0] = eye
+    return SeriesSweep(path=path, steps=steps, column=column)
 
 
 def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:

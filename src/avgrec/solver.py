@@ -10,10 +10,11 @@ reconstruct
 The default propagation is the K one-step Crank-Nicolson factors: the
 initial column U(t_j, 0), the Duhamel sums and the terminal forcing follow
 from them by recursion, so a sweep costs O(K n^3) time and O(K n^2) memory.
-The kernel series (behind a flag) builds its full O(K^2 n^2) table and
-serves the same quantities from it.  Each sweep forms the Duhamel sums once
-and uses them for both the data shift and the reconstruction; the full
-stepper table is only a test oracle.
+The kernel series (behind a flag) serves the same quantities by forward
+recursion on its K frozen steps exp(h A_j), in O(K^2 n^3) time and
+O(K n^2) memory.  Each sweep forms the Duhamel sums once and uses them for
+both the data shift and the reconstruction; the full propagator tables of
+either method are only test oracles.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -188,7 +189,8 @@ def operator_path(model, traj: Trajectory, enforce_ball: bool = False) -> Operat
 
 
 def _propagation(model, traj: Trajectory, config: RecoveryConfig):
-    """The sweep interface on A(u): one-step factors, or the series table."""
+    """The sweep interface on A(u): the stepper's one-step factors, or the
+    kernel series' frozen steps; neither builds a propagator table."""
     path = operator_path(model, traj)
     if config.method is PropagatorMethod.KERNEL_SERIES:
         return evolution_series(path)

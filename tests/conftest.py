@@ -6,8 +6,8 @@ from avgrec.evolution import (
     OperatorPath,
     Scheme,
     TimeGrid,
-    evolution_series,
     evolution_stepper,
+    series_table,
 )
 from avgrec.models import ChemotaxisModel, NonlocalRDModel
 from avgrec.solver import (
@@ -48,14 +48,15 @@ def chemotaxis_reference_path(model, K, T=0.5):
 
 @pytest.fixture(scope="session")
 def series_family(chemo16):
-    """Kernel-series and Crank-Nicolson tables on the reference smooth path,
-    one entry per K level (shared by the cross-method and cocycle tests)."""
+    """Kernel-series and Crank-Nicolson oracle tables on the reference smooth
+    path, one entry per K level (shared by the cross-method and cocycle
+    tests)."""
     family = {}
     for K in (32, 64, 128):
         path = chemotaxis_reference_path(chemo16, K)
         family[K] = {
             "path": path,
-            "series": evolution_series(path),
+            "series": series_table(path),
             "stepper": evolution_stepper(path, Scheme.CRANK_NICOLSON),
         }
     return family

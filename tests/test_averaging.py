@@ -90,7 +90,7 @@ class TestAssemblePhi:
         base = assemble_laplacian(build_grid(8, 8.0, BoundaryKind.NEUMANN))
         grid_t = TimeGrid(T=1.0, K=256)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        # the series table carries the exact semigroup values on a constant
+        # the series column carries the exact semigroup values on a constant
         # path, so only the time quadrature contributes to the error
         table = evolution_series(constant_path(base.matrix, grid_t))
         phi = assemble_phi(table, cond)

@@ -20,6 +20,7 @@ from avgrec.evolution import (
     holder_seminorm,
     semigroup_perturbation_check,
     series_peak_bytes,
+    series_table,
     step_factors,
     volterra_resolvent,
     weighted_kernel_max,
@@ -180,7 +181,7 @@ class TestEvolutionSeries:
         a = stable_symmetric(6)
         K = 16
         path = constant_path(a, K=K, T=1.0)
-        table = evolution_series(path)
+        table = series_table(path)
         for i, j in ((K, 0), (K, K // 2), (5, 1), (1, 0)):
             exact = matrix_exponential(a, path.grid.h * (i - j))
             err = np.linalg.norm(table.op(i, j) - exact) / np.linalg.norm(exact)
@@ -196,9 +197,9 @@ class TestEvolutionSeries:
             matrices=np.stack([(1.0 + 0.5 * t) * base.matrix for t in grid.nodes]),
             holder_rho=0.9,
         )
-        table = evolution_series(path)
+        u_final = evolution_series(path).column[128]
         exact = matrix_exponential(base.matrix, 1.25)  # int_0^1 (1 + t/2) dt = 5/4
-        rel = np.linalg.norm(table.op(128, 0) - exact, 2) / np.linalg.norm(exact, 2)
+        rel = np.linalg.norm(u_final - exact, 2) / np.linalg.norm(exact, 2)
         assert rel <= 0.02
 
     def test_cross_method_agreement(self, series_family):
@@ -330,16 +331,68 @@ class TestStepFactors:
         assert rel_err(factors, expected) <= 1e-13
 
 
+class TestSeriesSweepAgainstTable:
+    """The kernel-series recursion reproduces the dense-table oracle."""
+
+    @pytest.fixture(scope="class", params=["sqrt_holder", "chemotaxis"])
+    def pair(self, request, series_family):
+        """(sweep, oracle table) on a nonconstant path."""
+        if request.param == "sqrt_holder":
+            path = sqrt_holder_path(24)
+            return evolution_series(path), series_table(path)
+        entry = series_family[32]
+        return evolution_series(entry["path"]), entry["series"]
+
+    def test_column(self, pair):
+        sweep, table = pair
+        assert rel_err(sweep.column, table.column) <= 1e-13
+
+    def test_duhamel(self, pair):
+        sweep, table = pair
+        grid = sweep.grid
+        f_states = np.random.default_rng(5).standard_normal((grid.K + 1, sweep.dim))
+        got = sweep.duhamel(f_states)
+        assert np.array_equal(got[0], np.zeros(sweep.dim))
+        assert rel_err(got, duhamel_sums(table, f_states)) <= 1e-13
+
+    @pytest.mark.parametrize("quadrature", ["trapezoid", "random"])
+    def test_weighted_forcing(self, pair, quadrature):
+        sweep, table = pair
+        grid = sweep.grid
+        rng = np.random.default_rng(8)
+        qw = None
+        if quadrature == "random":
+            qw = rng.uniform(0.1, 1.0, grid.K + 1)
+            qw *= grid.T / qw.sum()
+        cond = AveragingCondition(
+            grid=grid,
+            variant=Variant.TERMINAL_DIFFERENCE,
+            weight=np.ones(grid.K + 1),
+            w0=0.5,
+            quad_weights=qw,
+        )
+        f_states = rng.standard_normal((grid.K + 1, sweep.dim))
+        got = sweep.weighted_forcing(cond.quad_weights, f_states)
+        assert rel_err(got, terminal_forcing(table, cond, f_states)) <= 1e-13
+
+    def test_constant_path_column_bitwise(self):
+        # The kernel is exactly zero on a constant path, so the recursion
+        # reduces to the oracle's frozen-semigroup power chain.
+        path = constant_path(stable_symmetric(6), K=16, T=1.0)
+        assert np.array_equal(evolution_series(path).column, series_table(path).column)
+
+
 def test_series_peak_estimate_matches_traced_allocation():
-    path = random_path(n=16, K=48, seed=4)
-    tracemalloc.start()
-    try:
-        evolution_series(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    estimate = series_peak_bytes(16, 48)
-    assert 0.95 * estimate <= peak <= 1.05 * estimate
+    for n, K in ((16, 48), (64, 32)):
+        path = random_path(n=n, K=K, seed=4)
+        tracemalloc.start()
+        try:
+            evolution_series(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = series_peak_bytes(n, K)
+        assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
 
 
 class TestSeriesCocycle:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgrec.averaging import AveragingCondition, Variant, assemble_phi, duhamel_sums
+from avgrec.averaging import AveragingCondition, Variant, assemble_phi, duhamel_sums, observe
 from avgrec.errors import BallViolationError, ConfigurationError, ConvergenceError
-from avgrec.evolution import Scheme, TimeGrid, evolution_stepper
+from avgrec.evolution import PropagatorMethod, Scheme, TimeGrid, evolution_stepper, series_table
 from avgrec.models import ChemotaxisModel, LinearTestModel
 from avgrec.solver import (
     RecoveryConfig,
@@ -331,6 +331,40 @@ class TestStepperSweep:
         monkeypatch.setattr(avgrec.averaging, "duhamel_sums", forbidden)
         monkeypatch.setattr(avgrec.evolution.PropagatorTable, "duhamel", forbidden)
         u0, _, report = fixed_point_recover(small_chemo, cond, M)
+        assert report.converged
+        assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+class TestSeriesSweep:
+    """The series recovery runs on the frozen-step recursion, never on the table."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_matches_table_routed_reference(self, small_chemo, variant, monkeypatch):
+        import avgrec.averaging
+        import avgrec.evolution
+        import avgrec.solver
+
+        grid_t = TimeGrid(T=0.5, K=32)
+        cond = AveragingCondition.from_preset(grid_t, variant, "constant", w0=0.5)
+        truth = forward_solve(small_chemo, 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes), grid_t)
+        M = observe(cond, truth.states)
+        config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
+
+        def table_route(model, traj, config):
+            return series_table(operator_path(model, traj))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(avgrec.solver, "_propagation", table_route)
+            reference, _, _ = fixed_point_recover(small_chemo, cond, M, config)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the series sweep built a dense table")
+
+        monkeypatch.setattr(avgrec.evolution, "series_table", forbidden)
+        monkeypatch.setattr(avgrec.evolution, "_frozen_tables", forbidden)
+        monkeypatch.setattr(avgrec.averaging, "duhamel_sums", forbidden)
+        monkeypatch.setattr(avgrec.evolution.PropagatorTable, "duhamel", forbidden)
+        u0, _, report = fixed_point_recover(small_chemo, cond, M, config)
         assert report.converged
         assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)
 
