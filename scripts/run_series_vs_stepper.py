@@ -11,13 +11,11 @@ from avgrec.spatial import BoundaryKind, build_grid
 
 def chemotaxis_path(model, grid_t, amplitude=0.2):
     x = model.base.grid.nodes
-    mats = []
-    for t in grid_t.nodes:
-        u = amplitude * np.cos(np.pi * x) * np.exp(-t) + 0.5 * amplitude * np.sin(
-            np.pi * x
-        ) * np.sin(t)
-        mats.append(model.assemble_A(u))
-    return OperatorPath(grid=grid_t, matrices=np.stack(mats), holder_rho=0.9)
+    t = grid_t.nodes[:, None]
+    states = amplitude * np.cos(np.pi * x) * np.exp(-t) + 0.5 * amplitude * np.sin(
+        np.pi * x
+    ) * np.sin(t)
+    return OperatorPath(grid=grid_t, matrices=model.assemble_A(states), holder_rho=0.9)
 
 
 def main():

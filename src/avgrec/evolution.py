@@ -270,11 +270,9 @@ def _convolve(f4: np.ndarray, g4: np.ndarray, h: float, rho: float) -> np.ndarra
 
 
 def _frozen_steps(path: OperatorPath) -> np.ndarray:
-    """The K frozen steps exp(h A(t_j)), j = 0..K-1, shape (K, n, n)."""
-    steps = np.empty((path.grid.K, path.dim, path.dim))
-    for j in range(path.grid.K):
-        steps[j] = matrix_exponential(path.matrices[j], path.grid.h)
-    return steps
+    """The K frozen steps exp(h A(t_j)), j = 0..K-1, shape (K, n, n), from
+    one stacked matrix exponential."""
+    return matrix_exponential(path.matrices[:-1], path.grid.h)
 
 
 def _frozen_tables(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +351,7 @@ def series_table(path: OperatorPath) -> PropagatorTable:
 
 def _series_left_sums(path: OperatorPath, steps: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """R_i = sum_{m<i} U(t_i, t_m) rhs_m for the series U = a + a*w, i = 0..K,
-    with rhs of shape (K+1, n, r).
+    with rhs of shape (L, n, r), L <= K+1, read as zero beyond its end.
 
     Expanding both convolutions, with s_m = k[m+1, m] rhs_m,
     g_0 = rhs_0 and g_m = rhs_m + h y_m + (h/rho) s_{m-1}:
@@ -361,23 +359,30 @@ def _series_left_sums(path: OperatorPath, steps: np.ndarray, rhs: np.ndarray) ->
         y_m = sum_{l<m} w[m, l] rhs_l = sum_{l<m} k[m, l] g_l.
     The products p_l = a[m, l] g_l are carried from node to node by
     p_l <- exp(h A_l) p_l, and k[m, l] g_l is formed as (A_m - A_l) p_l, so
-    that it is exactly zero on a constant path.
+    that it is exactly zero on a constant path.  Beyond the end of rhs the
+    terms rhs_m and s_m are zero and are skipped.
     """
     K = path.grid.K
     h = path.grid.h
     end = h / path.holder_rho
     mats = path.matrices
-    sums = np.zeros_like(rhs)
+    length = rhs.shape[0]
+    sums = np.zeros((K + 1,) + rhs.shape[1:])
     carried = np.empty((K,) + rhs.shape[1:])  # p_l for l < m
     g = rhs[0]
     for m in range(1, K + 1):
         carried[: m - 1] = np.matmul(steps[: m - 1], carried[: m - 1])
         carried[m - 1] = steps[m - 1] @ g
-        s = (mats[m] - mats[m - 1]) @ (steps[m - 1] @ rhs[m - 1])
-        sums[m] = carried[:m].sum(axis=0) + end * s
+        sums[m] = carried[:m].sum(axis=0)
+        if m <= length:
+            end_term = end * ((mats[m] - mats[m - 1]) @ (steps[m - 1] @ rhs[m - 1]))
+            sums[m] += end_term
         if m < K:
-            y = np.matmul(mats[m] - mats[:m], carried[:m]).sum(axis=0)
-            g = rhs[m] + h * y + end * s
+            g = h * np.matmul(mats[m] - mats[:m], carried[:m]).sum(axis=0)
+            if m < length:
+                g = rhs[m] + g
+            if m <= length:
+                g = g + end_term
     return sums
 
 
@@ -409,32 +414,28 @@ class SeriesSweep(_Sweep):
 
 
 def series_peak_bytes(n: int, K: int) -> int:
-    """Estimated peak memory of :func:`evolution_series` in bytes: six
+    """Estimated peak memory of :func:`evolution_series` in bytes: five
     stacks of K+1 float64 n x n blocks.
 
     The column recursion holds the frozen steps, the carried products, the
-    right-hand side (I, 0, ..., 0), the sums, and at the last nodes the
-    differences A_m - A_l and their products with the carried blocks;
-    allocation traces of the construction peak at 5.9-6.0 stacks for
-    n = 16 to 256.
+    sums, and at the last nodes the differences A_m - A_l and their products
+    with the carried blocks; its right-hand side is the single block I.
     """
-    return 6 * 8 * (K + 1) * n * n
+    return 5 * 8 * (K + 1) * n * n
 
 
 def evolution_series(path: OperatorPath) -> SeriesSweep:
     """Sweep interface of the kernel series U = a + a*w.
 
     The column U(t_i, 0) is the recursion on the matrix right-hand side
-    (I, 0, ..., 0), O(K^2 n^3) once per build; each Duhamel sum is
-    O(K^2 n^2).  On a constant path the kernel is exactly zero and the
-    column equals the frozen semigroup of :func:`series_table` bit for bit.
+    (I, 0, ..., 0), passed as the single block I, O(K^2 n^3) once per build;
+    each Duhamel sum is O(K^2 n^2).  On a constant path the kernel is
+    exactly zero and the column equals the frozen semigroup of
+    :func:`series_table` bit for bit.
     """
-    n = path.dim
-    eye = np.eye(n)
+    eye = np.eye(path.dim)
     steps = _frozen_steps(path)
-    rhs = np.zeros((path.grid.K + 1, n, n))
-    rhs[0] = eye
-    column = _series_left_sums(path, steps, rhs)
+    column = _series_left_sums(path, steps, eye[None])
     column[0] = eye
     return SeriesSweep(path=path, steps=steps, column=column)
 

@@ -6,6 +6,13 @@ the semilinear forcing, plus a base operator, an exponent book, and an
 admissible ball radius measured in the low-order spectral norm.  Models are
 immutable; both methods are pure and reentrant.
 
+Both methods take one state u of shape (n,) or a stack of states (..., n),
+one per time node, and return one result per state: ``assemble_A`` a
+(..., n, n) stack, ``evaluate_f`` a (..., n) stack.  A stack is one call
+with one implementation, and each slice equals the single-state call bit
+for bit; the solver makes one such call per sweep instead of one per node.
+The ball norm (``check_ball``) takes the same stacks.
+
 Shipped models:
 
 * local-sensing chemotaxis: the signal v = (I - Laplacian)^{-1} u feeds the
@@ -34,7 +41,10 @@ from .spatial import (
     assemble_laplacian,
     build_grid,
     first_difference,
+    first_node,
     helmholtz_solve,
+    matvec,
+    node_label,
     sobolev_norm,
 )
 
@@ -78,7 +88,13 @@ class ExponentBook:
 
 @runtime_checkable
 class QuasilinearModel(Protocol):
-    """Interface every shipped model implements."""
+    """Interface every shipped model implements.
+
+    ``assemble_A`` and ``evaluate_f`` accept one state (n,) or a stack
+    (..., n) and return (..., n, n) and (..., n); every slice must equal the
+    single-state call on that slice.  With ``enforce_ball=False``,
+    ``assemble_A`` does not evaluate the ball norm.
+    """
 
     base: BaseOperator
     scale: SobolevScale
@@ -94,12 +110,18 @@ def _ball_norm(model, u: np.ndarray) -> float:
     return sobolev_norm(model.scale, u, 2.0 * model.exponents.beta)
 
 
-def check_ball(model, u: np.ndarray, enforce: bool) -> float:
+def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
+    """Ball norm of a state (a float) or of each state of a stack (shape
+    (...)); with ``enforce``, a state outside the ball raises, the first
+    such node of a stack named."""
     norm = _ball_norm(model, u)
-    if enforce and norm > model.ball_radius:
+    node = first_node(np.asarray(norm) > model.ball_radius) if enforce else None
+    if node is not None:
+        bad = float(np.asarray(norm)[node])
         raise BallViolationError(
-            f"state leaves the admissible ball: |u| = {norm:.3e} > {model.ball_radius:.3e}",
-            norm=norm,
+            f"{node_label(node)}state leaves the admissible ball: "
+            f"|u| = {bad:.3e} > {model.ball_radius:.3e}",
+            norm=bad,
             radius=model.ball_radius,
         )
     return norm
@@ -178,14 +200,15 @@ class ChemotaxisModel:
         return helmholtz_solve(self.base, u)
 
     def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        check_ball(self, u, enforce_ball)
+        if enforce_ball:
+            check_ball(self, u, enforce=True)
         v = self.signal(u)
-        dv = self.diff1 @ v
-        return (
-            self.a_fn(v)[:, None] * self.base.matrix
-            + (self.drift_coeff_fn(v) * dv)[:, None] * self.diff1
-            - np.diag(self.chi_fn(v) * v)
-        )
+        dv = matvec(self.diff1, v)
+        out = self.a_fn(v)[..., None] * self.base.matrix
+        out += (self.drift_coeff_fn(v) * dv)[..., None] * self.diff1
+        idx = np.arange(v.shape[-1])
+        out[..., idx, idx] -= self.chi_fn(v) * v
+        return out
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return -self.chi_fn(self.signal(u)) * u**2
@@ -216,6 +239,11 @@ class NonlocalRDModel:
     zeroth-order terms vanish.  The default functional is the linear integral
     l(u) = int m u dx; pass ``functional_fn`` for a nonlinear functional.
     Drift and zeroth-order coefficients share the same functional value.
+
+    ``diff_fn``, ``drift_fn`` and ``react_fn`` are called as fn(x, l) with
+    the coordinates x and l(u) as an array of shape (..., 1), one value per
+    state, and return one row of coefficients per state.  ``functional_fn``
+    takes one state (n,) and is mapped over the states of a stack.
     """
 
     base: BaseOperator
@@ -280,40 +308,49 @@ class NonlocalRDModel:
     def ell(self) -> float:
         return self.exponents.ell
 
-    def functional_value(self, u: np.ndarray) -> float:
-        """l(u): the nonlinear override when given, else int m u dx on the grid."""
+    def functional_value(self, u: np.ndarray) -> np.ndarray:
+        """l(u) of each state, shape (..., 1): the nonlinear override when
+        given, else int m u dx on the grid."""
+        u = np.asarray(u, dtype=float)
         if self.functional_fn is not None:
-            return float(self.functional_fn(u))
-        return float(self.base.grid.spacing * np.dot(self.functional_weight, u))
+            rows = u.reshape(-1, u.shape[-1])
+            values = np.array([float(self.functional_fn(row)) for row in rows])
+            return values.reshape(u.shape[:-1] + (1,))
+        return self.base.grid.spacing * np.matmul(self.functional_weight, u[..., None])
 
     def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        check_ball(self, u, enforce_ball)
+        if enforce_ball:
+            check_ball(self, u, enforce=True)
         grid = self.base.grid
         n, h = grid.n, grid.spacing
         s_val = self.functional_value(u)
         faces = np.asarray(self.diff_fn(grid.face_coords, s_val), dtype=float)
-        if np.min(faces) <= max(self.ellipticity_floor, 0.0):
+        low = faces.min(axis=-1)
+        node = first_node(low <= max(self.ellipticity_floor, 0.0))
+        if node is not None:
             raise ModelError(
-                f"ellipticity violated: min face coefficient {np.min(faces):.3e} at l(u)={s_val:.3e}"
+                f"{node_label(node)}ellipticity violated: min face coefficient "
+                f"{low[node]:.3e} at l(u)={s_val[node][0]:.3e}"
             )
-        mat = np.zeros((n, n))
+        mat = np.zeros(faces.shape[:-1] + (n, n))
         idx = np.arange(n)
         if grid.bc is BoundaryKind.NEUMANN:
             # faces[i] sits between nodes i and i+1; boundary faces carry no flux
-            left = np.concatenate([[0.0], faces])
-            right = np.concatenate([faces, [0.0]])
+            zero = np.zeros(faces.shape[:-1] + (1,))
+            left = np.concatenate([zero, faces], axis=-1)
+            right = np.concatenate([faces, zero], axis=-1)
         else:
             # faces[i] sits left of node i, including the two boundary faces
-            left = faces[:-1]
-            right = faces[1:]
-        mat[idx, idx] = -(left + right)
-        mat[idx[:-1], idx[:-1] + 1] = right[:-1]
-        mat[idx[1:], idx[1:] - 1] = left[1:]
+            left = faces[..., :-1]
+            right = faces[..., 1:]
+        mat[..., idx, idx] = -(left + right)
+        mat[..., idx[:-1], idx[:-1] + 1] = right[..., :-1]
+        mat[..., idx[1:], idx[1:] - 1] = left[..., 1:]
         mat /= h * h
         if self.drift_fn is not None:
-            mat = mat + np.asarray(self.drift_fn(grid.nodes, s_val))[:, None] * self.diff1
+            mat += np.asarray(self.drift_fn(grid.nodes, s_val))[..., None] * self.diff1
         if self.react_fn is not None:
-            mat = mat + np.diag(np.asarray(self.react_fn(grid.nodes, s_val)))
+            mat[..., idx, idx] += np.asarray(self.react_fn(grid.nodes, s_val))
         return mat
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
@@ -347,7 +384,7 @@ class LinearTestModel:
         )
 
     def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        return self.matrix
+        return np.broadcast_to(self.matrix, np.shape(u)[:-1] + self.matrix.shape)
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return np.zeros_like(u)
@@ -474,7 +511,8 @@ class ShiftedModel:
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         shifted = u + self.v_star
-        return self.inner.assemble_A(shifted, enforce_ball=False) @ self.v_star + self.inner.evaluate_f(shifted)
+        a_mat = self.inner.assemble_A(shifted, enforce_ball=False)
+        return matvec(a_mat, self.v_star) + self.inner.evaluate_f(shifted)
 
 
 def equilibrium_shift(model, v_star: np.ndarray, tol: float | None = None) -> ShiftedModel:

@@ -14,7 +14,9 @@ The kernel series (behind a flag) serves the same quantities by forward
 recursion on its K frozen steps exp(h A_j), in O(K^2 n^3) time and
 O(K n^2) memory.  Each sweep forms the Duhamel sums once and uses them for
 both the data shift and the reconstruction; the full propagator tables of
-either method are only test oracles.
+either method are only test oracles.  The per-node model work (A(u(t_j)),
+f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked model call
+each per sweep.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -182,9 +184,8 @@ def weighted_distance(u: Trajectory, v: Trajectory, spec: WeightedNormSpec) -> f
 
 
 def operator_path(model, traj: Trajectory, enforce_ball: bool = False) -> OperatorPath:
-    mats = np.stack(
-        [model.assemble_A(state, enforce_ball=enforce_ball) for state in traj.states]
-    )
+    """A(u(t_j)) at every node, from one stacked ``assemble_A`` call."""
+    mats = model.assemble_A(traj.states, enforce_ball=enforce_ball)
     return OperatorPath(grid=traj.grid, matrices=mats, holder_rho=model.exponents.rho)
 
 
@@ -211,7 +212,7 @@ def _initial_state(
     Duhamel sums of f(u) it was computed from."""
     try:
         prop = _propagation(model, u, config)
-        f_states = np.stack([model.evaluate_f(state) for state in u.states])
+        f_states = model.evaluate_f(u.states)
         if not (np.all(np.isfinite(f_states)) and np.all(np.isfinite(prop.column))):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
         sums = prop.duhamel(f_states)
@@ -228,10 +229,8 @@ def _initial_state(
 def _iterate_detail(
     model, cond: AveragingCondition, M: np.ndarray, u: Trajectory, config: RecoveryConfig
 ) -> tuple[Trajectory, _IterateInfo]:
-    ball_exits = 0
-    for state in u.states:
-        if check_ball(model, state, enforce=False) > model.ball_radius:
-            ball_exits += 1
+    norms = check_ball(model, u.states, enforce=False)
+    ball_exits = int(np.count_nonzero(norms > model.ball_radius))
     if ball_exits:
         warnings.warn(
             f"{ball_exits} iterate states left the model ball; continuing", stacklevel=3

@@ -14,6 +14,12 @@ interpolation scale between the discrete L2 and H2 spaces.
 Everything here is immutable after construction and safe to share between
 threads; all operations are pure functions of their inputs.  Matrices are
 dense; node counts above ``MAX_NODES`` are rejected.
+
+The per-state operations (Helmholtz solve, fractional norm, matrix
+exponential) take one field (n,) or matrix (n, n), or a stack (..., n) /
+(..., n, n) of them, one per time node.  A stack is one call with one
+implementation: the modal transforms are stacked matrix-vector products, so
+every slice equals the single-state call bit for bit.
 """
 from __future__ import annotations
 
@@ -33,10 +39,36 @@ MAX_NODES = 256
 EXP_NORM_CAP = 700.0
 
 
-def _log_norm_1(m: np.ndarray) -> float:
-    """Logarithmic 1-norm mu_1(m) = max_j (m_jj + sum_{i != j} |m_ij|)."""
-    col = np.abs(m).sum(axis=0) - np.abs(np.diag(m)) + np.diag(m)
-    return float(col.max())
+def _log_norm_1(m: np.ndarray) -> np.ndarray:
+    """Logarithmic 1-norm mu_1(m) = max_j (m_jj + sum_{i != j} |m_ij|), one
+    value per matrix of a stack (..., n, n)."""
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    col = np.abs(m).sum(axis=-2) - np.abs(diag) + diag
+    return col.max(axis=-1)
+
+
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for m (n, n) or (..., n, n) and x (n,) or (..., n), broadcast
+    over the leading axes as one matrix-vector product per slice, so that
+    each slice equals the single product bit for bit (a matrix-matrix
+    product would sum in another order)."""
+    return np.matmul(m, x[..., None])[..., 0]
+
+
+def first_node(mask: np.ndarray) -> tuple | None:
+    """Leading-axes index of the first set entry of a per-node mask (C
+    order), or None when none is set; () for a set 0-d mask."""
+    flat = np.flatnonzero(mask)
+    if flat.size == 0:
+        return None
+    return tuple(int(i) for i in np.unravel_index(flat[0], np.shape(mask)))
+
+
+def node_label(index: tuple) -> str:
+    """Message prefix naming a node of a stack; empty for a single state."""
+    if not index:
+        return ""
+    return f"node {index[0] if len(index) == 1 else index}: "
 
 
 class BoundaryKind(Enum):
@@ -151,13 +183,15 @@ def first_difference(grid: Grid1D) -> np.ndarray:
 def helmholtz_solve(base: BaseOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - Laplacian) v = rhs through the stored eigendecomposition.
 
-    Always solvable: the eigenvalues of I - Laplacian are 1 - lambda_k >= 1.
+    ``rhs`` is one field (n,) or a stack (..., n); each slice of the result
+    equals the single-field solve bit for bit.  Always solvable: the
+    eigenvalues of I - Laplacian are 1 - lambda_k >= 1.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (base.grid.n,):
+    if rhs.ndim < 1 or rhs.shape[-1] != base.grid.n:
         raise ValueError(f"rhs must have length {base.grid.n}, got shape {rhs.shape}")
-    coeffs = base.eigenvectors.T @ rhs
-    return base.eigenvectors @ (coeffs / (1.0 - base.eigenvalues))
+    coeffs = matvec(base.eigenvectors.T, rhs)
+    return matvec(base.eigenvectors, coeffs / (1.0 - base.eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -174,35 +208,45 @@ class SobolevScale:
             )
 
 
-def sobolev_norm(scale: SobolevScale, field: np.ndarray, s: float) -> float:
-    """Discrete H^s-type norm; s = 0 recovers the plain discrete L2 norm."""
+def sobolev_norm(scale: SobolevScale, field: np.ndarray, s: float) -> float | np.ndarray:
+    """Discrete H^s-type norm; s = 0 recovers the plain discrete L2 norm.
+
+    One field (n,) gives a float; a stack (..., n) gives one norm per field,
+    shape (...), each equal to the single-field call bit for bit.
+    """
     if not -2.0 <= s <= 4.0:
         raise ValueError(f"norm order s must lie in [-2, 4], got {s}")
     field = np.asarray(field, dtype=float)
-    if field.shape != (scale.base.grid.n,):
+    if field.ndim < 1 or field.shape[-1] != scale.base.grid.n:
         raise ValueError(f"field must have length {scale.base.grid.n}")
-    coeffs = scale.base.eigenvectors.T @ field
+    coeffs = matvec(scale.base.eigenvectors.T, field)
     weights = (scale.shift - scale.base.eigenvalues) ** s
-    return float(np.sqrt(np.sum(weights * coeffs**2) * scale.base.grid.spacing))
+    norms = np.sqrt(np.sum(weights * coeffs**2, axis=-1) * scale.base.grid.spacing)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     """exp(t*m) by scaling-and-squaring with a Pade kernel; exact identity at t = 0.
 
-    Raises NumericalError when t times the logarithmic 1-norm of m exceeds
-    EXP_NORM_CAP, where entries of the result would overflow float64.
+    ``m`` is one square matrix (n, n) or a stack (..., n, n); SciPy's
+    stacked expm runs the same algorithm on each slice, so every slice
+    equals the single-matrix call bit for bit.  Raises NumericalError when t
+    times the logarithmic 1-norm of any slice exceeds EXP_NORM_CAP, where
+    entries of the result would overflow float64, naming the first such node.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
     if t < 0:
         raise ValueError(f"elapsed time must be nonnegative, got t={t}")
     if t == 0.0:
-        return np.eye(m.shape[0])
+        return np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
     growth = t * _log_norm_1(m)
-    if growth > EXP_NORM_CAP:
+    node = first_node(growth > EXP_NORM_CAP)
+    if node is not None:
         raise NumericalError(
-            f"t*mu_1(m) = {growth:.3g} exceeds the overflow cap {EXP_NORM_CAP}"
+            f"{node_label(node)}t*mu_1(m) = {growth[node]:.3g} exceeds the overflow cap "
+            f"{EXP_NORM_CAP}"
         )
     return scipy.linalg.expm(t * m)
 

@@ -276,7 +276,7 @@ class TestMainExitCodes:
 class TestMemoryAdmission:
     @staticmethod
     def large_config(tmp_path, method, n=512, steps=256):
-        """recover on n=512, K=256 by default: the series estimate is 3084 MiB."""
+        """recover on n=512, K=256 by default: the series estimate is 2570 MiB."""
         return (
             f"[grid]\nn = {n}\n[time]\nsteps = {steps}\n"
             f"[solver]\nmethod = {method}\n[run]\nout = {tmp_path / 'run'}\n"
@@ -287,21 +287,21 @@ class TestMemoryAdmission:
         config.write_text(self.large_config(tmp_path, "series"))
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "3084 MiB" in err
+        assert "configuration error" in err and "2570 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_method_flag_override_is_checked(self, tmp_path, capsys):
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper"))
         assert main(["recover", "--config", str(config), "--method", "series", "--quiet"]) == 2
-        assert "3084 MiB" in capsys.readouterr().err
+        assert "2570 MiB" in capsys.readouterr().err
 
     def test_same_grid_admitted_with_stepper(self, tmp_path):
         cfg = parse_config(self.large_config(tmp_path, "stepper"))
         assert (cfg.grid_n, cfg.steps, cfg.method) == (512, 256, "stepper")
 
     def test_series_admitted_at_n256_k128(self, tmp_path):
-        # Six stacks of K+1 blocks: an estimated 387 MiB.
+        # Five stacks of K+1 blocks: an estimated 323 MiB.
         cfg = parse_config(self.large_config(tmp_path, "series", n=256, steps=128))
         assert (cfg.grid_n, cfg.steps, cfg.method) == (256, 128, "series")
 

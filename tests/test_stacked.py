@@ -1,0 +1,258 @@
+"""Stacked per-node model work: one call on a stack (..., n) of states must
+equal the stack of single-state calls bit for bit."""
+import numpy as np
+import pytest
+
+import avgrec.models
+from avgrec.averaging import AveragingCondition, Variant, observe
+from avgrec.errors import ModelError, NumericalError
+from avgrec.evolution import PropagatorMethod, TimeGrid
+from avgrec.models import (
+    ChemotaxisModel,
+    LinearTestModel,
+    NonlocalRDModel,
+    ShiftedModel,
+    check_ball,
+    rd_exponents,
+)
+from avgrec.solver import (
+    RecoveryConfig,
+    Trajectory,
+    _iterate_detail,
+    fixed_point_recover,
+    forward_solve,
+)
+from avgrec.spatial import (
+    BoundaryKind,
+    SobolevScale,
+    assemble_laplacian,
+    build_grid,
+    helmholtz_solve,
+    matrix_exponential,
+    sobolev_norm,
+)
+
+RNG = np.random.default_rng(67)
+
+
+def rd_with_terms(bc: BoundaryKind, n: int = 12) -> NonlocalRDModel:
+    """Reaction-diffusion with drift and zeroth-order terms that depend on l(u)."""
+    template = NonlocalRDModel.default(build_grid(n, 1.0, bc))
+    return NonlocalRDModel(
+        base=template.base,
+        scale=template.scale,
+        exponents=template.exponents,
+        diff_fn=lambda x, s: 1.0 + s**2 + 0.1 * x,
+        poly_coeffs=(0.0, 0.0, 0.5, -1.0),
+        functional_weight=np.linspace(0.5, 1.5, n),
+        drift_fn=lambda x, s: 0.3 * s * np.cos(np.pi * x),
+        react_fn=lambda x, s: -0.5 * s**2 + 0.2 * x,
+        ball_radius=template.ball_radius,
+    )
+
+
+def rd_with_functional(n: int = 12) -> NonlocalRDModel:
+    template = NonlocalRDModel.default(build_grid(n, 1.0, BoundaryKind.NEUMANN))
+    h = template.base.grid.spacing
+
+    def functional(u):
+        assert u.shape == (n,)
+        return float(np.tanh(h * np.sum(u**2)))
+
+    return NonlocalRDModel(
+        base=template.base,
+        scale=template.scale,
+        exponents=template.exponents,
+        diff_fn=template.diff_fn,
+        poly_coeffs=template.poly_coeffs,
+        functional_weight=template.functional_weight,
+        functional_fn=functional,
+        ball_radius=template.ball_radius,
+    )
+
+
+def all_models() -> dict:
+    grid = build_grid(12, 1.0, BoundaryKind.NEUMANN)
+    chemo = ChemotaxisModel.default(grid, delta=0.5)  # delta != 1 keeps the drift term
+    return {
+        "chemotaxis": chemo,
+        "rd-neumann": rd_with_terms(BoundaryKind.NEUMANN),
+        "rd-dirichlet": rd_with_terms(BoundaryKind.DIRICHLET),
+        "rd-functional": rd_with_functional(),
+        "linear": LinearTestModel.default(grid, coefficient=0.7),
+        "shifted": ShiftedModel(inner=chemo, v_star=0.05 * RNG.standard_normal(12)),
+    }
+
+
+MODELS = all_models()
+
+
+def each_state(fn, states, **kwargs):
+    """fn on every state of a stack (..., n), one call per 1-D state."""
+    states = np.asarray(states)
+    out = []
+    for state in states.reshape(-1, states.shape[-1]):
+        assert state.ndim == 1
+        out.append(fn(state, **kwargs))
+    out = np.stack(out)
+    return out.reshape(states.shape[:-1] + out.shape[1:])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("lead", [(7,), (2, 3)])
+class TestStackedModel:
+    def states(self, lead):
+        return 0.1 * RNG.standard_normal(lead + (12,))
+
+    def test_assemble_A(self, name, lead):
+        model = MODELS[name]
+        states = self.states(lead)
+        for enforce in (True, False):
+            got = model.assemble_A(states, enforce_ball=enforce)
+            assert got.shape == lead + (12, 12)
+            assert np.array_equal(got, each_state(model.assemble_A, states, enforce_ball=enforce))
+
+    def test_evaluate_f(self, name, lead):
+        model = MODELS[name]
+        states = self.states(lead)
+        got = model.evaluate_f(states)
+        assert got.shape == states.shape
+        assert np.array_equal(got, each_state(model.evaluate_f, states))
+
+    def test_ball_norms(self, name, lead):
+        model = MODELS[name]
+        states = self.states(lead)
+        got = check_ball(model, states, enforce=False)
+        assert got.shape == lead
+        expected = each_state(lambda u: np.array(check_ball(model, u, enforce=False)), states)
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_assemble_without_ball_skips_the_norm(name, monkeypatch):
+    model = MODELS[name]
+    states = 0.1 * RNG.standard_normal((5, 12))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assemble_A(enforce_ball=False) computed the ball norm")
+
+    monkeypatch.setattr(avgrec.models, "_ball_norm", forbidden)
+    model.assemble_A(states, enforce_ball=False)
+    model.assemble_A(states[0], enforce_ball=False)
+    if not isinstance(model, LinearTestModel):  # the linear model has no ball
+        with pytest.raises(AssertionError):
+            model.assemble_A(states, enforce_ball=True)
+
+
+class TestStackedErrors:
+    def test_ellipticity_error_names_first_bad_node(self):
+        grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
+        template = NonlocalRDModel.default(grid)
+        model = NonlocalRDModel(
+            base=template.base,
+            scale=template.scale,
+            exponents=rd_exponents(),
+            diff_fn=lambda x, s: 1.0 + s + 0.0 * x,
+            poly_coeffs=(0.0, 0.0, -1.0),
+            functional_weight=np.ones(8),
+            ball_radius=10.0,
+        )
+        states = np.zeros((6, 8))
+        states[2] = -3.0  # l(u) = -3 makes the coefficient negative
+        states[4] = -5.0
+        with pytest.raises(ModelError) as single:
+            model.assemble_A(states[2])
+        with pytest.raises(ModelError) as stacked:
+            model.assemble_A(states)
+        assert str(stacked.value) == f"node 2: {single.value}"
+
+    def test_ball_violation_names_first_node(self):
+        model = MODELS["chemotaxis"]
+        states = np.zeros((5, 12))
+        states[3] = 10.0
+        with pytest.raises(NumericalError, match="^node 3: state leaves the admissible ball"):
+            model.assemble_A(states)
+
+
+class TestStackedSpatial:
+    base = assemble_laplacian(build_grid(10, 1.0, BoundaryKind.DIRICHLET))
+
+    def test_helmholtz_solve(self):
+        rhs = RNG.standard_normal((4, 3, 10))
+        got = helmholtz_solve(self.base, rhs)
+        assert np.array_equal(got, each_state(lambda r: helmholtz_solve(self.base, r), rhs))
+
+    @pytest.mark.parametrize("order", [0.0, 0.7, 2.0])
+    def test_sobolev_norm(self, order):
+        scale = SobolevScale(base=self.base)
+        fields = RNG.standard_normal((4, 3, 10))
+        got = sobolev_norm(scale, fields, order)
+        expected = each_state(lambda f: np.array(sobolev_norm(scale, f, order)), fields)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_matrix_exponential(self, t):
+        mats = RNG.standard_normal((2, 3, 6, 6))
+        got = matrix_exponential(mats, t)
+        expected = np.stack([[matrix_exponential(m, t) for m in row] for row in mats])
+        assert np.array_equal(got, expected)
+
+    def test_overflow_cap_on_any_slice(self):
+        mats = np.stack([np.eye(3), np.eye(3), 800.0 * np.eye(3), 900.0 * np.eye(3)])
+        matrix_exponential(mats[:2], 1.0)
+        with pytest.raises(NumericalError, match="^node 2: t\\*mu_1"):
+            matrix_exponential(mats, 1.0)
+        with pytest.raises(NumericalError, match="^node 0: t\\*mu_1"):
+            matrix_exponential(mats[3:], 1.0)
+
+
+def test_ball_exits_counted_per_state():
+    model = ChemotaxisModel.default(build_grid(12, 1.0, BoundaryKind.NEUMANN))
+    grid_t = TimeGrid(T=0.5, K=8)
+    cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+    x = model.base.grid.nodes
+    amplitudes = np.array([0.1, 0.5, 1.2, 0.3, 2.0, 0.9, 1.5, 0.2, 0.4])
+    states = amplitudes[:, None] * np.cos(np.pi * x)
+    norms = [sobolev_norm(model.scale, s, 2.0 * model.exponents.beta) for s in states]
+    expected = sum(norm > model.ball_radius for norm in norms)
+    assert 0 < expected < len(states)
+    with pytest.warns(UserWarning, match=f"{expected} iterate states left the model ball"):
+        _, info = _iterate_detail(
+            model, cond, np.zeros(12), Trajectory(grid=grid_t, states=states), RecoveryConfig()
+        )
+    assert info.ball_exits == expected
+
+
+class PerStateModel:
+    """A model whose methods see one state at a time: the per-node reference
+    for the solver's stacked calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.base = inner.base
+        self.scale = inner.scale
+        self.exponents = inner.exponents
+        self.ball_radius = inner.ball_radius
+
+    def assemble_A(self, u, enforce_ball=True):
+        return each_state(self.inner.assemble_A, u, enforce_ball=enforce_ball)
+
+    def evaluate_f(self, u):
+        return each_state(self.inner.evaluate_f, u)
+
+
+@pytest.mark.parametrize("method", list(PropagatorMethod))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_recovery_equals_per_state_model(variant, method):
+    model = ChemotaxisModel.default(build_grid(12, 1.0, BoundaryKind.NEUMANN), delta=0.5)
+    grid_t = TimeGrid(T=0.5, K=16)
+    cond = AveragingCondition.from_preset(grid_t, variant, "constant", w0=0.5)
+    truth = forward_solve(model, 1e-2 * np.cos(np.pi * model.base.grid.nodes), grid_t)
+    M = observe(cond, truth.states)
+    config = RecoveryConfig(method=method)
+    u0, traj, report = fixed_point_recover(model, cond, M, config)
+    ref_u0, ref_traj, ref_report = fixed_point_recover(PerStateModel(model), cond, M, config)
+    assert report.converged
+    assert np.array_equal(u0, ref_u0)
+    assert np.array_equal(traj.states, ref_traj.states)
+    assert report.to_dict() == ref_report.to_dict()
