@@ -22,7 +22,13 @@ import numpy as np
 from . import artifacts as art
 from .averaging import AveragingCondition, Variant, WEIGHT_PRESETS, observe
 from .errors import ConfigurationError, NumericalError
-from .evolution import SERIES_MEMORY_BUDGET, PropagatorMethod, TimeGrid, series_peak_bytes
+from .evolution import (
+    MEMORY_BUDGET,
+    PropagatorMethod,
+    TimeGrid,
+    series_peak_bytes,
+    stepper_peak_bytes,
+)
 from .models import (
     ChemotaxisModel,
     ExponentBook,
@@ -252,14 +258,18 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("[time] steps: must be at least 1")
     if cfg.horizon <= 0:
         raise ConfigurationError("[time] horizon: must be positive")
+    stepper_need = stepper_peak_bytes(cfg.grid_n, cfg.steps)
     if cfg.method == "series":
-        need = series_peak_bytes(cfg.grid_n, cfg.steps)
-        if need > SERIES_MEMORY_BUDGET:
-            raise ConfigurationError(
-                f"[solver] method: the kernel series at n={cfg.grid_n}, K={cfg.steps} "
-                f"needs an estimated {need / 2**20:.0f} MiB, over the "
-                f"{SERIES_MEMORY_BUDGET / 2**20:.0f} MiB budget; use method = stepper"
-            )
+        name, need = "kernel series", series_peak_bytes(cfg.grid_n, cfg.steps)
+    else:
+        name, need = "stepper", stepper_need
+    if need > MEMORY_BUDGET:
+        hint = "; use method = stepper" if stepper_need <= MEMORY_BUDGET else ""
+        raise ConfigurationError(
+            f"[solver] method: the {name} at n={cfg.grid_n}, K={cfg.steps} "
+            f"needs an estimated {need / 2**20:.0f} MiB, over the "
+            f"{MEMORY_BUDGET / 2**20:.0f} MiB budget{hint}"
+        )
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

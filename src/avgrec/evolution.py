@@ -16,7 +16,9 @@ v' = A(t) v are provided:
 A fixed-point sweep needs only the initial column U(t_i, 0), the Duhamel
 sums and the terminal forcing.  Both constructions serve them by forward
 recursion in O(K n^2) memory: the stepper from its K one-step factors S_j
-(:class:`StepFactors`, O(K n^3) time), the kernel series from its K frozen
+(:class:`StepFactors`: O(K n^2) for the factors of a tridiagonal path, one
+LAPACK gtsv per node, O(K n^3) through one stacked dense LU otherwise, and
+O(K n^3) for the column either way), the kernel series from its K frozen
 steps exp(h A_j) (:class:`SeriesSweep`, O(K^2 n^3) for the column and
 O(K^2 n^2) per Duhamel sum), neither forming a table.  Both expose the same
 sweep interface: ``column``, ``duhamel(f)`` and ``weighted_forcing(qw, f)``.
@@ -39,13 +41,14 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError
 from .spatial import matrix_exponential
 
-# Largest estimated peak (bytes) admitted for the kernel series; see
-# series_peak_bytes.
-SERIES_MEMORY_BUDGET = 2 * 2**30
+# Largest estimated peak (bytes) admitted for either propagation; see
+# series_peak_bytes and stepper_peak_bytes.
+MEMORY_BUDGET = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,15 @@ class OperatorPath:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
+
+    @cached_property
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Views (sub, diag, super) of the three central diagonals of every
+        A(t_j), shapes (K+1, n-1), (K+1, n) and (K+1, n-1), when no matrix
+        has a nonzero entry outside them; None otherwise."""
+        views = tuple(np.diagonal(self.matrices, k, axis1=1, axis2=2) for k in (-1, 0, 1))
+        inside = sum(np.count_nonzero(view) for view in views)
+        return views if np.count_nonzero(self.matrices) == inside else None
 
 
 class PropagatorMethod(Enum):
@@ -201,11 +213,10 @@ class StepFactors(_Sweep):
     """One-step factors S_j = U(t_{j+1}, t_j) of a stepper and the initial
     column they generate: the sweep interface in O(K n^2) memory.
 
-    Every sweep quantity follows from the factors by a forward recursion,
-    O(K n^3) in all:
-    * the column  P_0 = I,  P_i = S_{i-1} P_{i-1};
+    Every sweep quantity follows from the factors by a forward recursion:
+    * the column  P_0 = I,  P_i = S_{i-1} P_{i-1},  O(K n^3);
     * the weighted sums  R_0 = 0,  R_i = S_{i-1} (R_{i-1} + c_{i-1} f_{i-1}),
-      so that R_i = sum_{m<i} c_m U(t_i, t_m) f_m.
+      so that R_i = sum_{m<i} c_m U(t_i, t_m) f_m,  O(K n^2).
     """
 
     grid: TimeGrid
@@ -218,9 +229,10 @@ class StepFactors(_Sweep):
 
     def _left_sums(self, weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
         """R_i = sum_{m<i} weights_m U(t_i, t_m) f(t_m) for i = 0..K."""
+        weighted = weights[:, None] * f_states
         sums = np.zeros_like(f_states)
         for i in range(1, self.grid.K + 1):
-            sums[i] = self.factors[i - 1] @ (sums[i - 1] + weights[i - 1] * f_states[i - 1])
+            np.matmul(self.factors[i - 1], sums[i - 1] + weighted[i - 1], out=sums[i])
         return sums
 
 
@@ -441,11 +453,47 @@ def evolution_series(path: OperatorPath) -> SeriesSweep:
 
 
 def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
-    """S_j for j = 0..K-1 from one stacked solve, shape (K, n, n).
+    """S_j for j = 0..K-1, shape (K, n, n), from (I - c A(t_{j+1})) S_j = R_j:
 
-    Backward Euler: S_j = (I - h A(t_{j+1}))^{-1};
-    Crank-Nicolson: S_j = (I - h/2 A(t_{j+1}))^{-1} (I + h/2 A(t_j)).
+    Backward Euler: c = h, R_j = I;
+    Crank-Nicolson: c = h/2, R_j = I + h/2 A(t_j).
+
+    On a tridiagonal path (:attr:`OperatorPath.tridiagonal`) each node is one
+    LAPACK gtsv call on the three diagonals of I - c A(t_{j+1}) (partial
+    pivoting, O(n) per column of R_j, O(K n^2) in all); any other path takes
+    the stacked dense LU of :func:`_dense_factors`, O(K n^3).
     """
+    bands = path.tridiagonal
+    if bands is None:
+        return _dense_factors(path, scheme)
+    K, n = path.grid.K, path.dim
+    c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+    sub, diag, sup = (band[1:] for band in bands)
+    # The same roundings as the dense I - c A: 1 - c a on the diagonal, -(c a) off it.
+    lower, main, upper = -c * sub, 1.0 - c * diag, -c * sup
+    if scheme is Scheme.BACKWARD_EULER:
+        factors = np.empty((K, n, n))
+        rhs = np.broadcast_to(np.eye(n), factors.shape)
+    else:
+        # R_j in place of its factor: c A(t_j) with 1 added on the diagonal.
+        factors = c * path.matrices[:-1]
+        idx = np.arange(n)
+        factors[:, idx, idx] += 1.0
+        rhs = factors
+    for j in range(K):
+        *_, solution, info = dgtsv(lower[j], main[j], upper[j], rhs[j])
+        if info > 0:
+            raise NumericalError(
+                f"singular one-step matrix at node {j + 1}: zero pivot in row {info} "
+                "of the tridiagonal solve"
+            )
+        factors[j] = solution
+    return factors
+
+
+def _dense_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
+    """The one-step factors of :func:`_one_step_factors` on any path, from
+    one stacked dense LU solve."""
     h = path.grid.h
     eye = np.eye(path.dim)
     if scheme is Scheme.BACKWARD_EULER:
@@ -468,13 +516,25 @@ def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
         raise
 
 
+def stepper_peak_bytes(n: int, K: int) -> int:
+    """Estimated peak memory of :func:`step_factors` on a tridiagonal path
+    in bytes: two stacks of K+1 float64 n x n blocks, the K factors and the
+    K+1 column blocks (plus one identity block).
+
+    Every shipped model is tridiagonal.  The dense LU of other paths holds
+    its left- and right-hand sides next to the solution; traces at n = 16
+    peak at 2.6 to 3.9 stacks.
+    """
+    return 2 * 8 * (K + 1) * n * n
+
+
 def step_factors(path: OperatorPath, scheme: Scheme = Scheme.CRANK_NICOLSON) -> StepFactors:
     """One-step factors and the initial column U(t_i, 0) = S_{i-1} ... S_0."""
     factors = _one_step_factors(path, scheme)
     column = np.empty((path.grid.K + 1, path.dim, path.dim))
     column[0] = np.eye(path.dim)
     for i in range(1, path.grid.K + 1):
-        column[i] = factors[i - 1] @ column[i - 1]
+        np.matmul(factors[i - 1], column[i - 1], out=column[i])
     return StepFactors(grid=path.grid, factors=factors, column=column)
 
 
@@ -487,7 +547,7 @@ def evolution_stepper(path: OperatorPath, scheme: Scheme = Scheme.CRANK_NICOLSON
     """
     n = path.dim
     eye = np.eye(n)
-    factors = _one_step_factors(path, scheme)
+    factors = _dense_factors(path, scheme)
     rows = [eye[None, :, :].copy()]
     for i in range(1, path.grid.K + 1):
         row = np.empty((i + 1, n, n))

@@ -13,6 +13,11 @@ with one implementation, and each slice equals the single-state call bit
 for bit; the solver makes one such call per sweep instead of one per node.
 The ball norm (``check_ball``) takes the same stacks.
 
+Every shipped generator is tridiagonal.  The chemotaxis model writes only
+the three central diagonals into a zeroed (..., n, n) stack; the dense
+stack contract above is unchanged, and the result equals the dense
+formula bit for bit.
+
 Shipped models:
 
 * local-sensing chemotaxis: the signal v = (I - Laplacian)^{-1} u feeds the
@@ -166,6 +171,9 @@ class ChemotaxisModel:
             raise ConfigurationError("cell diffusivity must satisfy a(0) > 0")
         if self.diff1 is None:
             object.__setattr__(self, "diff1", first_difference(self.base.grid))
+        for name, matrix in (("Laplacian", self.base.matrix), ("first difference", self.diff1)):
+            if np.count_nonzero(np.triu(matrix, 2)) or np.count_nonzero(np.tril(matrix, -2)):
+                raise ConfigurationError(f"the chemotaxis {name} matrix must be tridiagonal")
 
     @classmethod
     def default(
@@ -203,11 +211,17 @@ class ChemotaxisModel:
         if enforce_ball:
             check_ball(self, u, enforce=True)
         v = self.signal(u)
-        dv = matvec(self.diff1, v)
-        out = self.a_fn(v)[..., None] * self.base.matrix
-        out += (self.drift_coeff_fn(v) * dv)[..., None] * self.diff1
-        idx = np.arange(v.shape[-1])
-        out[..., idx, idx] -= self.chi_fn(v) * v
+        n = v.shape[-1]
+        diffusion = self.a_fn(v)
+        drift = self.drift_coeff_fn(v) * matvec(self.diff1, v)
+        # Both difference matrices are tridiagonal: write a_i L_ij + c_i D_ij
+        # on the three diagonals of a zeroed stack, as flat strided views.
+        out = np.zeros(v.shape + (n,))
+        flat = out.reshape(v.shape[:-1] + (n * n,))
+        for k, start, rows in ((-1, n, slice(1, None)), (0, 0, slice(None)), (1, 1, slice(-1))):
+            lap_k, diff_k = np.diagonal(self.base.matrix, k), np.diagonal(self.diff1, k)
+            flat[..., start :: n + 1] = diffusion[..., rows] * lap_k + drift[..., rows] * diff_k
+        flat[..., :: n + 1] -= self.chi_fn(v) * v
         return out
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:

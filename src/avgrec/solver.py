@@ -7,9 +7,12 @@ reconstruct
 
     u_new(t_j) = U(t_j, 0) Xi + int_0^{t_j} U(t_j, s) f(u(s)) ds .
 
-The default propagation is the K one-step Crank-Nicolson factors: the
-initial column U(t_j, 0), the Duhamel sums and the terminal forcing follow
-from them by recursion, so a sweep costs O(K n^3) time and O(K n^2) memory.
+The default propagation is the K one-step Crank-Nicolson factors, one
+LAPACK gtsv solve per node when every A(u(t_j)) is tridiagonal (as for all
+shipped models), one stacked dense LU solve otherwise.  The initial column
+U(t_j, 0), the Duhamel sums and the terminal forcing follow from them by
+recursion, so a sweep costs O(K n^3) time (the column's K matrix products)
+and O(K n^2) memory.
 The kernel series (behind a flag) serves the same quantities by forward
 recursion on its K frozen steps exp(h A_j), in O(K^2 n^3) time and
 O(K n^2) memory.  Each sweep forms the Duhamel sums once and uses them for

@@ -13,7 +13,9 @@ interpolation scale between the discrete L2 and H2 spaces.
 
 Everything here is immutable after construction and safe to share between
 threads; all operations are pure functions of their inputs.  Matrices are
-dense; node counts above ``MAX_NODES`` are rejected.
+stored dense, although the Laplacian and the first difference are
+tridiagonal (the stepper solves tridiagonal one-step matrices by their
+diagonals); node counts above ``MAX_NODES`` are rejected.
 
 The per-state operations (Helmholtz solve, fractional norm, matrix
 exponential) take one field (n,) or matrix (n, n), or a stack (..., n) /

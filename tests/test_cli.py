@@ -296,6 +296,26 @@ class TestMemoryAdmission:
         assert main(["recover", "--config", str(config), "--method", "series", "--quiet"]) == 2
         assert "2570 MiB" in capsys.readouterr().err
 
+    def test_series_hint_only_when_stepper_fits(self, tmp_path, capsys):
+        config = tmp_path / "large.ini"
+        config.write_text(self.large_config(tmp_path, "series"))
+        assert main(["recover", "--config", str(config), "--quiet"]) == 2
+        assert "use method = stepper" in capsys.readouterr().err
+        config.write_text(self.large_config(tmp_path, "series", n=256, steps=200000))
+        assert main(["recover", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "kernel series" in err and "use method = stepper" not in err
+
+    @pytest.mark.parametrize("verb", ["recover", "scan", "probe"])
+    def test_over_budget_stepper_rejected_with_estimate(self, tmp_path, capsys, verb):
+        # Two stacks of K+1 blocks at n=256, K=200000: 200001 MiB.
+        config = tmp_path / "large.ini"
+        config.write_text(self.large_config(tmp_path, "stepper", n=256, steps=200000))
+        assert main([verb, "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "stepper" in err and "200001 MiB" in err
+        assert not (tmp_path / "run").exists()
+
     def test_same_grid_admitted_with_stepper(self, tmp_path):
         cfg = parse_config(self.large_config(tmp_path, "stepper"))
         assert (cfg.grid_n, cfg.steps, cfg.method) == (512, 256, "stepper")

@@ -22,6 +22,7 @@ from avgrec.evolution import (
     series_peak_bytes,
     series_table,
     step_factors,
+    stepper_peak_bytes,
     volterra_resolvent,
     weighted_kernel_max,
 )
@@ -329,6 +330,101 @@ class TestStepFactors:
         factors = step_factors(path, Scheme.BACKWARD_EULER).factors
         assert factors.shape == (K, 6, 6)
         assert rel_err(factors, expected) <= 1e-13
+
+
+def tridiagonal_path(n=8, K=12, T=0.8, seed=23):
+    """Random nonconstant tridiagonal path.  On every other row the
+    sub-diagonal of I - c A(t_j) outweighs the diagonal for both schemes
+    (|c a| >= 2 against about 1), which forces row interchanges in a pivoted
+    tridiagonal solve."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(T=T, K=K)
+    idx = np.arange(n)
+    mats = np.zeros((K + 1, n, n))
+    mats[:, idx, idx] = -1.0 + 0.2 * rng.standard_normal((K + 1, n))
+    mats[:, idx[:-1], idx[:-1] + 1] = rng.standard_normal((K + 1, n - 1))
+    big = np.where(idx[1:] % 2 == 1, 4.0 / grid.h, 0.5)
+    mats[:, idx[1:], idx[1:] - 1] = big * rng.uniform(1.0, 1.5, (K + 1, n - 1))
+    return OperatorPath(grid=grid, matrices=mats, holder_rho=0.5)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+class TestTridiagonalFactors:
+    """Tridiagonal paths take the per-node gtsv solve, any other path the
+    dense LU; both agree with an explicit dense solve."""
+
+    def test_matches_dense_solve(self, scheme, monkeypatch):
+        import avgrec.evolution
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a tridiagonal path took the dense LU")
+
+        monkeypatch.setattr(avgrec.evolution, "_dense_factors", forbidden)
+        path = tridiagonal_path()
+        assert path.tridiagonal is not None
+        h, n = path.grid.h, path.dim
+        c = h if scheme is Scheme.BACKWARD_EULER else 0.5 * h
+        lhs = np.eye(n) - c * path.matrices[1:]
+        sub, diag = np.diagonal(lhs, -1, 1, 2), np.diagonal(lhs, 0, 1, 2)
+        assert np.any(np.abs(sub) > np.abs(diag[:, :-1]))
+        if scheme is Scheme.BACKWARD_EULER:
+            rhs = np.broadcast_to(np.eye(n), lhs.shape)
+        else:
+            rhs = np.eye(n) + c * path.matrices[:-1]
+        expected = np.stack([np.linalg.solve(a, b) for a, b in zip(lhs, rhs)])
+        column = [np.eye(n)]
+        for factor in expected:
+            column.append(factor @ column[-1])
+        got = step_factors(path, scheme)
+        assert rel_err(got.factors, expected) <= 1e-13
+        assert rel_err(got.column, np.stack(column)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["random", "one_entry_off_band"])
+    def test_dense_path_takes_the_lu(self, scheme, kind, monkeypatch):
+        import avgrec.evolution
+
+        if kind == "random":
+            path = random_path()
+        else:
+            mats = tridiagonal_path().matrices.copy()
+            mats[7, 0, 5] = 1e-30
+            path = OperatorPath(grid=TimeGrid(T=0.8, K=12), matrices=mats, holder_rho=0.5)
+        assert path.tridiagonal is None
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense path took the tridiagonal solve")
+
+        monkeypatch.setattr(avgrec.evolution, "dgtsv", forbidden)
+        factors = step_factors(path, scheme)
+        assert rel_err(factors.column, evolution_stepper(path, scheme).column) <= 1e-13
+
+    def test_singular_node_named(self, scheme):
+        # I - c A(t_5) = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: tridiagonal,
+        # not diagonal, and singular in exact arithmetic.
+        path = constant_path(-np.eye(3), K=8, T=1.0)
+        c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+        target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        mats = path.matrices.copy()
+        mats[5] = (np.eye(3) - target) / c
+        bad = OperatorPath(grid=path.grid, matrices=mats, holder_rho=0.5)
+        assert bad.tridiagonal is not None
+        with pytest.raises(NumericalError, match="node 5"):
+            step_factors(bad, scheme)
+        with pytest.raises(NumericalError, match="node 5"):
+            evolution_stepper(bad, scheme)
+
+
+def test_stepper_peak_estimate_matches_traced_allocation():
+    for n, K in ((16, 48), (64, 32)):
+        path = tridiagonal_path(n=n, K=K)
+        tracemalloc.start()
+        try:
+            step_factors(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = stepper_peak_bytes(n, K)
+        assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
 
 
 class TestSeriesSweepAgainstTable:

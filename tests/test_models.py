@@ -131,6 +131,39 @@ class TestChemotaxisModel:
         with pytest.raises(ConfigurationError):
             ChemotaxisModel.default(build_grid(8, 1.0, BoundaryKind.DIRICHLET))
 
+    def test_band_assembly_equals_dense_formula(self, chemo):
+        # a(v) L + ((a - chi)'(v) D v) D - chi(v) v I, formed on the dense
+        # matrices; the band-only assembly must reproduce it bit for bit.
+        def dense(u):
+            v = chemo.signal(u)
+            out = chemo.a_fn(v)[:, None] * chemo.base.matrix
+            out += (chemo.drift_coeff_fn(v) * (chemo.diff1 @ v))[:, None] * chemo.diff1
+            out -= np.diag(chemo.chi_fn(v) * v)
+            return out
+
+        states = 0.3 * np.random.default_rng(9).standard_normal((2, 3, 16))
+        stacked = chemo.assemble_A(states, enforce_ball=False)
+        for index in np.ndindex(2, 3):
+            expected = dense(states[index])
+            assert np.array_equal(stacked[index], expected)
+            assert np.array_equal(chemo.assemble_A(states[index], enforce_ball=False), expected)
+
+    def test_non_tridiagonal_difference_rejected(self, chemo):
+        one_sided = chemo.diff1.copy()
+        one_sided[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * chemo.base.grid.spacing)
+        with pytest.raises(ConfigurationError, match="tridiagonal"):
+            ChemotaxisModel(
+                base=chemo.base,
+                scale=chemo.scale,
+                exponents=chemo.exponents,
+                a_fn=chemo.a_fn,
+                chi_fn=chemo.chi_fn,
+                drift_coeff_fn=chemo.drift_coeff_fn,
+                delta=chemo.delta,
+                s=chemo.s,
+                diff1=one_sided,
+            )
+
     def test_satisfies_model_protocol(self, chemo):
         assert isinstance(chemo, QuasilinearModel)
 

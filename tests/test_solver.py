@@ -335,6 +335,30 @@ class TestStepperSweep:
         assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_matches_dense_lu_reference(self, small_chemo, variant, monkeypatch):
+        import avgrec.evolution
+
+        grid_t = TimeGrid(T=0.5, K=32)
+        cond = AveragingCondition.from_preset(grid_t, variant, "constant", w0=0.5)
+        truth = forward_solve(small_chemo, 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes), grid_t)
+        M = observe(cond, truth.states)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the wrong one-step solve ran")
+
+        with monkeypatch.context() as patch:
+            # Every path reads as dense, so the factors come from the LU.
+            patch.setattr(avgrec.evolution.OperatorPath, "tridiagonal", property(lambda self: None))
+            patch.setattr(avgrec.evolution, "dgtsv", forbidden)
+            reference, _, _ = fixed_point_recover(small_chemo, cond, M)
+
+        monkeypatch.setattr(avgrec.evolution, "_dense_factors", forbidden)
+        u0, _, report = fixed_point_recover(small_chemo, cond, M)
+        assert report.converged
+        assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
 class TestSeriesSweep:
     """The series recovery runs on the frozen-step recursion, never on the table."""
 
