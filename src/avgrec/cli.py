@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -47,98 +48,76 @@ from .solver import (
 from .spatial import BoundaryKind, build_grid
 
 OPERATIONS = ("recover", "forward", "scan", "probe", "validate")
-MODEL_KINDS = ("chemotaxis", "reaction_diffusion", "linear_test")
-U0_PROFILES = ("cosine", "sine", "gaussian")
-DATA_SOURCES = ("manufactured", "file", "zero")
+METHODS = {"stepper": PropagatorMethod.STEPPER, "series": PropagatorMethod.KERNEL_SERIES}
 
-_EXPONENT_KEYS = ("beta", "alpha", "alpha0", "gamma", "xi", "mu", "rho", "ell")
 
-# section -> key -> (type tag, default as string; None means required)
-_SCHEMA = {
-    "model": {
-        "kind": ("str", "chemotaxis"),
-        "delta": ("float", "1.0"),
-        "s": ("float", "2.25"),
-        "ball_radius": ("float", "1.0"),
-        "coefficient": ("float", "1.0"),
-        "p": ("float", "4.0"),
-        "f_poly": ("floats", "0 0 0 -1"),
-    },
-    "grid": {
-        "n": ("int", "32"),
-        "length": ("float", "1.0"),
-        "bc": ("str", "neumann"),
-    },
-    "time": {
-        "horizon": ("float", "0.5"),
-        "steps": ("int", "128"),
-    },
-    "condition": {
-        "variant": ("str", "time_average"),
-        "weight": ("str", "constant"),
-        "w0": ("float", "0.0"),
-    },
-    "exponents": {key: ("optfloat", "") for key in _EXPONENT_KEYS},
-    "solver": {
-        "max_iters": ("int", "30"),
-        "tol": ("float", "1e-11"),
-        "relaxation": ("float", "1.0"),
-        "ball_l": ("float", "0.5"),
-        "sigma_floor": ("optfloat", ""),
-        "method": ("str", "stepper"),
-    },
-    "data": {
-        "source": ("str", "manufactured"),
-        "u0_profile": ("str", "cosine"),
-        "amplitude": ("float", "0.01"),
-        "path": ("str", ""),
-        "amplitudes": ("floats", ""),
-    },
-    "run": {
-        "seed": ("int", "0"),
-        "out": ("str", "runs/out"),
-        "operation": ("str", "recover"),
-        "trials": ("int", "5"),
-    },
-}
+def _key(section: str, key: str | tuple, tag: str, default: str, choices=None):
+    """Schema entry of one config field: ``[section] key`` (a tuple of keys
+    for a field read from several), type tag (``int``, ``float``,
+    ``optfloat``, ``floats`` or ``str``), default as written in a config
+    file, and allowed values (None admits any)."""
+    keys = key if isinstance(key, tuple) else (key,)
+    return field(metadata=dict(section=section, keys=keys, tag=tag, default=default, choices=choices))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; plain values only, so equality and
-    round-trip serialization are exact."""
+    round-trip serialization are exact.
 
-    model_kind: str
-    delta: float
-    s: float
-    ball_radius: float
-    coefficient: float
-    p: float
-    f_poly: tuple
-    grid_n: int
-    grid_length: float
-    grid_bc: str
-    horizon: float
-    steps: int
-    variant: str
-    weight: str
-    w0: float
-    exponents: tuple | None  # ((key, value), ...) overrides or None
-    max_iters: int
-    tol: float
-    relaxation: float
-    ball_l: float
-    sigma_floor: float | None
-    method: str
-    data_source: str
-    u0_profile: str
-    amplitude: float
-    data_path: str
-    amplitudes: tuple
-    seed: int
-    out: str
-    operation: str
-    trials: int
+    The fields are the config schema: parsing, validation, serialization and
+    the report echo all read it from the field metadata.  A section's fields
+    are consecutive, in the order a serialized config lists them.
+    """
+
+    model_kind: str = _key(
+        "model", "kind", "str", "chemotaxis", ("chemotaxis", "reaction_diffusion", "linear_test")
+    )
+    delta: float = _key("model", "delta", "float", "1.0")
+    s: float = _key("model", "s", "float", "2.25")
+    ball_radius: float = _key("model", "ball_radius", "float", "1.0")
+    coefficient: float = _key("model", "coefficient", "float", "1.0")
+    p: float = _key("model", "p", "float", "4.0")
+    f_poly: tuple = _key("model", "f_poly", "floats", "0 0 0 -1")
+    grid_n: int = _key("grid", "n", "int", "32")
+    grid_length: float = _key("grid", "length", "float", "1.0")
+    grid_bc: str = _key("grid", "bc", "str", "neumann", tuple(b.value for b in BoundaryKind))
+    horizon: float = _key("time", "horizon", "float", "0.5")
+    steps: int = _key("time", "steps", "int", "128")
+    variant: str = _key(
+        "condition", "variant", "str", "time_average", tuple(v.value for v in Variant)
+    )
+    weight: str = _key("condition", "weight", "str", "constant", tuple(WEIGHT_PRESETS))
+    w0: float = _key("condition", "w0", "float", "0.0")
+    # ((key, value), ...) in book order, or None: the full book or none of it
+    exponents: tuple | None = _key(
+        "exponents", tuple(f.name for f in fields(ExponentBook)), "optfloat", ""
+    )
+    max_iters: int = _key("solver", "max_iters", "int", "30")
+    tol: float = _key("solver", "tol", "float", "1e-11")
+    relaxation: float = _key("solver", "relaxation", "float", "1.0")
+    ball_l: float = _key("solver", "ball_l", "float", "0.5")
+    sigma_floor: float | None = _key("solver", "sigma_floor", "optfloat", "")
+    method: str = _key("solver", "method", "str", "stepper", tuple(METHODS))
+    data_source: str = _key(
+        "data", "source", "str", "manufactured", ("manufactured", "file", "zero")
+    )
+    u0_profile: str = _key("data", "u0_profile", "str", "cosine", ("cosine", "sine", "gaussian"))
+    amplitude: float = _key("data", "amplitude", "float", "0.01")
+    data_path: str = _key("data", "path", "str", "")
+    amplitudes: tuple = _key("data", "amplitudes", "floats", "")
+    seed: int = _key("run", "seed", "int", "0")
+    out: str = _key("run", "out", "str", "runs/out")
+    operation: str = _key("run", "operation", "str", "recover", OPERATIONS)
+    trials: int = _key("run", "trials", "int", "5")
+
+
+def _sections():
+    """(section, its fields) in schema order."""
+    return groupby(fields(ExperimentConfig), key=lambda f: f.metadata["section"])
+
+
+_KEYS = {section: {k for f in group for k in f.metadata["keys"]} for section, group in _sections()}
 
 
 def _convert(section: str, key: str, tag: str, raw: str):
@@ -146,107 +125,68 @@ def _convert(section: str, key: str, tag: str, raw: str):
     try:
         if tag == "int":
             return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "optfloat":
-            return float(raw) if raw else None
-        if tag == "floats":
-            return tuple(float(tok) for tok in raw.split())
-        return raw
+        if tag == "str":
+            return raw
+        if tag == "optfloat" and not raw:
+            return None
+        value = tuple(float(tok) for tok in raw.split()) if tag == "floats" else float(raw)
     except ValueError as exc:
         raise ConfigurationError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from None
+    if not np.all(np.isfinite(value)):
+        raise ConfigurationError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a configuration document.
 
-    Unknown sections or keys, unparsable values, inadmissible weight/variant
-    combinations, and exponent-book violations are all rejected with the
-    offending path named.
+    Unknown sections (``[DEFAULT]`` included) or keys, unparsable or
+    non-finite values, inadmissible weight/variant combinations, and
+    exponent-book violations are all rejected with the offending path named.
+    Values are taken literally: ``%`` does not interpolate.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # No section header can name "\n", so [DEFAULT] parses as a section.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None, default_section="\n"
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed configuration: {exc}") from None
-    values: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigurationError(f"unknown section [{section}]")
-        values[section] = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+        for key in parser[section]:
+            if key not in _KEYS[section]:
                 raise ConfigurationError(f"unknown key [{section}] {key}")
-            values[section][key] = raw
-    out: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
-        out[section] = {}
-        for key, (tag, default) in keys.items():
-            raw = values.get(section, {}).get(key, default)
-            out[section][key] = _convert(section, key, tag, raw)
-
-    exponents = None
-    exp_items = tuple(
-        (key, out["exponents"][key]) for key in _EXPONENT_KEYS if out["exponents"][key] is not None
-    )
-    if exp_items:
-        if len(exp_items) != len(_EXPONENT_KEYS):
-            missing = [k for k in _EXPONENT_KEYS if out["exponents"][k] is None]
+    values = {}
+    for f in fields(ExperimentConfig):
+        section, keys, tag, default = (f.metadata[k] for k in ("section", "keys", "tag", "default"))
+        read = [
+            _convert(section, key, tag, parser.get(section, key, fallback=default)) for key in keys
+        ]
+        if len(keys) == 1:
+            values[f.name] = read[0]
+            continue
+        missing = [key for key, value in zip(keys, read) if value is None]
+        if 0 < len(missing) < len(keys):
             raise ConfigurationError(
-                f"[exponents] overrides must set the full book; missing {missing}"
+                f"[{section}] overrides must set the full book; missing {missing}"
             )
-        exponents = exp_items
-
-    cfg = ExperimentConfig(
-        model_kind=out["model"]["kind"],
-        delta=out["model"]["delta"],
-        s=out["model"]["s"],
-        ball_radius=out["model"]["ball_radius"],
-        coefficient=out["model"]["coefficient"],
-        p=out["model"]["p"],
-        f_poly=out["model"]["f_poly"],
-        grid_n=out["grid"]["n"],
-        grid_length=out["grid"]["length"],
-        grid_bc=out["grid"]["bc"],
-        horizon=out["time"]["horizon"],
-        steps=out["time"]["steps"],
-        variant=out["condition"]["variant"],
-        weight=out["condition"]["weight"],
-        w0=out["condition"]["w0"],
-        exponents=exponents,
-        max_iters=out["solver"]["max_iters"],
-        tol=out["solver"]["tol"],
-        relaxation=out["solver"]["relaxation"],
-        ball_l=out["solver"]["ball_l"],
-        sigma_floor=out["solver"]["sigma_floor"],
-        method=out["solver"]["method"],
-        data_source=out["data"]["source"],
-        u0_profile=out["data"]["u0_profile"],
-        amplitude=out["data"]["amplitude"],
-        data_path=out["data"]["path"],
-        amplitudes=out["data"]["amplitudes"],
-        seed=out["run"]["seed"],
-        out=out["run"]["out"],
-        operation=out["run"]["operation"],
-        trials=out["run"]["trials"],
-    )
+        values[f.name] = None if missing else tuple(zip(keys, read))
+    cfg = ExperimentConfig(**values)
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    def choice(section, key, value, allowed):
-        if value not in allowed:
-            raise ConfigurationError(f"[{section}] {key}: {value!r} not one of {sorted(allowed)}")
-
-    choice("model", "kind", cfg.model_kind, MODEL_KINDS)
-    choice("grid", "bc", cfg.grid_bc, tuple(b.value for b in BoundaryKind))
-    choice("condition", "variant", cfg.variant, tuple(v.value for v in Variant))
-    choice("condition", "weight", cfg.weight, tuple(WEIGHT_PRESETS))
-    choice("solver", "method", cfg.method, ("stepper", "series"))
-    choice("data", "source", cfg.data_source, DATA_SOURCES)
-    choice("data", "u0_profile", cfg.u0_profile, U0_PROFILES)
-    choice("run", "operation", cfg.operation, OPERATIONS)
+    for f in fields(cfg):
+        value, allowed = getattr(cfg, f.name), f.metadata["choices"]
+        if allowed is not None and value not in allowed:
+            key = f.metadata["keys"][0]
+            raise ConfigurationError(
+                f"[{f.metadata['section']}] {key}: {value!r} not one of {sorted(allowed)}"
+            )
     if cfg.variant == Variant.TIME_AVERAGE.value and cfg.weight == "ramp":
         raise ConfigurationError(
             "[condition] weight: the ramp weight vanishes at t=0, which the "
@@ -259,7 +199,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.horizon <= 0:
         raise ConfigurationError("[time] horizon: must be positive")
     stepper_need = stepper_peak_bytes(cfg.grid_n, cfg.steps)
-    if cfg.method == "series":
+    if METHODS[cfg.method] is PropagatorMethod.KERNEL_SERIES:
         name, need = "kernel series", series_peak_bytes(cfg.grid_n, cfg.steps)
     else:
         name, need = "stepper", stepper_need
@@ -284,48 +224,13 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             return art.FLOAT_FMT.format(value)
         return str(value)
 
-    exp = dict(cfg.exponents) if cfg.exponents else {}
-    sections = {
-        "model": {
-            "kind": cfg.model_kind,
-            "delta": cfg.delta,
-            "s": cfg.s,
-            "ball_radius": cfg.ball_radius,
-            "coefficient": cfg.coefficient,
-            "p": cfg.p,
-            "f_poly": cfg.f_poly,
-        },
-        "grid": {"n": cfg.grid_n, "length": cfg.grid_length, "bc": cfg.grid_bc},
-        "time": {"horizon": cfg.horizon, "steps": cfg.steps},
-        "condition": {"variant": cfg.variant, "weight": cfg.weight, "w0": cfg.w0},
-        "exponents": {key: exp.get(key) for key in _EXPONENT_KEYS},
-        "solver": {
-            "max_iters": cfg.max_iters,
-            "tol": cfg.tol,
-            "relaxation": cfg.relaxation,
-            "ball_l": cfg.ball_l,
-            "sigma_floor": cfg.sigma_floor,
-            "method": cfg.method,
-        },
-        "data": {
-            "source": cfg.data_source,
-            "u0_profile": cfg.u0_profile,
-            "amplitude": cfg.amplitude,
-            "path": cfg.data_path,
-            "amplitudes": cfg.amplitudes,
-        },
-        "run": {
-            "seed": cfg.seed,
-            "out": cfg.out,
-            "operation": cfg.operation,
-            "trials": cfg.trials,
-        },
-    }
     lines = []
-    for section, keys in sections.items():
+    for section, group in _sections():
         lines.append(f"[{section}]")
-        for key, value in keys.items():
-            lines.append(f"{key} = {fmt(value)}")
+        for f in group:
+            keys, value = f.metadata["keys"], getattr(cfg, f.name)
+            by_key = dict(value or ()) if len(keys) > 1 else {keys[0]: value}
+            lines.extend(f"{key} = {fmt(by_key.get(key))}" for key in keys)
         lines.append("")
     return "\n".join(lines)
 
@@ -362,14 +267,13 @@ def build_condition(cfg: ExperimentConfig) -> AveragingCondition:
 
 
 def build_recovery_config(cfg: ExperimentConfig) -> RecoveryConfig:
-    method = PropagatorMethod.STEPPER if cfg.method == "stepper" else PropagatorMethod.KERNEL_SERIES
     return RecoveryConfig(
         max_iters=cfg.max_iters,
         tol_fixed_point=cfg.tol,
         relaxation=cfg.relaxation,
         ball_L=cfg.ball_l,
         sigma_floor=cfg.sigma_floor,
-        method=method,
+        method=METHODS[cfg.method],
     )
 
 
@@ -397,8 +301,6 @@ def build_observation(cfg: ExperimentConfig, model, cond: AveragingCondition) ->
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
     echo = asdict(cfg)
-    echo["f_poly"] = list(cfg.f_poly)
-    echo["amplitudes"] = list(cfg.amplitudes)
     echo["exponents"] = dict(cfg.exponents) if cfg.exponents else None
     return echo
 
@@ -487,7 +389,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed (overrides [run] seed)")
         p.add_argument(
             "--method",
-            choices=("stepper", "series"),
+            choices=METHODS,
             default=None,
             help="propagator construction inside the solver",
         )

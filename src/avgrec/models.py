@@ -13,10 +13,11 @@ with one implementation, and each slice equals the single-state call bit
 for bit; the solver makes one such call per sweep instead of one per node.
 The ball norm (``check_ball``) takes the same stacks.
 
-Every shipped generator is tridiagonal.  The chemotaxis model writes only
-the three central diagonals into a zeroed (..., n, n) stack; the dense
-stack contract above is unchanged, and the result equals the dense
-formula bit for bit.
+Every shipped generator is tridiagonal.  The chemotaxis and
+reaction-diffusion models write only the three central diagonals into a
+zeroed (..., n, n) stack (``_band_stack``); the dense stack contract above
+is unchanged, and the result equals the dense formula bit for bit.  Both
+reject difference matrices that are not tridiagonal.
 
 Shipped models:
 
@@ -132,6 +133,26 @@ def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
     return norm
 
 
+# (k, rows): diagonal k holds the entries (i, i + k) for i in rows.
+_BAND = ((-1, slice(1, None)), (0, slice(None)), (1, slice(-1)))
+
+
+def _band_stack(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Zeroed (..., n, n) stack with the given (..., n-1), (..., n) and
+    (..., n-1) diagonals, written as flat strided views."""
+    n = main.shape[-1]
+    out = np.zeros(main.shape + (n,))
+    flat = out.reshape(main.shape[:-1] + (n * n,))
+    for start, values in ((n, sub), (0, main), (1, sup)):
+        flat[..., start :: n + 1] = values
+    return out
+
+
+def _require_tridiagonal(model: str, name: str, matrix: np.ndarray) -> None:
+    if np.count_nonzero(np.triu(matrix, 2)) or np.count_nonzero(np.tril(matrix, -2)):
+        raise ConfigurationError(f"the {model} {name} matrix must be tridiagonal")
+
+
 def chemotaxis_exponents(s: float, ell: float = 1.0) -> ExponentBook:
     """Admissible exponents for the chemotaxis model at data order s in (2, 5/2).
 
@@ -171,9 +192,8 @@ class ChemotaxisModel:
             raise ConfigurationError("cell diffusivity must satisfy a(0) > 0")
         if self.diff1 is None:
             object.__setattr__(self, "diff1", first_difference(self.base.grid))
-        for name, matrix in (("Laplacian", self.base.matrix), ("first difference", self.diff1)):
-            if np.count_nonzero(np.triu(matrix, 2)) or np.count_nonzero(np.tril(matrix, -2)):
-                raise ConfigurationError(f"the chemotaxis {name} matrix must be tridiagonal")
+        _require_tridiagonal("chemotaxis", "Laplacian", self.base.matrix)
+        _require_tridiagonal("chemotaxis", "first difference", self.diff1)
 
     @classmethod
     def default(
@@ -211,18 +231,15 @@ class ChemotaxisModel:
         if enforce_ball:
             check_ball(self, u, enforce=True)
         v = self.signal(u)
-        n = v.shape[-1]
         diffusion = self.a_fn(v)
         drift = self.drift_coeff_fn(v) * matvec(self.diff1, v)
-        # Both difference matrices are tridiagonal: write a_i L_ij + c_i D_ij
-        # on the three diagonals of a zeroed stack, as flat strided views.
-        out = np.zeros(v.shape + (n,))
-        flat = out.reshape(v.shape[:-1] + (n * n,))
-        for k, start, rows in ((-1, n, slice(1, None)), (0, 0, slice(None)), (1, 1, slice(-1))):
-            lap_k, diff_k = np.diagonal(self.base.matrix, k), np.diagonal(self.diff1, k)
-            flat[..., start :: n + 1] = diffusion[..., rows] * lap_k + drift[..., rows] * diff_k
-        flat[..., :: n + 1] -= self.chi_fn(v) * v
-        return out
+        # Both difference matrices are tridiagonal: a_i L_ij + c_i D_ij on the band.
+        sub, main, sup = (
+            diffusion[..., rows] * np.diagonal(self.base.matrix, k)
+            + drift[..., rows] * np.diagonal(self.diff1, k)
+            for k, rows in _BAND
+        )
+        return _band_stack(sub, main - self.chi_fn(v) * v, sup)
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return -self.chi_fn(self.signal(u)) * u**2
@@ -294,6 +311,7 @@ class NonlocalRDModel:
             )
         if self.diff1 is None:
             object.__setattr__(self, "diff1", first_difference(self.base.grid))
+        _require_tridiagonal("reaction-diffusion", "first difference", self.diff1)
 
     @classmethod
     def default(
@@ -336,7 +354,7 @@ class NonlocalRDModel:
         if enforce_ball:
             check_ball(self, u, enforce=True)
         grid = self.base.grid
-        n, h = grid.n, grid.spacing
+        h2 = grid.spacing * grid.spacing
         s_val = self.functional_value(u)
         faces = np.asarray(self.diff_fn(grid.face_coords, s_val), dtype=float)
         low = faces.min(axis=-1)
@@ -346,8 +364,6 @@ class NonlocalRDModel:
                 f"{node_label(node)}ellipticity violated: min face coefficient "
                 f"{low[node]:.3e} at l(u)={s_val[node][0]:.3e}"
             )
-        mat = np.zeros(faces.shape[:-1] + (n, n))
-        idx = np.arange(n)
         if grid.bc is BoundaryKind.NEUMANN:
             # faces[i] sits between nodes i and i+1; boundary faces carry no flux
             zero = np.zeros(faces.shape[:-1] + (1,))
@@ -357,15 +373,16 @@ class NonlocalRDModel:
             # faces[i] sits left of node i, including the two boundary faces
             left = faces[..., :-1]
             right = faces[..., 1:]
-        mat[..., idx, idx] = -(left + right)
-        mat[..., idx[:-1], idx[:-1] + 1] = right[..., :-1]
-        mat[..., idx[1:], idx[1:] - 1] = left[..., 1:]
-        mat /= h * h
+        band = [left[..., 1:] / h2, -(left + right) / h2, right[..., :-1] / h2]
         if self.drift_fn is not None:
-            mat += np.asarray(self.drift_fn(grid.nodes, s_val))[..., None] * self.diff1
+            drift = np.asarray(self.drift_fn(grid.nodes, s_val))
+            band = [
+                values + drift[..., rows] * np.diagonal(self.diff1, k)
+                for values, (k, rows) in zip(band, _BAND)
+            ]
         if self.react_fn is not None:
-            mat[..., idx, idx] += np.asarray(self.react_fn(grid.nodes, s_val))
-        return mat
+            band[1] += np.asarray(self.react_fn(grid.nodes, s_val))
+        return _band_stack(*band)
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(u, self.poly_coeffs)

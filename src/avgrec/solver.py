@@ -121,6 +121,8 @@ class RecoveryConfig:
     scheme: Scheme = Scheme.CRANK_NICOLSON
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ConfigurationError(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0.0 < self.relaxation <= 1.0:
             raise ConfigurationError(f"relaxation must lie in (0, 1], got {self.relaxation}")
         if self.tol_fixed_point <= 0:

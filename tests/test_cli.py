@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +53,49 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
     def test_serialize_round_trip_identity(self, name):
-        cfg = parse_config((CONFIG_DIR / name).read_text())
+        cfg = replace(parse_config((CONFIG_DIR / name).read_text()), out="runs/%(seed)s-50%")
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "text", ["[DEFAULT]\nn = 8\n[grid]\n", "[DEFAULT]\nn = 8\n", "[DEFAULT]\nn = 8\n[time]\n"]
+    )
+    def test_default_section_rejected(self, text):
+        with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("time", "horizon", "nan"),
+            ("time", "horizon", "inf"),
+            ("data", "amplitude", "nan"),
+            ("solver", "sigma_floor", "-inf"),
+            ("data", "amplitudes", "0.1 nan"),
+        ],
+    )
+    def test_non_finite_value_named(self, section, key, value):
+        with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key}: must be finite"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    def test_schema_doc_lists_the_field_table(self):
+        # Every (section, key, default) row of configs/SCHEMA.md, "empty"
+        # meaning the empty default, against the ExperimentConfig metadata.
+        documented, section = set(), None
+        for line in (CONFIG_DIR / "SCHEMA.md").read_text().splitlines():
+            heading = re.match(r"#+ (?:`\[(\w+)\]`)?", line)
+            if heading:
+                section = heading[1]
+                continue
+            cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)]
+            if section and len(cells) > 4 and cells[1].startswith("`"):
+                default = "" if cells[3] == "empty" else cells[3].strip("`")
+                documented.add((section, cells[1].strip("`"), default))
+        table = {
+            (f.metadata["section"], key, f.metadata["default"])
+            for f in fields(ExperimentConfig)
+            for key in f.metadata["keys"]
+        }
+        assert documented == table
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match=r"\[grid\] resolution"):
@@ -266,6 +308,27 @@ class TestMainExitCodes:
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["recover", "--config", str(tmp_path / "nope.ini"), "--quiet"]) == 4
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_percent_in_out_directory(self, tmp_path):
+        config = tmp_path / "ok.ini"
+        config.write_text(fast_config(tmp_path / "50%"))
+        assert main(["validate", "--config", str(config), "--quiet"]) == 0
+        assert (tmp_path / "50%" / "run" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"DEFAULT": ["n = 8"]}, "[DEFAULT]"),
+            ({"solver": ["tol = nan"]}, "[solver] tol"),
+            ({"solver": ["max_iters = 0"]}, "max_iters"),
+        ],
+    )
+    def test_new_rejections_exit_2(self, tmp_path, capsys, extra, named):
+        config = tmp_path / "bad.ini"
+        config.write_text(fast_config(tmp_path, **extra))
+        assert main(["recover", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
 
     def test_method_flag_accepted(self, tmp_path):
         config = tmp_path / "ok.ini"

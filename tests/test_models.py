@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,43 @@ class TestNonlocalRDModel:
         c400 = growth_estimate_probe(rd, 400, radius=0.5, seed=1)
         assert np.isfinite(c400) and c400 > 0
         assert c400 <= 2.0 * c200
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_band_assembly_equals_dense_formula(self, bc):
+        # Face-flux Laplacian / h^2 + drift_i D_ij + diag(react), formed on
+        # dense matrices; the band-only assembly must reproduce it bit for bit.
+        model = replace(
+            NonlocalRDModel.default(build_grid(12, 1.0, bc)),
+            drift_fn=lambda x, s: 0.3 * s * np.cos(np.pi * x),
+            react_fn=lambda x, s: -0.5 * s**2 + 0.2 * x,
+        )
+        grid = model.base.grid
+
+        def dense(u):
+            s_val = model.functional_value(u)
+            faces = model.diff_fn(grid.face_coords, s_val)
+            if bc is BoundaryKind.NEUMANN:
+                left, right = np.append(0.0, faces), np.append(faces, 0.0)
+            else:
+                left, right = faces[:-1], faces[1:]
+            out = np.diag(-(left + right)) + np.diag(right[:-1], 1) + np.diag(left[1:], -1)
+            out /= grid.spacing * grid.spacing
+            out += model.drift_fn(grid.nodes, s_val)[:, None] * model.diff1
+            out += np.diag(model.react_fn(grid.nodes, s_val))
+            return out
+
+        states = 0.3 * np.random.default_rng(10).standard_normal((2, 3, 12))
+        stacked = model.assemble_A(states, enforce_ball=False)
+        for index in np.ndindex(2, 3):
+            expected = dense(states[index])
+            assert np.array_equal(stacked[index], expected)
+            assert np.array_equal(model.assemble_A(states[index], enforce_ball=False), expected)
+
+    def test_non_tridiagonal_difference_rejected(self, rd):
+        one_sided = rd.diff1.copy()
+        one_sided[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * rd.base.grid.spacing)
+        with pytest.raises(ConfigurationError, match="tridiagonal"):
+            replace(rd, diff1=one_sided)
 
     def test_nonlinear_functional_override(self):
         grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)

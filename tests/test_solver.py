@@ -238,6 +238,10 @@ class TestFixedPointRecover:
                 small_chemo, cond, np.zeros(16), RecoveryConfig(ball_L=2.0)
             )
 
+    def test_iteration_cap_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_iters"):
+            RecoveryConfig(max_iters=0)
+
     def test_divergence_fails_with_numerical_error(self, small_chemo):
         # Far beyond the smallness regime the run must fail as a numerical
         # error: either diverging distances or a degenerate resolvent.
