@@ -65,9 +65,10 @@ class ExperimentConfig:
     """Validated experiment description; plain values only, so equality and
     round-trip serialization are exact.
 
-    The fields are the config schema: parsing, validation, serialization and
-    the report echo all read it from the field metadata.  A section's fields
-    are consecutive, in the order a serialized config lists them.
+    The fields are the config schema: each carries its ``[section] key``,
+    type tag, default and allowed values (``_key``), and parsing, validation,
+    serialization and the report echo all read them.  A section's fields are
+    consecutive, in the order a serialized config lists them.
     """
 
     model_kind: str = _key(
