@@ -16,7 +16,9 @@ into the discretized condition closes to solver roundoff.
 
 Assembly takes a propagation through its sweep interface (``column``,
 ``duhamel``, ``weighted_forcing``): the stepper's one-step factors, the
-kernel series' frozen steps, or a full propagator table (the test oracle).
+kernel series' frozen steps, a full propagator table (the test oracle), or
+the values one sweep of them computed for a single forcing
+(:class:`~avgrec.evolution.SweepValues`, what the solver passes).
 Assembled operators are immutable and shareable; assembly is a pure
 reduction over the initial column.
 """

@@ -199,6 +199,17 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("[time] steps: must be at least 1")
     if cfg.horizon <= 0:
         raise ConfigurationError("[time] horizon: must be positive")
+    if cfg.ball_radius <= 0:
+        raise ConfigurationError(f"[model] ball_radius: must be positive, got {cfg.ball_radius!r}")
+    amps = cfg.amplitudes
+    if any(a < 0 for a in amps) or any(a2 <= a1 for a1, a2 in zip(amps, amps[1:])):
+        raise ConfigurationError(
+            f"[data] amplitudes: must be nonnegative and strictly ascending, got {amps!r}"
+        )
+    if cfg.seed < 0:
+        raise ConfigurationError(f"[run] seed: must be nonnegative, got {cfg.seed}")
+    if cfg.trials < 1:
+        raise ConfigurationError(f"[run] trials: must be at least 1, got {cfg.trials}")
     stepper_need = stepper_peak_bytes(cfg.grid_n, cfg.steps)
     if METHODS[cfg.method] is PropagatorMethod.KERNEL_SERIES:
         name, need = "kernel series", series_peak_bytes(cfg.grid_n, cfg.steps)

@@ -7,19 +7,23 @@ reconstruct
 
     u_new(t_j) = U(t_j, 0) Xi + int_0^{t_j} U(t_j, s) f(u(s)) ds .
 
+Each iteration builds one propagation on A(u) and sweeps it once: one
+forward recursion on the widened right-hand side [I | h f | qw f] (width
+n+1, or n+2 for the terminal variant) gives the initial column U(t_j, 0),
+the Duhamel sums of f(u) and the terminal forcing together, and they serve
+the resolvent, the data shift and the reconstruction.  The recovered
+initial state is the Xi the last sweep solved for, so a recovery that
+converges in k iterations builds k propagations.
+
 The default propagation is the K one-step Crank-Nicolson factors, one
 LAPACK gtsv solve per node when every A(u(t_j)) is tridiagonal (as for all
-shipped models), one stacked dense LU solve otherwise.  The initial column
-U(t_j, 0), the Duhamel sums and the terminal forcing follow from them by
-recursion, so a sweep costs O(K n^3) time (the column's K matrix products)
-and O(K n^2) memory.
-The kernel series (behind a flag) serves the same quantities by forward
-recursion on its K frozen steps exp(h A_j), in O(K^2 n^3) time and
-O(K n^2) memory.  Each sweep forms the Duhamel sums once and uses them for
-both the data shift and the reconstruction; the full propagator tables of
-either method are only test oracles.  The per-node model work (A(u(t_j)),
-f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked model call
-each per sweep.
+shipped models), one stacked dense LU solve otherwise; its recursion is K
+products of n x n factors with n x (n+2) blocks, so a sweep costs
+O(K n^3) time and O(K n^2) memory.  The kernel series (behind a flag)
+recurs on its K frozen steps exp(h A_j), in O(K^2 n^3) time and O(K n^2)
+memory.  The full propagator tables of either method are only test
+oracles.  The per-node model work (A(u(t_j)), f(u(t_j)) and the ball norms
+at all K+1 nodes) is one stacked model call each per sweep.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -42,6 +46,7 @@ import numpy as np
 
 from .averaging import (
     AveragingCondition,
+    Variant,
     check_resolvent,
     data_shift,
     observe,
@@ -195,7 +200,7 @@ def operator_path(model, traj: Trajectory, enforce_ball: bool = False) -> Operat
 
 
 def _propagation(model, traj: Trajectory, config: RecoveryConfig):
-    """The sweep interface on A(u): the stepper's one-step factors, or the
+    """The propagation on A(u): the stepper's one-step factors, or the
     kernel series' frozen steps; neither builds a propagator table."""
     path = operator_path(model, traj)
     if config.method is PropagatorMethod.KERNEL_SERIES:
@@ -213,22 +218,26 @@ class _IterateInfo:
 def _initial_state(
     model, cond: AveragingCondition, M: np.ndarray, u: Trajectory, config: RecoveryConfig
 ):
-    """Xi(u) with the sigma_min of its resolvent, the propagation and the
-    Duhamel sums of f(u) it was computed from."""
+    """Xi(u) with the sigma_min of its resolvent and the sweep values (the
+    column and the Duhamel sums of f(u)) it was computed from: one
+    propagation build and one left-sum recursion."""
     try:
         prop = _propagation(model, u, config)
         f_states = model.evaluate_f(u.states)
-        if not (np.all(np.isfinite(f_states)) and np.all(np.isfinite(prop.column))):
+        if not np.all(np.isfinite(f_states)):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
-        sums = prop.duhamel(f_states)
+        terminal = cond.variant is Variant.TERMINAL_DIFFERENCE
+        values = prop.sweep(f_states, cond.quad_weights if terminal else None)
+        if not np.all(np.isfinite(values.column)):
+            raise ConvergenceError("iteration produced non-finite operator or forcing values")
         # The steps of averaging.initial_state_map, kept apart so that the
         # sweep's sigma_min reaches the report from the same SVD.
-        resolvent = resolvent_matrix(cond, prop)
+        resolvent = resolvent_matrix(cond, values)
         sigma, _ = check_resolvent(cond, resolvent, config.sigma_floor)
-        xi = np.linalg.solve(resolvent, data_shift(cond, prop, M, f_states, sums))
+        xi = np.linalg.solve(resolvent, data_shift(cond, values, M, f_states))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ConvergenceError(f"iteration left the computable regime: {exc}") from exc
-    return xi, sigma, prop, sums
+    return xi, sigma, values
 
 
 def _iterate_detail(
@@ -240,8 +249,8 @@ def _iterate_detail(
         warnings.warn(
             f"{ball_exits} iterate states left the model ball; continuing", stacklevel=3
         )
-    xi, sigma, prop, sums = _initial_state(model, cond, M, u, config)
-    new_states = prop.column @ xi + sums
+    xi, sigma, values = _initial_state(model, cond, M, u, config)
+    new_states = values.column @ xi + values.sums
     if config.relaxation < 1.0:
         new_states = config.relaxation * new_states + (1.0 - config.relaxation) * u.states
     if not np.all(np.isfinite(new_states)):
@@ -261,10 +270,15 @@ def fixed_point_recover(
 ) -> tuple[np.ndarray, Trajectory, SolveReport]:
     """Banach iteration from the zero trajectory (or a supplied start).
 
-    Returns the recovered initial state Xi(u_final), the fixed-point
-    trajectory, and the solve report.  Raises ConvergenceError (with the
-    partial report attached) when max_iters is exhausted or the distances
-    blow up; raises SingularOperatorError on a singular variant resolvent.
+    Returns the recovered initial state, the fixed-point trajectory u_final
+    and the solve report.  The initial state is the Xi(u_{final-1}) that the
+    last sweep solved for; with relaxation 1 it is u_final(0) bit for bit
+    (U(0, 0) = I and G_0 = 0), and the fixed-point identity
+    Xi(u_final) = u_final(0) holds to the iteration tolerance.  A recovery
+    that converges in k iterations builds k propagations.  Raises
+    ConvergenceError (with the partial report attached) when max_iters is
+    exhausted or the distances blow up; raises SingularOperatorError on a
+    singular variant resolvent.
     """
     config = config or RecoveryConfig()
     grid = cond.grid
@@ -304,10 +318,8 @@ def fixed_point_recover(
             last_increment=report.distances[-1],
             report=report,
         )
-    # Xi evaluated on the converged trajectory, per the fixed-point identity.
-    u0 = _initial_state(model, cond, M, u, config)[0]
     report.residual = averaging_residual(cond, u, M)
-    return u0, u, report
+    return info.xi, u, report
 
 
 def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:

@@ -330,6 +330,46 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
 
+    @pytest.mark.parametrize(
+        "verb, extra, named",
+        [
+            ("scan", {"data": ["amplitudes = 0.1 0.01"]}, "[data] amplitudes"),
+            ("scan", {"data": ["amplitudes = -0.1 0.01"]}, "[data] amplitudes"),
+            ("scan", {"data": ["amplitudes = 0.1 0.1"]}, "[data] amplitudes"),
+            ("recover", {"data": ["amplitudes = 0.1 0.01"]}, "[data] amplitudes"),
+            ("probe", {"run": ["seed = -1"]}, "[run] seed"),
+            ("probe", {"run": ["trials = 0"]}, "[run] trials"),
+            ("probe", {"run": ["trials = -2"]}, "[run] trials"),
+            ("recover", {"model": ["ball_radius = -1"]}, "[model] ball_radius"),
+            ("recover", {"model": ["ball_radius = 0"]}, "[model] ball_radius"),
+        ],
+    )
+    def test_parse_time_rejections_exit_2(self, tmp_path, capsys, verb, extra, named):
+        config = tmp_path / "bad.ini"
+        config.write_text(fast_config(tmp_path, **extra))
+        assert main([verb, "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "ok.ini"
+        config.write_text(fast_config(tmp_path))
+        assert main(["probe", "--config", str(config), "--seed", "-1", "--quiet"]) == 2
+        assert "[run] seed" in capsys.readouterr().err
+
+    def test_nonpositive_ball_radius_rejected_for_every_model(self, tmp_path, capsys):
+        # The linear model never checks its ball; the radius is rejected all the same.
+        text = (CONFIG_DIR / "linear_test.ini").read_text()
+        config = tmp_path / "bad.ini"
+        config.write_text(
+            text.replace("coefficient = 1.0", "coefficient = 1.0\nball_radius = -1").replace(
+                "runs/linear_test", str(tmp_path / "run")
+            )
+        )
+        assert main(["recover", "--config", str(config), "--quiet"]) == 2
+        assert "[model] ball_radius" in capsys.readouterr().err
+
     def test_method_flag_accepted(self, tmp_path):
         config = tmp_path / "ok.ini"
         config.write_text(fast_config(tmp_path))
@@ -339,7 +379,7 @@ class TestMainExitCodes:
 class TestMemoryAdmission:
     @staticmethod
     def large_config(tmp_path, method, n=512, steps=256):
-        """recover on n=512, K=256 by default: the series estimate is 2570 MiB."""
+        """recover on n=512, K=256 by default: the series estimate is 2580 MiB."""
         return (
             f"[grid]\nn = {n}\n[time]\nsteps = {steps}\n"
             f"[solver]\nmethod = {method}\n[run]\nout = {tmp_path / 'run'}\n"
@@ -350,14 +390,14 @@ class TestMemoryAdmission:
         config.write_text(self.large_config(tmp_path, "series"))
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "2570 MiB" in err
+        assert "configuration error" in err and "2580 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_method_flag_override_is_checked(self, tmp_path, capsys):
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper"))
         assert main(["recover", "--config", str(config), "--method", "series", "--quiet"]) == 2
-        assert "2570 MiB" in capsys.readouterr().err
+        assert "2580 MiB" in capsys.readouterr().err
 
     def test_series_hint_only_when_stepper_fits(self, tmp_path, capsys):
         config = tmp_path / "large.ini"
@@ -371,12 +411,12 @@ class TestMemoryAdmission:
 
     @pytest.mark.parametrize("verb", ["recover", "scan", "probe"])
     def test_over_budget_stepper_rejected_with_estimate(self, tmp_path, capsys, verb):
-        # Two stacks of K+1 blocks at n=256, K=200000: 200001 MiB.
+        # Two stacks of K+1 n x (n+4) blocks at n=256, K=200000: 203126 MiB.
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper", n=256, steps=200000))
         assert main([verb, "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "stepper" in err and "200001 MiB" in err
+        assert "configuration error" in err and "stepper" in err and "203126 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_same_grid_admitted_with_stepper(self, tmp_path):
@@ -384,7 +424,7 @@ class TestMemoryAdmission:
         assert (cfg.grid_n, cfg.steps, cfg.method) == (512, 256, "stepper")
 
     def test_series_admitted_at_n256_k128(self, tmp_path):
-        # Five stacks of K+1 blocks: an estimated 323 MiB.
+        # Five stacks of K+1 n x (n+2) blocks: an estimated 325 MiB.
         cfg = parse_config(self.large_config(tmp_path, "series", n=256, steps=128))
         assert (cfg.grid_n, cfg.steps, cfg.method) == (256, 128, "series")
 

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgrec.averaging import AveragingCondition, Variant, duhamel_sums, terminal_forcing
+from avgrec.averaging import (
+    AveragingCondition,
+    Variant,
+    duhamel_sums,
+    terminal_forcing,
+    trapezoid_weights,
+)
 from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
@@ -414,15 +420,22 @@ class TestTridiagonalFactors:
             evolution_stepper(bad, scheme)
 
 
+def traced_sweep_peak(build, path):
+    """Peak traced allocation of the solver's call: the propagation build and
+    its sweep on the widest right-hand side [I | h f | qw f]."""
+    f_states = np.random.default_rng(1).standard_normal((path.grid.K + 1, path.dim))
+    quad_weights = trapezoid_weights(path.grid)
+    tracemalloc.start()
+    try:
+        build(path).sweep(f_states, quad_weights)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_stepper_peak_estimate_matches_traced_allocation():
     for n, K in ((16, 48), (64, 32)):
-        path = tridiagonal_path(n=n, K=K)
-        tracemalloc.start()
-        try:
-            step_factors(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_sweep_peak(step_factors, tridiagonal_path(n=n, K=K))
         estimate = stepper_peak_bytes(n, K)
         assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
 
@@ -480,13 +493,7 @@ class TestSeriesSweepAgainstTable:
 
 def test_series_peak_estimate_matches_traced_allocation():
     for n, K in ((16, 48), (64, 32)):
-        path = random_path(n=n, K=K, seed=4)
-        tracemalloc.start()
-        try:
-            evolution_series(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_sweep_peak(evolution_series, random_path(n=n, K=K, seed=4))
         estimate = series_peak_bytes(n, K)
         assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
 

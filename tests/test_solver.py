@@ -397,6 +397,87 @@ class TestSeriesSweep:
         assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
+class TestOneBuildPerIteration:
+    """A sweep builds one propagation and runs one left-sum recursion; the
+    recovered initial state is the last sweep's Xi, with no extra build."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import avgrec.evolution
+        import avgrec.solver
+
+        return {
+            name: self.counting(monkeypatch, module, name)
+            for module, name in (
+                (avgrec.solver, "_propagation"),
+                (avgrec.evolution, "_stepper_left_sums"),
+                (avgrec.evolution, "_series_left_sums"),
+            )
+        }
+
+    @pytest.mark.parametrize("method", list(PropagatorMethod))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_recovery_builds_once_per_iteration(self, small_chemo, counts, method, variant):
+        grid_t = TimeGrid(T=0.5, K=24)
+        cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.5)
+        x0 = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        M = observe(cond, forward_solve(small_chemo, x0, grid_t).states)
+        u0, traj, report = fixed_point_recover(small_chemo, cond, M, RecoveryConfig(method=method))
+        assert report.converged and report.iterates >= 2
+        series = method is PropagatorMethod.KERNEL_SERIES
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "_propagation": report.iterates,
+            "_stepper_left_sums": 0 if series else report.iterates,
+            "_series_left_sums": report.iterates if series else 0,
+        }
+        assert np.array_equal(u0, traj.states[0])
+
+    def test_converged_scan_row_builds_once_per_iteration(self, small_chemo, counts):
+        grid_t = TimeGrid(T=0.5, K=16)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
+        direction = np.cos(np.pi * small_chemo.base.grid.nodes)
+        result = smallness_scan(small_chemo, cond, direction, [0.01])
+        (row,) = result.rows
+        assert row.converged and row.iterations >= 2
+        assert len(counts["_propagation"]) == row.iterations
+        assert len(counts["_stepper_left_sums"]) == row.iterations
+
+    def test_initial_state_is_the_last_sweeps_xi(self, small_chemo, monkeypatch):
+        import avgrec.solver
+
+        grid_t = TimeGrid(T=0.5, K=16)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        solved = []
+        original = avgrec.solver._initial_state
+
+        def recorded(*args):
+            result = original(*args)
+            solved.append(result[0])
+            return result
+
+        monkeypatch.setattr(avgrec.solver, "_initial_state", recorded)
+        config = RecoveryConfig(relaxation=0.7)
+        u0, traj, report = fixed_point_recover(small_chemo, cond, M, config)
+        assert len(solved) == report.iterates
+        assert u0 is solved[-1]
+        # Under relaxation u_final(0) lags Xi, but only to the tolerance.
+        assert not np.array_equal(u0, traj.states[0])
+        assert np.linalg.norm(u0 - traj.states[0]) <= 1e3 * config.tol_fixed_point
+
+
 class TestSmallnessScan:
     def test_zero_amplitude_trivially_converges(self, small_chemo):
         grid_t = TimeGrid(T=0.5, K=16)
