@@ -34,6 +34,7 @@ from .evolution import (
     OperatorPath,
     PropagatorTable,
     Scheme,
+    SweepValues,
     TimeGrid,
     holder_seminorm,
     step_factors,
@@ -219,20 +220,13 @@ def check_resolvent(
 
 
 def data_shift(
-    cond: AveragingCondition,
-    prop,
-    M: np.ndarray,
-    f_states: np.ndarray,
-    sums: np.ndarray | None = None,
+    cond: AveragingCondition, prop, M: np.ndarray, f_states: np.ndarray
 ) -> np.ndarray:
     """Right-hand side of the variant resolvent equation: M - Psi f or
-    M + w0 N(T) f.  ``sums`` are the Duhamel sums of f when already formed;
-    only the averaging variants read them."""
+    M + w0 N(T) f."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
         return M + cond.w0 * terminal_forcing(prop, cond, f_states)
-    if sums is None:
-        sums = prop.duhamel(f_states)
-    return M - _psi(cond, sums)
+    return M - _psi(cond, prop.duhamel(f_states))
 
 
 def initial_state_map(
@@ -241,20 +235,25 @@ def initial_state_map(
     M: np.ndarray,
     f_traj,
     sigma_floor: float | None = None,
-    sums: np.ndarray | None = None,
 ) -> np.ndarray:
     """Candidate initial state for the fixed-point reformulation.
 
     Solves the variant resolvent equation; raises SingularOperatorError when
     the resolvent's smallest singular value sits at or below the floor
-    (default 1e-10 times its spectral norm).  Precomputed Duhamel sums of
-    f may be passed as ``sums``.
+    (default 1e-10 times its spectral norm).  The resolvent and the data
+    shift are read off one sweep of the propagation for f (with the
+    condition's quadrature weights for the terminal variant); a
+    :class:`~avgrec.evolution.SweepValues` argument is used as it is.
     """
     _check_grid(f_traj, prop)
     M = np.asarray(M, dtype=float)
+    f_states = _states_of(f_traj)
+    if not isinstance(prop, SweepValues):
+        terminal = cond.variant is Variant.TERMINAL_DIFFERENCE
+        prop = prop.sweep(f_states, cond.quad_weights if terminal else None)
     resolvent = resolvent_matrix(cond, prop)
     check_resolvent(cond, resolvent, sigma_floor)
-    return np.linalg.solve(resolvent, data_shift(cond, prop, M, _states_of(f_traj), sums))
+    return np.linalg.solve(resolvent, data_shift(cond, prop, M, f_states))
 
 
 @dataclass(frozen=True)

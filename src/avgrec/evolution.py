@@ -19,7 +19,8 @@ one forward recursion of left sums on the widened right-hand side
 [I | h f | qw f] (:meth:`_Sweep.sweep`, returning :class:`SweepValues`), in
 O(K n^2) memory: the stepper from its K one-step factors S_j
 (:class:`StepFactors`: O(K n^2) for the factors of a tridiagonal path, one
-LAPACK gtsv per node, O(K n^3) through one stacked dense LU otherwise, and
+Gaussian elimination over all K nodes at once with LAPACK gtsv for the
+nodes it would pivot, O(K n^3) through one stacked dense LU otherwise, and
 one K-step loop of (n, n) x (n, n+2) products, O(K n^3)), the kernel series
 from its K frozen steps exp(h A_j) (:class:`SeriesSweep`, O(K^2 n^3),
 forming each difference A_m - A_l once), neither forming a table.  The
@@ -537,10 +538,16 @@ def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
     Backward Euler: c = h, R_j = I;
     Crank-Nicolson: c = h/2, R_j = I + h/2 A(t_j).
 
-    On a tridiagonal path (:attr:`OperatorPath.tridiagonal`) each node is one
-    LAPACK gtsv call on the three diagonals of I - c A(t_{j+1}) (partial
-    pivoting, O(n) per column of R_j, O(K n^2) in all); any other path takes
-    the stacked dense LU of :func:`_dense_factors`, O(K n^3).
+    On a tridiagonal path (:attr:`OperatorPath.tridiagonal`) one Gaussian
+    elimination solves all K nodes at once, O(K n^2): the right-hand sides
+    are an (n, K, n) stack of rows written straight from the bands, so each
+    step is one contiguous (K, n) operation, in the order of LAPACK gtsv
+    without row interchanges.  Nodes that gtsv would pivot (known from the
+    pivots, which are eliminated first) or that turn non-finite (a zero
+    pivot) are solved by gtsv itself, in ascending order: the factors, a
+    transposed view of the stack, equal a per-node gtsv solve bit for bit,
+    and the first singular node is named.  Any other path takes the
+    stacked dense LU of :func:`_dense_factors`, O(K n^3).
     """
     bands = path.tridiagonal
     if bands is None:
@@ -550,17 +557,50 @@ def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
     sub, diag, sup = (band[1:] for band in bands)
     # The same roundings as the dense I - c A: 1 - c a on the diagonal, -(c a) off it.
     lower, main, upper = -c * sub, 1.0 - c * diag, -c * sup
+    # Row r of each band at every node, for the pass over all nodes.
+    low_rows, pivots, up_rows = lower.T.copy(), main.T.copy(), upper.T.copy()
+    rows = np.zeros((n, K, n))  # rows[i, j]: row i of R_j, solved into row i of S_j
+    idx = np.arange(n)
     if scheme is Scheme.BACKWARD_EULER:
-        factors = np.empty((K, n, n))
-        rhs = np.broadcast_to(np.eye(n), factors.shape)
+        rows[idx, :, idx] = 1.0
     else:
-        # R_j in place of its factor: c A(t_j) with 1 added on the diagonal.
-        factors = c * path.matrices[:-1]
-        idx = np.arange(n)
-        factors[:, idx, idx] += 1.0
-        rhs = factors
-    for j in range(K):
-        *_, solution, info = dgtsv(lower[j], main[j], upper[j], rhs[j])
+        # R_j = I + c A(t_j) as the dense c A(t_j) with 1 added on the diagonal.
+        rhs_sub, rhs_diag, rhs_sup = (c * band[:-1].T for band in bands)
+        rows[idx, :, idx] = rhs_diag + 1.0
+        rows[idx[1:], :, idx[:-1]] = rhs_sub
+        rows[idx[:-1], :, idx[1:]] = rhs_sup
+    facts = np.empty_like(low_rows)
+    with np.errstate(all="ignore"):
+        for r in range(n - 1):
+            facts[r] = low_rows[r] / pivots[r]
+            pivots[r + 1] -= facts[r] * up_rows[r]
+        # gtsv interchanges rows where |pivot| < |entry below| (or either is
+        # NaN).  The row pass leaves such nodes as they are, since without
+        # interchanges they can overflow or go subnormal and slow it down;
+        # gtsv solves them below.
+        redo = ~(np.abs(pivots[:-1]) >= np.abs(low_rows)).all(axis=0)
+        if not redo.all():
+            facts[:, redo] = 0.0
+            pivots[:, redo] = 1.0
+            up_rows[:, redo] = 0.0
+            for r in range(n - 1):
+                rows[r + 1] -= facts[r][:, None] * rows[r]
+            rows[-1] /= pivots[-1][:, None]
+            for r in range(n - 2, -1, -1):
+                rows[r] -= up_rows[r][:, None] * rows[r + 1]
+                rows[r] /= pivots[r][:, None]
+    # A zero pivot, like any non-finite entry, spreads down its column and
+    # back up to row 0; where row 0 is finite, so is the rest, and gtsv's
+    # extra term 0 * B_{r+2} vanishes.
+    redo |= ~np.isfinite(rows[0]).all(axis=1)
+    factors = rows.transpose(1, 0, 2)
+    for j in np.flatnonzero(redo):
+        if scheme is Scheme.BACKWARD_EULER:
+            rhs = np.eye(n)
+        else:
+            rhs = c * path.matrices[j]
+            rhs.reshape(-1)[:: n + 1] += 1.0  # its diagonal
+        *_, solution, info = dgtsv(lower[j], main[j], upper[j], rhs)
         if info > 0:
             raise NumericalError(
                 f"singular one-step matrix at node {j + 1}: zero pivot in row {info} "

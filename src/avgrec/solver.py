@@ -16,14 +16,16 @@ initial state is the Xi the last sweep solved for, so a recovery that
 converges in k iterations builds k propagations.
 
 The default propagation is the K one-step Crank-Nicolson factors, one
-LAPACK gtsv solve per node when every A(u(t_j)) is tridiagonal (as for all
-shipped models), one stacked dense LU solve otherwise; its recursion is K
-products of n x n factors with n x (n+2) blocks, so a sweep costs
-O(K n^3) time and O(K n^2) memory.  The kernel series (behind a flag)
-recurs on its K frozen steps exp(h A_j), in O(K^2 n^3) time and O(K n^2)
-memory.  The full propagator tables of either method are only test
-oracles.  The per-node model work (A(u(t_j)), f(u(t_j)) and the ball norms
-at all K+1 nodes) is one stacked model call each per sweep.
+tridiagonal elimination over all K nodes at once when every A(u(t_j)) is
+tridiagonal (as for all shipped models; a node that would need row
+interchanges is solved by LAPACK gtsv), one stacked dense LU solve
+otherwise; its recursion is K products of n x n factors with n x (n+2)
+blocks, so a sweep costs O(K n^3) time and O(K n^2) memory.  The kernel
+series (behind a flag) recurs on its K frozen steps exp(h A_j), in
+O(K^2 n^3) time and O(K n^2) memory.  The full propagator tables of either
+method are only test oracles.  The per-node model work (A(u(t_j)),
+f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked model call
+each per sweep.
 
 Distances between iterates are measured in the time-weighted norm
 

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +24,7 @@ from avgrec.evolution import (
     TimeGrid,
     evolution_series,
     evolution_stepper,
+    step_factors,
 )
 from avgrec.solver import Trajectory
 from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid
@@ -305,30 +304,49 @@ class TestInitialStateMap:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_precomputed_sums_reused(self, variant):
-        # Given the Duhamel sums, the map forms none itself; the terminal
-        # variant never needs them.
+        # Given the values of one sweep (the column, the Duhamel sums and,
+        # for the terminal variant, the terminal forcing), the map uses
+        # them as they are: sweep values have no recursion to run again.
         grid_t = TimeGrid(T=0.5, K=12)
         table = evolution_stepper(constant_path(-np.diag([1.0, 2.0, 3.0]), grid_t))
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
         rng = np.random.default_rng(2)
         f_states = rng.standard_normal((13, 3))
         M = rng.standard_normal(3)
-        sums = duhamel_sums(table, f_states)
         expected = initial_state_map(cond, table, M, f_states)
-
-        def no_duhamel(f):
-            raise AssertionError("Duhamel sums recomputed")
-
-        prop = SimpleNamespace(
-            grid=table.grid,
-            dim=table.dim,
-            column=table.column,
-            weighted_forcing=table.weighted_forcing,
-            duhamel=no_duhamel,
-        )
-        given = None if variant is Variant.TERMINAL_DIFFERENCE else sums
-        got = initial_state_map(cond, prop, M, f_states, sums=given)
+        terminal = variant is Variant.TERMINAL_DIFFERENCE
+        values = table.sweep(f_states, cond.quad_weights if terminal else None)
+        got = initial_state_map(cond, values, M, f_states)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("method", ["stepper", "series"])
+    def test_one_recursion_per_call(self, method, variant, monkeypatch):
+        # The resolvent and the data shift are read off one sweep: one
+        # left-sum recursion per call, on a stepper or a kernel series.
+        import avgrec.evolution
+
+        grid_t = TimeGrid(T=0.5, K=24)
+        rng = np.random.default_rng(4)
+        base = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
+        drift = 0.3 * rng.standard_normal((6, 6))
+        mats = np.stack([base + np.sin(3.0 * t) * drift for t in grid_t.nodes])
+        path = OperatorPath(grid=grid_t, matrices=mats, holder_rho=0.5)
+        name = "_stepper_left_sums" if method == "stepper" else "_series_left_sums"
+        recursion = getattr(avgrec.evolution, name)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return recursion(*args)
+
+        prop = step_factors(path) if method == "stepper" else evolution_series(path)
+        monkeypatch.setattr(avgrec.evolution, name, counted)
+        cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
+        f_states = 0.1 * rng.standard_normal((25, 6))
+        xi = initial_state_map(cond, prop, rng.standard_normal(6), f_states)
+        assert xi.shape == (6,)
+        assert len(calls) == 1
 
 
 class TestInvertibilityReport:

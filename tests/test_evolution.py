@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgtsv
 
 from avgrec.averaging import (
     AveragingCondition,
@@ -32,9 +34,10 @@ from avgrec.evolution import (
     volterra_resolvent,
     weighted_kernel_max,
 )
+from avgrec.models import ChemotaxisModel, LinearTestModel, NonlocalRDModel
 from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid, matrix_exponential
 
-from conftest import sqrt_holder_path
+from conftest import chemotaxis_reference_path, sqrt_holder_path
 
 RNG = np.random.default_rng(11)
 
@@ -356,8 +359,8 @@ def tridiagonal_path(n=8, K=12, T=0.8, seed=23):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 class TestTridiagonalFactors:
-    """Tridiagonal paths take the per-node gtsv solve, any other path the
-    dense LU; both agree with an explicit dense solve."""
+    """Tridiagonal paths take the banded solve, any other path the dense
+    LU; both agree with an explicit dense solve."""
 
     def test_matches_dense_solve(self, scheme, monkeypatch):
         import avgrec.evolution
@@ -418,6 +421,149 @@ class TestTridiagonalFactors:
             step_factors(bad, scheme)
         with pytest.raises(NumericalError, match="node 5"):
             evolution_stepper(bad, scheme)
+
+
+def gtsv_factors(path, scheme):
+    """The one-step factors of a tridiagonal path by one LAPACK gtsv call
+    per node, in node order: the reference for the batched elimination."""
+    K, n = path.grid.K, path.dim
+    c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+    sub, diag, sup = (band[1:] for band in path.tridiagonal)
+    lower, main, upper = -c * sub, 1.0 - c * diag, -c * sup
+    if scheme is Scheme.BACKWARD_EULER:
+        factors = np.empty((K, n, n))
+        rhs = np.broadcast_to(np.eye(n), factors.shape)
+    else:
+        factors = c * path.matrices[:-1]
+        idx = np.arange(n)
+        factors[:, idx, idx] += 1.0
+        rhs = factors
+    for j in range(K):
+        *_, solution, info = dgtsv(lower[j], main[j], upper[j], rhs[j])
+        if info > 0:
+            raise NumericalError(f"singular one-step matrix at node {j + 1}")
+        factors[j] = solution
+    return factors
+
+
+MODELS = {
+    "chemotaxis": lambda n: ChemotaxisModel.default(build_grid(n, 1.0, BoundaryKind.NEUMANN)),
+    "rd_neumann": lambda n: NonlocalRDModel.default(build_grid(n, 1.0, BoundaryKind.NEUMANN)),
+    "rd_dirichlet": lambda n: NonlocalRDModel.default(build_grid(n, 1.0, BoundaryKind.DIRICHLET)),
+    "linear": lambda n: LinearTestModel.default(build_grid(n, 1.0, BoundaryKind.NEUMANN), 0.7),
+}
+
+
+def with_node(path, j, target, c):
+    """``path`` with A(t_j) replaced so that I - c A(t_j) equals ``target``."""
+    mats = path.matrices.copy()
+    mats[j] = (np.eye(path.dim) - target) / c
+    return OperatorPath(grid=path.grid, matrices=mats, holder_rho=path.holder_rho)
+
+
+def counted_gtsv(monkeypatch):
+    """Route evolution's gtsv through a wrapper; returns the list of calls."""
+    import avgrec.evolution
+
+    calls = []
+
+    def wrapper(*args):
+        calls.append(1)
+        return dgtsv(*args)
+
+    monkeypatch.setattr(avgrec.evolution, "dgtsv", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+class TestBatchedTridiagonalFactors:
+    """One elimination over all nodes gives the factors of a per-node gtsv
+    solve bit for bit; nodes that gtsv pivots, and singular nodes, are
+    solved again by gtsv."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_model_paths_equal_gtsv(self, scheme, model, n, monkeypatch):
+        path = chemotaxis_reference_path(MODELS[model](n), K=24)
+        assert path.tridiagonal is not None
+        expected = gtsv_factors(path, scheme)
+        calls = counted_gtsv(monkeypatch)
+        factors = step_factors(path, scheme).factors
+        assert factors.shape == (24, n, n)
+        assert np.array_equal(factors, expected)
+        assert not calls
+
+    def test_scalar_path(self, scheme):
+        # gtsv's wrapper rejects n = 1; its arithmetic there is R_j / (1 - c a).
+        grid = TimeGrid(T=0.5, K=16)
+        a = -1.0 - np.random.default_rng(6).random(17)
+        path = OperatorPath(grid=grid, matrices=a[:, None, None], holder_rho=0.5)
+        if scheme is Scheme.BACKWARD_EULER:
+            expected = 1.0 / (1.0 - grid.h * a[1:])
+        else:
+            c = 0.5 * grid.h
+            expected = (c * a[:-1] + 1.0) / (1.0 - c * a[1:])
+        assert np.array_equal(step_factors(path, scheme).factors[:, 0, 0], expected)
+
+    def test_every_node_pivots(self, scheme, monkeypatch):
+        path = tridiagonal_path()
+        expected = gtsv_factors(path, scheme)
+        calls = counted_gtsv(monkeypatch)
+        assert np.array_equal(step_factors(path, scheme).factors, expected)
+        assert len(calls) == path.grid.K
+
+    def test_some_nodes_pivot(self, scheme, monkeypatch):
+        # The sub-diagonal of tridiagonal_path() shrunk at every third node,
+        # where no row interchange is needed any more.
+        mats = tridiagonal_path(n=10, K=15).matrices.copy()
+        idx = np.arange(10)
+        mats[::3, idx[1:], idx[:-1]] *= 1e-3
+        path = OperatorPath(grid=TimeGrid(T=0.8, K=15), matrices=mats, holder_rho=0.5)
+        expected = gtsv_factors(path, scheme)
+        calls = counted_gtsv(monkeypatch)
+        assert np.array_equal(step_factors(path, scheme).factors, expected)
+        assert 0 < len(calls) < path.grid.K
+
+    def test_zero_diagonal_pivoted_without_warning(self, scheme):
+        # I - c A(t_4) has a zero first pivot but is regular: gtsv swaps
+        # rows 1 and 2.  The elimination divides by zero there, silently.
+        path = chemotaxis_reference_path(MODELS["chemotaxis"](4), K=8)
+        c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+        target = np.array(
+            [[0.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.5, 0.0], [0.0, 0.5, 2.0, 0.5], [0.0, 0.0, 0.5, 2.0]]
+        )
+        path = with_node(path, 4, target, c)
+        assert path.tridiagonal is not None
+        expected = gtsv_factors(path, scheme)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = step_factors(path, scheme).factors
+        assert np.array_equal(factors, expected)
+        assert np.all(np.isfinite(factors))
+
+    @pytest.mark.parametrize(
+        "row, target",
+        [
+            (2, [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            (3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+        ],
+    )
+    def test_zero_pivot_names_node(self, scheme, row, target):
+        path = constant_path(-np.eye(3), K=8, T=1.0)
+        c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+        bad = with_node(path, 5, np.array(target), c)
+        assert bad.tridiagonal is not None
+        with pytest.raises(NumericalError, match=f"node 5: zero pivot in row {row} "):
+            step_factors(bad, scheme)
+
+    def test_first_of_two_singular_nodes_named(self, scheme):
+        path = constant_path(-np.eye(3), K=8, T=1.0)
+        c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+        last = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        middle = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        bad = with_node(with_node(path, 6, middle, c), 3, last, c)
+        with pytest.raises(NumericalError, match="node 3: zero pivot in row 3 "):
+            step_factors(bad, scheme)
 
 
 def traced_sweep_peak(build, path):
