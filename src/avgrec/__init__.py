@@ -6,7 +6,6 @@ from .evolution import (
     OperatorPath,
     PropagatorMethod,
     PropagatorTable,
-    Scheme,
     TimeGrid,
     evolution_series,
     evolution_stepper,
@@ -34,7 +33,6 @@ __all__ = [
     "PropagatorMethod",
     "PropagatorTable",
     "RecoveryConfig",
-    "Scheme",
     "SolveReport",
     "TimeGrid",
     "Trajectory",

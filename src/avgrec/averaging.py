@@ -7,20 +7,21 @@ initial state:
 * initial plus average    u(0) + int_0^T w(t) u(t) dt = M   -> I + Phi
 * terminal difference     u(0) - w0 u(T) = M                -> I - w0 U(T,0)
 
-with Phi = int_0^T w(t) U(t,0) dt and the forcing functional
-Psi g = int_0^T w(t) int_0^t U(t,s) g(s) ds dt.  Outer integrals use the
-composite trapezoid weights carried by the condition; inner Duhamel
-integrals use the trapezoid rule on [0, t_i].  The initial-state maps follow
+with Phi = int_0^T w(t) U(t,0) dt, the forcing functional
+Psi g = int_0^T w(t) int_0^t U(t,s) g(s) ds dt and the terminal forcing
+N(T) g = int_0^T U(T,s) g(s) ds.  Every time integral uses the composite
+trapezoid rule: outer integrals on [0, T], inner Duhamel integrals on
+[0, t_i], so N(T) g is the last Duhamel sum.  The initial-state maps follow
 the variation-of-constants identities, so substituting their output back
 into the discretized condition closes to solver roundoff.
 
-Assembly takes a propagation through its sweep interface (``column``,
-``duhamel``, ``weighted_forcing``): the stepper's one-step factors, the
-kernel series' frozen steps, a full propagator table (the test oracle), or
-the values one sweep of them computed for a single forcing
-(:class:`~avgrec.evolution.SweepValues`, what the solver passes).
-Assembled operators are immutable and shareable; assembly is a pure
-reduction over the initial column.
+Assembly takes a propagation through its initial ``column``, or the values
+one ``sweep`` of it computed for a single forcing
+(:class:`~avgrec.evolution.SweepValues`: the column and the Duhamel sums);
+a propagation is the stepper's one-step factors, the kernel series' frozen
+steps or a full propagator table (the test oracle).  Assembled operators
+are immutable and shareable; assembly is a pure reduction over the initial
+column.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from .errors import ConfigurationError, SingularOperatorError
 from .evolution import (
     OperatorPath,
     PropagatorTable,
-    Scheme,
     SweepValues,
     TimeGrid,
     holder_seminorm,
@@ -74,13 +74,12 @@ def weight_samples(grid: TimeGrid, preset: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AveragingCondition:
-    """Weight samples, terminal weight, and quadrature for one nonlocal condition."""
+    """Weight samples and terminal weight for one nonlocal condition."""
 
     grid: TimeGrid
     variant: Variant
     weight: np.ndarray
     w0: float = 0.0
-    quad_weights: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
@@ -89,20 +88,16 @@ class AveragingCondition:
                 f"weight needs {self.grid.K + 1} samples, got shape {w.shape}"
             )
         object.__setattr__(self, "weight", w)
-        qw = self.quad_weights
-        qw = trapezoid_weights(self.grid) if qw is None else np.asarray(qw, dtype=float)
-        if qw.shape != w.shape:
-            raise ConfigurationError("quadrature weights must match the weight samples")
-        if abs(qw.sum() - self.grid.T) > 1e-12 * self.grid.T:
-            raise ConfigurationError(
-                f"quadrature weights sum to {qw.sum()!r}, expected the horizon {self.grid.T!r}"
-            )
-        object.__setattr__(self, "quad_weights", qw)
         if self.variant is Variant.TIME_AVERAGE and abs(w[0]) <= 1e-14 * max(np.abs(w).max(), 1.0):
             raise ConfigurationError(
                 "time-average condition requires a nonvanishing weight at t=0 "
                 "(otherwise the data carries no information about u(0))"
             )
+
+    @property
+    def quad_weights(self) -> np.ndarray:
+        """The outer quadrature: the trapezoid weights of the grid."""
+        return trapezoid_weights(self.grid)
 
     @classmethod
     def from_preset(
@@ -164,7 +159,7 @@ def duhamel_sums(table: PropagatorTable, f_states: np.ndarray) -> np.ndarray:
     solver's trajectory reconstruction, which is what makes the recovered
     initial state consistent with the discretized condition.  Read off the
     full table, it is the oracle for the factor recursion of
-    :meth:`StepFactors.duhamel`.
+    :meth:`StepFactors.sweep`.
     """
     return table.duhamel(f_states)
 
@@ -182,21 +177,26 @@ def apply_psi(f_traj, prop, cond: AveragingCondition) -> np.ndarray:
             f"forcing trajectory must have shape {(prop.grid.K + 1, prop.dim)}, "
             f"got {f_states.shape}"
         )
-    return _psi(cond, prop.duhamel(f_states))
+    return _psi(cond, prop.sweep(f_states).sums)
 
 
-def terminal_forcing(prop, cond: AveragingCondition, f_states: np.ndarray) -> np.ndarray:
-    """N(T) f = sum_j qw_j U(T, t_j) f(t_j) with the condition's quadrature."""
-    return prop.weighted_forcing(cond.quad_weights, f_states)
+def terminal_forcing(values: SweepValues) -> np.ndarray:
+    """N(T) f = int_0^T U(T, s) f(s) ds by the trapezoid rule.
+
+    With qw the trapezoid weights, sum_j qw_j U(T, t_j) f(t_j) is the last
+    Duhamel sum G_K term for term, so it is read off the sweep.
+    """
+    return values.sums[-1]
 
 
-def resolvent_matrix(cond: AveragingCondition, prop) -> np.ndarray:
+def resolvent_matrix(cond: AveragingCondition, values: SweepValues) -> np.ndarray:
     """The variant's resolvent: Phi, I + Phi, or I - w0 U(T, 0)."""
     if cond.variant is Variant.TIME_AVERAGE:
-        return _phi_matrix(prop, cond)
+        return _phi_matrix(values, cond)
+    eye = np.eye(values.column.shape[-1])
     if cond.variant is Variant.INITIAL_PLUS_AVERAGE:
-        return np.eye(prop.dim) + _phi_matrix(prop, cond)
-    return np.eye(prop.dim) - cond.w0 * prop.column[-1]
+        return eye + _phi_matrix(values, cond)
+    return eye - cond.w0 * values.column[-1]
 
 
 def check_resolvent(
@@ -219,14 +219,12 @@ def check_resolvent(
     return sigma, floor
 
 
-def data_shift(
-    cond: AveragingCondition, prop, M: np.ndarray, f_states: np.ndarray
-) -> np.ndarray:
-    """Right-hand side of the variant resolvent equation: M - Psi f or
-    M + w0 N(T) f."""
+def data_shift(cond: AveragingCondition, values: SweepValues, M: np.ndarray) -> np.ndarray:
+    """Right-hand side of the variant resolvent equation, M - Psi f or
+    M + w0 N(T) f, from one sweep's values for f."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
-        return M + cond.w0 * terminal_forcing(prop, cond, f_states)
-    return M - _psi(cond, prop.duhamel(f_states))
+        return M + cond.w0 * terminal_forcing(values)
+    return M - _psi(cond, values.sums)
 
 
 def initial_state_map(
@@ -241,19 +239,14 @@ def initial_state_map(
     Solves the variant resolvent equation; raises SingularOperatorError when
     the resolvent's smallest singular value sits at or below the floor
     (default 1e-10 times its spectral norm).  The resolvent and the data
-    shift are read off one sweep of the propagation for f (with the
-    condition's quadrature weights for the terminal variant); a
-    :class:`~avgrec.evolution.SweepValues` argument is used as it is.
+    shift are read off one sweep of the propagation for f.
     """
     _check_grid(f_traj, prop)
     M = np.asarray(M, dtype=float)
-    f_states = _states_of(f_traj)
-    if not isinstance(prop, SweepValues):
-        terminal = cond.variant is Variant.TERMINAL_DIFFERENCE
-        prop = prop.sweep(f_states, cond.quad_weights if terminal else None)
-    resolvent = resolvent_matrix(cond, prop)
+    values = prop.sweep(_states_of(f_traj))
+    resolvent = resolvent_matrix(cond, values)
     check_resolvent(cond, resolvent, sigma_floor)
-    return np.linalg.solve(resolvent, data_shift(cond, prop, M, f_states))
+    return np.linalg.solve(resolvent, data_shift(cond, values, M))
 
 
 @dataclass(frozen=True)
@@ -315,7 +308,6 @@ def phi_lipschitz_probe(
     cond: AveragingCondition,
     smoother: np.ndarray | None = None,
     eta: float | None = None,
-    scheme: Scheme = Scheme.CRANK_NICOLSON,
 ) -> float:
     """||Phi_A - Phi_B|| / |||A - B|||_rho with the numerator premultiplied by
     the smoothing matrix (discrete stand-in for the order-one target norm)."""
@@ -329,8 +321,8 @@ def phi_lipschitz_probe(
             semi = holder_seminorm(p, rho)
             if semi > eta:
                 raise ValueError(f"{label} path leaves the declared neighborhood: {semi} > {eta}")
-    phi_a = assemble_phi(step_factors(path_a, scheme), cond).matrix
-    phi_b = assemble_phi(step_factors(path_b, scheme), cond).matrix
+    phi_a = assemble_phi(step_factors(path_a), cond).matrix
+    phi_b = assemble_phi(step_factors(path_b), cond).matrix
     diff = phi_a - phi_b
     if smoother is not None:
         diff = smoother @ diff

@@ -10,22 +10,21 @@ v' = A(t) v are provided:
   w = k + k * w.  On strictly lower-triangular tables the map w -> k * w
   is nilpotent, so the discrete equation is solved exactly by forward
   substitution over the rows, with no tolerance and no sweep cap;
-* composed one-step integrators (backward Euler / Crank-Nicolson), whose
-  cocycle identity holds by construction.
+* composed Crank-Nicolson steps, whose cocycle identity holds by
+  construction.
 
-A fixed-point sweep needs only the initial column U(t_i, 0), the Duhamel
-sums and the terminal forcing.  Both constructions serve all three from
-one forward recursion of left sums on the widened right-hand side
-[I | h f | qw f] (:meth:`_Sweep.sweep`, returning :class:`SweepValues`), in
-O(K n^2) memory: the stepper from its K one-step factors S_j
-(:class:`StepFactors`: O(K n^2) for the factors of a tridiagonal path, one
-Gaussian elimination over all K nodes at once with LAPACK gtsv for the
-nodes it would pivot, O(K n^3) through one stacked dense LU otherwise, and
-one K-step loop of (n, n) x (n, n+2) products, O(K n^3)), the kernel series
-from its K frozen steps exp(h A_j) (:class:`SeriesSweep`, O(K^2 n^3),
-forming each difference A_m - A_l once), neither forming a table.  The
-sweep interface ``column``, ``duhamel(f)`` and ``weighted_forcing(qw, f)``
-reads the same recursion.  The full lower-triangular tables
+A fixed-point sweep needs only the initial column U(t_i, 0) and the
+trapezoid Duhamel sums G_i; the last of them, G_K, is also the terminal
+forcing.  Both constructions serve them from one forward recursion of left
+sums on the widened right-hand side [I | h f] (:meth:`_Sweep.sweep`,
+returning :class:`SweepValues`), in O(K n^2) memory: the stepper from its K
+one-step factors S_j (:class:`StepFactors`: O(K n^2) for the factors of a
+tridiagonal path, one Gaussian elimination over all K nodes at once with
+LAPACK gtsv for the nodes it would pivot, O(K n^3) through one stacked dense
+LU otherwise, and one K-step loop of (n, n) x (n, n+1) products,
+O(K n^3)), the kernel series from its K frozen steps exp(h A_j)
+(:class:`SeriesSweep`, O(K^2 n^3), forming each difference A_m - A_l once),
+neither forming a table.  The full lower-triangular tables
 (:class:`PropagatorTable`, O(K^2 n^2) memory, from :func:`evolution_stepper`
 and :func:`series_table`) are the cross-validation and cocycle oracles of
 the recursions, and serve the same ``sweep`` entry from their rows.
@@ -114,11 +113,6 @@ class PropagatorMethod(Enum):
     STEPPER = "stepper"
 
 
-class Scheme(Enum):
-    BACKWARD_EULER = "backward_euler"
-    CRANK_NICOLSON = "crank_nicolson"
-
-
 @dataclass(frozen=True)
 class KernelTable:
     """Strictly lower-triangular table of kernel matrices on node pairs.
@@ -159,7 +153,6 @@ class PropagatorTable:
     grid: TimeGrid
     method_tag: PropagatorMethod
     rows: list  # rows[i]: (i+1, n, n)
-    scheme: Scheme | None = None
 
     @property
     def dim(self) -> int:
@@ -175,10 +168,6 @@ class PropagatorTable:
         """U(t_i, 0) for all i, shape (K+1, n, n)."""
         return np.stack([row[0] for row in self.rows])
 
-    def final_row(self) -> np.ndarray:
-        """U(T, t_j) for all j, shape (K+1, n, n)."""
-        return self.rows[self.grid.K]
-
     def duhamel(self, f_states: np.ndarray) -> np.ndarray:
         """Trapezoid Duhamel sums G_i = sum_m wts_m U(t_i, t_m) f(t_m) over
         m = 0..i, with half weights at both ends, read off the table rows."""
@@ -190,53 +179,19 @@ class PropagatorTable:
             sums[i] = np.einsum("m,mab,mb->a", wts, self.rows[i], f_states[: i + 1])
         return sums
 
-    def weighted_forcing(self, quad_weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
-        """sum_j qw_j U(T, t_j) f(t_j), read off the final row."""
-        return np.einsum("j,jab,jb->a", quad_weights, self.final_row(), f_states)
-
-    def sweep(self, f_states: np.ndarray, quad_weights: np.ndarray | None = None) -> "SweepValues":
+    def sweep(self, f_states: np.ndarray) -> "SweepValues":
         """The sweep entry of :meth:`_Sweep.sweep`, read off the rows."""
-        forcing = None if quad_weights is None else self.weighted_forcing(quad_weights, f_states)
-        return SweepValues(
-            self.grid, self.column, self.duhamel(f_states), f_states, quad_weights, forcing
-        )
+        return SweepValues(self.grid, self.column, self.duhamel(f_states))
 
 
 @dataclass(frozen=True)
 class SweepValues:
     """What one fixed-point sweep reads of a propagation, for one forcing f:
-    the initial column U(t_i, 0), the trapezoid Duhamel sums G_i of f and,
-    when quadrature weights were given, the terminal forcing
-    N(T) f = sum_j qw_j U(T, t_j) f(t_j).
-
-    It serves the sweep interface (``column``, ``duhamel``,
-    ``weighted_forcing``) for that forcing and those weights only.
-    """
+    the initial column U(t_i, 0) and the trapezoid Duhamel sums G_i of f."""
 
     grid: TimeGrid
     column: np.ndarray  # (K+1, n, n)
     sums: np.ndarray  # (K+1, n)
-    f_states: np.ndarray  # (K+1, n)
-    quad_weights: np.ndarray | None = None
-    forcing: np.ndarray | None = None  # (n,)
-
-    @property
-    def dim(self) -> int:
-        return self.column.shape[-1]
-
-    def duhamel(self, f_states: np.ndarray) -> np.ndarray:
-        _require_same("forcing", f_states, self.f_states)
-        return self.sums
-
-    def weighted_forcing(self, quad_weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
-        _require_same("forcing", f_states, self.f_states)
-        _require_same("quadrature weights", quad_weights, self.quad_weights)
-        return self.forcing
-
-
-def _require_same(name: str, given, swept) -> None:
-    if given is not swept and (swept is None or not np.array_equal(given, swept)):
-        raise ValueError(f"these sweep values were computed for other {name}")
 
 
 class _Sweep:
@@ -250,37 +205,20 @@ class _Sweep:
         """U(t_i, 0) for all i, shape (K+1, n, n): the recursion with no forcing."""
         return self._left_sums(np.empty((self.grid.K + 1, self.dim, 0)))
 
-    def sweep(self, f_states: np.ndarray, quad_weights: np.ndarray | None = None) -> SweepValues:
-        """Column, Duhamel sums and (given quadrature weights) terminal
-        forcing from one recursion on the widened right-hand side
-        [I | h f | qw f], width n+1 or n+2.
+    def sweep(self, f_states: np.ndarray) -> SweepValues:
+        """Column and trapezoid Duhamel sums
+        G_i = sum_m wts_m U(t_i, t_m) f(t_m) from one recursion on the
+        widened right-hand side [I | h f], width n+1.
 
-        With H_i and Q_i the left sums of h f and qw f:
-            G_i = H_i - (h/2) U(t_i, 0) f_0 + (h/2) f_i,
-            N(T) f = Q_K + qw_K f_K.
+        With H_i the left sums of h f:
+            G_i = H_i - (h/2) U(t_i, 0) f_0 + (h/2) f_i.
         """
         h = self.grid.h
         n = self.dim
-        parts = [h * f_states]
-        if quad_weights is not None:
-            parts.append(quad_weights[:, None] * f_states)
-        left = self._left_sums(np.stack(parts, axis=-1))
+        left = self._left_sums((h * f_states)[:, :, None])
         column = left[:, :, :n]
         sums = left[:, :, n] - 0.5 * h * (column @ f_states[0]) + 0.5 * h * f_states
-        forcing = None
-        if quad_weights is not None:
-            forcing = left[-1, :, n + 1] + quad_weights[-1] * f_states[-1]
-        return SweepValues(self.grid, column, sums, f_states, quad_weights, forcing)
-
-    def duhamel(self, f_states: np.ndarray) -> np.ndarray:
-        """Trapezoid Duhamel sums G_i = sum_m wts_m U(t_i, t_m) f(t_m), read
-        off :meth:`sweep`."""
-        return self.sweep(f_states).sums
-
-    def weighted_forcing(self, quad_weights: np.ndarray, f_states: np.ndarray) -> np.ndarray:
-        """sum_j qw_j U(T, t_j) f(t_j) for any quadrature weights, read off
-        :meth:`sweep`."""
-        return self.sweep(f_states, quad_weights).forcing
+        return SweepValues(self.grid, column, sums)
 
 
 @dataclass(frozen=True)
@@ -510,33 +448,31 @@ class SeriesSweep(_Sweep):
 
 def series_peak_bytes(n: int, K: int) -> int:
     """Estimated peak memory of a kernel-series sweep (:func:`evolution_series`
-    and :meth:`SeriesSweep.sweep` with quadrature weights) in bytes: five
-    stacks of K+1 float64 n x (n+2) blocks.
+    and :meth:`SeriesSweep.sweep`) in bytes: five stacks of K+1 float64
+    n x (n+1) blocks.
 
     The recursion holds the frozen steps, the carried products, the left
     sums, and at the last nodes the differences A_m - A_l and their products
-    with the carried blocks; its right-hand side is [I | h f | qw f].
+    with the carried blocks; its right-hand side is [I | h f].
     """
-    return 5 * 8 * (K + 1) * n * (n + 2)
+    return 5 * 8 * (K + 1) * n * (n + 1)
 
 
 def evolution_series(path: OperatorPath) -> SeriesSweep:
     """Sweep interface of the kernel series U = a + a*w: the K frozen steps
     from one stacked matrix exponential.
 
-    A sweep's column U(t_i, 0), Duhamel sums and terminal forcing are one
-    recursion on [I | h f | qw f], O(K^2 n^2 (n+2)).  On a constant path the
+    A sweep's column U(t_i, 0) and Duhamel sums are one recursion on
+    [I | h f], O(K^2 n^2 (n+1)).  On a constant path the
     kernel is exactly zero and the column equals the frozen semigroup of
     :func:`series_table` bit for bit.
     """
     return SeriesSweep(path=path, steps=_frozen_steps(path))
 
 
-def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
-    """S_j for j = 0..K-1, shape (K, n, n), from (I - c A(t_{j+1})) S_j = R_j:
-
-    Backward Euler: c = h, R_j = I;
-    Crank-Nicolson: c = h/2, R_j = I + h/2 A(t_j).
+def _one_step_factors(path: OperatorPath) -> np.ndarray:
+    """Crank-Nicolson steps S_j for j = 0..K-1, shape (K, n, n), from
+    (I - c A(t_{j+1})) S_j = R_j with c = h/2 and R_j = I + c A(t_j).
 
     On a tridiagonal path (:attr:`OperatorPath.tridiagonal`) one Gaussian
     elimination solves all K nodes at once, O(K n^2): the right-hand sides
@@ -551,9 +487,9 @@ def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
     """
     bands = path.tridiagonal
     if bands is None:
-        return _dense_factors(path, scheme)
+        return _dense_factors(path)
     K, n = path.grid.K, path.dim
-    c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+    c = 0.5 * path.grid.h
     sub, diag, sup = (band[1:] for band in bands)
     # The same roundings as the dense I - c A: 1 - c a on the diagonal, -(c a) off it.
     lower, main, upper = -c * sub, 1.0 - c * diag, -c * sup
@@ -561,14 +497,11 @@ def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
     low_rows, pivots, up_rows = lower.T.copy(), main.T.copy(), upper.T.copy()
     rows = np.zeros((n, K, n))  # rows[i, j]: row i of R_j, solved into row i of S_j
     idx = np.arange(n)
-    if scheme is Scheme.BACKWARD_EULER:
-        rows[idx, :, idx] = 1.0
-    else:
-        # R_j = I + c A(t_j) as the dense c A(t_j) with 1 added on the diagonal.
-        rhs_sub, rhs_diag, rhs_sup = (c * band[:-1].T for band in bands)
-        rows[idx, :, idx] = rhs_diag + 1.0
-        rows[idx[1:], :, idx[:-1]] = rhs_sub
-        rows[idx[:-1], :, idx[1:]] = rhs_sup
+    # R_j = I + c A(t_j) as the dense c A(t_j) with 1 added on the diagonal.
+    rhs_sub, rhs_diag, rhs_sup = (c * band[:-1].T for band in bands)
+    rows[idx, :, idx] = rhs_diag + 1.0
+    rows[idx[1:], :, idx[:-1]] = rhs_sub
+    rows[idx[:-1], :, idx[1:]] = rhs_sup
     facts = np.empty_like(low_rows)
     with np.errstate(all="ignore"):
         for r in range(n - 1):
@@ -594,12 +527,13 @@ def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
     # extra term 0 * B_{r+2} vanishes.
     redo |= ~np.isfinite(rows[0]).all(axis=1)
     factors = rows.transpose(1, 0, 2)
+    if n == 1:
+        # gtsv's wrapper wants off-diagonals of length max(n - 1, 1); gtsv
+        # reads none of them at n = 1.
+        lower = upper = np.zeros((K, 1))
     for j in np.flatnonzero(redo):
-        if scheme is Scheme.BACKWARD_EULER:
-            rhs = np.eye(n)
-        else:
-            rhs = c * path.matrices[j]
-            rhs.reshape(-1)[:: n + 1] += 1.0  # its diagonal
+        rhs = c * path.matrices[j]
+        rhs.reshape(-1)[:: n + 1] += 1.0  # its diagonal
         *_, solution, info = dgtsv(lower[j], main[j], upper[j], rhs)
         if info > 0:
             raise NumericalError(
@@ -610,19 +544,13 @@ def _one_step_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
     return factors
 
 
-def _dense_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
+def _dense_factors(path: OperatorPath) -> np.ndarray:
     """The one-step factors of :func:`_one_step_factors` on any path, from
     one stacked dense LU solve."""
     h = path.grid.h
     eye = np.eye(path.dim)
-    if scheme is Scheme.BACKWARD_EULER:
-        lhs = eye - h * path.matrices[1:]
-        # A 2-D right-hand side next to a 3-D stack reads as a stack of
-        # vectors under numpy 1.x; give it the stack's shape explicitly.
-        rhs = np.broadcast_to(eye, lhs.shape)
-    else:
-        lhs = eye - 0.5 * h * path.matrices[1:]
-        rhs = eye + 0.5 * h * path.matrices[:-1]
+    lhs = eye - 0.5 * h * path.matrices[1:]
+    rhs = eye + 0.5 * h * path.matrices[:-1]
     try:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
@@ -637,26 +565,26 @@ def _dense_factors(path: OperatorPath, scheme: Scheme) -> np.ndarray:
 
 def stepper_peak_bytes(n: int, K: int) -> int:
     """Estimated peak memory of a stepper sweep (:func:`step_factors`, then
-    :meth:`StepFactors.sweep` with quadrature weights) on a tridiagonal path
-    in bytes: two stacks of K+1 float64 n x (n+4) blocks.
+    :meth:`StepFactors.sweep`) on a tridiagonal path in bytes: two stacks of
+    K+1 float64 n x (n+2) blocks.
 
-    The sweep holds the K factors, the K+1 left-sum blocks of width n+2
+    The sweep holds the K factors, the K+1 left-sum blocks of width n+1
     and, while it forms the Duhamel sums, a few (K+1, n) forcing and sum
-    arrays, which the four extra columns cover.  Every shipped model is
+    arrays, which the two extra columns cover.  Every shipped model is
     tridiagonal.  The dense LU of other paths holds its left- and
     right-hand sides next to the solution; traces of the factors alone at
     n = 16 peak at 2.6 to 3.9 stacks of n x n blocks.
     """
-    return 2 * 8 * (K + 1) * n * (n + 4)
+    return 2 * 8 * (K + 1) * n * (n + 2)
 
 
-def step_factors(path: OperatorPath, scheme: Scheme = Scheme.CRANK_NICOLSON) -> StepFactors:
+def step_factors(path: OperatorPath) -> StepFactors:
     """The one-step factors of a stepper; the initial column
     U(t_i, 0) = S_{i-1} ... S_0 and the left sums follow by recursion."""
-    return StepFactors(grid=path.grid, factors=_one_step_factors(path, scheme))
+    return StepFactors(grid=path.grid, factors=_one_step_factors(path))
 
 
-def evolution_stepper(path: OperatorPath, scheme: Scheme = Scheme.CRANK_NICOLSON) -> PropagatorTable:
+def evolution_stepper(path: OperatorPath) -> PropagatorTable:
     """Full table of composed one-step factors, U(t_i, t_j) = S_{i-1} ... S_j.
 
     The cocycle identity holds by construction (up to roundoff in the stored
@@ -665,16 +593,14 @@ def evolution_stepper(path: OperatorPath, scheme: Scheme = Scheme.CRANK_NICOLSON
     """
     n = path.dim
     eye = np.eye(n)
-    factors = _dense_factors(path, scheme)
+    factors = _dense_factors(path)
     rows = [eye[None, :, :].copy()]
     for i in range(1, path.grid.K + 1):
         row = np.empty((i + 1, n, n))
         row[:i] = np.matmul(factors[i - 1], rows[i - 1])
         row[i] = eye
         rows.append(row)
-    return PropagatorTable(
-        grid=path.grid, method_tag=PropagatorMethod.STEPPER, rows=rows, scheme=scheme
-    )
+    return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.STEPPER, rows=rows)
 
 
 def holder_seminorm(path: OperatorPath, rho: float) -> float:

@@ -7,19 +7,20 @@ reconstruct
 
     u_new(t_j) = U(t_j, 0) Xi + int_0^{t_j} U(t_j, s) f(u(s)) ds .
 
-Each iteration builds one propagation on A(u) and sweeps it once: one
-forward recursion on the widened right-hand side [I | h f | qw f] (width
-n+1, or n+2 for the terminal variant) gives the initial column U(t_j, 0),
-the Duhamel sums of f(u) and the terminal forcing together, and they serve
-the resolvent, the data shift and the reconstruction.  The recovered
-initial state is the Xi the last sweep solved for, so a recovery that
-converges in k iterations builds k propagations.
+Each iteration checks A(u) and f(u) for non-finite values, then builds one
+propagation on A(u) and sweeps it once: one forward recursion on the
+widened right-hand side [I | h f] (width n+1) gives the initial column
+U(t_j, 0) and the Duhamel sums of f(u) together, and they serve the
+resolvent, the data shift (the last Duhamel sum is the terminal forcing)
+and the reconstruction.  The recovered initial state is the Xi the last
+sweep solved for, so a recovery that converges in k iterations builds k
+propagations.
 
 The default propagation is the K one-step Crank-Nicolson factors, one
 tridiagonal elimination over all K nodes at once when every A(u(t_j)) is
 tridiagonal (as for all shipped models; a node that would need row
 interchanges is solved by LAPACK gtsv), one stacked dense LU solve
-otherwise; its recursion is K products of n x n factors with n x (n+2)
+otherwise; its recursion is K products of n x n factors with n x (n+1)
 blocks, so a sweep costs O(K n^3) time and O(K n^2) memory.  The kernel
 series (behind a flag) recurs on its K frozen steps exp(h A_j), in
 O(K^2 n^3) time and O(K n^2) memory.  The full propagator tables of either
@@ -48,7 +49,6 @@ import numpy as np
 
 from .averaging import (
     AveragingCondition,
-    Variant,
     check_resolvent,
     data_shift,
     observe,
@@ -58,7 +58,6 @@ from .errors import ConfigurationError, ConvergenceError, NumericalError
 from .evolution import (
     OperatorPath,
     PropagatorMethod,
-    Scheme,
     TimeGrid,
     evolution_series,
     step_factors,
@@ -125,7 +124,6 @@ class RecoveryConfig:
     ball_L: float = 0.5
     sigma_floor: float | None = None
     method: PropagatorMethod = PropagatorMethod.STEPPER
-    scheme: Scheme = Scheme.CRANK_NICOLSON
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -201,13 +199,16 @@ def operator_path(model, traj: Trajectory, enforce_ball: bool = False) -> Operat
     return OperatorPath(grid=traj.grid, matrices=mats, holder_rho=model.exponents.rho)
 
 
-def _propagation(model, traj: Trajectory, config: RecoveryConfig):
+def _propagation(model, traj: Trajectory, f_states: np.ndarray, config: RecoveryConfig):
     """The propagation on A(u): the stepper's one-step factors, or the
-    kernel series' frozen steps; neither builds a propagator table."""
+    kernel series' frozen steps; neither builds a propagator table.  Raises
+    ConvergenceError before the build when A(u) or f(u) is not finite."""
     path = operator_path(model, traj)
+    if not (np.all(np.isfinite(path.matrices)) and np.all(np.isfinite(f_states))):
+        raise ConvergenceError("iteration produced non-finite operator or forcing values")
     if config.method is PropagatorMethod.KERNEL_SERIES:
         return evolution_series(path)
-    return step_factors(path, config.scheme)
+    return step_factors(path)
 
 
 @dataclass(frozen=True)
@@ -224,19 +225,16 @@ def _initial_state(
     column and the Duhamel sums of f(u)) it was computed from: one
     propagation build and one left-sum recursion."""
     try:
-        prop = _propagation(model, u, config)
         f_states = model.evaluate_f(u.states)
-        if not np.all(np.isfinite(f_states)):
-            raise ConvergenceError("iteration produced non-finite operator or forcing values")
-        terminal = cond.variant is Variant.TERMINAL_DIFFERENCE
-        values = prop.sweep(f_states, cond.quad_weights if terminal else None)
+        prop = _propagation(model, u, f_states, config)
+        values = prop.sweep(f_states)
         if not np.all(np.isfinite(values.column)):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
         # The steps of averaging.initial_state_map, kept apart so that the
         # sweep's sigma_min reaches the report from the same SVD.
         resolvent = resolvent_matrix(cond, values)
         sigma, _ = check_resolvent(cond, resolvent, config.sigma_floor)
-        xi = np.linalg.solve(resolvent, data_shift(cond, values, M, f_states))
+        xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ConvergenceError(f"iteration left the computable regime: {exc}") from exc
     return xi, sigma, values

@@ -4,7 +4,6 @@ import pytest
 from avgrec.averaging import AveragingCondition, Variant, observe
 from avgrec.evolution import (
     OperatorPath,
-    Scheme,
     TimeGrid,
     evolution_stepper,
     series_table,
@@ -57,7 +56,7 @@ def series_family(chemo16):
         family[K] = {
             "path": path,
             "series": series_table(path),
-            "stepper": evolution_stepper(path, Scheme.CRANK_NICOLSON),
+            "stepper": evolution_stepper(path),
         }
     return family
 

@@ -19,7 +19,6 @@ from avgrec.averaging import (
 from avgrec.cli import parse_config, run_experiment
 from avgrec.evolution import (
     OperatorPath,
-    Scheme,
     TimeGrid,
     evolution_series,
     evolution_stepper,
@@ -122,7 +121,7 @@ def test_criterion_3_linear_recovery_exactness():
     zero_path = OperatorPath(
         grid=grid_t, matrices=np.repeat(model.matrix[None], 65, 0), holder_rho=0.5
     )
-    table = evolution_stepper(zero_path, Scheme.CRANK_NICOLSON)
+    table = evolution_stepper(zero_path)
     worst = 0.0
     for variant in Variant:
         cond = AveragingCondition.from_preset(grid_t, variant, "constant", w0=0.5)

@@ -9,10 +9,12 @@ from avgrec.averaging import (
     Variant,
     apply_psi,
     assemble_phi,
+    data_shift,
     duhamel_sums,
     initial_state_map,
     invertibility_report,
     phi_lipschitz_probe,
+    resolvent_matrix,
     spectral_phi_oracle,
     trapezoid_weights,
     weight_samples,
@@ -20,7 +22,6 @@ from avgrec.averaging import (
 from avgrec.errors import ConfigurationError, SingularOperatorError
 from avgrec.evolution import (
     OperatorPath,
-    Scheme,
     TimeGrid,
     evolution_series,
     evolution_stepper,
@@ -62,16 +63,6 @@ class TestAveragingCondition:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError):
             weight_samples(TimeGrid(T=1.0, K=4), "sawtooth")
-
-    def test_quadrature_sum_validated(self):
-        grid_t = TimeGrid(T=1.0, K=4)
-        with pytest.raises(ConfigurationError):
-            AveragingCondition(
-                grid=grid_t,
-                variant=Variant.TIME_AVERAGE,
-                weight=np.ones(5),
-                quad_weights=np.ones(5),
-            )
 
 
 class TestAssemblePhi:
@@ -304,9 +295,9 @@ class TestInitialStateMap:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_precomputed_sums_reused(self, variant):
-        # Given the values of one sweep (the column, the Duhamel sums and,
-        # for the terminal variant, the terminal forcing), the map uses
-        # them as they are: sweep values have no recursion to run again.
+        # The values of one sweep (the column and the Duhamel sums, whose
+        # last entry is the terminal forcing) serve the resolvent and the
+        # data shift as they are, as in the solver: no recursion runs again.
         grid_t = TimeGrid(T=0.5, K=12)
         table = evolution_stepper(constant_path(-np.diag([1.0, 2.0, 3.0]), grid_t))
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
@@ -314,9 +305,8 @@ class TestInitialStateMap:
         f_states = rng.standard_normal((13, 3))
         M = rng.standard_normal(3)
         expected = initial_state_map(cond, table, M, f_states)
-        terminal = variant is Variant.TERMINAL_DIFFERENCE
-        values = table.sweep(f_states, cond.quad_weights if terminal else None)
-        got = initial_state_map(cond, values, M, f_states)
+        values = table.sweep(f_states)
+        got = np.linalg.solve(resolvent_matrix(cond, values), data_shift(cond, values, M))
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("variant", list(Variant))

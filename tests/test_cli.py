@@ -379,7 +379,7 @@ class TestMainExitCodes:
 class TestMemoryAdmission:
     @staticmethod
     def large_config(tmp_path, method, n=512, steps=256):
-        """recover on n=512, K=256 by default: the series estimate is 2580 MiB."""
+        """recover on n=512, K=256 by default: the series estimate is 2575 MiB."""
         return (
             f"[grid]\nn = {n}\n[time]\nsteps = {steps}\n"
             f"[solver]\nmethod = {method}\n[run]\nout = {tmp_path / 'run'}\n"
@@ -390,14 +390,14 @@ class TestMemoryAdmission:
         config.write_text(self.large_config(tmp_path, "series"))
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "2580 MiB" in err
+        assert "configuration error" in err and "2575 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_method_flag_override_is_checked(self, tmp_path, capsys):
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper"))
         assert main(["recover", "--config", str(config), "--method", "series", "--quiet"]) == 2
-        assert "2580 MiB" in capsys.readouterr().err
+        assert "2575 MiB" in capsys.readouterr().err
 
     def test_series_hint_only_when_stepper_fits(self, tmp_path, capsys):
         config = tmp_path / "large.ini"
@@ -411,12 +411,12 @@ class TestMemoryAdmission:
 
     @pytest.mark.parametrize("verb", ["recover", "scan", "probe"])
     def test_over_budget_stepper_rejected_with_estimate(self, tmp_path, capsys, verb):
-        # Two stacks of K+1 n x (n+4) blocks at n=256, K=200000: 203126 MiB.
+        # Two stacks of K+1 n x (n+2) blocks at n=256, K=200000: 201564 MiB.
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper", n=256, steps=200000))
         assert main([verb, "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "stepper" in err and "203126 MiB" in err
+        assert "configuration error" in err and "stepper" in err and "201564 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_same_grid_admitted_with_stepper(self, tmp_path):
@@ -424,7 +424,7 @@ class TestMemoryAdmission:
         assert (cfg.grid_n, cfg.steps, cfg.method) == (512, 256, "stepper")
 
     def test_series_admitted_at_n256_k128(self, tmp_path):
-        # Five stacks of K+1 n x (n+2) blocks: an estimated 325 MiB.
+        # Five stacks of K+1 n x (n+1) blocks: an estimated 324 MiB.
         cfg = parse_config(self.large_config(tmp_path, "series", n=256, steps=128))
         assert (cfg.grid_n, cfg.steps, cfg.method) == (256, 128, "series")
 

@@ -8,18 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
 
-from avgrec.averaging import (
-    AveragingCondition,
-    Variant,
-    duhamel_sums,
-    terminal_forcing,
-    trapezoid_weights,
-)
+from avgrec.averaging import duhamel_sums, terminal_forcing, trapezoid_weights
 from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
-    Scheme,
     TimeGrid,
     commutator_kernel,
     evolution_series,
@@ -231,7 +224,7 @@ class TestEvolutionSeries:
 class TestEvolutionStepper:
     def test_zero_path_gives_identity(self):
         path = constant_path(np.zeros((3, 3)), K=8)
-        table = evolution_stepper(path, Scheme.CRANK_NICOLSON)
+        table = evolution_stepper(path)
         for i in range(9):
             for j in range(i + 1):
                 np.testing.assert_allclose(table.op(i, j), np.eye(3), atol=1e-14)
@@ -241,17 +234,10 @@ class TestEvolutionStepper:
         exact = matrix_exponential(a, 1.0)
         errors = []
         for K in (16, 32, 64):
-            table = evolution_stepper(constant_path(a, K=K), Scheme.CRANK_NICOLSON)
+            table = evolution_stepper(constant_path(a, K=K))
             errors.append(np.linalg.norm(table.op(K, 0) - exact, 2))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(orders) >= 1.8
-
-    def test_backward_euler_scalar_limit(self):
-        K = 64
-        path = constant_path(-np.eye(2), K=K, T=1.0)
-        table = evolution_stepper(path, Scheme.BACKWARD_EULER)
-        expected = (1.0 + 1.0 / K) ** (-K)
-        np.testing.assert_allclose(np.diag(table.op(K, 0)), expected, rtol=1e-12)
 
     def test_stepper_cocycle_exact(self):
         rng = np.random.default_rng(13)
@@ -278,73 +264,42 @@ def rel_err(got, expected):
     return np.linalg.norm(got - expected) / np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
+def assert_terminal_forcing_matches_final_row(sweep, table):
+    """The trapezoid sum sum_j qw_j U(T, t_j) f(t_j), formed from the
+    oracle's final row, is the last Duhamel sum of one sweep."""
+    grid = table.grid
+    f_states = np.random.default_rng(8).standard_normal((grid.K + 1, table.dim))
+    qw = trapezoid_weights(grid)
+    expected = np.einsum("j,jab,jb->a", qw, table.rows[grid.K], f_states)
+    values = sweep.sweep(f_states)
+    assert np.array_equal(terminal_forcing(values), values.sums[-1])
+    assert rel_err(values.sums[-1], expected) <= 1e-13
+
+
 class TestStepFactorsAgainstTable:
     """The factor recursion reproduces the full-table oracle."""
 
-    def test_column(self, scheme):
+    def test_column(self):
         path = random_path()
-        table = evolution_stepper(path, scheme)
-        assert rel_err(step_factors(path, scheme).column, table.column) <= 1e-13
+        table = evolution_stepper(path)
+        assert rel_err(step_factors(path).column, table.column) <= 1e-13
 
-    def test_duhamel(self, scheme):
+    def test_duhamel(self):
         path = random_path()
         f_states = np.random.default_rng(5).standard_normal((path.grid.K + 1, path.dim))
-        got = step_factors(path, scheme).duhamel(f_states)
+        got = step_factors(path).sweep(f_states).sums
         assert np.array_equal(got[0], np.zeros(path.dim))
-        assert rel_err(got, duhamel_sums(evolution_stepper(path, scheme), f_states)) <= 1e-13
+        assert rel_err(got, duhamel_sums(evolution_stepper(path), f_states)) <= 1e-13
 
-    @pytest.mark.parametrize("quadrature", ["trapezoid", "random"])
-    def test_weighted_forcing(self, scheme, quadrature):
+    def test_terminal_forcing(self):
         path = random_path()
-        grid = path.grid
-        rng = np.random.default_rng(8)
-        qw = None
-        if quadrature == "random":
-            qw = rng.uniform(0.1, 1.0, grid.K + 1)
-            qw *= grid.T / qw.sum()
-        cond = AveragingCondition(
-            grid=grid,
-            variant=Variant.TERMINAL_DIFFERENCE,
-            weight=np.ones(grid.K + 1),
-            w0=0.5,
-            quad_weights=qw,
-        )
-        f_states = rng.standard_normal((grid.K + 1, path.dim))
-        got = step_factors(path, scheme).weighted_forcing(cond.quad_weights, f_states)
-        expected = terminal_forcing(evolution_stepper(path, scheme), cond, f_states)
-        assert rel_err(got, expected) <= 1e-13
-
-
-class TestStepFactors:
-    def test_singular_node_named(self):
-        # Backward Euler at h = 1/8: I - h A(t_3) vanishes for A(t_3) = 8 I.
-        path = constant_path(-np.eye(3), K=8, T=1.0)
-        mats = path.matrices.copy()
-        mats[3] = 8.0 * np.eye(3)
-        bad = OperatorPath(grid=path.grid, matrices=mats, holder_rho=0.5)
-        with pytest.raises(NumericalError, match="node 3"):
-            step_factors(bad, Scheme.BACKWARD_EULER)
-        with pytest.raises(NumericalError, match="node 3"):
-            evolution_stepper(bad, Scheme.BACKWARD_EULER)
-
-
-    @pytest.mark.parametrize("K", [6, 9])
-    def test_backward_euler_factors(self, K):
-        # K == n is the shape where a stack of vectors could pass for a
-        # stack of identity right-hand sides.
-        path = random_path(n=6, K=K)
-        h = path.grid.h
-        expected = np.stack([np.linalg.inv(np.eye(6) - h * m) for m in path.matrices[1:]])
-        factors = step_factors(path, Scheme.BACKWARD_EULER).factors
-        assert factors.shape == (K, 6, 6)
-        assert rel_err(factors, expected) <= 1e-13
+        assert_terminal_forcing_matches_final_row(step_factors(path), evolution_stepper(path))
 
 
 def tridiagonal_path(n=8, K=12, T=0.8, seed=23):
     """Random nonconstant tridiagonal path.  On every other row the
-    sub-diagonal of I - c A(t_j) outweighs the diagonal for both schemes
-    (|c a| >= 2 against about 1), which forces row interchanges in a pivoted
+    sub-diagonal of I - c A(t_j) outweighs the diagonal (|c a| >= 2
+    against about 1), which forces row interchanges in a pivoted
     tridiagonal solve."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(T=T, K=K)
@@ -357,12 +312,11 @@ def tridiagonal_path(n=8, K=12, T=0.8, seed=23):
     return OperatorPath(grid=grid, matrices=mats, holder_rho=0.5)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
 class TestTridiagonalFactors:
     """Tridiagonal paths take the banded solve, any other path the dense
     LU; both agree with an explicit dense solve."""
 
-    def test_matches_dense_solve(self, scheme, monkeypatch):
+    def test_matches_dense_solve(self, monkeypatch):
         import avgrec.evolution
 
         def forbidden(*args, **kwargs):
@@ -371,25 +325,22 @@ class TestTridiagonalFactors:
         monkeypatch.setattr(avgrec.evolution, "_dense_factors", forbidden)
         path = tridiagonal_path()
         assert path.tridiagonal is not None
-        h, n = path.grid.h, path.dim
-        c = h if scheme is Scheme.BACKWARD_EULER else 0.5 * h
+        n = path.dim
+        c = 0.5 * path.grid.h
         lhs = np.eye(n) - c * path.matrices[1:]
         sub, diag = np.diagonal(lhs, -1, 1, 2), np.diagonal(lhs, 0, 1, 2)
         assert np.any(np.abs(sub) > np.abs(diag[:, :-1]))
-        if scheme is Scheme.BACKWARD_EULER:
-            rhs = np.broadcast_to(np.eye(n), lhs.shape)
-        else:
-            rhs = np.eye(n) + c * path.matrices[:-1]
+        rhs = np.eye(n) + c * path.matrices[:-1]
         expected = np.stack([np.linalg.solve(a, b) for a, b in zip(lhs, rhs)])
         column = [np.eye(n)]
         for factor in expected:
             column.append(factor @ column[-1])
-        got = step_factors(path, scheme)
+        got = step_factors(path)
         assert rel_err(got.factors, expected) <= 1e-13
         assert rel_err(got.column, np.stack(column)) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["random", "one_entry_off_band"])
-    def test_dense_path_takes_the_lu(self, scheme, kind, monkeypatch):
+    def test_dense_path_takes_the_lu(self, kind, monkeypatch):
         import avgrec.evolution
 
         if kind == "random":
@@ -404,42 +355,37 @@ class TestTridiagonalFactors:
             raise AssertionError("a dense path took the tridiagonal solve")
 
         monkeypatch.setattr(avgrec.evolution, "dgtsv", forbidden)
-        factors = step_factors(path, scheme)
-        assert rel_err(factors.column, evolution_stepper(path, scheme).column) <= 1e-13
+        factors = step_factors(path)
+        assert rel_err(factors.column, evolution_stepper(path).column) <= 1e-13
 
-    def test_singular_node_named(self, scheme):
+    def test_singular_node_named(self):
         # I - c A(t_5) = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: tridiagonal,
         # not diagonal, and singular in exact arithmetic.
         path = constant_path(-np.eye(3), K=8, T=1.0)
-        c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+        c = 0.5 * path.grid.h
         target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         mats = path.matrices.copy()
         mats[5] = (np.eye(3) - target) / c
         bad = OperatorPath(grid=path.grid, matrices=mats, holder_rho=0.5)
         assert bad.tridiagonal is not None
         with pytest.raises(NumericalError, match="node 5"):
-            step_factors(bad, scheme)
+            step_factors(bad)
         with pytest.raises(NumericalError, match="node 5"):
-            evolution_stepper(bad, scheme)
+            evolution_stepper(bad)
 
 
-def gtsv_factors(path, scheme):
+def gtsv_factors(path):
     """The one-step factors of a tridiagonal path by one LAPACK gtsv call
     per node, in node order: the reference for the batched elimination."""
     K, n = path.grid.K, path.dim
-    c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+    c = 0.5 * path.grid.h
     sub, diag, sup = (band[1:] for band in path.tridiagonal)
     lower, main, upper = -c * sub, 1.0 - c * diag, -c * sup
-    if scheme is Scheme.BACKWARD_EULER:
-        factors = np.empty((K, n, n))
-        rhs = np.broadcast_to(np.eye(n), factors.shape)
-    else:
-        factors = c * path.matrices[:-1]
-        idx = np.arange(n)
-        factors[:, idx, idx] += 1.0
-        rhs = factors
+    factors = c * path.matrices[:-1]
+    idx = np.arange(n)
+    factors[:, idx, idx] += 1.0
     for j in range(K):
-        *_, solution, info = dgtsv(lower[j], main[j], upper[j], rhs[j])
+        *_, solution, info = dgtsv(lower[j], main[j], upper[j], factors[j])
         if info > 0:
             raise NumericalError(f"singular one-step matrix at node {j + 1}")
         factors[j] = solution
@@ -475,7 +421,6 @@ def counted_gtsv(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
 class TestBatchedTridiagonalFactors:
     """One elimination over all nodes gives the factors of a per-node gtsv
     solve bit for bit; nodes that gtsv pivots, and singular nodes, are
@@ -483,61 +428,68 @@ class TestBatchedTridiagonalFactors:
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_model_paths_equal_gtsv(self, scheme, model, n, monkeypatch):
+    def test_model_paths_equal_gtsv(self, model, n, monkeypatch):
         path = chemotaxis_reference_path(MODELS[model](n), K=24)
         assert path.tridiagonal is not None
-        expected = gtsv_factors(path, scheme)
+        expected = gtsv_factors(path)
         calls = counted_gtsv(monkeypatch)
-        factors = step_factors(path, scheme).factors
+        factors = step_factors(path).factors
         assert factors.shape == (24, n, n)
         assert np.array_equal(factors, expected)
         assert not calls
 
-    def test_scalar_path(self, scheme):
-        # gtsv's wrapper rejects n = 1; its arithmetic there is R_j / (1 - c a).
+    def test_scalar_path(self):
+        # gtsv's arithmetic at n = 1 is R_j / (1 - c a).
         grid = TimeGrid(T=0.5, K=16)
         a = -1.0 - np.random.default_rng(6).random(17)
         path = OperatorPath(grid=grid, matrices=a[:, None, None], holder_rho=0.5)
-        if scheme is Scheme.BACKWARD_EULER:
-            expected = 1.0 / (1.0 - grid.h * a[1:])
-        else:
-            c = 0.5 * grid.h
-            expected = (c * a[:-1] + 1.0) / (1.0 - c * a[1:])
-        assert np.array_equal(step_factors(path, scheme).factors[:, 0, 0], expected)
+        c = 0.5 * grid.h
+        expected = (c * a[:-1] + 1.0) / (1.0 - c * a[1:])
+        assert np.array_equal(step_factors(path).factors[:, 0, 0], expected)
 
-    def test_every_node_pivots(self, scheme, monkeypatch):
+    def test_scalar_zero_pivot_names_node(self):
+        # I - c A(t_3) = 0 on a 1 x 1 path: gtsv's wrapper needs padded
+        # off-diagonals there, and reports the zero pivot.
+        grid = TimeGrid(T=0.5, K=4)
+        a = -np.ones((5, 1, 1))
+        a[3] = 1.0 / (0.5 * grid.h)
+        path = OperatorPath(grid=grid, matrices=a, holder_rho=0.5)
+        with pytest.raises(NumericalError, match="node 3: zero pivot in row 1 "):
+            step_factors(path)
+
+    def test_every_node_pivots(self, monkeypatch):
         path = tridiagonal_path()
-        expected = gtsv_factors(path, scheme)
+        expected = gtsv_factors(path)
         calls = counted_gtsv(monkeypatch)
-        assert np.array_equal(step_factors(path, scheme).factors, expected)
+        assert np.array_equal(step_factors(path).factors, expected)
         assert len(calls) == path.grid.K
 
-    def test_some_nodes_pivot(self, scheme, monkeypatch):
+    def test_some_nodes_pivot(self, monkeypatch):
         # The sub-diagonal of tridiagonal_path() shrunk at every third node,
         # where no row interchange is needed any more.
         mats = tridiagonal_path(n=10, K=15).matrices.copy()
         idx = np.arange(10)
         mats[::3, idx[1:], idx[:-1]] *= 1e-3
         path = OperatorPath(grid=TimeGrid(T=0.8, K=15), matrices=mats, holder_rho=0.5)
-        expected = gtsv_factors(path, scheme)
+        expected = gtsv_factors(path)
         calls = counted_gtsv(monkeypatch)
-        assert np.array_equal(step_factors(path, scheme).factors, expected)
+        assert np.array_equal(step_factors(path).factors, expected)
         assert 0 < len(calls) < path.grid.K
 
-    def test_zero_diagonal_pivoted_without_warning(self, scheme):
+    def test_zero_diagonal_pivoted_without_warning(self):
         # I - c A(t_4) has a zero first pivot but is regular: gtsv swaps
         # rows 1 and 2.  The elimination divides by zero there, silently.
         path = chemotaxis_reference_path(MODELS["chemotaxis"](4), K=8)
-        c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+        c = 0.5 * path.grid.h
         target = np.array(
             [[0.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.5, 0.0], [0.0, 0.5, 2.0, 0.5], [0.0, 0.0, 0.5, 2.0]]
         )
         path = with_node(path, 4, target, c)
         assert path.tridiagonal is not None
-        expected = gtsv_factors(path, scheme)
+        expected = gtsv_factors(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factors = step_factors(path, scheme).factors
+            factors = step_factors(path).factors
         assert np.array_equal(factors, expected)
         assert np.all(np.isfinite(factors))
 
@@ -548,32 +500,31 @@ class TestBatchedTridiagonalFactors:
             (3, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
         ],
     )
-    def test_zero_pivot_names_node(self, scheme, row, target):
+    def test_zero_pivot_names_node(self, row, target):
         path = constant_path(-np.eye(3), K=8, T=1.0)
-        c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+        c = 0.5 * path.grid.h
         bad = with_node(path, 5, np.array(target), c)
         assert bad.tridiagonal is not None
         with pytest.raises(NumericalError, match=f"node 5: zero pivot in row {row} "):
-            step_factors(bad, scheme)
+            step_factors(bad)
 
-    def test_first_of_two_singular_nodes_named(self, scheme):
+    def test_first_of_two_singular_nodes_named(self):
         path = constant_path(-np.eye(3), K=8, T=1.0)
-        c = path.grid.h if scheme is Scheme.BACKWARD_EULER else 0.5 * path.grid.h
+        c = 0.5 * path.grid.h
         last = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         middle = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         bad = with_node(with_node(path, 6, middle, c), 3, last, c)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 3 "):
-            step_factors(bad, scheme)
+            step_factors(bad)
 
 
 def traced_sweep_peak(build, path):
     """Peak traced allocation of the solver's call: the propagation build and
-    its sweep on the widest right-hand side [I | h f | qw f]."""
+    its sweep on the right-hand side [I | h f]."""
     f_states = np.random.default_rng(1).standard_normal((path.grid.K + 1, path.dim))
-    quad_weights = trapezoid_weights(path.grid)
     tracemalloc.start()
     try:
-        build(path).sweep(f_states, quad_weights)
+        build(path).sweep(f_states)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -606,29 +557,12 @@ class TestSeriesSweepAgainstTable:
         sweep, table = pair
         grid = sweep.grid
         f_states = np.random.default_rng(5).standard_normal((grid.K + 1, sweep.dim))
-        got = sweep.duhamel(f_states)
+        got = sweep.sweep(f_states).sums
         assert np.array_equal(got[0], np.zeros(sweep.dim))
         assert rel_err(got, duhamel_sums(table, f_states)) <= 1e-13
 
-    @pytest.mark.parametrize("quadrature", ["trapezoid", "random"])
-    def test_weighted_forcing(self, pair, quadrature):
-        sweep, table = pair
-        grid = sweep.grid
-        rng = np.random.default_rng(8)
-        qw = None
-        if quadrature == "random":
-            qw = rng.uniform(0.1, 1.0, grid.K + 1)
-            qw *= grid.T / qw.sum()
-        cond = AveragingCondition(
-            grid=grid,
-            variant=Variant.TERMINAL_DIFFERENCE,
-            weight=np.ones(grid.K + 1),
-            w0=0.5,
-            quad_weights=qw,
-        )
-        f_states = rng.standard_normal((grid.K + 1, sweep.dim))
-        got = sweep.weighted_forcing(cond.quad_weights, f_states)
-        assert rel_err(got, terminal_forcing(table, cond, f_states)) <= 1e-13
+    def test_terminal_forcing(self, pair):
+        assert_terminal_forcing_matches_final_row(*pair)
 
     def test_constant_path_column_bitwise(self):
         # The kernel is exactly zero on a constant path, so the recursion

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from avgrec.averaging import AveragingCondition, Variant, assemble_phi, duhamel_sums, observe
 from avgrec.errors import BallViolationError, ConfigurationError, ConvergenceError
-from avgrec.evolution import PropagatorMethod, Scheme, TimeGrid, evolution_stepper, series_table
+from avgrec.evolution import PropagatorMethod, TimeGrid, evolution_stepper, series_table
 from avgrec.models import ChemotaxisModel, LinearTestModel
 from avgrec.solver import (
     RecoveryConfig,
     Trajectory,
     WeightedNormSpec,
+    _initial_state,
     _iterate_detail,
     averaging_residual,
     contraction_probe,
@@ -41,8 +42,7 @@ def small_chemo():
 
 def linear_observation(model, cond, x0):
     table = evolution_stepper(
-        operator_path(model, Trajectory.zero(cond.grid, model.base.grid.n)),
-        Scheme.CRANK_NICOLSON,
+        operator_path(model, Trajectory.zero(cond.grid, model.base.grid.n))
     )
     if cond.variant is Variant.TIME_AVERAGE:
         return assemble_phi(table, cond).matrix @ x0
@@ -320,8 +320,8 @@ class TestStepperSweep:
         elif variant is Variant.TERMINAL_DIFFERENCE:
             M = truth.states[0] - cond.w0 * truth.states[-1]
 
-        def table_route(model, traj, config):
-            return evolution_stepper(operator_path(model, traj), config.scheme)
+        def table_route(model, traj, f_states, config):
+            return evolution_stepper(operator_path(model, traj))
 
         with monkeypatch.context() as patch:
             patch.setattr(avgrec.solver, "_propagation", table_route)
@@ -378,7 +378,7 @@ class TestSeriesSweep:
         M = observe(cond, truth.states)
         config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
 
-        def table_route(model, traj, config):
+        def table_route(model, traj, f_states, config):
             return series_table(operator_path(model, traj))
 
         with monkeypatch.context() as patch:
@@ -476,6 +476,50 @@ class TestOneBuildPerIteration:
         # Under relaxation u_final(0) lags Xi, but only to the tolerance.
         assert not np.array_equal(u0, traj.states[0])
         assert np.linalg.norm(u0 - traj.states[0]) <= 1e3 * config.tol_fixed_point
+
+
+class NonFiniteModel:
+    """A model whose A(u) or f(u) is made non-finite at one node."""
+
+    def __init__(self, model, part):
+        self.model, self.part = model, part
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def assemble_A(self, u, enforce_ball=True):
+        mats = self.model.assemble_A(u, enforce_ball=enforce_ball)
+        if self.part == "A":
+            mats = mats.copy()
+            mats[3, 0, 0] = np.inf
+        return mats
+
+    def evaluate_f(self, u):
+        f_states = self.model.evaluate_f(u)
+        if self.part == "f":
+            f_states = f_states.copy()
+            f_states[3, 0] = np.nan
+        return f_states
+
+
+class TestNonFiniteIterate:
+    @pytest.mark.parametrize("part", ["A", "f"])
+    @pytest.mark.parametrize("method", list(PropagatorMethod))
+    def test_no_build_on_a_non_finite_path(self, small_chemo, part, method, monkeypatch):
+        import avgrec.solver
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a propagation was built on non-finite values")
+
+        monkeypatch.setattr(avgrec.solver, "step_factors", forbidden)
+        monkeypatch.setattr(avgrec.solver, "evolution_series", forbidden)
+        grid_t = TimeGrid(T=0.5, K=8)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
+        model = NonFiniteModel(small_chemo, part)
+        with pytest.raises(ConvergenceError, match="non-finite operator or forcing values"):
+            _initial_state(
+                model, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig(method=method)
+            )
 
 
 class TestSmallnessScan:
