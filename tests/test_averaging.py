@@ -25,6 +25,7 @@ from avgrec.evolution import (
     TimeGrid,
     evolution_series,
     evolution_stepper,
+    series_table,
     step_factors,
 )
 from avgrec.solver import Trajectory
@@ -44,6 +45,14 @@ def identity_table(n, grid_t):
     return evolution_stepper(constant_path(np.zeros((n, n)), grid_t))
 
 
+def drifting_path(grid_t, rng):
+    """Nonconstant, non-commuting 6 x 6 generator path."""
+    base = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
+    drift = 0.3 * rng.standard_normal((6, 6))
+    mats = np.stack([base + np.sin(3.0 * t) * drift for t in grid_t.nodes])
+    return OperatorPath(grid=grid_t, matrices=mats, holder_rho=0.5)
+
+
 class TestAveragingCondition:
     def test_trapezoid_weights_sum_to_horizon(self):
         for K in (1, 2, 7, 64):
@@ -59,6 +68,23 @@ class TestAveragingCondition:
         grid_t = TimeGrid(T=1.0, K=8)
         cond = AveragingCondition.from_preset(grid_t, Variant.INITIAL_PLUS_AVERAGE, "ramp")
         assert cond.weight[0] == 0.0
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_quad_weights_are_the_trapezoid_rule(self, variant):
+        grid_t = TimeGrid(T=0.7, K=9)
+        cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.5)
+        assert np.array_equal(cond.quad_weights, trapezoid_weights(grid_t))
+
+    def test_quad_weights_not_settable(self):
+        # The outer quadrature is derived from the grid, never passed in.
+        grid_t = TimeGrid(T=1.0, K=4)
+        with pytest.raises(TypeError):
+            AveragingCondition(
+                grid=grid_t, variant=Variant.TIME_AVERAGE, weight=np.ones(5), quad_weights=np.ones(5)
+            )
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE)
+        with pytest.raises(AttributeError):
+            cond.quad_weights = np.ones(5)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -318,10 +344,7 @@ class TestInitialStateMap:
 
         grid_t = TimeGrid(T=0.5, K=24)
         rng = np.random.default_rng(4)
-        base = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
-        drift = 0.3 * rng.standard_normal((6, 6))
-        mats = np.stack([base + np.sin(3.0 * t) * drift for t in grid_t.nodes])
-        path = OperatorPath(grid=grid_t, matrices=mats, holder_rho=0.5)
+        path = drifting_path(grid_t, rng)
         name = "_stepper_left_sums" if method == "stepper" else "_series_left_sums"
         recursion = getattr(avgrec.evolution, name)
         calls = []
@@ -337,6 +360,31 @@ class TestInitialStateMap:
         xi = initial_state_map(cond, prop, rng.standard_normal(6), f_states)
         assert xi.shape == (6,)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("method", ["stepper", "series"])
+    def test_data_shift_matches_table_oracle(self, method, variant):
+        # M - Psi f and M + w0 N(T) f from one sweep equal the trapezoid sums
+        # formed from the oracle table: Psi f from its Duhamel sums, N(T) f
+        # from its final row U(T, t_j).
+        grid_t = TimeGrid(T=0.5, K=16)
+        rng = np.random.default_rng(6)
+        path = drifting_path(grid_t, rng)
+        if method == "stepper":
+            prop, table = step_factors(path), evolution_stepper(path)
+        else:
+            prop, table = evolution_series(path), series_table(path)
+        cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
+        f_states = rng.standard_normal((17, 6))
+        M = rng.standard_normal(6)
+        qw = trapezoid_weights(grid_t)
+        if variant is Variant.TERMINAL_DIFFERENCE:
+            shift = cond.w0 * np.einsum("j,jab,jb->a", qw, table.rows[-1], f_states)
+        else:
+            shift = -np.einsum("i,ia->a", qw * cond.weight, duhamel_sums(table, f_states))
+        got = data_shift(cond, prop.sweep(f_states), M)
+        scale = np.linalg.norm(M) + np.linalg.norm(shift)
+        assert np.linalg.norm(got - (M + shift)) <= 1e-13 * scale
 
 
 class TestInvertibilityReport:

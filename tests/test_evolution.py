@@ -457,6 +457,18 @@ class TestBatchedTridiagonalFactors:
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 1 "):
             step_factors(path)
 
+    @pytest.mark.parametrize("build", [step_factors, evolution_stepper], ids=["factors", "table"])
+    @pytest.mark.parametrize("node", [1, 2, 4])
+    def test_scalar_singular_node_named(self, node, build):
+        # I - c A(t_node) = 0 at the first, an inner and the last node: both
+        # the batched elimination and the table's dense LU name the node.
+        grid = TimeGrid(T=0.5, K=4)
+        a = -np.ones((5, 1, 1))
+        a[node] = 1.0 / (0.5 * grid.h)
+        path = OperatorPath(grid=grid, matrices=a, holder_rho=0.5)
+        with pytest.raises(NumericalError, match=f"node {node}: "):
+            build(path)
+
     def test_every_node_pivots(self, monkeypatch):
         path = tridiagonal_path()
         expected = gtsv_factors(path)
@@ -516,6 +528,34 @@ class TestBatchedTridiagonalFactors:
         bad = with_node(with_node(path, 6, middle, c), 3, last, c)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 3 "):
             step_factors(bad)
+
+
+SWEEPS = {
+    PropagatorMethod.STEPPER: (step_factors, evolution_stepper),
+    PropagatorMethod.KERNEL_SERIES: (evolution_series, series_table),
+}
+
+
+@pytest.mark.parametrize("method", list(PropagatorMethod))
+@pytest.mark.parametrize("model", sorted(MODELS))
+class TestModelPathSweeps:
+    """Both sweeps reproduce their oracle tables on every model's path."""
+
+    def _pair(self, model, method):
+        """(sweep, oracle table) on the model's reference path."""
+        path = chemotaxis_reference_path(MODELS[model](8), K=16)
+        build, oracle = SWEEPS[method]
+        return build(path), oracle(path)
+
+    def test_duhamel(self, model, method):
+        sweep, table = self._pair(model, method)
+        f_states = np.random.default_rng(7).standard_normal((17, 8))
+        values = sweep.sweep(f_states)
+        assert rel_err(values.column, table.column) <= 1e-13
+        assert rel_err(values.sums, duhamel_sums(table, f_states)) <= 1e-13
+
+    def test_terminal_forcing(self, model, method):
+        assert_terminal_forcing_matches_final_row(*self._pair(model, method))
 
 
 def traced_sweep_peak(build, path):

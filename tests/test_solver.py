@@ -481,8 +481,8 @@ class TestOneBuildPerIteration:
 class NonFiniteModel:
     """A model whose A(u) or f(u) is made non-finite at one node."""
 
-    def __init__(self, model, part):
-        self.model, self.part = model, part
+    def __init__(self, model, part, node=3):
+        self.model, self.part, self.node = model, part, node
 
     def __getattr__(self, name):
         return getattr(self.model, name)
@@ -491,14 +491,14 @@ class NonFiniteModel:
         mats = self.model.assemble_A(u, enforce_ball=enforce_ball)
         if self.part == "A":
             mats = mats.copy()
-            mats[3, 0, 0] = np.inf
+            mats[self.node, 0, 0] = np.inf
         return mats
 
     def evaluate_f(self, u):
         f_states = self.model.evaluate_f(u)
         if self.part == "f":
             f_states = f_states.copy()
-            f_states[3, 0] = np.nan
+            f_states[self.node, 0] = np.nan
         return f_states
 
 
@@ -506,6 +506,17 @@ class TestNonFiniteIterate:
     @pytest.mark.parametrize("part", ["A", "f"])
     @pytest.mark.parametrize("method", list(PropagatorMethod))
     def test_no_build_on_a_non_finite_path(self, small_chemo, part, method, monkeypatch):
+        self._assert_no_build(NonFiniteModel(small_chemo, part), method, monkeypatch)
+
+    @pytest.mark.parametrize("node", [0, -1])
+    @pytest.mark.parametrize("method", list(PropagatorMethod))
+    def test_end_nodes_checked(self, small_chemo, node, method, monkeypatch):
+        # A(t_0) enters only the first step's right-hand side and A(t_K)
+        # only the last step's left-hand side; both are checked.
+        self._assert_no_build(NonFiniteModel(small_chemo, "A", node), method, monkeypatch)
+
+    @staticmethod
+    def _assert_no_build(model, method, monkeypatch):
         import avgrec.solver
 
         def forbidden(*args, **kwargs):
@@ -515,7 +526,6 @@ class TestNonFiniteIterate:
         monkeypatch.setattr(avgrec.solver, "evolution_series", forbidden)
         grid_t = TimeGrid(T=0.5, K=8)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
-        model = NonFiniteModel(small_chemo, part)
         with pytest.raises(ConvergenceError, match="non-finite operator or forcing values"):
             _initial_state(
                 model, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig(method=method)
