@@ -15,13 +15,17 @@ trapezoid rule: outer integrals on [0, T], inner Duhamel integrals on
 the variation-of-constants identities, so substituting their output back
 into the discretized condition closes to solver roundoff.
 
-Assembly takes a propagation through its initial ``column``, or the values
-one ``sweep`` of it computed for a single forcing
-(:class:`~avgrec.evolution.SweepValues`: the column and the Duhamel sums);
-a propagation is the stepper's one-step factors, the kernel series' frozen
-steps or a full propagator table (the test oracle).  Assembled operators
-are immutable and shareable; assembly is a pure reduction over the initial
-column.
+Each condition is one linear functional B of a trajectory, implemented
+once by :func:`observe` on any (K+1, ...) stack.  The variation-of-constants
+trajectory u(t_i) = U(t_i, 0) Xi + G_i makes B u = B[U(., 0)] Xi + B[G], so
+the resolvent is ``observe`` of the initial column and the data shift is M
+minus ``observe`` of the Duhamel sums, both read off one ``sweep`` of a
+propagation (:class:`~avgrec.evolution.SweepValues`); U(0, 0) = I and
+G_0 = 0 exactly, so the I of the last two resolvents is the column's first
+entry.  A propagation is the stepper's one-step factors, the kernel series'
+frozen steps or a full propagator table (the test oracle).  The data
+generator, the residual and the solver thus share one discretised
+condition.
 """
 from __future__ import annotations
 
@@ -115,15 +119,21 @@ class PhiOperator:
     sigma_min: float
 
 
-def observe(cond: AveragingCondition, states: np.ndarray) -> np.ndarray:
-    """The discretised condition on a trajectory's states, shape (K+1, n):
-    sum_j qw_j w(t_j) u(t_j), u(0) plus that average, or u(0) - w0 u(T)."""
+def _average(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:
+    """sum_j qw_j w(t_j) X_j over a (K+1, ...) stack X."""
+    return np.einsum("j,j...->...", cond.quad_weights * cond.weight, stack)
+
+
+def observe(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:
+    """The discretised condition on a (K+1, ...) stack X (a trajectory's
+    states, the initial column or the Duhamel sums): the weighted average
+    sum_j qw_j w(t_j) X_j, X_0 plus that average, or X_0 - w0 X_K."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
-        return states[0] - cond.w0 * states[-1]
-    average = np.einsum("j,ja->a", cond.quad_weights * cond.weight, states)
+        return stack[0] - cond.w0 * stack[-1]
+    average = _average(cond, stack)
     if cond.variant is Variant.TIME_AVERAGE:
         return average
-    return states[0] + average
+    return stack[0] + average
 
 
 def _states_of(traj) -> np.ndarray:
@@ -138,15 +148,11 @@ def _check_grid(traj, prop) -> None:
         raise ValueError("trajectory and propagator table live on different time grids")
 
 
-def _phi_matrix(prop, cond: AveragingCondition) -> np.ndarray:
-    return np.einsum("j,jab->ab", cond.quad_weights * cond.weight, prop.column)
-
-
 def assemble_phi(prop, cond: AveragingCondition) -> PhiOperator:
     """Phi = sum_j qw_j w(t_j) U(t_j, 0), reproducible from the table exactly."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
         raise ValueError("terminal-difference conditions have no averaging operator")
-    matrix = _phi_matrix(prop, cond)
+    matrix = _average(cond, prop.column)
     return PhiOperator(
         matrix=matrix, condition=cond, sigma_min=smallest_singular_value(matrix)
     )
@@ -164,10 +170,6 @@ def duhamel_sums(table: PropagatorTable, f_states: np.ndarray) -> np.ndarray:
     return table.duhamel(f_states)
 
 
-def _psi(cond: AveragingCondition, sums: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ia->a", cond.quad_weights * cond.weight, sums)
-
-
 def apply_psi(f_traj, prop, cond: AveragingCondition) -> np.ndarray:
     """Psi f = sum_i qw_i w(t_i) G_i with G the Duhamel sums; Psi(0) = 0 exactly."""
     _check_grid(f_traj, prop)
@@ -177,7 +179,7 @@ def apply_psi(f_traj, prop, cond: AveragingCondition) -> np.ndarray:
             f"forcing trajectory must have shape {(prop.grid.K + 1, prop.dim)}, "
             f"got {f_states.shape}"
         )
-    return _psi(cond, prop.sweep(f_states).sums)
+    return _average(cond, prop.sweep(f_states).sums)
 
 
 def terminal_forcing(values: SweepValues) -> np.ndarray:
@@ -190,62 +192,46 @@ def terminal_forcing(values: SweepValues) -> np.ndarray:
 
 
 def resolvent_matrix(cond: AveragingCondition, values: SweepValues) -> np.ndarray:
-    """The variant's resolvent: Phi, I + Phi, or I - w0 U(T, 0)."""
-    if cond.variant is Variant.TIME_AVERAGE:
-        return _phi_matrix(values, cond)
-    eye = np.eye(values.column.shape[-1])
-    if cond.variant is Variant.INITIAL_PLUS_AVERAGE:
-        return eye + _phi_matrix(values, cond)
-    return eye - cond.w0 * values.column[-1]
+    """The variant's resolvent, the condition on the initial column: Phi,
+    I + Phi, or I - w0 U(T, 0)."""
+    return observe(cond, values.column)
 
 
-def check_resolvent(
-    cond: AveragingCondition, resolvent: np.ndarray, sigma_floor: float | None = None
-) -> tuple[float, float]:
-    """(sigma_min, floor) of a variant resolvent from one SVD.
-
-    The floor defaults to 1e-10 times the spectral norm.  Raises
-    SingularOperatorError when sigma_min sits at or below it.
-    """
+def check_resolvent(cond: AveragingCondition, resolvent: np.ndarray) -> float:
+    """sigma_min of a variant resolvent from one SVD.  Raises
+    SingularOperatorError when it sits at or below 1e-10 times the spectral
+    norm."""
     singular_values = np.linalg.svd(resolvent, compute_uv=False)
     sigma = float(singular_values[-1])
-    floor = 1e-10 * singular_values[0] if sigma_floor is None else sigma_floor
+    floor = 1e-10 * singular_values[0]
     if sigma <= floor:
         raise SingularOperatorError(
             f"{cond.variant.value} resolvent is numerically singular "
             f"(sigma_min={sigma:.3e} <= floor={floor:.3e})",
             sigma_min=sigma,
         )
-    return sigma, floor
+    return sigma
 
 
 def data_shift(cond: AveragingCondition, values: SweepValues, M: np.ndarray) -> np.ndarray:
-    """Right-hand side of the variant resolvent equation, M - Psi f or
-    M + w0 N(T) f, from one sweep's values for f."""
-    if cond.variant is Variant.TERMINAL_DIFFERENCE:
-        return M + cond.w0 * terminal_forcing(values)
-    return M - _psi(cond, values.sums)
+    """Right-hand side of the variant resolvent equation, M minus the
+    condition on the Duhamel sums of f: M - Psi f or M + w0 N(T) f."""
+    return M - observe(cond, values.sums)
 
 
-def initial_state_map(
-    cond: AveragingCondition,
-    prop,
-    M: np.ndarray,
-    f_traj,
-    sigma_floor: float | None = None,
-) -> np.ndarray:
+def initial_state_map(cond: AveragingCondition, prop, M: np.ndarray, f_traj) -> np.ndarray:
     """Candidate initial state for the fixed-point reformulation.
 
     Solves the variant resolvent equation; raises SingularOperatorError when
-    the resolvent's smallest singular value sits at or below the floor
-    (default 1e-10 times its spectral norm).  The resolvent and the data
-    shift are read off one sweep of the propagation for f.
+    the resolvent's smallest singular value sits at or below 1e-10 times its
+    spectral norm.  The resolvent and the data shift are read off one sweep
+    of the propagation for f.
     """
     _check_grid(f_traj, prop)
     M = np.asarray(M, dtype=float)
     values = prop.sweep(_states_of(f_traj))
     resolvent = resolvent_matrix(cond, values)
-    check_resolvent(cond, resolvent, sigma_floor)
+    check_resolvent(cond, resolvent)
     return np.linalg.solve(resolvent, data_shift(cond, values, M))
 
 

@@ -96,9 +96,7 @@ class ExperimentConfig:
     )
     max_iters: int = _key("solver", "max_iters", "int", "30")
     tol: float = _key("solver", "tol", "float", "1e-11")
-    relaxation: float = _key("solver", "relaxation", "float", "1.0")
     ball_l: float = _key("solver", "ball_l", "float", "0.5")
-    sigma_floor: float | None = _key("solver", "sigma_floor", "optfloat", "")
     method: str = _key("solver", "method", "str", "stepper", tuple(METHODS))
     data_source: str = _key(
         "data", "source", "str", "manufactured", ("manufactured", "file", "zero")
@@ -188,6 +186,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(
                 f"[{f.metadata['section']}] {key}: {value!r} not one of {sorted(allowed)}"
             )
+    build_recovery_config(cfg)
     if cfg.variant == Variant.TIME_AVERAGE.value and cfg.weight == "ramp":
         raise ConfigurationError(
             "[condition] weight: the ramp weight vanishes at t=0, which the "
@@ -282,9 +281,7 @@ def build_recovery_config(cfg: ExperimentConfig) -> RecoveryConfig:
     return RecoveryConfig(
         max_iters=cfg.max_iters,
         tol_fixed_point=cfg.tol,
-        relaxation=cfg.relaxation,
         ball_L=cfg.ball_l,
-        sigma_floor=cfg.sigma_floor,
         method=METHODS[cfg.method],
     )
 

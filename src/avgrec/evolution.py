@@ -181,7 +181,7 @@ class PropagatorTable:
 
     def sweep(self, f_states: np.ndarray) -> "SweepValues":
         """The sweep entry of :meth:`_Sweep.sweep`, read off the rows."""
-        return SweepValues(self.grid, self.column, self.duhamel(f_states))
+        return SweepValues(self.column, self.duhamel(f_states))
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,6 @@ class SweepValues:
     """What one fixed-point sweep reads of a propagation, for one forcing f:
     the initial column U(t_i, 0) and the trapezoid Duhamel sums G_i of f."""
 
-    grid: TimeGrid
     column: np.ndarray  # (K+1, n, n)
     sums: np.ndarray  # (K+1, n)
 
@@ -218,7 +217,7 @@ class _Sweep:
         left = self._left_sums((h * f_states)[:, :, None])
         column = left[:, :, :n]
         sums = left[:, :, n] - 0.5 * h * (column @ f_states[0]) + 0.5 * h * f_states
-        return SweepValues(self.grid, column, sums)
+        return SweepValues(column, sums)
 
 
 @dataclass(frozen=True)

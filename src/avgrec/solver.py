@@ -10,11 +10,13 @@ reconstruct
 Each iteration checks A(u) and f(u) for non-finite values, then builds one
 propagation on A(u) and sweeps it once: one forward recursion on the
 widened right-hand side [I | h f] (width n+1) gives the initial column
-U(t_j, 0) and the Duhamel sums of f(u) together, and they serve the
-resolvent, the data shift (the last Duhamel sum is the terminal forcing)
-and the reconstruction.  The recovered initial state is the Xi the last
-sweep solved for, so a recovery that converges in k iterations builds k
-propagations.
+U(t_j, 0) and the Duhamel sums of f(u) together.  The resolvent is the
+discretised condition (``averaging.observe``) applied to the column, the
+data shift is M minus the condition applied to the sums, and the
+reconstruction is column @ Xi + sums.  The resolvent is singular when its
+sigma_min sits at or below 1e-10 times its spectral norm.  The recovered
+initial state is the Xi the last sweep solved for (u_final(0) bit for
+bit), so a recovery that converges in k iterations builds k propagations.
 
 The default propagation is the K one-step Crank-Nicolson factors, one
 tridiagonal elimination over all K nodes at once when every A(u(t_j)) is
@@ -120,16 +122,12 @@ class RecoveryConfig:
 
     max_iters: int = 30
     tol_fixed_point: float = 1e-11
-    relaxation: float = 1.0
     ball_L: float = 0.5
-    sigma_floor: float | None = None
     method: PropagatorMethod = PropagatorMethod.STEPPER
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be at least 1, got {self.max_iters}")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise ConfigurationError(f"relaxation must lie in (0, 1], got {self.relaxation}")
         if self.tol_fixed_point <= 0:
             raise ConfigurationError("fixed-point tolerance must be positive")
         if self.ball_L <= 0:
@@ -233,7 +231,7 @@ def _initial_state(
         # The steps of averaging.initial_state_map, kept apart so that the
         # sweep's sigma_min reaches the report from the same SVD.
         resolvent = resolvent_matrix(cond, values)
-        sigma, _ = check_resolvent(cond, resolvent, config.sigma_floor)
+        sigma = check_resolvent(cond, resolvent)
         xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ConvergenceError(f"iteration left the computable regime: {exc}") from exc
@@ -251,8 +249,6 @@ def _iterate_detail(
         )
     xi, sigma, values = _initial_state(model, cond, M, u, config)
     new_states = values.column @ xi + values.sums
-    if config.relaxation < 1.0:
-        new_states = config.relaxation * new_states + (1.0 - config.relaxation) * u.states
     if not np.all(np.isfinite(new_states)):
         raise ConvergenceError("iteration produced non-finite states")
     return (
@@ -272,8 +268,8 @@ def fixed_point_recover(
 
     Returns the recovered initial state, the fixed-point trajectory u_final
     and the solve report.  The initial state is the Xi(u_{final-1}) that the
-    last sweep solved for; with relaxation 1 it is u_final(0) bit for bit
-    (U(0, 0) = I and G_0 = 0), and the fixed-point identity
+    last sweep solved for, which is u_final(0) bit for bit (U(0, 0) = I and
+    G_0 = 0), and the fixed-point identity
     Xi(u_final) = u_final(0) holds to the iteration tolerance.  A recovery
     that converges in k iterations builds k propagations.  Raises
     ConvergenceError (with the partial report attached) when max_iters is

@@ -366,7 +366,8 @@ class TestInitialStateMap:
     def test_data_shift_matches_table_oracle(self, method, variant):
         # M - Psi f and M + w0 N(T) f from one sweep equal the trapezoid sums
         # formed from the oracle table: Psi f from its Duhamel sums, N(T) f
-        # from its final row U(T, t_j).
+        # from its final row U(T, t_j).  The resolvents Phi, I + Phi and
+        # I - w0 U(T, 0) equal those formed from the table's column.
         grid_t = TimeGrid(T=0.5, K=16)
         rng = np.random.default_rng(6)
         path = drifting_path(grid_t, rng)
@@ -382,9 +383,22 @@ class TestInitialStateMap:
             shift = cond.w0 * np.einsum("j,jab,jb->a", qw, table.rows[-1], f_states)
         else:
             shift = -np.einsum("i,ia->a", qw * cond.weight, duhamel_sums(table, f_states))
-        got = data_shift(cond, prop.sweep(f_states), M)
+        values = prop.sweep(f_states)
+        got = data_shift(cond, values, M)
         scale = np.linalg.norm(M) + np.linalg.norm(shift)
         assert np.linalg.norm(got - (M + shift)) <= 1e-13 * scale
+        # The condition reads the I of a resolvent off the column's first
+        # entry and drops the first Duhamel sum; both are exact.
+        assert np.array_equal(values.column[0], np.eye(6))
+        assert np.array_equal(values.sums[0], np.zeros(6))
+        phi = np.einsum("j,jab->ab", qw * cond.weight, table.column)
+        expected = {
+            Variant.TIME_AVERAGE: phi,
+            Variant.INITIAL_PLUS_AVERAGE: np.eye(6) + phi,
+            Variant.TERMINAL_DIFFERENCE: np.eye(6) - cond.w0 * table.column[-1],
+        }[variant]
+        resolvent = resolvent_matrix(cond, values)
+        assert np.linalg.norm(resolvent - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 class TestInvertibilityReport:

@@ -69,7 +69,7 @@ class TestParseConfig:
             ("time", "horizon", "nan"),
             ("time", "horizon", "inf"),
             ("data", "amplitude", "nan"),
-            ("solver", "sigma_floor", "-inf"),
+            ("exponents", "beta", "-inf"),
             ("data", "amplitudes", "0.1 nan"),
         ],
     )
@@ -342,6 +342,12 @@ class TestMainExitCodes:
             ("probe", {"run": ["trials = -2"]}, "[run] trials"),
             ("recover", {"model": ["ball_radius = -1"]}, "[model] ball_radius"),
             ("recover", {"model": ["ball_radius = 0"]}, "[model] ball_radius"),
+            ("validate", {"solver": ["tol = -1"]}, "fixed-point tolerance"),
+            ("forward", {"solver": ["tol = -1"]}, "fixed-point tolerance"),
+            ("validate", {"solver": ["max_iters = 0"]}, "max_iters"),
+            ("forward", {"solver": ["max_iters = 0"]}, "max_iters"),
+            ("recover", {"solver": ["relaxation = 0.5"]}, "[solver] relaxation"),
+            ("recover", {"solver": ["sigma_floor = 1e-8"]}, "[solver] sigma_floor"),
         ],
     )
     def test_parse_time_rejections_exit_2(self, tmp_path, capsys, verb, extra, named):
