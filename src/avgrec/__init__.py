@@ -2,15 +2,7 @@
 time-averaged observations."""
 
 from .averaging import AveragingCondition, Variant
-from .evolution import (
-    OperatorPath,
-    PropagatorMethod,
-    PropagatorTable,
-    TimeGrid,
-    evolution_series,
-    evolution_stepper,
-    series_table,
-)
+from .evolution import OperatorPath, PropagatorMethod, TimeGrid, evolution_series
 from .models import ChemotaxisModel, ExponentBook, LinearTestModel, NonlocalRDModel
 from .solver import (
     RecoveryConfig,
@@ -31,7 +23,6 @@ __all__ = [
     "NonlocalRDModel",
     "OperatorPath",
     "PropagatorMethod",
-    "PropagatorTable",
     "RecoveryConfig",
     "SolveReport",
     "TimeGrid",
@@ -40,10 +31,8 @@ __all__ = [
     "assemble_laplacian",
     "build_grid",
     "evolution_series",
-    "evolution_stepper",
     "fixed_point_recover",
     "forward_solve",
-    "series_table",
 ]
 
 __version__ = "0.1.0"

@@ -67,11 +67,6 @@ def emit_trajectory_csv(traj, path) -> None:
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
-def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return raw[:, 0], raw[:, 1:]
-
-
 def emit_field_csv(coords, values, path) -> None:
     lines = ["x,value"]
     for x, v in zip(coords, values):
@@ -80,7 +75,10 @@ def emit_field_csv(coords, values, path) -> None:
 
 
 def read_field_csv(path) -> np.ndarray:
+    """The value column of an ``x,value`` CSV; ValueError when there is none."""
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if raw.shape[1] < 2:
+        raise ValueError(f"need x,value rows, got a table of shape {raw.shape}")
     return raw[:, 1]
 
 

@@ -39,7 +39,7 @@ from .models import (
 )
 from .solver import (
     RecoveryConfig,
-    Trajectory,
+    check_iteration_ball,
     contraction_probe,
     fixed_point_recover,
     forward_solve,
@@ -298,12 +298,22 @@ def initial_profile(cfg: ExperimentConfig, grid) -> np.ndarray:
 
 def build_observation(cfg: ExperimentConfig, model, cond: AveragingCondition) -> np.ndarray:
     """M from the configured source: forward-solved manufactured data, a CSV
-    field, or zero."""
+    field of n finite values, or zero."""
     grid = model.base.grid
     if cfg.data_source == "zero":
         return np.zeros(grid.n)
     if cfg.data_source == "file":
-        return art.read_field_csv(cfg.data_path)
+        try:
+            values = art.read_field_csv(cfg.data_path)
+        except ValueError as exc:
+            raise ConfigurationError(f"[data] path: cannot read {cfg.data_path!r}: {exc}") from None
+        if values.shape != (grid.n,):
+            raise ConfigurationError(
+                f"[data] path: {cfg.data_path!r} holds {values.size} values, need n={grid.n}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError(f"[data] path: {cfg.data_path!r} holds non-finite values")
+        return values
     truth = forward_solve(model, initial_profile(cfg, grid), cond.grid)
     return observe(cond, truth.states)
 
@@ -327,6 +337,8 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
     payload = {"config": _config_echo(cfg), "operation": cfg.operation, "status": "ok"}
     try:
         model = build_model(cfg)
+        rec_cfg = build_recovery_config(cfg)
+        check_iteration_ball(model, rec_cfg)
         payload["exponents"] = validate_exponents(model).to_dict()
         if cfg.operation == "validate":
             return _finish(artifacts, report_path, payload)
@@ -340,7 +352,6 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
             result = _finish(artifacts, report_path, payload)
             art.emit_plot_script(artifacts, "trajectory")
             return result
-        rec_cfg = build_recovery_config(cfg)
         M = build_observation(cfg, model, cond)
         if cfg.operation == "recover":
             u0, traj, solve_report = fixed_point_recover(model, cond, M, rec_cfg)

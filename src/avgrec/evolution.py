@@ -1,7 +1,7 @@
 """Nonautonomous evolution operators on a uniform time grid.
 
 Two independent constructions of the propagator U(t_i, t_j) of
-v' = A(t) v are provided:
+v' = A(t) v are provided, as sweeps that never form U itself:
 
 * the frozen-coefficient kernel series
       U = a + a * w,    a(t, s) = exp((t-s) A(s)),
@@ -24,10 +24,9 @@ LAPACK gtsv for the nodes it would pivot, O(K n^3) through one stacked dense
 LU otherwise, and one K-step loop of (n, n) x (n, n+1) products,
 O(K n^3)), the kernel series from its K frozen steps exp(h A_j)
 (:class:`SeriesSweep`, O(K^2 n^3), forming each difference A_m - A_l once),
-neither forming a table.  The full lower-triangular tables
-(:class:`PropagatorTable`, O(K^2 n^2) memory, from :func:`evolution_stepper`
-and :func:`series_table`) are the cross-validation and cocycle oracles of
-the recursions, and serve the same ``sweep`` entry from their rows.
+neither forming a table.  The full lower-triangular tables of both
+constructions, O(K^2 n^2) memory, are test oracles (``tests/oracles.py``)
+and serve the same ``sweep`` entry from their rows.
 
 The kernel k carries an integrable (t-s)^(rho-1) singularity when A is only
 rho-Hoelder in time.  Discrete convolutions therefore use a product rule:
@@ -35,7 +34,7 @@ interior nodes weighted h, and the singular cell adjacent to the lower
 endpoint replaced by the exact cell integral of (t-s)^(rho-1) against the
 nearest kernel value, which amounts to an extra weight h/rho on that cell.
 
-Tables and sweeps are immutable once built and safe to reuse across threads.
+Sweeps are immutable once built and safe to reuse across threads.
 """
 from __future__ import annotations
 
@@ -79,8 +78,7 @@ class TimeGrid:
 @dataclass(frozen=True)
 class OperatorPath:
     """Time-indexed family of generator matrices A(t_j) with declared
-    Hoelder exponent.  The seminorm itself is a diagnostic, see
-    :func:`holder_seminorm`."""
+    Hoelder exponent; the seminorm itself is not computed here."""
 
     grid: TimeGrid
     matrices: np.ndarray  # (K+1, n, n)
@@ -111,77 +109,6 @@ class OperatorPath:
 class PropagatorMethod(Enum):
     KERNEL_SERIES = "kernel_series"
     STEPPER = "stepper"
-
-
-@dataclass(frozen=True)
-class KernelTable:
-    """Strictly lower-triangular table of kernel matrices on node pairs.
-
-    ``weighted_bound`` stores max over entries of
-    (t_i - t_j)^(1 - rho) * ||k(t_i, t_j)||_F, the discrete analogue of the
-    continuum kernel bound.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray  # (K+1, K+1, n, n), zero on and above the diagonal
-    singularity_exponent: float  # rho - 1
-    weighted_bound: float
-
-    @classmethod
-    def from_values(cls, grid: TimeGrid, values: np.ndarray, rho: float) -> "KernelTable":
-        bound = weighted_kernel_max(grid, values, rho)
-        return cls(grid=grid, values=values, singularity_exponent=rho - 1.0, weighted_bound=bound)
-
-
-def weighted_kernel_max(grid: TimeGrid, values: np.ndarray, rho: float) -> float:
-    """max over the table of (t_i - t_j)^(1-rho) * ||k(t_i,t_j)||_F."""
-    kk = grid.K + 1
-    norms = np.sqrt((values**2).sum(axis=(2, 3)))
-    gaps = grid.nodes[:, None] - grid.nodes[None, :]
-    mask = np.tril(np.ones((kk, kk), dtype=bool), k=-1)
-    return float(np.max(gaps[mask] ** (1.0 - rho) * norms[mask], initial=0.0))
-
-
-@dataclass(frozen=True)
-class PropagatorTable:
-    """Lower-triangular family U(t_i, t_j), stored by rows: ``rows[i][j]``.
-
-    U(t_j, t_j) = I exactly for every method.  Accessing (i, j) with j > i is
-    a contract violation (the propagator only moves forward in time).
-    """
-
-    grid: TimeGrid
-    method_tag: PropagatorMethod
-    rows: list  # rows[i]: (i+1, n, n)
-
-    @property
-    def dim(self) -> int:
-        return self.rows[0].shape[-1]
-
-    def op(self, i: int, j: int) -> np.ndarray:
-        if not 0 <= j <= i <= self.grid.K:
-            raise ValueError(f"propagator requires 0 <= j <= i <= K, got (i,j)=({i},{j})")
-        return self.rows[i][j]
-
-    @cached_property
-    def column(self) -> np.ndarray:
-        """U(t_i, 0) for all i, shape (K+1, n, n)."""
-        return np.stack([row[0] for row in self.rows])
-
-    def duhamel(self, f_states: np.ndarray) -> np.ndarray:
-        """Trapezoid Duhamel sums G_i = sum_m wts_m U(t_i, t_m) f(t_m) over
-        m = 0..i, with half weights at both ends, read off the table rows."""
-        h = self.grid.h
-        sums = np.zeros_like(f_states)
-        for i in range(1, self.grid.K + 1):
-            wts = np.full(i + 1, h)
-            wts[0] = wts[-1] = 0.5 * h
-            sums[i] = np.einsum("m,mab,mb->a", wts, self.rows[i], f_states[: i + 1])
-        return sums
-
-    def sweep(self, f_states: np.ndarray) -> "SweepValues":
-        """The sweep entry of :meth:`_Sweep.sweep`, read off the rows."""
-        return SweepValues(self.column, self.duhamel(f_states))
 
 
 @dataclass(frozen=True)
@@ -257,129 +184,10 @@ def _stepper_left_sums(factors: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     return left
 
 
-def frozen_semigroup(path: OperatorPath, i: int, j: int) -> np.ndarray:
-    """exp((t_i - t_j) A(t_j)): coefficient frozen at the earlier node."""
-    if not 0 <= j <= i <= path.grid.K:
-        raise ValueError(f"need 0 <= j <= i <= K, got (i,j)=({i},{j})")
-    if i == j:
-        return np.eye(path.dim)
-    return matrix_exponential(path.matrices[j], (i - j) * path.grid.h)
-
-
-def commutator_kernel(path: OperatorPath, i: int, j: int) -> np.ndarray:
-    """[A(t_i) - A(t_j)] exp((t_i - t_j) A(t_j)); vanishes for constant paths."""
-    if not 0 <= j < i <= path.grid.K:
-        raise ValueError(f"need 0 <= j < i <= K, got (i,j)=({i},{j})")
-    return (path.matrices[i] - path.matrices[j]) @ frozen_semigroup(path, i, j)
-
-
-def _block(t4: np.ndarray) -> np.ndarray:
-    kk, _, n, _ = t4.shape
-    return np.ascontiguousarray(t4.transpose(0, 2, 1, 3)).reshape(kk * n, kk * n)
-
-
-def _unblock(m2: np.ndarray, kk: int, n: int) -> np.ndarray:
-    return np.ascontiguousarray(m2.reshape(kk, n, kk, n).transpose(0, 2, 1, 3))
-
-
-def _convolve(f4: np.ndarray, g4: np.ndarray, h: float, rho: float) -> np.ndarray:
-    """Volterra convolution with product-rule endpoint treatment.
-
-    (f*g)[i,j] = sum_{j<m<i} h f[i,m] g[m,j]  +  (h/rho) f[i,j+1] g[j+1,j].
-
-    g must be strictly lower triangular; f carries its natural diagonal
-    (identity for semigroup tables), which supplies the i = j+1 cell of the
-    correction and is excluded from the interior sum.
-    """
-    kk, _, n, _ = f4.shape
-    interior = f4.copy()
-    idx = np.arange(kk)
-    interior[idx, idx] = 0.0
-    out = h * _unblock(_block(interior) @ _block(g4), kk, n)
-    sub = g4[np.arange(1, kk), np.arange(kk - 1)]  # g[j+1, j]
-    corr = np.einsum("ijab,jbc->ijac", f4[:, 1:, :, :], sub)
-    out[:, : kk - 1] += (h / rho) * corr
-    return out
-
-
 def _frozen_steps(path: OperatorPath) -> np.ndarray:
     """The K frozen steps exp(h A(t_j)), j = 0..K-1, shape (K, n, n), from
     one stacked matrix exponential."""
     return matrix_exponential(path.matrices[:-1], path.grid.h)
-
-
-def _frozen_tables(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
-    """Dense tables a[i,j] = exp((t_i-t_j)A(t_j)) and k[i,j] = [A_i - A_j] a[i,j].
-
-    Columns are built by power chains a[i,j] = exp(h A_j) a[i-1,j], one
-    matrix exponential per column.
-    """
-    kk = path.grid.K + 1
-    n = path.dim
-    eye = np.eye(n)
-    steps = _frozen_steps(path)
-    a4 = np.zeros((kk, kk, n, n))
-    k4 = np.zeros((kk, kk, n, n))
-    for j in range(kk):
-        a4[j, j] = eye
-        if j == kk - 1:
-            continue
-        for i in range(j + 1, kk):
-            a4[i, j] = steps[j] @ a4[i - 1, j]
-        k4[j + 1 :, j] = np.matmul(path.matrices[j + 1 :] - path.matrices[j], a4[j + 1 :, j])
-    return a4, k4
-
-
-def _resolvent_solve(k4: np.ndarray, h: float, rho: float) -> np.ndarray:
-    """w = k + k*w by forward substitution over rows, exact up to roundoff.
-
-    Entry (i, j) of k*w reads w only on rows m < i, and k has a zero
-    diagonal, so every row follows from the rows above it.  In particular
-    w[j+1, j] = k[j+1, j], which fixes the end-cell term (h/rho) k[i,j+1]
-    w[j+1,j] before the solve.  Rows are kept in the blocked layout so that
-    the interior sum of row i is one matrix product.
-    """
-    kk, _, n, _ = k4.shape
-    k2 = _block(k4)
-    w2 = np.zeros_like(k2)
-    sub = k4[np.arange(1, kk), np.arange(kk - 1)]  # w[j+1, j] = k[j+1, j]
-    for i in range(1, kk):
-        rows = slice(i * n, (i + 1) * n)
-        cols = slice(0, i * n)
-        # k[i, j+1] w[j+1, j] for j < i; the j = i-1 cell reads k[i, i] = 0.
-        cells = np.matmul(k4[i, 1 : i + 1], sub[:i]).transpose(1, 0, 2).reshape(n, i * n)
-        w2[rows, cols] = (
-            k2[rows, cols]
-            + h * (k2[rows, n : i * n] @ w2[n : i * n, cols])
-            + (h / rho) * cells
-        )
-    return _unblock(w2, kk, n)
-
-
-def volterra_resolvent(path: OperatorPath) -> KernelTable:
-    """Resolvent kernel w solving w = k + k*w, by forward substitution."""
-    _, k4 = _frozen_tables(path)
-    w4 = _resolvent_solve(k4, path.grid.h, path.holder_rho)
-    return KernelTable.from_values(path.grid, w4, path.holder_rho)
-
-
-def series_table(path: OperatorPath) -> PropagatorTable:
-    """Full table of the kernel series U = a + a*w from dense (K+1)^2 tables.
-
-    Exact (up to roundoff) for constant paths, where the kernel vanishes.
-    The solver uses :func:`evolution_series`; this table is the oracle that
-    its recursion is checked against.
-    """
-    a4, k4 = _frozen_tables(path)
-    w4 = _resolvent_solve(k4, path.grid.h, path.holder_rho)
-    u4 = a4 + _convolve(a4, w4, path.grid.h, path.holder_rho)
-    eye = np.eye(path.dim)
-    rows = []
-    for i in range(path.grid.K + 1):
-        row = u4[i, : i + 1].copy()
-        row[i] = eye
-        rows.append(row)
-    return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.KERNEL_SERIES, rows=rows)
 
 
 def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -463,8 +271,8 @@ def evolution_series(path: OperatorPath) -> SeriesSweep:
 
     A sweep's column U(t_i, 0) and Duhamel sums are one recursion on
     [I | h f], O(K^2 n^2 (n+1)).  On a constant path the
-    kernel is exactly zero and the column equals the frozen semigroup of
-    :func:`series_table` bit for bit.
+    kernel is exactly zero and the column equals that of the dense series
+    table (``tests/oracles.py``) bit for bit.
     """
     return SeriesSweep(path=path, steps=_frozen_steps(path))
 
@@ -581,97 +389,3 @@ def step_factors(path: OperatorPath) -> StepFactors:
     """The one-step factors of a stepper; the initial column
     U(t_i, 0) = S_{i-1} ... S_0 and the left sums follow by recursion."""
     return StepFactors(grid=path.grid, factors=_one_step_factors(path))
-
-
-def evolution_stepper(path: OperatorPath) -> PropagatorTable:
-    """Full table of composed one-step factors, U(t_i, t_j) = S_{i-1} ... S_j.
-
-    The cocycle identity holds by construction (up to roundoff in the stored
-    products).  The solver uses :func:`step_factors`; this table is the
-    oracle that the factor recursion is checked against.
-    """
-    n = path.dim
-    eye = np.eye(n)
-    factors = _dense_factors(path)
-    rows = [eye[None, :, :].copy()]
-    for i in range(1, path.grid.K + 1):
-        row = np.empty((i + 1, n, n))
-        row[:i] = np.matmul(factors[i - 1], rows[i - 1])
-        row[i] = eye
-        rows.append(row)
-    return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.STEPPER, rows=rows)
-
-
-def holder_seminorm(path: OperatorPath, rho: float) -> float:
-    """max over node pairs of ||A(t_i) - A(t_j)||_2 / (t_i - t_j)^rho, plus the
-    max node norm -- the discrete Hoelder norm of the path."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
-    mats = path.matrices
-    nodes = path.grid.nodes
-    sup_norm = float(np.linalg.svd(mats, compute_uv=False).max())
-    semi = 0.0
-    for j in range(path.grid.K):
-        diffs = mats[j + 1 :] - mats[j]
-        norms = np.linalg.svd(diffs, compute_uv=False).max(axis=-1)
-        semi = max(semi, float(np.max(norms / (nodes[j + 1 :] - nodes[j]) ** rho)))
-    return semi + sup_norm
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Perturbation ratios t^j ||e^{tA} - e^{tB}|| / ||A - B|| for j = 0, 1."""
-
-    max_ratio_plain: float
-    max_ratio_smoothed: float
-    refined_ratio_plain: float
-    refined_ratio_smoothed: float
-    stable_plain: bool
-    stable_smoothed: bool
-
-
-def semigroup_perturbation_check(
-    a: np.ndarray, b: np.ndarray, ts: list, smoother: np.ndarray | None = None
-) -> PerturbationReport:
-    """Probe the semigroup perturbation bounds.
-
-    Ratios ||e^{tA} - e^{tB}|| / ||A - B|| are computed in the plain operator
-    norm and, for the order-one target, as t * ||P (e^{tA} - e^{tB})|| with P
-    the supplied smoothing matrix (identity by default) against
-    ||(A - B) P^{-1}||.  The check is repeated on a midpoint-refined time
-    list; a ratio more than doubling under refinement is flagged unstable.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("matrices must share dimensions")
-    if np.array_equal(a, b):
-        raise ValueError("perturbation ratio undefined for identical matrices")
-    ts = np.asarray(sorted(ts), dtype=float)
-    if ts.size == 0 or np.any(ts <= 0):
-        raise ValueError("need a nonempty list of positive times")
-    if smoother is None:
-        smoother = np.eye(a.shape[0])
-    denom_plain = np.linalg.norm(a - b, 2)
-    denom_smooth = np.linalg.norm((a - b) @ np.linalg.inv(smoother), 2)
-
-    def ratios(times):
-        plain = 0.0
-        smoothed = 0.0
-        for t in times:
-            diff = matrix_exponential(a, t) - matrix_exponential(b, t)
-            plain = max(plain, np.linalg.norm(diff, 2) / denom_plain)
-            smoothed = max(smoothed, t * np.linalg.norm(smoother @ diff, 2) / denom_smooth)
-        return plain, smoothed
-
-    coarse_plain, coarse_smooth = ratios(ts)
-    refined = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])) if ts.size > 1 else ts
-    fine_plain, fine_smooth = ratios(refined)
-    return PerturbationReport(
-        max_ratio_plain=coarse_plain,
-        max_ratio_smoothed=coarse_smooth,
-        refined_ratio_plain=fine_plain,
-        refined_ratio_smoothed=fine_smooth,
-        stable_plain=fine_plain <= 2.0 * coarse_plain,
-        stable_smoothed=fine_smooth <= 2.0 * coarse_smooth,
-    )

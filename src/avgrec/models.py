@@ -33,7 +33,7 @@ Shipped models:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -45,7 +45,6 @@ from .spatial import (
     Grid1D,
     SobolevScale,
     assemble_laplacian,
-    build_grid,
     first_difference,
     first_node,
     helmholtz_solve,
@@ -477,85 +476,3 @@ def validate_exponents(model) -> ExponentReport:
             ),
         ]
     return ExponentReport(entries=tuple(entries))
-
-
-def growth_estimate_probe(
-    model, sample_count: int, radius: float, seed: int = 0
-) -> float:
-    """Empirical constant in the forcing growth estimate.
-
-    Draws random pairs in the low-order ball and maximizes the gamma-norm
-    increment of f over the stated right-hand side with unit constant.
-    """
-    if radius > model.ball_radius:
-        raise ValueError(f"probe radius {radius} exceeds the model ball {model.ball_radius}")
-    book = model.exponents
-    rng = np.random.default_rng(seed)
-    n = model.base.grid.n
-    worst = 0.0
-    for _ in range(sample_count):
-        pair = []
-        for _ in range(2):
-            x = rng.standard_normal(n)
-            norm = sobolev_norm(model.scale, x, 2 * book.beta)
-            x *= radius * rng.uniform(0.05, 1.0) / norm
-            pair.append(x)
-        v, w = pair
-        num = sobolev_norm(model.scale, model.evaluate_f(v) - model.evaluate_f(w), 2 * book.gamma)
-        xi_v = sobolev_norm(model.scale, v, 2 * book.xi)
-        xi_w = sobolev_norm(model.scale, w, 2 * book.xi)
-        den = (xi_v**book.ell + xi_w**book.ell) * sobolev_norm(model.scale, v - w, 2 * book.xi)
-        den += (xi_v ** (book.ell + 1) + xi_w ** (book.ell + 1)) * sobolev_norm(
-            model.scale, v - w, 2 * book.beta
-        )
-        if den > 0:
-            worst = max(worst, num / den)
-    return worst
-
-
-@dataclass(frozen=True, eq=False)
-class ShiftedModel:
-    """Model recentered at an equilibrium v*: A*(w) = A(w + v*),
-    f*(w) = A(w + v*) v* + f(w + v*)."""
-
-    inner: QuasilinearModel
-    v_star: np.ndarray
-
-    @property
-    def base(self) -> BaseOperator:
-        return self.inner.base
-
-    @property
-    def scale(self) -> SobolevScale:
-        return self.inner.scale
-
-    @property
-    def exponents(self) -> ExponentBook:
-        return self.inner.exponents
-
-    @property
-    def ball_radius(self) -> float:
-        return self.inner.ball_radius
-
-    def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        return self.inner.assemble_A(u + self.v_star, enforce_ball=enforce_ball)
-
-    def evaluate_f(self, u: np.ndarray) -> np.ndarray:
-        shifted = u + self.v_star
-        a_mat = self.inner.assemble_A(shifted, enforce_ball=False)
-        return matvec(a_mat, self.v_star) + self.inner.evaluate_f(shifted)
-
-
-def equilibrium_shift(model, v_star: np.ndarray, tol: float | None = None) -> ShiftedModel:
-    """Shift the model to an equilibrium v* (A(v*)v* + f(v*) = 0 within tol)."""
-    v_star = np.asarray(v_star, dtype=float)
-    residual = np.linalg.norm(
-        model.assemble_A(v_star, enforce_ball=False) @ v_star + model.evaluate_f(v_star)
-    )
-    if tol is None:
-        tol = 1e-10 * (1.0 + np.linalg.norm(v_star))
-    if residual > tol:
-        raise ValueError(
-            f"v* is not an equilibrium: residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return ShiftedModel(inner=model, v_star=v_star)

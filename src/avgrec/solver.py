@@ -26,9 +26,9 @@ otherwise; its recursion is K products of n x n factors with n x (n+1)
 blocks, so a sweep costs O(K n^3) time and O(K n^2) memory.  The kernel
 series (behind a flag) recurs on its K frozen steps exp(h A_j), in
 O(K^2 n^3) time and O(K n^2) memory.  The full propagator tables of either
-method are only test oracles.  The per-node model work (A(u(t_j)),
-f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked model call
-each per sweep.
+method are test oracles (``tests/oracles.py``).  The per-node model work
+(A(u(t_j)), f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked
+model call each per sweep.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -65,7 +65,7 @@ from .evolution import (
     step_factors,
 )
 from .models import check_ball
-from .spatial import SobolevScale, sobolev_norm
+from .spatial import SobolevScale
 
 DIVERGENCE_FACTOR = 1e8
 
@@ -118,7 +118,8 @@ class WeightedNormSpec:
 
 @dataclass
 class RecoveryConfig:
-    """Knobs of the fixed-point recovery."""
+    """Knobs of the fixed-point recovery, the ``[solver]`` keys of a config
+    file; each rejection names its key."""
 
     max_iters: int = 30
     tol_fixed_point: float = 1e-11
@@ -127,11 +128,27 @@ class RecoveryConfig:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ConfigurationError(f"max_iters must be at least 1, got {self.max_iters}")
+            raise ConfigurationError(
+                f"[solver] max_iters: must be at least 1, got {self.max_iters}"
+            )
         if self.tol_fixed_point <= 0:
-            raise ConfigurationError("fixed-point tolerance must be positive")
+            raise ConfigurationError(
+                f"[solver] tol: fixed-point tolerance must be positive, got {self.tol_fixed_point}"
+            )
         if self.ball_L <= 0:
-            raise ConfigurationError("iteration ball radius must be positive")
+            raise ConfigurationError(
+                f"[solver] ball_l: iteration ball radius must be positive, got {self.ball_L}"
+            )
+
+
+def check_iteration_ball(model, config: RecoveryConfig) -> None:
+    """Reject an iteration ball radius outside (0, min(r0, 1)), r0 the
+    model's ball radius (infinite for a model without a ball)."""
+    if not 0.0 < config.ball_L < min(model.ball_radius, 1.0):
+        raise ConfigurationError(
+            f"[solver] ball_l: iteration ball ball_L={config.ball_L} must lie in "
+            f"(0, min(r0, 1)) with r0={model.ball_radius}"
+        )
 
 
 @dataclass
@@ -228,8 +245,8 @@ def _initial_state(
         values = prop.sweep(f_states)
         if not np.all(np.isfinite(values.column)):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
-        # The steps of averaging.initial_state_map, kept apart so that the
-        # sweep's sigma_min reaches the report from the same SVD.
+        # Xi solves the variant resolvent equation; the sigma_min of the
+        # singular check reaches the report from the same SVD.
         resolvent = resolvent_matrix(cond, values)
         sigma = check_resolvent(cond, resolvent)
         xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
@@ -279,11 +296,7 @@ def fixed_point_recover(
     config = config or RecoveryConfig()
     grid = cond.grid
     n = model.base.grid.n
-    if not 0.0 < config.ball_L < min(model.ball_radius, 1.0):
-        raise ConfigurationError(
-            f"iteration ball ball_L={config.ball_L} must lie in (0, min(r0, 1)) "
-            f"with r0={model.ball_radius}"
-        )
+    check_iteration_ball(model, config)
     M = np.asarray(M, dtype=float)
     u = initial if initial is not None else Trajectory.zero(grid, n)
     spec = WeightedNormSpec.from_model(model)

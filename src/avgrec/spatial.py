@@ -119,11 +119,13 @@ class Grid1D:
 
 def build_grid(n: int, length: float, bc: BoundaryKind) -> Grid1D:
     if n < 2:
-        raise ConfigurationError(f"grid needs at least 2 nodes, got n={n}")
+        raise ConfigurationError(f"[grid] n: grid needs at least 2 nodes, got n={n}")
     if n > MAX_NODES:
-        raise ConfigurationError(f"dense-matrix grids are capped at n={MAX_NODES}, got n={n}")
+        raise ConfigurationError(
+            f"[grid] n: dense-matrix grids are capped at n={MAX_NODES}, got n={n}"
+        )
     if length <= 0:
-        raise ConfigurationError(f"domain length must be positive, got {length}")
+        raise ConfigurationError(f"[grid] length: domain length must be positive, got {length}")
     return Grid1D(n=int(n), length=float(length), bc=bc)
 
 

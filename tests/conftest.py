@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from avgrec.averaging import AveragingCondition, Variant, observe
-from avgrec.evolution import (
-    OperatorPath,
-    TimeGrid,
-    evolution_stepper,
-    series_table,
-)
+from avgrec.evolution import OperatorPath, TimeGrid
 from avgrec.models import ChemotaxisModel, NonlocalRDModel
 from avgrec.solver import (
     RecoveryConfig,
@@ -16,6 +11,8 @@ from avgrec.solver import (
     self_convergence_error,
 )
 from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid
+
+from oracles import evolution_stepper, series_table
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,569 @@
+"""Test oracles: the full propagator tables, the dense kernel series and the
+assembled averaging operator, with the probes and diagnostics built on them.
+
+The package's solver runs the variation-of-constants map on one-step
+factors (:func:`avgrec.evolution.step_factors`) or frozen steps
+(:func:`avgrec.evolution.evolution_series`) and forms no table.  The
+definitions here build the same quantities the long way, so that the tests
+can check the recursions against them:
+
+* :class:`PropagatorTable` holds every U(t_i, t_j), O(K^2 n^2) memory, from
+  composed Crank-Nicolson factors (:func:`evolution_stepper`) or from the
+  kernel series U = a + a*w on dense (K+1)^2 tables (:func:`series_table`);
+  its ``sweep`` serves the column and Duhamel sums that the package's
+  sweeps recur for;
+* :func:`assemble_phi`, :func:`apply_psi` and :func:`initial_state_map`
+  form Phi, Psi f and Xi on any propagation, and the probes
+  (:func:`phi_lipschitz_probe`, :func:`semigroup_perturbation_check`,
+  :func:`growth_estimate_probe`, ...) measure the paper's estimates;
+* :class:`ShiftedModel` recentres a model at an equilibrium.
+
+Every definition is written against the package's public and private
+helpers and never called by the package.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from avgrec.averaging import (
+    AveragingCondition,
+    Variant,
+    _average,
+    check_resolvent,
+    data_shift,
+    resolvent_matrix,
+)
+from avgrec.evolution import (
+    OperatorPath,
+    PropagatorMethod,
+    SweepValues,
+    TimeGrid,
+    _dense_factors,
+    _frozen_steps,
+    step_factors,
+)
+from avgrec.models import ExponentBook, QuasilinearModel
+from avgrec.spatial import (
+    BaseOperator,
+    SobolevScale,
+    matrix_exponential,
+    matvec,
+    smallest_singular_value,
+    sobolev_norm,
+)
+
+
+@dataclass(frozen=True)
+class KernelTable:
+    """Strictly lower-triangular table of kernel matrices on node pairs.
+
+    ``weighted_bound`` stores max over entries of
+    (t_i - t_j)^(1 - rho) * ||k(t_i, t_j)||_F, the discrete analogue of the
+    continuum kernel bound.
+    """
+
+    grid: TimeGrid
+    values: np.ndarray  # (K+1, K+1, n, n), zero on and above the diagonal
+    singularity_exponent: float  # rho - 1
+    weighted_bound: float
+
+    @classmethod
+    def from_values(cls, grid: TimeGrid, values: np.ndarray, rho: float) -> "KernelTable":
+        bound = weighted_kernel_max(grid, values, rho)
+        return cls(grid=grid, values=values, singularity_exponent=rho - 1.0, weighted_bound=bound)
+
+
+def weighted_kernel_max(grid: TimeGrid, values: np.ndarray, rho: float) -> float:
+    """max over the table of (t_i - t_j)^(1-rho) * ||k(t_i,t_j)||_F."""
+    kk = grid.K + 1
+    norms = np.sqrt((values**2).sum(axis=(2, 3)))
+    gaps = grid.nodes[:, None] - grid.nodes[None, :]
+    mask = np.tril(np.ones((kk, kk), dtype=bool), k=-1)
+    return float(np.max(gaps[mask] ** (1.0 - rho) * norms[mask], initial=0.0))
+
+
+@dataclass(frozen=True)
+class PropagatorTable:
+    """Lower-triangular family U(t_i, t_j), stored by rows: ``rows[i][j]``.
+
+    U(t_j, t_j) = I exactly for every method.  Accessing (i, j) with j > i is
+    a contract violation (the propagator only moves forward in time).
+    """
+
+    grid: TimeGrid
+    method_tag: PropagatorMethod
+    rows: list  # rows[i]: (i+1, n, n)
+
+    @property
+    def dim(self) -> int:
+        return self.rows[0].shape[-1]
+
+    def op(self, i: int, j: int) -> np.ndarray:
+        if not 0 <= j <= i <= self.grid.K:
+            raise ValueError(f"propagator requires 0 <= j <= i <= K, got (i,j)=({i},{j})")
+        return self.rows[i][j]
+
+    @cached_property
+    def column(self) -> np.ndarray:
+        """U(t_i, 0) for all i, shape (K+1, n, n)."""
+        return np.stack([row[0] for row in self.rows])
+
+    def duhamel(self, f_states: np.ndarray) -> np.ndarray:
+        """Trapezoid Duhamel sums G_i = sum_m wts_m U(t_i, t_m) f(t_m) over
+        m = 0..i, with half weights at both ends, read off the table rows."""
+        h = self.grid.h
+        sums = np.zeros_like(f_states)
+        for i in range(1, self.grid.K + 1):
+            wts = np.full(i + 1, h)
+            wts[0] = wts[-1] = 0.5 * h
+            sums[i] = np.einsum("m,mab,mb->a", wts, self.rows[i], f_states[: i + 1])
+        return sums
+
+    def sweep(self, f_states: np.ndarray) -> "SweepValues":
+        """The sweep entry of :meth:`_Sweep.sweep`, read off the rows."""
+        return SweepValues(self.column, self.duhamel(f_states))
+
+
+def frozen_semigroup(path: OperatorPath, i: int, j: int) -> np.ndarray:
+    """exp((t_i - t_j) A(t_j)): coefficient frozen at the earlier node."""
+    if not 0 <= j <= i <= path.grid.K:
+        raise ValueError(f"need 0 <= j <= i <= K, got (i,j)=({i},{j})")
+    if i == j:
+        return np.eye(path.dim)
+    return matrix_exponential(path.matrices[j], (i - j) * path.grid.h)
+
+
+def commutator_kernel(path: OperatorPath, i: int, j: int) -> np.ndarray:
+    """[A(t_i) - A(t_j)] exp((t_i - t_j) A(t_j)); vanishes for constant paths."""
+    if not 0 <= j < i <= path.grid.K:
+        raise ValueError(f"need 0 <= j < i <= K, got (i,j)=({i},{j})")
+    return (path.matrices[i] - path.matrices[j]) @ frozen_semigroup(path, i, j)
+
+
+def _block(t4: np.ndarray) -> np.ndarray:
+    kk, _, n, _ = t4.shape
+    return np.ascontiguousarray(t4.transpose(0, 2, 1, 3)).reshape(kk * n, kk * n)
+
+
+def _unblock(m2: np.ndarray, kk: int, n: int) -> np.ndarray:
+    return np.ascontiguousarray(m2.reshape(kk, n, kk, n).transpose(0, 2, 1, 3))
+
+
+def _convolve(f4: np.ndarray, g4: np.ndarray, h: float, rho: float) -> np.ndarray:
+    """Volterra convolution with product-rule endpoint treatment.
+
+    (f*g)[i,j] = sum_{j<m<i} h f[i,m] g[m,j]  +  (h/rho) f[i,j+1] g[j+1,j].
+
+    g must be strictly lower triangular; f carries its natural diagonal
+    (identity for semigroup tables), which supplies the i = j+1 cell of the
+    correction and is excluded from the interior sum.
+    """
+    kk, _, n, _ = f4.shape
+    interior = f4.copy()
+    idx = np.arange(kk)
+    interior[idx, idx] = 0.0
+    out = h * _unblock(_block(interior) @ _block(g4), kk, n)
+    sub = g4[np.arange(1, kk), np.arange(kk - 1)]  # g[j+1, j]
+    corr = np.einsum("ijab,jbc->ijac", f4[:, 1:, :, :], sub)
+    out[:, : kk - 1] += (h / rho) * corr
+    return out
+
+
+def _frozen_tables(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
+    """Dense tables a[i,j] = exp((t_i-t_j)A(t_j)) and k[i,j] = [A_i - A_j] a[i,j].
+
+    Columns are built by power chains a[i,j] = exp(h A_j) a[i-1,j], one
+    matrix exponential per column.
+    """
+    kk = path.grid.K + 1
+    n = path.dim
+    eye = np.eye(n)
+    steps = _frozen_steps(path)
+    a4 = np.zeros((kk, kk, n, n))
+    k4 = np.zeros((kk, kk, n, n))
+    for j in range(kk):
+        a4[j, j] = eye
+        if j == kk - 1:
+            continue
+        for i in range(j + 1, kk):
+            a4[i, j] = steps[j] @ a4[i - 1, j]
+        k4[j + 1 :, j] = np.matmul(path.matrices[j + 1 :] - path.matrices[j], a4[j + 1 :, j])
+    return a4, k4
+
+
+def _resolvent_solve(k4: np.ndarray, h: float, rho: float) -> np.ndarray:
+    """w = k + k*w by forward substitution over rows, exact up to roundoff.
+
+    Entry (i, j) of k*w reads w only on rows m < i, and k has a zero
+    diagonal, so every row follows from the rows above it.  In particular
+    w[j+1, j] = k[j+1, j], which fixes the end-cell term (h/rho) k[i,j+1]
+    w[j+1,j] before the solve.  Rows are kept in the blocked layout so that
+    the interior sum of row i is one matrix product.
+    """
+    kk, _, n, _ = k4.shape
+    k2 = _block(k4)
+    w2 = np.zeros_like(k2)
+    sub = k4[np.arange(1, kk), np.arange(kk - 1)]  # w[j+1, j] = k[j+1, j]
+    for i in range(1, kk):
+        rows = slice(i * n, (i + 1) * n)
+        cols = slice(0, i * n)
+        # k[i, j+1] w[j+1, j] for j < i; the j = i-1 cell reads k[i, i] = 0.
+        cells = np.matmul(k4[i, 1 : i + 1], sub[:i]).transpose(1, 0, 2).reshape(n, i * n)
+        w2[rows, cols] = (
+            k2[rows, cols]
+            + h * (k2[rows, n : i * n] @ w2[n : i * n, cols])
+            + (h / rho) * cells
+        )
+    return _unblock(w2, kk, n)
+
+
+def volterra_resolvent(path: OperatorPath) -> KernelTable:
+    """Resolvent kernel w solving w = k + k*w, by forward substitution."""
+    _, k4 = _frozen_tables(path)
+    w4 = _resolvent_solve(k4, path.grid.h, path.holder_rho)
+    return KernelTable.from_values(path.grid, w4, path.holder_rho)
+
+
+def series_table(path: OperatorPath) -> PropagatorTable:
+    """Full table of the kernel series U = a + a*w from dense (K+1)^2 tables.
+
+    Exact (up to roundoff) for constant paths, where the kernel vanishes.
+    The solver uses :func:`evolution_series`; this table is the oracle that
+    its recursion is checked against.
+    """
+    a4, k4 = _frozen_tables(path)
+    w4 = _resolvent_solve(k4, path.grid.h, path.holder_rho)
+    u4 = a4 + _convolve(a4, w4, path.grid.h, path.holder_rho)
+    eye = np.eye(path.dim)
+    rows = []
+    for i in range(path.grid.K + 1):
+        row = u4[i, : i + 1].copy()
+        row[i] = eye
+        rows.append(row)
+    return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.KERNEL_SERIES, rows=rows)
+
+
+def evolution_stepper(path: OperatorPath) -> PropagatorTable:
+    """Full table of composed one-step factors, U(t_i, t_j) = S_{i-1} ... S_j.
+
+    The cocycle identity holds by construction (up to roundoff in the stored
+    products).  The solver uses :func:`step_factors`; this table is the
+    oracle that the factor recursion is checked against.
+    """
+    n = path.dim
+    eye = np.eye(n)
+    factors = _dense_factors(path)
+    rows = [eye[None, :, :].copy()]
+    for i in range(1, path.grid.K + 1):
+        row = np.empty((i + 1, n, n))
+        row[:i] = np.matmul(factors[i - 1], rows[i - 1])
+        row[i] = eye
+        rows.append(row)
+    return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.STEPPER, rows=rows)
+
+
+def holder_seminorm(path: OperatorPath, rho: float) -> float:
+    """max over node pairs of ||A(t_i) - A(t_j)||_2 / (t_i - t_j)^rho, plus the
+    max node norm -- the discrete Hoelder norm of the path."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    mats = path.matrices
+    nodes = path.grid.nodes
+    sup_norm = float(np.linalg.svd(mats, compute_uv=False).max())
+    semi = 0.0
+    for j in range(path.grid.K):
+        diffs = mats[j + 1 :] - mats[j]
+        norms = np.linalg.svd(diffs, compute_uv=False).max(axis=-1)
+        semi = max(semi, float(np.max(norms / (nodes[j + 1 :] - nodes[j]) ** rho)))
+    return semi + sup_norm
+
+
+@dataclass(frozen=True)
+class PerturbationReport:
+    """Perturbation ratios t^j ||e^{tA} - e^{tB}|| / ||A - B|| for j = 0, 1."""
+
+    max_ratio_plain: float
+    max_ratio_smoothed: float
+    refined_ratio_plain: float
+    refined_ratio_smoothed: float
+    stable_plain: bool
+    stable_smoothed: bool
+
+
+def semigroup_perturbation_check(
+    a: np.ndarray, b: np.ndarray, ts: list, smoother: np.ndarray | None = None
+) -> PerturbationReport:
+    """Probe the semigroup perturbation bounds.
+
+    Ratios ||e^{tA} - e^{tB}|| / ||A - B|| are computed in the plain operator
+    norm and, for the order-one target, as t * ||P (e^{tA} - e^{tB})|| with P
+    the supplied smoothing matrix (identity by default) against
+    ||(A - B) P^{-1}||.  The check is repeated on a midpoint-refined time
+    list; a ratio more than doubling under refinement is flagged unstable.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("matrices must share dimensions")
+    if np.array_equal(a, b):
+        raise ValueError("perturbation ratio undefined for identical matrices")
+    ts = np.asarray(sorted(ts), dtype=float)
+    if ts.size == 0 or np.any(ts <= 0):
+        raise ValueError("need a nonempty list of positive times")
+    if smoother is None:
+        smoother = np.eye(a.shape[0])
+    denom_plain = np.linalg.norm(a - b, 2)
+    denom_smooth = np.linalg.norm((a - b) @ np.linalg.inv(smoother), 2)
+
+    def ratios(times):
+        plain = 0.0
+        smoothed = 0.0
+        for t in times:
+            diff = matrix_exponential(a, t) - matrix_exponential(b, t)
+            plain = max(plain, np.linalg.norm(diff, 2) / denom_plain)
+            smoothed = max(smoothed, t * np.linalg.norm(smoother @ diff, 2) / denom_smooth)
+        return plain, smoothed
+
+    coarse_plain, coarse_smooth = ratios(ts)
+    refined = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])])) if ts.size > 1 else ts
+    fine_plain, fine_smooth = ratios(refined)
+    return PerturbationReport(
+        max_ratio_plain=coarse_plain,
+        max_ratio_smoothed=coarse_smooth,
+        refined_ratio_plain=fine_plain,
+        refined_ratio_smoothed=fine_smooth,
+        stable_plain=fine_plain <= 2.0 * coarse_plain,
+        stable_smoothed=fine_smooth <= 2.0 * coarse_smooth,
+    )
+
+
+@dataclass(frozen=True)
+class PhiOperator:
+    """Assembled averaging operator with its cached conditioning."""
+
+    matrix: np.ndarray
+    condition: AveragingCondition
+    sigma_min: float
+
+
+def _states_of(traj) -> np.ndarray:
+    """Accept a Trajectory-like object (``.states``) or a plain (K+1, n) array."""
+    states = getattr(traj, "states", traj)
+    return np.asarray(states, dtype=float)
+
+
+def _check_grid(traj, prop) -> None:
+    grid = getattr(traj, "grid", None)
+    if grid is not None and (grid.K != prop.grid.K or grid.T != prop.grid.T):
+        raise ValueError("trajectory and propagator table live on different time grids")
+
+
+def assemble_phi(prop, cond: AveragingCondition) -> PhiOperator:
+    """Phi = sum_j qw_j w(t_j) U(t_j, 0), reproducible from the table exactly."""
+    if cond.variant is Variant.TERMINAL_DIFFERENCE:
+        raise ValueError("terminal-difference conditions have no averaging operator")
+    matrix = _average(cond, prop.column)
+    return PhiOperator(
+        matrix=matrix, condition=cond, sigma_min=smallest_singular_value(matrix)
+    )
+
+
+def apply_psi(f_traj, prop, cond: AveragingCondition) -> np.ndarray:
+    """Psi f = sum_i qw_i w(t_i) G_i with G the Duhamel sums; Psi(0) = 0 exactly."""
+    _check_grid(f_traj, prop)
+    f_states = _states_of(f_traj)
+    if f_states.shape != (prop.grid.K + 1, prop.dim):
+        raise ValueError(
+            f"forcing trajectory must have shape {(prop.grid.K + 1, prop.dim)}, "
+            f"got {f_states.shape}"
+        )
+    return _average(cond, prop.sweep(f_states).sums)
+
+
+def initial_state_map(cond: AveragingCondition, prop, M: np.ndarray, f_traj) -> np.ndarray:
+    """Candidate initial state for the fixed-point reformulation.
+
+    Solves the variant resolvent equation; raises SingularOperatorError when
+    the resolvent's smallest singular value sits at or below 1e-10 times its
+    spectral norm.  The resolvent and the data shift are read off one sweep
+    of the propagation for f.
+    """
+    _check_grid(f_traj, prop)
+    M = np.asarray(M, dtype=float)
+    values = prop.sweep(_states_of(f_traj))
+    resolvent = resolvent_matrix(cond, values)
+    check_resolvent(cond, resolvent)
+    return np.linalg.solve(resolvent, data_shift(cond, values, M))
+
+
+@dataclass(frozen=True)
+class InvertibilityReport:
+    sigma_min: float
+    symmetry_defect: float
+    positive_definite: bool | None
+    sigma_trend: tuple | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "sigma_min": self.sigma_min,
+            "symmetry_defect": self.symmetry_defect,
+            "positive_definite": self.positive_definite,
+            "sigma_trend": list(self.sigma_trend) if self.sigma_trend is not None else None,
+        }
+
+
+def invertibility_report(
+    phi: PhiOperator, refinement_family: list | None = None
+) -> InvertibilityReport:
+    """Conditioning diagnostics for an assembled averaging operator.
+
+    Positive definiteness is only meaningful (and only reported) when the
+    matrix is symmetric to within 1e-10 relative.
+    """
+    m = phi.matrix
+    scale = max(np.abs(m).max(), 1e-300)
+    defect = float(np.abs(m - m.T).max() / scale)
+    positive: bool | None = None
+    if defect <= 1e-10:
+        positive = bool(np.linalg.eigvalsh(0.5 * (m + m.T)).min() > 0.0)
+    trend = None
+    if refinement_family is not None:
+        trend = tuple(float(p.sigma_min) for p in refinement_family)
+    return InvertibilityReport(
+        sigma_min=phi.sigma_min,
+        symmetry_defect=defect,
+        positive_definite=positive,
+        sigma_trend=trend,
+    )
+
+
+def spectral_phi_oracle(eigs, cond: AveragingCondition) -> np.ndarray:
+    """Scalar quadrature phi(lambda) = sum_j qw_j w(t_j) exp(t_j lambda).
+
+    For a constant self-adjoint generator these are exactly the eigenvalues
+    of the assembled Phi, mode by mode.
+    """
+    if cond.variant is not Variant.TIME_AVERAGE:
+        raise ValueError("the spectral oracle applies to time-average conditions")
+    eigs = np.asarray(eigs, dtype=float)
+    return np.exp(np.outer(eigs, cond.grid.nodes)) @ (cond.quad_weights * cond.weight)
+
+
+def phi_lipschitz_probe(
+    path_a: OperatorPath,
+    path_b: OperatorPath,
+    cond: AveragingCondition,
+    smoother: np.ndarray | None = None,
+    eta: float | None = None,
+) -> float:
+    """||Phi_A - Phi_B|| / |||A - B|||_rho with the numerator premultiplied by
+    the smoothing matrix (discrete stand-in for the order-one target norm)."""
+    if path_a.grid.K != path_b.grid.K or path_a.grid.T != path_b.grid.T:
+        raise ValueError("paths must share a time grid")
+    if np.array_equal(path_a.matrices, path_b.matrices):
+        raise ValueError("Lipschitz ratio undefined for identical paths")
+    rho = path_a.holder_rho
+    if eta is not None:
+        for label, p in (("first", path_a), ("second", path_b)):
+            semi = holder_seminorm(p, rho)
+            if semi > eta:
+                raise ValueError(f"{label} path leaves the declared neighborhood: {semi} > {eta}")
+    phi_a = assemble_phi(step_factors(path_a), cond).matrix
+    phi_b = assemble_phi(step_factors(path_b), cond).matrix
+    diff = phi_a - phi_b
+    if smoother is not None:
+        diff = smoother @ diff
+    diff_path = OperatorPath(
+        grid=path_a.grid, matrices=path_a.matrices - path_b.matrices, holder_rho=rho
+    )
+    return float(np.linalg.norm(diff, 2) / holder_seminorm(diff_path, rho))
+
+
+def growth_estimate_probe(
+    model, sample_count: int, radius: float, seed: int = 0
+) -> float:
+    """Empirical constant in the forcing growth estimate.
+
+    Draws random pairs in the low-order ball and maximizes the gamma-norm
+    increment of f over the stated right-hand side with unit constant.
+    """
+    if radius > model.ball_radius:
+        raise ValueError(f"probe radius {radius} exceeds the model ball {model.ball_radius}")
+    book = model.exponents
+    rng = np.random.default_rng(seed)
+    n = model.base.grid.n
+    worst = 0.0
+    for _ in range(sample_count):
+        pair = []
+        for _ in range(2):
+            x = rng.standard_normal(n)
+            norm = sobolev_norm(model.scale, x, 2 * book.beta)
+            x *= radius * rng.uniform(0.05, 1.0) / norm
+            pair.append(x)
+        v, w = pair
+        num = sobolev_norm(model.scale, model.evaluate_f(v) - model.evaluate_f(w), 2 * book.gamma)
+        xi_v = sobolev_norm(model.scale, v, 2 * book.xi)
+        xi_w = sobolev_norm(model.scale, w, 2 * book.xi)
+        den = (xi_v**book.ell + xi_w**book.ell) * sobolev_norm(model.scale, v - w, 2 * book.xi)
+        den += (xi_v ** (book.ell + 1) + xi_w ** (book.ell + 1)) * sobolev_norm(
+            model.scale, v - w, 2 * book.beta
+        )
+        if den > 0:
+            worst = max(worst, num / den)
+    return worst
+
+
+@dataclass(frozen=True, eq=False)
+class ShiftedModel:
+    """Model recentered at an equilibrium v*: A*(w) = A(w + v*),
+    f*(w) = A(w + v*) v* + f(w + v*)."""
+
+    inner: QuasilinearModel
+    v_star: np.ndarray
+
+    @property
+    def base(self) -> BaseOperator:
+        return self.inner.base
+
+    @property
+    def scale(self) -> SobolevScale:
+        return self.inner.scale
+
+    @property
+    def exponents(self) -> ExponentBook:
+        return self.inner.exponents
+
+    @property
+    def ball_radius(self) -> float:
+        return self.inner.ball_radius
+
+    def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
+        return self.inner.assemble_A(u + self.v_star, enforce_ball=enforce_ball)
+
+    def evaluate_f(self, u: np.ndarray) -> np.ndarray:
+        shifted = u + self.v_star
+        a_mat = self.inner.assemble_A(shifted, enforce_ball=False)
+        return matvec(a_mat, self.v_star) + self.inner.evaluate_f(shifted)
+
+
+def equilibrium_shift(model, v_star: np.ndarray, tol: float | None = None) -> ShiftedModel:
+    """Shift the model to an equilibrium v* (A(v*)v* + f(v*) = 0 within tol)."""
+    v_star = np.asarray(v_star, dtype=float)
+    residual = np.linalg.norm(
+        model.assemble_A(v_star, enforce_ball=False) @ v_star + model.evaluate_f(v_star)
+    )
+    if tol is None:
+        tol = 1e-10 * (1.0 + np.linalg.norm(v_star))
+    if residual > tol:
+        raise ValueError(
+            f"v* is not an equilibrium: residual {residual:.3e} exceeds tolerance {tol:.3e}"
+        )
+    return ShiftedModel(inner=model, v_star=v_star)
+
+
+def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return raw[:, 0], raw[:, 1:]

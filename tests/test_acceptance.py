@@ -9,22 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avgrec.averaging import (
-    AveragingCondition,
-    Variant,
-    apply_psi,
-    assemble_phi,
-    phi_lipschitz_probe,
-)
+from avgrec.averaging import AveragingCondition, Variant
 from avgrec.cli import parse_config, run_experiment
-from avgrec.evolution import (
-    OperatorPath,
-    TimeGrid,
-    evolution_series,
-    evolution_stepper,
-    semigroup_perturbation_check,
-    volterra_resolvent,
-)
+from avgrec.evolution import OperatorPath, TimeGrid, evolution_series
 from avgrec.models import LinearTestModel, NonlocalRDModel
 from avgrec.solver import (
     RecoveryConfig,
@@ -43,6 +30,14 @@ from avgrec.spatial import (
 )
 
 from conftest import sqrt_holder_path
+from oracles import (
+    apply_psi,
+    assemble_phi,
+    evolution_stepper,
+    phi_lipschitz_probe,
+    semigroup_perturbation_check,
+    volterra_resolvent,
+)
 
 
 def report_line(num: int, title: str, ok: bool, detail: str = "") -> None:
@@ -292,7 +287,8 @@ def test_criterion_9_invariant_bundle(series_family, chemo16, rd32, tmp_path):
     )
     checks["distance homogeneity"] = abs(d3 - 3.0 * d1) <= 1e-10 * d1
     # CSV round trip is lossless
-    from avgrec.artifacts import emit_trajectory_csv, read_trajectory_csv
+    from avgrec.artifacts import emit_trajectory_csv
+    from oracles import read_trajectory_csv
 
     csv_path = tmp_path / "traj.csv"
     emit_trajectory_csv(u_t, csv_path)

@@ -5,31 +5,29 @@ from hypothesis import strategies as st
 
 from avgrec.averaging import (
     AveragingCondition,
-    PhiOperator,
     Variant,
-    apply_psi,
-    assemble_phi,
     data_shift,
     duhamel_sums,
-    initial_state_map,
-    invertibility_report,
-    phi_lipschitz_probe,
     resolvent_matrix,
-    spectral_phi_oracle,
     trapezoid_weights,
     weight_samples,
 )
 from avgrec.errors import ConfigurationError, SingularOperatorError
-from avgrec.evolution import (
-    OperatorPath,
-    TimeGrid,
-    evolution_series,
-    evolution_stepper,
-    series_table,
-    step_factors,
-)
+from avgrec.evolution import OperatorPath, TimeGrid, evolution_series, step_factors
 from avgrec.solver import Trajectory
 from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid
+
+from oracles import (
+    PhiOperator,
+    apply_psi,
+    assemble_phi,
+    evolution_stepper,
+    initial_state_map,
+    invertibility_report,
+    phi_lipschitz_probe,
+    series_table,
+    spectral_phi_oracle,
+)
 
 RNG = np.random.default_rng(23)
 

@@ -12,7 +12,6 @@ from avgrec.artifacts import (
     emit_plot_script,
     emit_trajectory_csv,
     read_field_csv,
-    read_trajectory_csv,
 )
 from avgrec.cli import (
     ExperimentConfig,
@@ -28,11 +27,16 @@ from avgrec.errors import ConfigurationError
 from avgrec.evolution import TimeGrid
 from avgrec.solver import Trajectory
 
+from oracles import read_trajectory_csv
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# An iteration ball that fits min(ball_radius, 1) = 1 but not the model ball.
+BALL_OUTSIDE_MODEL = {"solver": ["ball_l = 0.9"], "model": ["ball_radius = 0.8"]}
 
 def fast_config(tmp_path, **extra):
     """Small, quick experiment config; extra[section] = ["key = value", ...]
-    entries are merged into the base document."""
+    entries are merged into the base document, replacing a base entry of
+    the same key."""
     sections = {
         "model": ["kind = chemotaxis"],
         "grid": ["n = 8"],
@@ -40,8 +44,13 @@ def fast_config(tmp_path, **extra):
         "data": ["amplitude = 0.005"],
         "run": [f"out = {tmp_path / 'run'}"],
     }
+
+    def key(line):
+        return line.split("=")[0].strip()
+
     for section, lines in extra.items():
-        sections.setdefault(section, []).extend(lines)
+        base = [line for line in sections.get(section, []) if key(line) not in map(key, lines)]
+        sections[section] = base + lines
     return "\n".join(f"[{name}]\n" + "\n".join(lines) for name, lines in sections.items()) + "\n"
 
 
@@ -342,12 +351,20 @@ class TestMainExitCodes:
             ("probe", {"run": ["trials = -2"]}, "[run] trials"),
             ("recover", {"model": ["ball_radius = -1"]}, "[model] ball_radius"),
             ("recover", {"model": ["ball_radius = 0"]}, "[model] ball_radius"),
-            ("validate", {"solver": ["tol = -1"]}, "fixed-point tolerance"),
-            ("forward", {"solver": ["tol = -1"]}, "fixed-point tolerance"),
-            ("validate", {"solver": ["max_iters = 0"]}, "max_iters"),
-            ("forward", {"solver": ["max_iters = 0"]}, "max_iters"),
+            ("validate", {"solver": ["tol = -1"]}, "[solver] tol"),
+            ("forward", {"solver": ["tol = -1"]}, "[solver] tol"),
+            ("validate", {"solver": ["max_iters = 0"]}, "[solver] max_iters"),
+            ("forward", {"solver": ["max_iters = 0"]}, "[solver] max_iters"),
             ("recover", {"solver": ["relaxation = 0.5"]}, "[solver] relaxation"),
             ("recover", {"solver": ["sigma_floor = 1e-8"]}, "[solver] sigma_floor"),
+            ("validate", {"solver": ["ball_l = 0"]}, "[solver] ball_l"),
+            ("validate", {"solver": ["ball_l = 1.5"]}, "[solver] ball_l"),
+            ("recover", BALL_OUTSIDE_MODEL, "[solver] ball_l"),
+            ("validate", BALL_OUTSIDE_MODEL, "[solver] ball_l"),
+            ("forward", BALL_OUTSIDE_MODEL, "[solver] ball_l"),
+            ("validate", {"grid": ["n = 1"]}, "[grid] n"),
+            ("forward", {"grid": ["n = 300"]}, "[grid] n"),
+            ("validate", {"grid": ["length = -1"]}, "[grid] length"),
         ],
     )
     def test_parse_time_rejections_exit_2(self, tmp_path, capsys, verb, extra, named):
@@ -375,6 +392,32 @@ class TestMainExitCodes:
         )
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         assert "[model] ball_radius" in capsys.readouterr().err
+
+    def test_ball_l_checked_against_the_built_model(self, tmp_path):
+        # The linear model has no ball (r0 = inf) whatever ball_radius says,
+        # so only ball_l < 1 binds.
+        config = tmp_path / "ok.ini"
+        extra = {"solver": ["ball_l = 0.9"], "model": ["kind = linear_test", "ball_radius = 0.5"]}
+        config.write_text(fast_config(tmp_path, **extra))
+        assert main(["validate", "--config", str(config), "--quiet"]) == 0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,1", "0.5,2", "1,3"],  # 3 values for n = 8
+            [f"{x / 7}" for x in range(8)],  # no value column
+            [f"{x / 7},{'nan' if x == 3 else 0.001}" for x in range(8)],
+        ],
+        ids=["short", "one-column", "nan"],
+    )
+    def test_bad_observation_file_exit_2(self, tmp_path, capsys, rows):
+        field = tmp_path / "field.csv"
+        field.write_text("x,value\n" + "\n".join(rows) + "\n")
+        config = tmp_path / "file.ini"
+        config.write_text(fast_config(tmp_path, data=["source = file", f"path = {field}"]))
+        assert main(["recover", "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "[data] path" in err
 
     def test_method_flag_accepted(self, tmp_path):
         config = tmp_path / "ok.ini"

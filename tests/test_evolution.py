@@ -14,23 +14,25 @@ from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
     TimeGrid,
-    commutator_kernel,
     evolution_series,
-    evolution_stepper,
-    frozen_semigroup,
-    holder_seminorm,
-    semigroup_perturbation_check,
     series_peak_bytes,
-    series_table,
     step_factors,
     stepper_peak_bytes,
-    volterra_resolvent,
-    weighted_kernel_max,
 )
 from avgrec.models import ChemotaxisModel, LinearTestModel, NonlocalRDModel
 from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid, matrix_exponential
 
 from conftest import chemotaxis_reference_path, sqrt_holder_path
+from oracles import (
+    commutator_kernel,
+    evolution_stepper,
+    frozen_semigroup,
+    holder_seminorm,
+    semigroup_perturbation_check,
+    series_table,
+    volterra_resolvent,
+    weighted_kernel_max,
+)
 
 RNG = np.random.default_rng(11)
 

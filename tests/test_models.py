@@ -10,15 +10,14 @@ from avgrec.models import (
     LinearTestModel,
     NonlocalRDModel,
     QuasilinearModel,
-    ShiftedModel,
     chemotaxis_exponents,
-    equilibrium_shift,
     generic_exponents,
-    growth_estimate_probe,
     rd_exponents,
     validate_exponents,
 )
 from avgrec.spatial import BoundaryKind, build_grid, sobolev_norm
+
+from oracles import ShiftedModel, equilibrium_shift, growth_estimate_probe
 
 RNG = np.random.default_rng(41)
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgrec.averaging import AveragingCondition, Variant, assemble_phi, duhamel_sums, observe
+from avgrec.averaging import AveragingCondition, Variant, duhamel_sums, observe
 from avgrec.errors import BallViolationError, ConfigurationError, ConvergenceError
-from avgrec.evolution import PropagatorMethod, TimeGrid, evolution_stepper, series_table
+from avgrec.evolution import PropagatorMethod, TimeGrid
 from avgrec.models import ChemotaxisModel, LinearTestModel
 from avgrec.solver import (
     RecoveryConfig,
@@ -26,6 +26,9 @@ from avgrec.solver import (
     weighted_distance,
 )
 from avgrec.spatial import BoundaryKind, build_grid, matrix_exponential
+
+import oracles
+from oracles import assemble_phi, evolution_stepper, series_table
 
 RNG = np.random.default_rng(51)
 
@@ -297,7 +300,6 @@ class TestStepperSweep:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_matches_table_routed_reference(self, small_chemo, variant, monkeypatch):
         import avgrec.averaging
-        import avgrec.evolution
         import avgrec.solver
 
         grid_t = TimeGrid(T=0.5, K=32)
@@ -319,10 +321,10 @@ class TestStepperSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("the stepper sweep built the full propagator table")
 
-        monkeypatch.setattr(avgrec.evolution, "evolution_stepper", forbidden)
+        monkeypatch.setattr(oracles, "evolution_stepper", forbidden)
         monkeypatch.setattr(avgrec.solver, "evolution_stepper", forbidden, raising=False)
         monkeypatch.setattr(avgrec.averaging, "duhamel_sums", forbidden)
-        monkeypatch.setattr(avgrec.evolution.PropagatorTable, "duhamel", forbidden)
+        monkeypatch.setattr(oracles.PropagatorTable, "duhamel", forbidden)
         u0, _, report = fixed_point_recover(small_chemo, cond, M)
         assert report.converged
         assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)
@@ -358,7 +360,6 @@ class TestSeriesSweep:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_matches_table_routed_reference(self, small_chemo, variant, monkeypatch):
         import avgrec.averaging
-        import avgrec.evolution
         import avgrec.solver
 
         grid_t = TimeGrid(T=0.5, K=32)
@@ -377,10 +378,10 @@ class TestSeriesSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("the series sweep built a dense table")
 
-        monkeypatch.setattr(avgrec.evolution, "series_table", forbidden)
-        monkeypatch.setattr(avgrec.evolution, "_frozen_tables", forbidden)
+        monkeypatch.setattr(oracles, "series_table", forbidden)
+        monkeypatch.setattr(oracles, "_frozen_tables", forbidden)
         monkeypatch.setattr(avgrec.averaging, "duhamel_sums", forbidden)
-        monkeypatch.setattr(avgrec.evolution.PropagatorTable, "duhamel", forbidden)
+        monkeypatch.setattr(oracles.PropagatorTable, "duhamel", forbidden)
         u0, _, report = fixed_point_recover(small_chemo, cond, M, config)
         assert report.converged
         assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)

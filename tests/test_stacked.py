@@ -11,7 +11,6 @@ from avgrec.models import (
     ChemotaxisModel,
     LinearTestModel,
     NonlocalRDModel,
-    ShiftedModel,
     check_ball,
     rd_exponents,
 )
@@ -31,6 +30,8 @@ from avgrec.spatial import (
     matrix_exponential,
     sobolev_norm,
 )
+
+from oracles import ShiftedModel
 
 RNG = np.random.default_rng(67)
 
