@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,8 +76,13 @@ def emit_field_csv(coords, values, path) -> None:
 
 
 def read_field_csv(path) -> np.ndarray:
-    """The value column of an ``x,value`` CSV; ValueError when there is none."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The value column of an ``x,value`` CSV; ValueError when there is none.
+    A table with no rows raises without numpy's empty-input warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if raw.shape[0] == 0:
+        raise ValueError("no x,value rows below the header")
     if raw.shape[1] < 2:
         raise ValueError(f"need x,value rows, got a table of shape {raw.shape}")
     return raw[:, 1]

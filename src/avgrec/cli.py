@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import groupby
@@ -250,6 +251,26 @@ def build_grid_from(cfg: ExperimentConfig):
     return build_grid(cfg.grid_n, cfg.grid_length, BoundaryKind(cfg.grid_bc))
 
 
+# The [model] key a model's derived exponent book is computed from.
+_BOOK_ORDER = {"chemotaxis": "s", "reaction_diffusion": "p"}
+_BOOK_SYMBOLS = frozenset(f.name for f in fields(ExponentBook))
+
+
+def _constraint_keys(cfg: ExperimentConfig, constraint: str) -> str:
+    """The config keys behind one exponent constraint, read off the symbols
+    it names: the model's order (``[model] s`` or ``[model] p``) when the
+    constraint names it or the book is derived from it, and ``[exponents]``
+    when it names an exponent of a book given there."""
+    symbols = set(re.findall(r"[a-z]\w*", constraint))
+    order = _BOOK_ORDER.get(cfg.model_kind)
+    keys = []
+    if order is not None and (cfg.exponents is None or order in symbols):
+        keys.append(f"[model] {order}")
+    if cfg.exponents is not None and symbols & _BOOK_SYMBOLS:
+        keys.append("[exponents]")
+    return ", ".join(keys)
+
+
 def build_model(cfg: ExperimentConfig):
     grid = build_grid_from(cfg)
     if cfg.model_kind == "chemotaxis":
@@ -267,7 +288,8 @@ def build_model(cfg: ExperimentConfig):
     report = validate_exponents(model)
     if not report.all_passed:
         raise ConfigurationError(
-            "exponent book rejected; failed constraints: " + "; ".join(report.failures())
+            "exponent book rejected; failed constraints: "
+            + "; ".join(f"{name} ({_constraint_keys(cfg, name)})" for name in report.failures())
         )
     return model
 

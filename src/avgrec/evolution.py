@@ -28,6 +28,13 @@ neither forming a table.  The full lower-triangular tables of both
 constructions, O(K^2 n^2) memory, are test oracles (``tests/oracles.py``)
 and serve the same ``sweep`` entry from their rows.
 
+An :class:`OperatorPath` holds either the dense (K+1, n, n) stack of the
+A(t_j) or, built by :meth:`OperatorPath.from_bands` from a tridiagonal
+model's ``assemble_bands``, their three diagonals.  The stepper's
+elimination reads only the diagonals, so on a band-built path no dense
+stack is formed; the kernel series and the dense LU form it from the
+bands on first access.
+
 The kernel k carries an integrable (t-s)^(rho-1) singularity when A is only
 rho-Hoelder in time.  Discrete convolutions therefore use a product rule:
 interior nodes weighted h, and the singular cell adjacent to the lower
@@ -38,7 +45,7 @@ Sweeps are immutable once built and safe to reuse across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -46,7 +53,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError
-from .spatial import matrix_exponential
+from .spatial import band_stack, matrix_exponential
 
 # Largest estimated peak (bytes) admitted for either propagation; see
 # series_peak_bytes and stepper_peak_bytes.
@@ -75,32 +82,69 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.K + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class OperatorPath:
     """Time-indexed family of generator matrices A(t_j) with declared
-    Hoelder exponent; the seminorm itself is not computed here."""
+    Hoelder exponent; the seminorm itself is not computed here.
+
+    A path is built from the dense (K+1, n, n) stack,
+    ``OperatorPath(grid=..., matrices=..., holder_rho=...)``, or from the
+    three central diagonals of a tridiagonal family
+    (:meth:`from_bands`).  Each form holds what it was given and derives
+    the other on first access only: a band-built path forms ``matrices``
+    when the series, the dense factors or a test read it, never on the
+    stepper's path.
+    """
 
     grid: TimeGrid
-    matrices: np.ndarray  # (K+1, n, n)
     holder_rho: float
+    dim: int
+    _bands: tuple | None = field(repr=False)  # as given to from_bands
 
-    def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=float)
-        if m.ndim != 3 or m.shape[0] != self.grid.K + 1 or m.shape[1] != m.shape[2]:
-            raise ValueError(f"need {self.grid.K + 1} square matrices, got shape {m.shape}")
-        if not 0.0 < self.holder_rho < 1.0:
-            raise ValueError(f"holder exponent must lie in (0,1), got {self.holder_rho}")
+    def __init__(self, grid: TimeGrid, matrices: np.ndarray, holder_rho: float):
+        m = np.asarray(matrices, dtype=float)
+        if m.ndim != 3 or m.shape[0] != grid.K + 1 or m.shape[1] != m.shape[2]:
+            raise ValueError(f"need {grid.K + 1} square matrices, got shape {m.shape}")
+        self._hold(grid, holder_rho, m.shape[1], None)
         object.__setattr__(self, "matrices", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
+    @classmethod
+    def from_bands(
+        cls, grid: TimeGrid, bands: tuple[np.ndarray, np.ndarray, np.ndarray], holder_rho: float
+    ) -> "OperatorPath":
+        """The path whose A(t_j) has the (sub, diag, super) diagonals
+        ``bands``, shapes (K+1, n-1), (K+1, n) and (K+1, n-1), and exact
+        zeros elsewhere; :attr:`tridiagonal` returns them as given."""
+        sub, diag, sup = (np.asarray(band, dtype=float) for band in bands)
+        n = diag.shape[-1] if diag.ndim == 2 else 0
+        shapes = (sub.shape, diag.shape, sup.shape)
+        if n < 1 or shapes != ((grid.K + 1, n - 1), (grid.K + 1, n), (grid.K + 1, n - 1)):
+            raise ValueError(f"need the diagonals of {grid.K + 1} square matrices, got {shapes}")
+        path = cls.__new__(cls)
+        path._hold(grid, holder_rho, n, (sub, diag, sup))
+        return path
+
+    def _hold(self, grid: TimeGrid, holder_rho: float, dim: int, bands: tuple | None) -> None:
+        if not 0.0 < holder_rho < 1.0:
+            raise ValueError(f"holder exponent must lie in (0,1), got {holder_rho}")
+        held = {"grid": grid, "holder_rho": holder_rho, "dim": dim, "_bands": bands}
+        for name, value in held.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """A(t_j) for j = 0..K, shape (K+1, n, n); on a band-built path,
+        formed from the bands on first access."""
+        return band_stack(*self._bands)
 
     @cached_property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Views (sub, diag, super) of the three central diagonals of every
-        A(t_j), shapes (K+1, n-1), (K+1, n) and (K+1, n-1), when no matrix
-        has a nonzero entry outside them; None otherwise."""
+        """The (sub, diag, super) diagonals of every A(t_j), shapes
+        (K+1, n-1), (K+1, n) and (K+1, n-1): on a band-built path the bands
+        it was given, on a dense path views of the stack when no matrix has
+        a nonzero entry outside them, None otherwise."""
+        if self._bands is not None:
+            return self._bands
         views = tuple(np.diagonal(self.matrices, k, axis1=1, axis2=2) for k in (-1, 0, 1))
         inside = sum(np.count_nonzero(view) for view in views)
         return views if np.count_nonzero(self.matrices) == inside else None
@@ -339,8 +383,8 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
         # reads none of them at n = 1.
         lower = upper = np.zeros((K, 1))
     for j in np.flatnonzero(redo):
-        rhs = c * path.matrices[j]
-        rhs.reshape(-1)[:: n + 1] += 1.0  # its diagonal
+        # R_j from node j's bands, as the dense c A(t_j) with 1 added on the diagonal.
+        rhs = band_stack(rhs_sub[:, j], rhs_diag[:, j] + 1.0, rhs_sup[:, j])
         *_, solution, info = dgtsv(lower[j], main[j], upper[j], rhs)
         if info > 0:
             raise NumericalError(

@@ -13,11 +13,16 @@ with one implementation, and each slice equals the single-state call bit
 for bit; the solver makes one such call per sweep instead of one per node.
 The ball norm (``check_ball``) takes the same stacks.
 
-Every shipped generator is tridiagonal.  The chemotaxis and
-reaction-diffusion models write only the three central diagonals into a
-zeroed (..., n, n) stack (``_band_stack``); the dense stack contract above
-is unchanged, and the result equals the dense formula bit for bit.  Both
-reject difference matrices that are not tridiagonal.
+Every shipped generator is tridiagonal, and every shipped model also
+exposes the optional ``assemble_bands(u, enforce_ball=True)``: the three
+central diagonals (sub, main, sup) of A(u), shapes (..., n-1), (..., n) and
+(..., n-1).  It is the one implementation of each generator:
+``assemble_A`` writes those diagonals into a zeroed (..., n, n) stack
+(``spatial.band_stack``), so the dense stack contract above is unchanged
+and equals the dense formula bit for bit.  The solver asks a model that
+has ``assemble_bands`` for the diagonals only and never forms the dense
+stack on the stepper's path.  Every shipped model rejects difference or
+generator matrices that are not tridiagonal.
 
 Shipped models:
 
@@ -45,6 +50,7 @@ from .spatial import (
     Grid1D,
     SobolevScale,
     assemble_laplacian,
+    band_stack,
     first_difference,
     first_node,
     helmholtz_solve,
@@ -99,6 +105,12 @@ class QuasilinearModel(Protocol):
     (..., n) and return (..., n, n) and (..., n); every slice must equal the
     single-state call on that slice.  With ``enforce_ball=False``,
     ``assemble_A`` does not evaluate the ball norm.
+
+    A tridiagonal model may also provide ``assemble_bands(u, enforce_ball=True)``
+    returning the (sub, main, sup) diagonals of ``assemble_A(u)``, shapes
+    (..., n-1), (..., n) and (..., n-1), with every entry off them an exact
+    zero.  It is optional and not part of the runtime check: the solver
+    calls it when present and then skips the dense (K+1, n, n) stack.
     """
 
     base: BaseOperator
@@ -135,16 +147,7 @@ def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
 # (k, rows): diagonal k holds the entries (i, i + k) for i in rows.
 _BAND = ((-1, slice(1, None)), (0, slice(None)), (1, slice(-1)))
 
-
-def _band_stack(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Zeroed (..., n, n) stack with the given (..., n-1), (..., n) and
-    (..., n-1) diagonals, written as flat strided views."""
-    n = main.shape[-1]
-    out = np.zeros(main.shape + (n,))
-    flat = out.reshape(main.shape[:-1] + (n * n,))
-    for start, values in ((n, sub), (0, main), (1, sup)):
-        flat[..., start :: n + 1] = values
-    return out
+Bands = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _require_tridiagonal(model: str, name: str, matrix: np.ndarray) -> None:
@@ -227,6 +230,9 @@ class ChemotaxisModel:
         return helmholtz_solve(self.base, u)
 
     def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
+        return band_stack(*self.assemble_bands(u, enforce_ball))
+
+    def assemble_bands(self, u: np.ndarray, enforce_ball: bool = True) -> Bands:
         if enforce_ball:
             check_ball(self, u, enforce=True)
         v = self.signal(u)
@@ -238,7 +244,7 @@ class ChemotaxisModel:
             + drift[..., rows] * np.diagonal(self.diff1, k)
             for k, rows in _BAND
         )
-        return _band_stack(sub, main - self.chi_fn(v) * v, sup)
+        return sub, main - self.chi_fn(v) * v, sup
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return -self.chi_fn(self.signal(u)) * u**2
@@ -350,6 +356,9 @@ class NonlocalRDModel:
         return self.base.grid.spacing * np.matmul(self.functional_weight, u[..., None])
 
     def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
+        return band_stack(*self.assemble_bands(u, enforce_ball))
+
+    def assemble_bands(self, u: np.ndarray, enforce_ball: bool = True) -> Bands:
         if enforce_ball:
             check_ball(self, u, enforce=True)
         grid = self.base.grid
@@ -381,7 +390,7 @@ class NonlocalRDModel:
             ]
         if self.react_fn is not None:
             band[1] += np.asarray(self.react_fn(grid.nodes, s_val))
-        return _band_stack(*band)
+        return tuple(band)
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(u, self.poly_coeffs)
@@ -403,6 +412,9 @@ class LinearTestModel:
     matrix: np.ndarray
     ball_radius: float = float("inf")
 
+    def __post_init__(self):
+        _require_tridiagonal("linear test", "generator", self.matrix)
+
     @classmethod
     def default(cls, grid: Grid1D, coefficient: float = 1.0) -> "LinearTestModel":
         base = assemble_laplacian(grid)
@@ -414,7 +426,12 @@ class LinearTestModel:
         )
 
     def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        return np.broadcast_to(self.matrix, np.shape(u)[:-1] + self.matrix.shape)
+        return band_stack(*self.assemble_bands(u, enforce_ball))
+
+    def assemble_bands(self, u: np.ndarray, enforce_ball: bool = True) -> Bands:
+        lead = np.shape(u)[:-1]
+        bands = (np.diagonal(self.matrix, k) for k, _ in _BAND)
+        return tuple(np.broadcast_to(band, lead + band.shape) for band in bands)
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return np.zeros_like(u)

@@ -23,12 +23,16 @@ tridiagonal elimination over all K nodes at once when every A(u(t_j)) is
 tridiagonal (as for all shipped models; a node that would need row
 interchanges is solved by LAPACK gtsv), one stacked dense LU solve
 otherwise; its recursion is K products of n x n factors with n x (n+1)
-blocks, so a sweep costs O(K n^3) time and O(K n^2) memory.  The kernel
-series (behind a flag) recurs on its K frozen steps exp(h A_j), in
-O(K^2 n^3) time and O(K n^2) memory.  The full propagator tables of either
-method are test oracles (``tests/oracles.py``).  The per-node model work
-(A(u(t_j)), f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked
-model call each per sweep.
+blocks, so a sweep costs O(K n^3) time and O(K n^2) memory.  A model with
+``assemble_bands`` (every shipped model) hands the operator path only the
+three diagonals of each A(u(t_j)), so the stepper never forms the dense
+(K+1, n, n) stack, and the non-finite check reads the diagonals alone.
+The kernel series (behind a flag) recurs on its K frozen steps
+exp(h A_j), formed from the dense stack, in O(K^2 n^3) time and O(K n^2)
+memory.  The full propagator tables of either method are test oracles
+(``tests/oracles.py``).  The per-node model work (A(u(t_j)) or its bands,
+f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked model call
+each per sweep.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -209,17 +213,27 @@ def weighted_distance(u: Trajectory, v: Trajectory, spec: WeightedNormSpec) -> f
 
 
 def operator_path(model, traj: Trajectory, enforce_ball: bool = False) -> OperatorPath:
-    """A(u(t_j)) at every node, from one stacked ``assemble_A`` call."""
+    """A(u(t_j)) at every node, from one stacked model call: the three
+    diagonals from ``assemble_bands`` when the model has it (no dense stack
+    is formed), else the dense stack from ``assemble_A``."""
+    rho = model.exponents.rho
+    assemble_bands = getattr(model, "assemble_bands", None)
+    if assemble_bands is not None:
+        bands = assemble_bands(traj.states, enforce_ball=enforce_ball)
+        return OperatorPath.from_bands(traj.grid, bands, rho)
     mats = model.assemble_A(traj.states, enforce_ball=enforce_ball)
-    return OperatorPath(grid=traj.grid, matrices=mats, holder_rho=model.exponents.rho)
+    return OperatorPath(grid=traj.grid, matrices=mats, holder_rho=rho)
 
 
 def _propagation(model, traj: Trajectory, f_states: np.ndarray, config: RecoveryConfig):
     """The propagation on A(u): the stepper's one-step factors, or the
     kernel series' frozen steps; neither builds a propagator table.  Raises
-    ConvergenceError before the build when A(u) or f(u) is not finite."""
+    ConvergenceError before the build when A(u) or f(u) is not finite; on a
+    tridiagonal path only the bands are read, every other entry being an
+    exact zero."""
     path = operator_path(model, traj)
-    if not (np.all(np.isfinite(path.matrices)) and np.all(np.isfinite(f_states))):
+    entries = path.tridiagonal or (path.matrices,)
+    if not (all(np.all(np.isfinite(e)) for e in entries) and np.all(np.isfinite(f_states))):
         raise ConvergenceError("iteration produced non-finite operator or forcing values")
     if config.method is PropagatorMethod.KERNEL_SERIES:
         return evolution_series(path)

@@ -14,8 +14,8 @@ interpolation scale between the discrete L2 and H2 spaces.
 Everything here is immutable after construction and safe to share between
 threads; all operations are pure functions of their inputs.  Matrices are
 stored dense, although the Laplacian and the first difference are
-tridiagonal (the stepper solves tridiagonal one-step matrices by their
-diagonals); node counts above ``MAX_NODES`` are rejected.
+tridiagonal (``band_stack`` forms a dense stack from three diagonals);
+node counts above ``MAX_NODES`` are rejected.
 
 The per-state operations (Helmholtz solve, fractional norm, matrix
 exponential) take one field (n,) or matrix (n, n), or a stack (..., n) /
@@ -55,6 +55,17 @@ def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     each slice equals the single product bit for bit (a matrix-matrix
     product would sum in another order)."""
     return np.matmul(m, x[..., None])[..., 0]
+
+
+def band_stack(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Zeroed (..., n, n) stack with the given (..., n-1), (..., n) and
+    (..., n-1) diagonals, written as flat strided views."""
+    n = main.shape[-1]
+    out = np.zeros(main.shape + (n,))
+    flat = out.reshape(main.shape[:-1] + (n * n,))
+    for start, values in ((n, sub), (0, main), (1, sup)):
+        flat[..., start :: n + 1] = values
+    return out
 
 
 def first_node(mask: np.ndarray) -> tuple | None:

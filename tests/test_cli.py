@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -32,6 +33,13 @@ from oracles import read_trajectory_csv
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # An iteration ball that fits min(ball_radius, 1) = 1 but not the model ball.
 BALL_OUTSIDE_MODEL = {"solver": ["ball_l = 0.9"], "model": ["ball_radius = 0.8"]}
+# A chemotaxis book given in full whose alpha is not s/2 - 1 and whose gamma is too large.
+BAD_BOOK = {
+    "exponents": [
+        "beta = 0", "alpha = 0.2", "alpha0 = 0.22", "gamma = 0.3",
+        "xi = 0.5625", "mu = 0.45", "rho = 0.05", "ell = 1",
+    ]
+}
 
 def fast_config(tmp_path, **extra):
     """Small, quick experiment config; extra[section] = ["key = value", ...]
@@ -365,6 +373,10 @@ class TestMainExitCodes:
             ("validate", {"grid": ["n = 1"]}, "[grid] n"),
             ("forward", {"grid": ["n = 300"]}, "[grid] n"),
             ("validate", {"grid": ["length = -1"]}, "[grid] length"),
+            ("validate", {"model": ["s = 2.6"]}, "2 < s < 5/2 ([model] s)"),
+            ("validate", {"model": ["kind = reaction_diffusion", "p = 2.5"]}, "([model] p)"),
+            ("validate", BAD_BOOK, "gamma < 1/4 ([exponents])"),
+            ("validate", BAD_BOOK, "alpha = s/2 - 1 ([model] s, [exponents])"),
         ],
     )
     def test_parse_time_rejections_exit_2(self, tmp_path, capsys, verb, extra, named):
@@ -418,6 +430,18 @@ class TestMainExitCodes:
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "[data] path" in err
+
+    def test_header_only_observation_file_one_stderr_line(self, tmp_path, capsys):
+        field = tmp_path / "field.csv"
+        field.write_text("x,value\n")
+        config = tmp_path / "file.ini"
+        config.write_text(fast_config(tmp_path, data=["source = file", f"path = {field}"]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["recover", "--config", str(config), "--quiet"]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "[data] path" in err and "no x,value rows" in err
 
     def test_method_flag_accepted(self, tmp_path):
         config = tmp_path / "ok.ini"

@@ -14,6 +14,7 @@ from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
     TimeGrid,
+    _one_step_factors,
     evolution_series,
     series_peak_bytes,
     step_factors,
@@ -530,6 +531,82 @@ class TestBatchedTridiagonalFactors:
         bad = with_node(with_node(path, 6, middle, c), 3, last, c)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 3 "):
             step_factors(bad)
+
+
+def banded(path):
+    """The band-built twin of a tridiagonal dense path."""
+    bands = tuple(band.copy() for band in path.tridiagonal)
+    return OperatorPath.from_bands(path.grid, bands, path.holder_rho)
+
+
+def model_paths(model, K=12, T=0.5):
+    """(dense, band-built) paths of one model along the same smooth trajectory."""
+    grid = TimeGrid(T=T, K=K)
+    x, t = model.base.grid.nodes, grid.nodes[:, None]
+    states = 0.2 * np.cos(np.pi * x) * np.exp(-t) + 0.1 * np.sin(np.pi * x) * np.sin(t)
+    dense = OperatorPath(grid=grid, matrices=model.assemble_A(states), holder_rho=0.9)
+    return dense, OperatorPath.from_bands(grid, model.assemble_bands(states), 0.9)
+
+
+class TestBandBuiltPath:
+    """A path built from bands holds them as given, forms its dense stack
+    only when read, and gives the dense-built path's factors bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_model_bands_equal_dense_path(self, model, n):
+        dense, band = model_paths(MODELS[model](n))
+        factors = _one_step_factors(band)
+        assert "matrices" not in vars(band)
+        assert np.array_equal(factors, _one_step_factors(dense))
+        for got, expected in zip(band.tridiagonal, dense.tridiagonal):
+            assert np.array_equal(got, expected)
+        assert band.dim == dense.dim == n
+        assert np.array_equal(band.matrices, dense.matrices)
+
+    def test_bands_held_as_given(self):
+        bands = MODELS["chemotaxis"](6).assemble_bands(np.zeros((13, 6)))
+        path = OperatorPath.from_bands(TimeGrid(T=0.5, K=12), bands, 0.9)
+        assert all(got is given for got, given in zip(path.tridiagonal, bands))
+        assert path.dim == 6 and "matrices" not in vars(path)
+
+    def test_pivoting_nodes(self, monkeypatch):
+        dense = tridiagonal_path()
+        band = banded(dense)
+        expected = _one_step_factors(dense)
+        assert np.array_equal(expected, gtsv_factors(dense))
+        calls = counted_gtsv(monkeypatch)
+        assert np.array_equal(_one_step_factors(band), expected)
+        assert len(calls) == band.grid.K
+        assert "matrices" not in vars(band)
+
+    def test_singular_node_named(self):
+        path = constant_path(-np.eye(3), K=8, T=1.0)
+        target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        band = banded(with_node(path, 5, target, 0.5 * path.grid.h))
+        with pytest.raises(NumericalError, match="node 5: zero pivot in row 2 "):
+            _one_step_factors(band)
+
+    @pytest.mark.parametrize("node", [1, 4])
+    def test_scalar_singular_node_named(self, node):
+        grid = TimeGrid(T=0.5, K=4)
+        diag = -np.ones((5, 1))
+        diag[node] = 1.0 / (0.5 * grid.h)
+        band = OperatorPath.from_bands(grid, (np.empty((5, 0)), diag, np.empty((5, 0))), 0.5)
+        with pytest.raises(NumericalError, match=f"node {node}: zero pivot in row 1 "):
+            _one_step_factors(band)
+
+    @pytest.mark.parametrize(
+        "shapes", [((13, 5), (13, 6), (13, 6)), ((12, 5), (12, 6), (12, 5)), ((13,), (13,), (13,))]
+    )
+    def test_band_shapes_checked(self, shapes):
+        with pytest.raises(ValueError, match="diagonals of 13 square matrices"):
+            OperatorPath.from_bands(TimeGrid(T=0.5, K=12), tuple(map(np.zeros, shapes)), 0.5)
+
+    def test_holder_exponent_checked(self):
+        dense = tridiagonal_path()
+        with pytest.raises(ValueError, match="holder exponent"):
+            OperatorPath.from_bands(dense.grid, dense.tridiagonal, 1.0)
 
 
 SWEEPS = {

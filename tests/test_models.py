@@ -15,7 +15,7 @@ from avgrec.models import (
     rd_exponents,
     validate_exponents,
 )
-from avgrec.spatial import BoundaryKind, build_grid, sobolev_norm
+from avgrec.spatial import BoundaryKind, band_stack, build_grid, sobolev_norm
 
 from oracles import ShiftedModel, equilibrium_shift, growth_estimate_probe
 
@@ -386,3 +386,42 @@ class TestLinearTestModel:
         np.testing.assert_array_equal(model.assemble_A(u), 0.7 * model.base.matrix)
         assert np.array_equal(model.evaluate_f(u), np.zeros(8))
         assert validate_exponents(model).all_passed
+
+
+BAND_MODELS = {
+    "chemotaxis": lambda: ChemotaxisModel.default(
+        build_grid(12, 1.0, BoundaryKind.NEUMANN), delta=0.5
+    ),
+    "rd_neumann": lambda: NonlocalRDModel.default(build_grid(12, 1.0, BoundaryKind.NEUMANN)),
+    "rd_dirichlet_drift_react": lambda: replace(
+        NonlocalRDModel.default(build_grid(12, 1.0, BoundaryKind.DIRICHLET)),
+        drift_fn=lambda x, s: 0.3 * s * np.cos(np.pi * x),
+        react_fn=lambda x, s: -0.5 * s**2 + 0.2 * x,
+    ),
+    "linear": lambda: LinearTestModel.default(build_grid(12, 1.0, BoundaryKind.NEUMANN), 0.7),
+}
+
+
+class TestAssembleBands:
+    """``assemble_bands`` is each generator's one implementation:
+    ``assemble_A`` is its band stack bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["state", "stack"])
+    @pytest.mark.parametrize("name", sorted(BAND_MODELS))
+    def test_dense_stack_is_the_band_stack(self, name, lead):
+        model = BAND_MODELS[name]()
+        states = 0.3 * np.random.default_rng(12).standard_normal(lead + (12,))
+        sub, main, sup = model.assemble_bands(states, enforce_ball=False)
+        assert (sub.shape, main.shape, sup.shape) == (lead + (11,), lead + (12,), lead + (11,))
+        dense = model.assemble_A(states, enforce_ball=False)
+        assert np.array_equal(dense, band_stack(sub, main, sup))
+
+    def test_bands_enforce_the_ball(self, chemo):
+        with pytest.raises(BallViolationError):
+            chemo.assemble_bands(np.full(16, 10.0))
+        assert chemo.assemble_bands(np.full(16, 10.0), enforce_ball=False)[1].shape == (16,)
+
+    def test_non_tridiagonal_linear_generator_rejected(self):
+        model = LinearTestModel.default(build_grid(6, 1.0, BoundaryKind.NEUMANN))
+        with pytest.raises(ConfigurationError, match="tridiagonal"):
+            replace(model, matrix=np.ones((6, 6)))

@@ -466,7 +466,8 @@ class TestOneBuildPerIteration:
 
 
 class NonFiniteModel:
-    """A model whose A(u) or f(u) is made non-finite at one node."""
+    """A model whose A(u) or f(u) is made non-finite at one node, in its
+    dense stack and in its bands alike."""
 
     def __init__(self, model, part, node=3):
         self.model, self.part, self.node = model, part, node
@@ -481,12 +482,85 @@ class NonFiniteModel:
             mats[self.node, 0, 0] = np.inf
         return mats
 
+    def assemble_bands(self, u, enforce_ball=True):
+        sub, main, sup = self.model.assemble_bands(u, enforce_ball=enforce_ball)
+        if self.part == "A":
+            main = main.copy()
+            main[self.node, 0] = np.inf
+        return sub, main, sup
+
     def evaluate_f(self, u):
         f_states = self.model.evaluate_f(u)
         if self.part == "f":
             f_states = f_states.copy()
             f_states[self.node, 0] = np.nan
         return f_states
+
+
+class DenseOnlyModel:
+    """A model seen without its ``assemble_bands``: the solver takes its
+    dense ``assemble_A`` stack."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        if name == "assemble_bands":
+            raise AttributeError(name)
+        return getattr(self.model, name)
+
+
+class TestBandPath:
+    """The solver builds its operator path from the model's bands, and the
+    stepper then never forms a dense (K+1, n, n) stack."""
+
+    @staticmethod
+    def problem(model, K=32):
+        grid_t = TimeGrid(T=0.5, K=K)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        truth = forward_solve(model, 1e-2 * np.cos(np.pi * model.base.grid.nodes), grid_t)
+        return cond, observe(cond, truth.states)
+
+    def test_stepper_recovery_forms_no_dense_stack(self, small_chemo, monkeypatch):
+        import avgrec.models
+        import avgrec.solver
+
+        cond, M = self.problem(small_chemo)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the model formed a dense operator stack")
+
+        paths = []
+
+        def recorded(*args, **kwargs):
+            paths.append(operator_path(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(avgrec.models, "band_stack", forbidden)
+        monkeypatch.setattr(avgrec.solver, "operator_path", recorded)
+        _, _, report = fixed_point_recover(small_chemo, cond, M)
+        assert report.converged
+        assert len(paths) == report.iterates
+        assert not any("matrices" in vars(path) for path in paths)
+
+    @pytest.mark.parametrize("method", list(PropagatorMethod))
+    def test_band_and_dense_paths_recover_identically(self, small_chemo, method):
+        cond, M = self.problem(small_chemo)
+        config = RecoveryConfig(method=method)
+        u0, traj, report = fixed_point_recover(small_chemo, cond, M, config)
+        dense_u0, dense_traj, dense_report = fixed_point_recover(
+            DenseOnlyModel(small_chemo), cond, M, config
+        )
+        assert np.array_equal(u0, dense_u0)
+        assert np.array_equal(traj.states, dense_traj.states)
+        assert report.to_dict() == dense_report.to_dict()
+
+    def test_model_without_bands_gives_a_dense_path(self, small_chemo):
+        traj = Trajectory(TimeGrid(T=0.5, K=8), 1e-2 * RNG.standard_normal((9, 16)))
+        dense = operator_path(DenseOnlyModel(small_chemo), traj)
+        band = operator_path(small_chemo, traj)
+        assert "matrices" in vars(dense) and "matrices" not in vars(band)
+        assert np.array_equal(dense.matrices, band.matrices)
 
 
 class TestNonFiniteIterate:

@@ -8,6 +8,7 @@ from avgrec.spatial import (
     BoundaryKind,
     SobolevScale,
     assemble_laplacian,
+    band_stack,
     build_grid,
     first_difference,
     helmholtz_solve,
@@ -99,6 +100,18 @@ class TestFirstDifference:
         d = first_difference(grid)
         deriv = d @ grid.nodes
         np.testing.assert_allclose(deriv[1:-1], 1.0, rtol=1e-12)
+
+
+class TestBandStack:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_diagonals_placed_on_a_zeroed_stack(self, n):
+        sub, main, sup = (RNG.standard_normal((3, m)) for m in (n - 1, n, n - 1))
+        out = band_stack(sub, main, sup)
+        assert out.shape == (3, n, n)
+        for j in range(3):
+            expected = np.diag(main[j]) + np.diag(sub[j], -1) + np.diag(sup[j], 1)
+            assert np.array_equal(out[j], expected)
+            assert np.array_equal(band_stack(sub[j], main[j], sup[j]), expected)
 
 
 class TestHelmholtz:
