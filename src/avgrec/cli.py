@@ -259,13 +259,17 @@ _BOOK_SYMBOLS = frozenset(f.name for f in fields(ExponentBook))
 def _constraint_keys(cfg: ExperimentConfig, constraint: str) -> str:
     """The config keys behind one exponent constraint, read off the symbols
     it names: the model's order (``[model] s`` or ``[model] p``) when the
-    constraint names it or the book is derived from it, and ``[exponents]``
-    when it names an exponent of a book given there."""
+    constraint names it or the book is derived from it, ``[model] f_poly``
+    when it names ell of a derived reaction-diffusion book (ell is the
+    polynomial's degree less one), and ``[exponents]`` when it names an
+    exponent of a book given there."""
     symbols = set(re.findall(r"[a-z]\w*", constraint))
     order = _BOOK_ORDER.get(cfg.model_kind)
     keys = []
     if order is not None and (cfg.exponents is None or order in symbols):
         keys.append(f"[model] {order}")
+    if cfg.model_kind == "reaction_diffusion" and cfg.exponents is None and "ell" in symbols:
+        keys.append("[model] f_poly")
     if cfg.exponents is not None and symbols & _BOOK_SYMBOLS:
         keys.append("[exponents]")
     return ", ".join(keys)

@@ -18,22 +18,20 @@ trapezoid Duhamel sums G_i; the last of them, G_K, is also the terminal
 forcing.  Both constructions serve them from one forward recursion of left
 sums on the widened right-hand side [I | h f] (:meth:`_Sweep.sweep`,
 returning :class:`SweepValues`), in O(K n^2) memory: the stepper from its K
-one-step factors S_j (:class:`StepFactors`: O(K n^2) for the factors of a
-tridiagonal path, one Gaussian elimination over all K nodes at once with
-LAPACK gtsv for the nodes it would pivot, O(K n^3) through one stacked dense
-LU otherwise, and one K-step loop of (n, n) x (n, n+1) products,
-O(K n^3)), the kernel series from its K frozen steps exp(h A_j)
+one-step factors S_j (:class:`StepFactors`: O(K n^2) for the factors, one
+Gaussian elimination on the bands over all K nodes at once with LAPACK gtsv
+for the nodes it would pivot, and one K-step loop of (n, n) x (n, n+1)
+products, O(K n^3)), the kernel series from its K frozen steps exp(h A_j)
 (:class:`SeriesSweep`, O(K^2 n^3), forming each difference A_m - A_l once),
 neither forming a table.  The full lower-triangular tables of both
 constructions, O(K^2 n^2) memory, are test oracles (``tests/oracles.py``)
 and serve the same ``sweep`` entry from their rows.
 
-An :class:`OperatorPath` holds either the dense (K+1, n, n) stack of the
-A(t_j) or, built by :meth:`OperatorPath.from_bands` from a tridiagonal
-model's ``assemble_bands``, their three diagonals.  The stepper's
-elimination reads only the diagonals, so on a band-built path no dense
-stack is formed; the kernel series and the dense LU form it from the
-bands on first access.
+An :class:`OperatorPath` holds the three central diagonals of every
+A(t_j), as a model's ``assemble_bands`` returns them: every generator in
+the package is tridiagonal.  The stepper's elimination reads only the
+diagonals; the kernel series forms the dense (K+1, n, n) stack from them on
+first access.
 
 The kernel k carries an integrable (t-s)^(rho-1) singularity when A is only
 rho-Hoelder in time.  Discrete convolutions therefore use a product rule:
@@ -45,7 +43,7 @@ Sweeps are immutable once built and safe to reuse across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -82,72 +80,41 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.K + 1)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class OperatorPath:
-    """Time-indexed family of generator matrices A(t_j) with declared
-    Hoelder exponent; the seminorm itself is not computed here.
+    """Time-indexed family of tridiagonal generator matrices A(t_j), held as
+    their three central diagonals, with declared Hoelder exponent; the
+    seminorm itself is not computed here.
 
-    A path is built from the dense (K+1, n, n) stack,
-    ``OperatorPath(grid=..., matrices=..., holder_rho=...)``, or from the
-    three central diagonals of a tridiagonal family
-    (:meth:`from_bands`).  Each form holds what it was given and derives
-    the other on first access only: a band-built path forms ``matrices``
-    when the series, the dense factors or a test read it, never on the
-    stepper's path.
+    ``bands`` are the (sub, diag, super) diagonals of every A(t_j), shapes
+    (K+1, n-1), (K+1, n) and (K+1, n-1), as a model's ``assemble_bands``
+    returns them; every entry off them is an exact zero.
     """
 
     grid: TimeGrid
+    bands: tuple[np.ndarray, np.ndarray, np.ndarray]
     holder_rho: float
-    dim: int
-    _bands: tuple | None = field(repr=False)  # as given to from_bands
 
-    def __init__(self, grid: TimeGrid, matrices: np.ndarray, holder_rho: float):
-        m = np.asarray(matrices, dtype=float)
-        if m.ndim != 3 or m.shape[0] != grid.K + 1 or m.shape[1] != m.shape[2]:
-            raise ValueError(f"need {grid.K + 1} square matrices, got shape {m.shape}")
-        self._hold(grid, holder_rho, m.shape[1], None)
-        object.__setattr__(self, "matrices", m)
-
-    @classmethod
-    def from_bands(
-        cls, grid: TimeGrid, bands: tuple[np.ndarray, np.ndarray, np.ndarray], holder_rho: float
-    ) -> "OperatorPath":
-        """The path whose A(t_j) has the (sub, diag, super) diagonals
-        ``bands``, shapes (K+1, n-1), (K+1, n) and (K+1, n-1), and exact
-        zeros elsewhere; :attr:`tridiagonal` returns them as given."""
-        sub, diag, sup = (np.asarray(band, dtype=float) for band in bands)
+    def __post_init__(self):
+        sub, diag, sup = (np.asarray(band, dtype=float) for band in self.bands)
         n = diag.shape[-1] if diag.ndim == 2 else 0
+        K = self.grid.K
         shapes = (sub.shape, diag.shape, sup.shape)
-        if n < 1 or shapes != ((grid.K + 1, n - 1), (grid.K + 1, n), (grid.K + 1, n - 1)):
-            raise ValueError(f"need the diagonals of {grid.K + 1} square matrices, got {shapes}")
-        path = cls.__new__(cls)
-        path._hold(grid, holder_rho, n, (sub, diag, sup))
-        return path
+        if n < 1 or shapes != ((K + 1, n - 1), (K + 1, n), (K + 1, n - 1)):
+            raise ValueError(f"need the diagonals of {K + 1} square matrices, got {shapes}")
+        if not 0.0 < self.holder_rho < 1.0:
+            raise ValueError(f"holder exponent must lie in (0,1), got {self.holder_rho}")
+        object.__setattr__(self, "bands", (sub, diag, sup))
 
-    def _hold(self, grid: TimeGrid, holder_rho: float, dim: int, bands: tuple | None) -> None:
-        if not 0.0 < holder_rho < 1.0:
-            raise ValueError(f"holder exponent must lie in (0,1), got {holder_rho}")
-        held = {"grid": grid, "holder_rho": holder_rho, "dim": dim, "_bands": bands}
-        for name, value in held.items():
-            object.__setattr__(self, name, value)
+    @property
+    def dim(self) -> int:
+        return self.bands[1].shape[1]
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        """A(t_j) for j = 0..K, shape (K+1, n, n); on a band-built path,
-        formed from the bands on first access."""
-        return band_stack(*self._bands)
-
-    @cached_property
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The (sub, diag, super) diagonals of every A(t_j), shapes
-        (K+1, n-1), (K+1, n) and (K+1, n-1): on a band-built path the bands
-        it was given, on a dense path views of the stack when no matrix has
-        a nonzero entry outside them, None otherwise."""
-        if self._bands is not None:
-            return self._bands
-        views = tuple(np.diagonal(self.matrices, k, axis1=1, axis2=2) for k in (-1, 0, 1))
-        inside = sum(np.count_nonzero(view) for view in views)
-        return views if np.count_nonzero(self.matrices) == inside else None
+        """A(t_j) for j = 0..K, shape (K+1, n, n), formed from the bands on
+        first access: the kernel series reads it, the stepper does not."""
+        return band_stack(*self.bands)
 
 
 class PropagatorMethod(Enum):
@@ -325,20 +292,16 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
     """Crank-Nicolson steps S_j for j = 0..K-1, shape (K, n, n), from
     (I - c A(t_{j+1})) S_j = R_j with c = h/2 and R_j = I + c A(t_j).
 
-    On a tridiagonal path (:attr:`OperatorPath.tridiagonal`) one Gaussian
-    elimination solves all K nodes at once, O(K n^2): the right-hand sides
-    are an (n, K, n) stack of rows written straight from the bands, so each
-    step is one contiguous (K, n) operation, in the order of LAPACK gtsv
-    without row interchanges.  Nodes that gtsv would pivot (known from the
-    pivots, which are eliminated first) or that turn non-finite (a zero
-    pivot) are solved by gtsv itself, in ascending order: the factors, a
-    transposed view of the stack, equal a per-node gtsv solve bit for bit,
-    and the first singular node is named.  Any other path takes the
-    stacked dense LU of :func:`_dense_factors`, O(K n^3).
+    One Gaussian elimination on the path's bands solves all K nodes at
+    once, O(K n^2): the right-hand sides are an (n, K, n) stack of rows
+    written straight from the bands, so each step is one contiguous (K, n)
+    operation, in the order of LAPACK gtsv without row interchanges.  Nodes
+    that gtsv would pivot (known from the pivots, which are eliminated
+    first) or that turn non-finite (a zero pivot) are solved by gtsv itself,
+    in ascending order: the factors, a transposed view of the stack, equal a
+    per-node gtsv solve bit for bit, and the first singular node is named.
     """
-    bands = path.tridiagonal
-    if bands is None:
-        return _dense_factors(path)
+    bands = path.bands
     K, n = path.grid.K, path.dim
     c = 0.5 * path.grid.h
     sub, diag, sup = (band[1:] for band in bands)
@@ -395,36 +358,15 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
     return factors
 
 
-def _dense_factors(path: OperatorPath) -> np.ndarray:
-    """The one-step factors of :func:`_one_step_factors` on any path, from
-    one stacked dense LU solve."""
-    h = path.grid.h
-    eye = np.eye(path.dim)
-    lhs = eye - 0.5 * h * path.matrices[1:]
-    rhs = eye + 0.5 * h * path.matrices[:-1]
-    try:
-        return np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        # The stacked solve does not say which matrix failed; find the first.
-        for j, matrix in enumerate(lhs):
-            try:
-                np.linalg.solve(matrix, eye)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular one-step matrix at node {j + 1}: {exc}") from exc
-        raise
-
-
 def stepper_peak_bytes(n: int, K: int) -> int:
     """Estimated peak memory of a stepper sweep (:func:`step_factors`, then
-    :meth:`StepFactors.sweep`) on a tridiagonal path in bytes: two stacks of
-    K+1 float64 n x (n+2) blocks.
+    :meth:`StepFactors.sweep`) in bytes: two stacks of K+1 float64
+    n x (n+2) blocks.
 
     The sweep holds the K factors, the K+1 left-sum blocks of width n+1
     and, while it forms the Duhamel sums, a few (K+1, n) forcing and sum
-    arrays, which the two extra columns cover.  Every shipped model is
-    tridiagonal.  The dense LU of other paths holds its left- and
-    right-hand sides next to the solution; traces of the factors alone at
-    n = 16 peak at 2.6 to 3.9 stacks of n x n blocks.
+    arrays, which the two extra columns cover.  The path's bands, O(K n),
+    are not counted.
     """
     return 2 * 8 * (K + 1) * n * (n + 2)
 

@@ -1,28 +1,22 @@
 """Concrete quasilinear problem definitions.
 
-Every model exposes the same surface: ``assemble_A(u)`` produces the dense
-generator matrix of the linearized evolution at state u, ``evaluate_f(u)``
-the semilinear forcing, plus a base operator, an exponent book, and an
-admissible ball radius measured in the low-order spectral norm.  Models are
-immutable; both methods are pure and reentrant.
+Every model exposes the same surface: ``assemble_bands(u)`` produces the
+three central diagonals (sub, main, sup) of the generator A(u) of the
+linearized evolution at state u, ``evaluate_f(u)`` the semilinear forcing,
+plus a base operator, an exponent book, and an admissible ball radius
+measured in the low-order spectral norm.  Models are immutable; both
+methods are pure and reentrant.
 
-Both methods take one state u of shape (n,) or a stack of states (..., n),
-one per time node, and return one result per state: ``assemble_A`` a
-(..., n, n) stack, ``evaluate_f`` a (..., n) stack.  A stack is one call
-with one implementation, and each slice equals the single-state call bit
-for bit; the solver makes one such call per sweep instead of one per node.
-The ball norm (``check_ball``) takes the same stacks.
-
-Every shipped generator is tridiagonal, and every shipped model also
-exposes the optional ``assemble_bands(u, enforce_ball=True)``: the three
-central diagonals (sub, main, sup) of A(u), shapes (..., n-1), (..., n) and
-(..., n-1).  It is the one implementation of each generator:
-``assemble_A`` writes those diagonals into a zeroed (..., n, n) stack
-(``spatial.band_stack``), so the dense stack contract above is unchanged
-and equals the dense formula bit for bit.  The solver asks a model that
-has ``assemble_bands`` for the diagonals only and never forms the dense
-stack on the stepper's path.  Every shipped model rejects difference or
-generator matrices that are not tridiagonal.
+Every generator is a 1-D second-order difference operator, so A(u) is
+tridiagonal, and the diagonals are its one form: every shipped model
+rejects difference or generator matrices that are not tridiagonal.  Both
+methods take one state u of shape (n,) or a stack of states (..., n), one
+per time node, and return one result per state: ``assemble_bands`` three
+stacks of shapes (..., n-1), (..., n) and (..., n-1), ``evaluate_f`` a
+(..., n) stack.  A stack is one call with one implementation, and each
+slice equals the single-state call bit for bit; the solver makes one such
+call per sweep instead of one per node.  Neither method evaluates the ball
+norm; ``check_ball`` is the one ball check, and takes the same stacks.
 
 Shipped models:
 
@@ -50,7 +44,6 @@ from .spatial import (
     Grid1D,
     SobolevScale,
     assemble_laplacian,
-    band_stack,
     first_difference,
     first_node,
     helmholtz_solve,
@@ -97,20 +90,18 @@ class ExponentBook:
         return all(ok for _, ok in self.checks())
 
 
+Bands = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @runtime_checkable
 class QuasilinearModel(Protocol):
     """Interface every shipped model implements.
 
-    ``assemble_A`` and ``evaluate_f`` accept one state (n,) or a stack
-    (..., n) and return (..., n, n) and (..., n); every slice must equal the
-    single-state call on that slice.  With ``enforce_ball=False``,
-    ``assemble_A`` does not evaluate the ball norm.
-
-    A tridiagonal model may also provide ``assemble_bands(u, enforce_ball=True)``
-    returning the (sub, main, sup) diagonals of ``assemble_A(u)``, shapes
-    (..., n-1), (..., n) and (..., n-1), with every entry off them an exact
-    zero.  It is optional and not part of the runtime check: the solver
-    calls it when present and then skips the dense (K+1, n, n) stack.
+    ``assemble_bands`` and ``evaluate_f`` accept one state (n,) or a stack
+    (..., n).  ``assemble_bands`` returns the (sub, main, sup) diagonals of
+    A(u), shapes (..., n-1), (..., n) and (..., n-1), with every entry off
+    them an exact zero; ``evaluate_f`` returns (..., n).  Every slice must
+    equal the single-state call on that slice.
     """
 
     base: BaseOperator
@@ -118,7 +109,7 @@ class QuasilinearModel(Protocol):
     exponents: ExponentBook
     ball_radius: float
 
-    def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray: ...
+    def assemble_bands(self, u: np.ndarray) -> Bands: ...
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray: ...
 
@@ -146,8 +137,6 @@ def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
 
 # (k, rows): diagonal k holds the entries (i, i + k) for i in rows.
 _BAND = ((-1, slice(1, None)), (0, slice(None)), (1, slice(-1)))
-
-Bands = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _require_tridiagonal(model: str, name: str, matrix: np.ndarray) -> None:
@@ -229,12 +218,7 @@ class ChemotaxisModel:
     def signal(self, u: np.ndarray) -> np.ndarray:
         return helmholtz_solve(self.base, u)
 
-    def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        return band_stack(*self.assemble_bands(u, enforce_ball))
-
-    def assemble_bands(self, u: np.ndarray, enforce_ball: bool = True) -> Bands:
-        if enforce_ball:
-            check_ball(self, u, enforce=True)
+    def assemble_bands(self, u: np.ndarray) -> Bands:
         v = self.signal(u)
         diffusion = self.a_fn(v)
         drift = self.drift_coeff_fn(v) * matvec(self.diff1, v)
@@ -355,12 +339,7 @@ class NonlocalRDModel:
             return values.reshape(u.shape[:-1] + (1,))
         return self.base.grid.spacing * np.matmul(self.functional_weight, u[..., None])
 
-    def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        return band_stack(*self.assemble_bands(u, enforce_ball))
-
-    def assemble_bands(self, u: np.ndarray, enforce_ball: bool = True) -> Bands:
-        if enforce_ball:
-            check_ball(self, u, enforce=True)
+    def assemble_bands(self, u: np.ndarray) -> Bands:
         grid = self.base.grid
         h2 = grid.spacing * grid.spacing
         s_val = self.functional_value(u)
@@ -425,10 +404,7 @@ class LinearTestModel:
             matrix=coefficient * base.matrix,
         )
 
-    def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        return band_stack(*self.assemble_bands(u, enforce_ball))
-
-    def assemble_bands(self, u: np.ndarray, enforce_ball: bool = True) -> Bands:
+    def assemble_bands(self, u: np.ndarray) -> Bands:
         lead = np.shape(u)[:-1]
         bands = (np.diagonal(self.matrix, k) for k, _ in _BAND)
         return tuple(np.broadcast_to(band, lead + band.shape) for band in bands)

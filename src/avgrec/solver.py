@@ -18,19 +18,17 @@ sigma_min sits at or below 1e-10 times its spectral norm.  The recovered
 initial state is the Xi the last sweep solved for (u_final(0) bit for
 bit), so a recovery that converges in k iterations builds k propagations.
 
+The operator path is the three diagonals of every A(u(t_j)), from one
+stacked ``assemble_bands`` call; the non-finite check reads them alone.
 The default propagation is the K one-step Crank-Nicolson factors, one
-tridiagonal elimination over all K nodes at once when every A(u(t_j)) is
-tridiagonal (as for all shipped models; a node that would need row
-interchanges is solved by LAPACK gtsv), one stacked dense LU solve
-otherwise; its recursion is K products of n x n factors with n x (n+1)
-blocks, so a sweep costs O(K n^3) time and O(K n^2) memory.  A model with
-``assemble_bands`` (every shipped model) hands the operator path only the
-three diagonals of each A(u(t_j)), so the stepper never forms the dense
-(K+1, n, n) stack, and the non-finite check reads the diagonals alone.
-The kernel series (behind a flag) recurs on its K frozen steps
-exp(h A_j), formed from the dense stack, in O(K^2 n^3) time and O(K n^2)
-memory.  The full propagator tables of either method are test oracles
-(``tests/oracles.py``).  The per-node model work (A(u(t_j)) or its bands,
+tridiagonal elimination over all K nodes at once (a node that would need
+row interchanges is solved by LAPACK gtsv); its recursion is K products of
+n x n factors with n x (n+1) blocks, so a sweep costs O(K n^3) time and
+O(K n^2) memory, and the dense (K+1, n, n) stack is never formed.  The
+kernel series (behind a flag) recurs on its K frozen steps exp(h A_j),
+formed from the dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The
+full propagator tables of either method are test oracles
+(``tests/oracles.py``).  The per-node model work (the bands of A(u(t_j)),
 f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked model call
 each per sweep.
 
@@ -40,8 +38,9 @@ Distances between iterates are measured in the time-weighted norm
       +  max_pairs |u(t_i) - u(t_j)|_beta / (t_i - t_j)^rho ,
 
 with the Hoelder quotient taken over adjacent and dyadic node pairs.  The
-forward IMEX solver provides manufactured data and the self-convergence
-error that recovery accuracy is measured against.
+forward IMEX solver, one tridiagonal gtsv solve per step, provides
+manufactured data and the self-convergence error that recovery accuracy is
+measured against.
 
 Recovery runs are sequential in their iteration loop; scans and probes run
 independent configurations and share nothing mutable.
@@ -52,6 +51,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .averaging import (
     AveragingCondition,
@@ -189,51 +189,40 @@ def weighted_distance(u: Trajectory, v: Trajectory, spec: WeightedNormSpec) -> f
         raise ValueError("trajectories live on different time grids")
     diff = u.states - v.states
     base = spec.scale.base
-    coeffs = diff @ base.eigenvectors  # (K+1, n) modal coefficients
     spacing = base.grid.spacing
     factors = spec.scale.shift - base.eigenvalues
 
-    def norms(order: float) -> np.ndarray:
+    def norms(coeffs: np.ndarray, order: float) -> np.ndarray:
+        """Spectral norms of the order, one per row of modal coefficients."""
         return np.sqrt((factors**order * coeffs**2).sum(axis=1) * spacing)
 
+    coeffs = diff @ base.eigenvectors  # (K+1, n) modal coefficients
     nodes = u.grid.nodes
-    xi_part = float(np.max(nodes[1:] ** spec.mu * norms(spec.order_xi)[1:]))
-    beta = norms(spec.order_beta)
-    sup_part = float(beta.max())
+    xi_part = float(np.max(nodes[1:] ** spec.mu * norms(coeffs, spec.order_xi)[1:]))
+    sup_part = float(norms(coeffs, spec.order_beta).max())
     holder = 0.0
     K = u.grid.K
     gap = 1
     while gap <= K:
-        seg = diff[gap:] - diff[:-gap]
-        seg_coeffs = seg @ base.eigenvectors
-        seg_norms = np.sqrt((factors**spec.order_beta * seg_coeffs**2).sum(axis=1) * spacing)
+        seg_norms = norms((diff[gap:] - diff[:-gap]) @ base.eigenvectors, spec.order_beta)
         holder = max(holder, float(seg_norms.max()) / (gap * u.grid.h) ** spec.rho)
         gap *= 2
     return xi_part + sup_part + holder
 
 
-def operator_path(model, traj: Trajectory, enforce_ball: bool = False) -> OperatorPath:
-    """A(u(t_j)) at every node, from one stacked model call: the three
-    diagonals from ``assemble_bands`` when the model has it (no dense stack
-    is formed), else the dense stack from ``assemble_A``."""
-    rho = model.exponents.rho
-    assemble_bands = getattr(model, "assemble_bands", None)
-    if assemble_bands is not None:
-        bands = assemble_bands(traj.states, enforce_ball=enforce_ball)
-        return OperatorPath.from_bands(traj.grid, bands, rho)
-    mats = model.assemble_A(traj.states, enforce_ball=enforce_ball)
-    return OperatorPath(grid=traj.grid, matrices=mats, holder_rho=rho)
+def operator_path(model, traj: Trajectory) -> OperatorPath:
+    """A(u(t_j)) at every node as its three diagonals, from one stacked
+    ``assemble_bands`` call."""
+    return OperatorPath(traj.grid, model.assemble_bands(traj.states), model.exponents.rho)
 
 
 def _propagation(model, traj: Trajectory, f_states: np.ndarray, config: RecoveryConfig):
     """The propagation on A(u): the stepper's one-step factors, or the
     kernel series' frozen steps; neither builds a propagator table.  Raises
-    ConvergenceError before the build when A(u) or f(u) is not finite; on a
-    tridiagonal path only the bands are read, every other entry being an
-    exact zero."""
+    ConvergenceError before the build when A(u) or f(u) is not finite; only
+    the bands are read, every other entry being an exact zero."""
     path = operator_path(model, traj)
-    entries = path.tridiagonal or (path.matrices,)
-    if not (all(np.all(np.isfinite(e)) for e in entries) and np.all(np.isfinite(f_states))):
+    if not (all(np.all(np.isfinite(b)) for b in path.bands) and np.all(np.isfinite(f_states))):
         raise ConvergenceError("iteration produced non-finite operator or forcing values")
     if config.method is PropagatorMethod.KERNEL_SERIES:
         return evolution_series(path)
@@ -349,22 +338,25 @@ def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Semi-implicit IMEX march u_{j+1} = (I - h A(u_j))^{-1} (u_j + h f(u_j)).
 
     First order with lagged coefficients; the manufactured-data generator and
-    the yardstick that recovery errors are compared against.
+    the yardstick that recovery errors are compared against.  Each step is
+    one LAPACK gtsv solve on the bands of I - h A(u_j), O(n).
     """
     u0 = np.asarray(u0, dtype=float)
     n = u0.shape[0]
     check_ball(model, u0, enforce=True)
     states = np.empty((grid.K + 1, n))
     states[0] = u0
-    eye = np.eye(n)
     h = grid.h
     for j in range(grid.K):
-        a_mat = model.assemble_A(states[j], enforce_ball=False)
+        sub, main, sup = model.assemble_bands(states[j])
         rhs = states[j] + h * model.evaluate_f(states[j])
-        try:
-            states[j + 1] = np.linalg.solve(eye - h * a_mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"singular implicit matrix at step {j}: {exc}") from exc
+        # I - h A(u_j) on its diagonals: 1 - h a on the main one, -(h a) off it.
+        *_, states[j + 1], info = dgtsv(-(h * sub), 1.0 - h * main, -(h * sup), rhs)
+        if info > 0:
+            raise NumericalError(
+                f"singular implicit matrix at step {j}: zero pivot in row {info} "
+                "of the tridiagonal solve"
+            )
         check_ball(model, states[j + 1], enforce=True)
     return Trajectory(grid=grid, states=states)
 

@@ -12,10 +12,11 @@ self-adjoint base operator these norms coincide with the complex
 interpolation scale between the discrete L2 and H2 spaces.
 
 Everything here is immutable after construction and safe to share between
-threads; all operations are pure functions of their inputs.  Matrices are
-stored dense, although the Laplacian and the first difference are
-tridiagonal (``band_stack`` forms a dense stack from three diagonals);
-node counts above ``MAX_NODES`` are rejected.
+threads; all operations are pure functions of their inputs.  The Laplacian
+and the first difference are tridiagonal but stored dense, for the
+eigendecomposition; the models read their three diagonals.  ``band_stack``
+forms a dense stack from three diagonals where one is needed (the kernel
+series' matrix exponential).  Node counts above ``MAX_NODES`` are rejected.
 
 The per-state operations (Helmholtz solve, fractional norm, matrix
 exponential) take one field (n,) or matrix (n, n), or a stack (..., n) /

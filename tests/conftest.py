@@ -12,7 +12,7 @@ from avgrec.solver import (
 )
 from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid
 
-from oracles import evolution_stepper, series_table
+from oracles import DensePath, evolution_stepper, series_table
 
 
 @pytest.fixture(scope="session")
@@ -35,11 +35,9 @@ def chemotaxis_reference_path(model, K, T=0.5):
     along a prescribed trajectory."""
     x = model.base.grid.nodes
     grid_t = TimeGrid(T=T, K=K)
-    mats = []
-    for t in grid_t.nodes:
-        u = 0.2 * np.cos(np.pi * x) * np.exp(-t) + 0.1 * np.sin(np.pi * x) * np.sin(t)
-        mats.append(model.assemble_A(u))
-    return OperatorPath(grid=grid_t, matrices=np.stack(mats), holder_rho=0.9)
+    t = grid_t.nodes[:, None]
+    states = 0.2 * np.cos(np.pi * x) * np.exp(-t) + 0.1 * np.sin(np.pi * x) * np.sin(t)
+    return OperatorPath(grid_t, model.assemble_bands(states), holder_rho=0.9)
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +65,7 @@ def sqrt_holder_path(K, T=1.0):
     b = 0.25 * (b + b.T)
     grid_t = TimeGrid(T=T, K=K)
     mats = np.stack([d_mat + np.sqrt(t) * b for t in grid_t.nodes])
-    return OperatorPath(grid=grid_t, matrices=mats, holder_rho=0.5)
+    return DensePath(grid=grid_t, matrices=mats, holder_rho=0.5)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,11 @@ can check the recursions against them:
   form Phi, Psi f and Xi on any propagation, and the probes
   (:func:`phi_lipschitz_probe`, :func:`semigroup_perturbation_check`,
   :func:`growth_estimate_probe`, ...) measure the paper's estimates;
+* the dense forms of what the package holds as three diagonals: a
+  generator path of any (K+1, n, n) stack (:class:`DensePath`), its
+  one-step factors by a stacked dense LU (:func:`dense_factors`), a model's
+  dense A(u) (:func:`dense_generator`) and the IMEX march by one dense solve
+  per step (:func:`dense_forward_solve`);
 * :class:`ShiftedModel` recentres a model at an equilibrium.
 
 Every definition is written against the package's public and private
@@ -36,24 +41,113 @@ from avgrec.averaging import (
     data_shift,
     resolvent_matrix,
 )
+from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
+    StepFactors,
     SweepValues,
     TimeGrid,
-    _dense_factors,
     _frozen_steps,
     step_factors,
 )
-from avgrec.models import ExponentBook, QuasilinearModel
+from avgrec.models import Bands, ExponentBook, QuasilinearModel, check_ball
+from avgrec.solver import Trajectory
 from avgrec.spatial import (
     BaseOperator,
     SobolevScale,
+    band_stack,
     matrix_exponential,
     matvec,
     smallest_singular_value,
     sobolev_norm,
 )
+
+
+@dataclass(frozen=True, eq=False)
+class DensePath:
+    """A generator path held as its dense (K+1, n, n) stack, for tests whose
+    generators are not tridiagonal.  It has the surface that
+    :func:`avgrec.evolution.evolution_series` and the oracles here read
+    (``grid``, ``dim``, ``holder_rho``, ``matrices``); its stepper is
+    :func:`dense_step_factors`."""
+
+    grid: TimeGrid
+    matrices: np.ndarray
+    holder_rho: float
+
+    def __post_init__(self):
+        m = np.asarray(self.matrices, dtype=float)
+        if m.ndim != 3 or m.shape[0] != self.grid.K + 1 or m.shape[1] != m.shape[2]:
+            raise ValueError(f"need {self.grid.K + 1} square matrices, got shape {m.shape}")
+        if not 0.0 < self.holder_rho < 1.0:
+            raise ValueError(f"holder exponent must lie in (0,1), got {self.holder_rho}")
+        object.__setattr__(self, "matrices", m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrices.shape[1]
+
+
+def banded_path(grid: TimeGrid, matrices: np.ndarray, holder_rho: float) -> OperatorPath:
+    """The package's path of a dense (K+1, n, n) stack that is zero off its
+    three central diagonals; the bands are views of the stack."""
+    m = np.asarray(matrices, dtype=float)
+    bands = tuple(np.diagonal(m, k, axis1=1, axis2=2) for k in (-1, 0, 1))
+    if not np.array_equal(band_stack(*bands), m):
+        raise ValueError("the stack has a nonzero entry off its three central diagonals")
+    return OperatorPath(grid, bands, holder_rho)
+
+
+def dense_factors(path) -> np.ndarray:
+    """The one-step Crank-Nicolson factors of any path, from one stacked
+    dense LU solve: the reference for the package's tridiagonal
+    elimination."""
+    h = path.grid.h
+    eye = np.eye(path.dim)
+    lhs = eye - 0.5 * h * path.matrices[1:]
+    rhs = eye + 0.5 * h * path.matrices[:-1]
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        # The stacked solve does not say which matrix failed; find the first.
+        for j, matrix in enumerate(lhs):
+            try:
+                np.linalg.solve(matrix, eye)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"singular one-step matrix at node {j + 1}: {exc}") from exc
+        raise
+
+
+def dense_step_factors(path) -> StepFactors:
+    """The package's stepper sweep on the factors of :func:`dense_factors`."""
+    return StepFactors(grid=path.grid, factors=dense_factors(path))
+
+
+def dense_generator(model, u: np.ndarray) -> np.ndarray:
+    """The dense A(u), shape (..., n, n), of a model's ``assemble_bands``."""
+    return band_stack(*model.assemble_bands(u))
+
+
+def dense_forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
+    """The IMEX march of :func:`avgrec.solver.forward_solve` by one dense
+    LU solve of I - h A(u_j) per step: the reference for its gtsv solve."""
+    u0 = np.asarray(u0, dtype=float)
+    n = u0.shape[0]
+    check_ball(model, u0, enforce=True)
+    states = np.empty((grid.K + 1, n))
+    states[0] = u0
+    eye = np.eye(n)
+    h = grid.h
+    for j in range(grid.K):
+        a_mat = dense_generator(model, states[j])
+        rhs = states[j] + h * model.evaluate_f(states[j])
+        try:
+            states[j + 1] = np.linalg.solve(eye - h * a_mat, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"singular implicit matrix at step {j}: {exc}") from exc
+        check_ball(model, states[j + 1], enforce=True)
+    return Trajectory(grid=grid, states=states)
 
 
 @dataclass(frozen=True)
@@ -127,7 +221,7 @@ class PropagatorTable:
         return SweepValues(self.column, self.duhamel(f_states))
 
 
-def frozen_semigroup(path: OperatorPath, i: int, j: int) -> np.ndarray:
+def frozen_semigroup(path: OperatorPath | DensePath, i: int, j: int) -> np.ndarray:
     """exp((t_i - t_j) A(t_j)): coefficient frozen at the earlier node."""
     if not 0 <= j <= i <= path.grid.K:
         raise ValueError(f"need 0 <= j <= i <= K, got (i,j)=({i},{j})")
@@ -136,7 +230,7 @@ def frozen_semigroup(path: OperatorPath, i: int, j: int) -> np.ndarray:
     return matrix_exponential(path.matrices[j], (i - j) * path.grid.h)
 
 
-def commutator_kernel(path: OperatorPath, i: int, j: int) -> np.ndarray:
+def commutator_kernel(path: OperatorPath | DensePath, i: int, j: int) -> np.ndarray:
     """[A(t_i) - A(t_j)] exp((t_i - t_j) A(t_j)); vanishes for constant paths."""
     if not 0 <= j < i <= path.grid.K:
         raise ValueError(f"need 0 <= j < i <= K, got (i,j)=({i},{j})")
@@ -172,7 +266,7 @@ def _convolve(f4: np.ndarray, g4: np.ndarray, h: float, rho: float) -> np.ndarra
     return out
 
 
-def _frozen_tables(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
+def _frozen_tables(path: OperatorPath | DensePath) -> tuple[np.ndarray, np.ndarray]:
     """Dense tables a[i,j] = exp((t_i-t_j)A(t_j)) and k[i,j] = [A_i - A_j] a[i,j].
 
     Columns are built by power chains a[i,j] = exp(h A_j) a[i-1,j], one
@@ -220,14 +314,14 @@ def _resolvent_solve(k4: np.ndarray, h: float, rho: float) -> np.ndarray:
     return _unblock(w2, kk, n)
 
 
-def volterra_resolvent(path: OperatorPath) -> KernelTable:
+def volterra_resolvent(path: OperatorPath | DensePath) -> KernelTable:
     """Resolvent kernel w solving w = k + k*w, by forward substitution."""
     _, k4 = _frozen_tables(path)
     w4 = _resolvent_solve(k4, path.grid.h, path.holder_rho)
     return KernelTable.from_values(path.grid, w4, path.holder_rho)
 
 
-def series_table(path: OperatorPath) -> PropagatorTable:
+def series_table(path: OperatorPath | DensePath) -> PropagatorTable:
     """Full table of the kernel series U = a + a*w from dense (K+1)^2 tables.
 
     Exact (up to roundoff) for constant paths, where the kernel vanishes.
@@ -246,7 +340,7 @@ def series_table(path: OperatorPath) -> PropagatorTable:
     return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.KERNEL_SERIES, rows=rows)
 
 
-def evolution_stepper(path: OperatorPath) -> PropagatorTable:
+def evolution_stepper(path: OperatorPath | DensePath) -> PropagatorTable:
     """Full table of composed one-step factors, U(t_i, t_j) = S_{i-1} ... S_j.
 
     The cocycle identity holds by construction (up to roundoff in the stored
@@ -255,7 +349,7 @@ def evolution_stepper(path: OperatorPath) -> PropagatorTable:
     """
     n = path.dim
     eye = np.eye(n)
-    factors = _dense_factors(path)
+    factors = dense_factors(path)
     rows = [eye[None, :, :].copy()]
     for i in range(1, path.grid.K + 1):
         row = np.empty((i + 1, n, n))
@@ -265,7 +359,7 @@ def evolution_stepper(path: OperatorPath) -> PropagatorTable:
     return PropagatorTable(grid=path.grid, method_tag=PropagatorMethod.STEPPER, rows=rows)
 
 
-def holder_seminorm(path: OperatorPath, rho: float) -> float:
+def holder_seminorm(path: OperatorPath | DensePath, rho: float) -> float:
     """max over node pairs of ||A(t_i) - A(t_j)||_2 / (t_i - t_j)^rho, plus the
     max node norm -- the discrete Hoelder norm of the path."""
     if not 0.0 < rho < 1.0:
@@ -476,7 +570,7 @@ def phi_lipschitz_probe(
     diff = phi_a - phi_b
     if smoother is not None:
         diff = smoother @ diff
-    diff_path = OperatorPath(
+    diff_path = DensePath(
         grid=path_a.grid, matrices=path_a.matrices - path_b.matrices, holder_rho=rho
     )
     return float(np.linalg.norm(diff, 2) / holder_seminorm(diff_path, rho))
@@ -540,12 +634,12 @@ class ShiftedModel:
     def ball_radius(self) -> float:
         return self.inner.ball_radius
 
-    def assemble_A(self, u: np.ndarray, enforce_ball: bool = True) -> np.ndarray:
-        return self.inner.assemble_A(u + self.v_star, enforce_ball=enforce_ball)
+    def assemble_bands(self, u: np.ndarray) -> Bands:
+        return self.inner.assemble_bands(u + self.v_star)
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         shifted = u + self.v_star
-        a_mat = self.inner.assemble_A(shifted, enforce_ball=False)
+        a_mat = dense_generator(self.inner, shifted)
         return matvec(a_mat, self.v_star) + self.inner.evaluate_f(shifted)
 
 
@@ -553,7 +647,7 @@ def equilibrium_shift(model, v_star: np.ndarray, tol: float | None = None) -> Sh
     """Shift the model to an equilibrium v* (A(v*)v* + f(v*) = 0 within tol)."""
     v_star = np.asarray(v_star, dtype=float)
     residual = np.linalg.norm(
-        model.assemble_A(v_star, enforce_ball=False) @ v_star + model.evaluate_f(v_star)
+        dense_generator(model, v_star) @ v_star + model.evaluate_f(v_star)
     )
     if tol is None:
         tol = 1e-10 * (1.0 + np.linalg.norm(v_star))

@@ -11,7 +11,7 @@ import pytest
 
 from avgrec.averaging import AveragingCondition, Variant
 from avgrec.cli import parse_config, run_experiment
-from avgrec.evolution import OperatorPath, TimeGrid, evolution_series
+from avgrec.evolution import TimeGrid, evolution_series
 from avgrec.models import LinearTestModel, NonlocalRDModel
 from avgrec.solver import (
     RecoveryConfig,
@@ -31,8 +31,11 @@ from avgrec.spatial import (
 
 from conftest import sqrt_holder_path
 from oracles import (
+    DensePath,
     apply_psi,
     assemble_phi,
+    banded_path,
+    dense_generator,
     evolution_stepper,
     phi_lipschitz_probe,
     semigroup_perturbation_check,
@@ -58,9 +61,7 @@ def test_criterion_1_evolution_cross_validation(series_family):
     a = rng.standard_normal((8, 8))
     a = 0.5 * (a + a.T) - 3 * np.eye(8)
     grid_t = TimeGrid(T=1.0, K=16)
-    const_path = OperatorPath(
-        grid=grid_t, matrices=np.repeat(a[None], 17, axis=0), holder_rho=0.5
-    )
+    const_path = DensePath(grid=grid_t, matrices=np.repeat(a[None], 17, axis=0), holder_rho=0.5)
     u_const = evolution_series(const_path).column[16]
     exact = matrix_exponential(a, 1.0)
     const_err = np.linalg.norm(u_const - exact) / np.linalg.norm(exact)
@@ -89,9 +90,7 @@ def test_criterion_2_phi_spectral_oracle():
     positive = True
     for K in (64, 128, 256):
         grid_t = TimeGrid(T=1.0, K=K)
-        path = OperatorPath(
-            grid=grid_t, matrices=np.repeat(base.matrix[None], K + 1, 0), holder_rho=0.5
-        )
+        path = banded_path(grid_t, np.repeat(base.matrix[None], K + 1, 0), 0.5)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         phi = assemble_phi(evolution_series(path), cond)
         eigs = np.sort(np.linalg.eigvalsh(0.5 * (phi.matrix + phi.matrix.T)))
@@ -113,9 +112,7 @@ def test_criterion_3_linear_recovery_exactness():
     grid_t = TimeGrid(T=0.5, K=64)
     rng = np.random.default_rng(7)
     x0 = 0.3 * rng.standard_normal(16)
-    zero_path = OperatorPath(
-        grid=grid_t, matrices=np.repeat(model.matrix[None], 65, 0), holder_rho=0.5
-    )
+    zero_path = banded_path(grid_t, np.repeat(model.matrix[None], 65, 0), 0.5)
     table = evolution_stepper(zero_path)
     worst = 0.0
     for variant in Variant:
@@ -224,10 +221,8 @@ def test_criterion_8_lipschitz_probes():
     cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
     ratios = []
     for eps in (1e-3, 1e-4, 1e-5):
-        a = OperatorPath(
-            grid=grid_t, matrices=np.repeat(0.5 * base.matrix[None], 33, 0), holder_rho=0.5
-        )
-        b = OperatorPath(grid=grid_t, matrices=a.matrices + eps * np.eye(8), holder_rho=0.5)
+        a = banded_path(grid_t, np.repeat(0.5 * base.matrix[None], 33, 0), 0.5)
+        b = banded_path(grid_t, a.matrices + eps * np.eye(8), 0.5)
         ratios.append(phi_lipschitz_probe(a, b, cond, smoother=smoother))
     stable_phi = max(ratios) <= 2.0 * min(ratios)
     rng = np.random.default_rng(8)
@@ -266,7 +261,7 @@ def test_criterion_9_invariant_bundle(series_family, chemo16, rd32, tmp_path):
     # divergence-form no-flux mass conservation: row sums vanish
     rng = np.random.default_rng(9)
     row_sums = max(
-        np.abs(rd32.assemble_A(0.3 * rng.standard_normal(32)).sum(axis=1)).max()
+        np.abs(dense_generator(rd32, 0.3 * rng.standard_normal(32)).sum(axis=1)).max()
         for _ in range(5)
     )
     checks["rd_A row sums"] = row_sums <= 1e-8

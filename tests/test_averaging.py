@@ -13,14 +13,18 @@ from avgrec.averaging import (
     weight_samples,
 )
 from avgrec.errors import ConfigurationError, SingularOperatorError
-from avgrec.evolution import OperatorPath, TimeGrid, evolution_series, step_factors
+from avgrec.evolution import TimeGrid, evolution_series
 from avgrec.solver import Trajectory
 from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid
 
 from oracles import (
+    DensePath,
     PhiOperator,
     apply_psi,
     assemble_phi,
+    banded_path,
+    dense_generator,
+    dense_step_factors,
     evolution_stepper,
     initial_state_map,
     invertibility_report,
@@ -33,9 +37,7 @@ RNG = np.random.default_rng(23)
 
 
 def constant_path(a, grid_t, rho=0.5):
-    return OperatorPath(
-        grid=grid_t, matrices=np.repeat(np.asarray(a, float)[None], grid_t.K + 1, 0), holder_rho=rho
-    )
+    return banded_path(grid_t, np.repeat(np.asarray(a, float)[None], grid_t.K + 1, 0), rho)
 
 
 def identity_table(n, grid_t):
@@ -48,7 +50,7 @@ def drifting_path(grid_t, rng):
     base = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
     drift = 0.3 * rng.standard_normal((6, 6))
     mats = np.stack([base + np.sin(3.0 * t) * drift for t in grid_t.nodes])
-    return OperatorPath(grid=grid_t, matrices=mats, holder_rho=0.5)
+    return DensePath(grid=grid_t, matrices=mats, holder_rho=0.5)
 
 
 class TestAveragingCondition:
@@ -296,10 +298,8 @@ class TestInitialStateMap:
         mats = []
         for t in grid_t.nodes:
             u = 0.15 * np.cos(np.pi * x) * (1.0 + 0.5 * np.sin(3 * t))
-            mats.append(chemo16.assemble_A(u))
-        table = evolution_stepper(
-            OperatorPath(grid=grid_t, matrices=np.stack(mats), holder_rho=0.9)
-        )
+            mats.append(dense_generator(chemo16, u))
+        table = evolution_stepper(DensePath(grid=grid_t, matrices=np.stack(mats), holder_rho=0.9))
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
         rng = np.random.default_rng(31)
         f_states = 0.3 * rng.standard_normal((33, 16))
@@ -351,7 +351,7 @@ class TestInitialStateMap:
             calls.append(1)
             return recursion(*args)
 
-        prop = step_factors(path) if method == "stepper" else evolution_series(path)
+        prop = dense_step_factors(path) if method == "stepper" else evolution_series(path)
         monkeypatch.setattr(avgrec.evolution, name, counted)
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
         f_states = 0.1 * rng.standard_normal((25, 6))
@@ -370,7 +370,7 @@ class TestInitialStateMap:
         rng = np.random.default_rng(6)
         path = drifting_path(grid_t, rng)
         if method == "stepper":
-            prop, table = step_factors(path), evolution_stepper(path)
+            prop, table = dense_step_factors(path), evolution_stepper(path)
         else:
             prop, table = evolution_series(path), series_table(path)
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
@@ -469,9 +469,7 @@ class TestPhiLipschitzProbe:
         base = assemble_laplacian(build_grid(8, 1.0, BoundaryKind.NEUMANN))
         grid_t = TimeGrid(T=0.5, K=32)
         a = constant_path(0.5 * base.matrix, grid_t)
-        b = OperatorPath(
-            grid=grid_t, matrices=a.matrices + eps * np.eye(8), holder_rho=0.5
-        )
+        b = banded_path(grid_t, a.matrices + eps * np.eye(8), 0.5)
         return a, b
 
     def test_identical_paths_rejected(self):

@@ -374,9 +374,18 @@ class TestMainExitCodes:
             ("forward", {"grid": ["n = 300"]}, "[grid] n"),
             ("validate", {"grid": ["length = -1"]}, "[grid] length"),
             ("validate", {"model": ["s = 2.6"]}, "2 < s < 5/2 ([model] s)"),
-            ("validate", {"model": ["kind = reaction_diffusion", "p = 2.5"]}, "([model] p)"),
+            (
+                "validate",
+                {"model": ["kind = reaction_diffusion", "p = 2.5"]},
+                "(ell + 1) n < p ([model] p, [model] f_poly)",
+            ),
             ("validate", BAD_BOOK, "gamma < 1/4 ([exponents])"),
             ("validate", BAD_BOOK, "alpha = s/2 - 1 ([model] s, [exponents])"),
+            (
+                "validate",
+                {"model": ["kind = reaction_diffusion", "f_poly = 0 0 0 0 -1"]},
+                "(ell + 1) n < p ([model] p, [model] f_poly)",
+            ),
         ],
     )
     def test_parse_time_rejections_exit_2(self, tmp_path, capsys, verb, extra, named):

@@ -21,11 +21,22 @@ from avgrec.evolution import (
     stepper_peak_bytes,
 )
 from avgrec.models import ChemotaxisModel, LinearTestModel, NonlocalRDModel
-from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid, matrix_exponential
+from avgrec.spatial import (
+    BoundaryKind,
+    assemble_laplacian,
+    band_stack,
+    build_grid,
+    matrix_exponential,
+)
 
 from conftest import chemotaxis_reference_path, sqrt_holder_path
 from oracles import (
+    DensePath,
+    banded_path,
     commutator_kernel,
+    dense_factors,
+    dense_generator,
+    dense_step_factors,
     evolution_stepper,
     frozen_semigroup,
     holder_seminorm,
@@ -46,7 +57,7 @@ def stable_symmetric(n, rng=RNG, shift=1.0):
 
 def constant_path(a, K=16, T=1.0, rho=0.5):
     grid = TimeGrid(T=T, K=K)
-    return OperatorPath(grid=grid, matrices=np.repeat(a[None], K + 1, axis=0), holder_rho=rho)
+    return DensePath(grid=grid, matrices=np.repeat(a[None], K + 1, axis=0), holder_rho=rho)
 
 
 class TestTimeGrid:
@@ -79,7 +90,7 @@ class TestFrozenSemigroup:
         d = np.diag([-1.0, -2.0])
         grid = TimeGrid(T=1.0, K=4)
         alphas = 1.0 + grid.nodes
-        path = OperatorPath(
+        path = DensePath(
             grid=grid, matrices=np.stack([al * d for al in alphas]), holder_rho=0.5
         )
         got = frozen_semigroup(path, 3, 1)
@@ -105,7 +116,7 @@ class TestCommutatorKernel:
         a0 = stable_symmetric(4, rng)
         b = 0.3 * rng.standard_normal((4, 4))
         grid = TimeGrid(T=1.0, K=8)
-        path = OperatorPath(
+        path = DensePath(
             grid=grid, matrices=np.stack([a0 + t * b for t in grid.nodes]), holder_rho=0.9
         )
         i, j = 6, 2
@@ -141,7 +152,7 @@ class TestVolterraResolvent:
         a0 = stable_symmetric(3)
         b = 1e-7 * np.eye(3)
         grid = TimeGrid(T=1.0, K=8)
-        path = OperatorPath(
+        path = DensePath(
             grid=grid, matrices=np.stack([a0 + t * b for t in grid.nodes]), holder_rho=0.5
         )
         tol = 1e-9
@@ -198,7 +209,7 @@ class TestEvolutionSeries:
         # exponential of the integrated coefficient.
         base = assemble_laplacian(build_grid(16, 1.0, BoundaryKind.NEUMANN))
         grid = TimeGrid(T=1.0, K=128)
-        path = OperatorPath(
+        path = DensePath(
             grid=grid,
             matrices=np.stack([(1.0 + 0.5 * t) * base.matrix for t in grid.nodes]),
             holder_rho=0.9,
@@ -246,7 +257,7 @@ class TestEvolutionStepper:
         rng = np.random.default_rng(13)
         grid = TimeGrid(T=1.0, K=32)
         mats = np.stack([stable_symmetric(8, rng) * 0.3 for _ in grid.nodes])
-        table = evolution_stepper(OperatorPath(grid=grid, matrices=mats, holder_rho=0.5))
+        table = evolution_stepper(DensePath(grid=grid, matrices=mats, holder_rho=0.5))
         for (i, j, m) in ((32, 16, 0), (20, 10, 5), (7, 3, 1)):
             lhs = table.op(i, j) @ table.op(j, m)
             rhs = table.op(i, m)
@@ -260,7 +271,7 @@ def random_path(n=6, K=24, T=0.8, seed=17):
     base = stable_symmetric(n, rng)
     drift = 0.5 * rng.standard_normal((n, n))
     mats = np.stack([base + np.sin(3.0 * t) * drift for t in grid.nodes])
-    return OperatorPath(grid=grid, matrices=mats, holder_rho=0.5)
+    return DensePath(grid=grid, matrices=mats, holder_rho=0.5)
 
 
 def rel_err(got, expected):
@@ -285,18 +296,20 @@ class TestStepFactorsAgainstTable:
     def test_column(self):
         path = random_path()
         table = evolution_stepper(path)
-        assert rel_err(step_factors(path).column, table.column) <= 1e-13
+        assert rel_err(dense_step_factors(path).column, table.column) <= 1e-13
 
     def test_duhamel(self):
         path = random_path()
         f_states = np.random.default_rng(5).standard_normal((path.grid.K + 1, path.dim))
-        got = step_factors(path).sweep(f_states).sums
+        got = dense_step_factors(path).sweep(f_states).sums
         assert np.array_equal(got[0], np.zeros(path.dim))
         assert rel_err(got, duhamel_sums(evolution_stepper(path), f_states)) <= 1e-13
 
     def test_terminal_forcing(self):
         path = random_path()
-        assert_terminal_forcing_matches_final_row(step_factors(path), evolution_stepper(path))
+        assert_terminal_forcing_matches_final_row(
+            dense_step_factors(path), evolution_stepper(path)
+        )
 
 
 def tridiagonal_path(n=8, K=12, T=0.8, seed=23):
@@ -312,22 +325,14 @@ def tridiagonal_path(n=8, K=12, T=0.8, seed=23):
     mats[:, idx[:-1], idx[:-1] + 1] = rng.standard_normal((K + 1, n - 1))
     big = np.where(idx[1:] % 2 == 1, 4.0 / grid.h, 0.5)
     mats[:, idx[1:], idx[1:] - 1] = big * rng.uniform(1.0, 1.5, (K + 1, n - 1))
-    return OperatorPath(grid=grid, matrices=mats, holder_rho=0.5)
+    return banded_path(grid, mats, 0.5)
 
 
 class TestTridiagonalFactors:
-    """Tridiagonal paths take the banded solve, any other path the dense
-    LU; both agree with an explicit dense solve."""
+    """The banded solve agrees with an explicit dense solve."""
 
-    def test_matches_dense_solve(self, monkeypatch):
-        import avgrec.evolution
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a tridiagonal path took the dense LU")
-
-        monkeypatch.setattr(avgrec.evolution, "_dense_factors", forbidden)
+    def test_matches_dense_solve(self):
         path = tridiagonal_path()
-        assert path.tridiagonal is not None
         n = path.dim
         c = 0.5 * path.grid.h
         lhs = np.eye(n) - c * path.matrices[1:]
@@ -342,25 +347,6 @@ class TestTridiagonalFactors:
         assert rel_err(got.factors, expected) <= 1e-13
         assert rel_err(got.column, np.stack(column)) <= 1e-13
 
-    @pytest.mark.parametrize("kind", ["random", "one_entry_off_band"])
-    def test_dense_path_takes_the_lu(self, kind, monkeypatch):
-        import avgrec.evolution
-
-        if kind == "random":
-            path = random_path()
-        else:
-            mats = tridiagonal_path().matrices.copy()
-            mats[7, 0, 5] = 1e-30
-            path = OperatorPath(grid=TimeGrid(T=0.8, K=12), matrices=mats, holder_rho=0.5)
-        assert path.tridiagonal is None
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a dense path took the tridiagonal solve")
-
-        monkeypatch.setattr(avgrec.evolution, "dgtsv", forbidden)
-        factors = step_factors(path)
-        assert rel_err(factors.column, evolution_stepper(path).column) <= 1e-13
-
     def test_singular_node_named(self):
         # I - c A(t_5) = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: tridiagonal,
         # not diagonal, and singular in exact arithmetic.
@@ -369,8 +355,7 @@ class TestTridiagonalFactors:
         target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         mats = path.matrices.copy()
         mats[5] = (np.eye(3) - target) / c
-        bad = OperatorPath(grid=path.grid, matrices=mats, holder_rho=0.5)
-        assert bad.tridiagonal is not None
+        bad = banded_path(path.grid, mats, 0.5)
         with pytest.raises(NumericalError, match="node 5"):
             step_factors(bad)
         with pytest.raises(NumericalError, match="node 5"):
@@ -382,9 +367,9 @@ def gtsv_factors(path):
     per node, in node order: the reference for the batched elimination."""
     K, n = path.grid.K, path.dim
     c = 0.5 * path.grid.h
-    sub, diag, sup = (band[1:] for band in path.tridiagonal)
+    sub, diag, sup = (band[1:] for band in path.bands)
     lower, main, upper = -c * sub, 1.0 - c * diag, -c * sup
-    factors = c * path.matrices[:-1]
+    factors = band_stack(*(c * band[:-1] for band in path.bands))
     idx = np.arange(n)
     factors[:, idx, idx] += 1.0
     for j in range(K):
@@ -407,7 +392,13 @@ def with_node(path, j, target, c):
     """``path`` with A(t_j) replaced so that I - c A(t_j) equals ``target``."""
     mats = path.matrices.copy()
     mats[j] = (np.eye(path.dim) - target) / c
-    return OperatorPath(grid=path.grid, matrices=mats, holder_rho=path.holder_rho)
+    return banded_path(path.grid, mats, path.holder_rho)
+
+
+def scalar_path(grid, a):
+    """The 1 x 1 path A(t_j) = a_j."""
+    off = np.empty((grid.K + 1, 0))
+    return OperatorPath(grid, (off, a[:, None], off), 0.5)
 
 
 def counted_gtsv(monkeypatch):
@@ -426,26 +417,26 @@ def counted_gtsv(monkeypatch):
 
 class TestBatchedTridiagonalFactors:
     """One elimination over all nodes gives the factors of a per-node gtsv
-    solve bit for bit; nodes that gtsv pivots, and singular nodes, are
-    solved again by gtsv."""
+    solve bit for bit, without forming the dense stack; nodes that gtsv
+    pivots, and singular nodes, are solved again by gtsv."""
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_model_paths_equal_gtsv(self, model, n, monkeypatch):
         path = chemotaxis_reference_path(MODELS[model](n), K=24)
-        assert path.tridiagonal is not None
         expected = gtsv_factors(path)
         calls = counted_gtsv(monkeypatch)
         factors = step_factors(path).factors
         assert factors.shape == (24, n, n)
         assert np.array_equal(factors, expected)
         assert not calls
+        assert "matrices" not in vars(path)
 
     def test_scalar_path(self):
         # gtsv's arithmetic at n = 1 is R_j / (1 - c a).
         grid = TimeGrid(T=0.5, K=16)
         a = -1.0 - np.random.default_rng(6).random(17)
-        path = OperatorPath(grid=grid, matrices=a[:, None, None], holder_rho=0.5)
+        path = scalar_path(grid, a)
         c = 0.5 * grid.h
         expected = (c * a[:-1] + 1.0) / (1.0 - c * a[1:])
         assert np.array_equal(step_factors(path).factors[:, 0, 0], expected)
@@ -454,9 +445,9 @@ class TestBatchedTridiagonalFactors:
         # I - c A(t_3) = 0 on a 1 x 1 path: gtsv's wrapper needs padded
         # off-diagonals there, and reports the zero pivot.
         grid = TimeGrid(T=0.5, K=4)
-        a = -np.ones((5, 1, 1))
+        a = -np.ones(5)
         a[3] = 1.0 / (0.5 * grid.h)
-        path = OperatorPath(grid=grid, matrices=a, holder_rho=0.5)
+        path = scalar_path(grid, a)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 1 "):
             step_factors(path)
 
@@ -466,9 +457,9 @@ class TestBatchedTridiagonalFactors:
         # I - c A(t_node) = 0 at the first, an inner and the last node: both
         # the batched elimination and the table's dense LU name the node.
         grid = TimeGrid(T=0.5, K=4)
-        a = -np.ones((5, 1, 1))
+        a = -np.ones(5)
         a[node] = 1.0 / (0.5 * grid.h)
-        path = OperatorPath(grid=grid, matrices=a, holder_rho=0.5)
+        path = scalar_path(grid, a)
         with pytest.raises(NumericalError, match=f"node {node}: "):
             build(path)
 
@@ -478,6 +469,7 @@ class TestBatchedTridiagonalFactors:
         calls = counted_gtsv(monkeypatch)
         assert np.array_equal(step_factors(path).factors, expected)
         assert len(calls) == path.grid.K
+        assert "matrices" not in vars(path)
 
     def test_some_nodes_pivot(self, monkeypatch):
         # The sub-diagonal of tridiagonal_path() shrunk at every third node,
@@ -485,7 +477,7 @@ class TestBatchedTridiagonalFactors:
         mats = tridiagonal_path(n=10, K=15).matrices.copy()
         idx = np.arange(10)
         mats[::3, idx[1:], idx[:-1]] *= 1e-3
-        path = OperatorPath(grid=TimeGrid(T=0.8, K=15), matrices=mats, holder_rho=0.5)
+        path = banded_path(TimeGrid(T=0.8, K=15), mats, 0.5)
         expected = gtsv_factors(path)
         calls = counted_gtsv(monkeypatch)
         assert np.array_equal(step_factors(path).factors, expected)
@@ -500,7 +492,6 @@ class TestBatchedTridiagonalFactors:
             [[0.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.5, 0.0], [0.0, 0.5, 2.0, 0.5], [0.0, 0.0, 0.5, 2.0]]
         )
         path = with_node(path, 4, target, c)
-        assert path.tridiagonal is not None
         expected = gtsv_factors(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -519,7 +510,6 @@ class TestBatchedTridiagonalFactors:
         path = constant_path(-np.eye(3), K=8, T=1.0)
         c = 0.5 * path.grid.h
         bad = with_node(path, 5, np.array(target), c)
-        assert bad.tridiagonal is not None
         with pytest.raises(NumericalError, match=f"node 5: zero pivot in row {row} "):
             step_factors(bad)
 
@@ -533,57 +523,49 @@ class TestBatchedTridiagonalFactors:
             step_factors(bad)
 
 
-def banded(path):
-    """The band-built twin of a tridiagonal dense path."""
-    bands = tuple(band.copy() for band in path.tridiagonal)
-    return OperatorPath.from_bands(path.grid, bands, path.holder_rho)
-
-
 def model_paths(model, K=12, T=0.5):
-    """(dense, band-built) paths of one model along the same smooth trajectory."""
+    """A model's path along a smooth trajectory, from its stacked bands,
+    and the dense path of its per-state dense generators."""
     grid = TimeGrid(T=T, K=K)
     x, t = model.base.grid.nodes, grid.nodes[:, None]
     states = 0.2 * np.cos(np.pi * x) * np.exp(-t) + 0.1 * np.sin(np.pi * x) * np.sin(t)
-    dense = OperatorPath(grid=grid, matrices=model.assemble_A(states), holder_rho=0.9)
-    return dense, OperatorPath.from_bands(grid, model.assemble_bands(states), 0.9)
+    dense = np.stack([dense_generator(model, state) for state in states])
+    return OperatorPath(grid, model.assemble_bands(states), 0.9), DensePath(grid, dense, 0.9)
 
 
 class TestBandBuiltPath:
-    """A path built from bands holds them as given, forms its dense stack
-    only when read, and gives the dense-built path's factors bit for bit."""
+    """A path holds its bands as given, checks their shapes, forms its
+    dense stack only when read, and its factors agree with the dense LU's."""
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_model_bands_equal_dense_path(self, model, n):
-        dense, band = model_paths(MODELS[model](n))
+        band, dense = model_paths(MODELS[model](n))
         factors = _one_step_factors(band)
         assert "matrices" not in vars(band)
-        assert np.array_equal(factors, _one_step_factors(dense))
-        for got, expected in zip(band.tridiagonal, dense.tridiagonal):
-            assert np.array_equal(got, expected)
+        assert rel_err(factors, dense_factors(dense)) <= 1e-13
         assert band.dim == dense.dim == n
         assert np.array_equal(band.matrices, dense.matrices)
 
     def test_bands_held_as_given(self):
         bands = MODELS["chemotaxis"](6).assemble_bands(np.zeros((13, 6)))
-        path = OperatorPath.from_bands(TimeGrid(T=0.5, K=12), bands, 0.9)
-        assert all(got is given for got, given in zip(path.tridiagonal, bands))
+        path = OperatorPath(TimeGrid(T=0.5, K=12), bands, 0.9)
+        assert all(got is given for got, given in zip(path.bands, bands))
         assert path.dim == 6 and "matrices" not in vars(path)
+        assert np.array_equal(path.matrices, band_stack(*bands))
 
     def test_pivoting_nodes(self, monkeypatch):
-        dense = tridiagonal_path()
-        band = banded(dense)
-        expected = _one_step_factors(dense)
-        assert np.array_equal(expected, gtsv_factors(dense))
+        band = tridiagonal_path()
+        dense = DensePath(band.grid, band_stack(*band.bands), band.holder_rho)
         calls = counted_gtsv(monkeypatch)
-        assert np.array_equal(_one_step_factors(band), expected)
+        assert rel_err(_one_step_factors(band), dense_factors(dense)) <= 1e-13
         assert len(calls) == band.grid.K
         assert "matrices" not in vars(band)
 
     def test_singular_node_named(self):
         path = constant_path(-np.eye(3), K=8, T=1.0)
         target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        band = banded(with_node(path, 5, target, 0.5 * path.grid.h))
+        band = with_node(path, 5, target, 0.5 * path.grid.h)
         with pytest.raises(NumericalError, match="node 5: zero pivot in row 2 "):
             _one_step_factors(band)
 
@@ -592,7 +574,7 @@ class TestBandBuiltPath:
         grid = TimeGrid(T=0.5, K=4)
         diag = -np.ones((5, 1))
         diag[node] = 1.0 / (0.5 * grid.h)
-        band = OperatorPath.from_bands(grid, (np.empty((5, 0)), diag, np.empty((5, 0))), 0.5)
+        band = OperatorPath(grid, (np.empty((5, 0)), diag, np.empty((5, 0))), 0.5)
         with pytest.raises(NumericalError, match=f"node {node}: zero pivot in row 1 "):
             _one_step_factors(band)
 
@@ -601,12 +583,12 @@ class TestBandBuiltPath:
     )
     def test_band_shapes_checked(self, shapes):
         with pytest.raises(ValueError, match="diagonals of 13 square matrices"):
-            OperatorPath.from_bands(TimeGrid(T=0.5, K=12), tuple(map(np.zeros, shapes)), 0.5)
+            OperatorPath(TimeGrid(T=0.5, K=12), tuple(map(np.zeros, shapes)), 0.5)
 
     def test_holder_exponent_checked(self):
-        dense = tridiagonal_path()
+        path = tridiagonal_path()
         with pytest.raises(ValueError, match="holder exponent"):
-            OperatorPath.from_bands(dense.grid, dense.tridiagonal, 1.0)
+            OperatorPath(path.grid, path.bands, 1.0)
 
 
 SWEEPS = {
@@ -730,7 +712,7 @@ class TestHolderSeminorm:
     def test_linear_path_oracle(self):
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
         grid = TimeGrid(T=2.0, K=16)
-        path = OperatorPath(
+        path = DensePath(
             grid=grid, matrices=np.stack([t * b for t in grid.nodes]), holder_rho=0.5
         )
         rho = 0.25
@@ -741,7 +723,7 @@ class TestHolderSeminorm:
     @settings(max_examples=20, deadline=None)
     def test_scaling_homogeneity(self, c):
         path = sqrt_holder_path(8)
-        scaled = OperatorPath(grid=path.grid, matrices=c * path.matrices, holder_rho=0.5)
+        scaled = DensePath(grid=path.grid, matrices=c * path.matrices, holder_rho=0.5)
         assert holder_seminorm(scaled, 0.5) == pytest.approx(
             c * holder_seminorm(path, 0.5), rel=1e-10
         )

@@ -10,14 +10,15 @@ from avgrec.models import (
     LinearTestModel,
     NonlocalRDModel,
     QuasilinearModel,
+    check_ball,
     chemotaxis_exponents,
     generic_exponents,
     rd_exponents,
     validate_exponents,
 )
-from avgrec.spatial import BoundaryKind, band_stack, build_grid, sobolev_norm
+from avgrec.spatial import BoundaryKind, build_grid, sobolev_norm
 
-from oracles import ShiftedModel, equilibrium_shift, growth_estimate_probe
+from oracles import ShiftedModel, dense_generator, equilibrium_shift, growth_estimate_probe
 
 RNG = np.random.default_rng(41)
 
@@ -72,14 +73,14 @@ class TestChemotaxisModel:
         np.testing.assert_allclose(chemo.signal(q), expected, rtol=1e-12)
 
     def test_linearization_at_zero_is_scaled_laplacian(self, chemo):
-        a0 = chemo.assemble_A(np.zeros(16))
+        a0 = dense_generator(chemo, np.zeros(16))
         expected = chemo.a_fn(np.zeros(16))[0] * chemo.base.matrix
         assert np.abs(a0 - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_constant_state_closed_form(self, chemo_half):
         c = 0.3
         u = np.full(16, c)
-        got = chemo_half.assemble_A(u)
+        got = dense_generator(chemo_half, u)
         # v = c, dv = 0: A(u) w = a(c) Lap w - chi(c) c w
         a_c = np.exp(-0.5 * c)
         chi_c = 0.5 * np.exp(-0.5 * c)
@@ -93,7 +94,7 @@ class TestChemotaxisModel:
             for _ in range(count):
                 u, w = 0.4 * rng.standard_normal((2, 16))
                 num = np.linalg.norm(
-                    chemo.assemble_A(u) - chemo.assemble_A(w), 2
+                    dense_generator(chemo, u) - dense_generator(chemo, w), 2
                 )
                 den = sobolev_norm(chemo.scale, u - w, 0.0)
                 worst = max(worst, num / den)
@@ -125,7 +126,7 @@ class TestChemotaxisModel:
 
     def test_ball_violation_diagnosed(self, chemo):
         with pytest.raises(BallViolationError) as err:
-            chemo.assemble_A(np.full(16, 10.0))
+            check_ball(chemo, np.full(16, 10.0), enforce=True)
         assert err.value.norm > err.value.radius
 
     def test_dirichlet_grid_rejected(self):
@@ -143,11 +144,11 @@ class TestChemotaxisModel:
             return out
 
         states = 0.3 * np.random.default_rng(9).standard_normal((2, 3, 16))
-        stacked = chemo.assemble_A(states, enforce_ball=False)
+        stacked = dense_generator(chemo, states)
         for index in np.ndindex(2, 3):
             expected = dense(states[index])
             assert np.array_equal(stacked[index], expected)
-            assert np.array_equal(chemo.assemble_A(states[index], enforce_ball=False), expected)
+            assert np.array_equal(dense_generator(chemo, states[index]), expected)
 
     def test_non_tridiagonal_difference_rejected(self, chemo):
         one_sided = chemo.diff1.copy()
@@ -174,14 +175,14 @@ class TestNonlocalRDModel:
         grid = build_grid(12, 1.0, BoundaryKind.NEUMANN)
         model = NonlocalRDModel.default(grid)
         # l(0) = 0 so a = 1 + 0^2 = 1
-        got = model.assemble_A(np.zeros(12))
+        got = dense_generator(model, np.zeros(12))
         np.testing.assert_allclose(got, model.base.matrix, atol=1e-13)
 
     def test_unit_functional_doubles_laplacian(self, rd):
         # int u = 1 makes the coefficient 1 + 1^2 = 2
         grid = rd.base.grid
         u = np.full(grid.n, 1.0 / grid.length)
-        got = rd.assemble_A(u)
+        got = dense_generator(rd, u)
         np.testing.assert_allclose(got, 2.0 * rd.base.matrix, rtol=1e-12)
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
@@ -190,14 +191,14 @@ class TestNonlocalRDModel:
         rng = np.random.default_rng(7)
         for _ in range(5):
             u = 0.5 * rng.standard_normal(10)
-            mat = model.assemble_A(u)
+            mat = dense_generator(model, u)
             assert np.abs(mat - mat.T).max() <= 1e-12 * np.abs(mat).max()
 
     def test_neumann_row_sums_vanish(self, rd):
         rng = np.random.default_rng(9)
         for _ in range(5):
             u = 0.5 * rng.standard_normal(16)
-            mat = rd.assemble_A(u)
+            mat = dense_generator(rd, u)
             assert np.abs(mat.sum(axis=1)).max() <= 1e-9
 
     def test_ellipticity_violation_raises(self):
@@ -213,7 +214,7 @@ class TestNonlocalRDModel:
         )
         u = np.full(8, -3.0)  # l(u) = -3 makes the coefficient negative
         with pytest.raises(ModelError):
-            model.assemble_A(u)
+            model.assemble_bands(u)
 
     def test_bad_polynomial_rejected(self):
         grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
@@ -265,11 +266,11 @@ class TestNonlocalRDModel:
             return out
 
         states = 0.3 * np.random.default_rng(10).standard_normal((2, 3, 12))
-        stacked = model.assemble_A(states, enforce_ball=False)
+        stacked = dense_generator(model, states)
         for index in np.ndindex(2, 3):
             expected = dense(states[index])
             assert np.array_equal(stacked[index], expected)
-            assert np.array_equal(model.assemble_A(states[index], enforce_ball=False), expected)
+            assert np.array_equal(dense_generator(model, states[index]), expected)
 
     def test_non_tridiagonal_difference_rejected(self, rd):
         one_sided = rd.diff1.copy()
@@ -292,7 +293,7 @@ class TestNonlocalRDModel:
         )
         u = np.full(8, 3.0)
         expected = 1.0 + np.tanh(3.0) ** 2
-        got = model.assemble_A(u, enforce_ball=False)
+        got = dense_generator(model, u)
         np.testing.assert_allclose(got, expected * model.base.matrix, rtol=1e-12)
 
 
@@ -364,7 +365,7 @@ class TestEquilibriumShift:
     def test_zero_equilibrium_preserves_model(self, chemo):
         shifted = equilibrium_shift(chemo, np.zeros(16))
         u = 0.2 * RNG.standard_normal(16)
-        np.testing.assert_array_equal(shifted.assemble_A(u), chemo.assemble_A(u))
+        np.testing.assert_array_equal(dense_generator(shifted, u), dense_generator(chemo, u))
         np.testing.assert_array_equal(shifted.evaluate_f(u), chemo.evaluate_f(u))
         assert np.array_equal(shifted.evaluate_f(np.zeros(16)), np.zeros(16))
 
@@ -383,7 +384,7 @@ class TestLinearTestModel:
     def test_constant_generator_and_zero_forcing(self):
         model = LinearTestModel.default(build_grid(8, 1.0, BoundaryKind.NEUMANN), coefficient=0.7)
         u = RNG.standard_normal(8)
-        np.testing.assert_array_equal(model.assemble_A(u), 0.7 * model.base.matrix)
+        np.testing.assert_array_equal(dense_generator(model, u), 0.7 * model.base.matrix)
         assert np.array_equal(model.evaluate_f(u), np.zeros(8))
         assert validate_exponents(model).all_passed
 
@@ -403,23 +404,22 @@ BAND_MODELS = {
 
 
 class TestAssembleBands:
-    """``assemble_bands`` is each generator's one implementation:
-    ``assemble_A`` is its band stack bit for bit."""
+    """``assemble_bands`` gives each generator's three diagonals, for one
+    state or a stack, and leaves the ball to ``check_ball``."""
 
     @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["state", "stack"])
     @pytest.mark.parametrize("name", sorted(BAND_MODELS))
-    def test_dense_stack_is_the_band_stack(self, name, lead):
+    def test_band_shapes(self, name, lead):
         model = BAND_MODELS[name]()
         states = 0.3 * np.random.default_rng(12).standard_normal(lead + (12,))
-        sub, main, sup = model.assemble_bands(states, enforce_ball=False)
+        sub, main, sup = model.assemble_bands(states)
         assert (sub.shape, main.shape, sup.shape) == (lead + (11,), lead + (12,), lead + (11,))
-        dense = model.assemble_A(states, enforce_ball=False)
-        assert np.array_equal(dense, band_stack(sub, main, sup))
 
-    def test_bands_enforce_the_ball(self, chemo):
+    def test_bands_leave_the_ball_to_check_ball(self, chemo):
+        outside = np.full(16, 10.0)
+        assert chemo.assemble_bands(outside)[1].shape == (16,)
         with pytest.raises(BallViolationError):
-            chemo.assemble_bands(np.full(16, 10.0))
-        assert chemo.assemble_bands(np.full(16, 10.0), enforce_ball=False)[1].shape == (16,)
+            check_ball(chemo, outside, enforce=True)
 
     def test_non_tridiagonal_linear_generator_rejected(self):
         model = LinearTestModel.default(build_grid(6, 1.0, BoundaryKind.NEUMANN))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgrec.averaging import AveragingCondition, Variant, duhamel_sums, observe
-from avgrec.errors import BallViolationError, ConfigurationError, ConvergenceError
+from avgrec.errors import (
+    BallViolationError,
+    ConfigurationError,
+    ConvergenceError,
+    NumericalError,
+)
 from avgrec.evolution import PropagatorMethod, TimeGrid
 from avgrec.models import ChemotaxisModel, LinearTestModel
 from avgrec.solver import (
@@ -146,6 +152,24 @@ class TestForwardSolve:
     def test_ball_exit_raises(self, small_chemo):
         with pytest.raises(BallViolationError):
             forward_solve(small_chemo, np.full(16, 5.0), TimeGrid(T=0.5, K=8))
+
+    @pytest.mark.parametrize("name", ["chemotaxis", "reaction_diffusion", "linear"])
+    def test_matches_dense_imex_reference(self, name, chemo32, rd32, linear16):
+        model = {"chemotaxis": chemo32, "reaction_diffusion": rd32, "linear": linear16}[name]
+        grid_t = TimeGrid(T=0.5, K=64)
+        u0 = 1e-2 * np.cos(np.pi * model.base.grid.nodes)
+        got = forward_solve(model, u0, grid_t).states
+        expected = oracles.dense_forward_solve(model, u0, grid_t).states
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+        assert np.linalg.norm(got[-1] - u0) > 1e-3 * np.linalg.norm(u0)
+
+    def test_singular_implicit_matrix_names_step(self):
+        # I - h A = 0 for A = 16 I at h = 1/16.
+        grid = build_grid(4, 1.0, BoundaryKind.NEUMANN)
+        model = replace(LinearTestModel.default(grid), matrix=16.0 * np.eye(4))
+        grid_t = TimeGrid(T=0.5, K=8)
+        with pytest.raises(NumericalError, match="^singular implicit matrix at step 0: "):
+            forward_solve(model, np.ones(4), grid_t)
 
     def test_self_convergence_first_order(self, small_chemo):
         u0 = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
@@ -333,6 +357,7 @@ class TestStepperSweep:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_matches_dense_lu_reference(self, small_chemo, variant, monkeypatch):
         import avgrec.evolution
+        import avgrec.solver
 
         grid_t = TimeGrid(T=0.5, K=32)
         cond = AveragingCondition.from_preset(grid_t, variant, "constant", w0=0.5)
@@ -343,12 +368,11 @@ class TestStepperSweep:
             raise AssertionError("the wrong one-step solve ran")
 
         with monkeypatch.context() as patch:
-            # Every path reads as dense, so the factors come from the LU.
-            patch.setattr(avgrec.evolution.OperatorPath, "tridiagonal", property(lambda self: None))
+            # The factors come from the dense LU of the same path.
+            patch.setattr(avgrec.solver, "step_factors", oracles.dense_step_factors)
             patch.setattr(avgrec.evolution, "dgtsv", forbidden)
             reference, _, _ = fixed_point_recover(small_chemo, cond, M)
 
-        monkeypatch.setattr(avgrec.evolution, "_dense_factors", forbidden)
         u0, _, report = fixed_point_recover(small_chemo, cond, M)
         assert report.converged
         assert np.linalg.norm(u0 - reference) <= 1e-12 * np.linalg.norm(reference)
@@ -466,8 +490,7 @@ class TestOneBuildPerIteration:
 
 
 class NonFiniteModel:
-    """A model whose A(u) or f(u) is made non-finite at one node, in its
-    dense stack and in its bands alike."""
+    """A model whose A(u) or f(u) is made non-finite at one node."""
 
     def __init__(self, model, part, node=3):
         self.model, self.part, self.node = model, part, node
@@ -475,15 +498,8 @@ class NonFiniteModel:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def assemble_A(self, u, enforce_ball=True):
-        mats = self.model.assemble_A(u, enforce_ball=enforce_ball)
-        if self.part == "A":
-            mats = mats.copy()
-            mats[self.node, 0, 0] = np.inf
-        return mats
-
-    def assemble_bands(self, u, enforce_ball=True):
-        sub, main, sup = self.model.assemble_bands(u, enforce_ball=enforce_ball)
+    def assemble_bands(self, u):
+        sub, main, sup = self.model.assemble_bands(u)
         if self.part == "A":
             main = main.copy()
             main[self.node, 0] = np.inf
@@ -495,19 +511,6 @@ class NonFiniteModel:
             f_states = f_states.copy()
             f_states[self.node, 0] = np.nan
         return f_states
-
-
-class DenseOnlyModel:
-    """A model seen without its ``assemble_bands``: the solver takes its
-    dense ``assemble_A`` stack."""
-
-    def __init__(self, model):
-        self.model = model
-
-    def __getattr__(self, name):
-        if name == "assemble_bands":
-            raise AttributeError(name)
-        return getattr(self.model, name)
 
 
 class TestBandPath:
@@ -522,13 +525,13 @@ class TestBandPath:
         return cond, observe(cond, truth.states)
 
     def test_stepper_recovery_forms_no_dense_stack(self, small_chemo, monkeypatch):
-        import avgrec.models
+        import avgrec.evolution
         import avgrec.solver
 
         cond, M = self.problem(small_chemo)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("the model formed a dense operator stack")
+            raise AssertionError("a dense operator stack was formed")
 
         paths = []
 
@@ -536,31 +539,12 @@ class TestBandPath:
             paths.append(operator_path(*args, **kwargs))
             return paths[-1]
 
-        monkeypatch.setattr(avgrec.models, "band_stack", forbidden)
+        monkeypatch.setattr(avgrec.evolution, "band_stack", forbidden)
         monkeypatch.setattr(avgrec.solver, "operator_path", recorded)
         _, _, report = fixed_point_recover(small_chemo, cond, M)
         assert report.converged
         assert len(paths) == report.iterates
         assert not any("matrices" in vars(path) for path in paths)
-
-    @pytest.mark.parametrize("method", list(PropagatorMethod))
-    def test_band_and_dense_paths_recover_identically(self, small_chemo, method):
-        cond, M = self.problem(small_chemo)
-        config = RecoveryConfig(method=method)
-        u0, traj, report = fixed_point_recover(small_chemo, cond, M, config)
-        dense_u0, dense_traj, dense_report = fixed_point_recover(
-            DenseOnlyModel(small_chemo), cond, M, config
-        )
-        assert np.array_equal(u0, dense_u0)
-        assert np.array_equal(traj.states, dense_traj.states)
-        assert report.to_dict() == dense_report.to_dict()
-
-    def test_model_without_bands_gives_a_dense_path(self, small_chemo):
-        traj = Trajectory(TimeGrid(T=0.5, K=8), 1e-2 * RNG.standard_normal((9, 16)))
-        dense = operator_path(DenseOnlyModel(small_chemo), traj)
-        band = operator_path(small_chemo, traj)
-        assert "matrices" in vars(dense) and "matrices" not in vars(band)
-        assert np.array_equal(dense.matrices, band.matrices)
 
 
 class TestNonFiniteIterate:

@@ -99,19 +99,24 @@ def each_state(fn, states, **kwargs):
     return out.reshape(states.shape[:-1] + out.shape[1:])
 
 
+def each_state_bands(model, states):
+    """The three diagonals of every state of a stack, one call per state."""
+    return tuple(each_state(lambda u: model.assemble_bands(u)[k], states) for k in range(3))
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 @pytest.mark.parametrize("lead", [(7,), (2, 3)])
 class TestStackedModel:
     def states(self, lead):
         return 0.1 * RNG.standard_normal(lead + (12,))
 
-    def test_assemble_A(self, name, lead):
+    def test_assemble_bands(self, name, lead):
         model = MODELS[name]
         states = self.states(lead)
-        for enforce in (True, False):
-            got = model.assemble_A(states, enforce_ball=enforce)
-            assert got.shape == lead + (12, 12)
-            assert np.array_equal(got, each_state(model.assemble_A, states, enforce_ball=enforce))
+        got = model.assemble_bands(states)
+        assert [band.shape for band in got] == [lead + (11,), lead + (12,), lead + (11,)]
+        for band, expected in zip(got, each_state_bands(model, states)):
+            assert np.array_equal(band, expected)
 
     def test_evaluate_f(self, name, lead):
         model = MODELS[name]
@@ -135,14 +140,11 @@ def test_assemble_without_ball_skips_the_norm(name, monkeypatch):
     states = 0.1 * RNG.standard_normal((5, 12))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("assemble_A(enforce_ball=False) computed the ball norm")
+        raise AssertionError("assemble_bands computed the ball norm")
 
     monkeypatch.setattr(avgrec.models, "_ball_norm", forbidden)
-    model.assemble_A(states, enforce_ball=False)
-    model.assemble_A(states[0], enforce_ball=False)
-    if not isinstance(model, LinearTestModel):  # the linear model has no ball
-        with pytest.raises(AssertionError):
-            model.assemble_A(states, enforce_ball=True)
+    model.assemble_bands(states)
+    model.assemble_bands(states[0])
 
 
 class TestStackedErrors:
@@ -162,9 +164,9 @@ class TestStackedErrors:
         states[2] = -3.0  # l(u) = -3 makes the coefficient negative
         states[4] = -5.0
         with pytest.raises(ModelError) as single:
-            model.assemble_A(states[2])
+            model.assemble_bands(states[2])
         with pytest.raises(ModelError) as stacked:
-            model.assemble_A(states)
+            model.assemble_bands(states)
         assert str(stacked.value) == f"node 2: {single.value}"
 
     def test_ball_violation_names_first_node(self):
@@ -172,7 +174,7 @@ class TestStackedErrors:
         states = np.zeros((5, 12))
         states[3] = 10.0
         with pytest.raises(NumericalError, match="^node 3: state leaves the admissible ball"):
-            model.assemble_A(states)
+            check_ball(model, states, enforce=True)
 
 
 class TestStackedSpatial:
@@ -235,8 +237,8 @@ class PerStateModel:
         self.exponents = inner.exponents
         self.ball_radius = inner.ball_radius
 
-    def assemble_A(self, u, enforce_ball=True):
-        return each_state(self.inner.assemble_A, u, enforce_ball=enforce_ball)
+    def assemble_bands(self, u):
+        return each_state_bands(self.inner, u)
 
     def evaluate_f(self, u):
         return each_state(self.inner.evaluate_f, u)
