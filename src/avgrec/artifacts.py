@@ -48,16 +48,6 @@ class RunArtifacts:
     scan_path: Path | None = None
     plot_paths: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "out_dir": str(self.out_dir),
-            "report": str(self.report_path) if self.report_path else None,
-            "trajectory": str(self.trajectory_path) if self.trajectory_path else None,
-            "recovered_u0": str(self.recovered_path) if self.recovered_path else None,
-            "scan": str(self.scan_path) if self.scan_path else None,
-            "plots": [str(p) for p in self.plot_paths],
-        }
-
 
 def emit_trajectory_csv(traj, path) -> None:
     """Rows (t, x_1..x_n) in full decimal width; header names the columns."""
@@ -158,8 +148,9 @@ fig.savefig("scan.png", dpi=150)
 PLOT_KINDS = tuple(_PLOT_TEMPLATES)
 
 
-def emit_plot_script(artifacts: RunArtifacts, kind: str, path=None) -> Path:
-    """Write a self-contained matplotlib script referencing the run's CSVs."""
+def emit_plot_script(artifacts: RunArtifacts, kind: str) -> Path:
+    """Write a self-contained matplotlib script referencing the run's CSVs,
+    as ``plot_<kind>.py`` in the run's output directory."""
     if kind not in _PLOT_TEMPLATES:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
     sources = {
@@ -170,7 +161,7 @@ def emit_plot_script(artifacts: RunArtifacts, kind: str, path=None) -> Path:
     source = sources[kind]
     if source is None or not Path(source).exists():
         raise FileNotFoundError(f"plot kind {kind!r} needs its source artifact, missing: {source}")
-    path = Path(path) if path is not None else artifacts.out_dir / f"plot_{kind}.py"
+    path = artifacts.out_dir / f"plot_{kind}.py"
     name = Path(source).name
     text = _PLOT_TEMPLATES[kind].format(csv=name, report=name)
     _atomic_write(path, text)

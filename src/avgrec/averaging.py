@@ -47,12 +47,6 @@ class Variant(Enum):
     TERMINAL_DIFFERENCE = "terminal_difference"
 
 
-def trapezoid_weights(grid: TimeGrid) -> np.ndarray:
-    qw = np.full(grid.K + 1, grid.h)
-    qw[0] = qw[-1] = 0.5 * grid.h
-    return qw
-
-
 WEIGHT_PRESETS = {
     "constant": lambda t: np.ones_like(t),
     "exp_decay": lambda t: np.exp(-t),
@@ -93,11 +87,6 @@ class AveragingCondition:
                 "(otherwise the data carries no information about u(0))"
             )
 
-    @property
-    def quad_weights(self) -> np.ndarray:
-        """The outer quadrature: the trapezoid weights of the grid."""
-        return trapezoid_weights(self.grid)
-
     @classmethod
     def from_preset(
         cls, grid: TimeGrid, variant: Variant, preset: str = "constant", w0: float = 0.0
@@ -106,8 +95,9 @@ class AveragingCondition:
 
 
 def _average(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:
-    """sum_j qw_j w(t_j) X_j over a (K+1, ...) stack X."""
-    return np.einsum("j,j...->...", cond.quad_weights * cond.weight, stack)
+    """sum_j qw_j w(t_j) X_j over a (K+1, ...) stack X, qw the trapezoid
+    weights of the grid."""
+    return np.einsum("j,j...->...", cond.grid.trapezoid_weights * cond.weight, stack)
 
 
 def observe(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:

@@ -16,16 +16,16 @@ v' = A(t) v are provided, as sweeps that never form U itself:
 A fixed-point sweep needs only the initial column U(t_i, 0) and the
 trapezoid Duhamel sums G_i; the last of them, G_K, is also the terminal
 forcing.  Both constructions serve them from one forward recursion of left
-sums on the widened right-hand side [I | h f] (:meth:`_Sweep.sweep`,
-returning :class:`SweepValues`), in O(K n^2) memory: the stepper from its K
-one-step factors S_j (:class:`StepFactors`: O(K n^2) for the factors, one
-Gaussian elimination on the bands over all K nodes at once with LAPACK gtsv
-for the nodes it would pivot, and one K-step loop of (n, n) x (n, n+1)
-products, O(K n^3)), the kernel series from its K frozen steps exp(h A_j)
-(:class:`SeriesSweep`, O(K^2 n^3), forming each difference A_m - A_l once),
-neither forming a table.  The full lower-triangular tables of both
-constructions, O(K^2 n^2) memory, are test oracles (``tests/oracles.py``)
-and serve the same ``sweep`` entry from their rows.
+sums on the widened right-hand side [I | qw f], qw the trapezoid weights
+(:meth:`_Sweep.sweep`, returning :class:`SweepValues`), in O(K n^2) memory:
+the stepper from its K one-step factors S_j (:class:`StepFactors`: O(K n^2)
+for the factors, one Gaussian elimination on the bands over all K nodes at
+once with LAPACK gtsv for the nodes it would pivot, and one K-step loop of
+(n, n) x (n, n+1) products, O(K n^3)), the kernel series from its K frozen
+steps exp(h A_j) (:class:`SeriesSweep`, O(K^2 n^3), forming each difference
+A_m - A_l once), neither forming a table.  The full lower-triangular tables
+of both constructions, O(K^2 n^2) memory, are test oracles
+(``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
 
 An :class:`OperatorPath` holds the three central diagonals of every
 A(t_j), as a model's ``assemble_bands`` returns them: every generator in
@@ -78,6 +78,13 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.K + 1)
+
+    @property
+    def trapezoid_weights(self) -> np.ndarray:
+        """Composite trapezoid weights on [0, T]: h/2 at both ends, h inside."""
+        qw = np.full(self.K + 1, self.h)
+        qw[0] = qw[-1] = 0.5 * self.h
+        return qw
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,17 +152,18 @@ class _Sweep:
     def sweep(self, f_states: np.ndarray) -> SweepValues:
         """Column and trapezoid Duhamel sums
         G_i = sum_m wts_m U(t_i, t_m) f(t_m) from one recursion on the
-        widened right-hand side [I | h f], width n+1.
+        widened right-hand side [I | qw f], width n+1, with qw the trapezoid
+        weights (h/2 at t_0, h inside).
 
-        With H_i the left sums of h f:
-            G_i = H_i - (h/2) U(t_i, 0) f_0 + (h/2) f_i.
+        With H_i the left sums of qw f, which weight the terms m < i:
+            G_0 = 0,   G_i = H_i + (h/2) f_i  for i >= 1.
         """
-        h = self.grid.h
         n = self.dim
-        left = self._left_sums((h * f_states)[:, :, None])
-        column = left[:, :, :n]
-        sums = left[:, :, n] - 0.5 * h * (column @ f_states[0]) + 0.5 * h * f_states
-        return SweepValues(column, sums)
+        weighted = self.grid.trapezoid_weights[:, None] * f_states
+        left = self._left_sums(weighted[:, :, None])
+        sums = left[:, :, n].copy()
+        sums[1:] += 0.5 * self.grid.h * f_states[1:]
+        return SweepValues(left[:, :, :n], sums)
 
 
 @dataclass(frozen=True)
@@ -271,7 +279,7 @@ def series_peak_bytes(n: int, K: int) -> int:
 
     The recursion holds the frozen steps, the carried products, the left
     sums, and at the last nodes the differences A_m - A_l and their products
-    with the carried blocks; its right-hand side is [I | h f].
+    with the carried blocks; its right-hand side is [I | qw f].
     """
     return 5 * 8 * (K + 1) * n * (n + 1)
 
@@ -281,7 +289,7 @@ def evolution_series(path: OperatorPath) -> SeriesSweep:
     from one stacked matrix exponential.
 
     A sweep's column U(t_i, 0) and Duhamel sums are one recursion on
-    [I | h f], O(K^2 n^2 (n+1)).  On a constant path the
+    [I | qw f], O(K^2 n^2 (n+1)).  On a constant path the
     kernel is exactly zero and the column equals that of the dense series
     table (``tests/oracles.py``) bit for bit.
     """

@@ -8,15 +8,17 @@ measured in the low-order spectral norm.  Models are immutable; both
 methods are pure and reentrant.
 
 Every generator is a 1-D second-order difference operator, so A(u) is
-tridiagonal, and the diagonals are its one form: every shipped model
-rejects difference or generator matrices that are not tridiagonal.  Both
-methods take one state u of shape (n,) or a stack of states (..., n), one
-per time node, and return one result per state: ``assemble_bands`` three
-stacks of shapes (..., n-1), (..., n) and (..., n-1), ``evaluate_f`` a
-(..., n) stack.  A stack is one call with one implementation, and each
-slice equals the single-state call bit for bit; the solver makes one such
-call per sweep instead of one per node.  Neither method evaluates the ball
-norm; ``check_ball`` is the one ball check, and takes the same stacks.
+tridiagonal, and the diagonals are its one form: the models build them
+from the three diagonals of the Laplacian (``base.bands``) and of the
+first difference (``spatial.first_difference``), and no dense matrix is
+stored.  Both methods take one state u of shape (n,) or a stack of states
+(..., n), one per time node, and return one result per state:
+``assemble_bands`` three stacks of shapes (..., n-1), (..., n) and
+(..., n-1), ``evaluate_f`` a (..., n) stack.  A stack is one call with one
+implementation, and each slice equals the single-state call bit for bit;
+the solver makes one such call per sweep instead of one per node.  Neither
+method evaluates the ball norm; ``check_ball`` is the one ball check, and
+takes the same stacks.
 
 Shipped models:
 
@@ -32,7 +34,7 @@ Shipped models:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -44,10 +46,10 @@ from .spatial import (
     Grid1D,
     SobolevScale,
     assemble_laplacian,
+    band_matvec,
     first_difference,
     first_node,
     helmholtz_solve,
-    matvec,
     node_label,
     sobolev_norm,
 )
@@ -85,9 +87,6 @@ class ExponentBook:
                 0 < 2 * b.rho < min(2.0 * (1.0 - b.mu * (b.ell + 1.0)), b.alpha - b.beta),
             ),
         ]
-
-    def all_valid(self) -> bool:
-        return all(ok for _, ok in self.checks())
 
 
 Bands = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -135,13 +134,12 @@ def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
     return norm
 
 
-# (k, rows): diagonal k holds the entries (i, i + k) for i in rows.
-_BAND = ((-1, slice(1, None)), (0, slice(None)), (1, slice(-1)))
+# The rows of the (sub, main, sup) diagonals' entries: (i, i - 1) for
+# i >= 1, (i, i) for every i and (i, i + 1) for i < n - 1.
+_BAND = (slice(1, None), slice(None), slice(-1))
 
-
-def _require_tridiagonal(model: str, name: str, matrix: np.ndarray) -> None:
-    if np.count_nonzero(np.triu(matrix, 2)) or np.count_nonzero(np.tril(matrix, -2)):
-        raise ConfigurationError(f"the {model} {name} matrix must be tridiagonal")
+# Smallest face diffusion coefficient the reaction-diffusion model admits.
+ELLIPTICITY_FLOOR = 1e-10
 
 
 def chemotaxis_exponents(s: float, ell: float = 1.0) -> ExponentBook:
@@ -174,17 +172,12 @@ class ChemotaxisModel:
     delta: float
     s: float
     ball_radius: float = 1.0
-    diff1: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.base.grid.bc is not BoundaryKind.NEUMANN:
             raise ConfigurationError("the chemotaxis model requires a Neumann grid")
         if self.a_fn(np.zeros(1))[0] <= 0:
             raise ConfigurationError("cell diffusivity must satisfy a(0) > 0")
-        if self.diff1 is None:
-            object.__setattr__(self, "diff1", first_difference(self.base.grid))
-        _require_tridiagonal("chemotaxis", "Laplacian", self.base.matrix)
-        _require_tridiagonal("chemotaxis", "first difference", self.diff1)
 
     @classmethod
     def default(
@@ -221,12 +214,12 @@ class ChemotaxisModel:
     def assemble_bands(self, u: np.ndarray) -> Bands:
         v = self.signal(u)
         diffusion = self.a_fn(v)
-        drift = self.drift_coeff_fn(v) * matvec(self.diff1, v)
-        # Both difference matrices are tridiagonal: a_i L_ij + c_i D_ij on the band.
+        difference = first_difference(self.base.grid)
+        drift = self.drift_coeff_fn(v) * band_matvec(difference, v)
+        # a_i L_ij + c_i D_ij on each diagonal.
         sub, main, sup = (
-            diffusion[..., rows] * np.diagonal(self.base.matrix, k)
-            + drift[..., rows] * np.diagonal(self.diff1, k)
-            for k, rows in _BAND
+            diffusion[..., rows] * lap + drift[..., rows] * diff
+            for lap, diff, rows in zip(self.base.bands, difference, _BAND)
         )
         return sub, main - self.chi_fn(v) * v, sup
 
@@ -275,10 +268,8 @@ class NonlocalRDModel:
     drift_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
     react_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
     functional_fn: Callable[[np.ndarray], float] | None = None
-    ellipticity_floor: float = 1e-10
     p: float = 4.0
     ball_radius: float = 1.0
-    diff1: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.poly_coeffs)
@@ -293,14 +284,11 @@ class NonlocalRDModel:
             raise ConfigurationError("functional weight must be a nodal field")
         object.__setattr__(self, "functional_weight", m)
         faces0 = self.diff_fn(self.base.grid.face_coords, self.functional_value(np.zeros_like(m)))
-        if np.min(faces0) < self.ellipticity_floor:
+        if np.min(faces0) < ELLIPTICITY_FLOOR:
             raise ConfigurationError(
                 f"diffusion coefficient at the zero state falls below the ellipticity "
-                f"floor {self.ellipticity_floor}"
+                f"floor {ELLIPTICITY_FLOOR}"
             )
-        if self.diff1 is None:
-            object.__setattr__(self, "diff1", first_difference(self.base.grid))
-        _require_tridiagonal("reaction-diffusion", "first difference", self.diff1)
 
     @classmethod
     def default(
@@ -345,7 +333,7 @@ class NonlocalRDModel:
         s_val = self.functional_value(u)
         faces = np.asarray(self.diff_fn(grid.face_coords, s_val), dtype=float)
         low = faces.min(axis=-1)
-        node = first_node(low <= max(self.ellipticity_floor, 0.0))
+        node = first_node(low <= ELLIPTICITY_FLOOR)
         if node is not None:
             raise ModelError(
                 f"{node_label(node)}ellipticity violated: min face coefficient "
@@ -364,8 +352,8 @@ class NonlocalRDModel:
         if self.drift_fn is not None:
             drift = np.asarray(self.drift_fn(grid.nodes, s_val))
             band = [
-                values + drift[..., rows] * np.diagonal(self.diff1, k)
-                for values, (k, rows) in zip(band, _BAND)
+                values + drift[..., rows] * diff
+                for values, diff, rows in zip(band, first_difference(grid), _BAND)
             ]
         if self.react_fn is not None:
             band[1] += np.asarray(self.react_fn(grid.nodes, s_val))
@@ -383,16 +371,14 @@ def generic_exponents(ell: float = 1.0) -> ExponentBook:
 
 @dataclass(frozen=True, eq=False)
 class LinearTestModel:
-    """Constant generator, zero forcing; recovery is exact for this model."""
+    """Constant generator, held as its (sub, main, sup) diagonals, and zero
+    forcing; recovery is exact for this model."""
 
     base: BaseOperator
     scale: SobolevScale
     exponents: ExponentBook
-    matrix: np.ndarray
+    bands: Bands
     ball_radius: float = float("inf")
-
-    def __post_init__(self):
-        _require_tridiagonal("linear test", "generator", self.matrix)
 
     @classmethod
     def default(cls, grid: Grid1D, coefficient: float = 1.0) -> "LinearTestModel":
@@ -401,13 +387,12 @@ class LinearTestModel:
             base=base,
             scale=SobolevScale(base=base),
             exponents=generic_exponents(),
-            matrix=coefficient * base.matrix,
+            bands=tuple(coefficient * band for band in base.bands),
         )
 
     def assemble_bands(self, u: np.ndarray) -> Bands:
         lead = np.shape(u)[:-1]
-        bands = (np.diagonal(self.matrix, k) for k, _ in _BAND)
-        return tuple(np.broadcast_to(band, lead + band.shape) for band in bands)
+        return tuple(np.broadcast_to(band, lead + band.shape) for band in self.bands)
 
     def evaluate_f(self, u: np.ndarray) -> np.ndarray:
         return np.zeros_like(u)

@@ -9,14 +9,15 @@ reconstruct
 
 Each iteration checks A(u) and f(u) for non-finite values, then builds one
 propagation on A(u) and sweeps it once: one forward recursion on the
-widened right-hand side [I | h f] (width n+1) gives the initial column
-U(t_j, 0) and the Duhamel sums of f(u) together.  The resolvent is the
-discretised condition (``averaging.observe``) applied to the column, the
-data shift is M minus the condition applied to the sums, and the
-reconstruction is column @ Xi + sums.  The resolvent is singular when its
-sigma_min sits at or below 1e-10 times its spectral norm.  The recovered
-initial state is the Xi the last sweep solved for (u_final(0) bit for
-bit), so a recovery that converges in k iterations builds k propagations.
+widened right-hand side [I | qw f] (qw the trapezoid weights, width n+1)
+gives the initial column U(t_j, 0) and the Duhamel sums of f(u) together.
+The resolvent is the discretised condition (``averaging.observe``) applied
+to the column, the data shift is M minus the condition applied to the sums,
+and the reconstruction is column @ Xi + sums.  The resolvent is singular
+when its sigma_min sits at or below 1e-10 times its spectral norm.  The
+recovered initial state is the Xi the last sweep solved for (u_final(0) bit
+for bit), so a recovery that converges in k iterations builds k
+propagations.
 
 The operator path is the three diagonals of every A(u(t_j)), from one
 stacked ``assemble_bands`` call; the non-finite check reads them alone.
@@ -69,7 +70,7 @@ from .evolution import (
     step_factors,
 )
 from .models import check_ball
-from .spatial import SobolevScale
+from .spatial import SobolevScale, modal_norm
 
 DIVERGENCE_FACTOR = 1e8
 
@@ -92,10 +93,6 @@ class Trajectory:
     @classmethod
     def zero(cls, grid: TimeGrid, n: int) -> "Trajectory":
         return cls(grid=grid, states=np.zeros((grid.K + 1, n)))
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
 
 @dataclass(frozen=True)
@@ -187,24 +184,18 @@ def weighted_distance(u: Trajectory, v: Trajectory, spec: WeightedNormSpec) -> f
     """
     if u.grid.K != v.grid.K or u.grid.T != v.grid.T:
         raise ValueError("trajectories live on different time grids")
-    diff = u.states - v.states
-    base = spec.scale.base
-    spacing = base.grid.spacing
-    factors = spec.scale.shift - base.eigenvalues
-
-    def norms(coeffs: np.ndarray, order: float) -> np.ndarray:
-        """Spectral norms of the order, one per row of modal coefficients."""
-        return np.sqrt((factors**order * coeffs**2).sum(axis=1) * spacing)
-
-    coeffs = diff @ base.eigenvectors  # (K+1, n) modal coefficients
+    scale = spec.scale
+    # (K+1, n) modal coefficients of the difference; the transform is linear,
+    # so a difference of nodes is the difference of their rows.
+    coeffs = (u.states - v.states) @ scale.base.eigenvectors
     nodes = u.grid.nodes
-    xi_part = float(np.max(nodes[1:] ** spec.mu * norms(coeffs, spec.order_xi)[1:]))
-    sup_part = float(norms(coeffs, spec.order_beta).max())
+    xi_part = float(np.max(nodes[1:] ** spec.mu * modal_norm(scale, coeffs, spec.order_xi)[1:]))
+    sup_part = float(modal_norm(scale, coeffs, spec.order_beta).max())
     holder = 0.0
     K = u.grid.K
     gap = 1
     while gap <= K:
-        seg_norms = norms((diff[gap:] - diff[:-gap]) @ base.eigenvectors, spec.order_beta)
+        seg_norms = modal_norm(scale, coeffs[gap:] - coeffs[:-gap], spec.order_beta)
         holder = max(holder, float(seg_norms.max()) / (gap * u.grid.h) ** spec.rho)
         gap *= 2
     return xi_part + sup_part + holder

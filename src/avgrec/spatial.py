@@ -13,10 +13,11 @@ interpolation scale between the discrete L2 and H2 spaces.
 
 Everything here is immutable after construction and safe to share between
 threads; all operations are pure functions of their inputs.  The Laplacian
-and the first difference are tridiagonal but stored dense, for the
-eigendecomposition; the models read their three diagonals.  ``band_stack``
-forms a dense stack from three diagonals where one is needed (the kernel
-series' matrix exponential).  Node counts above ``MAX_NODES`` are rejected.
+and the first difference are tridiagonal and held as their three diagonals
+(sub, main, sup), which the models read and ``band_matvec`` multiplies by.
+``band_stack`` forms a dense stack from three diagonals where one is needed:
+the eigendecomposition's input and the kernel series' matrix exponential.
+Node counts above ``MAX_NODES`` are rejected.
 
 The per-state operations (Helmholtz solve, fractional norm, matrix
 exponential) take one field (n,) or matrix (n, n), or a stack (..., n) /
@@ -66,6 +67,17 @@ def band_stack(sub: np.ndarray, main: np.ndarray, sup: np.ndarray) -> np.ndarray
     flat = out.reshape(main.shape[:-1] + (n * n,))
     for start, values in ((n, sub), (0, main), (1, sup)):
         flat[..., start :: n + 1] = values
+    return out
+
+
+def band_matvec(bands: tuple, x: np.ndarray) -> np.ndarray:
+    """The product of the tridiagonal matrix with (sub, main, sup) diagonals
+    of shapes (n-1,), (n,), (n-1,) and one state x (n,) or a stack (..., n),
+    O(n) per state; every slice equals the single-state call bit for bit."""
+    sub, main, sup = bands
+    out = main * x
+    out[..., 1:] += sub * x[..., :-1]
+    out[..., :-1] += sup * x[..., 1:]
     return out
 
 
@@ -143,7 +155,8 @@ def build_grid(n: int, length: float, bc: BoundaryKind) -> Grid1D:
 
 @dataclass(frozen=True)
 class BaseOperator:
-    """Discrete Laplacian with its eigendecomposition.
+    """Discrete Laplacian as its (sub, main, sup) diagonals, with its
+    eigendecomposition.
 
     ``eigenvalues`` are sorted descending (the Neumann constant mode, when
     present, comes first); ``eigenvectors`` holds the matching orthonormal
@@ -151,7 +164,7 @@ class BaseOperator:
     """
 
     grid: Grid1D
-    matrix: np.ndarray
+    bands: tuple
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -161,39 +174,29 @@ def assemble_laplacian(grid: Grid1D) -> BaseOperator:
     condition (Dirichlet: eliminated boundary nodes; Neumann: cell-centered
     ghost reflection).  Both variants are symmetric."""
     n, h = grid.n, grid.spacing
-    lap = np.zeros((n, n))
-    idx = np.arange(n)
-    lap[idx, idx] = -2.0
-    lap[idx[:-1], idx[:-1] + 1] = 1.0
-    lap[idx[1:], idx[1:] - 1] = 1.0
+    main = np.full(n, -2.0)
     if grid.bc is BoundaryKind.NEUMANN:
-        lap[0, 0] = -1.0
-        lap[-1, -1] = -1.0
-    lap /= h * h
-    eigvals, eigvecs = np.linalg.eigh(lap)
+        main[[0, -1]] = -1.0
+    bands = tuple(band / (h * h) for band in (np.ones(n - 1), main, np.ones(n - 1)))
+    eigvals, eigvecs = np.linalg.eigh(band_stack(*bands))
     order = np.argsort(eigvals)[::-1]
     return BaseOperator(
         grid=grid,
-        matrix=lap,
+        bands=bands,
         eigenvalues=eigvals[order],
         eigenvectors=eigvecs[:, order],
     )
 
 
-def first_difference(grid: Grid1D) -> np.ndarray:
-    """Centered first-difference matrix with the grid's boundary closure
-    (ghost reflection for Neumann, ghost zeros for Dirichlet)."""
+def first_difference(grid: Grid1D) -> tuple:
+    """(sub, main, sup) diagonals of the centered first difference with the
+    grid's boundary closure (ghost reflection for Neumann, ghost zeros for
+    Dirichlet)."""
     n, h = grid.n, grid.spacing
-    d = np.zeros((n, n))
-    idx = np.arange(1, n - 1)
-    d[idx, idx + 1] = 0.5
-    d[idx, idx - 1] = -0.5
-    d[0, 1] = 0.5
-    d[-1, -2] = -0.5
+    main = np.zeros(n)
     if grid.bc is BoundaryKind.NEUMANN:
-        d[0, 0] = -0.5
-        d[-1, -1] = 0.5
-    return d / h
+        main[[0, -1]] = -0.5, 0.5
+    return tuple(band / h for band in (np.full(n - 1, -0.5), main, np.full(n - 1, 0.5)))
 
 
 def helmholtz_solve(base: BaseOperator, rhs: np.ndarray) -> np.ndarray:
@@ -224,6 +227,13 @@ class SobolevScale:
             )
 
 
+def modal_norm(scale: SobolevScale, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """The H^s-type norm of the fields with modal coefficients ``coeffs``
+    (..., n) in the eigenbasis, one norm per field, shape (...)."""
+    weights = (scale.shift - scale.base.eigenvalues) ** s
+    return np.sqrt(np.sum(weights * coeffs**2, axis=-1) * scale.base.grid.spacing)
+
+
 def sobolev_norm(scale: SobolevScale, field: np.ndarray, s: float) -> float | np.ndarray:
     """Discrete H^s-type norm; s = 0 recovers the plain discrete L2 norm.
 
@@ -235,14 +245,12 @@ def sobolev_norm(scale: SobolevScale, field: np.ndarray, s: float) -> float | np
     field = np.asarray(field, dtype=float)
     if field.ndim < 1 or field.shape[-1] != scale.base.grid.n:
         raise ValueError(f"field must have length {scale.base.grid.n}")
-    coeffs = matvec(scale.base.eigenvectors.T, field)
-    weights = (scale.shift - scale.base.eigenvalues) ** s
-    norms = np.sqrt(np.sum(weights * coeffs**2, axis=-1) * scale.base.grid.spacing)
+    norms = modal_norm(scale, matvec(scale.base.eigenvectors.T, field), s)
     return float(norms) if norms.ndim == 0 else norms
 
 
 def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(t*m) by scaling-and-squaring with a Pade kernel; exact identity at t = 0.
+    """exp(t*m) by scaling-and-squaring with a Pade kernel.
 
     ``m`` is one square matrix (n, n) or a stack (..., n, n); SciPy's
     stacked expm runs the same algorithm on each slice, so every slice
@@ -255,8 +263,6 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
     if t < 0:
         raise ValueError(f"elapsed time must be nonnegative, got t={t}")
-    if t == 0.0:
-        return np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
     growth = t * _log_norm_1(m)
     node = first_node(growth > EXP_NORM_CAP)
     if node is not None:

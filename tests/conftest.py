@@ -10,7 +10,7 @@ from avgrec.solver import (
     forward_solve,
     self_convergence_error,
 )
-from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid
+from avgrec.spatial import BoundaryKind, assemble_laplacian, band_stack, build_grid
 
 from oracles import DensePath, evolution_stepper, series_table
 
@@ -59,7 +59,7 @@ def series_family(chemo16):
 def sqrt_holder_path(K, T=1.0):
     """Genuinely 1/2-Hoelder path A(t) = D + sqrt(t) B with non-commuting parts."""
     base = assemble_laplacian(build_grid(4, 1.0, BoundaryKind.DIRICHLET))
-    d_mat = base.matrix / 40.0
+    d_mat = band_stack(*base.bands) / 40.0
     rng = np.random.default_rng(3)
     b = rng.standard_normal((4, 4))
     b = 0.25 * (b + b.T)

@@ -16,11 +16,13 @@ can check the recursions against them:
   form Phi, Psi f and Xi on any propagation, and the probes
   (:func:`phi_lipschitz_probe`, :func:`semigroup_perturbation_check`,
   :func:`growth_estimate_probe`, ...) measure the paper's estimates;
-* the dense forms of what the package holds as three diagonals: a
-  generator path of any (K+1, n, n) stack (:class:`DensePath`), its
-  one-step factors by a stacked dense LU (:func:`dense_factors`), a model's
-  dense A(u) (:func:`dense_generator`) and the IMEX march by one dense solve
-  per step (:func:`dense_forward_solve`);
+* the dense forms of what the package holds as three diagonals: the
+  Laplacian and the first difference (:func:`dense_laplacian`,
+  :func:`dense_first_difference`), a generator path of any (K+1, n, n)
+  stack (:class:`DensePath`), its one-step factors by a stacked dense LU
+  (:func:`dense_factors`), a model's dense A(u) (:func:`dense_generator`)
+  and the IMEX march by one dense solve per step
+  (:func:`dense_forward_solve`);
 * :class:`ShiftedModel` recentres a model at an equilibrium.
 
 Every definition is written against the package's public and private
@@ -55,6 +57,8 @@ from avgrec.models import Bands, ExponentBook, QuasilinearModel, check_ball
 from avgrec.solver import Trajectory
 from avgrec.spatial import (
     BaseOperator,
+    BoundaryKind,
+    Grid1D,
     SobolevScale,
     band_stack,
     matrix_exponential,
@@ -122,6 +126,38 @@ def dense_factors(path) -> np.ndarray:
 def dense_step_factors(path) -> StepFactors:
     """The package's stepper sweep on the factors of :func:`dense_factors`."""
     return StepFactors(grid=path.grid, factors=dense_factors(path))
+
+
+def dense_laplacian(grid: Grid1D) -> np.ndarray:
+    """The (n, n) Laplacian of :func:`avgrec.spatial.assemble_laplacian`,
+    written entry by entry: the reference for its three diagonals."""
+    n, h = grid.n, grid.spacing
+    lap = np.zeros((n, n))
+    idx = np.arange(n)
+    lap[idx, idx] = -2.0
+    lap[idx[:-1], idx[:-1] + 1] = 1.0
+    lap[idx[1:], idx[1:] - 1] = 1.0
+    if grid.bc is BoundaryKind.NEUMANN:
+        lap[0, 0] = -1.0
+        lap[-1, -1] = -1.0
+    lap /= h * h
+    return lap
+
+
+def dense_first_difference(grid: Grid1D) -> np.ndarray:
+    """The (n, n) matrix of :func:`avgrec.spatial.first_difference`, written
+    entry by entry: the reference for its three diagonals."""
+    n, h = grid.n, grid.spacing
+    d = np.zeros((n, n))
+    idx = np.arange(1, n - 1)
+    d[idx, idx + 1] = 0.5
+    d[idx, idx - 1] = -0.5
+    d[0, 1] = 0.5
+    d[-1, -2] = -0.5
+    if grid.bc is BoundaryKind.NEUMANN:
+        d[0, 0] = -0.5
+        d[-1, -1] = 0.5
+    return d / h
 
 
 def dense_generator(model, u: np.ndarray) -> np.ndarray:
@@ -543,7 +579,7 @@ def spectral_phi_oracle(eigs, cond: AveragingCondition) -> np.ndarray:
     if cond.variant is not Variant.TIME_AVERAGE:
         raise ValueError("the spectral oracle applies to time-average conditions")
     eigs = np.asarray(eigs, dtype=float)
-    return np.exp(np.outer(eigs, cond.grid.nodes)) @ (cond.quad_weights * cond.weight)
+    return np.exp(np.outer(eigs, cond.grid.nodes)) @ (cond.grid.trapezoid_weights * cond.weight)
 
 
 def phi_lipschitz_probe(

@@ -25,6 +25,7 @@ from avgrec.solver import (
 from avgrec.spatial import (
     BoundaryKind,
     assemble_laplacian,
+    band_stack,
     build_grid,
     matrix_exponential,
 )
@@ -90,7 +91,7 @@ def test_criterion_2_phi_spectral_oracle():
     positive = True
     for K in (64, 128, 256):
         grid_t = TimeGrid(T=1.0, K=K)
-        path = banded_path(grid_t, np.repeat(base.matrix[None], K + 1, 0), 0.5)
+        path = banded_path(grid_t, np.repeat(band_stack(*base.bands)[None], K + 1, 0), 0.5)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         phi = assemble_phi(evolution_series(path), cond)
         eigs = np.sort(np.linalg.eigvalsh(0.5 * (phi.matrix + phi.matrix.T)))
@@ -112,7 +113,7 @@ def test_criterion_3_linear_recovery_exactness():
     grid_t = TimeGrid(T=0.5, K=64)
     rng = np.random.default_rng(7)
     x0 = 0.3 * rng.standard_normal(16)
-    zero_path = banded_path(grid_t, np.repeat(model.matrix[None], 65, 0), 0.5)
+    zero_path = banded_path(grid_t, np.repeat(band_stack(*model.bands)[None], 65, 0), 0.5)
     table = evolution_stepper(zero_path)
     worst = 0.0
     for variant in Variant:
@@ -216,12 +217,12 @@ def test_criterion_7_kernel_bound_analogue():
 
 def test_criterion_8_lipschitz_probes():
     base = assemble_laplacian(build_grid(8, 1.0, BoundaryKind.NEUMANN))
-    smoother = np.eye(8) - base.matrix  # discrete (shift - Laplacian), shift = 1
+    smoother = np.eye(8) - band_stack(*base.bands)  # discrete (shift - Laplacian), shift = 1
     grid_t = TimeGrid(T=0.5, K=32)
     cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
     ratios = []
     for eps in (1e-3, 1e-4, 1e-5):
-        a = banded_path(grid_t, np.repeat(0.5 * base.matrix[None], 33, 0), 0.5)
+        a = banded_path(grid_t, np.repeat(0.5 * band_stack(*base.bands)[None], 33, 0), 0.5)
         b = banded_path(grid_t, a.matrices + eps * np.eye(8), 0.5)
         ratios.append(phi_lipschitz_probe(a, b, cond, smoother=smoother))
     stable_phi = max(ratios) <= 2.0 * min(ratios)

@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 from avgrec.averaging import (
     AveragingCondition,
     Variant,
+    _average,
     data_shift,
     duhamel_sums,
     resolvent_matrix,
-    trapezoid_weights,
     weight_samples,
 )
 from avgrec.errors import ConfigurationError, SingularOperatorError
 from avgrec.evolution import TimeGrid, evolution_series
 from avgrec.solver import Trajectory
-from avgrec.spatial import BoundaryKind, assemble_laplacian, build_grid
+from avgrec.spatial import BoundaryKind, assemble_laplacian, band_stack, build_grid
 
 from oracles import (
     DensePath,
@@ -57,7 +57,7 @@ class TestAveragingCondition:
     def test_trapezoid_weights_sum_to_horizon(self):
         for K in (1, 2, 7, 64):
             grid_t = TimeGrid(T=2.5, K=K)
-            assert trapezoid_weights(grid_t).sum() == pytest.approx(2.5, rel=1e-14)
+            assert grid_t.trapezoid_weights.sum() == pytest.approx(2.5, rel=1e-14)
 
     def test_time_average_needs_nonzero_initial_weight(self):
         grid_t = TimeGrid(T=1.0, K=8)
@@ -71,9 +71,16 @@ class TestAveragingCondition:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_quad_weights_are_the_trapezoid_rule(self, variant):
+        # The condition's weighted average is the composite trapezoid rule
+        # of the grid: h/2 at both ends, h inside.
         grid_t = TimeGrid(T=0.7, K=9)
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.5)
-        assert np.array_equal(cond.quad_weights, trapezoid_weights(grid_t))
+        stack = RNG.standard_normal((10, 3))
+        samples = cond.weight[:, None] * stack
+        h = grid_t.h
+        expected = h * (0.5 * samples[0] + samples[1:-1].sum(axis=0) + 0.5 * samples[-1])
+        np.testing.assert_allclose(_average(cond, stack), expected, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(grid_t.trapezoid_weights[[0, 5, 9]], [0.5 * h, h, 0.5 * h])
 
     def test_quad_weights_not_settable(self):
         # The outer quadrature is derived from the grid, never passed in.
@@ -108,7 +115,7 @@ class TestAssemblePhi:
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         # the series column carries the exact semigroup values on a constant
         # path, so only the time quadrature contributes to the error
-        table = evolution_series(constant_path(base.matrix, grid_t))
+        table = evolution_series(constant_path(band_stack(*base.bands), grid_t))
         phi = assemble_phi(table, cond)
         eigs = np.sort(np.linalg.eigvalsh(0.5 * (phi.matrix + phi.matrix.T)))
         lam = np.sort(base.eigenvalues)
@@ -121,7 +128,7 @@ class TestAssemblePhi:
         base = assemble_laplacian(build_grid(n, 1.0, bc))
         grid_t = TimeGrid(T=0.5, K=32)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        table = evolution_stepper(constant_path(base.matrix, grid_t))
+        table = evolution_stepper(constant_path(band_stack(*base.bands), grid_t))
         phi = assemble_phi(table, cond)
         sym = 0.5 * (phi.matrix + phi.matrix.T)
         assert np.abs(phi.matrix - phi.matrix.T).max() <= 1e-10 * np.abs(phi.matrix).max()
@@ -134,7 +141,7 @@ class TestAssemblePhi:
         phi = assemble_phi(entry["stepper"], cond)
         direct = sum(
             qw * w * entry["stepper"].op(j, 0)
-            for j, (qw, w) in enumerate(zip(cond.quad_weights, cond.weight))
+            for j, (qw, w) in enumerate(zip(cond.grid.trapezoid_weights, cond.weight))
         )
         assert np.abs(phi.matrix - direct).max() <= 1e-12 * np.abs(direct).max()
 
@@ -148,7 +155,7 @@ class TestAssemblePhi:
         for K in (64, 128, 256):
             grid_t = TimeGrid(T=1.0, K=K)
             cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "exp_decay")
-            table = evolution_series(constant_path(base.matrix, grid_t))
+            table = evolution_series(constant_path(band_stack(*base.bands), grid_t))
             eigs = np.sort(np.linalg.eigvalsh(0.5 * (assemble_phi(table, cond).matrix
                                                      + assemble_phi(table, cond).matrix.T)))
             errors.append(np.max(np.abs(eigs - oracle) / oracle))
@@ -250,7 +257,8 @@ class TestInitialStateMap:
     def _table(self, n=8, K=48, T=0.5, coefficient=0.8):
         base = assemble_laplacian(build_grid(n, 1.0, BoundaryKind.NEUMANN))
         grid_t = TimeGrid(T=T, K=K)
-        return grid_t, evolution_stepper(constant_path(coefficient * base.matrix, grid_t))
+        lap = band_stack(*base.bands)
+        return grid_t, evolution_stepper(constant_path(coefficient * lap, grid_t))
 
     def test_forward_then_invert_round_trip(self):
         grid_t, table = self._table()
@@ -282,7 +290,7 @@ class TestInitialStateMap:
         # so the averaging operator annihilates it.
         base = assemble_laplacian(build_grid(6, 1.0, BoundaryKind.NEUMANN))
         grid_t = TimeGrid(T=1.0, K=64)
-        table = evolution_stepper(constant_path(base.matrix, grid_t))
+        table = evolution_stepper(constant_path(band_stack(*base.bands), grid_t))
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "cosine_cycle")
         with pytest.raises(SingularOperatorError) as err:
             initial_state_map(cond, table, np.ones(6), Trajectory.zero(grid_t, 6))
@@ -307,7 +315,7 @@ class TestInitialStateMap:
         f_traj = Trajectory(grid=grid_t, states=f_states)
         xi = initial_state_map(cond, table, M, f_traj)
         states = table.column @ xi + duhamel_sums(table, f_states)
-        average = np.einsum("j,ja->a", cond.quad_weights * cond.weight, states)
+        average = np.einsum("j,ja->a", cond.grid.trapezoid_weights * cond.weight, states)
         if variant is Variant.TIME_AVERAGE:
             defect = average - M
         elif variant is Variant.INITIAL_PLUS_AVERAGE:
@@ -376,7 +384,7 @@ class TestInitialStateMap:
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
         f_states = rng.standard_normal((17, 6))
         M = rng.standard_normal(6)
-        qw = trapezoid_weights(grid_t)
+        qw = grid_t.trapezoid_weights
         if variant is Variant.TERMINAL_DIFFERENCE:
             shift = cond.w0 * np.einsum("j,jab,jb->a", qw, table.rows[-1], f_states)
         else:
@@ -413,7 +421,7 @@ class TestInvertibilityReport:
         base = assemble_laplacian(build_grid(8, 8.0, BoundaryKind.NEUMANN))
         grid_t = TimeGrid(T=1.0, K=128)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        table = evolution_stepper(constant_path(base.matrix, grid_t))
+        table = evolution_stepper(constant_path(band_stack(*base.bands), grid_t))
         phi = assemble_phi(table, cond)
         report = invertibility_report(phi)
         lam_min = base.eigenvalues.min()
@@ -468,7 +476,7 @@ class TestPhiLipschitzProbe:
     def _paths(self, eps):
         base = assemble_laplacian(build_grid(8, 1.0, BoundaryKind.NEUMANN))
         grid_t = TimeGrid(T=0.5, K=32)
-        a = constant_path(0.5 * base.matrix, grid_t)
+        a = constant_path(0.5 * band_stack(*base.bands), grid_t)
         b = banded_path(grid_t, a.matrices + eps * np.eye(8), 0.5)
         return a, b
 
@@ -500,8 +508,8 @@ class TestPhiLipschitzProbe:
         lam = base.eigenvalues
         eps = 1e-4
         grid_t = TimeGrid(T=0.5, K=64)
-        a = constant_path(0.5 * base.matrix, grid_t)
-        b = constant_path((0.5 + eps) * base.matrix, grid_t)
+        a = constant_path(0.5 * band_stack(*base.bands), grid_t)
+        b = constant_path((0.5 + eps) * band_stack(*base.bands), grid_t)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         got = phi_lipschitz_probe(a, b, cond)
         diff_modes = np.abs(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
 
-from avgrec.averaging import duhamel_sums, terminal_forcing, trapezoid_weights
+from avgrec.averaging import duhamel_sums, terminal_forcing
 from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
@@ -211,11 +211,11 @@ class TestEvolutionSeries:
         grid = TimeGrid(T=1.0, K=128)
         path = DensePath(
             grid=grid,
-            matrices=np.stack([(1.0 + 0.5 * t) * base.matrix for t in grid.nodes]),
+            matrices=np.stack([(1.0 + 0.5 * t) * band_stack(*base.bands) for t in grid.nodes]),
             holder_rho=0.9,
         )
         u_final = evolution_series(path).column[128]
-        exact = matrix_exponential(base.matrix, 1.25)  # int_0^1 (1 + t/2) dt = 5/4
+        exact = matrix_exponential(band_stack(*base.bands), 1.25)  # int_0^1 (1 + t/2) dt = 5/4
         rel = np.linalg.norm(u_final - exact, 2) / np.linalg.norm(exact, 2)
         assert rel <= 0.02
 
@@ -283,7 +283,7 @@ def assert_terminal_forcing_matches_final_row(sweep, table):
     oracle's final row, is the last Duhamel sum of one sweep."""
     grid = table.grid
     f_states = np.random.default_rng(8).standard_normal((grid.K + 1, table.dim))
-    qw = trapezoid_weights(grid)
+    qw = grid.trapezoid_weights
     expected = np.einsum("j,jab,jb->a", qw, table.rows[grid.K], f_states)
     values = sweep.sweep(f_states)
     assert np.array_equal(terminal_forcing(values), values.sums[-1])
@@ -617,6 +617,19 @@ class TestModelPathSweeps:
 
     def test_terminal_forcing(self, model, method):
         assert_terminal_forcing_matches_final_row(*self._pair(model, method))
+
+    def test_sums_are_the_end_corrected_formula(self, model, method):
+        # The sweep weights the forcing by the trapezoid rule before its
+        # recursion; the end-corrected form recurs on h f and takes
+        # (h/2) U(t_i, 0) f_0 back off.  G_0 stays exactly zero.
+        sweep, _ = self._pair(model, method)
+        h = sweep.grid.h
+        f_states = np.random.default_rng(11).standard_normal((17, 8))
+        values = sweep.sweep(f_states)
+        assert np.array_equal(values.sums[0], np.zeros(8))
+        left = sweep._left_sums((h * f_states)[:, :, None])[:, :, 8]
+        expected = left - 0.5 * h * (values.column @ f_states[0]) + 0.5 * h * f_states
+        assert rel_err(values.sums, expected) <= 1e-15
 
 
 def traced_sweep_peak(build, path):

@@ -31,7 +31,7 @@ from avgrec.solver import (
     smallness_scan,
     weighted_distance,
 )
-from avgrec.spatial import BoundaryKind, build_grid, matrix_exponential
+from avgrec.spatial import BoundaryKind, band_stack, build_grid, matrix_exponential
 
 import oracles
 from oracles import assemble_phi, evolution_stepper, series_table
@@ -134,7 +134,7 @@ class TestForwardSolve:
         errors = []
         for K in (32, 64, 128):
             traj = forward_solve(linear16, u0, TimeGrid(T=0.5, K=K))
-            exact = matrix_exponential(linear16.matrix, 0.5) @ u0
+            exact = matrix_exponential(band_stack(*linear16.bands), 0.5) @ u0
             errors.append(np.linalg.norm(traj.states[-1] - exact))
         orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(orders) >= 0.8
@@ -166,7 +166,8 @@ class TestForwardSolve:
     def test_singular_implicit_matrix_names_step(self):
         # I - h A = 0 for A = 16 I at h = 1/16.
         grid = build_grid(4, 1.0, BoundaryKind.NEUMANN)
-        model = replace(LinearTestModel.default(grid), matrix=16.0 * np.eye(4))
+        bands = (np.zeros(3), np.full(4, 16.0), np.zeros(3))
+        model = replace(LinearTestModel.default(grid), bands=bands)
         grid_t = TimeGrid(T=0.5, K=8)
         with pytest.raises(NumericalError, match="^singular implicit matrix at step 0: "):
             forward_solve(model, np.ones(4), grid_t)
@@ -280,7 +281,7 @@ class TestAveragingResidual:
         traj = forward_solve(
             small_chemo, 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes), grid_t
         )
-        M = np.einsum("j,ja->a", cond.quad_weights * cond.weight, traj.states)
+        M = np.einsum("j,ja->a", cond.grid.trapezoid_weights * cond.weight, traj.states)
         assert averaging_residual(cond, traj, M) <= 1e-12
 
     def test_recovered_residual_within_tolerance(self, manufactured):
@@ -329,7 +330,7 @@ class TestStepperSweep:
         grid_t = TimeGrid(T=0.5, K=32)
         cond = AveragingCondition.from_preset(grid_t, variant, "constant", w0=0.5)
         truth = forward_solve(small_chemo, 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes), grid_t)
-        M = np.einsum("j,ja->a", cond.quad_weights * cond.weight, truth.states)
+        M = np.einsum("j,ja->a", cond.grid.trapezoid_weights * cond.weight, truth.states)
         if variant is Variant.INITIAL_PLUS_AVERAGE:
             M = M + truth.states[0]
         elif variant is Variant.TERMINAL_DIFFERENCE:

@@ -8,6 +8,7 @@ from avgrec.spatial import (
     BoundaryKind,
     SobolevScale,
     assemble_laplacian,
+    band_matvec,
     band_stack,
     build_grid,
     first_difference,
@@ -16,6 +17,8 @@ from avgrec.spatial import (
     smallest_singular_value,
     sobolev_norm,
 )
+
+from oracles import dense_first_difference, dense_laplacian
 
 RNG = np.random.default_rng(0)
 
@@ -51,7 +54,7 @@ class TestLaplacian:
     def test_neumann_rows_sum_to_zero(self):
         for n in (2, 5, 17):
             base = assemble_laplacian(build_grid(n, 1.0, BoundaryKind.NEUMANN))
-            assert np.max(np.abs(base.matrix.sum(axis=1))) < 1e-10
+            assert np.max(np.abs(band_stack(*base.bands).sum(axis=1))) < 1e-10
 
     def test_dirichlet_eigenvalues_closed_form(self):
         # Tridiagonal (1,-2,1)/h^2 on 3 interior nodes, h = 1/4.
@@ -66,16 +69,30 @@ class TestLaplacian:
         assert base.eigenvalues[1] < -1e-3
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("n", [2, 5, 24])
+    def test_bands_are_the_dense_reference(self, bc, n):
+        grid = build_grid(n, 1.5, bc)
+        base = assemble_laplacian(grid)
+        assert [band.shape for band in base.bands] == [(n - 1,), (n,), (n - 1,)]
+        reference = dense_laplacian(grid)
+        assert np.array_equal(band_stack(*base.bands), reference)
+        # The eigendecomposition's input is the same matrix.
+        eigvals, eigvecs = np.linalg.eigh(reference)
+        order = np.argsort(eigvals)[::-1]
+        assert np.array_equal(base.eigenvalues, eigvals[order])
+        assert np.array_equal(base.eigenvectors, eigvecs[:, order])
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
     def test_symmetry(self, bc):
-        base = assemble_laplacian(build_grid(24, 1.5, bc))
-        defect = np.max(np.abs(base.matrix - base.matrix.T))
-        assert defect <= 1e-12 * np.max(np.abs(base.matrix))
+        lap = band_stack(*assemble_laplacian(build_grid(24, 1.5, bc)).bands)
+        assert np.max(np.abs(lap - lap.T)) <= 1e-12 * np.max(np.abs(lap))
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
     def test_eigen_reconstruction(self, bc):
         base = assemble_laplacian(build_grid(24, 1.0, bc))
+        lap = band_stack(*base.bands)
         rebuilt = base.eigenvectors @ np.diag(base.eigenvalues) @ base.eigenvectors.T
-        assert np.max(np.abs(rebuilt - base.matrix)) <= 1e-9 * np.max(np.abs(base.matrix))
+        assert np.max(np.abs(rebuilt - lap)) <= 1e-9 * np.max(np.abs(lap))
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
     def test_eigenvectors_orthogonal(self, bc):
@@ -93,13 +110,62 @@ class TestFirstDifference:
     def test_constant_has_zero_derivative_neumann(self):
         grid = build_grid(12, 1.0, BoundaryKind.NEUMANN)
         d = first_difference(grid)
-        np.testing.assert_allclose(d @ np.ones(12), 0.0, atol=1e-13)
+        np.testing.assert_allclose(band_matvec(d, np.ones(12)), 0.0, atol=1e-13)
 
     def test_linear_field_interior(self):
         grid = build_grid(20, 1.0, BoundaryKind.DIRICHLET)
         d = first_difference(grid)
-        deriv = d @ grid.nodes
+        deriv = band_matvec(d, grid.nodes)
         np.testing.assert_allclose(deriv[1:-1], 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_bands_are_the_dense_reference(self, bc, n):
+        grid = build_grid(n, 1.0, bc)
+        bands = first_difference(grid)
+        assert [band.shape for band in bands] == [(n - 1,), (n,), (n - 1,)]
+        assert np.array_equal(band_stack(*bands), dense_first_difference(grid))
+
+
+class TestBandMatvec:
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_equals_the_dense_product(self, bc, n):
+        # At unit spacing the Laplacian and first difference have entries in
+        # {0, +-1/2, +-1, -2}; with integer bands and states every product and
+        # sum is exact, so the dense product has one value whatever its
+        # summation order, and the band product must hit it bit for bit, per
+        # slice of a stack too.
+        grid = build_grid(n, float(n if bc is BoundaryKind.NEUMANN else n + 1), bc)
+        assert grid.spacing == 1.0
+        rng = np.random.default_rng(n)
+        integers = tuple(rng.integers(-9, 10, m).astype(float) for m in (n - 1, n, n - 1))
+        x = rng.integers(-9, 10, (2, 3, n)).astype(float)
+        for bands in (assemble_laplacian(grid).bands, first_difference(grid), integers):
+            dense = band_stack(*bands)
+            stacked = band_matvec(bands, x)
+            assert stacked.shape == (2, 3, n)
+            for index in np.ndindex(2, 3):
+                assert np.array_equal(stacked[index], dense @ x[index])
+                assert np.array_equal(band_matvec(bands, x[index]), stacked[index])
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_first_difference_of_real_fields(self, bc, n):
+        # A row of the first difference has at most two nonzero entries, so
+        # its product is the correctly rounded sum of two products: the row
+        # sums of D * x bit for bit, and the BLAS product within roundoff
+        # (it may fuse a multiply with the add).
+        grid = build_grid(n, 1.0, bc)
+        bands = first_difference(grid)
+        dense = dense_first_difference(grid)
+        x = RNG.standard_normal((4, n))
+        stacked = band_matvec(bands, x)
+        for row, field in zip(stacked, x):
+            assert np.array_equal(row, (dense * field).sum(axis=1))
+            assert np.array_equal(band_matvec(bands, field), row)
+            scale = np.abs(row).max()
+            np.testing.assert_allclose(row, dense @ field, rtol=1e-15, atol=1e-15 * scale)
 
 
 class TestBandStack:
@@ -130,7 +196,7 @@ class TestHelmholtz:
     @pytest.mark.parametrize("bc", list(BoundaryKind))
     def test_random_residual(self, bc):
         base = assemble_laplacian(build_grid(30, 1.0, bc))
-        op = np.eye(30) - base.matrix
+        op = np.eye(30) - band_stack(*base.bands)
         rhs = RNG.standard_normal(30)
         v = helmholtz_solve(base, rhs)
         res = np.linalg.norm(op @ v - rhs) / np.linalg.norm(rhs)
@@ -138,7 +204,7 @@ class TestHelmholtz:
 
     def test_inverse_identity_on_many_fields(self):
         base = assemble_laplacian(build_grid(16, 1.0, BoundaryKind.NEUMANN))
-        op = np.eye(16) - base.matrix
+        op = np.eye(16) - band_stack(*base.bands)
         for _ in range(100):
             x = RNG.standard_normal(16)
             back = helmholtz_solve(base, op @ x)
