@@ -27,6 +27,13 @@ A_m - A_l once), neither forming a table.  The full lower-triangular tables
 of both constructions, O(K^2 n^2) memory, are test oracles
 (``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
 
+LAPACK gtsv (the module attribute ``dgtsv``, reached through :func:`gtsv`)
+is imported from SciPy on first use: the stepper needs it only for a node
+that would pivot or is singular.  :func:`solve_tridiagonal`, gtsv's
+elimination for one right-hand side on Python floats, solves one system
+bit for bit like gtsv and calls it only where gtsv would interchange rows
+or meets a zero pivot; the forward IMEX solve takes each step with it.
+
 An :class:`OperatorPath` holds the three central diagonals of every
 A(t_j), as a model's ``assemble_bands`` returns them: every generator in
 the package is tridiagonal.  The stepper's elimination reads only the
@@ -48,7 +55,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError
 from .spatial import band_stack, matrix_exponential
@@ -349,14 +355,10 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
     # extra term 0 * B_{r+2} vanishes.
     redo |= ~np.isfinite(rows[0]).all(axis=1)
     factors = rows.transpose(1, 0, 2)
-    if n == 1:
-        # gtsv's wrapper wants off-diagonals of length max(n - 1, 1); gtsv
-        # reads none of them at n = 1.
-        lower = upper = np.zeros((K, 1))
     for j in np.flatnonzero(redo):
         # R_j from node j's bands, as the dense c A(t_j) with 1 added on the diagonal.
         rhs = band_stack(rhs_sub[:, j], rhs_diag[:, j] + 1.0, rhs_sup[:, j])
-        *_, solution, info = dgtsv(lower[j], main[j], upper[j], rhs)
+        solution, info = gtsv(lower[j], main[j], upper[j], rhs)
         if info > 0:
             raise NumericalError(
                 f"singular one-step matrix at node {j + 1}: zero pivot in row {info} "
@@ -364,6 +366,65 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
             )
         factors[j] = solution
     return factors
+
+
+def __getattr__(name: str):
+    # LAPACK's dgtsv is imported from SciPy on first use, which loads all of
+    # scipy.linalg: a stepper run whose nodes need no row interchange, and
+    # the forward solve, never ask for it.
+    if name != "dgtsv":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg.lapack import dgtsv
+
+    globals()["dgtsv"] = dgtsv
+    return dgtsv
+
+
+def gtsv(lower: np.ndarray, main: np.ndarray, upper: np.ndarray, rhs: np.ndarray):
+    """LAPACK dgtsv on one tridiagonal system with (n-1,), (n,), (n-1,)
+    diagonals and right-hand side (n,) or (n, r): (solution, info), info > 0
+    the row of a zero pivot.  Calls the module attribute ``dgtsv``, which
+    the first call imports."""
+    if main.shape[0] == 1:
+        # gtsv's wrapper wants off-diagonals of length max(n - 1, 1); gtsv
+        # reads none of them at n = 1.
+        lower = upper = np.zeros(1)
+    routine = globals().get("dgtsv") or __getattr__("dgtsv")
+    *_, solution, info = routine(lower, main, upper, rhs)
+    return solution, info
+
+
+def solve_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray, rhs: np.ndarray):
+    """(solution, info) of :func:`gtsv` for one right-hand side (n,), by the
+    same elimination on Python floats where gtsv interchanges no rows.
+
+    The loops are reference dgtsv's for one right-hand side without
+    interchanges, so the solution equals gtsv's bit for bit, signed zeros
+    included.  A system where gtsv would interchange rows, meets a zero
+    pivot, or where the solution is not finite (a NaN or inf among the
+    entries) is handed to gtsv itself, which also reports the zero pivot.
+    """
+    n = main.shape[0]
+    dl, d, du, b = lower.tolist(), main.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(n - 1):
+        if not abs(d[i]) >= abs(dl[i]) or d[i] == 0.0:
+            return gtsv(lower, main, upper, rhs)
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    if d[-1] == 0.0:
+        return gtsv(lower, main, upper, rhs)
+    b[-1] /= d[-1]
+    if n > 1:
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        # gtsv zeroes dl(i) in the elimination and still subtracts
+        # dl(i) * b(i+2), which turns a -0.0 into +0.0 when b(i+2) < 0.
+        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    solution = np.array(b)
+    if not np.isfinite(solution).all():
+        return gtsv(lower, main, upper, rhs)
+    return solution, 0
 
 
 def stepper_peak_bytes(n: int, K: int) -> int:

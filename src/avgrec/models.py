@@ -10,9 +10,10 @@ methods are pure and reentrant.
 Every generator is a 1-D second-order difference operator, so A(u) is
 tridiagonal, and the diagonals are its one form: the models build them
 from the three diagonals of the Laplacian (``base.bands``) and of the
-first difference (``spatial.first_difference``), and no dense matrix is
-stored.  Both methods take one state u of shape (n,) or a stack of states
-(..., n), one per time node, and return one result per state:
+first difference (``spatial.first_difference``, derived once per model
+as its ``difference`` field), and no dense matrix is stored.  Both
+methods take one state u of shape (n,) or a stack of states (..., n), one
+per time node, and return one result per state:
 ``assemble_bands`` three stacks of shapes (..., n-1), (..., n) and
 (..., n-1), ``evaluate_f`` a (..., n) stack.  A stack is one call with one
 implementation, and each slice equals the single-state call bit for bit;
@@ -34,7 +35,7 @@ Shipped models:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -172,12 +173,14 @@ class ChemotaxisModel:
     delta: float
     s: float
     ball_radius: float = 1.0
+    difference: Bands = field(init=False, repr=False)  # first_difference of the grid
 
     def __post_init__(self):
         if self.base.grid.bc is not BoundaryKind.NEUMANN:
             raise ConfigurationError("the chemotaxis model requires a Neumann grid")
         if self.a_fn(np.zeros(1))[0] <= 0:
             raise ConfigurationError("cell diffusivity must satisfy a(0) > 0")
+        object.__setattr__(self, "difference", first_difference(self.base.grid))
 
     @classmethod
     def default(
@@ -214,12 +217,11 @@ class ChemotaxisModel:
     def assemble_bands(self, u: np.ndarray) -> Bands:
         v = self.signal(u)
         diffusion = self.a_fn(v)
-        difference = first_difference(self.base.grid)
-        drift = self.drift_coeff_fn(v) * band_matvec(difference, v)
+        drift = self.drift_coeff_fn(v) * band_matvec(self.difference, v)
         # a_i L_ij + c_i D_ij on each diagonal.
         sub, main, sup = (
             diffusion[..., rows] * lap + drift[..., rows] * diff
-            for lap, diff, rows in zip(self.base.bands, difference, _BAND)
+            for lap, diff, rows in zip(self.base.bands, self.difference, _BAND)
         )
         return sub, main - self.chi_fn(v) * v, sup
 
@@ -270,6 +272,7 @@ class NonlocalRDModel:
     functional_fn: Callable[[np.ndarray], float] | None = None
     p: float = 4.0
     ball_radius: float = 1.0
+    difference: Bands = field(init=False, repr=False)  # first_difference of the grid
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.poly_coeffs)
@@ -289,6 +292,7 @@ class NonlocalRDModel:
                 f"diffusion coefficient at the zero state falls below the ellipticity "
                 f"floor {ELLIPTICITY_FLOOR}"
             )
+        object.__setattr__(self, "difference", first_difference(self.base.grid))
 
     @classmethod
     def default(
@@ -353,7 +357,7 @@ class NonlocalRDModel:
             drift = np.asarray(self.drift_fn(grid.nodes, s_val))
             band = [
                 values + drift[..., rows] * diff
-                for values, diff, rows in zip(band, first_difference(grid), _BAND)
+                for values, diff, rows in zip(band, self.difference, _BAND)
             ]
         if self.react_fn is not None:
             band[1] += np.asarray(self.react_fn(grid.nodes, s_val))

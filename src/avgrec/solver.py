@@ -23,9 +23,10 @@ The operator path is the three diagonals of every A(u(t_j)), from one
 stacked ``assemble_bands`` call; the non-finite check reads them alone.
 The default propagation is the K one-step Crank-Nicolson factors, one
 tridiagonal elimination over all K nodes at once (a node that would need
-row interchanges is solved by LAPACK gtsv); its recursion is K products of
-n x n factors with n x (n+1) blocks, so a sweep costs O(K n^3) time and
-O(K n^2) memory, and the dense (K+1, n, n) stack is never formed.  The
+row interchanges is solved by LAPACK gtsv, imported from SciPy on first
+use); its recursion is K products of n x n factors with n x (n+1) blocks,
+so a sweep costs O(K n^3) time and O(K n^2) memory, and the dense
+(K+1, n, n) stack is never formed.  The
 kernel series (behind a flag) recurs on its K frozen steps exp(h A_j),
 formed from the dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The
 full propagator tables of either method are test oracles
@@ -39,7 +40,8 @@ Distances between iterates are measured in the time-weighted norm
       +  max_pairs |u(t_i) - u(t_j)|_beta / (t_i - t_j)^rho ,
 
 with the Hoelder quotient taken over adjacent and dyadic node pairs.  The
-forward IMEX solver, one tridiagonal gtsv solve per step, provides
+forward IMEX solver, one O(n) tridiagonal elimination per step (the
+scalar form of the stepper's, equal to LAPACK gtsv bit for bit), provides
 manufactured data and the self-convergence error that recovery accuracy is
 measured against.
 
@@ -52,7 +54,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .averaging import (
     AveragingCondition,
@@ -67,6 +68,7 @@ from .evolution import (
     PropagatorMethod,
     TimeGrid,
     evolution_series,
+    solve_tridiagonal,
     step_factors,
 )
 from .models import check_ball
@@ -329,8 +331,11 @@ def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Semi-implicit IMEX march u_{j+1} = (I - h A(u_j))^{-1} (u_j + h f(u_j)).
 
     First order with lagged coefficients; the manufactured-data generator and
-    the yardstick that recovery errors are compared against.  Each step is
-    one LAPACK gtsv solve on the bands of I - h A(u_j), O(n).
+    the yardstick that recovery errors are compared against.  Each step
+    solves I - h A(u_j) on its bands by ``solve_tridiagonal``, O(n): gtsv's
+    elimination on Python floats, with gtsv itself for a step that needs a
+    row interchange or meets a zero pivot, so SciPy is not imported for
+    the march.
     """
     u0 = np.asarray(u0, dtype=float)
     n = u0.shape[0]
@@ -342,7 +347,7 @@ def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
         sub, main, sup = model.assemble_bands(states[j])
         rhs = states[j] + h * model.evaluate_f(states[j])
         # I - h A(u_j) on its diagonals: 1 - h a on the main one, -(h a) off it.
-        *_, states[j + 1], info = dgtsv(-(h * sub), 1.0 - h * main, -(h * sup), rhs)
+        states[j + 1], info = solve_tridiagonal(-(h * sub), 1.0 - h * main, -(h * sup), rhs)
         if info > 0:
             raise NumericalError(
                 f"singular implicit matrix at step {j}: zero pivot in row {info} "

@@ -17,7 +17,8 @@ and the first difference are tridiagonal and held as their three diagonals
 (sub, main, sup), which the models read and ``band_matvec`` multiplies by.
 ``band_stack`` forms a dense stack from three diagonals where one is needed:
 the eigendecomposition's input and the kernel series' matrix exponential.
-Node counts above ``MAX_NODES`` are rejected.
+Node counts above ``MAX_NODES`` are rejected.  SciPy is imported by
+``matrix_exponential`` on its first call, and by nothing else here.
 
 The per-state operations (Helmholtz solve, fractional norm, matrix
 exponential) take one field (n,) or matrix (n, n), or a stack (..., n) /
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, NumericalError
 
@@ -270,6 +270,9 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
             f"{node_label(node)}t*mu_1(m) = {growth[node]:.3g} exceeds the overflow cap "
             f"{EXP_NORM_CAP}"
         )
+    # SciPy is imported here, on first use: only the kernel series calls this.
+    import scipy.linalg
+
     return scipy.linalg.expm(t * m)
 
 

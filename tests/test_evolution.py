@@ -17,6 +17,7 @@ from avgrec.evolution import (
     _one_step_factors,
     evolution_series,
     series_peak_bytes,
+    solve_tridiagonal,
     step_factors,
     stepper_peak_bytes,
 )
@@ -521,6 +522,97 @@ class TestBatchedTridiagonalFactors:
         bad = with_node(with_node(path, 6, middle, c), 3, last, c)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 3 "):
             step_factors(bad)
+
+
+def drawn_system(kind, n, seed):
+    """A tridiagonal system (lower, main, upper, rhs) of one of four kinds.
+
+    ``dominant``: the main diagonal outweighs both neighbours in its row and
+    column, so gtsv interchanges no rows; a fifth of the other entries are
+    exact zeros of either sign, which reach the solution as signed zeros.
+    ``interchange``: a small main diagonal, and gtsv interchanges rows 1
+    and 2.  ``zero_pivot``: dominant, with the pivot of one row cancelled
+    to an exact zero and no interchange there; the row is returned.
+    ``nonfinite``: dominant, with one entry NaN, inf or -inf.
+    """
+    rng = np.random.default_rng(seed)
+    lower, upper, rhs = (rng.standard_normal(size) for size in (n - 1, n - 1, n))
+    for band in (lower, upper, rhs):
+        zeros = rng.random(band.shape) < 0.2
+        band[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+    weight = 0.5 + rng.random(n)
+    for band in (lower, upper):
+        weight[1:] += np.abs(band)
+        weight[:-1] += np.abs(band)
+    main = np.where(rng.random(n) < 0.5, -weight, weight)
+    row = None
+    if kind == "interchange":
+        main = 1e-2 * rng.standard_normal(n)
+        lower[0] = 1.0 + abs(main[0])
+    elif kind == "zero_pivot":
+        row = int(rng.integers(n))
+        pivot = main[0]
+        for i in range(row):
+            fact = lower[i] / pivot
+            pivot = main[i + 1] - fact * upper[i]
+        # main[row] minus the product it is reduced by is an exact zero.
+        main[row] = 0.0 if row == 0 else fact * upper[row - 1]
+        if row < n - 1:
+            lower[row] = 0.0
+    elif kind == "nonfinite":
+        band = (lower, main, upper, rhs)[rng.integers(4)]
+        band[rng.integers(band.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    return lower, main, upper, rhs, row
+
+
+class TestScalarTridiagonalSolve:
+    """The forward solve's step, an elimination on Python floats, equals
+    LAPACK gtsv by bytes, and hands every system it cannot solve the same
+    way to gtsv itself."""
+
+    @given(
+        kind=st.sampled_from(["dominant", "interchange", "zero_pivot", "nonfinite"]),
+        n=st.one_of(st.integers(2, 64), st.just(256)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_gtsv_by_bytes(self, kind, n, seed):
+        import avgrec.evolution
+
+        lower, main, upper, rhs, row = drawn_system(kind, n, seed)
+        *_, expected, expected_info = dgtsv(lower, main, upper, rhs)
+        calls = []
+
+        def wrapper(*args):
+            calls.append(1)
+            return dgtsv(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(avgrec.evolution, "dgtsv", wrapper)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                solution, info = solve_tridiagonal(lower, main, upper, rhs)
+        assert info == expected_info
+        assert np.asarray(solution).tobytes() == expected.tobytes()
+        if kind == "dominant":
+            assert not calls and info == 0
+        elif kind == "zero_pivot":
+            assert calls and info == row + 1
+        elif kind == "interchange":
+            assert calls
+        if not np.isfinite(expected).all():
+            assert calls
+
+    def test_signed_zeros_of_the_back_substitution(self):
+        # Row 0's solution is -0.0 before gtsv subtracts 0.0 * x_2, and
+        # x_2 < 0 turns it into +0.0.
+        lower, main, upper = np.zeros(2), np.ones(3), np.array([0.0, 0.0])
+        rhs = np.array([-0.0, 1.0, -2.0])
+        *_, expected, _ = dgtsv(lower, main, upper, rhs)
+        solution, info = solve_tridiagonal(lower, main, upper, rhs)
+        assert info == 0
+        assert solution.tobytes() == expected.tobytes()
+        assert math.copysign(1.0, solution[0]) == 1.0
 
 
 def model_paths(model, K=12, T=0.5):

@@ -163,6 +163,58 @@ class TestForwardSolve:
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
         assert np.linalg.norm(got[-1] - u0) > 1e-3 * np.linalg.norm(u0)
 
+    @pytest.mark.parametrize("name", ["chemotaxis", "reaction_diffusion", "linear"])
+    def test_equals_the_per_step_gtsv_reference(self, name, chemo32, rd32, linear16, monkeypatch):
+        # Bit for bit, with no gtsv call: no step of these marches needs a
+        # row interchange.
+        import avgrec.evolution
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the march called gtsv")
+
+        model = {"chemotaxis": chemo32, "reaction_diffusion": rd32, "linear": linear16}[name]
+        grid_t = TimeGrid(T=0.5, K=64)
+        u0 = 0.1 * np.cos(np.pi * model.base.grid.nodes) - 0.05 * model.base.grid.nodes
+        expected = oracles.gtsv_forward_solve(model, u0, grid_t).states
+        monkeypatch.setattr(avgrec.evolution, "dgtsv", forbidden)
+        assert forward_solve(model, u0, grid_t).states.tobytes() == expected.tobytes()
+
+    def test_interchanging_step_equals_gtsv(self, monkeypatch):
+        # I - h A has a zero first pivot above a nonzero entry: gtsv swaps
+        # rows 1 and 2 at every step, and the march is gtsv's by bytes.
+        import avgrec.evolution
+        from scipy.linalg.lapack import dgtsv
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return dgtsv(*args)
+
+        grid = build_grid(3, 1.0, BoundaryKind.NEUMANN)
+        implicit = (np.array([1.0, 0.5]), np.array([0.0, 2.0, 2.0]), np.array([1.0, 0.5]))
+        # A = 16 (I - implicit) at h = 1/16, exact in binary.
+        bands = (-16.0 * implicit[0], 16.0 * (1.0 - implicit[1]), -16.0 * implicit[2])
+        model = replace(LinearTestModel.default(grid), bands=bands)
+        grid_t = TimeGrid(T=0.5, K=8)
+        u0 = np.array([1.0, -2.0, 0.5])
+        expected = oracles.gtsv_forward_solve(model, u0, grid_t).states
+        monkeypatch.setattr(avgrec.evolution, "dgtsv", counted)
+        assert forward_solve(model, u0, grid_t).states.tobytes() == expected.tobytes()
+        assert len(calls) == grid_t.K
+
+    def test_zero_pivot_in_a_later_row_names_step_and_row(self):
+        # I - h A = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        # at h = 1/16: the elimination cancels row 2's pivot to zero.
+        grid = build_grid(4, 1.0, BoundaryKind.NEUMANN)
+        off = np.array([-16.0, 0.0, 0.0])
+        model = replace(LinearTestModel.default(grid), bands=(off, np.zeros(4), off))
+        grid_t = TimeGrid(T=0.5, K=8)
+        message = "^singular implicit matrix at step 0: zero pivot in row 2 "
+        for march in (forward_solve, oracles.gtsv_forward_solve):
+            with pytest.raises(NumericalError, match=message):
+                march(model, np.ones(4), grid_t)
+
     def test_singular_implicit_matrix_names_step(self):
         # I - h A = 0 for A = 16 I at h = 1/16.
         grid = build_grid(4, 1.0, BoundaryKind.NEUMANN)
