@@ -15,7 +15,7 @@ def chemotaxis_path(model, grid_t, amplitude=0.2):
     states = amplitude * np.cos(np.pi * x) * np.exp(-t) + 0.5 * amplitude * np.sin(
         np.pi * x
     ) * np.sin(t)
-    return OperatorPath(grid_t, model.assemble_bands(states), holder_rho=0.9)
+    return OperatorPath(grid_t, model.linearise(states)[0], holder_rho=0.9)
 
 
 def main():

@@ -35,7 +35,7 @@ bit for bit like gtsv and calls it only where gtsv would interchange rows
 or meets a zero pivot; the forward IMEX solve takes each step with it.
 
 An :class:`OperatorPath` holds the three central diagonals of every
-A(t_j), as a model's ``assemble_bands`` returns them: every generator in
+A(t_j), as a model's ``linearise`` returns them: every generator in
 the package is tridiagonal.  The stepper's elimination reads only the
 diagonals; the kernel series forms the dense (K+1, n, n) stack from them on
 first access.
@@ -100,7 +100,7 @@ class OperatorPath:
     seminorm itself is not computed here.
 
     ``bands`` are the (sub, diag, super) diagonals of every A(t_j), shapes
-    (K+1, n-1), (K+1, n) and (K+1, n-1), as a model's ``assemble_bands``
+    (K+1, n-1), (K+1, n) and (K+1, n-1), as a model's ``linearise``
     returns them; every entry off them is an exact zero.
     """
 

@@ -1,25 +1,26 @@
 """Concrete quasilinear problem definitions.
 
-Every model exposes the same surface: ``assemble_bands(u)`` produces the
-three central diagonals (sub, main, sup) of the generator A(u) of the
-linearized evolution at state u, ``evaluate_f(u)`` the semilinear forcing,
-plus a base operator, an exponent book, and an admissible ball radius
-measured in the low-order spectral norm.  Models are immutable; both
-methods are pure and reentrant.
+Every model exposes the same surface: ``linearise(u)`` returns the
+generator A(u) of the linearized evolution at state u, as its three
+central diagonals (sub, main, sup), together with the semilinear forcing
+f(u), from one evaluation of the model at u (the chemotaxis signal is
+solved once for both); plus a base operator, an exponent book, and an
+admissible ball radius measured in the low-order spectral norm.  Models
+are immutable; ``linearise`` is pure and reentrant.
 
 Every generator is a 1-D second-order difference operator, so A(u) is
 tridiagonal, and the diagonals are its one form: the models build them
 from the three diagonals of the Laplacian (``base.bands``) and of the
-first difference (``spatial.first_difference``, derived once per model
-as its ``difference`` field), and no dense matrix is stored.  Both
-methods take one state u of shape (n,) or a stack of states (..., n), one
-per time node, and return one result per state:
-``assemble_bands`` three stacks of shapes (..., n-1), (..., n) and
-(..., n-1), ``evaluate_f`` a (..., n) stack.  A stack is one call with one
-implementation, and each slice equals the single-state call bit for bit;
-the solver makes one such call per sweep instead of one per node.  Neither
-method evaluates the ball norm; ``check_ball`` is the one ball check, and
-takes the same stacks.
+first difference (``spatial.first_difference``, derived once by the
+chemotaxis model as its ``difference`` field), and no dense matrix is
+stored.  ``linearise`` takes one state u of shape (n,) or a stack of
+states (..., n), one per time node, and returns one result per state:
+bands of shapes (..., n-1), (..., n) and (..., n-1) and a (..., n) stack
+of forcings.  A stack is one call with one implementation, and each slice
+equals the single-state call bit for bit; the solver makes one such call
+per sweep instead of one per node.  ``linearise`` does not evaluate the
+ball norm; ``check_ball`` is the one ball check, and takes the same
+stacks.
 
 Shipped models:
 
@@ -29,8 +30,8 @@ Shipped models:
       f(u)   = -chi(v) u^2,
   with the natural exponential family a(s) = exp(-delta s), chi = -a';
 * reaction-diffusion with nonlocal coefficients: divergence-form diffusion
-  a(x, l(u)) with a scalar functional l(u) = int m u, optional drift and
-  zeroth-order terms, and a pointwise polynomial forcing with f(0) = f'(0) = 0;
+  a(x, l(u)) with a scalar functional l(u) = int m u and a pointwise
+  polynomial forcing with f(0) = f'(0) = 0;
 * a linear test model (constant generator, zero forcing) for exactness checks.
 """
 from __future__ import annotations
@@ -97,11 +98,11 @@ Bands = tuple[np.ndarray, np.ndarray, np.ndarray]
 class QuasilinearModel(Protocol):
     """Interface every shipped model implements.
 
-    ``assemble_bands`` and ``evaluate_f`` accept one state (n,) or a stack
-    (..., n).  ``assemble_bands`` returns the (sub, main, sup) diagonals of
-    A(u), shapes (..., n-1), (..., n) and (..., n-1), with every entry off
-    them an exact zero; ``evaluate_f`` returns (..., n).  Every slice must
-    equal the single-state call on that slice.
+    ``linearise`` accepts one state (n,) or a stack (..., n) and returns
+    ``(bands, f)``: the (sub, main, sup) diagonals of A(u), shapes
+    (..., n-1), (..., n) and (..., n-1), with every entry off them an exact
+    zero, and f(u), shape (..., n).  Every slice must equal the
+    single-state call on that slice.
     """
 
     base: BaseOperator
@@ -109,9 +110,7 @@ class QuasilinearModel(Protocol):
     exponents: ExponentBook
     ball_radius: float
 
-    def assemble_bands(self, u: np.ndarray) -> Bands: ...
-
-    def evaluate_f(self, u: np.ndarray) -> np.ndarray: ...
+    def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]: ...
 
 
 def _ball_norm(model, u: np.ndarray) -> float:
@@ -162,14 +161,12 @@ def chemotaxis_exponents(s: float, ell: float = 1.0) -> ExponentBook:
 
 @dataclass(frozen=True, eq=False)
 class ChemotaxisModel:
-    """Local-sensing chemotaxis on a Neumann grid."""
+    """Local-sensing chemotaxis on a Neumann grid, in the exponential family
+    a(s) = exp(-delta s), chi = -a' = delta a."""
 
     base: BaseOperator
     scale: SobolevScale
     exponents: ExponentBook
-    a_fn: Callable[[np.ndarray], np.ndarray]
-    chi_fn: Callable[[np.ndarray], np.ndarray]
-    drift_coeff_fn: Callable[[np.ndarray], np.ndarray]  # derivative of (a - chi)
     delta: float
     s: float
     ball_radius: float = 1.0
@@ -178,34 +175,17 @@ class ChemotaxisModel:
     def __post_init__(self):
         if self.base.grid.bc is not BoundaryKind.NEUMANN:
             raise ConfigurationError("the chemotaxis model requires a Neumann grid")
-        if self.a_fn(np.zeros(1))[0] <= 0:
-            raise ConfigurationError("cell diffusivity must satisfy a(0) > 0")
         object.__setattr__(self, "difference", first_difference(self.base.grid))
 
     @classmethod
     def default(
         cls, grid: Grid1D, delta: float = 1.0, s: float = 2.25, ball_radius: float = 1.0
     ) -> "ChemotaxisModel":
-        """Exponential family a(s) = exp(-delta s), chi = -a' = delta a."""
         base = assemble_laplacian(grid)
-
-        def a_fn(v):
-            return np.exp(-delta * v)
-
-        def chi_fn(v):
-            return delta * np.exp(-delta * v)
-
-        def drift_coeff_fn(v):
-            # (a - chi)' for the exponential family: -delta (1 - delta) e^{-delta v}
-            return -delta * (1.0 - delta) * np.exp(-delta * v)
-
         return cls(
             base=base,
             scale=SobolevScale(base=base),
             exponents=chemotaxis_exponents(s),
-            a_fn=a_fn,
-            chi_fn=chi_fn,
-            drift_coeff_fn=drift_coeff_fn,
             delta=delta,
             s=s,
             ball_radius=ball_radius,
@@ -214,19 +194,18 @@ class ChemotaxisModel:
     def signal(self, u: np.ndarray) -> np.ndarray:
         return helmholtz_solve(self.base, u)
 
-    def assemble_bands(self, u: np.ndarray) -> Bands:
+    def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]:
         v = self.signal(u)
-        diffusion = self.a_fn(v)
-        drift = self.drift_coeff_fn(v) * band_matvec(self.difference, v)
+        # a(v) = e, chi(v) = delta e and (a - chi)'(v) = -delta (1 - delta) e.
+        e = np.exp(-self.delta * v)
+        chi = self.delta * e
+        drift = -self.delta * (1.0 - self.delta) * e * band_matvec(self.difference, v)
         # a_i L_ij + c_i D_ij on each diagonal.
         sub, main, sup = (
-            diffusion[..., rows] * lap + drift[..., rows] * diff
+            e[..., rows] * lap + drift[..., rows] * diff
             for lap, diff, rows in zip(self.base.bands, self.difference, _BAND)
         )
-        return sub, main - self.chi_fn(v) * v, sup
-
-    def evaluate_f(self, u: np.ndarray) -> np.ndarray:
-        return -self.chi_fn(self.signal(u)) * u**2
+        return (sub, main - chi * v, sup), -chi * u**2
 
 
 def rd_exponents(p: float = 4.0, ell: float = 2.0, delta: int = 1) -> ExponentBook:
@@ -250,15 +229,12 @@ class NonlocalRDModel:
     """Divergence-form reaction-diffusion with nonlocal coefficient functionals.
 
     The diffusion coefficient a(x, l(u)) is evaluated at the flux-face
-    coordinates, which keeps the matrix symmetric whenever drift and
-    zeroth-order terms vanish.  The default functional is the linear integral
-    l(u) = int m u dx; pass ``functional_fn`` for a nonlinear functional.
-    Drift and zeroth-order coefficients share the same functional value.
+    coordinates, which keeps the matrix symmetric, with the linear
+    functional l(u) = int m u dx.
 
-    ``diff_fn``, ``drift_fn`` and ``react_fn`` are called as fn(x, l) with
-    the coordinates x and l(u) as an array of shape (..., 1), one value per
-    state, and return one row of coefficients per state.  ``functional_fn``
-    takes one state (n,) and is mapped over the states of a stack.
+    ``diff_fn`` is called as diff_fn(x, l) with the face coordinates x and
+    l(u) as an array of shape (..., 1), one value per state, and returns
+    one row of coefficients per state.
     """
 
     base: BaseOperator
@@ -267,12 +243,8 @@ class NonlocalRDModel:
     diff_fn: Callable[[np.ndarray, float], np.ndarray]
     poly_coeffs: tuple
     functional_weight: np.ndarray
-    drift_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
-    react_fn: Callable[[np.ndarray, float], np.ndarray] | None = None
-    functional_fn: Callable[[np.ndarray], float] | None = None
     p: float = 4.0
     ball_radius: float = 1.0
-    difference: Bands = field(init=False, repr=False)  # first_difference of the grid
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.poly_coeffs)
@@ -292,7 +264,6 @@ class NonlocalRDModel:
                 f"diffusion coefficient at the zero state falls below the ellipticity "
                 f"floor {ELLIPTICITY_FLOOR}"
             )
-        object.__setattr__(self, "difference", first_difference(self.base.grid))
 
     @classmethod
     def default(
@@ -322,16 +293,11 @@ class NonlocalRDModel:
         return self.exponents.ell
 
     def functional_value(self, u: np.ndarray) -> np.ndarray:
-        """l(u) of each state, shape (..., 1): the nonlinear override when
-        given, else int m u dx on the grid."""
+        """l(u) = int m u dx of each state on the grid, shape (..., 1)."""
         u = np.asarray(u, dtype=float)
-        if self.functional_fn is not None:
-            rows = u.reshape(-1, u.shape[-1])
-            values = np.array([float(self.functional_fn(row)) for row in rows])
-            return values.reshape(u.shape[:-1] + (1,))
         return self.base.grid.spacing * np.matmul(self.functional_weight, u[..., None])
 
-    def assemble_bands(self, u: np.ndarray) -> Bands:
+    def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]:
         grid = self.base.grid
         h2 = grid.spacing * grid.spacing
         s_val = self.functional_value(u)
@@ -352,19 +318,8 @@ class NonlocalRDModel:
             # faces[i] sits left of node i, including the two boundary faces
             left = faces[..., :-1]
             right = faces[..., 1:]
-        band = [left[..., 1:] / h2, -(left + right) / h2, right[..., :-1] / h2]
-        if self.drift_fn is not None:
-            drift = np.asarray(self.drift_fn(grid.nodes, s_val))
-            band = [
-                values + drift[..., rows] * diff
-                for values, diff, rows in zip(band, self.difference, _BAND)
-            ]
-        if self.react_fn is not None:
-            band[1] += np.asarray(self.react_fn(grid.nodes, s_val))
-        return tuple(band)
-
-    def evaluate_f(self, u: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(u, self.poly_coeffs)
+        bands = (left[..., 1:] / h2, -(left + right) / h2, right[..., :-1] / h2)
+        return bands, np.polynomial.polynomial.polyval(u, self.poly_coeffs)
 
 
 def generic_exponents(ell: float = 1.0) -> ExponentBook:
@@ -394,12 +349,10 @@ class LinearTestModel:
             bands=tuple(coefficient * band for band in base.bands),
         )
 
-    def assemble_bands(self, u: np.ndarray) -> Bands:
+    def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]:
         lead = np.shape(u)[:-1]
-        return tuple(np.broadcast_to(band, lead + band.shape) for band in self.bands)
-
-    def evaluate_f(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros_like(u)
+        bands = tuple(np.broadcast_to(band, lead + band.shape) for band in self.bands)
+        return bands, np.zeros_like(u)
 
 
 @dataclass(frozen=True)

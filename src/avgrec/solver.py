@@ -20,7 +20,8 @@ for bit), so a recovery that converges in k iterations builds k
 propagations.
 
 The operator path is the three diagonals of every A(u(t_j)), from one
-stacked ``assemble_bands`` call; the non-finite check reads them alone.
+stacked ``linearise`` call that gives f(u(t_j)) too; the non-finite check
+reads the diagonals alone.
 The default propagation is the K one-step Crank-Nicolson factors, one
 tridiagonal elimination over all K nodes at once (a node that would need
 row interchanges is solved by LAPACK gtsv, imported from SciPy on first
@@ -30,9 +31,9 @@ so a sweep costs O(K n^3) time and O(K n^2) memory, and the dense
 kernel series (behind a flag) recurs on its K frozen steps exp(h A_j),
 formed from the dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The
 full propagator tables of either method are test oracles
-(``tests/oracles.py``).  The per-node model work (the bands of A(u(t_j)),
-f(u(t_j)) and the ball norms at all K+1 nodes) is one stacked model call
-each per sweep.
+(``tests/oracles.py``).  The per-node model work at all K+1 nodes is two
+stacked calls per sweep: ``linearise`` for the bands of A(u(t_j)) and
+f(u(t_j)), and ``check_ball`` for the ball norms.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -203,23 +204,25 @@ def weighted_distance(u: Trajectory, v: Trajectory, spec: WeightedNormSpec) -> f
     return xi_part + sup_part + holder
 
 
-def operator_path(model, traj: Trajectory) -> OperatorPath:
-    """A(u(t_j)) at every node as its three diagonals, from one stacked
-    ``assemble_bands`` call."""
-    return OperatorPath(traj.grid, model.assemble_bands(traj.states), model.exponents.rho)
+def operator_path(model, traj: Trajectory) -> tuple[OperatorPath, np.ndarray]:
+    """A(u(t_j)) at every node as its three diagonals, with f(u(t_j)) of
+    shape (K+1, n), from one stacked ``linearise`` call."""
+    bands, f_states = model.linearise(traj.states)
+    return OperatorPath(traj.grid, bands, model.exponents.rho), f_states
 
 
-def _propagation(model, traj: Trajectory, f_states: np.ndarray, config: RecoveryConfig):
-    """The propagation on A(u): the stepper's one-step factors, or the
-    kernel series' frozen steps; neither builds a propagator table.  Raises
-    ConvergenceError before the build when A(u) or f(u) is not finite; only
-    the bands are read, every other entry being an exact zero."""
-    path = operator_path(model, traj)
+def _propagation(model, traj: Trajectory, config: RecoveryConfig):
+    """The propagation on A(u), the stepper's one-step factors or the
+    kernel series' frozen steps (neither builds a propagator table), with
+    f(u).  Raises ConvergenceError before the build when A(u) or f(u) is
+    not finite; only the bands are read, every other entry being an exact
+    zero."""
+    path, f_states = operator_path(model, traj)
     if not (all(np.all(np.isfinite(b)) for b in path.bands) and np.all(np.isfinite(f_states))):
         raise ConvergenceError("iteration produced non-finite operator or forcing values")
     if config.method is PropagatorMethod.KERNEL_SERIES:
-        return evolution_series(path)
-    return step_factors(path)
+        return evolution_series(path), f_states
+    return step_factors(path), f_states
 
 
 @dataclass(frozen=True)
@@ -236,8 +239,7 @@ def _initial_state(
     column and the Duhamel sums of f(u)) it was computed from: one
     propagation build and one left-sum recursion."""
     try:
-        f_states = model.evaluate_f(u.states)
-        prop = _propagation(model, u, f_states, config)
+        prop, f_states = _propagation(model, u, config)
         values = prop.sweep(f_states)
         if not np.all(np.isfinite(values.column)):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
@@ -344,8 +346,8 @@ def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     states[0] = u0
     h = grid.h
     for j in range(grid.K):
-        sub, main, sup = model.assemble_bands(states[j])
-        rhs = states[j] + h * model.evaluate_f(states[j])
+        (sub, main, sup), f = model.linearise(states[j])
+        rhs = states[j] + h * f
         # I - h A(u_j) on its diagonals: 1 - h a on the main one, -(h a) off it.
         states[j + 1], info = solve_tridiagonal(-(h * sub), 1.0 - h * main, -(h * sup), rhs)
         if info > 0:

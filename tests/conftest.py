@@ -37,7 +37,7 @@ def chemotaxis_reference_path(model, K, T=0.5):
     grid_t = TimeGrid(T=T, K=K)
     t = grid_t.nodes[:, None]
     states = 0.2 * np.cos(np.pi * x) * np.exp(-t) + 0.1 * np.sin(np.pi * x) * np.sin(t)
-    return OperatorPath(grid_t, model.assemble_bands(states), holder_rho=0.9)
+    return OperatorPath(grid_t, model.linearise(states)[0], holder_rho=0.9)
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,9 @@ can check the recursions against them:
 * the IMEX march by one LAPACK gtsv call per step
   (:func:`gtsv_forward_solve`), which the package's scalar elimination
   must equal bit for bit;
-* :class:`ShiftedModel` recentres a model at an equilibrium.
+* :class:`ShiftedModel` recentres a model at an equilibrium, and
+  :class:`RDTermsModel` gives the reaction-diffusion model the drift,
+  zeroth-order and nonlinear-functional terms that no config sets.
 
 Every definition is written against the package's public and private
 helpers and never called by the package.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -57,7 +60,14 @@ from avgrec.evolution import (
     _frozen_steps,
     step_factors,
 )
-from avgrec.models import Bands, ExponentBook, QuasilinearModel, check_ball
+from avgrec.models import (
+    _BAND,
+    Bands,
+    ExponentBook,
+    NonlocalRDModel,
+    QuasilinearModel,
+    check_ball,
+)
 from avgrec.solver import Trajectory
 from avgrec.spatial import (
     BaseOperator,
@@ -65,6 +75,7 @@ from avgrec.spatial import (
     Grid1D,
     SobolevScale,
     band_stack,
+    first_difference,
     matrix_exponential,
     matvec,
     smallest_singular_value,
@@ -165,8 +176,9 @@ def dense_first_difference(grid: Grid1D) -> np.ndarray:
 
 
 def dense_generator(model, u: np.ndarray) -> np.ndarray:
-    """The dense A(u), shape (..., n, n), of a model's ``assemble_bands``."""
-    return band_stack(*model.assemble_bands(u))
+    """The dense A(u), shape (..., n, n), of the bands a model's
+    ``linearise`` returns."""
+    return band_stack(*model.linearise(u)[0])
 
 
 def dense_forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -180,8 +192,9 @@ def dense_forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     eye = np.eye(n)
     h = grid.h
     for j in range(grid.K):
-        a_mat = dense_generator(model, states[j])
-        rhs = states[j] + h * model.evaluate_f(states[j])
+        bands, f = model.linearise(states[j])
+        a_mat = band_stack(*bands)
+        rhs = states[j] + h * f
         try:
             states[j + 1] = np.linalg.solve(eye - h * a_mat, rhs)
         except np.linalg.LinAlgError as exc:
@@ -200,8 +213,8 @@ def gtsv_forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     states[0] = u0
     h = grid.h
     for j in range(grid.K):
-        sub, main, sup = model.assemble_bands(states[j])
-        rhs = states[j] + h * model.evaluate_f(states[j])
+        (sub, main, sup), f = model.linearise(states[j])
+        rhs = states[j] + h * f
         *_, states[j + 1], info = dgtsv(-(h * sub), 1.0 - h * main, -(h * sup), rhs)
         if info > 0:
             raise NumericalError(
@@ -660,7 +673,9 @@ def growth_estimate_probe(
             x *= radius * rng.uniform(0.05, 1.0) / norm
             pair.append(x)
         v, w = pair
-        num = sobolev_norm(model.scale, model.evaluate_f(v) - model.evaluate_f(w), 2 * book.gamma)
+        num = sobolev_norm(
+            model.scale, model.linearise(v)[1] - model.linearise(w)[1], 2 * book.gamma
+        )
         xi_v = sobolev_norm(model.scale, v, 2 * book.xi)
         xi_w = sobolev_norm(model.scale, w, 2 * book.xi)
         den = (xi_v**book.ell + xi_w**book.ell) * sobolev_norm(model.scale, v - w, 2 * book.xi)
@@ -670,6 +685,45 @@ def growth_estimate_probe(
         if den > 0:
             worst = max(worst, num / den)
     return worst
+
+
+@dataclass(frozen=True, eq=False)
+class RDTermsModel(NonlocalRDModel):
+    """The reaction-diffusion model with the terms no config sets, for the
+    non-symmetric and pivoting paths: a drift drift_fn(x, l) times the first
+    difference and a zeroth-order term react_fn(x, l) added to its bands,
+    and a nonlinear functional l(u) = functional_fn(u) in place of
+    int m u dx.  drift_fn and react_fn are called as diff_fn is, at the
+    nodes; functional_fn takes one state (n,) and is mapped over the states
+    of a stack."""
+
+    drift_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    react_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    functional_fn: Callable[[np.ndarray], float] | None = None
+
+    def functional_value(self, u: np.ndarray) -> np.ndarray:
+        if self.functional_fn is None:
+            return super().functional_value(u)
+        u = np.asarray(u, dtype=float)
+        rows = u.reshape(-1, u.shape[-1])
+        values = np.array([float(self.functional_fn(row)) for row in rows])
+        return values.reshape(u.shape[:-1] + (1,))
+
+    def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]:
+        bands, f = super().linearise(u)
+        nodes = self.base.grid.nodes
+        s_val = self.functional_value(u)
+        if self.drift_fn is not None:
+            drift = np.asarray(self.drift_fn(nodes, s_val))
+            difference = first_difference(self.base.grid)
+            bands = tuple(
+                values + drift[..., rows] * diff
+                for values, diff, rows in zip(bands, difference, _BAND)
+            )
+        if self.react_fn is not None:
+            sub, main, sup = bands
+            bands = sub, main + np.asarray(self.react_fn(nodes, s_val)), sup
+        return bands, f
 
 
 @dataclass(frozen=True, eq=False)
@@ -696,21 +750,16 @@ class ShiftedModel:
     def ball_radius(self) -> float:
         return self.inner.ball_radius
 
-    def assemble_bands(self, u: np.ndarray) -> Bands:
-        return self.inner.assemble_bands(u + self.v_star)
-
-    def evaluate_f(self, u: np.ndarray) -> np.ndarray:
-        shifted = u + self.v_star
-        a_mat = dense_generator(self.inner, shifted)
-        return matvec(a_mat, self.v_star) + self.inner.evaluate_f(shifted)
+    def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]:
+        bands, f = self.inner.linearise(u + self.v_star)
+        return bands, matvec(band_stack(*bands), self.v_star) + f
 
 
 def equilibrium_shift(model, v_star: np.ndarray, tol: float | None = None) -> ShiftedModel:
     """Shift the model to an equilibrium v* (A(v*)v* + f(v*) = 0 within tol)."""
     v_star = np.asarray(v_star, dtype=float)
-    residual = np.linalg.norm(
-        dense_generator(model, v_star) @ v_star + model.evaluate_f(v_star)
-    )
+    bands, f = model.linearise(v_star)
+    residual = np.linalg.norm(band_stack(*bands) @ v_star + f)
     if tol is None:
         tol = 1e-10 * (1.0 + np.linalg.norm(v_star))
     if residual > tol:

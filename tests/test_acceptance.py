@@ -256,8 +256,8 @@ def test_criterion_9_invariant_bundle(series_family, chemo16, rd32, tmp_path):
     checks["series cocycle defect"] = defect <= 1e-2
     # forcing vanishes at zero for every shipped model
     checks["f(0) = 0"] = (
-        np.all(chemo16.evaluate_f(np.zeros(16)) == 0.0)
-        and np.all(rd32.evaluate_f(np.zeros(32)) == 0.0)
+        np.all(chemo16.linearise(np.zeros(16))[1] == 0.0)
+        and np.all(rd32.linearise(np.zeros(32))[1] == 0.0)
     )
     # divergence-form no-flux mass conservation: row sums vanish
     rng = np.random.default_rng(9)

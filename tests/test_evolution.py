@@ -622,7 +622,7 @@ def model_paths(model, K=12, T=0.5):
     x, t = model.base.grid.nodes, grid.nodes[:, None]
     states = 0.2 * np.cos(np.pi * x) * np.exp(-t) + 0.1 * np.sin(np.pi * x) * np.sin(t)
     dense = np.stack([dense_generator(model, state) for state in states])
-    return OperatorPath(grid, model.assemble_bands(states), 0.9), DensePath(grid, dense, 0.9)
+    return OperatorPath(grid, model.linearise(states)[0], 0.9), DensePath(grid, dense, 0.9)
 
 
 class TestBandBuiltPath:
@@ -640,7 +640,7 @@ class TestBandBuiltPath:
         assert np.array_equal(band.matrices, dense.matrices)
 
     def test_bands_held_as_given(self):
-        bands = MODELS["chemotaxis"](6).assemble_bands(np.zeros((13, 6)))
+        bands = MODELS["chemotaxis"](6).linearise(np.zeros((13, 6)))[0]
         path = OperatorPath(TimeGrid(T=0.5, K=12), bands, 0.9)
         assert all(got is given for got, given in zip(path.bands, bands))
         assert path.dim == 6 and "matrices" not in vars(path)

@@ -19,6 +19,7 @@ from avgrec.models import (
 from avgrec.spatial import BoundaryKind, band_stack, build_grid, sobolev_norm
 
 from oracles import (
+    RDTermsModel,
     ShiftedModel,
     dense_first_difference,
     dense_generator,
@@ -85,7 +86,7 @@ class TestChemotaxisModel:
 
     def test_linearization_at_zero_is_scaled_laplacian(self, chemo):
         a0 = dense_generator(chemo, np.zeros(16))
-        expected = chemo.a_fn(np.zeros(16))[0] * band_stack(*chemo.base.bands)
+        expected = band_stack(*chemo.base.bands)  # a(0) = exp(0) = 1
         assert np.abs(a0 - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_constant_state_closed_form(self, chemo_half):
@@ -116,11 +117,11 @@ class TestChemotaxisModel:
         assert c100 <= 2.0 * c50
 
     def test_forcing_zero_at_zero(self, chemo):
-        assert np.array_equal(chemo.evaluate_f(np.zeros(16)), np.zeros(16))
+        assert np.array_equal(chemo.linearise(np.zeros(16))[1], np.zeros(16))
 
     def test_forcing_constant_closed_form(self, chemo):
         c = 0.2
-        got = chemo.evaluate_f(np.full(16, c))
+        got = chemo.linearise(np.full(16, c))[1]
         expected = -np.exp(-c) * c**2  # chi(c) c^2 with delta = 1
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
@@ -130,7 +131,7 @@ class TestChemotaxisModel:
             u = rng.standard_normal(16)
             u /= np.linalg.norm(u)
             ratios = [
-                np.linalg.norm(chemo.evaluate_f(eps * u)) / (eps * np.linalg.norm(u))
+                np.linalg.norm(chemo.linearise(eps * u)[1]) / (eps * np.linalg.norm(u))
                 for eps in (1e-1, 1e-2, 1e-3)
             ]
             assert ratios[0] > ratios[1] > ratios[2]
@@ -153,11 +154,14 @@ class TestChemotaxisModel:
         grid = chemo.base.grid
         lap, diff = dense_laplacian(grid), dense_first_difference(grid)
 
+        delta = chemo.delta
+
         def dense(u):
             v = chemo.signal(u)
-            out = chemo.a_fn(v)[:, None] * lap
-            out += (chemo.drift_coeff_fn(v) * (diff * v).sum(axis=1))[:, None] * diff
-            out -= np.diag(chemo.chi_fn(v) * v)
+            a = np.exp(-delta * v)
+            out = a[:, None] * lap
+            out += (-delta * (1.0 - delta) * a * (diff * v).sum(axis=1))[:, None] * diff
+            out -= np.diag(delta * a * v)
             return out
 
         states = 0.3 * np.random.default_rng(9).standard_normal((2, 3, 16))
@@ -167,8 +171,6 @@ class TestChemotaxisModel:
             assert np.array_equal(stacked[index], expected)
             assert np.array_equal(dense_generator(chemo, states[index]), expected)
 
-    def test_satisfies_model_protocol(self, chemo):
-        assert isinstance(chemo, QuasilinearModel)
 
 
 class TestNonlocalRDModel:
@@ -215,7 +217,7 @@ class TestNonlocalRDModel:
         )
         u = np.full(8, -3.0)  # l(u) = -3 makes the coefficient negative
         with pytest.raises(ModelError):
-            model.assemble_bands(u)
+            model.linearise(u)
 
     def test_bad_polynomial_rejected(self):
         grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
@@ -223,8 +225,8 @@ class TestNonlocalRDModel:
             NonlocalRDModel.default(grid, poly_coeffs=(0.0, 1.0, 0.0, -1.0))
 
     def test_forcing_pointwise_cubic(self, rd):
-        assert np.array_equal(rd.evaluate_f(np.zeros(16)), np.zeros(16))
-        np.testing.assert_allclose(rd.evaluate_f(np.full(16, 2.0)), -8.0, rtol=1e-14)
+        assert np.array_equal(rd.linearise(np.zeros(16))[1], np.zeros(16))
+        np.testing.assert_allclose(rd.linearise(np.full(16, 2.0))[1], -8.0, rtol=1e-14)
 
     def test_forcing_derivative_growth_bound(self, rd):
         # |f'(r) - f'(s)| <= c (|r| + |s|) |r - s| with f = -r^3, c = 3
@@ -247,7 +249,7 @@ class TestNonlocalRDModel:
         # Face-flux Laplacian / h^2 + drift_i D_ij + diag(react), formed on
         # dense matrices; the band-only assembly must reproduce it bit for bit.
         model = replace(
-            NonlocalRDModel.default(build_grid(12, 1.0, bc)),
+            RDTermsModel.default(build_grid(12, 1.0, bc)),
             drift_fn=lambda x, s: 0.3 * s * np.cos(np.pi * x),
             react_fn=lambda x, s: -0.5 * s**2 + 0.2 * x,
         )
@@ -276,7 +278,7 @@ class TestNonlocalRDModel:
     def test_nonlinear_functional_override(self):
         grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
         template = NonlocalRDModel.default(grid)
-        model = NonlocalRDModel(
+        model = RDTermsModel(
             base=template.base,
             scale=template.scale,
             exponents=template.exponents,
@@ -309,9 +311,6 @@ class TestValidateExponents:
             base=model.base,
             scale=model.scale,
             exponents=model.exponents,
-            a_fn=model.a_fn,
-            chi_fn=model.chi_fn,
-            drift_coeff_fn=model.drift_coeff_fn,
             delta=model.delta,
             s=3.0,
         )
@@ -361,8 +360,8 @@ class TestEquilibriumShift:
         shifted = equilibrium_shift(chemo, np.zeros(16))
         u = 0.2 * RNG.standard_normal(16)
         np.testing.assert_array_equal(dense_generator(shifted, u), dense_generator(chemo, u))
-        np.testing.assert_array_equal(shifted.evaluate_f(u), chemo.evaluate_f(u))
-        assert np.array_equal(shifted.evaluate_f(np.zeros(16)), np.zeros(16))
+        np.testing.assert_array_equal(shifted.linearise(u)[1], chemo.linearise(u)[1])
+        assert np.array_equal(shifted.linearise(np.zeros(16))[1], np.zeros(16))
 
     def test_nonequilibrium_rejected(self, rd):
         v_star = np.full(16, 0.5)  # f(v*) = -0.125 != 0 while A(v*) v* = 0
@@ -372,7 +371,7 @@ class TestEquilibriumShift:
     def test_shifted_forcing_vanishes_at_origin(self, chemo):
         shifted = equilibrium_shift(chemo, np.zeros(16))
         assert isinstance(shifted, ShiftedModel)
-        assert np.linalg.norm(shifted.evaluate_f(np.zeros(16))) == 0.0
+        assert np.linalg.norm(shifted.linearise(np.zeros(16))[1]) == 0.0
 
 
 class TestLinearTestModel:
@@ -381,7 +380,7 @@ class TestLinearTestModel:
         u = RNG.standard_normal(8)
         lap = band_stack(*model.base.bands)
         np.testing.assert_array_equal(dense_generator(model, u), 0.7 * lap)
-        assert np.array_equal(model.evaluate_f(u), np.zeros(8))
+        assert np.array_equal(model.linearise(u)[1], np.zeros(8))
         assert validate_exponents(model).all_passed
 
 
@@ -391,7 +390,7 @@ BAND_MODELS = {
     ),
     "rd_neumann": lambda: NonlocalRDModel.default(build_grid(12, 1.0, BoundaryKind.NEUMANN)),
     "rd_dirichlet_drift_react": lambda: replace(
-        NonlocalRDModel.default(build_grid(12, 1.0, BoundaryKind.DIRICHLET)),
+        RDTermsModel.default(build_grid(12, 1.0, BoundaryKind.DIRICHLET)),
         drift_fn=lambda x, s: 0.3 * s * np.cos(np.pi * x),
         react_fn=lambda x, s: -0.5 * s**2 + 0.2 * x,
     ),
@@ -399,20 +398,39 @@ BAND_MODELS = {
 }
 
 
-class TestAssembleBands:
-    """``assemble_bands`` gives each generator's three diagonals, for one
-    state or a stack, and leaves the ball to ``check_ball``."""
+class TestLinearise:
+    """``linearise`` gives each generator's three diagonals and the forcing,
+    for one state or a stack, and leaves the ball to ``check_ball``."""
 
     @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["state", "stack"])
     @pytest.mark.parametrize("name", sorted(BAND_MODELS))
     def test_band_shapes(self, name, lead):
         model = BAND_MODELS[name]()
         states = 0.3 * np.random.default_rng(12).standard_normal(lead + (12,))
-        sub, main, sup = model.assemble_bands(states)
+        (sub, main, sup), f = model.linearise(states)
         assert (sub.shape, main.shape, sup.shape) == (lead + (11,), lead + (12,), lead + (11,))
+        assert f.shape == lead + (12,)
 
     def test_bands_leave_the_ball_to_check_ball(self, chemo):
         outside = np.full(16, 10.0)
-        assert chemo.assemble_bands(outside)[1].shape == (16,)
+        assert chemo.linearise(outside)[0][1].shape == (16,)
         with pytest.raises(BallViolationError):
             check_ball(chemo, outside, enforce=True)
+
+
+PROTOCOL_MODELS = {
+    "chemotaxis": lambda: ChemotaxisModel.default(build_grid(12, 1.0, BoundaryKind.NEUMANN)),
+    "reaction_diffusion": lambda: NonlocalRDModel.default(
+        build_grid(12, 1.0, BoundaryKind.NEUMANN)
+    ),
+    "linear": lambda: LinearTestModel.default(build_grid(12, 1.0, BoundaryKind.NEUMANN)),
+    "shifted": lambda: ShiftedModel(
+        inner=ChemotaxisModel.default(build_grid(12, 1.0, BoundaryKind.NEUMANN)),
+        v_star=np.zeros(12),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_MODELS))
+def test_satisfies_model_protocol(name):
+    assert isinstance(PROTOCOL_MODELS[name](), QuasilinearModel)

@@ -51,7 +51,7 @@ def small_chemo():
 
 def linear_observation(model, cond, x0):
     table = evolution_stepper(
-        operator_path(model, Trajectory.zero(cond.grid, model.base.grid.n))
+        operator_path(model, Trajectory.zero(cond.grid, model.base.grid.n))[0]
     )
     if cond.variant is Variant.TIME_AVERAGE:
         return assemble_phi(table, cond).matrix @ x0
@@ -237,7 +237,7 @@ class TestIterateOnce:
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         x0 = 0.2 * RNG.standard_normal(16)
         M = linear_observation(linear16, cond, x0)
-        table = evolution_stepper(operator_path(linear16, Trajectory.zero(grid_t, 16)))
+        table = evolution_stepper(operator_path(linear16, Trajectory.zero(grid_t, 16))[0])
         start = Trajectory(grid=grid_t, states=RNG.standard_normal((33, 16)))
         got, _ = _iterate_detail(linear16, cond, M, start, RecoveryConfig())
         expected = table.column @ x0
@@ -365,8 +365,8 @@ class TestVariantDegeneracy:
         M = 1e-3 * np.cos(np.pi * small_chemo.base.grid.nodes)
         u0, traj, report = fixed_point_recover(small_chemo, cond, M)
         np.testing.assert_array_equal(u0, M)
-        table = evolution_stepper(operator_path(small_chemo, traj))
-        f_states = np.stack([small_chemo.evaluate_f(s) for s in traj.states])
+        path, f_states = operator_path(small_chemo, traj)
+        table = evolution_stepper(path)
         reconstructed = table.column @ M + duhamel_sums(table, f_states)
         assert np.abs(traj.states - reconstructed).max() <= 10 * RecoveryConfig().tol_fixed_point
 
@@ -388,8 +388,9 @@ class TestStepperSweep:
         elif variant is Variant.TERMINAL_DIFFERENCE:
             M = truth.states[0] - cond.w0 * truth.states[-1]
 
-        def table_route(model, traj, f_states, config):
-            return evolution_stepper(operator_path(model, traj))
+        def table_route(model, traj, config):
+            path, f_states = operator_path(model, traj)
+            return evolution_stepper(path), f_states
 
         with monkeypatch.context() as patch:
             patch.setattr(avgrec.solver, "_propagation", table_route)
@@ -445,8 +446,9 @@ class TestSeriesSweep:
         M = observe(cond, truth.states)
         config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
 
-        def table_route(model, traj, f_states, config):
-            return series_table(operator_path(model, traj))
+        def table_route(model, traj, config):
+            path, f_states = operator_path(model, traj)
+            return series_table(path), f_states
 
         with monkeypatch.context() as patch:
             patch.setattr(avgrec.solver, "_propagation", table_route)
@@ -465,7 +467,8 @@ class TestSeriesSweep:
 
 
 class TestOneBuildPerIteration:
-    """A sweep builds one propagation and runs one left-sum recursion; the
+    """A sweep builds one propagation, runs one left-sum recursion and
+    solves for the chemotaxis signal once, as a forward step does; the
     recovered initial state is the last sweep's Xi, with no extra build."""
 
     @staticmethod
@@ -521,6 +524,27 @@ class TestOneBuildPerIteration:
         assert len(counts["_propagation"]) == row.iterations
         assert len(counts["_stepper_left_sums"]) == row.iterations
 
+    def test_forward_step_solves_for_the_signal_once(self, small_chemo, monkeypatch):
+        import avgrec.models
+
+        grid_t = TimeGrid(T=0.5, K=24)
+        calls = self.counting(monkeypatch, avgrec.models, "helmholtz_solve")
+        forward_solve(small_chemo, 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes), grid_t)
+        assert len(calls) == grid_t.K
+
+    @pytest.mark.parametrize("method", list(PropagatorMethod))
+    def test_sweep_solves_for_the_signal_once(self, small_chemo, method, monkeypatch):
+        import avgrec.models
+
+        grid_t = TimeGrid(T=0.5, K=24)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        x0 = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        M = observe(cond, forward_solve(small_chemo, x0, grid_t).states)
+        calls = self.counting(monkeypatch, avgrec.models, "helmholtz_solve")
+        _, _, report = fixed_point_recover(small_chemo, cond, M, RecoveryConfig(method=method))
+        assert report.converged and report.iterates >= 2
+        assert len(calls) == report.iterates
+
     def test_initial_state_is_the_last_sweeps_xi(self, small_chemo, monkeypatch):
         import avgrec.solver
 
@@ -551,19 +575,15 @@ class NonFiniteModel:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def assemble_bands(self, u):
-        sub, main, sup = self.model.assemble_bands(u)
+    def linearise(self, u):
+        (sub, main, sup), f_states = self.model.linearise(u)
         if self.part == "A":
             main = main.copy()
             main[self.node, 0] = np.inf
-        return sub, main, sup
-
-    def evaluate_f(self, u):
-        f_states = self.model.evaluate_f(u)
         if self.part == "f":
             f_states = f_states.copy()
             f_states[self.node, 0] = np.nan
-        return f_states
+        return (sub, main, sup), f_states
 
 
 class TestBandPath:
@@ -589,8 +609,9 @@ class TestBandPath:
         paths = []
 
         def recorded(*args, **kwargs):
-            paths.append(operator_path(*args, **kwargs))
-            return paths[-1]
+            path, f_states = operator_path(*args, **kwargs)
+            paths.append(path)
+            return path, f_states
 
         monkeypatch.setattr(avgrec.evolution, "band_stack", forbidden)
         monkeypatch.setattr(avgrec.solver, "operator_path", recorded)

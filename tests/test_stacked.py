@@ -31,15 +31,15 @@ from avgrec.spatial import (
     sobolev_norm,
 )
 
-from oracles import ShiftedModel
+from oracles import RDTermsModel, ShiftedModel
 
 RNG = np.random.default_rng(67)
 
 
-def rd_with_terms(bc: BoundaryKind, n: int = 12) -> NonlocalRDModel:
+def rd_with_terms(bc: BoundaryKind, n: int = 12) -> RDTermsModel:
     """Reaction-diffusion with drift and zeroth-order terms that depend on l(u)."""
     template = NonlocalRDModel.default(build_grid(n, 1.0, bc))
-    return NonlocalRDModel(
+    return RDTermsModel(
         base=template.base,
         scale=template.scale,
         exponents=template.exponents,
@@ -52,7 +52,7 @@ def rd_with_terms(bc: BoundaryKind, n: int = 12) -> NonlocalRDModel:
     )
 
 
-def rd_with_functional(n: int = 12) -> NonlocalRDModel:
+def rd_with_functional(n: int = 12) -> RDTermsModel:
     template = NonlocalRDModel.default(build_grid(n, 1.0, BoundaryKind.NEUMANN))
     h = template.base.grid.spacing
 
@@ -60,7 +60,7 @@ def rd_with_functional(n: int = 12) -> NonlocalRDModel:
         assert u.shape == (n,)
         return float(np.tanh(h * np.sum(u**2)))
 
-    return NonlocalRDModel(
+    return RDTermsModel(
         base=template.base,
         scale=template.scale,
         exponents=template.exponents,
@@ -99,9 +99,11 @@ def each_state(fn, states, **kwargs):
     return out.reshape(states.shape[:-1] + out.shape[1:])
 
 
-def each_state_bands(model, states):
-    """The three diagonals of every state of a stack, one call per state."""
-    return tuple(each_state(lambda u: model.assemble_bands(u)[k], states) for k in range(3))
+def each_state_linearise(model, states):
+    """The three diagonals and the forcing of every state of a stack, one
+    call per state."""
+    bands = tuple(each_state(lambda u: model.linearise(u)[0][k], states) for k in range(3))
+    return bands, each_state(lambda u: model.linearise(u)[1], states)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -110,20 +112,20 @@ class TestStackedModel:
     def states(self, lead):
         return 0.1 * RNG.standard_normal(lead + (12,))
 
-    def test_assemble_bands(self, name, lead):
+    def test_bands(self, name, lead):
         model = MODELS[name]
         states = self.states(lead)
-        got = model.assemble_bands(states)
+        got = model.linearise(states)[0]
         assert [band.shape for band in got] == [lead + (11,), lead + (12,), lead + (11,)]
-        for band, expected in zip(got, each_state_bands(model, states)):
+        for band, expected in zip(got, each_state_linearise(model, states)[0]):
             assert np.array_equal(band, expected)
 
-    def test_evaluate_f(self, name, lead):
+    def test_forcing(self, name, lead):
         model = MODELS[name]
         states = self.states(lead)
-        got = model.evaluate_f(states)
+        got = model.linearise(states)[1]
         assert got.shape == states.shape
-        assert np.array_equal(got, each_state(model.evaluate_f, states))
+        assert np.array_equal(got, each_state_linearise(model, states)[1])
 
     def test_ball_norms(self, name, lead):
         model = MODELS[name]
@@ -135,16 +137,16 @@ class TestStackedModel:
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_assemble_without_ball_skips_the_norm(name, monkeypatch):
+def test_linearise_skips_the_ball_norm(name, monkeypatch):
     model = MODELS[name]
     states = 0.1 * RNG.standard_normal((5, 12))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("assemble_bands computed the ball norm")
+        raise AssertionError("linearise computed the ball norm")
 
     monkeypatch.setattr(avgrec.models, "_ball_norm", forbidden)
-    model.assemble_bands(states)
-    model.assemble_bands(states[0])
+    model.linearise(states)
+    model.linearise(states[0])
 
 
 class TestStackedErrors:
@@ -164,9 +166,9 @@ class TestStackedErrors:
         states[2] = -3.0  # l(u) = -3 makes the coefficient negative
         states[4] = -5.0
         with pytest.raises(ModelError) as single:
-            model.assemble_bands(states[2])
+            model.linearise(states[2])
         with pytest.raises(ModelError) as stacked:
-            model.assemble_bands(states)
+            model.linearise(states)
         assert str(stacked.value) == f"node 2: {single.value}"
 
     def test_ball_violation_names_first_node(self):
@@ -237,11 +239,8 @@ class PerStateModel:
         self.exponents = inner.exponents
         self.ball_radius = inner.ball_radius
 
-    def assemble_bands(self, u):
-        return each_state_bands(self.inner, u)
-
-    def evaluate_f(self, u):
-        return each_state(self.inner.evaluate_f, u)
+    def linearise(self, u):
+        return each_state_linearise(self.inner, u)
 
 
 @pytest.mark.parametrize("method", list(PropagatorMethod))
