@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,14 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class RunArtifacts:
-    """Paths produced by one experiment run."""
+    """Paths of the tables and report one experiment run emits; its plot
+    scripts are written beside them as ``plot_<kind>.py``."""
 
     out_dir: Path
     report_path: Path | None = None
     trajectory_path: Path | None = None
     recovered_path: Path | None = None
     scan_path: Path | None = None
-    plot_paths: list = field(default_factory=list)
 
 
 def emit_trajectory_csv(traj, path) -> None:
@@ -165,5 +165,4 @@ def emit_plot_script(artifacts: RunArtifacts, kind: str) -> Path:
     name = Path(source).name
     text = _PLOT_TEMPLATES[kind].format(csv=name, report=name)
     _atomic_write(path, text)
-    artifacts.plot_paths.append(path)
     return path

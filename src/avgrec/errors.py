@@ -29,12 +29,11 @@ class SingularOperatorError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An iteration failed to converge. ``last_increment`` holds the size of
-    the final update; ``report`` (when set) holds partial solve diagnostics."""
+    """An iteration failed to converge. ``report`` (when set) holds partial
+    solve diagnostics, the last distance among them."""
 
-    def __init__(self, message: str, last_increment: float = float("nan"), report=None):
+    def __init__(self, message: str, report=None):
         super().__init__(message)
-        self.last_increment = last_increment
         self.report = report
 
 
@@ -45,8 +44,3 @@ class BallViolationError(NumericalError):
         super().__init__(message)
         self.norm = norm
         self.radius = radius
-
-
-class ModelError(NumericalError):
-    """A model assumption (e.g. ellipticity of the diffusion coefficient)
-    failed at evaluation time."""

@@ -4,9 +4,11 @@ Every model exposes the same surface: ``linearise(u)`` returns the
 generator A(u) of the linearized evolution at state u, as its three
 central diagonals (sub, main, sup), together with the semilinear forcing
 f(u), from one evaluation of the model at u (the chemotaxis signal is
-solved once for both); plus a base operator, an exponent book, and an
-admissible ball radius measured in the low-order spectral norm.  Models
-are immutable; ``linearise`` is pure and reentrant.
+solved once for both); plus the base operator (the Laplacian, whose
+eigenpairs the spectral norms read), an exponent book, and an admissible
+ball radius measured in the low-order spectral norm.  Each model is what
+``cli.build_model`` builds from a config.  Models are immutable;
+``linearise`` is pure and reentrant.
 
 Every generator is a 1-D second-order difference operator, so A(u) is
 tridiagonal, and the diagonals are its one form: the models build them
@@ -29,24 +31,24 @@ Shipped models:
       A(u) w = a(v) Lap w + (a - chi)'(v) (dv) (dw) - chi(v) v w,
       f(u)   = -chi(v) u^2,
   with the natural exponential family a(s) = exp(-delta s), chi = -a';
-* reaction-diffusion with nonlocal coefficients: divergence-form diffusion
-  a(x, l(u)) with a scalar functional l(u) = int m u and a pointwise
-  polynomial forcing with f(0) = f'(0) = 0;
+* reaction-diffusion with a nonlocal coefficient: divergence-form
+  diffusion a = 1 + l(u)^2 on the flux faces, with l(u) = int u dx, and a
+  pointwise polynomial forcing with f(0) = f'(0) = 0 (a >= 1, so the
+  operator is uniformly elliptic);
 * a linear test model (constant generator, zero forcing) for exactness checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import BallViolationError, ConfigurationError, ModelError
+from .errors import BallViolationError, ConfigurationError
 from .spatial import (
     BaseOperator,
     BoundaryKind,
     Grid1D,
-    SobolevScale,
     assemble_laplacian,
     band_matvec,
     first_difference,
@@ -106,7 +108,6 @@ class QuasilinearModel(Protocol):
     """
 
     base: BaseOperator
-    scale: SobolevScale
     exponents: ExponentBook
     ball_radius: float
 
@@ -114,7 +115,7 @@ class QuasilinearModel(Protocol):
 
 
 def _ball_norm(model, u: np.ndarray) -> float:
-    return sobolev_norm(model.scale, u, 2.0 * model.exponents.beta)
+    return sobolev_norm(model.base, u, 2.0 * model.exponents.beta)
 
 
 def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
@@ -138,8 +139,22 @@ def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
 # i >= 1, (i, i) for every i and (i, i + 1) for i < n - 1.
 _BAND = (slice(1, None), slice(None), slice(-1))
 
-# Smallest face diffusion coefficient the reaction-diffusion model admits.
-ELLIPTICITY_FLOOR = 1e-10
+
+def divergence_bands(grid: Grid1D, faces: np.ndarray) -> Bands:
+    """(sub, main, sup) diagonals of the divergence-form operator
+    d/dx (a d/dx) from its coefficients a on the flux faces, one row of
+    faces per state (..., m).  Neumann: the m = n-1 interior faces,
+    faces[i] between nodes i and i+1 (the domain faces carry no flux);
+    Dirichlet: all m = n+1 faces, faces[i] left of node i."""
+    h2 = grid.spacing * grid.spacing
+    if grid.bc is BoundaryKind.NEUMANN:
+        zero = np.zeros(faces.shape[:-1] + (1,))
+        left = np.concatenate([zero, faces], axis=-1)
+        right = np.concatenate([faces, zero], axis=-1)
+    else:
+        left = faces[..., :-1]
+        right = faces[..., 1:]
+    return left[..., 1:] / h2, -(left + right) / h2, right[..., :-1] / h2
 
 
 def chemotaxis_exponents(s: float, ell: float = 1.0) -> ExponentBook:
@@ -165,7 +180,6 @@ class ChemotaxisModel:
     a(s) = exp(-delta s), chi = -a' = delta a."""
 
     base: BaseOperator
-    scale: SobolevScale
     exponents: ExponentBook
     delta: float
     s: float
@@ -184,7 +198,6 @@ class ChemotaxisModel:
         base = assemble_laplacian(grid)
         return cls(
             base=base,
-            scale=SobolevScale(base=base),
             exponents=chemotaxis_exponents(s),
             delta=delta,
             s=s,
@@ -226,23 +239,16 @@ def rd_exponents(p: float = 4.0, ell: float = 2.0, delta: int = 1) -> ExponentBo
 
 @dataclass(frozen=True, eq=False)
 class NonlocalRDModel:
-    """Divergence-form reaction-diffusion with nonlocal coefficient functionals.
+    """Divergence-form reaction-diffusion with a nonlocal coefficient.
 
-    The diffusion coefficient a(x, l(u)) is evaluated at the flux-face
-    coordinates, which keeps the matrix symmetric, with the linear
-    functional l(u) = int m u dx.
-
-    ``diff_fn`` is called as diff_fn(x, l) with the face coordinates x and
-    l(u) as an array of shape (..., 1), one value per state, and returns
-    one row of coefficients per state.
+    The diffusion coefficient a = 1 + l(u)^2, with l(u) = int u dx, sits on
+    the flux faces, which keeps the matrix symmetric; the forcing is the
+    polynomial with coefficients ``poly_coeffs``, applied pointwise.
     """
 
     base: BaseOperator
-    scale: SobolevScale
     exponents: ExponentBook
-    diff_fn: Callable[[np.ndarray, float], np.ndarray]
     poly_coeffs: tuple
-    functional_weight: np.ndarray
     p: float = 4.0
     ball_radius: float = 1.0
 
@@ -254,16 +260,6 @@ class NonlocalRDModel:
                 "(zero constant and linear coefficients)"
             )
         object.__setattr__(self, "poly_coeffs", coeffs)
-        m = np.asarray(self.functional_weight, dtype=float)
-        if m.shape != (self.base.grid.n,):
-            raise ConfigurationError("functional weight must be a nodal field")
-        object.__setattr__(self, "functional_weight", m)
-        faces0 = self.diff_fn(self.base.grid.face_coords, self.functional_value(np.zeros_like(m)))
-        if np.min(faces0) < ELLIPTICITY_FLOOR:
-            raise ConfigurationError(
-                f"diffusion coefficient at the zero state falls below the ellipticity "
-                f"floor {ELLIPTICITY_FLOOR}"
-            )
 
     @classmethod
     def default(
@@ -273,17 +269,13 @@ class NonlocalRDModel:
         p: float = 4.0,
         ball_radius: float = 1.0,
     ) -> "NonlocalRDModel":
-        """a(x, s) = 1 + s^2 with l(u) = int u dx and f(r) = -r^3."""
-        base = assemble_laplacian(grid)
+        """f(r) = -r^3 unless ``poly_coeffs`` says otherwise."""
         ell = max(len(poly_coeffs) - 2, 1)
         delta = 1 if grid.bc is BoundaryKind.NEUMANN else 0
         return cls(
-            base=base,
-            scale=SobolevScale(base=base),
+            base=assemble_laplacian(grid),
             exponents=rd_exponents(p=p, ell=float(ell), delta=delta),
-            diff_fn=lambda x, s: 1.0 + s**2 + 0.0 * x,
             poly_coeffs=poly_coeffs,
-            functional_weight=np.ones(grid.n),
             p=p,
             ball_radius=ball_radius,
         )
@@ -292,34 +284,16 @@ class NonlocalRDModel:
     def ell(self) -> float:
         return self.exponents.ell
 
-    def functional_value(self, u: np.ndarray) -> np.ndarray:
-        """l(u) = int m u dx of each state on the grid, shape (..., 1)."""
-        u = np.asarray(u, dtype=float)
-        return self.base.grid.spacing * np.matmul(self.functional_weight, u[..., None])
-
     def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]:
         grid = self.base.grid
-        h2 = grid.spacing * grid.spacing
-        s_val = self.functional_value(u)
-        faces = np.asarray(self.diff_fn(grid.face_coords, s_val), dtype=float)
-        low = faces.min(axis=-1)
-        node = first_node(low <= ELLIPTICITY_FLOOR)
-        if node is not None:
-            raise ModelError(
-                f"{node_label(node)}ellipticity violated: min face coefficient "
-                f"{low[node]:.3e} at l(u)={s_val[node][0]:.3e}"
-            )
-        if grid.bc is BoundaryKind.NEUMANN:
-            # faces[i] sits between nodes i and i+1; boundary faces carry no flux
-            zero = np.zeros(faces.shape[:-1] + (1,))
-            left = np.concatenate([zero, faces], axis=-1)
-            right = np.concatenate([faces, zero], axis=-1)
-        else:
-            # faces[i] sits left of node i, including the two boundary faces
-            left = faces[..., :-1]
-            right = faces[..., 1:]
-        bands = (left[..., 1:] / h2, -(left + right) / h2, right[..., :-1] / h2)
-        return bands, np.polynomial.polynomial.polyval(u, self.poly_coeffs)
+        # l(u) of each state, shape (..., 1), as a matrix product: u.sum(-1)
+        # rounds differently in the last bits.
+        l_u = grid.spacing * np.matmul(np.ones(grid.n), np.asarray(u, dtype=float)[..., None])
+        face_count = grid.n - 1 if grid.bc is BoundaryKind.NEUMANN else grid.n + 1
+        faces = np.repeat(1.0 + l_u**2, face_count, axis=-1)
+        return divergence_bands(grid, faces), np.polynomial.polynomial.polyval(
+            u, self.poly_coeffs
+        )
 
 
 def generic_exponents(ell: float = 1.0) -> ExponentBook:
@@ -334,7 +308,6 @@ class LinearTestModel:
     forcing; recovery is exact for this model."""
 
     base: BaseOperator
-    scale: SobolevScale
     exponents: ExponentBook
     bands: Bands
     ball_radius: float = float("inf")
@@ -344,7 +317,6 @@ class LinearTestModel:
         base = assemble_laplacian(grid)
         return cls(
             base=base,
-            scale=SobolevScale(base=base),
             exponents=generic_exponents(),
             bands=tuple(coefficient * band for band in base.bands),
         )

@@ -40,11 +40,12 @@ Distances between iterates are measured in the time-weighted norm
     max_{j>=1} t_j^mu |u(t_j)|_xi  +  sup_j |u(t_j)|_beta
       +  max_pairs |u(t_i) - u(t_j)|_beta / (t_i - t_j)^rho ,
 
-with the Hoelder quotient taken over adjacent and dyadic node pairs.  The
-forward IMEX solver, one O(n) tridiagonal elimination per step (the
-scalar form of the stepper's, equal to LAPACK gtsv bit for bit), provides
-manufactured data and the self-convergence error that recovery accuracy is
-measured against.
+with |.|_xi and |.|_beta the spectral norms of orders 2 xi and 2 beta read
+from the model's base Laplacian (``spatial.modal_norm``), and the Hoelder
+quotient taken over adjacent and dyadic node pairs.  The forward IMEX
+solver, one O(n) tridiagonal elimination per step (the scalar form of the
+stepper's, equal to LAPACK gtsv bit for bit), provides manufactured data
+and the self-convergence error that recovery accuracy is measured against.
 
 Recovery runs are sequential in their iteration loop; scans and probes run
 independent configurations and share nothing mutable.
@@ -73,7 +74,7 @@ from .evolution import (
     step_factors,
 )
 from .models import check_ball
-from .spatial import SobolevScale, modal_norm
+from .spatial import BaseOperator, modal_norm
 
 DIVERGENCE_FACTOR = 1e8
 
@@ -100,13 +101,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class WeightedNormSpec:
-    """Orders and weights of the iteration distance."""
+    """Orders and weights of the iteration distance, and the base operator
+    whose eigenpairs the norms read."""
 
     mu: float
     order_xi: float
     order_beta: float
     rho: float
-    scale: SobolevScale
+    base: BaseOperator
 
     @classmethod
     def from_model(cls, model) -> "WeightedNormSpec":
@@ -116,7 +118,7 @@ class WeightedNormSpec:
             order_xi=2.0 * book.xi,
             order_beta=2.0 * book.beta,
             rho=book.rho,
-            scale=model.scale,
+            base=model.base,
         )
 
 
@@ -187,18 +189,18 @@ def weighted_distance(u: Trajectory, v: Trajectory, spec: WeightedNormSpec) -> f
     """
     if u.grid.K != v.grid.K or u.grid.T != v.grid.T:
         raise ValueError("trajectories live on different time grids")
-    scale = spec.scale
+    base = spec.base
     # (K+1, n) modal coefficients of the difference; the transform is linear,
     # so a difference of nodes is the difference of their rows.
-    coeffs = (u.states - v.states) @ scale.base.eigenvectors
+    coeffs = (u.states - v.states) @ base.eigenvectors
     nodes = u.grid.nodes
-    xi_part = float(np.max(nodes[1:] ** spec.mu * modal_norm(scale, coeffs, spec.order_xi)[1:]))
-    sup_part = float(modal_norm(scale, coeffs, spec.order_beta).max())
+    xi_part = float(np.max(nodes[1:] ** spec.mu * modal_norm(base, coeffs, spec.order_xi)[1:]))
+    sup_part = float(modal_norm(base, coeffs, spec.order_beta).max())
     holder = 0.0
     K = u.grid.K
     gap = 1
     while gap <= K:
-        seg_norms = modal_norm(scale, coeffs[gap:] - coeffs[:-gap], spec.order_beta)
+        seg_norms = modal_norm(base, coeffs[gap:] - coeffs[:-gap], spec.order_beta)
         holder = max(holder, float(seg_norms.max()) / (gap * u.grid.h) ** spec.rho)
         gap *= 2
     return xi_part + sup_part + holder
@@ -287,8 +289,8 @@ def fixed_point_recover(
     G_0 = 0), and the fixed-point identity
     Xi(u_final) = u_final(0) holds to the iteration tolerance.  A recovery
     that converges in k iterations builds k propagations.  Raises
-    ConvergenceError (with the partial report attached) when max_iters is
-    exhausted or the distances blow up; raises SingularOperatorError on a
+    ConvergenceError (with the partial report, its last distance included,
+    attached) when max_iters is exhausted or the distances blow up; raises SingularOperatorError on a
     singular variant resolvent.
     """
     config = config or RecoveryConfig()
@@ -315,14 +317,12 @@ def fixed_point_recover(
         if not np.isfinite(dist) or dist > DIVERGENCE_FACTOR * max(report.distances[0], 1e-30):
             raise ConvergenceError(
                 f"fixed-point iteration diverged (distance {dist:.3e})",
-                last_increment=dist,
                 report=report,
             )
     if not report.converged:
         raise ConvergenceError(
             f"no convergence in {config.max_iters} iterations "
             f"(last distance {report.distances[-1]:.3e})",
-            last_increment=report.distances[-1],
             report=report,
         )
     report.residual = averaging_residual(cond, u, M)

@@ -5,11 +5,12 @@ finite-difference Laplacians, Helmholtz solves through the stored
 eigendecomposition, and the spectral fractional-power norms that realize the
 interpolation scale: the H^s-type norm of a field u is
 
-    ( sum_k (shift - lambda_k)^s <u, q_k>^2 * spacing )^(1/2)
+    ( sum_k (1 - lambda_k)^s <u, q_k>^2 * spacing )^(1/2)
 
-with (lambda_k, q_k) the eigenpairs of the discrete Laplacian.  For the
-self-adjoint base operator these norms coincide with the complex
-interpolation scale between the discrete L2 and H2 spaces.
+with (lambda_k, q_k) the eigenpairs of the discrete Laplacian, read from
+the ``BaseOperator`` directly; every 1 - lambda_k >= 1, so each power is
+defined.  For the self-adjoint base operator these norms coincide with the
+complex interpolation scale between the discrete L2 and H2 spaces.
 
 Everything here is immutable after construction and safe to share between
 threads; all operations are pure functions of their inputs.  The Laplacian
@@ -128,18 +129,6 @@ class Grid1D:
             return h * np.arange(1, self.n + 1)
         return h * (np.arange(self.n) + 0.5)
 
-    @property
-    def face_coords(self) -> np.ndarray:
-        """Coordinates of the flux faces used by divergence-form assembly.
-
-        Neumann: the n-1 interior faces (domain faces carry zero flux).
-        Dirichlet: all n+1 faces including the two boundary-adjacent ones.
-        """
-        h = self.spacing
-        if self.bc is BoundaryKind.DIRICHLET:
-            return h * (np.arange(self.n + 1) + 0.5)
-        return h * np.arange(1, self.n)
-
 
 def build_grid(n: int, length: float, bc: BoundaryKind) -> Grid1D:
     if n < 2:
@@ -213,28 +202,14 @@ def helmholtz_solve(base: BaseOperator, rhs: np.ndarray) -> np.ndarray:
     return matvec(base.eigenvectors, coeffs / (1.0 - base.eigenvalues))
 
 
-@dataclass(frozen=True)
-class SobolevScale:
-    """Spectral realization of the H^s scale through powers of (shift - Laplacian)."""
-
-    base: BaseOperator
-    shift: float = 1.0
-
-    def __post_init__(self):
-        if np.any(self.shift - self.base.eigenvalues <= 0):
-            raise ConfigurationError(
-                f"shift={self.shift} does not dominate the spectrum; fractional powers undefined"
-            )
-
-
-def modal_norm(scale: SobolevScale, coeffs: np.ndarray, s: float) -> np.ndarray:
+def modal_norm(base: BaseOperator, coeffs: np.ndarray, s: float) -> np.ndarray:
     """The H^s-type norm of the fields with modal coefficients ``coeffs``
     (..., n) in the eigenbasis, one norm per field, shape (...)."""
-    weights = (scale.shift - scale.base.eigenvalues) ** s
-    return np.sqrt(np.sum(weights * coeffs**2, axis=-1) * scale.base.grid.spacing)
+    weights = (1.0 - base.eigenvalues) ** s
+    return np.sqrt(np.sum(weights * coeffs**2, axis=-1) * base.grid.spacing)
 
 
-def sobolev_norm(scale: SobolevScale, field: np.ndarray, s: float) -> float | np.ndarray:
+def sobolev_norm(base: BaseOperator, field: np.ndarray, s: float) -> float | np.ndarray:
     """Discrete H^s-type norm; s = 0 recovers the plain discrete L2 norm.
 
     One field (n,) gives a float; a stack (..., n) gives one norm per field,
@@ -243,9 +218,9 @@ def sobolev_norm(scale: SobolevScale, field: np.ndarray, s: float) -> float | np
     if not -2.0 <= s <= 4.0:
         raise ValueError(f"norm order s must lie in [-2, 4], got {s}")
     field = np.asarray(field, dtype=float)
-    if field.ndim < 1 or field.shape[-1] != scale.base.grid.n:
-        raise ValueError(f"field must have length {scale.base.grid.n}")
-    norms = modal_norm(scale, matvec(scale.base.eigenvectors.T, field), s)
+    if field.ndim < 1 or field.shape[-1] != base.grid.n:
+        raise ValueError(f"field must have length {base.grid.n}")
+    norms = modal_norm(base, matvec(base.eigenvectors.T, field), s)
     return float(norms) if norms.ndim == 0 else norms
 
 

@@ -27,8 +27,10 @@ can check the recursions against them:
   (:func:`gtsv_forward_solve`), which the package's scalar elimination
   must equal bit for bit;
 * :class:`ShiftedModel` recentres a model at an equilibrium, and
-  :class:`RDTermsModel` gives the reaction-diffusion model the drift,
-  zeroth-order and nonlinear-functional terms that no config sets.
+  :class:`RDTermsModel` gives the reaction-diffusion model the variable
+  face coefficient, weighted and nonlinear functionals, drift and
+  zeroth-order terms that no config sets, on the flux faces of
+  :func:`face_coords`.
 
 Every definition is written against the package's public and private
 helpers and never called by the package.
@@ -67,13 +69,13 @@ from avgrec.models import (
     NonlocalRDModel,
     QuasilinearModel,
     check_ball,
+    divergence_bands,
 )
 from avgrec.solver import Trajectory
 from avgrec.spatial import (
     BaseOperator,
     BoundaryKind,
     Grid1D,
-    SobolevScale,
     band_stack,
     first_difference,
     matrix_exponential,
@@ -669,60 +671,79 @@ def growth_estimate_probe(
         pair = []
         for _ in range(2):
             x = rng.standard_normal(n)
-            norm = sobolev_norm(model.scale, x, 2 * book.beta)
+            norm = sobolev_norm(model.base, x, 2 * book.beta)
             x *= radius * rng.uniform(0.05, 1.0) / norm
             pair.append(x)
         v, w = pair
         num = sobolev_norm(
-            model.scale, model.linearise(v)[1] - model.linearise(w)[1], 2 * book.gamma
+            model.base, model.linearise(v)[1] - model.linearise(w)[1], 2 * book.gamma
         )
-        xi_v = sobolev_norm(model.scale, v, 2 * book.xi)
-        xi_w = sobolev_norm(model.scale, w, 2 * book.xi)
-        den = (xi_v**book.ell + xi_w**book.ell) * sobolev_norm(model.scale, v - w, 2 * book.xi)
+        xi_v = sobolev_norm(model.base, v, 2 * book.xi)
+        xi_w = sobolev_norm(model.base, w, 2 * book.xi)
+        den = (xi_v**book.ell + xi_w**book.ell) * sobolev_norm(model.base, v - w, 2 * book.xi)
         den += (xi_v ** (book.ell + 1) + xi_w ** (book.ell + 1)) * sobolev_norm(
-            model.scale, v - w, 2 * book.beta
+            model.base, v - w, 2 * book.beta
         )
         if den > 0:
             worst = max(worst, num / den)
     return worst
 
 
+def face_coords(grid: Grid1D) -> np.ndarray:
+    """Coordinates of the flux faces that
+    :func:`avgrec.models.divergence_bands` reads: the n-1 interior faces of
+    a Neumann grid, all n+1 faces of a Dirichlet grid."""
+    h = grid.spacing
+    if grid.bc is BoundaryKind.DIRICHLET:
+        return h * (np.arange(grid.n + 1) + 0.5)
+    return h * np.arange(1, grid.n)
+
+
 @dataclass(frozen=True, eq=False)
 class RDTermsModel(NonlocalRDModel):
     """The reaction-diffusion model with the terms no config sets, for the
-    non-symmetric and pivoting paths: a drift drift_fn(x, l) times the first
-    difference and a zeroth-order term react_fn(x, l) added to its bands,
-    and a nonlinear functional l(u) = functional_fn(u) in place of
-    int m u dx.  drift_fn and react_fn are called as diff_fn is, at the
-    nodes; functional_fn takes one state (n,) and is mapped over the states
-    of a stack."""
+    variable-coefficient, non-symmetric and pivoting paths: a face
+    coefficient diff_fn(x, l) in place of 1 + l^2, a drift drift_fn(x, l)
+    times the first difference and a zeroth-order term react_fn(x, l)
+    added to its bands, and l(u) = int m u dx with a weight m (one by
+    default) or a nonlinear l(u) = functional_fn(u).  diff_fn is called
+    with the face coordinates, drift_fn and react_fn with the nodes, each
+    with l(u) as an array of shape (..., 1), one value per state, and each
+    returns one row per state; functional_fn takes one state (n,) and is
+    mapped over the states of a stack.  With no term set, the model's
+    generator equals the shipped one."""
 
+    diff_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda x, s: 1.0 + s**2 + 0.0 * x
+    functional_weight: np.ndarray | None = None
     drift_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     react_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     functional_fn: Callable[[np.ndarray], float] | None = None
 
     def functional_value(self, u: np.ndarray) -> np.ndarray:
-        if self.functional_fn is None:
-            return super().functional_value(u)
         u = np.asarray(u, dtype=float)
+        if self.functional_fn is None:
+            m = np.ones(u.shape[-1]) if self.functional_weight is None else self.functional_weight
+            return self.base.grid.spacing * np.matmul(m, u[..., None])
         rows = u.reshape(-1, u.shape[-1])
         values = np.array([float(self.functional_fn(row)) for row in rows])
         return values.reshape(u.shape[:-1] + (1,))
 
     def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]:
-        bands, f = super().linearise(u)
-        nodes = self.base.grid.nodes
+        grid = self.base.grid
         s_val = self.functional_value(u)
+        faces = np.asarray(self.diff_fn(face_coords(grid), s_val), dtype=float)
+        bands = divergence_bands(grid, faces)
+        f = super().linearise(u)[1]
         if self.drift_fn is not None:
-            drift = np.asarray(self.drift_fn(nodes, s_val))
-            difference = first_difference(self.base.grid)
+            drift = np.asarray(self.drift_fn(grid.nodes, s_val))
+            difference = first_difference(grid)
             bands = tuple(
                 values + drift[..., rows] * diff
                 for values, diff, rows in zip(bands, difference, _BAND)
             )
         if self.react_fn is not None:
             sub, main, sup = bands
-            bands = sub, main + np.asarray(self.react_fn(nodes, s_val)), sup
+            bands = sub, main + np.asarray(self.react_fn(grid.nodes, s_val)), sup
         return bands, f
 
 
@@ -737,10 +758,6 @@ class ShiftedModel:
     @property
     def base(self) -> BaseOperator:
         return self.inner.base
-
-    @property
-    def scale(self) -> SobolevScale:
-        return self.inner.scale
 
     @property
     def exponents(self) -> ExponentBook:

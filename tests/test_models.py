@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from avgrec.errors import BallViolationError, ConfigurationError, ModelError
+from avgrec.errors import BallViolationError, ConfigurationError
 from avgrec.models import (
     ChemotaxisModel,
     ExponentBook,
@@ -25,6 +25,7 @@ from oracles import (
     dense_generator,
     dense_laplacian,
     equilibrium_shift,
+    face_coords,
     growth_estimate_probe,
 )
 
@@ -108,7 +109,7 @@ class TestChemotaxisModel:
                 num = np.linalg.norm(
                     dense_generator(chemo, u) - dense_generator(chemo, w), 2
                 )
-                den = sobolev_norm(chemo.scale, u - w, 0.0)
+                den = sobolev_norm(chemo.base, u - w, 0.0)
                 worst = max(worst, num / den)
             return worst
 
@@ -204,21 +205,6 @@ class TestNonlocalRDModel:
             mat = dense_generator(rd, u)
             assert np.abs(mat.sum(axis=1)).max() <= 1e-9
 
-    def test_ellipticity_violation_raises(self):
-        grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
-        model = NonlocalRDModel(
-            base=NonlocalRDModel.default(grid).base,
-            scale=NonlocalRDModel.default(grid).scale,
-            exponents=rd_exponents(),
-            diff_fn=lambda x, s: 1.0 + s + 0.0 * x,
-            poly_coeffs=(0.0, 0.0, -1.0),
-            functional_weight=np.ones(8),
-            ball_radius=10.0,
-        )
-        u = np.full(8, -3.0)  # l(u) = -3 makes the coefficient negative
-        with pytest.raises(ModelError):
-            model.linearise(u)
-
     def test_bad_polynomial_rejected(self):
         grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
         with pytest.raises(ConfigurationError):
@@ -257,7 +243,7 @@ class TestNonlocalRDModel:
 
         def dense(u):
             s_val = model.functional_value(u)
-            faces = model.diff_fn(grid.face_coords, s_val)
+            faces = model.diff_fn(face_coords(grid), s_val)
             if bc is BoundaryKind.NEUMANN:
                 left, right = np.append(0.0, faces), np.append(faces, 0.0)
             else:
@@ -275,16 +261,41 @@ class TestNonlocalRDModel:
             assert np.array_equal(stacked[index], expected)
             assert np.array_equal(dense_generator(model, states[index]), expected)
 
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_shipped_generator_equals_face_flux_formula(self, bc):
+        # a = 1 + l(u)^2 on every flux face, l(u) = h sum u, formed on dense
+        # matrices; the shipped bands must reproduce it bit for bit.
+        model = NonlocalRDModel.default(build_grid(12, 1.0, bc))
+        grid = model.base.grid
+        h = grid.spacing
+
+        def dense(u):
+            a = 1.0 + (h * (np.ones(grid.n) @ u)) ** 2
+            if bc is BoundaryKind.NEUMANN:
+                faces = np.full(grid.n - 1, a)
+                left, right = np.append(0.0, faces), np.append(faces, 0.0)
+            else:
+                faces = np.full(grid.n + 1, a)
+                left, right = faces[:-1], faces[1:]
+            out = np.diag(-(left + right)) + np.diag(right[:-1], 1) + np.diag(left[1:], -1)
+            return out / (h * h)
+
+        # l(u) near 4: l^2 keeps the last bits of l, which 1 + l^2 at a
+        # small l would round away.
+        states = 4.0 + np.random.default_rng(11).standard_normal((2, 3, 12))
+        stacked = dense_generator(model, states)
+        for index in np.ndindex(2, 3):
+            expected = dense(states[index])
+            assert np.array_equal(stacked[index], expected)
+            assert np.array_equal(dense_generator(model, states[index]), expected)
+
     def test_nonlinear_functional_override(self):
         grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
         template = NonlocalRDModel.default(grid)
         model = RDTermsModel(
             base=template.base,
-            scale=template.scale,
             exponents=template.exponents,
-            diff_fn=template.diff_fn,
             poly_coeffs=template.poly_coeffs,
-            functional_weight=template.functional_weight,
             functional_fn=lambda u: float(np.tanh(grid.spacing * u.sum())),
             ball_radius=template.ball_radius,
         )
@@ -309,7 +320,6 @@ class TestValidateExponents:
         model = ChemotaxisModel.default(build_grid(8, 1.0, BoundaryKind.NEUMANN))
         bad = ChemotaxisModel(
             base=model.base,
-            scale=model.scale,
             exponents=model.exponents,
             delta=model.delta,
             s=3.0,

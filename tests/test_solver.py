@@ -77,7 +77,7 @@ class TestWeightedDistance:
         if mu is not None:
             spec = WeightedNormSpec(
                 mu=mu, order_xi=spec.order_xi, order_beta=spec.order_beta,
-                rho=spec.rho, scale=spec.scale,
+                rho=spec.rho, base=spec.base,
             )
         return spec
 
@@ -96,8 +96,8 @@ class TestWeightedDistance:
         spec = self._spec(small_chemo, mu=0.0)
         from avgrec.spatial import sobolev_norm
 
-        expected = sobolev_norm(spec.scale, c, spec.order_xi) + sobolev_norm(
-            spec.scale, c, spec.order_beta
+        expected = sobolev_norm(spec.base, c, spec.order_xi) + sobolev_norm(
+            spec.base, c, spec.order_beta
         )
         assert weighted_distance(u, v, spec) == pytest.approx(expected, rel=1e-12)
 
@@ -260,7 +260,7 @@ class TestIterateOnce:
         )
         from avgrec.spatial import sobolev_norm
 
-        norms = [sobolev_norm(small_chemo.scale, s, 0.0) for s in traj.states]
+        norms = [sobolev_norm(small_chemo.base, s, 0.0) for s in traj.states]
         assert max(norms) <= small_chemo.ball_radius
 
 

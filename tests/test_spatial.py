@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from avgrec.errors import ConfigurationError, NumericalError
 from avgrec.spatial import (
     BoundaryKind,
-    SobolevScale,
     assemble_laplacian,
     band_matvec,
     band_stack,
@@ -214,42 +213,42 @@ class TestHelmholtz:
 class TestSobolevNorm:
     def setup_method(self):
         self.base = assemble_laplacian(build_grid(16, 1.0, BoundaryKind.NEUMANN))
-        self.scale = SobolevScale(base=self.base)
 
     def test_s_zero_is_l2(self):
         for _ in range(20):
             x = RNG.standard_normal(16)
             l2 = np.sqrt(np.sum(x**2) * self.base.grid.spacing)
-            assert sobolev_norm(self.scale, x, 0.0) == pytest.approx(l2, rel=1e-12)
+            assert sobolev_norm(self.base, x, 0.0) == pytest.approx(l2, rel=1e-12)
 
     def test_single_mode(self):
         k = 5
         q = self.base.eigenvectors[:, k]
-        expected = (self.scale.shift - self.base.eigenvalues[k]) * np.sqrt(self.base.grid.spacing)
-        assert sobolev_norm(self.scale, q, 2.0) == pytest.approx(expected, rel=1e-12)
+        expected = (1.0 - self.base.eigenvalues[k]) * np.sqrt(self.base.grid.spacing)
+        assert sobolev_norm(self.base, q, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_order(self):
-        # shift = 1 makes every factor (shift - lambda) >= 1.
+        # Every factor 1 - lambda is at least 1.
         orders = np.linspace(-2.0, 4.0, 13)
         for _ in range(10):
             x = RNG.standard_normal(16)
-            norms = [sobolev_norm(self.scale, x, s) for s in orders]
+            norms = [sobolev_norm(self.base, x, s) for s in orders]
             assert np.all(np.diff(norms) >= -1e-12)
 
     def test_order_range_enforced(self):
         with pytest.raises(ValueError):
-            sobolev_norm(self.scale, np.zeros(16), 5.0)
+            sobolev_norm(self.base, np.zeros(16), 5.0)
 
-    def test_shift_must_dominate(self):
-        with pytest.raises(ConfigurationError):
-            SobolevScale(base=self.base, shift=-1.0)
+    def test_field_length_enforced(self):
+        for field in (np.zeros(15), np.zeros((3, 17)), np.float64(0.0)):
+            with pytest.raises(ValueError, match="length 16"):
+                sobolev_norm(self.base, field, 1.0)
 
     @given(c=st.floats(-100, 100))
     @settings(max_examples=25)
     def test_homogeneity(self, c):
         x = np.linspace(-1, 1, 16)
-        got = sobolev_norm(self.scale, c * x, 1.0)
-        assert got == pytest.approx(abs(c) * sobolev_norm(self.scale, x, 1.0), rel=1e-10, abs=1e-12)
+        got = sobolev_norm(self.base, c * x, 1.0)
+        assert got == pytest.approx(abs(c) * sobolev_norm(self.base, x, 1.0), rel=1e-10, abs=1e-12)
 
 
 class TestMatrixExponential:

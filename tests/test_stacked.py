@@ -5,14 +5,13 @@ import pytest
 
 import avgrec.models
 from avgrec.averaging import AveragingCondition, Variant, observe
-from avgrec.errors import ModelError, NumericalError
+from avgrec.errors import NumericalError
 from avgrec.evolution import PropagatorMethod, TimeGrid
 from avgrec.models import (
     ChemotaxisModel,
     LinearTestModel,
     NonlocalRDModel,
     check_ball,
-    rd_exponents,
 )
 from avgrec.solver import (
     RecoveryConfig,
@@ -23,7 +22,6 @@ from avgrec.solver import (
 )
 from avgrec.spatial import (
     BoundaryKind,
-    SobolevScale,
     assemble_laplacian,
     build_grid,
     helmholtz_solve,
@@ -41,7 +39,6 @@ def rd_with_terms(bc: BoundaryKind, n: int = 12) -> RDTermsModel:
     template = NonlocalRDModel.default(build_grid(n, 1.0, bc))
     return RDTermsModel(
         base=template.base,
-        scale=template.scale,
         exponents=template.exponents,
         diff_fn=lambda x, s: 1.0 + s**2 + 0.1 * x,
         poly_coeffs=(0.0, 0.0, 0.5, -1.0),
@@ -62,11 +59,8 @@ def rd_with_functional(n: int = 12) -> RDTermsModel:
 
     return RDTermsModel(
         base=template.base,
-        scale=template.scale,
         exponents=template.exponents,
-        diff_fn=template.diff_fn,
         poly_coeffs=template.poly_coeffs,
-        functional_weight=template.functional_weight,
         functional_fn=functional,
         ball_radius=template.ball_radius,
     )
@@ -150,27 +144,6 @@ def test_linearise_skips_the_ball_norm(name, monkeypatch):
 
 
 class TestStackedErrors:
-    def test_ellipticity_error_names_first_bad_node(self):
-        grid = build_grid(8, 1.0, BoundaryKind.NEUMANN)
-        template = NonlocalRDModel.default(grid)
-        model = NonlocalRDModel(
-            base=template.base,
-            scale=template.scale,
-            exponents=rd_exponents(),
-            diff_fn=lambda x, s: 1.0 + s + 0.0 * x,
-            poly_coeffs=(0.0, 0.0, -1.0),
-            functional_weight=np.ones(8),
-            ball_radius=10.0,
-        )
-        states = np.zeros((6, 8))
-        states[2] = -3.0  # l(u) = -3 makes the coefficient negative
-        states[4] = -5.0
-        with pytest.raises(ModelError) as single:
-            model.linearise(states[2])
-        with pytest.raises(ModelError) as stacked:
-            model.linearise(states)
-        assert str(stacked.value) == f"node 2: {single.value}"
-
     def test_ball_violation_names_first_node(self):
         model = MODELS["chemotaxis"]
         states = np.zeros((5, 12))
@@ -189,10 +162,9 @@ class TestStackedSpatial:
 
     @pytest.mark.parametrize("order", [0.0, 0.7, 2.0])
     def test_sobolev_norm(self, order):
-        scale = SobolevScale(base=self.base)
         fields = RNG.standard_normal((4, 3, 10))
-        got = sobolev_norm(scale, fields, order)
-        expected = each_state(lambda f: np.array(sobolev_norm(scale, f, order)), fields)
+        got = sobolev_norm(self.base, fields, order)
+        expected = each_state(lambda f: np.array(sobolev_norm(self.base, f, order)), fields)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("t", [0.0, 0.3])
@@ -218,7 +190,7 @@ def test_ball_exits_counted_per_state():
     x = model.base.grid.nodes
     amplitudes = np.array([0.1, 0.5, 1.2, 0.3, 2.0, 0.9, 1.5, 0.2, 0.4])
     states = amplitudes[:, None] * np.cos(np.pi * x)
-    norms = [sobolev_norm(model.scale, s, 2.0 * model.exponents.beta) for s in states]
+    norms = [sobolev_norm(model.base, s, 2.0 * model.exponents.beta) for s in states]
     expected = sum(norm > model.ball_radius for norm in norms)
     assert 0 < expected < len(states)
     with pytest.warns(UserWarning, match=f"{expected} iterate states left the model ball"):
@@ -235,7 +207,6 @@ class PerStateModel:
     def __init__(self, inner):
         self.inner = inner
         self.base = inner.base
-        self.scale = inner.scale
         self.exponents = inner.exponents
         self.ball_radius = inner.ball_radius
 
