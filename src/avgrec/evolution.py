@@ -20,19 +20,22 @@ sums on the widened right-hand side [I | qw f], qw the trapezoid weights
 (:meth:`_Sweep.sweep`, returning :class:`SweepValues`), in O(K n^2) memory:
 the stepper from its K one-step factors S_j (:class:`StepFactors`: O(K n^2)
 for the factors, one Gaussian elimination on the bands over all K nodes at
-once with LAPACK gtsv for the nodes it would pivot, and one K-step loop of
-(n, n) x (n, n+1) products, O(K n^3)), the kernel series from its K frozen
-steps exp(h A_j) (:class:`SeriesSweep`, O(K^2 n^3), forming each difference
-A_m - A_l once), neither forming a table.  The full lower-triangular tables
+once with a NumPy port of LAPACK dgtsv for the nodes that need row
+interchanges, and one K-step loop of (n, n) x (n, n+1) products,
+O(K n^3)), the kernel series from its K frozen steps exp(h A_j)
+(:class:`SeriesSweep`, O(K^2 n^3), forming each difference A_m - A_l
+once), neither forming a table.  The full lower-triangular tables
 of both constructions, O(K^2 n^2) memory, are test oracles
 (``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
 
-LAPACK gtsv (the module attribute ``dgtsv``, reached through :func:`gtsv`)
-is imported from SciPy on first use: the stepper needs it only for a node
-that would pivot or is singular.  :func:`solve_tridiagonal`, gtsv's
-elimination for one right-hand side on Python floats, solves one system
-bit for bit like gtsv and calls it only where gtsv would interchange rows
-or meets a zero pivot; the forward IMEX solve takes each step with it.
+The stepper imports no SciPy.  :func:`_dgtsv`, reference LAPACK dgtsv
+with its row interchanges, its fill and its zero-pivot info, runs each of
+dgtsv's statements as one operation over a batch of systems; it solves
+the stepper's nodes that need row interchanges or meet a zero pivot.
+:func:`solve_tridiagonal`, dgtsv's loops for one right-hand side without
+interchanges on Python floats, takes each step of the forward IMEX solve
+and hands a step that interchanges rows to the port.  Both equal LAPACK
+dgtsv bit for bit.
 
 An :class:`OperatorPath` holds the three central diagonals of every
 A(t_j), as a model's ``linearise`` returns them: every generator in
@@ -309,11 +312,13 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
     One Gaussian elimination on the path's bands solves all K nodes at
     once, O(K n^2): the right-hand sides are an (n, K, n) stack of rows
     written straight from the bands, so each step is one contiguous (K, n)
-    operation, in the order of LAPACK gtsv without row interchanges.  Nodes
-    that gtsv would pivot (known from the pivots, which are eliminated
-    first) or that turn non-finite (a zero pivot) are solved by gtsv itself,
-    in ascending order: the factors, a transposed view of the stack, equal a
-    per-node gtsv solve bit for bit, and the first singular node is named.
+    operation, in the order of LAPACK dgtsv without row interchanges.
+    Nodes that dgtsv would pivot (known from the pivots, which are
+    eliminated first) or that turn non-finite (a zero pivot) are solved
+    again, all at once and in place on their slabs of the stack, by
+    :func:`_dgtsv`, the NumPy port of reference dgtsv: the factors, a
+    transposed view of the stack, equal a per-node dgtsv solve bit for bit,
+    and the first singular node is named.
     """
     bands = path.bands
     K, n = path.grid.K, path.dim
@@ -335,10 +340,10 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
         for r in range(n - 1):
             facts[r] = low_rows[r] / pivots[r]
             pivots[r + 1] -= facts[r] * up_rows[r]
-        # gtsv interchanges rows where |pivot| < |entry below| (or either is
-        # NaN).  The row pass leaves such nodes as they are, since without
-        # interchanges they can overflow or go subnormal and slow it down;
-        # gtsv solves them below.
+        # dgtsv interchanges rows where |pivot| < |entry below| (or either
+        # is NaN).  The row pass leaves such nodes as they are, since
+        # without interchanges they can overflow or go subnormal and slow it
+        # down; dgtsv's own elimination solves them below.
         redo = ~(np.abs(pivots[:-1]) >= np.abs(low_rows)).all(axis=0)
         if not redo.all():
             facts[:, redo] = 0.0
@@ -351,80 +356,118 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
                 rows[r] -= up_rows[r][:, None] * rows[r + 1]
                 rows[r] /= pivots[r][:, None]
     # A zero pivot, like any non-finite entry, spreads down its column and
-    # back up to row 0; where row 0 is finite, so is the rest, and gtsv's
+    # back up to row 0; where row 0 is finite, so is the rest, and dgtsv's
     # extra term 0 * B_{r+2} vanishes.
     redo |= ~np.isfinite(rows[0]).all(axis=1)
-    factors = rows.transpose(1, 0, 2)
-    for j in np.flatnonzero(redo):
-        # R_j from node j's bands, as the dense c A(t_j) with 1 added on the diagonal.
-        rhs = band_stack(rhs_sub[:, j], rhs_diag[:, j] + 1.0, rhs_sup[:, j])
-        solution, info = gtsv(lower[j], main[j], upper[j], rhs)
-        if info > 0:
+    nodes = np.flatnonzero(redo)
+    if nodes.size:
+        # R_j rewritten from node j's bands over what the row pass left.
+        rows[:, nodes] = 0.0
+        rows[idx[:, None], nodes, idx[:, None]] = rhs_diag[:, nodes] + 1.0
+        rows[idx[1:, None], nodes, idx[:-1, None]] = rhs_sub[:, nodes]
+        rows[idx[:-1, None], nodes, idx[1:, None]] = rhs_sup[:, nodes]
+        node_bands = (np.ascontiguousarray(band[nodes].T) for band in (lower, main, upper))
+        info = _dgtsv(*node_bands, rows, nodes)
+        singular = np.flatnonzero(info)
+        if singular.size:
+            j = nodes[singular[0]]
             raise NumericalError(
-                f"singular one-step matrix at node {j + 1}: zero pivot in row {info} "
-                "of the tridiagonal solve"
+                f"singular one-step matrix at node {j + 1}: zero pivot in row "
+                f"{info[singular[0]]} of the tridiagonal solve"
             )
-        factors[j] = solution
-    return factors
+    return rows.transpose(1, 0, 2)
 
 
-def __getattr__(name: str):
-    # LAPACK's dgtsv is imported from SciPy on first use, which loads all of
-    # scipy.linalg: a stepper run whose nodes need no row interchange, and
-    # the forward solve, never ask for it.
-    if name != "dgtsv":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.linalg.lapack import dgtsv
+@np.errstate(all="ignore")
+def _dgtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray, nodes: np.ndarray):
+    """Reference LAPACK dgtsv on R tridiagonal systems at once: info per
+    system, 0 or the row of its first zero pivot.
 
-    globals()["dgtsv"] = dgtsv
-    return dgtsv
-
-
-def gtsv(lower: np.ndarray, main: np.ndarray, upper: np.ndarray, rhs: np.ndarray):
-    """LAPACK dgtsv on one tridiagonal system with (n-1,), (n,), (n-1,)
-    diagonals and right-hand side (n,) or (n, r): (solution, info), info > 0
-    the row of a zero pivot.  Calls the module attribute ``dgtsv``, which
-    the first call imports."""
-    if main.shape[0] == 1:
-        # gtsv's wrapper wants off-diagonals of length max(n - 1, 1); gtsv
-        # reads none of them at n = 1.
-        lower = upper = np.zeros(1)
-    routine = globals().get("dgtsv") or __getattr__("dgtsv")
-    *_, solution, info = routine(lower, main, upper, rhs)
-    return solution, info
+    The bands are laid out row first, (n-1, R), (n, R) and (n-1, R), so
+    that each of dgtsv's statements is one operation over every system,
+    with the branch of a row interchange taken per system by selection.
+    The right-hand sides are the columns ``nodes`` of an (n, N, r) stack of
+    rows; only those columns are read and written, in place, one row at a
+    time.  As in dgtsv, d and du are overwritten with U's diagonal and first
+    superdiagonal, dl with its second superdiagonal (the fill of the
+    interchanges) and b with the solution.  A system that meets a zero pivot,
+    where dgtsv returns, runs on here: its info is set, and its bands and
+    solution are not dgtsv's.
+    """
+    n, R = d.shape
+    info = np.zeros(R, dtype=int)
+    cur = b[0, nodes]  # row i of b, carried through step i
+    for i in range(n - 1):
+        # dgtsv's test for no interchange, false on a NaN.  Where it fails,
+        # rows i and i+1 trade places: the pivot row is row i+1.
+        keep = np.abs(d[i]) >= np.abs(dl[i])
+        # A zero pivot's fact is 0/0, which makes every later pivot of its
+        # system NaN: no system meets a second one.
+        info[keep & (d[i] == 0.0)] = i + 1
+        pivot, below = np.where(keep, d[i], dl[i]), np.where(keep, dl[i], d[i])
+        top, bottom = np.where(keep, du[i], d[i + 1]), np.where(keep, d[i + 1], du[i])
+        fact = below / pivot
+        d[i], du[i] = pivot, top
+        d[i + 1] = bottom - fact * top
+        if i < n - 2:
+            # An interchange moves row i+1's entry two right of the diagonal
+            # up into the fill dl(i); Fortran's -FACT*DL(I) is
+            # -(FACT*DL(I)), which sets a NaN's sign.
+            dl[i] = np.where(keep, 0.0, du[i + 1])
+            du[i + 1] = np.where(keep, du[i + 1], -(fact * du[i + 1]))
+        nxt = b[i + 1, nodes]
+        row, cur = np.where(keep[:, None], cur, nxt), np.where(keep[:, None], nxt, cur)
+        cur -= fact[:, None] * row
+        b[i, nodes] = row
+    info[d[n - 1] == 0.0] = n
+    # Back substitution with U, x_i = (b_i - du_i x_{i+1} - dl_i x_{i+2}) / d_i:
+    # dl_i is the fill, or zero where row i was not interchanged.
+    x = cur / d[n - 1][:, None]
+    b[n - 1, nodes] = x
+    if n > 1:
+        later, x = x, (b[n - 2, nodes] - du[n - 2][:, None] * x) / d[n - 2][:, None]
+        b[n - 2, nodes] = x
+    for i in range(n - 3, -1, -1):
+        later, x = x, (b[i, nodes] - du[i][:, None] * x - dl[i][:, None] * later) / d[i][:, None]
+        b[i, nodes] = x
+    return info
 
 
 def solve_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray, rhs: np.ndarray):
-    """(solution, info) of :func:`gtsv` for one right-hand side (n,), by the
-    same elimination on Python floats where gtsv interchanges no rows.
+    """(solution, info) of LAPACK dgtsv for one right-hand side (n,), info
+    > 0 the row of a zero pivot, by the same elimination on Python floats
+    where dgtsv interchanges no rows.
 
     The loops are reference dgtsv's for one right-hand side without
-    interchanges, so the solution equals gtsv's bit for bit, signed zeros
-    included.  A system where gtsv would interchange rows, meets a zero
-    pivot, or where the solution is not finite (a NaN or inf among the
-    entries) is handed to gtsv itself, which also reports the zero pivot.
+    interchanges, so the solution equals dgtsv's bit for bit, signed zeros
+    and non-finite entries included, and at a zero pivot it is dgtsv's
+    partial one.  A system where dgtsv would interchange rows is handed to
+    :func:`_dgtsv` as a batch of one, whose solution is dgtsv's where info
+    is 0.
     """
     n = main.shape[0]
     dl, d, du, b = lower.tolist(), main.tolist(), upper.tolist(), rhs.tolist()
     for i in range(n - 1):
-        if not abs(d[i]) >= abs(dl[i]) or d[i] == 0.0:
-            return gtsv(lower, main, upper, rhs)
+        if not abs(d[i]) >= abs(dl[i]):
+            x = rhs.astype(float)[:, None, None]
+            bands = (band.astype(float)[:, None] for band in (lower, main, upper))
+            (info,) = _dgtsv(*bands, x, np.zeros(1, dtype=int))
+            return x[:, 0, 0], int(info)
+        if d[i] == 0.0:
+            return np.array(b), i + 1
         fact = dl[i] / d[i]
         d[i + 1] -= fact * du[i]
         b[i + 1] -= fact * b[i]
     if d[-1] == 0.0:
-        return gtsv(lower, main, upper, rhs)
+        return np.array(b), n
     b[-1] /= d[-1]
     if n > 1:
         b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
     for i in range(n - 3, -1, -1):
-        # gtsv zeroes dl(i) in the elimination and still subtracts
+        # dgtsv zeroes dl(i) in the elimination and still subtracts
         # dl(i) * b(i+2), which turns a -0.0 into +0.0 when b(i+2) < 0.
         b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
-    solution = np.array(b)
-    if not np.isfinite(solution).all():
-        return gtsv(lower, main, upper, rhs)
-    return solution, 0
+    return np.array(b), 0
 
 
 def stepper_peak_bytes(n: int, K: int) -> int:

@@ -23,12 +23,12 @@ The operator path is the three diagonals of every A(u(t_j)), from one
 stacked ``linearise`` call that gives f(u(t_j)) too; the non-finite check
 reads the diagonals alone.
 The default propagation is the K one-step Crank-Nicolson factors, one
-tridiagonal elimination over all K nodes at once (a node that would need
-row interchanges is solved by LAPACK gtsv, imported from SciPy on first
-use); its recursion is K products of n x n factors with n x (n+1) blocks,
-so a sweep costs O(K n^3) time and O(K n^2) memory, and the dense
-(K+1, n, n) stack is never formed.  The
-kernel series (behind a flag) recurs on its K frozen steps exp(h A_j),
+tridiagonal elimination over all K nodes at once (the nodes that need row
+interchanges are solved together by a NumPy port of LAPACK dgtsv, so the
+stepper imports no SciPy); its recursion is K products of n x n factors
+with n x (n+1) blocks, so a sweep costs O(K n^3) time and O(K n^2)
+memory, and the dense (K+1, n, n) stack is never formed.  The kernel
+series (behind a flag) recurs on its K frozen steps exp(h A_j),
 formed from the dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The
 full propagator tables of either method are test oracles
 (``tests/oracles.py``).  The per-node model work at all K+1 nodes is two
@@ -43,8 +43,9 @@ Distances between iterates are measured in the time-weighted norm
 with |.|_xi and |.|_beta the spectral norms of orders 2 xi and 2 beta read
 from the model's base Laplacian (``spatial.modal_norm``), and the Hoelder
 quotient taken over adjacent and dyadic node pairs.  The forward IMEX
-solver, one O(n) tridiagonal elimination per step (the scalar form of the
-stepper's, equal to LAPACK gtsv bit for bit), provides manufactured data
+solver, one O(n) tridiagonal elimination per step (reference dgtsv on
+Python floats, or the NumPy port of dgtsv for a step that interchanges
+rows; equal to LAPACK dgtsv bit for bit), provides manufactured data
 and the self-convergence error that recovery accuracy is measured against.
 
 Recovery runs are sequential in their iteration loop; scans and probes run
@@ -334,9 +335,9 @@ def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
 
     First order with lagged coefficients; the manufactured-data generator and
     the yardstick that recovery errors are compared against.  Each step
-    solves I - h A(u_j) on its bands by ``solve_tridiagonal``, O(n): gtsv's
-    elimination on Python floats, with gtsv itself for a step that needs a
-    row interchange or meets a zero pivot, so SciPy is not imported for
+    solves I - h A(u_j) on its bands by ``solve_tridiagonal``, O(n):
+    reference dgtsv's elimination on Python floats, and the NumPy port of
+    dgtsv for a step that interchanges rows, so SciPy is not imported for
     the march.
     """
     u0 = np.asarray(u0, dtype=float)

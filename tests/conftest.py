@@ -30,6 +30,22 @@ def rd32():
     return NonlocalRDModel.default(build_grid(32, 1.0, BoundaryKind.NEUMANN))
 
 
+def counted_port(monkeypatch):
+    """Route evolution's dgtsv port through a wrapper; returns the list of
+    the number of systems each call solved."""
+    import avgrec.evolution
+
+    port = avgrec.evolution._dgtsv
+    calls = []
+
+    def wrapper(dl, d, du, b, nodes):
+        calls.append(len(nodes))
+        return port(dl, d, du, b, nodes)
+
+    monkeypatch.setattr(avgrec.evolution, "_dgtsv", wrapper)
+    return calls
+
+
 def chemotaxis_reference_path(model, K, T=0.5):
     """Smooth non-commuting generator path: chemotaxis coefficients frozen
     along a prescribed trajectory."""

@@ -14,6 +14,7 @@ from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
     TimeGrid,
+    _dgtsv,
     _one_step_factors,
     evolution_series,
     series_peak_bytes,
@@ -30,7 +31,7 @@ from avgrec.spatial import (
     matrix_exponential,
 )
 
-from conftest import chemotaxis_reference_path, sqrt_holder_path
+from conftest import chemotaxis_reference_path, counted_port, sqrt_holder_path
 from oracles import (
     DensePath,
     banded_path,
@@ -402,35 +403,21 @@ def scalar_path(grid, a):
     return OperatorPath(grid, (off, a[:, None], off), 0.5)
 
 
-def counted_gtsv(monkeypatch):
-    """Route evolution's gtsv through a wrapper; returns the list of calls."""
-    import avgrec.evolution
-
-    calls = []
-
-    def wrapper(*args):
-        calls.append(1)
-        return dgtsv(*args)
-
-    monkeypatch.setattr(avgrec.evolution, "dgtsv", wrapper)
-    return calls
-
-
 class TestBatchedTridiagonalFactors:
     """One elimination over all nodes gives the factors of a per-node gtsv
     solve bit for bit, without forming the dense stack; nodes that gtsv
-    pivots, and singular nodes, are solved again by gtsv."""
+    pivots, and singular nodes, are solved again by the dgtsv port."""
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_model_paths_equal_gtsv(self, model, n, monkeypatch):
         path = chemotaxis_reference_path(MODELS[model](n), K=24)
         expected = gtsv_factors(path)
-        calls = counted_gtsv(monkeypatch)
+        calls = counted_port(monkeypatch)
         factors = step_factors(path).factors
         assert factors.shape == (24, n, n)
         assert np.array_equal(factors, expected)
-        assert not calls
+        assert sum(calls) == 0
         assert "matrices" not in vars(path)
 
     def test_scalar_path(self):
@@ -443,8 +430,7 @@ class TestBatchedTridiagonalFactors:
         assert np.array_equal(step_factors(path).factors[:, 0, 0], expected)
 
     def test_scalar_zero_pivot_names_node(self):
-        # I - c A(t_3) = 0 on a 1 x 1 path: gtsv's wrapper needs padded
-        # off-diagonals there, and reports the zero pivot.
+        # I - c A(t_3) = 0 on a 1 x 1 path: the port reports the zero pivot.
         grid = TimeGrid(T=0.5, K=4)
         a = -np.ones(5)
         a[3] = 1.0 / (0.5 * grid.h)
@@ -467,9 +453,9 @@ class TestBatchedTridiagonalFactors:
     def test_every_node_pivots(self, monkeypatch):
         path = tridiagonal_path()
         expected = gtsv_factors(path)
-        calls = counted_gtsv(monkeypatch)
+        calls = counted_port(monkeypatch)
         assert np.array_equal(step_factors(path).factors, expected)
-        assert len(calls) == path.grid.K
+        assert calls == [path.grid.K]
         assert "matrices" not in vars(path)
 
     def test_some_nodes_pivot(self, monkeypatch):
@@ -480,9 +466,9 @@ class TestBatchedTridiagonalFactors:
         mats[::3, idx[1:], idx[:-1]] *= 1e-3
         path = banded_path(TimeGrid(T=0.8, K=15), mats, 0.5)
         expected = gtsv_factors(path)
-        calls = counted_gtsv(monkeypatch)
+        calls = counted_port(monkeypatch)
         assert np.array_equal(step_factors(path).factors, expected)
-        assert 0 < len(calls) < path.grid.K
+        assert len(calls) == 1 and 0 < calls[0] < path.grid.K
 
     def test_zero_diagonal_pivoted_without_warning(self):
         # I - c A(t_4) has a zero first pivot but is regular: gtsv swaps
@@ -524,16 +510,22 @@ class TestBatchedTridiagonalFactors:
             step_factors(bad)
 
 
+KINDS = ["dominant", "interchange", "all_swap", "zero_pivot", "nonfinite", "swap_nonfinite"]
+
+
 def drawn_system(kind, n, seed):
-    """A tridiagonal system (lower, main, upper, rhs) of one of four kinds.
+    """A tridiagonal system (lower, main, upper, rhs) of one of six kinds.
 
     ``dominant``: the main diagonal outweighs both neighbours in its row and
     column, so gtsv interchanges no rows; a fifth of the other entries are
     exact zeros of either sign, which reach the solution as signed zeros.
     ``interchange``: a small main diagonal, and gtsv interchanges rows 1
-    and 2.  ``zero_pivot``: dominant, with the pivot of one row cancelled
-    to an exact zero and no interchange there; the row is returned.
-    ``nonfinite``: dominant, with one entry NaN, inf or -inf.
+    and 2.  ``all_swap``: a main diagonal far below a sub-diagonal of
+    magnitude at least 2 and a super-diagonal in [-1, 1], so that gtsv
+    interchanges every row.  ``zero_pivot``: dominant, with the pivot of
+    one row cancelled to an exact zero and no interchange there; the row is
+    returned.  ``nonfinite`` and ``swap_nonfinite``: dominant and
+    ``all_swap``, with one entry NaN, inf or -inf.
     """
     rng = np.random.default_rng(seed)
     lower, upper, rhs = (rng.standard_normal(size) for size in (n - 1, n - 1, n))
@@ -549,6 +541,10 @@ def drawn_system(kind, n, seed):
     if kind == "interchange":
         main = 1e-2 * rng.standard_normal(n)
         lower[0] = 1.0 + abs(main[0])
+    elif kind in ("all_swap", "swap_nonfinite"):
+        main = 1e-3 * rng.standard_normal(n)
+        lower = np.copysign(2.0 + np.abs(lower), lower)
+        upper = np.clip(upper, -1.0, 1.0)
     elif kind == "zero_pivot":
         row = int(rng.integers(n))
         pivot = main[0]
@@ -559,49 +555,44 @@ def drawn_system(kind, n, seed):
         main[row] = 0.0 if row == 0 else fact * upper[row - 1]
         if row < n - 1:
             lower[row] = 0.0
-    elif kind == "nonfinite":
+    if kind in ("nonfinite", "swap_nonfinite"):
         band = (lower, main, upper, rhs)[rng.integers(4)]
         band[rng.integers(band.size)] = rng.choice([np.nan, np.inf, -np.inf])
     return lower, main, upper, rhs, row
 
 
 class TestScalarTridiagonalSolve:
-    """The forward solve's step, an elimination on Python floats, equals
-    LAPACK gtsv by bytes, and hands every system it cannot solve the same
-    way to gtsv itself."""
+    """The forward solve's step, dgtsv's elimination on Python floats,
+    equals LAPACK gtsv by bytes, info included, and hands the dgtsv port
+    every system where gtsv interchanges rows."""
 
     @given(
-        kind=st.sampled_from(["dominant", "interchange", "zero_pivot", "nonfinite"]),
+        kind=st.sampled_from(KINDS),
         n=st.one_of(st.integers(2, 64), st.just(256)),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=400, deadline=None)
     def test_equals_gtsv_by_bytes(self, kind, n, seed):
-        import avgrec.evolution
-
         lower, main, upper, rhs, row = drawn_system(kind, n, seed)
         *_, expected, expected_info = dgtsv(lower, main, upper, rhs)
-        calls = []
-
-        def wrapper(*args):
-            calls.append(1)
-            return dgtsv(*args)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(avgrec.evolution, "dgtsv", wrapper)
+            calls = counted_port(patch)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 solution, info = solve_tridiagonal(lower, main, upper, rhs)
         assert info == expected_info
-        assert np.asarray(solution).tobytes() == expected.tobytes()
+        if info == 0 or not calls:
+            # Only the port's solution of a singular system is not gtsv's.
+            assert np.asarray(solution).tobytes() == expected.tobytes()
         if kind == "dominant":
-            assert not calls and info == 0
+            assert info == 0 and not calls
         elif kind == "zero_pivot":
-            assert calls and info == row + 1
-        elif kind == "interchange":
-            assert calls
-        if not np.isfinite(expected).all():
-            assert calls
+            assert info == row + 1 and not calls
+        elif kind in ("interchange", "all_swap"):
+            assert abs(main[0]) < abs(lower[0]) and calls == [1]
+        else:
+            # A NaN pivot, or a NaN or inf below one, interchanges rows.
+            assert calls in ([], [1])
 
     def test_signed_zeros_of_the_back_substitution(self):
         # Row 0's solution is -0.0 before gtsv subtracts 0.0 * x_2, and
@@ -613,6 +604,127 @@ class TestScalarTridiagonalSolve:
         assert info == 0
         assert solution.tobytes() == expected.tobytes()
         assert math.copysign(1.0, solution[0]) == 1.0
+
+
+def drawn_batch(kinds, n, width, seed):
+    """A batch of tridiagonal systems, one of each kind, laid out for the
+    dgtsv port: bands (n-1, N), (n, N), (n-1, N), right-hand sides
+    (n, N, width), and the zero-pivot row of each system (or None).
+
+    The kinds are :func:`drawn_system`'s, with one non-finite entry at
+    most per system.  Extra right-hand-side columns are standard normal with
+    a fifth of them signed zeros.
+    """
+    rng = np.random.default_rng(seed)
+    systems = []
+    for k, kind in enumerate(kinds):
+        lower, main, upper, rhs, row = drawn_system(kind, n, seed + k)
+        extra = rng.standard_normal((n, width - 1))
+        zeros = rng.random(extra.shape) < 0.2
+        extra[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+        systems.append((lower, main, upper, np.column_stack((rhs, extra)), row))
+    lower, main, upper, rhs, rows = zip(*systems)
+    bands = (np.stack(lower, axis=1), np.stack(main, axis=1), np.stack(upper, axis=1))
+    return bands, np.stack(rhs, axis=1), rows
+
+
+def assert_port_equals_gtsv(bands, rhs, nodes, same=lambda a, b: a.tobytes() == b.tobytes()):
+    """The port on the ``nodes`` of a batch leaves the other right-hand
+    sides as they are and gives, on each of its systems, LAPACK dgtsv's
+    info and, where that is 0, dgtsv's overwritten bands and solution;
+    returns the infos."""
+    dl, d, du = (band[:, nodes] for band in bands)
+    b = rhs.copy()
+    info = _dgtsv(dl, d, du, b, nodes)
+    assert info.shape == nodes.shape
+    others = np.setdiff1d(np.arange(rhs.shape[1]), nodes)
+    assert b[:, others].tobytes() == rhs[:, others].tobytes()
+    n = d.shape[0]
+    for k, node in enumerate(nodes):
+        # The wrapper wants off-diagonals of length max(n - 1, 1); dgtsv
+        # reads none of them at n = 1.
+        off = [band[:, node] if n > 1 else np.zeros(1) for band in (bands[0], bands[2])]
+        fill, diag, upper, solution, expected_info = dgtsv(off[0], bands[1][:, node], off[1], rhs[:, node])
+        assert info[k] == expected_info
+        if expected_info == 0:
+            assert same(b[:, node], solution) and same(d[:, k], diag)
+            if n > 1:
+                assert same(du[:, k], upper) and same(dl[:, k], fill)
+    return info
+
+
+class TestDgtsvPort:
+    """The NumPy port of reference dgtsv, one elimination step at a time
+    over a batch of systems, equals LAPACK dgtsv on each system by bytes,
+    info included.
+
+    Where two NaNs of different sign meet in a product, IEEE 754 leaves
+    the sign of the result open, and dgtsv's compiled loops take either
+    operand (one sign for one right-hand side, the other for several), as
+    do NumPy's vector loops.  The systems compared by bytes therefore hold
+    at most one non-finite entry each; with many, NaN matches any NaN.
+    """
+
+    @given(
+        kinds=st.lists(
+            st.sampled_from(KINDS),
+            min_size=1,
+            max_size=8,
+        ),
+        n=st.integers(1, 64),
+        width=st.sampled_from(["1", "2", "n"]),
+        subset=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_gtsv_by_bytes(self, kinds, n, width, subset, seed):
+        if n == 1:
+            # One row has nothing to interchange and no off-diagonal entries.
+            kinds = [kind if kind == "zero_pivot" else "dominant" for kind in kinds]
+        bands, rhs, rows = drawn_batch(kinds, n, n if width == "n" else int(width), seed)
+        nodes = np.arange(len(kinds))
+        if subset:
+            nodes = nodes[np.random.default_rng(seed).random(len(kinds)) < 0.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = assert_port_equals_gtsv(bands, rhs, nodes)
+        for node, node_info in zip(nodes, info):
+            if kinds[node] == "zero_pivot":
+                assert node_info == rows[node] + 1
+            elif "nonfinite" not in kinds[node]:
+                assert node_info == 0
+
+    def test_zero_pivot_row_per_system(self):
+        # Each singular system's info is the row of its first zero pivot,
+        # and the other systems of the batch are dgtsv's.
+        kinds = ["zero_pivot", "all_swap", "zero_pivot", "dominant", "zero_pivot"]
+        bands, rhs, rows = drawn_batch(kinds, 12, 3, seed=4)
+        info = assert_port_equals_gtsv(bands, rhs, np.arange(5))
+        assert list(info) == [0 if row is None else row + 1 for row in rows]
+
+    @given(
+        n=st.integers(1, 64),
+        batch=st.integers(1, 8),
+        width=st.sampled_from(["1", "2", "n"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_many_nonfinite_entries(self, n, batch, width, seed):
+        rng = np.random.default_rng(seed)
+        r = n if width == "n" else int(width)
+        shapes = ((max(n - 1, 0), batch), (n, batch), (max(n - 1, 0), batch), (n, batch, r))
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        arrays[1] *= rng.choice([1e-3, 1.0, 10.0], size=shapes[1])
+        for array in arrays:
+            hit = rng.random(array.shape) < 0.1
+            array[hit] = rng.choice([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf], size=hit.sum())
+        *bands, rhs = arrays
+
+        def same(a, b):
+            nan = np.isnan(a)
+            return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+        assert_port_equals_gtsv(tuple(bands), rhs, np.arange(batch), same)
 
 
 def model_paths(model, K=12, T=0.5):
@@ -649,9 +761,9 @@ class TestBandBuiltPath:
     def test_pivoting_nodes(self, monkeypatch):
         band = tridiagonal_path()
         dense = DensePath(band.grid, band_stack(*band.bands), band.holder_rho)
-        calls = counted_gtsv(monkeypatch)
+        calls = counted_port(monkeypatch)
         assert rel_err(_one_step_factors(band), dense_factors(dense)) <= 1e-13
-        assert len(calls) == band.grid.K
+        assert calls == [band.grid.K]
         assert "matrices" not in vars(band)
 
     def test_singular_node_named(self):

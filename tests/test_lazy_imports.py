@@ -1,6 +1,7 @@
-"""SciPy is imported on first use: importing the package, and a stepper run
-whose nodes need no row interchange, load no ``scipy.linalg``; the kernel
-series loads it for ``expm``.  Each case runs in a fresh interpreter."""
+"""Only the kernel series loads SciPy, for ``expm``: importing the package
+and every stepper run, including the scan's breakdown rows whose nodes need
+row interchanges, load no ``scipy.linalg``.  Each case runs in a fresh
+interpreter."""
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import avgrec
 
 SRC = Path(avgrec.__file__).resolve().parent.parent
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "chemotaxis_recover.ini"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def scipy_modules_after(code: str) -> list[str]:
@@ -28,12 +29,12 @@ def scipy_modules_after(code: str) -> list[str]:
     return done.stdout.split()
 
 
-def cli_runs(runs, out) -> str:
+def cli_runs(runs, out, config="chemotaxis_recover.ini") -> str:
     """Code that runs ``avgrec.cli.main`` on each (verb, extra flags) of
-    ``runs`` with the chemotaxis recovery config and checks for exit 0."""
+    ``runs`` with a shipped config and checks for exit 0."""
     lines = ["from avgrec.cli import main"]
     for i, (verb, *flags) in enumerate(runs):
-        argv = [verb, "--config", str(CONFIG), "--quiet", "--out", str(out / f"{i}-{verb}"), *flags]
+        argv = [verb, "--config", str(CONFIGS / config), "--quiet", "--out", str(out / f"{i}-{verb}"), *flags]
         lines.append(f"assert main({argv!r}) == 0, {argv!r}")
     return "\n".join(lines)
 
@@ -45,6 +46,14 @@ def test_package_import_loads_no_scipy():
 def test_stepper_runs_load_no_scipy_linalg(tmp_path):
     runs = [("validate",), ("forward",), ("recover",)]
     assert "scipy.linalg" not in scipy_modules_after(cli_runs(runs, tmp_path))
+
+
+def test_scan_breakdown_rows_load_no_scipy_linalg(tmp_path):
+    # The scan's large amplitudes reach nodes whose implicit matrices need
+    # row interchanges; the stepper solves them without SciPy.
+    runs = [("recover",), ("scan",)]
+    code = cli_runs(runs, tmp_path, config="chemotaxis_scan.ini")
+    assert "scipy.linalg" not in scipy_modules_after(code)
 
 
 def test_series_run_loads_scipy_linalg(tmp_path):

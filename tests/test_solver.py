@@ -34,6 +34,7 @@ from avgrec.solver import (
 from avgrec.spatial import BoundaryKind, band_stack, build_grid, matrix_exponential
 
 import oracles
+from conftest import counted_port
 from oracles import assemble_phi, evolution_stepper, series_table
 
 RNG = np.random.default_rng(51)
@@ -165,43 +166,45 @@ class TestForwardSolve:
 
     @pytest.mark.parametrize("name", ["chemotaxis", "reaction_diffusion", "linear"])
     def test_equals_the_per_step_gtsv_reference(self, name, chemo32, rd32, linear16, monkeypatch):
-        # Bit for bit, with no gtsv call: no step of these marches needs a
-        # row interchange.
-        import avgrec.evolution
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the march called gtsv")
-
+        # Bit for bit, on Python floats alone: no step reaches the dgtsv port.
         model = {"chemotaxis": chemo32, "reaction_diffusion": rd32, "linear": linear16}[name]
         grid_t = TimeGrid(T=0.5, K=64)
         u0 = 0.1 * np.cos(np.pi * model.base.grid.nodes) - 0.05 * model.base.grid.nodes
         expected = oracles.gtsv_forward_solve(model, u0, grid_t).states
-        monkeypatch.setattr(avgrec.evolution, "dgtsv", forbidden)
+        calls = counted_port(monkeypatch)
         assert forward_solve(model, u0, grid_t).states.tobytes() == expected.tobytes()
+        assert sum(calls) == 0
 
-    def test_interchanging_step_equals_gtsv(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_interchanging_step_equals_gtsv(self, n, monkeypatch):
         # I - h A has a zero first pivot above a nonzero entry: gtsv swaps
-        # rows 1 and 2 at every step, and the march is gtsv's by bytes.
-        import avgrec.evolution
+        # rows 1 and 2 at every step; at n = 64, where the main diagonal is
+        # 1/16, the sub-diagonal 2 and the super-diagonal 1, it swaps every
+        # row of every step.  The dgtsv port solves each step, and the march
+        # is gtsv's by bytes.
         from scipy.linalg.lapack import dgtsv
 
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return dgtsv(*args)
-
-        grid = build_grid(3, 1.0, BoundaryKind.NEUMANN)
-        implicit = (np.array([1.0, 0.5]), np.array([0.0, 2.0, 2.0]), np.array([1.0, 0.5]))
+        if n == 3:
+            implicit = (np.array([1.0, 0.5]), np.array([0.0, 2.0, 2.0]), np.array([1.0, 0.5]))
+            u0 = np.array([1.0, -2.0, 0.5])
+        else:
+            implicit = (np.full(n - 1, 2.0), np.full(n, 1.0 / 16.0), np.ones(n - 1))
+            u0 = np.cos(np.arange(n) + 0.5)
+            # dgtsv's fill dl(i) is u(i+1) exactly where row i was interchanged.
+            fill, pivots, *_ = dgtsv(*implicit, np.ones(n))
+            assert np.array_equal(fill[:-1], implicit[2][1:])
+            assert pivots[-2] == implicit[0][-1]
+        grid = build_grid(n, 1.0, BoundaryKind.NEUMANN)
         # A = 16 (I - implicit) at h = 1/16, exact in binary.
         bands = (-16.0 * implicit[0], 16.0 * (1.0 - implicit[1]), -16.0 * implicit[2])
         model = replace(LinearTestModel.default(grid), bands=bands)
         grid_t = TimeGrid(T=0.5, K=8)
-        u0 = np.array([1.0, -2.0, 0.5])
         expected = oracles.gtsv_forward_solve(model, u0, grid_t).states
-        monkeypatch.setattr(avgrec.evolution, "dgtsv", counted)
-        assert forward_solve(model, u0, grid_t).states.tobytes() == expected.tobytes()
-        assert len(calls) == grid_t.K
+        calls = counted_port(monkeypatch)
+        got = forward_solve(model, u0, grid_t).states
+        assert np.isfinite(got).all()
+        assert got.tobytes() == expected.tobytes()
+        assert calls == [1] * grid_t.K
 
     def test_zero_pivot_in_a_later_row_names_step_and_row(self):
         # I - h A = [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -410,7 +413,6 @@ class TestStepperSweep:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_matches_dense_lu_reference(self, small_chemo, variant, monkeypatch):
-        import avgrec.evolution
         import avgrec.solver
 
         grid_t = TimeGrid(T=0.5, K=32)
@@ -418,14 +420,13 @@ class TestStepperSweep:
         truth = forward_solve(small_chemo, 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes), grid_t)
         M = observe(cond, truth.states)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the wrong one-step solve ran")
-
         with monkeypatch.context() as patch:
-            # The factors come from the dense LU of the same path.
+            # The factors come from the dense LU of the same path: no node
+            # reaches the dgtsv port.
             patch.setattr(avgrec.solver, "step_factors", oracles.dense_step_factors)
-            patch.setattr(avgrec.evolution, "dgtsv", forbidden)
+            calls = counted_port(patch)
             reference, _, _ = fixed_point_recover(small_chemo, cond, M)
+        assert sum(calls) == 0
 
         u0, _, report = fixed_point_recover(small_chemo, cond, M)
         assert report.converged
