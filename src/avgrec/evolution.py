@@ -28,10 +28,12 @@ once), neither forming a table.  The full lower-triangular tables
 of both constructions, O(K^2 n^2) memory, are test oracles
 (``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
 
-The stepper imports no SciPy.  :func:`_dgtsv`, reference LAPACK dgtsv
-with its row interchanges, its fill and its zero-pivot info, runs each of
-dgtsv's statements as one operation over a batch of systems; it solves
-the stepper's nodes that need row interchanges or meet a zero pivot.
+Neither construction imports SciPy: the kernel series takes its frozen
+steps from ``spatial.matrix_exponential``, a batched NumPy Pade
+exponential.  :func:`_dgtsv`, reference LAPACK dgtsv with its row
+interchanges, its fill and its zero-pivot info, runs each of dgtsv's
+statements as one operation over a batch of systems; it solves the
+stepper's nodes that need row interchanges or meet a zero pivot.
 :func:`solve_tridiagonal`, dgtsv's loops for one right-hand side without
 interchanges on Python floats, takes each step of the forward IMEX solve
 and hands a step that interchanges rows to the port.  Both equal LAPACK

@@ -18,8 +18,9 @@ and the first difference are tridiagonal and held as their three diagonals
 (sub, main, sup), which the models read and ``band_matvec`` multiplies by.
 ``band_stack`` forms a dense stack from three diagonals where one is needed:
 the eigendecomposition's input and the kernel series' matrix exponential.
-Node counts above ``MAX_NODES`` are rejected.  SciPy is imported by
-``matrix_exponential`` on its first call, and by nothing else here.
+Node counts above ``MAX_NODES`` are rejected.  ``matrix_exponential`` is
+the Al-Mohy-Higham (2009) scaling-and-squaring Pade algorithm in NumPy,
+evaluated over a whole stack at once; nothing here imports SciPy.
 
 The per-state operations (Helmholtz solve, fractional norm, matrix
 exponential) take one field (n,) or matrix (n, n), or a stack (..., n) /
@@ -224,11 +225,166 @@ def sobolev_norm(base: BaseOperator, field: np.ndarray, s: float) -> float | np.
     return float(norms) if norms.ndim == 0 else norms
 
 
-def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(t*m) by scaling-and-squaring with a Pade kernel.
+# Al-Mohy and Higham (2009), "A new scaling and squaring algorithm for the
+# matrix exponential", SIAM J. Matrix Anal. Appl. 31: for each Pade degree m,
+# the bound theta_m on eta below which r_m(A) meets unit roundoff, the
+# coefficients b_0..b_m of r_m = (V - U)^-1 (V + U), and 1/|c_{2m+1}| of the
+# backward-error term that ``_ell`` bounds.  Degree 13 is the one that scales.
+_PADE = {
+    3: (1.495585217958292e-002, (120.0, 60.0, 12.0, 1.0), 100800.0),
+    5: (2.539398330063230e-001, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0), 10059033600.0),
+    7: (
+        9.504178996162932e-001,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+        4487938430976000.0,
+    ),
+    9: (
+        2.097847961257068e000,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+         2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+        5914384781877411840000.0,
+    ),
+    13: (
+        4.25,
+        (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+        113250775606021113483283660800000000.0,
+    ),
+}
 
-    ``m`` is one square matrix (n, n) or a stack (..., n, n); SciPy's
-    stacked expm runs the same algorithm on each slice, so every slice
+# A stack is exponentiated in this many chunks of slices (fewer when it has
+# fewer slices).  A chunk's powers and Pade terms take about a dozen
+# matrices per slice, so about three copies of the result: the kernel
+# series' frozen steps then stay below its sweep's peak of five
+# (``evolution.series_peak_bytes``).
+EXPM_CHUNKS = 4
+
+
+def _norm_1(a: np.ndarray) -> np.ndarray:
+    """Exact 1-norm (largest column sum) of each matrix of a stack (C, n, n)."""
+    return _abs_power_norm_1(a, 1)
+
+
+def _abs_power_norm_1(a: np.ndarray, p: int) -> np.ndarray:
+    """||(|A|)^p||_1 for each matrix A of a stack (C, n, n), from p
+    vector-matrix products with |A| starting from a row of ones."""
+    magnitude = np.abs(a)
+    v = np.ones((a.shape[0], 1, a.shape[-1]))
+    for _ in range(p):
+        v = np.matmul(v, magnitude)
+    return v.max(axis=(-2, -1))
+
+
+def _ell(a: np.ndarray, m: int) -> np.ndarray:
+    """Extra scaling steps, one per matrix of a stack (C, n, n), that bring
+    the bound on the relative backward error of r_m(A) down to unit
+    roundoff; 0 when none is needed."""
+    power_norm = _abs_power_norm_1(a, 2 * m + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = power_norm / (_norm_1(a) * _PADE[m][2])
+        value = np.ceil(np.log2(alpha / 2.0**-53) / (2 * m))
+    return np.where((power_norm > 0) & np.isfinite(value), np.maximum(value, 0), 0).astype(int)
+
+
+def _add_diagonal(a: np.ndarray, value: float) -> np.ndarray:
+    """a + value * I for a stack (C, n, n), in place."""
+    np.einsum("...ii->...i", a)[...] += value
+    return a
+
+
+def _pade(m: int, powers: list, s: int) -> np.ndarray:
+    """r_m(2^-s A) = (V - U)^-1 (V + U) for a stack of matrices A from their
+    powers A, A^2, A^4, A^6 (and A^8 for m = 9), with one stacked solve.
+    Degree 13 scales the powers in place."""
+    b = _PADE[m][1]
+    if m == 13:
+        x, x2, x4, x6 = (np.ldexp(p, -k * s, out=p) for p, k in zip(powers, (1, 2, 4, 6)))
+        u = np.matmul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
+        v = np.matmul(x6, b[12] * x6 + b[10] * x4 + b[8] * x2)
+        for k, p in ((3, x6), (2, x4), (1, x2)):
+            u += b[2 * k + 1] * p
+            v += b[2 * k] * p
+        u = np.matmul(x, _add_diagonal(u, b[1]))
+    else:
+        even = powers[1 : (m + 1) // 2][::-1]  # A^(m-1), ..., A^2
+        odd_sum, v = b[m] * even[0], b[m - 1] * even[0]
+        for k, p in enumerate(even[1:], start=1):
+            odd_sum += b[m - 2 * k] * p
+            v += b[m - 1 - 2 * k] * p
+        u = np.matmul(powers[0], _add_diagonal(odd_sum, b[1]))
+    _add_diagonal(v, b[0])
+    numerator = u + v
+    v -= u
+    del u
+    return np.linalg.solve(v, numerator)
+
+
+def _rows(mask: np.ndarray):
+    """Index of the set entries of a mask: all of them as a slice (a view
+    when indexing), else as an index array (a copy)."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _expm_chunk(a: np.ndarray, out: np.ndarray) -> None:
+    """Write exp(A) for each matrix of a stack ``a`` (C, n, n) into ``out``
+    by the Al-Mohy-Higham (2009) algorithm with exact 1-norms: each slice
+    gets its own Pade degree m and scaling s, the slices sharing (m, s) are
+    evaluated together, and each is squared s times.  Overwrites ``a``."""
+    count = a.shape[0]
+    a2 = np.matmul(a, a)
+    a4 = np.matmul(a2, a2)
+    powers = [a, a2, a4, np.matmul(a4, a2)]
+    d4 = _norm_1(a4) ** (1 / 4)
+    d6 = _norm_1(powers[3]) ** (1 / 6)
+    degree = np.zeros(count, dtype=int)
+    scale = np.zeros(count, dtype=int)
+
+    def settle(m, eta):
+        """Give degree m to the unsettled slices with eta < theta_m that
+        need no extra scaling at degree m."""
+        candidate = (degree == 0) & (eta < _PADE[m][0])
+        if candidate.any():
+            degree[candidate & (_ell(a, m) == 0)] = m
+
+    eta_1 = np.maximum(d4, d6)
+    settle(3, eta_1)
+    settle(5, eta_1)
+    if not degree.all():
+        powers.append(np.matmul(powers[3], a2))
+        d8 = _norm_1(powers[4]) ** (1 / 8)
+        eta_3 = np.maximum(d6, d8)
+        settle(7, eta_3)
+        settle(9, eta_3)
+        if not (degree == 9).any():
+            del powers[4]  # only degree 9 reads A^8
+    if not degree.all():
+        d10 = _norm_1(np.matmul(a4, powers[3])) ** (1 / 10)
+        eta_5 = np.minimum(eta_3, np.maximum(d8, d10))
+        rest = degree == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = np.ceil(np.log2(eta_5 / _PADE[13][0]))
+        scale[rest] = np.where((eta_5 > 0) & np.isfinite(first), np.maximum(first, 0), 0)[rest]
+        scale[rest] += _ell(np.ldexp(a, -scale[:, None, None]), 13)[rest]
+        degree[rest] = 13
+    # A group's powers are its own copies, or the chunk's own when one group
+    # covers the chunk, so degree 13 may scale them in place.
+    for m, s in sorted(set(zip(degree.tolist(), scale.tolist()))):
+        rows = _rows((degree == m) & (scale == s))
+        out[rows] = _pade(m, [p[rows] for p in powers[: 5 if m == 9 else 4]], s)
+    for k in range(scale.max(initial=0)):
+        rows = _rows(scale > k)
+        part = out[rows]
+        out[rows] = np.matmul(part, part)
+
+
+def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
+    """exp(t*m) by scaling and squaring with a Pade kernel (Al-Mohy and
+    Higham 2009).
+
+    ``m`` is one square matrix (n, n) or a stack (..., n, n).  The stack is
+    evaluated in ``EXPM_CHUNKS`` chunks of slices with stacked products and
+    solves, every choice and operation made per slice, so that every slice
     equals the single-matrix call bit for bit.  Raises NumericalError when t
     times the logarithmic 1-norm of any slice exceeds EXP_NORM_CAP, where
     entries of the result would overflow float64, naming the first such node.
@@ -245,10 +401,13 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
             f"{node_label(node)}t*mu_1(m) = {growth[node]:.3g} exceeds the overflow cap "
             f"{EXP_NORM_CAP}"
         )
-    # SciPy is imported here, on first use: only the kernel series calls this.
-    import scipy.linalg
-
-    return scipy.linalg.expm(t * m)
+    n = m.shape[-1]
+    flat = m.reshape(-1, n, n)
+    out = np.empty(flat.shape)
+    size = max(1, -(-flat.shape[0] // EXPM_CHUNKS))
+    for lo in range(0, flat.shape[0], size):
+        _expm_chunk(t * flat[lo : lo + size], out[lo : lo + size])
+    return out.reshape(m.shape)
 
 
 def smallest_singular_value(m: np.ndarray) -> float:

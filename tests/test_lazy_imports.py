@@ -1,16 +1,29 @@
-"""Only the kernel series loads SciPy, for ``expm``: importing the package
-and every stepper run, including the scan's breakdown rows whose nodes need
-row interchanges, load no ``scipy.linalg``.  Each case runs in a fresh
+"""The package runs without SciPy: importing it and every run, stepper and
+kernel series alike, load no SciPy module, and every verb exits as it does
+with SciPy when SciPy cannot be imported at all.  Each case runs in a fresh
 interpreter."""
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import avgrec
+from avgrec.cli import OPERATIONS
 
 SRC = Path(avgrec.__file__).resolve().parent.parent
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def fresh_stdout(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def scipy_modules_after(code: str) -> list[str]:
@@ -20,13 +33,7 @@ def scipy_modules_after(code: str) -> list[str]:
         + "\nimport sys\n"
         + "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()
+    return fresh_stdout(script).split()
 
 
 def cli_runs(runs, out, config="chemotaxis_recover.ini") -> str:
@@ -56,7 +63,35 @@ def test_scan_breakdown_rows_load_no_scipy_linalg(tmp_path):
     assert "scipy.linalg" not in scipy_modules_after(code)
 
 
-def test_series_run_loads_scipy_linalg(tmp_path):
-    # The import is lazy, not missing: the series' expm brings it in.
-    runs = [("recover", "--method", "series")]
-    assert "scipy.linalg" in scipy_modules_after(cli_runs(runs, tmp_path))
+def test_series_runs_load_no_scipy(tmp_path):
+    # The kernel series' frozen steps come from the package's own expm.
+    runs = [("recover", "--method", "series"), ("scan", "--method", "series")]
+    code = cli_runs(runs, tmp_path, config="chemotaxis_scan.ini")
+    assert scipy_modules_after(code) == []
+
+
+def expected_exit(config: str, verb: str) -> int:
+    """Each shipped config's exit code for a verb: 2 for a scan without
+    ``[data] amplitudes``, 3 for the runs that meet the singular resolvent
+    of ``singular_phi.ini``, 0 otherwise."""
+    if verb == "scan" and config != "chemotaxis_scan.ini":
+        return 2
+    if config == "singular_phi.ini" and verb in ("recover", "probe"):
+        return 3
+    return 0
+
+
+def test_every_verb_exits_alike_without_scipy(tmp_path):
+    configs = sorted(path.name for path in CONFIGS.glob("*.ini"))
+    runs = [(config, verb, []) for config in configs for verb in OPERATIONS]
+    runs += [(config, "recover", ["--method", "series"]) for config in configs]
+    runs += [("chemotaxis_scan.ini", "scan", ["--method", "series"])]
+    lines = ["import json, sys", "sys.modules['scipy'] = None", "from avgrec.cli import main"]
+    calls = []
+    for i, (config, verb, flags) in enumerate(runs):
+        out = str(tmp_path / str(i))
+        argv = [verb, "--config", str(CONFIGS / config), "--quiet", "--out", out, *flags]
+        calls.append(f"main({argv!r})")
+    lines.append(f"print(json.dumps([{', '.join(calls)}]))")
+    codes = json.loads(fresh_stdout("\n".join(lines)).splitlines()[-1])
+    assert codes == [expected_exit(config, verb) for config, verb, _ in runs], runs

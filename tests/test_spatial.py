@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from avgrec import spatial
 from avgrec.errors import ConfigurationError, NumericalError
+from avgrec.models import ChemotaxisModel
 from avgrec.spatial import (
     BoundaryKind,
     assemble_laplacian,
@@ -286,6 +289,101 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(np.eye(2), -0.1)
 
+
+def dense_laplacian_of(n, bc):
+    return band_stack(*assemble_laplacian(build_grid(n, 1.0, bc)).bands)
+
+
+def chemotaxis_generator(delta, amplitude):
+    """The chemotaxis A(u) on 32 Neumann cells: its drift -delta (1 - delta)
+    e^(-delta v) v' makes it nonnormal, the more so at large delta."""
+    model = ChemotaxisModel.default(build_grid(32, 1.0, BoundaryKind.NEUMANN), delta=delta)
+    x = model.base.grid.nodes
+    bands, _ = model.linearise(amplitude * (np.cos(np.pi * x) + 0.5 * np.cos(3 * np.pi * x)))
+    return band_stack(*bands)
+
+
+# Time factors whose products with the Laplacians below reach each Pade
+# degree (3, 5, 7, 9) and degree 13 with growing scaling.
+LADDER = np.array([1e-7, 1e-5, 1e-4, 4e-4, 1.2e-3, 1e-2, 0.1, 1.0, 10.0])
+
+EXPM_CASES = {
+    "dirichlet": LADDER[:, None, None] * dense_laplacian_of(16, BoundaryKind.DIRICHLET),
+    "neumann": LADDER[:, None, None] * dense_laplacian_of(64, BoundaryKind.NEUMANN) / 16,
+    # exp(tA) tends to the projection on constants; s reaches 21.
+    "neumann_long": np.array([30.0, 300.0])[:, None, None]
+    * dense_laplacian_of(64, BoundaryKind.NEUMANN),
+    "chemotaxis_nonnormal": np.stack(
+        [
+            t * chemotaxis_generator(delta, amplitude)
+            for t in (1e-7, 1e-5, 1e-3, 3e-3)
+            for delta, amplitude in ((8.0, 3.0), (20.0, 2.0))
+        ]
+    ),
+    # Stiff dissipative part plus a shift: t*mu_1 = 699.5, just under the cap.
+    "stiff_under_cap": np.stack(
+        [c * dense_laplacian_of(16, BoundaryKind.NEUMANN) + 699.5 * np.eye(16) for c in (1e2, 1e4)]
+    ),
+}
+
+
+class TestMatrixExponentialAgainstScipy:
+    """The kernel against SciPy's expm, slice by slice.
+
+    Tolerance: relative Frobenius distance 16 u max(1, ||tA||_1), u = 2^-53.
+    The relative condition number of exp at a normal A is ||A||_2 <= ||A||_1
+    (Van Loan 1977), and both codes are backward stable, so each result may
+    sit about ||A|| u from exp(A); on these stacks the distance measured at
+    most 2.8 u max(1, ||tA||_1), nonnormal slices included.
+    """
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Each stack's exponential and the (m, s) pairs its evaluation reached."""
+        pade, runs = spatial._pade, {}
+        for name, stack in EXPM_CASES.items():
+            reached = set()
+
+            def recording(m, powers, s, reached=reached):
+                reached.add((m, s))
+                return pade(m, powers, s)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spatial, "_pade", recording)
+                runs[name] = matrix_exponential(stack, 1.0), reached
+        return runs
+
+    @pytest.mark.parametrize("name", list(EXPM_CASES))
+    def test_stack_matches_scipy(self, name, runs):
+        got, _ = runs[name]
+        for a, slice_got in zip(EXPM_CASES[name], got):
+            exact = expm(a)
+            peak = np.abs(exact).max()  # entries reach e^699.5: norm the scaled copies
+            distance = np.linalg.norm((slice_got - exact) / peak) / np.linalg.norm(exact / peak)
+            assert distance <= 16 * 2.0**-53 * max(1.0, np.abs(a).sum(axis=0).max())
+
+    def test_every_degree_and_deep_scaling_reached(self, runs):
+        reached = set().union(*(pairs for _, pairs in runs.values()))
+        assert {m for m, _ in reached} == {3, 5, 7, 9, 13}
+        assert max(s for _, s in reached) >= 20
+
+
+    @pytest.mark.parametrize("a, chosen", [(1.0, (9, 0)), (5.0, (13, 1)), (50.0, (13, 5))])
+    def test_backward_error_bound_decides_on_a_nilpotent_matrix(self, a, chosen, monkeypatch):
+        # A^2 = 0 makes every eta 0, so only ell's bound on ||(|A|)^(2m+1)||
+        # rejects the low degrees and sets the scaling; SciPy's own _ell
+        # gives the same (m, s).  exp(A) = I + A.
+        m = a * np.array([[1.0, 1.0], [-1.0, -1.0]])
+        pade, reached = spatial._pade, []
+
+        def recording(degree, powers, s):
+            reached.append((degree, s))
+            return pade(degree, powers, s)
+
+        monkeypatch.setattr(spatial, "_pade", recording)
+        got = matrix_exponential(m, 1.0)
+        assert reached == [chosen]
+        np.testing.assert_allclose(got, np.eye(2) + m, rtol=0, atol=16 * 2.0**-53 * a)
 
 class TestSmallestSingularValue:
     def test_identity(self):
