@@ -224,29 +224,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         )
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-
-    def fmt(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, tuple):
-            return " ".join(art.FLOAT_FMT.format(v) for v in value)
-        if isinstance(value, float):
-            return art.FLOAT_FMT.format(value)
-        return str(value)
-
-    lines = []
-    for section, group in _sections():
-        lines.append(f"[{section}]")
-        for f in group:
-            keys, value = f.metadata["keys"], getattr(cfg, f.name)
-            by_key = dict(value or ()) if len(keys) > 1 else {keys[0]: value}
-            lines.extend(f"{key} = {fmt(by_key.get(key))}" for key in keys)
-        lines.append("")
-    return "\n".join(lines)
-
-
 def build_grid_from(cfg: ExperimentConfig):
     return build_grid(cfg.grid_n, cfg.grid_length, BoundaryKind(cfg.grid_bc))
 

@@ -14,7 +14,10 @@ class ConfigurationError(Exception):
 
 class NumericalError(Exception):
     """Numerical failure during a computation (overflow, singular matrix,
-    divergence)."""
+    divergence).  ``report`` (when set) holds the partial diagnostics of the
+    recovery it ended, its completed sweeps and their distances among them."""
+
+    report = None
 
 
 class SingularOperatorError(NumericalError):
@@ -29,12 +32,7 @@ class SingularOperatorError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """An iteration failed to converge. ``report`` (when set) holds partial
-    solve diagnostics, the last distance among them."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    """An iteration failed to converge."""
 
 
 class BallViolationError(NumericalError):

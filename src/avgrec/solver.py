@@ -290,9 +290,10 @@ def fixed_point_recover(
     G_0 = 0), and the fixed-point identity
     Xi(u_final) = u_final(0) holds to the iteration tolerance.  A recovery
     that converges in k iterations builds k propagations.  Raises
-    ConvergenceError (with the partial report, its last distance included,
-    attached) when max_iters is exhausted or the distances blow up; raises SingularOperatorError on a
-    singular variant resolvent.
+    ConvergenceError when max_iters is exhausted or the distances blow up,
+    and SingularOperatorError on a singular variant resolvent; every
+    NumericalError that ends the iteration carries the partial report, its
+    completed sweeps and last distance included, as ``report``.
     """
     config = config or RecoveryConfig()
     grid = cond.grid
@@ -302,30 +303,30 @@ def fixed_point_recover(
     u = initial if initial is not None else Trajectory.zero(grid, n)
     spec = WeightedNormSpec.from_model(model)
     report = SolveReport()
-    for _ in range(config.max_iters):
-        new_u, info = _iterate_detail(model, cond, M, u, config)
-        dist = weighted_distance(new_u, u, spec)
-        report.iterates += 1
-        report.distances.append(dist)
-        report.sigma_min_history.append(info.sigma_min)
-        report.ball_exits += info.ball_exits
-        if len(report.distances) >= 2 and report.distances[-2] > 0:
-            report.contraction_estimates.append(dist / report.distances[-2])
-        u = new_u
-        if dist <= config.tol_fixed_point:
-            report.converged = True
-            break
-        if not np.isfinite(dist) or dist > DIVERGENCE_FACTOR * max(report.distances[0], 1e-30):
+    try:
+        for _ in range(config.max_iters):
+            new_u, info = _iterate_detail(model, cond, M, u, config)
+            dist = weighted_distance(new_u, u, spec)
+            report.iterates += 1
+            report.distances.append(dist)
+            report.sigma_min_history.append(info.sigma_min)
+            report.ball_exits += info.ball_exits
+            if len(report.distances) >= 2 and report.distances[-2] > 0:
+                report.contraction_estimates.append(dist / report.distances[-2])
+            u = new_u
+            if dist <= config.tol_fixed_point:
+                report.converged = True
+                break
+            if not np.isfinite(dist) or dist > DIVERGENCE_FACTOR * max(report.distances[0], 1e-30):
+                raise ConvergenceError(f"fixed-point iteration diverged (distance {dist:.3e})")
+        if not report.converged:
             raise ConvergenceError(
-                f"fixed-point iteration diverged (distance {dist:.3e})",
-                report=report,
+                f"no convergence in {config.max_iters} iterations "
+                f"(last distance {report.distances[-1]:.3e})"
             )
-    if not report.converged:
-        raise ConvergenceError(
-            f"no convergence in {config.max_iters} iterations "
-            f"(last distance {report.distances[-1]:.3e})",
-            report=report,
-        )
+    except NumericalError as exc:
+        exc.report = report
+        raise
     report.residual = averaging_residual(cond, u, M)
     return info.xi, u, report
 
@@ -444,24 +445,16 @@ def smallness_scan(
             warnings.simplefilter("ignore")
             try:
                 _, _, rep = fixed_point_recover(model, cond, amp * M_direction, config)
-                converged, iters = True, rep.iterates
-                contraction = rep.contraction_estimates[-1] if rep.contraction_estimates else np.nan
+                converged = True
             except NumericalError as exc:
-                converged = False
-                rep = getattr(exc, "report", None)
-                iters = rep.iterates if rep is not None else 0
-                contraction = (
-                    rep.contraction_estimates[-1]
-                    if rep is not None and rep.contraction_estimates
-                    else np.nan
-                )
+                converged, rep = False, exc.report
                 note = f"{type(exc).__name__}: {exc}"
         rows.append(
             ScanRow(
                 amplitude=amp,
                 converged=converged,
-                iterations=iters,
-                contraction=float(contraction),
+                iterations=rep.iterates,
+                contraction=rep.contraction_estimates[-1] if rep.contraction_estimates else np.nan,
                 note=note,
             )
         )

@@ -19,8 +19,9 @@ and the first difference are tridiagonal and held as their three diagonals
 ``band_stack`` forms a dense stack from three diagonals where one is needed:
 the eigendecomposition's input and the kernel series' matrix exponential.
 Node counts above ``MAX_NODES`` are rejected.  ``matrix_exponential`` is
-the Al-Mohy-Higham (2009) scaling-and-squaring Pade algorithm in NumPy,
-evaluated over a whole stack at once; nothing here imports SciPy.
+Higham's (2005) scaling-and-squaring Pade algorithm in NumPy, its degree
+and scaling read from each slice's 1-norm, evaluated over a whole stack at
+once; nothing here imports SciPy.
 
 The per-state operations (Helmholtz solve, fractional norm, matrix
 exponential) take one field (n,) or matrix (n, n), or a stack (..., n) /
@@ -225,66 +226,37 @@ def sobolev_norm(base: BaseOperator, field: np.ndarray, s: float) -> float | np.
     return float(norms) if norms.ndim == 0 else norms
 
 
-# Al-Mohy and Higham (2009), "A new scaling and squaring algorithm for the
-# matrix exponential", SIAM J. Matrix Anal. Appl. 31: for each Pade degree m,
-# the bound theta_m on eta below which r_m(A) meets unit roundoff, the
-# coefficients b_0..b_m of r_m = (V - U)^-1 (V + U), and 1/|c_{2m+1}| of the
-# backward-error term that ``_ell`` bounds.  Degree 13 is the one that scales.
+# Higham (2005), "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26: for each Pade degree m, the
+# bound theta_m on ||A||_1 below which r_m(A) meets unit roundoff, and the
+# coefficients b_0..b_m of r_m = (V - U)^-1 (V + U).  Degree 13 is the one
+# that scales.
 _PADE = {
-    3: (1.495585217958292e-002, (120.0, 60.0, 12.0, 1.0), 100800.0),
-    5: (2.539398330063230e-001, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0), 10059033600.0),
+    3: (1.495585217958292e-002, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-001, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
     7: (
         9.504178996162932e-001,
         (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-        4487938430976000.0,
     ),
     9: (
         2.097847961257068e000,
         (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
          2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-        5914384781877411840000.0,
     ),
     13: (
-        4.25,
+        5.371920351148152e000,
         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-        113250775606021113483283660800000000.0,
     ),
 }
 
 # A stack is exponentiated in this many chunks of slices (fewer when it has
-# fewer slices).  A chunk's powers and Pade terms take about a dozen
-# matrices per slice, so about three copies of the result: the kernel
-# series' frozen steps then stay below its sweep's peak of five
+# fewer slices).  A chunk's powers and Pade terms take about eight matrices
+# per slice, so about two copies of the result: the kernel series' frozen
+# steps then peak near three copies, below its sweep's peak of five
 # (``evolution.series_peak_bytes``).
 EXPM_CHUNKS = 4
-
-
-def _norm_1(a: np.ndarray) -> np.ndarray:
-    """Exact 1-norm (largest column sum) of each matrix of a stack (C, n, n)."""
-    return _abs_power_norm_1(a, 1)
-
-
-def _abs_power_norm_1(a: np.ndarray, p: int) -> np.ndarray:
-    """||(|A|)^p||_1 for each matrix A of a stack (C, n, n), from p
-    vector-matrix products with |A| starting from a row of ones."""
-    magnitude = np.abs(a)
-    v = np.ones((a.shape[0], 1, a.shape[-1]))
-    for _ in range(p):
-        v = np.matmul(v, magnitude)
-    return v.max(axis=(-2, -1))
-
-
-def _ell(a: np.ndarray, m: int) -> np.ndarray:
-    """Extra scaling steps, one per matrix of a stack (C, n, n), that bring
-    the bound on the relative backward error of r_m(A) down to unit
-    roundoff; 0 when none is needed."""
-    power_norm = _abs_power_norm_1(a, 2 * m + 1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha = power_norm / (_norm_1(a) * _PADE[m][2])
-        value = np.ceil(np.log2(alpha / 2.0**-53) / (2 * m))
-    return np.where((power_norm > 0) & np.isfinite(value), np.maximum(value, 0), 0).astype(int)
 
 
 def _add_diagonal(a: np.ndarray, value: float) -> np.ndarray:
@@ -293,13 +265,18 @@ def _add_diagonal(a: np.ndarray, value: float) -> np.ndarray:
     return a
 
 
-def _pade(m: int, powers: list, s: int) -> np.ndarray:
-    """r_m(2^-s A) = (V - U)^-1 (V + U) for a stack of matrices A from their
-    powers A, A^2, A^4, A^6 (and A^8 for m = 9), with one stacked solve.
-    Degree 13 scales the powers in place."""
+def _pade(m: int, a: np.ndarray, s: int) -> np.ndarray:
+    """r_m(2^-s A) = (V - U)^-1 (V + U) for a stack of matrices A (C, n, n),
+    from the powers of 2^-s A, with one stacked solve.  Scales ``a`` in
+    place; scaling by 2^-s is exact, so the powers equal the scaled powers
+    of A."""
     b = _PADE[m][1]
+    x = np.ldexp(a, -s, out=a)
+    evens = [np.matmul(x, x)]  # A^2, A^4, ... up to A^(m-1), or A^6 for m = 13
+    while len(evens) < (3 if m == 13 else (m - 1) // 2):
+        evens.append(np.matmul(evens[-1], evens[0]))
     if m == 13:
-        x, x2, x4, x6 = (np.ldexp(p, -k * s, out=p) for p, k in zip(powers, (1, 2, 4, 6)))
+        x2, x4, x6 = evens
         u = np.matmul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
         v = np.matmul(x6, b[12] * x6 + b[10] * x4 + b[8] * x2)
         for k, p in ((3, x6), (2, x4), (1, x2)):
@@ -307,12 +284,12 @@ def _pade(m: int, powers: list, s: int) -> np.ndarray:
             v += b[2 * k] * p
         u = np.matmul(x, _add_diagonal(u, b[1]))
     else:
-        even = powers[1 : (m + 1) // 2][::-1]  # A^(m-1), ..., A^2
+        even = evens[::-1]  # A^(m-1), ..., A^2
         odd_sum, v = b[m] * even[0], b[m - 1] * even[0]
         for k, p in enumerate(even[1:], start=1):
             odd_sum += b[m - 2 * k] * p
             v += b[m - 1 - 2 * k] * p
-        u = np.matmul(powers[0], _add_diagonal(odd_sum, b[1]))
+        u = np.matmul(x, _add_diagonal(odd_sum, b[1]))
     _add_diagonal(v, b[0])
     numerator = u + v
     v -= u
@@ -328,50 +305,21 @@ def _rows(mask: np.ndarray):
 
 def _expm_chunk(a: np.ndarray, out: np.ndarray) -> None:
     """Write exp(A) for each matrix of a stack ``a`` (C, n, n) into ``out``
-    by the Al-Mohy-Higham (2009) algorithm with exact 1-norms: each slice
-    gets its own Pade degree m and scaling s, the slices sharing (m, s) are
-    evaluated together, and each is squared s times.  Overwrites ``a``."""
-    count = a.shape[0]
-    a2 = np.matmul(a, a)
-    a4 = np.matmul(a2, a2)
-    powers = [a, a2, a4, np.matmul(a4, a2)]
-    d4 = _norm_1(a4) ** (1 / 4)
-    d6 = _norm_1(powers[3]) ** (1 / 6)
-    degree = np.zeros(count, dtype=int)
-    scale = np.zeros(count, dtype=int)
-
-    def settle(m, eta):
-        """Give degree m to the unsettled slices with eta < theta_m that
-        need no extra scaling at degree m."""
-        candidate = (degree == 0) & (eta < _PADE[m][0])
-        if candidate.any():
-            degree[candidate & (_ell(a, m) == 0)] = m
-
-    eta_1 = np.maximum(d4, d6)
-    settle(3, eta_1)
-    settle(5, eta_1)
-    if not degree.all():
-        powers.append(np.matmul(powers[3], a2))
-        d8 = _norm_1(powers[4]) ** (1 / 8)
-        eta_3 = np.maximum(d6, d8)
-        settle(7, eta_3)
-        settle(9, eta_3)
-        if not (degree == 9).any():
-            del powers[4]  # only degree 9 reads A^8
-    if not degree.all():
-        d10 = _norm_1(np.matmul(a4, powers[3])) ** (1 / 10)
-        eta_5 = np.minimum(eta_3, np.maximum(d8, d10))
-        rest = degree == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            first = np.ceil(np.log2(eta_5 / _PADE[13][0]))
-        scale[rest] = np.where((eta_5 > 0) & np.isfinite(first), np.maximum(first, 0), 0)[rest]
-        scale[rest] += _ell(np.ldexp(a, -scale[:, None, None]), 13)[rest]
-        degree[rest] = 13
-    # A group's powers are its own copies, or the chunk's own when one group
-    # covers the chunk, so degree 13 may scale them in place.
+    by Higham's (2005) rule with exact 1-norms: each slice gets the lowest
+    degree m with ||A||_1 <= theta_m, else degree 13 on 2^-s A with the
+    least s >= 0 such that ||2^-s A||_1 <= theta_13; the slices sharing
+    (m, s) are evaluated together, and each is squared s times.  Overwrites
+    ``a``."""
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    degree = np.full(a.shape[0], 13)
+    for m in (9, 7, 5, 3):
+        degree[norm <= _PADE[m][0]] = m
+    with np.errstate(divide="ignore"):
+        least = np.ceil(np.log2(norm / _PADE[13][0]))
+    scale = np.where(least > 0, least, 0).astype(int)
     for m, s in sorted(set(zip(degree.tolist(), scale.tolist()))):
         rows = _rows((degree == m) & (scale == s))
-        out[rows] = _pade(m, [p[rows] for p in powers[: 5 if m == 9 else 4]], s)
+        out[rows] = _pade(m, a[rows], s)
     for k in range(scale.max(initial=0)):
         rows = _rows(scale > k)
         part = out[rows]
@@ -379,8 +327,8 @@ def _expm_chunk(a: np.ndarray, out: np.ndarray) -> None:
 
 
 def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(t*m) by scaling and squaring with a Pade kernel (Al-Mohy and
-    Higham 2009).
+    """exp(t*m) by scaling and squaring with a Pade kernel whose degree and
+    scaling come from the exact 1-norm of each slice of t*m (Higham 2005).
 
     ``m`` is one square matrix (n, n) or a stack (..., n, n).  The stack is
     evaluated in ``EXPM_CHUNKS`` chunks of slices with stacked products and

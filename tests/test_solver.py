@@ -13,6 +13,7 @@ from avgrec.errors import (
     ConfigurationError,
     ConvergenceError,
     NumericalError,
+    SingularOperatorError,
 )
 from avgrec.evolution import PropagatorMethod, TimeGrid
 from avgrec.models import ChemotaxisModel, LinearTestModel
@@ -668,6 +669,38 @@ class TestSmallnessScan:
         direction = np.cos(np.pi * linear16.base.grid.nodes)
         result = smallness_scan(linear16, cond, direction, [0.1, 10.0, 1000.0])
         assert all(row.converged for row in result.rows)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ConvergenceError("iteration produced non-finite operator or forcing values"),
+            SingularOperatorError("resolvent is numerically singular", 0.0),
+            NumericalError("node 3: t*mu_1(m) = 701 exceeds the overflow cap 700.0"),
+        ],
+        ids=["non-finite", "singular", "cap"],
+    )
+    def test_failed_row_counts_completed_sweeps(self, small_chemo, error, monkeypatch):
+        # The third sweep fails inside its propagation: the row reports the
+        # two sweeps before it and their contraction, as a diverged row does.
+        import avgrec.solver
+
+        calls, initial_state = [], avgrec.solver._initial_state
+
+        def failing_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+            return initial_state(*args)
+
+        monkeypatch.setattr(avgrec.solver, "_initial_state", failing_third)
+        grid_t = TimeGrid(T=0.5, K=16)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        direction = np.cos(np.pi * small_chemo.base.grid.nodes)
+        (row,) = smallness_scan(small_chemo, cond, direction, [0.01]).rows
+        assert not row.converged and row.note.startswith(type(error).__name__)
+        assert row.iterations == 2
+        assert np.isfinite(row.contraction)
+        assert error.report.iterates == 2 and len(error.report.distances) == 2
 
     def test_amplitudes_validated(self, linear16):
         grid_t = TimeGrid(T=0.5, K=8)

@@ -334,7 +334,7 @@ class TestMatrixExponentialAgainstScipy:
     The relative condition number of exp at a normal A is ||A||_2 <= ||A||_1
     (Van Loan 1977), and both codes are backward stable, so each result may
     sit about ||A|| u from exp(A); on these stacks the distance measured at
-    most 2.8 u max(1, ||tA||_1), nonnormal slices included.
+    most 2.96 u max(1, ||tA||_1), nonnormal slices included.
     """
 
     @pytest.fixture(scope="class")
@@ -344,9 +344,9 @@ class TestMatrixExponentialAgainstScipy:
         for name, stack in EXPM_CASES.items():
             reached = set()
 
-            def recording(m, powers, s, reached=reached):
+            def recording(m, a, s, reached=reached):
                 reached.add((m, s))
-                return pade(m, powers, s)
+                return pade(m, a, s)
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(spatial, "_pade", recording)
@@ -368,22 +368,57 @@ class TestMatrixExponentialAgainstScipy:
         assert max(s for _, s in reached) >= 20
 
 
-    @pytest.mark.parametrize("a, chosen", [(1.0, (9, 0)), (5.0, (13, 1)), (50.0, (13, 5))])
-    def test_backward_error_bound_decides_on_a_nilpotent_matrix(self, a, chosen, monkeypatch):
-        # A^2 = 0 makes every eta 0, so only ell's bound on ||(|A|)^(2m+1)||
-        # rejects the low degrees and sets the scaling; SciPy's own _ell
-        # gives the same (m, s).  exp(A) = I + A.
-        m = a * np.array([[1.0, 1.0], [-1.0, -1.0]])
+    @pytest.mark.parametrize(
+        "m, chosen",
+        [
+            # A^2 = 0 and ||A||_1 = 2a: the 1-norm alone picks the degree and
+            # scaling, though exp(A) = I + A needs neither.
+            *((a * np.array([[1.0, 1.0], [-1.0, -1.0]]), pair)
+              for a, pair in ((1.0, (9, 0)), (5.0, (13, 1)), (50.0, (13, 5)))),
+            # A frozen step of the n=16, K=96 diffusion over horizon 0.5:
+            # ||hA||_1 = 5.33 <= theta_13, so degree 13 needs no scaling.
+            (0.5 / 96 * dense_laplacian_of(16, BoundaryKind.NEUMANN), (13, 0)),
+        ],
+        ids=["nilpotent-1", "nilpotent-5", "nilpotent-50", "diffusion-step"],
+    )
+    def test_one_norm_decides_degree_and_scaling(self, m, chosen, monkeypatch):
         pade, reached = spatial._pade, []
 
-        def recording(degree, powers, s):
+        def recording(degree, a, s):
             reached.append((degree, s))
-            return pade(degree, powers, s)
+            return pade(degree, a, s)
 
         monkeypatch.setattr(spatial, "_pade", recording)
         got = matrix_exponential(m, 1.0)
         assert reached == [chosen]
-        np.testing.assert_allclose(got, np.eye(2) + m, rtol=0, atol=16 * 2.0**-53 * a)
+        nilpotent = not np.matmul(m, m).any()
+        exact = np.eye(len(m)) + m if nilpotent else expm(m)
+        norm_1 = np.abs(m).sum(axis=0).max()
+        np.testing.assert_allclose(got, exact, rtol=0, atol=8 * 2.0**-53 * norm_1)
+
+    @pytest.mark.parametrize(
+        "m, above",
+        [(3, (5, 0)), (5, (7, 0)), (7, (9, 0)), (9, (13, 0)), (13, (13, 1))],
+        ids=["theta3", "theta5", "theta7", "theta9", "theta13"],
+    )
+    def test_theta_bounds_are_inclusive(self, m, above, monkeypatch):
+        # ||A||_1 = theta_m takes degree m unscaled; the next float above it
+        # takes the next degree, or one scaling for degree 13.
+        theta = spatial._PADE[m][0]
+        pade, reached = spatial._pade, []
+
+        def recording(degree, a, s):
+            reached.append((degree, s))
+            return pade(degree, a, s)
+
+        monkeypatch.setattr(spatial, "_pade", recording)
+        for norm in (theta, np.nextafter(theta, np.inf)):
+            d = np.array([norm, -0.5 * norm])
+            got = matrix_exponential(np.diag(d), 1.0)
+            rtol = 16 * 2.0**-53 * max(1.0, norm)
+            np.testing.assert_allclose(got, np.diag(np.exp(d)), rtol=rtol, atol=0)
+        assert reached == [(m, 0), above]
+
 
 class TestSmallestSingularValue:
     def test_identity(self):
