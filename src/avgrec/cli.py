@@ -332,7 +332,8 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
     operation, and persist artifacts.
 
     Numerical failures are written to the run report (machine readable, with
-    sigma_min when a singular resolvent caused them) before being re-raised.
+    sigma_min when a singular resolvent caused them, and the partial solve
+    report of the recovery they ended) before being re-raised.
     """
     out_dir = Path(cfg.out)
     artifacts = art.RunArtifacts(out_dir=out_dir)
@@ -388,6 +389,8 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
         sigma = getattr(exc, "sigma_min", None)
         if sigma is not None:
             payload["error"]["sigma_min"] = float(sigma)
+        if exc.report is not None:
+            payload["solve"] = exc.report.to_dict()
         _finish(artifacts, report_path, payload)
         raise
 

@@ -19,8 +19,8 @@ and the first difference are tridiagonal and held as their three diagonals
 ``band_stack`` forms a dense stack from three diagonals where one is needed:
 the eigendecomposition's input and the kernel series' matrix exponential.
 Node counts above ``MAX_NODES`` are rejected.  ``matrix_exponential`` is
-Higham's (2005) scaling-and-squaring Pade algorithm in NumPy, its degree
-and scaling read from each slice's 1-norm, evaluated over a whole stack at
+Higham's (2005) scaling-and-squaring algorithm in NumPy at Pade degree 13,
+each slice's scaling read from its 1-norm, evaluated over a whole stack at
 once; nothing here imports SciPy.
 
 The per-state operations (Helmholtz solve, fractional norm, matrix
@@ -227,29 +227,13 @@ def sobolev_norm(base: BaseOperator, field: np.ndarray, s: float) -> float | np.
 
 
 # Higham (2005), "The scaling and squaring method for the matrix exponential
-# revisited", SIAM J. Matrix Anal. Appl. 26: for each Pade degree m, the
-# bound theta_m on ||A||_1 below which r_m(A) meets unit roundoff, and the
-# coefficients b_0..b_m of r_m = (V - U)^-1 (V + U).  Degree 13 is the one
-# that scales.
-_PADE = {
-    3: (1.495585217958292e-002, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-001, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (
-        9.504178996162932e-001,
-        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    ),
-    9: (
-        2.097847961257068e000,
-        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-         2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    ),
-    13: (
-        5.371920351148152e000,
-        (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-    ),
-}
+# revisited", SIAM J. Matrix Anal. Appl. 26: the bound theta_13 on ||A||_1
+# below which the degree-13 Pade approximant r_13(A) meets unit roundoff, and
+# the coefficients b_0..b_13 of r_13 = (V - U)^-1 (V + U).
+_THETA_13 = 5.371920351148152
+_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+      1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+      33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 # A stack is exponentiated in this many chunks of slices (fewer when it has
 # fewer slices).  A chunk's powers and Pade terms take about eight matrices
@@ -265,36 +249,13 @@ def _add_diagonal(a: np.ndarray, value: float) -> np.ndarray:
     return a
 
 
-def _pade(m: int, a: np.ndarray, s: int) -> np.ndarray:
-    """r_m(2^-s A) = (V - U)^-1 (V + U) for a stack of matrices A (C, n, n),
-    from the powers of 2^-s A, with one stacked solve.  Scales ``a`` in
-    place; scaling by 2^-s is exact, so the powers equal the scaled powers
-    of A."""
-    b = _PADE[m][1]
-    x = np.ldexp(a, -s, out=a)
-    evens = [np.matmul(x, x)]  # A^2, A^4, ... up to A^(m-1), or A^6 for m = 13
-    while len(evens) < (3 if m == 13 else (m - 1) // 2):
-        evens.append(np.matmul(evens[-1], evens[0]))
-    if m == 13:
-        x2, x4, x6 = evens
-        u = np.matmul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
-        v = np.matmul(x6, b[12] * x6 + b[10] * x4 + b[8] * x2)
-        for k, p in ((3, x6), (2, x4), (1, x2)):
-            u += b[2 * k + 1] * p
-            v += b[2 * k] * p
-        u = np.matmul(x, _add_diagonal(u, b[1]))
-    else:
-        even = evens[::-1]  # A^(m-1), ..., A^2
-        odd_sum, v = b[m] * even[0], b[m - 1] * even[0]
-        for k, p in enumerate(even[1:], start=1):
-            odd_sum += b[m - 2 * k] * p
-            v += b[m - 1 - 2 * k] * p
-        u = np.matmul(x, _add_diagonal(odd_sum, b[1]))
-    _add_diagonal(v, b[0])
-    numerator = u + v
-    v -= u
-    del u
-    return np.linalg.solve(v, numerator)
+def _scaling(norm: np.ndarray) -> np.ndarray:
+    """The least s >= 0 with norm / 2^s <= theta_13, one per 1-norm."""
+    with np.errstate(divide="ignore"):
+        least = np.ceil(np.log2(norm / _THETA_13))
+    s = np.where(least > 0, least, 0).astype(int)
+    # log2 may round a norm just above 2^s theta_13 down onto s: test exactly.
+    return s + (np.ldexp(_THETA_13, s) < norm)
 
 
 def _rows(mask: np.ndarray):
@@ -305,21 +266,29 @@ def _rows(mask: np.ndarray):
 
 def _expm_chunk(a: np.ndarray, out: np.ndarray) -> None:
     """Write exp(A) for each matrix of a stack ``a`` (C, n, n) into ``out``
-    by Higham's (2005) rule with exact 1-norms: each slice gets the lowest
-    degree m with ||A||_1 <= theta_m, else degree 13 on 2^-s A with the
-    least s >= 0 such that ||2^-s A||_1 <= theta_13; the slices sharing
-    (m, s) are evaluated together, and each is squared s times.  Overwrites
-    ``a``."""
+    (Higham 2005, degree 13): each slice is scaled by 2^-s, s read from its
+    exact 1-norm, r_13 is evaluated over the whole chunk with one stacked
+    solve, and each slice is squared s times.  Overwrites ``a``."""
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    degree = np.full(a.shape[0], 13)
-    for m in (9, 7, 5, 3):
-        degree[norm <= _PADE[m][0]] = m
-    with np.errstate(divide="ignore"):
-        least = np.ceil(np.log2(norm / _PADE[13][0]))
-    scale = np.where(least > 0, least, 0).astype(int)
-    for m, s in sorted(set(zip(degree.tolist(), scale.tolist()))):
-        rows = _rows((degree == m) & (scale == s))
-        out[rows] = _pade(m, a[rows], s)
+    scale = _scaling(norm)
+    x = np.ldexp(a, -scale[:, None, None], out=a)
+    x2 = np.matmul(x, x)
+    x4 = np.matmul(x2, x2)
+    x6 = np.matmul(x4, x2)
+    u = np.matmul(x6, _B[13] * x6 + _B[11] * x4 + _B[9] * x2)
+    v = np.matmul(x6, _B[12] * x6 + _B[10] * x4 + _B[8] * x2)
+    for k, p in ((3, x6), (2, x4), (1, x2)):
+        u += _B[2 * k + 1] * p
+        v += _B[2 * k] * p
+    del x2, x4, x6
+    u = np.matmul(x, _add_diagonal(u, _B[1]))
+    _add_diagonal(v, _B[0])
+    numerator = u + v
+    v -= u
+    del u
+    out[...] = np.linalg.solve(v, numerator)
+    # The solve rounds r_13(0) = I off by an ulp (b_0 is 6.5e16).
+    out[norm == 0] = np.eye(a.shape[-1])
     for k in range(scale.max(initial=0)):
         rows = _rows(scale > k)
         part = out[rows]
@@ -327,12 +296,12 @@ def _expm_chunk(a: np.ndarray, out: np.ndarray) -> None:
 
 
 def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
-    """exp(t*m) by scaling and squaring with a Pade kernel whose degree and
-    scaling come from the exact 1-norm of each slice of t*m (Higham 2005).
+    """exp(t*m) by scaling and squaring with the degree-13 Pade kernel, the
+    scaling of each slice of t*m read from its exact 1-norm (Higham 2005).
 
     ``m`` is one square matrix (n, n) or a stack (..., n, n).  The stack is
-    evaluated in ``EXPM_CHUNKS`` chunks of slices with stacked products and
-    solves, every choice and operation made per slice, so that every slice
+    evaluated in ``EXPM_CHUNKS`` chunks, each with stacked products and one
+    stacked solve, every slice scaled and squared by its own s, so that each
     equals the single-matrix call bit for bit.  Raises NumericalError when t
     times the logarithmic 1-norm of any slice exceeds EXP_NORM_CAP, where
     entries of the result would overflow float64, naming the first such node.

@@ -246,6 +246,19 @@ class TestRunExperiment:
         assert report["status"] == "failed"
         assert report["error"]["sigma_min"] <= 1e-10
 
+    def test_failed_recover_keeps_its_partial_solve_report(self, tmp_path):
+        # The iteration cap ends the shipped scan's recovery after two sweeps.
+        config = tmp_path / "capped.ini"
+        text = (CONFIG_DIR / "chemotaxis_scan.ini").read_text()
+        config.write_text(text.replace("max_iters = 40", "max_iters = 2"))
+        out = tmp_path / "capped"
+        assert main(["recover", "--config", str(config), "--out", str(out), "--quiet"]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "ConvergenceError"
+        solve = report["solve"]
+        assert solve["iterates"] == 2 and len(solve["distances"]) == 2
+        assert solve["converged"] is False
+
     @pytest.mark.parametrize(
         "method, failed, errors",
         [

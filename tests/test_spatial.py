@@ -258,6 +258,9 @@ class TestMatrixExponential:
     def test_zero_time_exact_identity(self):
         m = RNG.standard_normal((5, 5))
         assert np.array_equal(matrix_exponential(m, 0.0), np.eye(5))
+        # An all-zero slice at t > 0, sharing its chunk with a nonzero slice.
+        stack = np.stack([m, 0.0 * m, *(c * m for c in (2.0, 3.0, 0.5, 1.5, 4.0, 0.25))])
+        assert np.array_equal(matrix_exponential(stack, 0.7)[1], np.eye(5))
 
     def test_diagonal(self):
         d = np.array([-1.0, 0.3, 2.0])
@@ -303,8 +306,8 @@ def chemotaxis_generator(delta, amplitude):
     return band_stack(*bands)
 
 
-# Time factors whose products with the Laplacians below reach each Pade
-# degree (3, 5, 7, 9) and degree 13 with growing scaling.
+# Time factors whose products with the Laplacians below run from 1-norms far
+# under theta_13 to scalings s of 10 and more.
 LADDER = np.array([1e-7, 1e-5, 1e-4, 4e-4, 1.2e-3, 1e-2, 0.1, 1.0, 10.0])
 
 EXPM_CASES = {
@@ -337,87 +340,55 @@ class TestMatrixExponentialAgainstScipy:
     most 2.96 u max(1, ||tA||_1), nonnormal slices included.
     """
 
-    @pytest.fixture(scope="class")
-    def runs(self):
-        """Each stack's exponential and the (m, s) pairs its evaluation reached."""
-        pade, runs = spatial._pade, {}
-        for name, stack in EXPM_CASES.items():
-            reached = set()
-
-            def recording(m, a, s, reached=reached):
-                reached.add((m, s))
-                return pade(m, a, s)
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(spatial, "_pade", recording)
-                runs[name] = matrix_exponential(stack, 1.0), reached
-        return runs
-
     @pytest.mark.parametrize("name", list(EXPM_CASES))
-    def test_stack_matches_scipy(self, name, runs):
-        got, _ = runs[name]
+    def test_stack_matches_scipy(self, name):
+        got = matrix_exponential(EXPM_CASES[name], 1.0)
         for a, slice_got in zip(EXPM_CASES[name], got):
             exact = expm(a)
             peak = np.abs(exact).max()  # entries reach e^699.5: norm the scaled copies
             distance = np.linalg.norm((slice_got - exact) / peak) / np.linalg.norm(exact / peak)
             assert distance <= 16 * 2.0**-53 * max(1.0, np.abs(a).sum(axis=0).max())
 
-    def test_every_degree_and_deep_scaling_reached(self, runs):
-        reached = set().union(*(pairs for _, pairs in runs.values()))
-        assert {m for m, _ in reached} == {3, 5, 7, 9, 13}
-        assert max(s for _, s in reached) >= 20
-
+    def test_deep_scaling_reached(self):
+        norms = np.abs(EXPM_CASES["neumann_long"]).sum(axis=-2).max(axis=-1)
+        assert spatial._scaling(norms).max() >= 20
 
     @pytest.mark.parametrize(
-        "m, chosen",
+        "m, s",
         [
-            # A^2 = 0 and ||A||_1 = 2a: the 1-norm alone picks the degree and
-            # scaling, though exp(A) = I + A needs neither.
-            *((a * np.array([[1.0, 1.0], [-1.0, -1.0]]), pair)
-              for a, pair in ((1.0, (9, 0)), (5.0, (13, 1)), (50.0, (13, 5)))),
+            # A^2 = 0 and ||A||_1 = 2a: the 1-norm alone sets the scaling,
+            # though exp(A) = I + A needs none.
+            *((a * np.array([[1.0, 1.0], [-1.0, -1.0]]), s)
+              for a, s in ((1.0, 0), (5.0, 1), (50.0, 5))),
             # A frozen step of the n=16, K=96 diffusion over horizon 0.5:
-            # ||hA||_1 = 5.33 <= theta_13, so degree 13 needs no scaling.
-            (0.5 / 96 * dense_laplacian_of(16, BoundaryKind.NEUMANN), (13, 0)),
+            # ||hA||_1 = 5.33 <= theta_13, so it needs no scaling.
+            (0.5 / 96 * dense_laplacian_of(16, BoundaryKind.NEUMANN), 0),
         ],
         ids=["nilpotent-1", "nilpotent-5", "nilpotent-50", "diffusion-step"],
     )
-    def test_one_norm_decides_degree_and_scaling(self, m, chosen, monkeypatch):
-        pade, reached = spatial._pade, []
-
-        def recording(degree, a, s):
-            reached.append((degree, s))
-            return pade(degree, a, s)
-
-        monkeypatch.setattr(spatial, "_pade", recording)
+    def test_one_norm_decides_scaling(self, m, s):
+        norm_1 = np.abs(m).sum(axis=0).max()
+        assert spatial._scaling(np.array([norm_1])).tolist() == [s]
         got = matrix_exponential(m, 1.0)
-        assert reached == [chosen]
         nilpotent = not np.matmul(m, m).any()
         exact = np.eye(len(m)) + m if nilpotent else expm(m)
-        norm_1 = np.abs(m).sum(axis=0).max()
         np.testing.assert_allclose(got, exact, rtol=0, atol=8 * 2.0**-53 * norm_1)
 
     @pytest.mark.parametrize(
-        "m, above",
-        [(3, (5, 0)), (5, (7, 0)), (7, (9, 0)), (9, (13, 0)), (13, (13, 1))],
-        ids=["theta3", "theta5", "theta7", "theta9", "theta13"],
+        "s", [0, 1, 2, 3, 4],
+        ids=["theta13", "theta13x2", "theta13x4", "theta13x8", "theta13x16"],
     )
-    def test_theta_bounds_are_inclusive(self, m, above, monkeypatch):
-        # ||A||_1 = theta_m takes degree m unscaled; the next float above it
-        # takes the next degree, or one scaling for degree 13.
-        theta = spatial._PADE[m][0]
-        pade, reached = spatial._pade, []
-
-        def recording(degree, a, s):
-            reached.append((degree, s))
-            return pade(degree, a, s)
-
-        monkeypatch.setattr(spatial, "_pade", recording)
-        for norm in (theta, np.nextafter(theta, np.inf)):
+    def test_theta_bounds_are_inclusive(self, s):
+        # ||A||_1 = 2^s theta_13 takes s scalings; the next float above it
+        # takes one more.
+        theta = np.ldexp(spatial._THETA_13, s)
+        norms = np.array([theta, np.nextafter(theta, np.inf)])
+        assert spatial._scaling(norms).tolist() == [s, s + 1]
+        for norm in norms:
             d = np.array([norm, -0.5 * norm])
             got = matrix_exponential(np.diag(d), 1.0)
-            rtol = 16 * 2.0**-53 * max(1.0, norm)
+            rtol = 16 * 2.0**-53 * norm
             np.testing.assert_allclose(got, np.diag(np.exp(d)), rtol=rtol, atol=0)
-        assert reached == [(m, 0), above]
 
 
 class TestSmallestSingularValue:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import avgrec.models
+from avgrec import spatial
 from avgrec.averaging import AveragingCondition, Variant, observe
 from avgrec.errors import NumericalError
 from avgrec.evolution import PropagatorMethod, TimeGrid
@@ -169,10 +170,18 @@ class TestStackedSpatial:
 
     @pytest.mark.parametrize("t", [0.0, 0.3])
     def test_matrix_exponential(self, t):
-        mats = RNG.standard_normal((2, 3, 6, 6))
-        got = matrix_exponential(mats, t)
-        expected = np.stack([[matrix_exponential(m, t) for m in row] for row in mats])
-        assert np.array_equal(got, expected)
+        # The ladder's slices need scalings s from 0 to at least 5 at t > 0,
+        # mixed within each chunk.
+        rng = np.random.default_rng(5)
+        scales = 2.0 ** rng.permutation(np.arange(-3, 7))
+        ladder = (scales[:, None, None] * rng.standard_normal((10, 6, 6))).reshape(2, 5, 6, 6)
+        if t > 0:
+            scalings = spatial._scaling(np.abs(t * ladder).sum(axis=-2).max(axis=-1))
+            assert scalings.min() == 0 and scalings.max() >= 5
+        for mats in (RNG.standard_normal((2, 3, 6, 6)), ladder):
+            got = matrix_exponential(mats, t)
+            expected = np.stack([[matrix_exponential(m, t) for m in row] for row in mats])
+            assert np.array_equal(got, expected)
 
     def test_overflow_cap_on_any_slice(self):
         mats = np.stack([np.eye(3), np.eye(3), 800.0 * np.eye(3), 900.0 * np.eye(3)])
