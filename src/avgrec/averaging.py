@@ -11,10 +11,10 @@ with Phi = int_0^T w(t) U(t,0) dt, the forcing functional
 Psi g = int_0^T w(t) int_0^t U(t,s) g(s) ds dt and the terminal forcing
 N(T) g = int_0^T U(T,s) g(s) ds.  Every time integral uses the composite
 trapezoid rule: outer integrals on [0, T], inner Duhamel integrals on
-[0, t_i], so N(T) g is the last Duhamel sum.  The initial-state map
-(``solver._initial_state``) follows the variation-of-constants identities,
-so substituting its output back into the discretized condition closes to
-solver roundoff.
+[0, t_i], so N(T) g is the last Duhamel sum.  The solver's sweep
+(``solver._iterate_detail``) solves for the initial state by the
+variation-of-constants identities, so substituting its output back into
+the discretized condition closes to solver roundoff.
 
 Each condition is one linear functional B of a trajectory, implemented
 once by :func:`observe` on any (K+1, ...) stack.  The variation-of-constants

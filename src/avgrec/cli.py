@@ -201,6 +201,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigurationError("[time] horizon: must be positive")
     if cfg.ball_radius <= 0:
         raise ConfigurationError(f"[model] ball_radius: must be positive, got {cfg.ball_radius!r}")
+    if cfg.model_kind == "reaction_diffusion" and cfg.p <= 0:
+        raise ConfigurationError(f"[model] p: must be positive, got {cfg.p!r}")
     amps = cfg.amplitudes
     if any(a < 0 for a in amps) or any(a2 <= a1 for a1, a2 in zip(amps, amps[1:])):
         raise ConfigurationError(

@@ -72,6 +72,11 @@ class ExponentBook:
     rho: float
     ell: float
 
+    @property
+    def inv_ell_plus_1(self) -> float:
+        """1/(ell+1); NaN at ell = -1, so that every inequality reading it fails."""
+        return 1.0 / (self.ell + 1.0) if self.ell != -1.0 else float("nan")
+
     def checks(self) -> list[tuple[str, bool]]:
         b = self
         return [
@@ -80,11 +85,11 @@ class ExponentBook:
             ("alpha0 < gamma <= 1", b.alpha0 < b.gamma <= 1),
             (
                 "0 < xi < min(alpha + 1/(ell+1), 1)",
-                0 < b.xi < min(b.alpha + 1.0 / (b.ell + 1.0), 1.0),
+                0 < b.xi < min(b.alpha + b.inv_ell_plus_1, 1.0),
             ),
             (
                 "max(xi - alpha, 0) < mu < 1/(ell+1)",
-                max(b.xi - b.alpha, 0.0) < b.mu < 1.0 / (b.ell + 1.0),
+                max(b.xi - b.alpha, 0.0) < b.mu < b.inv_ell_plus_1,
             ),
             (
                 "0 < 2 rho < min(2 (1 - mu (ell+1)), alpha - beta)",
@@ -315,6 +320,9 @@ class LinearTestModel:
     @classmethod
     def default(cls, grid: Grid1D, coefficient: float = 1.0) -> "LinearTestModel":
         base = assemble_laplacian(grid)
+        peak = max(float(np.abs(band).max()) for band in base.bands)
+        if abs(coefficient) * peak == float("inf"):  # Python floats: inf on overflow
+            raise ConfigurationError(f"[model] coefficient: {coefficient} overflows the generator")
         return cls(
             base=base,
             exponents=generic_exponents(),
@@ -373,7 +381,7 @@ def validate_exponents(model) -> ExponentReport:
             ),
             (
                 "n/p < xi < min(alpha + 1/(ell+1), 1)",
-                n_dim / model.p < book.xi < min(book.alpha + 1 / (model.ell + 1), 1.0),
+                n_dim / model.p < book.xi < min(book.alpha + book.inv_ell_plus_1, 1.0),
                 f"xi={book.xi}",
             ),
             (

@@ -75,7 +75,7 @@ from .evolution import (
     step_factors,
 )
 from .models import check_ball
-from .spatial import BaseOperator, modal_norm
+from .spatial import modal_norm
 
 DIVERGENCE_FACTOR = 1e8
 
@@ -98,29 +98,6 @@ class Trajectory:
     @classmethod
     def zero(cls, grid: TimeGrid, n: int) -> "Trajectory":
         return cls(grid=grid, states=np.zeros((grid.K + 1, n)))
-
-
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    """Orders and weights of the iteration distance, and the base operator
-    whose eigenpairs the norms read."""
-
-    mu: float
-    order_xi: float
-    order_beta: float
-    rho: float
-    base: BaseOperator
-
-    @classmethod
-    def from_model(cls, model) -> "WeightedNormSpec":
-        book = model.exponents
-        return cls(
-            mu=book.mu,
-            order_xi=2.0 * book.xi,
-            order_beta=2.0 * book.beta,
-            rho=book.rho,
-            base=model.base,
-        )
 
 
 @dataclass
@@ -182,27 +159,29 @@ class SolveReport:
         }
 
 
-def weighted_distance(u: Trajectory, v: Trajectory, spec: WeightedNormSpec) -> float:
+def weighted_distance(u: Trajectory, v: Trajectory, model) -> float:
     """Distance of the iteration space; homogeneous of degree one.
 
-    The t=0 node is excluded from the weighted part (the weight vanishes
-    there); the Hoelder quotient runs over adjacent and dyadic gaps only.
+    The orders are the model's exponent book: the weight t^mu, the spectral
+    norms of orders 2 xi and 2 beta of its base Laplacian, and the Hoelder
+    exponent rho.  The t=0 node is excluded from the weighted part (the
+    weight vanishes there); the Hoelder quotient runs over adjacent and
+    dyadic gaps only.
     """
     if u.grid.K != v.grid.K or u.grid.T != v.grid.T:
         raise ValueError("trajectories live on different time grids")
-    base = spec.base
+    book, base = model.exponents, model.base
     # (K+1, n) modal coefficients of the difference; the transform is linear,
     # so a difference of nodes is the difference of their rows.
     coeffs = (u.states - v.states) @ base.eigenvectors
     nodes = u.grid.nodes
-    xi_part = float(np.max(nodes[1:] ** spec.mu * modal_norm(base, coeffs, spec.order_xi)[1:]))
-    sup_part = float(modal_norm(base, coeffs, spec.order_beta).max())
+    xi_part = float(np.max(nodes[1:] ** book.mu * modal_norm(base, coeffs, 2.0 * book.xi)[1:]))
+    sup_part = float(modal_norm(base, coeffs, 2.0 * book.beta).max())
     holder = 0.0
-    K = u.grid.K
     gap = 1
-    while gap <= K:
-        seg_norms = modal_norm(base, coeffs[gap:] - coeffs[:-gap], spec.order_beta)
-        holder = max(holder, float(seg_norms.max()) / (gap * u.grid.h) ** spec.rho)
+    while gap <= u.grid.K:
+        seg_norms = modal_norm(base, coeffs[gap:] - coeffs[:-gap], 2.0 * book.beta)
+        holder = max(holder, float(seg_norms.max()) / (gap * u.grid.h) ** book.rho)
         gap *= 2
     return xi_part + sup_part + holder
 
@@ -228,19 +207,16 @@ def _propagation(model, traj: Trajectory, config: RecoveryConfig):
     return step_factors(path), f_states
 
 
-@dataclass(frozen=True)
-class _IterateInfo:
-    xi: np.ndarray
-    sigma_min: float
-    ball_exits: int
-
-
-def _initial_state(
+def _iterate_detail(
     model, cond: AveragingCondition, M: np.ndarray, u: Trajectory, config: RecoveryConfig
-):
-    """Xi(u) with the sigma_min of its resolvent and the sweep values (the
-    column and the Duhamel sums of f(u)) it was computed from: one
+) -> tuple[Trajectory, np.ndarray, float, int]:
+    """One sweep of the fixed-point map: (u_new, Xi(u), the sigma_min of its
+    resolvent, the count of states of u outside the model ball), from one
     propagation build and one left-sum recursion."""
+    norms = check_ball(model, u.states, enforce=False)
+    ball_exits = int(np.count_nonzero(norms > model.ball_radius))
+    if ball_exits:
+        warnings.warn(f"{ball_exits} iterate states left the model ball; continuing", stacklevel=3)
     try:
         prop, f_states = _propagation(model, u, config)
         values = prop.sweep(f_states)
@@ -253,26 +229,11 @@ def _initial_state(
         xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         raise ConvergenceError(f"iteration left the computable regime: {exc}") from exc
-    return xi, sigma, values
-
-
-def _iterate_detail(
-    model, cond: AveragingCondition, M: np.ndarray, u: Trajectory, config: RecoveryConfig
-) -> tuple[Trajectory, _IterateInfo]:
-    norms = check_ball(model, u.states, enforce=False)
-    ball_exits = int(np.count_nonzero(norms > model.ball_radius))
-    if ball_exits:
-        warnings.warn(
-            f"{ball_exits} iterate states left the model ball; continuing", stacklevel=3
-        )
-    xi, sigma, values = _initial_state(model, cond, M, u, config)
+    del prop  # free its K (n, n) steps before the reconstruction allocates: a lower peak RSS
     new_states = values.column @ xi + values.sums
     if not np.all(np.isfinite(new_states)):
         raise ConvergenceError("iteration produced non-finite states")
-    return (
-        Trajectory(grid=u.grid, states=new_states),
-        _IterateInfo(xi=xi, sigma_min=sigma, ball_exits=ball_exits),
-    )
+    return Trajectory(grid=u.grid, states=new_states), xi, sigma, ball_exits
 
 
 def fixed_point_recover(
@@ -301,16 +262,15 @@ def fixed_point_recover(
     check_iteration_ball(model, config)
     M = np.asarray(M, dtype=float)
     u = initial if initial is not None else Trajectory.zero(grid, n)
-    spec = WeightedNormSpec.from_model(model)
     report = SolveReport()
     try:
         for _ in range(config.max_iters):
-            new_u, info = _iterate_detail(model, cond, M, u, config)
-            dist = weighted_distance(new_u, u, spec)
+            new_u, xi, sigma, ball_exits = _iterate_detail(model, cond, M, u, config)
+            dist = weighted_distance(new_u, u, model)
             report.iterates += 1
             report.distances.append(dist)
-            report.sigma_min_history.append(info.sigma_min)
-            report.ball_exits += info.ball_exits
+            report.sigma_min_history.append(sigma)
+            report.ball_exits += ball_exits
             if len(report.distances) >= 2 and report.distances[-2] > 0:
                 report.contraction_estimates.append(dist / report.distances[-2])
             u = new_u
@@ -328,7 +288,7 @@ def fixed_point_recover(
         exc.report = report
         raise
     report.residual = averaging_residual(cond, u, M)
-    return info.xi, u, report
+    return xi, u, report
 
 
 def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -484,13 +444,11 @@ class ProbeReport:
 
 
 def random_admissible_trajectory(
-    grid: TimeGrid, n: int, spec: WeightedNormSpec, radius: float, rng: np.random.Generator
+    grid: TimeGrid, model, radius: float, rng: np.random.Generator
 ) -> Trajectory:
-    states = rng.standard_normal((grid.K + 1, n))
-    traj = Trajectory(grid=grid, states=states)
-    norm = weighted_distance(traj, Trajectory.zero(grid, n), spec)
-    scale = radius * rng.uniform(0.2, 0.9) / norm
-    return Trajectory(grid=grid, states=scale * states)
+    traj = Trajectory(grid=grid, states=rng.standard_normal((grid.K + 1, model.base.grid.n)))
+    norm = weighted_distance(traj, Trajectory.zero(grid, model.base.grid.n), model)
+    return Trajectory(grid=grid, states=radius * rng.uniform(0.2, 0.9) / norm * traj.states)
 
 
 def contraction_probe(
@@ -502,44 +460,42 @@ def contraction_probe(
     seed: int = 0,
 ) -> ProbeReport:
     """Rerun the recovery from random admissible starts; a unique fixed point
-    shows up as a tight cluster of limits with sub-unit contraction ratios."""
+    shows up as a tight cluster of limits with sub-unit contraction ratios.
+
+    The base run starts from zero and its failure raises; a failed trial is
+    recorded and the probe goes on.  Recoveries draw nothing from the seeded
+    generator, so trial k starts from its (k+1)-th draw.
+    """
     config = config or RecoveryConfig()
     rng = np.random.default_rng(seed)
-    spec = WeightedNormSpec.from_model(model)
-    n = model.base.grid.n
-    limits = []
-    u0s = []
-    ratios = []
-    per_run = []
-    failures = []
-    base_u0, base_traj, base_rep = fixed_point_recover(model, cond, M, config)
-    limits.append(base_traj)
-    u0s.append(base_u0)
-    ratios.extend(base_rep.contraction_estimates)
-    per_run.append(tuple(base_rep.contraction_estimates))
-    for trial in range(trials):
-        start = random_admissible_trajectory(cond.grid, n, spec, config.ball_L, rng)
+    limits, u0s, per_run, failures = [], [], [], []
+    for trial in range(-1, trials):
+        start = None  # trial -1 is the base run, from zero
+        if trial >= 0:
+            start = random_admissible_trajectory(cond.grid, model, config.ball_L, rng)
         try:
             u0, traj, rep = fixed_point_recover(model, cond, M, config, initial=start)
-            limits.append(traj)
-            u0s.append(u0)
-            ratios.extend(rep.contraction_estimates)
-            per_run.append(tuple(rep.contraction_estimates))
         except NumericalError as exc:
+            if start is None:
+                raise
             failures.append(f"trial {trial}: {type(exc).__name__}: {exc}")
-    spread = 0.0
-    for i in range(len(limits)):
-        for j in range(i + 1, len(limits)):
-            spread = max(spread, weighted_distance(limits[i], limits[j], spec))
-    u0_spread = 0.0
-    for i in range(len(u0s)):
-        for j in range(i + 1, len(u0s)):
-            u0_spread = max(u0_spread, float(np.linalg.norm(u0s[i] - u0s[j])))
+            continue
+        limits.append(traj)
+        u0s.append(u0)
+        per_run.append(tuple(rep.contraction_estimates))
+    spread = max(
+        (weighted_distance(a, b, model) for i, a in enumerate(limits) for b in limits[i + 1 :]),
+        default=0.0,
+    )
+    u0_spread = max(
+        (float(np.linalg.norm(a - b)) for i, a in enumerate(u0s) for b in u0s[i + 1 :]),
+        default=0.0,
+    )
     return ProbeReport(
         all_converged=not failures,
         limit_spread=spread,
         initial_state_spread=u0_spread,
-        contraction_ratios=tuple(ratios),
+        contraction_ratios=tuple(r for run in per_run for r in run),
         per_run_ratios=tuple(per_run),
         failures=tuple(failures),
     )

@@ -141,7 +141,13 @@ def build_grid(n: int, length: float, bc: BoundaryKind) -> Grid1D:
         )
     if length <= 0:
         raise ConfigurationError(f"[grid] length: domain length must be positive, got {length}")
-    return Grid1D(n=int(n), length=float(length), bc=bc)
+    grid = Grid1D(n=int(n), length=float(length), bc=bc)
+    h2 = grid.spacing * grid.spacing  # the Laplacian's largest entry is 2/h^2
+    if h2 == 0.0 or 2.0 / h2 == float("inf"):  # Python floats: inf on overflow
+        raise ConfigurationError(
+            f"[grid] length: {length} is too short for n={n}: the Laplacian's diagonals overflow"
+        )
+    return grid
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from avgrec.models import LinearTestModel, NonlocalRDModel
 from avgrec.solver import (
     RecoveryConfig,
     Trajectory,
-    WeightedNormSpec,
     contraction_probe,
     fixed_point_recover,
     smallness_scan,
@@ -272,14 +271,13 @@ def test_criterion_9_invariant_bundle(series_family, chemo16, rd32, tmp_path):
     psi_zero = apply_psi(Trajectory.zero(grid_t, 16), series_family[32]["stepper"], cond)
     checks["Psi(0) = 0"] = np.all(psi_zero == 0.0)
     # weighted-distance homogeneity
-    spec = WeightedNormSpec.from_model(chemo16)
     u_t = Trajectory(grid=grid_t, states=rng.standard_normal((33, 16)))
     v_t = Trajectory(grid=grid_t, states=rng.standard_normal((33, 16)))
-    d1 = weighted_distance(u_t, v_t, spec)
+    d1 = weighted_distance(u_t, v_t, chemo16)
     d3 = weighted_distance(
         Trajectory(grid=grid_t, states=3.0 * u_t.states),
         Trajectory(grid=grid_t, states=3.0 * v_t.states),
-        spec,
+        chemo16,
     )
     checks["distance homogeneity"] = abs(d3 - 3.0 * d1) <= 1e-10 * d1
     # CSV round trip is lossless

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgrec.artifacts import (
     RunArtifacts,
@@ -25,6 +27,7 @@ from avgrec.cli import (
 )
 from avgrec.errors import ConfigurationError
 from avgrec.evolution import TimeGrid
+from avgrec.models import ExponentBook
 from avgrec.solver import Trajectory
 
 from oracles import read_trajectory_csv
@@ -39,6 +42,17 @@ BAD_BOOK = {
         "xi = 0.5625", "mu = 0.45", "rho = 0.05", "ell = 1",
     ]
 }
+# A full book with ell = -1, where 1/(ell+1) is undefined.
+BOOK_ELL_MINUS_ONE = {
+    "exponents": [
+        "beta = 0", "alpha = 0.1", "alpha0 = 0.2", "gamma = 0.3",
+        "xi = 0.4", "mu = 0.3", "rho = 0.05", "ell = -1",
+    ]
+}
+# Config values at the edges of the float range, and ordinary ones.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e300]), st.floats(-5.0, 5.0, allow_nan=False)
+)
 
 def fast_config(tmp_path, **extra):
     """Small, quick experiment config; extra[section] = ["key = value", ...]
@@ -419,6 +433,20 @@ class TestMainExitCodes:
                 {"model": ["kind = reaction_diffusion", "f_poly = 0 0 0 0 -1"]},
                 "(ell + 1) n < p ([model] p, [model] f_poly)",
             ),
+            ("validate", {"model": ["kind = reaction_diffusion", "p = 0"]}, "[model] p"),
+            ("validate", {"grid": ["n = 16", "length = 1e-160"]}, "[grid] length"),
+            ("recover", {"grid": ["length = 1e-160"]}, "[grid] length"),
+            (
+                "validate",
+                {"model": ["kind = linear_test", "coefficient = 1e300"], "grid": ["length = 1e-4"]},
+                "[model] coefficient",
+            ),
+            (
+                "validate",
+                {"model": ["kind = reaction_diffusion"], **BOOK_ELL_MINUS_ONE},
+                "ell > 0 ([exponents])",
+            ),
+            ("validate", BOOK_ELL_MINUS_ONE, "ell > 0 ([exponents])"),
         ],
     )
     def test_parse_time_rejections_exit_2(self, tmp_path, capsys, verb, extra, named):
@@ -484,6 +512,37 @@ class TestMainExitCodes:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "[data] path" in err and "no x,value rows" in err
+
+    @given(
+        kind=st.sampled_from(["chemotaxis", "reaction_diffusion", "linear_test"]),
+        model=st.fixed_dictionaries(
+            {key: EDGE_FLOATS for key in ("delta", "s", "p", "coefficient", "ball_radius")}
+        ),
+        n=st.integers(0, 8),
+        length=EDGE_FLOATS,
+        bc=st.sampled_from(["neumann", "dirichlet"]),
+        book=st.none() | st.fixed_dictionaries({f.name: EDGE_FLOATS for f in fields(ExponentBook)}),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_validate_exits_0_or_2_on_any_model_grid_and_book(
+        self, tmp_path_factory, kind, model, n, length, bc, book
+    ):
+        # Every value the schema parses is either validated or rejected by
+        # name; none reaches an uncaught exception or a RuntimeWarning.
+        folder = tmp_path_factory.getbasetemp() / "validate-fuzz"
+        folder.mkdir(exist_ok=True)
+        sections = {
+            "model": [f"kind = {kind}"] + [f"{key} = {value!r}" for key, value in model.items()],
+            "grid": [f"n = {n}", f"length = {length!r}", f"bc = {bc}"],
+            "run": [f"out = {folder / 'run'}"],
+        }
+        if book is not None:
+            sections["exponents"] = [f"{key} = {value!r}" for key, value in book.items()]
+        config = folder / "fuzz.ini"
+        config.write_text(
+            "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+        )
+        assert main(["validate", "--config", str(config), "--quiet"]) in (0, 2)
 
     def test_method_flag_accepted(self, tmp_path):
         config = tmp_path / "ok.ini"

@@ -20,8 +20,6 @@ from avgrec.models import ChemotaxisModel, LinearTestModel
 from avgrec.solver import (
     RecoveryConfig,
     Trajectory,
-    WeightedNormSpec,
-    _initial_state,
     _iterate_detail,
     averaging_residual,
     contraction_probe,
@@ -75,19 +73,10 @@ class TestTrajectory:
 
 
 class TestWeightedDistance:
-    def _spec(self, model, mu=None):
-        spec = WeightedNormSpec.from_model(model)
-        if mu is not None:
-            spec = WeightedNormSpec(
-                mu=mu, order_xi=spec.order_xi, order_beta=spec.order_beta,
-                rho=spec.rho, base=spec.base,
-            )
-        return spec
-
     def test_identical_trajectories(self, small_chemo):
         grid_t = TimeGrid(T=1.0, K=8)
         traj = Trajectory(grid=grid_t, states=RNG.standard_normal((9, 16)))
-        assert weighted_distance(traj, traj, self._spec(small_chemo)) == 0.0
+        assert weighted_distance(traj, traj, small_chemo) == 0.0
 
     def test_constant_difference_unweighted(self, small_chemo):
         # mu = 0 and a constant-in-time difference: no Hoelder part, just the
@@ -96,13 +85,14 @@ class TestWeightedDistance:
         c = RNG.standard_normal(16)
         u = Trajectory(grid=grid_t, states=np.tile(c, (9, 1)))
         v = Trajectory.zero(grid_t, 16)
-        spec = self._spec(small_chemo, mu=0.0)
+        model = replace(small_chemo, exponents=replace(small_chemo.exponents, mu=0.0))
         from avgrec.spatial import sobolev_norm
 
-        expected = sobolev_norm(spec.base, c, spec.order_xi) + sobolev_norm(
-            spec.base, c, spec.order_beta
+        book = model.exponents
+        expected = sobolev_norm(model.base, c, 2.0 * book.xi) + sobolev_norm(
+            model.base, c, 2.0 * book.beta
         )
-        assert weighted_distance(u, v, spec) == pytest.approx(expected, rel=1e-12)
+        assert weighted_distance(u, v, model) == pytest.approx(expected, rel=1e-12)
 
     @given(c=st.floats(-20.0, 20.0))
     @settings(max_examples=20, deadline=None)
@@ -111,12 +101,11 @@ class TestWeightedDistance:
         rng = np.random.default_rng(3)
         u = Trajectory(grid=grid_t, states=rng.standard_normal((9, 16)))
         v = Trajectory(grid=grid_t, states=rng.standard_normal((9, 16)))
-        spec = self._spec(small_chemo)
-        base = weighted_distance(u, v, spec)
+        base = weighted_distance(u, v, small_chemo)
         scaled = weighted_distance(
             Trajectory(grid=grid_t, states=c * u.states),
             Trajectory(grid=grid_t, states=c * v.states),
-            spec,
+            small_chemo,
         )
         assert scaled == pytest.approx(abs(c) * base, rel=1e-10, abs=1e-12)
 
@@ -124,7 +113,7 @@ class TestWeightedDistance:
         u = Trajectory.zero(TimeGrid(T=1.0, K=8), 16)
         v = Trajectory.zero(TimeGrid(T=1.0, K=4), 16)
         with pytest.raises(ValueError):
-            weighted_distance(u, v, self._spec(small_chemo))
+            weighted_distance(u, v, small_chemo)
 
 
 class TestForwardSolve:
@@ -244,14 +233,14 @@ class TestIterateOnce:
         M = linear_observation(linear16, cond, x0)
         table = evolution_stepper(operator_path(linear16, Trajectory.zero(grid_t, 16))[0])
         start = Trajectory(grid=grid_t, states=RNG.standard_normal((33, 16)))
-        got, _ = _iterate_detail(linear16, cond, M, start, RecoveryConfig())
+        got, *_ = _iterate_detail(linear16, cond, M, start, RecoveryConfig())
         expected = table.column @ x0
         assert np.abs(got.states - expected).max() <= 1e-8
 
     def test_zero_data_zero_fixed_point(self, small_chemo):
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        got, _ = _iterate_detail(
+        got, *_ = _iterate_detail(
             small_chemo, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig()
         )
         assert np.all(got.states == 0.0)
@@ -260,7 +249,7 @@ class TestIterateOnce:
         grid_t = TimeGrid(T=0.5, K=32)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         M = 1e-3 * np.cos(np.pi * small_chemo.base.grid.nodes)
-        traj, _ = _iterate_detail(
+        traj, *_ = _iterate_detail(
             small_chemo, cond, M, Trajectory.zero(grid_t, 16), RecoveryConfig()
         )
         from avgrec.spatial import sobolev_norm
@@ -293,11 +282,10 @@ class TestFixedPointRecover:
         run = manufactured["chemotaxis", 128]
         data = run["variants"][Variant.TIME_AVERAGE]
         config = RecoveryConfig()
-        spec = WeightedNormSpec.from_model(run["model"])
-        moved, _ = _iterate_detail(
+        moved, *_ = _iterate_detail(
             run["model"], data["cond"], data["M"], data["trajectory"], config
         )
-        assert weighted_distance(moved, data["trajectory"], spec) <= config.tol_fixed_point
+        assert weighted_distance(moved, data["trajectory"], run["model"]) <= config.tol_fixed_point
 
     def test_report_serializable(self, manufactured):
         report = manufactured["chemotaxis", 128]["variants"][Variant.TIME_AVERAGE]["report"]
@@ -555,14 +543,14 @@ class TestOneBuildPerIteration:
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
         solved = []
-        original = avgrec.solver._initial_state
+        original = avgrec.solver._iterate_detail
 
         def recorded(*args):
             result = original(*args)
-            solved.append(result[0])
+            solved.append(result[1])
             return result
 
-        monkeypatch.setattr(avgrec.solver, "_initial_state", recorded)
+        monkeypatch.setattr(avgrec.solver, "_iterate_detail", recorded)
         u0, traj, report = fixed_point_recover(small_chemo, cond, M, RecoveryConfig())
         assert len(solved) == report.iterates
         assert u0 is solved[-1]
@@ -649,7 +637,7 @@ class TestNonFiniteIterate:
         grid_t = TimeGrid(T=0.5, K=8)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
         with pytest.raises(ConvergenceError, match="non-finite operator or forcing values"):
-            _initial_state(
+            _iterate_detail(
                 model, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig(method=method)
             )
 
@@ -684,15 +672,15 @@ class TestSmallnessScan:
         # two sweeps before it and their contraction, as a diverged row does.
         import avgrec.solver
 
-        calls, initial_state = [], avgrec.solver._initial_state
+        calls, iterate_detail = [], avgrec.solver._iterate_detail
 
         def failing_third(*args):
             calls.append(None)
             if len(calls) == 3:
                 raise error
-            return initial_state(*args)
+            return iterate_detail(*args)
 
-        monkeypatch.setattr(avgrec.solver, "_initial_state", failing_third)
+        monkeypatch.setattr(avgrec.solver, "_iterate_detail", failing_third)
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         direction = np.cos(np.pi * small_chemo.base.grid.nodes)
@@ -729,9 +717,8 @@ class TestContractionProbe:
         config = RecoveryConfig(tol_fixed_point=1e-4)
         probe = contraction_probe(small_chemo, cond, M, config, trials=1, seed=4)
         base_u0, _, _ = fixed_point_recover(small_chemo, cond, M, config)
-        spec = WeightedNormSpec.from_model(small_chemo)
         rng = np.random.default_rng(4)
-        start = random_admissible_trajectory(grid_t, 16, spec, config.ball_L, rng)
+        start = random_admissible_trajectory(grid_t, small_chemo, config.ball_L, rng)
         trial_u0, _, _ = fixed_point_recover(small_chemo, cond, M, config, initial=start)
         expected = float(np.linalg.norm(base_u0 - trial_u0))
         assert expected > 0.0
@@ -743,3 +730,59 @@ class TestContractionProbe:
         probe = contraction_probe(small_chemo, cond, np.zeros(16), trials=2, seed=2)
         assert probe.all_converged
         assert probe.limit_spread <= 1e-10
+
+    def test_failed_trial_is_recorded_and_adds_nothing(self, small_chemo, monkeypatch):
+        import avgrec.solver
+
+        grid_t = TimeGrid(T=0.5, K=16)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        config = RecoveryConfig(tol_fixed_point=1e-4)
+        original = avgrec.solver.fixed_point_recover
+        starts, runs = [], []
+
+        def failing_trial_1(*args, initial=None):
+            starts.append(initial)
+            if len(starts) == 3:  # the base run, trial 0, trial 1
+                raise ConvergenceError("made to fail")
+            runs.append(original(*args, initial=initial))
+            return runs[-1]
+
+        monkeypatch.setattr(avgrec.solver, "fixed_point_recover", failing_trial_1)
+        probe = contraction_probe(small_chemo, cond, M, config, trials=3, seed=4)
+        assert probe.failures == ("trial 1: ConvergenceError: made to fail",)
+        assert not probe.all_converged
+        # The starts are the seeded draws in order, the base run's zero first.
+        rng = np.random.default_rng(4)
+        assert starts[0] is None
+        for start in starts[1:]:
+            drawn = random_admissible_trajectory(grid_t, small_chemo, config.ball_L, rng)
+            assert np.array_equal(start.states, drawn.states)
+        # The failed trial adds no limit, no initial state and no ratios.
+        assert len(runs) == 3
+        assert probe.per_run_ratios == tuple(tuple(rep.contraction_estimates) for *_, rep in runs)
+        assert probe.contraction_ratios == sum(probe.per_run_ratios, ())
+        pairs = [(a, b) for i, a in enumerate(runs) for b in runs[i + 1 :]]
+        assert probe.limit_spread == max(weighted_distance(a[1], b[1], small_chemo) for a, b in pairs)
+        assert probe.initial_state_spread == max(
+            float(np.linalg.norm(a[0] - b[0])) for a, b in pairs
+        )
+
+    def test_failed_base_run_raises(self, small_chemo, monkeypatch):
+        import avgrec.solver
+
+        grid_t = TimeGrid(T=0.5, K=16)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        original = avgrec.solver.fixed_point_recover
+        starts = []
+
+        def failing_base(*args, initial=None):
+            starts.append(initial)
+            if initial is None:
+                raise SingularOperatorError("made to fail", 0.0)
+            return original(*args, initial=initial)
+
+        monkeypatch.setattr(avgrec.solver, "fixed_point_recover", failing_base)
+        with pytest.raises(SingularOperatorError, match="made to fail"):
+            contraction_probe(small_chemo, cond, np.zeros(16), trials=2, seed=0)
+        assert starts == [None]

@@ -203,10 +203,10 @@ def test_ball_exits_counted_per_state():
     expected = sum(norm > model.ball_radius for norm in norms)
     assert 0 < expected < len(states)
     with pytest.warns(UserWarning, match=f"{expected} iterate states left the model ball"):
-        _, info = _iterate_detail(
+        *_, ball_exits = _iterate_detail(
             model, cond, np.zeros(12), Trajectory(grid=grid_t, states=states), RecoveryConfig()
         )
-    assert info.ball_exits == expected
+    assert ball_exits == expected
 
 
 class PerStateModel:
