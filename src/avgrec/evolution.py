@@ -22,11 +22,13 @@ the stepper from its K one-step factors S_j (:class:`StepFactors`: O(K n^2)
 for the factors, one Gaussian elimination on the bands over all K nodes at
 once with a NumPy port of LAPACK dgtsv for the nodes that need row
 interchanges, and one K-step loop of (n, n) x (n, n+1) products,
-O(K n^3)), the kernel series from its K frozen steps exp(h A_j)
-(:class:`SeriesSweep`, O(K^2 n^3), forming each difference A_m - A_l
-once), neither forming a table.  The full lower-triangular tables
-of both constructions, O(K^2 n^2) memory, are test oracles
-(``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
+O(K n^3)), the kernel series from the frozen steps exp(h A_G) of its G
+distinct generators, nodes with bitwise-equal generators sharing one
+step and one carried product (:class:`SeriesSweep`, O(K G n^3): O(K^2 n^3)
+when no generator repeats, O(K n^3) on a constant path), neither forming
+a table.  The full lower-triangular tables of both constructions,
+O(K^2 n^2) memory, are test oracles (``tests/oracles.py``) and serve the
+same ``sweep`` entry from their rows.
 
 Neither construction imports SciPy: the kernel series takes its frozen
 steps from ``spatial.matrix_exponential``, a batched NumPy Pade
@@ -134,6 +136,13 @@ class OperatorPath:
         first access: the kernel series reads it, the stepper does not."""
         return band_stack(*self.bands)
 
+    @property
+    def node_keys(self) -> np.ndarray:
+        """The three diagonals of every A(t_j) side by side, shape
+        (K+1, 3n-2): two rows are equal bit for bit exactly where the two
+        generators are."""
+        return np.concatenate(self.bands, axis=1)
+
 
 class PropagatorMethod(Enum):
     KERNEL_SERIES = "kernel_series"
@@ -214,13 +223,20 @@ def _stepper_left_sums(factors: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     return left
 
 
-def _frozen_steps(path: OperatorPath) -> np.ndarray:
-    """The K frozen steps exp(h A(t_j)), j = 0..K-1, shape (K, n, n), from
-    one stacked matrix exponential."""
-    return matrix_exponential(path.matrices[:-1], path.grid.h)
+def _generator_groups(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, first) of the nodes j = 0..K-1 grouped by generator: the
+    group of each node, numbered in order of first occurrence, and the first
+    node of each group.  Nodes are keyed on the rows of ``path.node_keys``,
+    bit for bit."""
+    groups: dict[bytes, int] = {}
+    keys = path.node_keys[:-1]
+    labels = np.array([groups.setdefault(key.tobytes(), len(groups)) for key in keys])
+    return labels, np.unique(labels, return_index=True)[1]
 
 
-def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+def _series_left_sums(
+    path: OperatorPath, steps: np.ndarray, labels: np.ndarray, first: np.ndarray, forcing: np.ndarray
+) -> np.ndarray:
     """X_i = [U(t_i, 0) | sum_{m<i} U(t_i, t_m) F_m] for i = 0..K and the
     series U = a + a*w, from one forward recursion on the right-hand side
     r_0 = [I | F_0], r_m = [0 | F_m] (width n+r) of a forcing stack F of
@@ -231,11 +247,18 @@ def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray
     g_m = r_m + h y_m + (h/rho) s_{m-1}:
         R_m = sum_{l<m} a[m, l] g_l + (h/rho) s_{m-1},
         y_m = sum_{l<m} w[m, l] r_l = sum_{l<m} k[m, l] g_l.
-    The products p_l = a[m, l] g_l are carried from node to node by
-    p_l <- exp(h A_l) p_l, and k[m, l] g_l is formed as (A_m - A_l) p_l, so
-    that it is exactly zero on a constant path; each difference A_m - A_l is
-    formed once.  The identity block of r_m is zero beyond node 0, so its
-    r_m and s_m terms are skipped there.  X_0 = [I | 0].
+    Nodes whose generators are equal share one frozen step E_G = exp(h A_G)
+    and one carried product p_G = sum_{l<m, l in G} a[m, l] g_l, given as
+    the ``steps`` E_G, the group ``labels`` of the nodes 0..K-1, numbered in
+    order of first occurrence, and the ``first`` node of each group, whose
+    generator is A_G.  Each step advances every group met so far by
+    p_G <- E_G p_G, then starts or adds to the group of node m-1 with
+    E_G g_{m-1}; R_m sums the p_G, and k[m, l] g_l summed over a group is
+    (A_m - A_G) p_G, exactly zero where A_m = A_G.  With G groups a sweep
+    costs O(K G n^2 (n+r)): a path with no repeated generator carries up to
+    K products, in the order of the ungrouped recursion, and a constant
+    path one.  The identity block of r_m is zero beyond node 0, so its r_m
+    and s_m terms are skipped there.  X_0 = [I | 0].
     """
     K = path.grid.K
     h = path.grid.h
@@ -243,19 +266,27 @@ def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray
     mats = path.matrices
     n = path.dim
     left = np.zeros((K + 1, n, n + forcing.shape[-1]))
-    carried = np.empty((K,) + left.shape[1:])  # p_l for l < m
+    carried = np.empty((steps.shape[0],) + left.shape[1:])  # p_G for the groups met
+    met = 0
     g = np.concatenate((np.eye(n), forcing[0]), axis=1)
     for m in range(1, K + 1):
-        carried[: m - 1] = np.matmul(steps[: m - 1], carried[: m - 1])
-        carried[m - 1] = steps[m - 1] @ g
-        left[m] = carried[:m].sum(axis=0)
+        group = labels[m - 1]
+        carried[:met] = np.matmul(steps[:met], carried[:met])
+        if group == met:
+            carried[group] = steps[group] @ g
+            met += 1
+        else:
+            carried[group] += steps[group] @ g
+        left[m] = carried[:met].sum(axis=0)
         # s_{m-1}: on both blocks at m = 1 (where E_0 r_0 = p_0), else on F.
         edge = slice(None) if m == 1 else slice(n, None)
-        applied = carried[0] if m == 1 else steps[m - 1] @ forcing[m - 1]
+        applied = carried[0] if m == 1 else steps[group] @ forcing[m - 1]
         end_term = end * ((mats[m] - mats[m - 1]) @ applied)
         left[m, :, edge] += end_term
         if m < K:
-            g = h * np.matmul(mats[m] - mats[:m], carried[:m]).sum(axis=0)
+            diffs = mats[first[:met]]
+            np.subtract(mats[m], diffs, out=diffs)
+            g = h * np.matmul(diffs, carried[:met]).sum(axis=0)
             g[:, n:] += forcing[m]
             g[:, edge] += end_term
     left[0, :, :n] = np.eye(n)
@@ -264,12 +295,16 @@ def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray
 
 @dataclass(frozen=True)
 class SeriesSweep(_Sweep):
-    """The kernel series' sweep interface in O(K n^2) memory: the path and
-    its K frozen steps exp(h A_j), every quantity from the forward recursion
-    of :func:`_series_left_sums`; a, k, w and U are never formed."""
+    """The kernel series' sweep interface in O(K n^2) memory: the path, the
+    frozen steps exp(h A_G) of its G distinct generators, the group of each
+    node 0..K-1 and the first node of each group; every quantity comes from
+    the forward recursion of :func:`_series_left_sums`, O(K G n^2 (n+1)) per
+    sweep, and a, k, w and U are never formed."""
 
     path: OperatorPath
-    steps: np.ndarray  # (K, n, n)
+    steps: np.ndarray  # (G, n, n)
+    labels: np.ndarray  # (K,)
+    first: np.ndarray  # (G,)
 
     @property
     def grid(self) -> TimeGrid:
@@ -280,7 +315,7 @@ class SeriesSweep(_Sweep):
         return self.path.dim
 
     def _left_sums(self, forcing: np.ndarray) -> np.ndarray:
-        return _series_left_sums(self.path, self.steps, forcing)
+        return _series_left_sums(self.path, self.steps, self.labels, self.first, forcing)
 
 
 def series_peak_bytes(n: int, K: int) -> int:
@@ -289,22 +324,32 @@ def series_peak_bytes(n: int, K: int) -> int:
     n x (n+1) blocks.
 
     The recursion holds the frozen steps, the carried products, the left
-    sums, and at the last nodes the differences A_m - A_l and their products
-    with the carried blocks; its right-hand side is [I | qw f].
+    sums, and at the last nodes the differences A_m - A_G and their products
+    with the carried blocks; its right-hand side is [I | qw f].  The
+    estimate is reached when no generator repeats (G = K); every other path
+    holds G < K steps, products and differences, and stays below it.
     """
     return 5 * 8 * (K + 1) * n * (n + 1)
 
 
 def evolution_series(path: OperatorPath) -> SeriesSweep:
-    """Sweep interface of the kernel series U = a + a*w: the K frozen steps
-    from one stacked matrix exponential.
+    """Sweep interface of the kernel series U = a + a*w: the nodes
+    0..K-1 grouped by bitwise-equal generators, and the frozen step of each
+    of the G groups from one stacked matrix exponential.
 
     A sweep's column U(t_i, 0) and Duhamel sums are one recursion on
-    [I | qw f], O(K^2 n^2 (n+1)).  On a constant path the
-    kernel is exactly zero and the column equals that of the dense series
-    table (``tests/oracles.py``) bit for bit.
+    [I | qw f], O(K G n^2 (n+1)).  A path with no repeated generator
+    (G = K) exponentiates a view of the dense stack, not a copy.  On a
+    constant path (G = 1) the kernel is exactly zero, the sweep costs
+    O(K n^3) with one exponential, and the column equals that of the dense
+    series table (``tests/oracles.py``) bit for bit.  The overflow cap of
+    the exponential names the first node over it.
     """
-    return SeriesSweep(path=path, steps=_frozen_steps(path))
+    labels, first = _generator_groups(path)
+    K = path.grid.K
+    generators = path.matrices[:K] if first.size == K else path.matrices[first]
+    steps = matrix_exponential(generators, path.grid.h, nodes=first)
+    return SeriesSweep(path=path, steps=steps, labels=labels, first=first)
 
 
 def _one_step_factors(path: OperatorPath) -> np.ndarray:

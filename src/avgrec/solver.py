@@ -28,8 +28,11 @@ interchanges are solved together by a NumPy port of LAPACK dgtsv, so the
 stepper imports no SciPy); its recursion is K products of n x n factors
 with n x (n+1) blocks, so a sweep costs O(K n^3) time and O(K n^2)
 memory, and the dense (K+1, n, n) stack is never formed.  The kernel
-series (behind a flag) recurs on its K frozen steps exp(h A_j),
-formed from the dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The
+series (behind a flag) groups the nodes whose generators are equal bit
+for bit and recurs on the frozen steps exp(h A_G) of its G distinct
+generators, formed from the dense stack, in O(K G n^3) time and
+O(K n^2) memory: O(K^2 n^3) when no generator repeats, O(K n^3) on the
+constant path of a sweep from the zero trajectory.  The
 full propagator tables of either method are test oracles
 (``tests/oracles.py``).  The per-node model work at all K+1 nodes is two
 stacked calls per sweep: ``linearise`` for the bands of A(u(t_j)) and

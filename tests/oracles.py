@@ -59,7 +59,6 @@ from avgrec.evolution import (
     StepFactors,
     SweepValues,
     TimeGrid,
-    _frozen_steps,
     step_factors,
 )
 from avgrec.models import (
@@ -90,8 +89,8 @@ class DensePath:
     """A generator path held as its dense (K+1, n, n) stack, for tests whose
     generators are not tridiagonal.  It has the surface that
     :func:`avgrec.evolution.evolution_series` and the oracles here read
-    (``grid``, ``dim``, ``holder_rho``, ``matrices``); its stepper is
-    :func:`dense_step_factors`."""
+    (``grid``, ``dim``, ``holder_rho``, ``matrices``, ``node_keys``); its
+    stepper is :func:`dense_step_factors`."""
 
     grid: TimeGrid
     matrices: np.ndarray
@@ -108,6 +107,11 @@ class DensePath:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
+
+    @property
+    def node_keys(self) -> np.ndarray:
+        """Each matrix flattened into a row, shape (K+1, n*n)."""
+        return self.matrices.reshape(self.grid.K + 1, -1)
 
 
 def banded_path(grid: TimeGrid, matrices: np.ndarray, holder_rho: float) -> OperatorPath:
@@ -347,12 +351,12 @@ def _frozen_tables(path: OperatorPath | DensePath) -> tuple[np.ndarray, np.ndarr
     """Dense tables a[i,j] = exp((t_i-t_j)A(t_j)) and k[i,j] = [A_i - A_j] a[i,j].
 
     Columns are built by power chains a[i,j] = exp(h A_j) a[i-1,j], one
-    matrix exponential per column.
+    matrix exponential per column, from one stacked call.
     """
     kk = path.grid.K + 1
     n = path.dim
     eye = np.eye(n)
-    steps = _frozen_steps(path)
+    steps = matrix_exponential(path.matrices[:-1], path.grid.h)
     a4 = np.zeros((kk, kk, n, n))
     k4 = np.zeros((kk, kk, n, n))
     for j in range(kk):

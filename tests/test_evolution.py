@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.linalg.lapack import dgtsv
 
-from avgrec.averaging import duhamel_sums, terminal_forcing
+from avgrec.averaging import AveragingCondition, Variant, duhamel_sums, observe, terminal_forcing
 from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
@@ -24,11 +24,13 @@ from avgrec.evolution import (
     stepper_peak_bytes,
 )
 from avgrec.models import ChemotaxisModel, LinearTestModel, NonlocalRDModel
+from avgrec.solver import RecoveryConfig, fixed_point_recover, forward_solve
 from avgrec.spatial import (
     BoundaryKind,
     assemble_laplacian,
     band_stack,
     build_grid,
+    matrix_exponential,
 )
 
 from conftest import chemotaxis_reference_path, counted_port, sqrt_holder_path
@@ -884,9 +886,14 @@ class TestSeriesSweepAgainstTable:
 
     def test_constant_path_column_bitwise(self):
         # The kernel is exactly zero on a constant path, so the recursion
-        # reduces to the oracle's frozen-semigroup power chain.
-        path = constant_path(stable_symmetric(6), K=16, T=1.0)
-        assert np.array_equal(evolution_series(path).column, series_table(path).column)
+        # reduces to the oracle's frozen-semigroup power chain, with one
+        # frozen step for every node, on a dense and on a band-built path.
+        dense = constant_path(stable_symmetric(6), K=16, T=1.0)
+        tridiagonal = constant_path(tridiagonal_palette(1)[0], K=16, T=1.0)
+        for path in (dense, banded_path(tridiagonal.grid, tridiagonal.matrices, 0.5)):
+            sweep = evolution_series(path)
+            assert sweep.steps.shape == (1, 6, 6)
+            assert np.array_equal(sweep.column, series_table(path).column)
 
 
 def test_series_peak_estimate_matches_traced_allocation():
@@ -894,6 +901,93 @@ def test_series_peak_estimate_matches_traced_allocation():
         peak = traced_sweep_peak(evolution_series, random_path(n=n, K=K, seed=4))
         estimate = series_peak_bytes(n, K)
         assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
+
+
+def tridiagonal_palette(count, n=6, seed=29):
+    """``count`` distinct stable tridiagonal (n, n) generators."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n)
+    mats = np.zeros((count, n, n))
+    mats[:, idx, idx] = -1.0 + 0.2 * rng.standard_normal((count, n))
+    mats[:, idx[:-1], idx[:-1] + 1] = 0.3 * rng.standard_normal((count, n - 1))
+    mats[:, idx[1:], idx[1:] - 1] = 0.3 * rng.standard_normal((count, n - 1))
+    return mats
+
+
+# The generator of each node 0..24 of a K=24 path: five generators, each
+# met again out of order, numbered here in order of first occurrence.
+REPEATS = np.array([0, 1, 0, 2, 1, 3, 0, 4, 2, 2, 1, 3, 4, 0, 1, 2, 3, 3, 0, 4, 1, 2, 0, 1, 4])
+
+
+class TestRepeatedGenerators:
+    """Nodes with bitwise-equal generators share one frozen step and one
+    carried product of the series recursion."""
+
+    @pytest.fixture(scope="class", params=["dense", "banded"])
+    def pair(self, request):
+        """(sweep, oracle table) on a path whose generators repeat out of order."""
+        mats = tridiagonal_palette(5)[REPEATS]
+        grid = TimeGrid(T=0.8, K=REPEATS.size - 1)
+        if request.param == "dense":
+            path = DensePath(grid=grid, matrices=mats, holder_rho=0.5)
+        else:
+            path = banded_path(grid, mats, 0.5)
+        return evolution_series(path), series_table(path)
+
+    def test_one_step_per_distinct_generator(self, pair):
+        sweep, _ = pair
+        assert np.array_equal(sweep.labels, REPEATS[:-1])
+        expected = matrix_exponential(tridiagonal_palette(5), sweep.grid.h)
+        assert np.array_equal(sweep.steps, expected)
+
+    def test_column(self, pair):
+        sweep, table = pair
+        assert rel_err(sweep.column, table.column) <= 1e-13
+
+    def test_duhamel(self, pair):
+        sweep, table = pair
+        f_states = np.random.default_rng(6).standard_normal((sweep.grid.K + 1, sweep.dim))
+        got = sweep.sweep(f_states).sums
+        assert np.array_equal(got[0], np.zeros(sweep.dim))
+        assert rel_err(got, duhamel_sums(table, f_states)) <= 1e-13
+
+    def test_terminal_forcing(self, pair):
+        assert_terminal_forcing_matches_final_row(*pair)
+
+    def test_overflow_names_first_node_of_the_group(self):
+        # The offending generator is the third distinct one: it first occurs
+        # at node 3 and recurs at node 7.  The message is the one the
+        # ungrouped stack of all K frozen steps gives, word for word.
+        tame, other, huge = -np.eye(4), -2.0 * np.eye(4), 800.0 * np.eye(4)
+        mats = np.stack([tame, tame, other, huge, tame, other, tame, huge, other, tame, tame])
+        path = banded_path(TimeGrid(T=10.0, K=10), mats, 0.5)
+        with pytest.raises(NumericalError) as ungrouped:
+            matrix_exponential(path.matrices[:-1], path.grid.h)
+        with pytest.raises(NumericalError) as grouped:
+            evolution_series(path)
+        assert str(grouped.value) == "node 3: t*mu_1(m) = 800 exceeds the overflow cap 700.0"
+        assert str(grouped.value) == str(ungrouped.value)
+
+    def test_chemotaxis_recovery_from_zero_starts_constant(self, monkeypatch):
+        # The zero trajectory freezes one generator at every node; the sweeps
+        # after it run on a nonconstant path with no repeated generator.
+        import avgrec.solver
+
+        model = ChemotaxisModel.default(build_grid(16, 1.0, BoundaryKind.NEUMANN))
+        grid_t = TimeGrid(T=0.5, K=32)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        truth = forward_solve(model, 1e-2 * np.cos(np.pi * model.base.grid.nodes), grid_t)
+        sweeps = []
+
+        def recorded(path):
+            sweeps.append(evolution_series(path))
+            return sweeps[-1]
+
+        monkeypatch.setattr(avgrec.solver, "evolution_series", recorded)
+        config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
+        _, _, report = fixed_point_recover(model, cond, observe(cond, truth.states), config)
+        assert report.converged and len(sweeps) == report.iterates >= 2
+        assert [sweep.steps.shape[0] for sweep in sweeps[:2]] == [1, grid_t.K]
 
 
 class TestSeriesCocycle:
