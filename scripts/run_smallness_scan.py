@@ -21,9 +21,10 @@ def main():
     result = smallness_scan(model, cond, direction, amplitudes, RecoveryConfig())
     print(f"{'amplitude':>12s} {'converged':>10s} {'iters':>6s} {'contraction':>12s}")
     for row in result.rows:
+        contraction = "nan" if row.contraction is None else f"{row.contraction:.3e}"
         print(
             f"{row.amplitude:12.4e} {str(row.converged):>10s} {row.iterations:6d} "
-            f"{row.contraction:12.3e}"
+            f"{contraction:>12s}"
         )
     print("empirical smallness lower bound:", result.m0_lower_bound)
 

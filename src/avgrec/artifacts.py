@@ -81,7 +81,7 @@ def read_field_csv(path) -> np.ndarray:
 def emit_scan_csv(scan, path) -> None:
     lines = ["amplitude,converged,iterations,contraction"]
     for row in scan.rows:
-        contraction = "nan" if np.isnan(row.contraction) else _fmt(row.contraction)
+        contraction = "nan" if row.contraction is None else _fmt(row.contraction)
         lines.append(f"{_fmt(row.amplitude)},{int(row.converged)},{row.iterations},{contraction}")
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 

@@ -137,8 +137,10 @@ def _convert(section: str, key: str, tag: str, raw: str):
     return value
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a configuration document.
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse a configuration document, put the ``overrides`` (field name to
+    value, the command line's flags) in place of its values, and validate
+    the result once.
 
     Unknown sections (``[DEFAULT]`` included) or keys, unparsable or
     non-finite values, inadmissible weight/variant combinations, and
@@ -174,7 +176,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"[{section}] overrides must set the full book; missing {missing}"
             )
         values[f.name] = None if missing else tuple(zip(keys, read))
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(**{**values, **overrides})
     _validate_config(cfg)
     return cfg
 
@@ -432,17 +434,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 4
+    flags = {"out": args.out, "seed": args.seed, "method": args.method}
     try:
-        cfg = parse_config(text)
-        overrides = {"operation": args.verb}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.method is not None:
-            overrides["method"] = args.method
-        cfg = replace(cfg, **overrides)
-        _validate_config(cfg)
+        cfg = parse_config(
+            text, operation=args.verb, **{k: v for k, v in flags.items() if v is not None}
+        )
         artifacts = run_experiment(cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

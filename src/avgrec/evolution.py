@@ -320,16 +320,18 @@ class SeriesSweep(_Sweep):
 
 def series_peak_bytes(n: int, K: int) -> int:
     """Estimated peak memory of a kernel-series sweep (:func:`evolution_series`
-    and :meth:`SeriesSweep.sweep`) in bytes: five stacks of K+1 float64
+    and :meth:`SeriesSweep.sweep`) in bytes: six stacks of K+1 float64
     n x (n+1) blocks.
 
-    The recursion holds the frozen steps, the carried products, the left
-    sums, and at the last nodes the differences A_m - A_G and their products
-    with the carried blocks; its right-hand side is [I | qw f].  The
-    estimate is reached when no generator repeats (G = K); every other path
-    holds G < K steps, products and differences, and stays below it.
+    The build forms the path's dense (K+1, n, n) generator stack from its
+    bands (``OperatorPath.matrices``); the recursion holds the frozen steps,
+    the carried products, the left sums, and at the last nodes the
+    differences A_m - A_G and their products with the carried blocks; its
+    right-hand side is [I | qw f].  The estimate is reached when no
+    generator repeats (G = K); every other path holds G < K steps, products
+    and differences, and stays below it.
     """
-    return 5 * 8 * (K + 1) * n * (n + 1)
+    return 6 * 8 * (K + 1) * n * (n + 1)
 
 
 def evolution_series(path: OperatorPath) -> SeriesSweep:

@@ -193,7 +193,7 @@ class ChemotaxisModel:
 
     def __post_init__(self):
         if self.base.grid.bc is not BoundaryKind.NEUMANN:
-            raise ConfigurationError("the chemotaxis model requires a Neumann grid")
+            raise ConfigurationError("[grid] bc: the chemotaxis model requires a Neumann grid")
         object.__setattr__(self, "difference", first_difference(self.base.grid))
 
     @classmethod
@@ -261,7 +261,7 @@ class NonlocalRDModel:
         coeffs = tuple(float(c) for c in self.poly_coeffs)
         if len(coeffs) < 3 or coeffs[0] != 0.0 or coeffs[1] != 0.0:
             raise ConfigurationError(
-                "forcing polynomial must satisfy f(0) = f'(0) = 0 "
+                "[model] f_poly: forcing polynomial must satisfy f(0) = f'(0) = 0 "
                 "(zero constant and linear coefficients)"
             )
         object.__setattr__(self, "poly_coeffs", coeffs)

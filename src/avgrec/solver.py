@@ -57,7 +57,7 @@ independent configurations and share nothing mutable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -140,26 +140,19 @@ def check_iteration_ball(model, config: RecoveryConfig) -> None:
 
 @dataclass
 class SolveReport:
-    """Per-run diagnostics of a recovery."""
+    """Per-run diagnostics of a recovery; ``residual`` is None until the
+    recovery converges."""
 
     iterates: int = 0
     distances: list = field(default_factory=list)
     contraction_estimates: list = field(default_factory=list)
-    residual: float = float("nan")
+    residual: float | None = None
     sigma_min_history: list = field(default_factory=list)
     converged: bool = False
     ball_exits: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "iterates": self.iterates,
-            "distances": [float(d) for d in self.distances],
-            "contraction_estimates": [float(r) for r in self.contraction_estimates],
-            "residual": None if np.isnan(self.residual) else float(self.residual),
-            "sigma_min_history": [float(s) for s in self.sigma_min_history],
-            "converged": self.converged,
-            "ball_exits": self.ball_exits,
-        }
+        return asdict(self)
 
 
 def weighted_distance(u: Trajectory, v: Trajectory, model) -> float:
@@ -353,20 +346,14 @@ def averaging_residual(cond: AveragingCondition, traj: Trajectory, M: np.ndarray
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One amplitude of a scan; ``contraction`` is the last contraction
+    estimate, None when the row completed fewer than two sweeps."""
+
     amplitude: float
     converged: bool
     iterations: int
-    contraction: float
+    contraction: float | None
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "contraction": None if np.isnan(self.contraction) else self.contraction,
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True)
@@ -375,10 +362,7 @@ class ScanResult:
     m0_lower_bound: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "m0_lower_bound": self.m0_lower_bound,
-        }
+        return asdict(self)
 
 
 def smallness_scan(
@@ -417,7 +401,7 @@ def smallness_scan(
                 amplitude=amp,
                 converged=converged,
                 iterations=rep.iterates,
-                contraction=rep.contraction_estimates[-1] if rep.contraction_estimates else np.nan,
+                contraction=rep.contraction_estimates[-1] if rep.contraction_estimates else None,
                 note=note,
             )
         )
@@ -436,14 +420,7 @@ class ProbeReport:
     failures: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "all_converged": self.all_converged,
-            "limit_spread": self.limit_spread,
-            "initial_state_spread": self.initial_state_spread,
-            "contraction_ratios": [float(r) for r in self.contraction_ratios],
-            "per_run_ratios": [[float(r) for r in run] for run in self.per_run_ratios],
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def random_admissible_trajectory(

@@ -26,7 +26,7 @@ from avgrec.cli import (
     run_experiment,
 )
 from avgrec.errors import ConfigurationError
-from avgrec.evolution import TimeGrid
+from avgrec.evolution import TimeGrid, series_peak_bytes
 from avgrec.models import ExponentBook
 from avgrec.solver import Trajectory
 
@@ -420,6 +420,12 @@ class TestMainExitCodes:
             ("validate", {"grid": ["n = 1"]}, "[grid] n"),
             ("forward", {"grid": ["n = 300"]}, "[grid] n"),
             ("validate", {"grid": ["length = -1"]}, "[grid] length"),
+            ("validate", {"grid": ["bc = dirichlet"]}, "[grid] bc"),
+            (
+                "validate",
+                {"model": ["kind = reaction_diffusion", "f_poly = 1 0 -1"]},
+                "[model] f_poly",
+            ),
             ("validate", {"model": ["s = 2.6"]}, "2 < s < 5/2 ([model] s)"),
             (
                 "validate",
@@ -456,6 +462,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
         assert not (tmp_path / "run").exists()
+
+    def test_seed_flag_replaces_a_negative_seed(self, tmp_path):
+        # The flags apply before validation, so only the seed the run uses is checked.
+        config = tmp_path / "seeded.ini"
+        config.write_text(fast_config(tmp_path, run=["seed = -1"]))
+        assert main(["validate", "--config", str(config), "--seed", "3", "--quiet"]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["config"]["seed"] == 3
 
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         config = tmp_path / "ok.ini"
@@ -553,7 +567,7 @@ class TestMainExitCodes:
 class TestMemoryAdmission:
     @staticmethod
     def large_config(tmp_path, method, n=512, steps=256):
-        """recover on n=512, K=256 by default: the series estimate is 2575 MiB."""
+        """recover on n=512, K=256 by default: the series estimate is 3090 MiB."""
         return (
             f"[grid]\nn = {n}\n[time]\nsteps = {steps}\n"
             f"[solver]\nmethod = {method}\n[run]\nout = {tmp_path / 'run'}\n"
@@ -564,14 +578,23 @@ class TestMemoryAdmission:
         config.write_text(self.large_config(tmp_path, "series"))
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "2575 MiB" in err
+        assert "configuration error" in err and "3090 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_method_flag_override_is_checked(self, tmp_path, capsys):
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper"))
         assert main(["recover", "--config", str(config), "--method", "series", "--quiet"]) == 2
-        assert "2575 MiB" in capsys.readouterr().err
+        assert "3090 MiB" in capsys.readouterr().err
+
+    def test_method_flag_override_admits_an_over_budget_series_document(self, tmp_path):
+        # The document's series needs an estimated 3087 MiB at n=256,
+        # K=1024; the stepper it is run with needs 1033 MiB.
+        config = tmp_path / "large.ini"
+        config.write_text(self.large_config(tmp_path, "series", n=256, steps=1024))
+        assert main(["validate", "--config", str(config), "--method", "stepper", "--quiet"]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["config"]["method"] == "stepper"
 
     def test_series_hint_only_when_stepper_fits(self, tmp_path, capsys):
         config = tmp_path / "large.ini"
@@ -598,7 +621,8 @@ class TestMemoryAdmission:
         assert (cfg.grid_n, cfg.steps, cfg.method) == (512, 256, "stepper")
 
     def test_series_admitted_at_n256_k128(self, tmp_path):
-        # Five stacks of K+1 n x (n+1) blocks: an estimated 324 MiB.
+        # Six stacks of K+1 n x (n+1) blocks: an estimated 389 MiB.
+        assert round(series_peak_bytes(256, 128) / 2**20) == 389
         cfg = parse_config(self.large_config(tmp_path, "series", n=256, steps=128))
         assert (cfg.grid_n, cfg.steps, cfg.method) == (256, 128, "series")
 

@@ -897,8 +897,9 @@ class TestSeriesSweepAgainstTable:
 
 
 def test_series_peak_estimate_matches_traced_allocation():
+    # A band-built path forms its dense generator stack inside the trace.
     for n, K in ((16, 48), (64, 32)):
-        peak = traced_sweep_peak(evolution_series, random_path(n=n, K=K, seed=4))
+        peak = traced_sweep_peak(evolution_series, tridiagonal_path(n=n, K=K))
         estimate = series_peak_bytes(n, K)
         assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
 

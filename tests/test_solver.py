@@ -786,3 +786,84 @@ class TestContractionProbe:
         with pytest.raises(SingularOperatorError, match="made to fail"):
             contraction_probe(small_chemo, cond, np.zeros(16), trials=2, seed=0)
         assert starts == [None]
+
+
+def as_written(mapping):
+    """A report mapping as ``report.json`` holds it: a tuple field becomes
+    an array."""
+    return json.loads(json.dumps(mapping))
+
+
+class TestReportMappings:
+    """Each report's mapping, key by key, with None for a value not computed."""
+
+    @pytest.fixture
+    def cond(self):
+        return AveragingCondition.from_preset(TimeGrid(T=0.5, K=16), Variant.TIME_AVERAGE, "constant")
+
+    def test_converged_recovery(self, small_chemo, cond):
+        M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        _, _, rep = fixed_point_recover(small_chemo, cond, M)
+        assert isinstance(rep.residual, float)
+        assert rep.to_dict() == {
+            "iterates": rep.iterates,
+            "distances": rep.distances,
+            "contraction_estimates": rep.contraction_estimates,
+            "residual": rep.residual,
+            "sigma_min_history": rep.sigma_min_history,
+            "converged": True,
+            "ball_exits": 0,
+        }
+
+    def test_partial_report_of_a_failed_recovery(self, small_chemo, cond):
+        M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        with pytest.raises(ConvergenceError) as err:
+            fixed_point_recover(small_chemo, cond, M, RecoveryConfig(max_iters=2))
+        rep = err.value.report
+        assert rep.to_dict() == {
+            "iterates": 2,
+            "distances": rep.distances,
+            "contraction_estimates": [rep.distances[1] / rep.distances[0]],
+            "residual": None,
+            "sigma_min_history": rep.sigma_min_history,
+            "converged": False,
+            "ball_exits": 0,
+        }
+
+    def test_scan_with_a_row_of_one_sweep(self, small_chemo, cond, tmp_path):
+        from avgrec.artifacts import emit_scan_csv
+
+        direction = np.cos(np.pi * small_chemo.base.grid.nodes)
+        result = smallness_scan(small_chemo, cond, direction, [0.0, 0.01])
+        zero, small = result.rows
+        assert (zero.iterations, zero.contraction) == (1, None)
+        assert as_written(result.to_dict()) == {
+            "rows": [
+                {"amplitude": 0.0, "converged": True, "iterations": 1, "contraction": None, "note": ""},
+                {
+                    "amplitude": 0.01,
+                    "converged": True,
+                    "iterations": small.iterations,
+                    "contraction": small.contraction,
+                    "note": "",
+                },
+            ],
+            "m0_lower_bound": 0.01,
+        }
+        emit_scan_csv(result, tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_text().splitlines()[1] == "0,1,1,nan"
+
+    def test_probe(self, small_chemo, cond):
+        M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        probe = contraction_probe(
+            small_chemo, cond, M, RecoveryConfig(tol_fixed_point=1e-4), trials=1, seed=4
+        )
+        base, trial = probe.per_run_ratios
+        assert as_written(probe.to_dict()) == {
+            "all_converged": True,
+            "limit_spread": probe.limit_spread,
+            "initial_state_spread": probe.initial_state_spread,
+            "contraction_ratios": [*base, *trial],
+            "per_run_ratios": [list(base), list(trial)],
+            "failures": [],
+        }
