@@ -276,6 +276,13 @@ def build_model(cfg: ExperimentConfig):
             "exponent book rejected; failed constraints: "
             + "; ".join(f"{name} ({_constraint_keys(cfg, name)})" for name in report.failures())
         )
+    # The implicit step's diagonal 1 - h a rounds to -h a once |h a| passes 2^53.
+    h, main = cfg.horizon / cfg.steps, model.linearise(np.zeros(grid.n))[0][1]
+    if np.any(1.0 - h * main == -(h * main)):
+        raise ConfigurationError(
+            f"[grid] length: {cfg.grid_length} is too short for n={cfg.grid_n} at time step "
+            f"h={h:.6g}: the implicit step's diagonal 1 - h A(0) rounds to -h A(0)"
+        )
     return model
 
 

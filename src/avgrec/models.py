@@ -12,8 +12,8 @@ ball radius measured in the low-order spectral norm.  Each model is what
 
 Every generator is a 1-D second-order difference operator, so A(u) is
 tridiagonal, and the diagonals are its one form: the models build them
-from the three diagonals of the Laplacian (``base.bands``) and of the
-first difference (``spatial.first_difference``, derived once by the
+from the three diagonals of the Laplacian (``base.bands``, or its stencil)
+and of the first difference (``spatial.first_difference``, derived once by the
 chemotaxis model as its ``difference`` field), and no dense matrix is
 stored.  ``linearise`` takes one state u of shape (n,) or a stack of
 states (..., n), one per time node, and returns one result per state:
@@ -31,10 +31,10 @@ Shipped models:
       A(u) w = a(v) Lap w + (a - chi)'(v) (dv) (dw) - chi(v) v w,
       f(u)   = -chi(v) u^2,
   with the natural exponential family a(s) = exp(-delta s), chi = -a';
-* reaction-diffusion with a nonlocal coefficient: divergence-form
-  diffusion a = 1 + l(u)^2 on the flux faces, with l(u) = int u dx, and a
-  pointwise polynomial forcing with f(0) = f'(0) = 0 (a >= 1, so the
-  operator is uniformly elliptic);
+* reaction-diffusion with a nonlocal coefficient: a = 1 + l(u)^2, with
+  l(u) = int u dx, is constant in space, so the generator is a times the
+  Laplacian; and a pointwise polynomial forcing with f(0) = f'(0) = 0
+  (a >= 1, so the operator is uniformly elliptic);
 * a linear test model (constant generator, zero forcing) for exactness checks.
 """
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .spatial import (
     first_difference,
     first_node,
     helmholtz_solve,
+    laplacian_stencil,
     node_label,
     sobolev_norm,
 )
@@ -145,23 +146,6 @@ def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
 _BAND = (slice(1, None), slice(None), slice(-1))
 
 
-def divergence_bands(grid: Grid1D, faces: np.ndarray) -> Bands:
-    """(sub, main, sup) diagonals of the divergence-form operator
-    d/dx (a d/dx) from its coefficients a on the flux faces, one row of
-    faces per state (..., m).  Neumann: the m = n-1 interior faces,
-    faces[i] between nodes i and i+1 (the domain faces carry no flux);
-    Dirichlet: all m = n+1 faces, faces[i] left of node i."""
-    h2 = grid.spacing * grid.spacing
-    if grid.bc is BoundaryKind.NEUMANN:
-        zero = np.zeros(faces.shape[:-1] + (1,))
-        left = np.concatenate([zero, faces], axis=-1)
-        right = np.concatenate([faces, zero], axis=-1)
-    else:
-        left = faces[..., :-1]
-        right = faces[..., 1:]
-    return left[..., 1:] / h2, -(left + right) / h2, right[..., :-1] / h2
-
-
 def chemotaxis_exponents(s: float, ell: float = 1.0) -> ExponentBook:
     """Admissible exponents for the chemotaxis model at data order s in (2, 5/2).
 
@@ -244,11 +228,11 @@ def rd_exponents(p: float = 4.0, ell: float = 2.0, delta: int = 1) -> ExponentBo
 
 @dataclass(frozen=True, eq=False)
 class NonlocalRDModel:
-    """Divergence-form reaction-diffusion with a nonlocal coefficient.
+    """Reaction-diffusion with a nonlocal coefficient.
 
-    The diffusion coefficient a = 1 + l(u)^2, with l(u) = int u dx, sits on
-    the flux faces, which keeps the matrix symmetric; the forcing is the
-    polynomial with coefficients ``poly_coeffs``, applied pointwise.
+    The diffusion coefficient a = 1 + l(u)^2, with l(u) = int u dx, is one
+    number per state, so A(u) is the Laplacian's stencil times a/h^2; the
+    forcing is the polynomial ``poly_coeffs``, applied pointwise.
     """
 
     base: BaseOperator
@@ -294,11 +278,9 @@ class NonlocalRDModel:
         # l(u) of each state, shape (..., 1), as a matrix product: u.sum(-1)
         # rounds differently in the last bits.
         l_u = grid.spacing * np.matmul(np.ones(grid.n), np.asarray(u, dtype=float)[..., None])
-        face_count = grid.n - 1 if grid.bc is BoundaryKind.NEUMANN else grid.n + 1
-        faces = np.repeat(1.0 + l_u**2, face_count, axis=-1)
-        return divergence_bands(grid, faces), np.polynomial.polynomial.polyval(
-            u, self.poly_coeffs
-        )
+        scale = (1.0 + l_u**2) / (grid.spacing * grid.spacing)
+        bands = tuple(scale * band for band in laplacian_stencil(grid))
+        return bands, np.polynomial.polynomial.polyval(u, self.poly_coeffs)
 
 
 def generic_exponents(ell: float = 1.0) -> ExponentBook:

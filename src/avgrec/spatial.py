@@ -166,15 +166,23 @@ class BaseOperator:
     eigenvectors: np.ndarray
 
 
+def laplacian_stencil(grid: Grid1D) -> tuple:
+    """(sub, main, sup) diagonals of the Laplacian before its 1/h^2 factor:
+    ones off the diagonal, -2 on it, and -1 at the two ends of a Neumann
+    grid."""
+    n = grid.n
+    main = np.full(n, -2.0)
+    if grid.bc is BoundaryKind.NEUMANN:
+        main[[0, -1]] = -1.0
+    return np.ones(n - 1), main, np.ones(n - 1)
+
+
 def assemble_laplacian(grid: Grid1D) -> BaseOperator:
     """Second-order finite-difference Laplacian with the grid's boundary
     condition (Dirichlet: eliminated boundary nodes; Neumann: cell-centered
     ghost reflection).  Both variants are symmetric."""
-    n, h = grid.n, grid.spacing
-    main = np.full(n, -2.0)
-    if grid.bc is BoundaryKind.NEUMANN:
-        main[[0, -1]] = -1.0
-    bands = tuple(band / (h * h) for band in (np.ones(n - 1), main, np.ones(n - 1)))
+    h = grid.spacing
+    bands = tuple(band / (h * h) for band in laplacian_stencil(grid))
     eigvals, eigvecs = np.linalg.eigh(band_stack(*bands))
     order = np.argsort(eigvals)[::-1]
     return BaseOperator(

@@ -29,8 +29,10 @@ can check the recursions against them:
 * :class:`ShiftedModel` recentres a model at an equilibrium, and
   :class:`RDTermsModel` gives the reaction-diffusion model the variable
   face coefficient, weighted and nonlinear functionals, drift and
-  zeroth-order terms that no config sets, on the flux faces of
-  :func:`face_coords`.
+  zeroth-order terms that no config sets: its coefficients sit on the
+  flux faces of :func:`face_coords`, and :func:`divergence_bands` is the
+  flux-face assembly of d/dx (a d/dx) from them (the package's model has
+  a constant in space and scales the Laplacian's stencil instead).
 
 Every definition is written against the package's public and private
 helpers and never called by the package.
@@ -68,7 +70,6 @@ from avgrec.models import (
     NonlocalRDModel,
     QuasilinearModel,
     check_ball,
-    divergence_bands,
 )
 from avgrec.solver import Trajectory
 from avgrec.spatial import (
@@ -694,13 +695,30 @@ def growth_estimate_probe(
 
 
 def face_coords(grid: Grid1D) -> np.ndarray:
-    """Coordinates of the flux faces that
-    :func:`avgrec.models.divergence_bands` reads: the n-1 interior faces of
-    a Neumann grid, all n+1 faces of a Dirichlet grid."""
+    """Coordinates of the flux faces that :func:`divergence_bands` reads:
+    the n-1 interior faces of a Neumann grid, all n+1 faces of a Dirichlet
+    grid."""
     h = grid.spacing
     if grid.bc is BoundaryKind.DIRICHLET:
         return h * (np.arange(grid.n + 1) + 0.5)
     return h * np.arange(1, grid.n)
+
+
+def divergence_bands(grid: Grid1D, faces: np.ndarray) -> Bands:
+    """(sub, main, sup) diagonals of the divergence-form operator
+    d/dx (a d/dx) from its coefficients a on the flux faces, one row of
+    faces per state (..., m).  Neumann: the m = n-1 interior faces,
+    faces[i] between nodes i and i+1 (the domain faces carry no flux);
+    Dirichlet: all m = n+1 faces, faces[i] left of node i."""
+    h2 = grid.spacing * grid.spacing
+    if grid.bc is BoundaryKind.NEUMANN:
+        zero = np.zeros(faces.shape[:-1] + (1,))
+        left = np.concatenate([zero, faces], axis=-1)
+        right = np.concatenate([faces, zero], axis=-1)
+    else:
+        left = faces[..., :-1]
+        right = faces[..., 1:]
+    return left[..., 1:] / h2, -(left + right) / h2, right[..., :-1] / h2
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from avgrec.averaging import AveragingCondition, Variant
+from avgrec.averaging import AveragingCondition, Variant, observe
 from avgrec.cli import parse_config, run_experiment
 from avgrec.evolution import TimeGrid, evolution_series
 from avgrec.models import LinearTestModel, NonlocalRDModel
@@ -19,6 +19,9 @@ from avgrec.solver import (
     Trajectory,
     contraction_probe,
     fixed_point_recover,
+    forward_solve,
+    operator_path,
+    self_convergence_error,
     smallness_scan,
     weighted_distance,
 )
@@ -146,6 +149,37 @@ def test_criterion_4_manufactured_round_trip(manufactured):
         ok,
         f"worst error/E(h)={worst:.2f} across models, variants, resolutions",
     )
+
+
+def test_reaction_diffusion_round_trip_where_the_coefficient_acts(rd32, monkeypatch):
+    # Criterion 4's set-up with a truth of nonzero mass: l(u) is about 5e-3,
+    # so a = 1 + l(u)^2 differs from 1, and the forcing moves l(u) from node
+    # to node, so some sweep's generator path is not constant.  From a truth
+    # of zero mass a is 1.0 exactly and every path is constant.
+    import avgrec.solver
+
+    distinct = []
+
+    def counted(*args, **kwargs):
+        path, f_states = operator_path(*args, **kwargs)
+        distinct.append(len(np.unique(path.node_keys, axis=0)))
+        return path, f_states
+
+    monkeypatch.setattr(avgrec.solver, "operator_path", counted)
+    u0_true = 1e-2 * np.cos(np.pi * rd32.base.grid.nodes) + 5e-3
+    ratios = {}
+    for K in (64, 128, 256):
+        tg = TimeGrid(T=0.5, K=K)
+        truth = forward_solve(rd32, u0_true, tg)
+        e_h = self_convergence_error(rd32, u0_true, tg)
+        for variant in Variant:
+            cond = AveragingCondition.from_preset(tg, variant, "constant", w0=0.5)
+            M = observe(cond, truth.states)
+            u0, _, _ = fixed_point_recover(rd32, cond, M, RecoveryConfig())
+            err = np.linalg.norm(u0 - u0_true) / np.linalg.norm(u0_true)
+            ratios[variant.value, K] = err / e_h
+    assert max(ratios.values()) <= 3.0, ratios
+    assert max(distinct) > 1, distinct
 
 
 def test_criterion_5_uniqueness_contraction(manufactured):

@@ -75,6 +75,21 @@ def fast_config(tmp_path, **extra):
     return "\n".join(f"[{name}]\n" + "\n".join(lines) for name, lines in sections.items()) + "\n"
 
 
+def schema_doc_rows() -> list[tuple[str, str, str, str]]:
+    """(section, key, type, default) of each row of the `[section]` tables
+    of configs/SCHEMA.md, the type and default cells as written."""
+    rows, section = [], None
+    for line in (CONFIG_DIR / "SCHEMA.md").read_text().splitlines():
+        heading = re.match(r"#+ (?:`\[(\w+)\]`)?", line)
+        if heading:
+            section = heading[1]
+            continue
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)]
+        if section and len(cells) > 4 and cells[1].startswith("`"):
+            rows.append((section, cells[1].strip("`"), cells[2], cells[3]))
+    return rows
+
+
 class TestParseConfig:
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
     def test_shipped_configs_parse(self, name):
@@ -105,22 +120,33 @@ class TestParseConfig:
     def test_schema_doc_lists_the_field_table(self):
         # Every (section, key, default) row of configs/SCHEMA.md, "empty"
         # meaning the empty default, against the ExperimentConfig metadata.
-        documented, section = set(), None
-        for line in (CONFIG_DIR / "SCHEMA.md").read_text().splitlines():
-            heading = re.match(r"#+ (?:`\[(\w+)\]`)?", line)
-            if heading:
-                section = heading[1]
-                continue
-            cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)]
-            if section and len(cells) > 4 and cells[1].startswith("`"):
-                default = "" if cells[3] == "empty" else cells[3].strip("`")
-                documented.add((section, cells[1].strip("`"), default))
+        documented = {
+            (section, key, "" if default == "empty" else default.strip("`"))
+            for section, key, _, default in schema_doc_rows()
+        }
         table = {
             (f.metadata["section"], key, f.metadata["default"])
             for f in fields(ExperimentConfig)
             for key in f.metadata["keys"]
         }
         assert documented == table
+
+    def test_schema_doc_rows_match_each_field(self):
+        # For every key of every field: its section's row, the default as
+        # written in the metadata (or "empty"), and, for a field with
+        # choices, exactly those choices in the type column.
+        rows = {(section, key): cells for section, key, *cells in schema_doc_rows()}
+        checked = 0
+        for f in fields(ExperimentConfig):
+            meta = f.metadata
+            for key in meta["keys"]:
+                kind, default = rows[meta["section"], key]
+                assert default == (f"`{meta['default']}`" if meta["default"] else "empty"), key
+                if meta["choices"] is not None:
+                    listed = [choice.strip("`") for choice in re.split(r"\s*\\\|\s*", kind)]
+                    assert sorted(listed) == sorted(meta["choices"]), key
+                checked += 1
+        assert checked == len(rows)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match=r"\[grid\] resolution"):
@@ -442,6 +468,17 @@ class TestMainExitCodes:
             ("validate", {"model": ["kind = reaction_diffusion", "p = 0"]}, "[model] p"),
             ("validate", {"grid": ["n = 16", "length = 1e-160"]}, "[grid] length"),
             ("recover", {"grid": ["length = 1e-160"]}, "[grid] length"),
+            ("validate", {"grid": ["n = 16", "length = 1e-140"]}, "[grid] length"),
+            (
+                "validate",
+                {"model": ["kind = reaction_diffusion"], "grid": ["n = 16", "length = 1e-140"]},
+                "[grid] length",
+            ),
+            (
+                "validate",
+                {"model": ["kind = linear_test"], "grid": ["n = 16", "length = 1e-140"]},
+                "[grid] length",
+            ),
             (
                 "validate",
                 {"model": ["kind = linear_test", "coefficient = 1e300"], "grid": ["length = 1e-4"]},
