@@ -39,11 +39,11 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class RunArtifacts:
-    """Paths of the tables and report one experiment run emits; its plot
+    """Paths of the report and tables one experiment run emits; its plot
     scripts are written beside them as ``plot_<kind>.py``."""
 
     out_dir: Path
-    report_path: Path | None = None
+    report_path: Path
     trajectory_path: Path | None = None
     recovered_path: Path | None = None
     scan_path: Path | None = None
@@ -93,11 +93,11 @@ def emit_report_json(payload: dict, path) -> None:
 _PLOT_TEMPLATES = {
     "trajectory": """\
 #!/usr/bin/env python3
-\"\"\"Space-time heatmap of {csv}.\"\"\"
+\"\"\"Space-time heatmap of {source}.\"\"\"
 import numpy as np
 import matplotlib.pyplot as plt
 
-raw = np.loadtxt("{csv}", delimiter=",", skiprows=1, ndmin=2)
+raw = np.loadtxt("{source}", delimiter=",", skiprows=1, ndmin=2)
 t, u = raw[:, 0], raw[:, 1:]
 fig, ax = plt.subplots(figsize=(7, 4))
 mesh = ax.pcolormesh(t, np.arange(1, u.shape[1] + 1), u.T, shading="auto", cmap="viridis")
@@ -109,11 +109,11 @@ fig.savefig("trajectory.png", dpi=150)
 """,
     "convergence": """\
 #!/usr/bin/env python3
-\"\"\"Iteration distances of the recovery in {report}.\"\"\"
+\"\"\"Iteration distances of the recovery in {source}.\"\"\"
 import json
 import matplotlib.pyplot as plt
 
-with open("{report}") as fh:
+with open("{source}") as fh:
     report = json.load(fh)
 distances = report["solve"]["distances"]
 fig, ax = plt.subplots(figsize=(6, 4))
@@ -126,11 +126,11 @@ fig.savefig("convergence.png", dpi=150)
 """,
     "scan": """\
 #!/usr/bin/env python3
-\"\"\"Converged flag against amplitude from {csv}.\"\"\"
+\"\"\"Converged flag against amplitude from {source}.\"\"\"
 import numpy as np
 import matplotlib.pyplot as plt
 
-raw = np.loadtxt("{csv}", delimiter=",", skiprows=1, ndmin=2)
+raw = np.loadtxt("{source}", delimiter=",", skiprows=1, ndmin=2)
 amplitude, converged = raw[:, 0], raw[:, 1]
 fig, ax = plt.subplots(figsize=(6, 4))
 positive = amplitude[amplitude > 0]
@@ -148,21 +148,13 @@ fig.savefig("scan.png", dpi=150)
 PLOT_KINDS = tuple(_PLOT_TEMPLATES)
 
 
-def emit_plot_script(artifacts: RunArtifacts, kind: str) -> Path:
-    """Write a self-contained matplotlib script referencing the run's CSVs,
-    as ``plot_<kind>.py`` in the run's output directory."""
+def emit_plot_script(out_dir, kind: str, source) -> Path:
+    """Write a self-contained matplotlib script that reads ``source``, a
+    table or report of the run, as ``plot_<kind>.py`` in ``out_dir``."""
     if kind not in _PLOT_TEMPLATES:
         raise ValueError(f"unknown plot kind {kind!r}; choose from {PLOT_KINDS}")
-    sources = {
-        "trajectory": artifacts.trajectory_path,
-        "convergence": artifacts.report_path,
-        "scan": artifacts.scan_path,
-    }
-    source = sources[kind]
-    if source is None or not Path(source).exists():
+    if not Path(source).exists():
         raise FileNotFoundError(f"plot kind {kind!r} needs its source artifact, missing: {source}")
-    path = artifacts.out_dir / f"plot_{kind}.py"
-    name = Path(source).name
-    text = _PLOT_TEMPLATES[kind].format(csv=name, report=name)
-    _atomic_write(path, text)
+    path = Path(out_dir) / f"plot_{kind}.py"
+    _atomic_write(path, _PLOT_TEMPLATES[kind].format(source=Path(source).name))
     return path

@@ -49,7 +49,6 @@ from .solver import (
 from .spatial import BoundaryKind, build_grid
 
 OPERATIONS = ("recover", "forward", "scan", "probe", "validate")
-METHODS = {"stepper": PropagatorMethod.STEPPER, "series": PropagatorMethod.KERNEL_SERIES}
 
 
 def _key(section: str, key: str | tuple, tag: str, default: str, choices=None):
@@ -98,7 +97,9 @@ class ExperimentConfig:
     max_iters: int = _key("solver", "max_iters", "int", "30")
     tol: float = _key("solver", "tol", "float", "1e-11")
     ball_l: float = _key("solver", "ball_l", "float", "0.5")
-    method: str = _key("solver", "method", "str", "stepper", tuple(METHODS))
+    method: str = _key(
+        "solver", "method", "str", "stepper", tuple(m.value for m in PropagatorMethod)
+    )
     data_source: str = _key(
         "data", "source", "str", "manufactured", ("manufactured", "file", "zero")
     )
@@ -215,7 +216,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.trials < 1:
         raise ConfigurationError(f"[run] trials: must be at least 1, got {cfg.trials}")
     stepper_need = stepper_peak_bytes(cfg.grid_n, cfg.steps)
-    if METHODS[cfg.method] is PropagatorMethod.KERNEL_SERIES:
+    if PropagatorMethod(cfg.method) is PropagatorMethod.KERNEL_SERIES:
         name, need = "kernel series", series_peak_bytes(cfg.grid_n, cfg.steps)
     else:
         name, need = "stepper", stepper_need
@@ -296,7 +297,7 @@ def build_recovery_config(cfg: ExperimentConfig) -> RecoveryConfig:
         max_iters=cfg.max_iters,
         tol_fixed_point=cfg.tol,
         ball_L=cfg.ball_l,
-        method=METHODS[cfg.method],
+        method=PropagatorMethod(cfg.method),
     )
 
 
@@ -340,46 +341,44 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
     """Build the model, generate or load the observation, run the configured
-    operation, and persist artifacts.
+    operation, and persist artifacts: the operation's tables, then the run
+    report, then the plot script of each plotted file.
 
     Numerical failures are written to the run report (machine readable, with
     sigma_min when a singular resolvent caused them, and the partial solve
     report of the recovery they ended) before being re-raised.
     """
     out_dir = Path(cfg.out)
-    artifacts = art.RunArtifacts(out_dir=out_dir)
-    report_path = out_dir / "report.json"
+    artifacts = art.RunArtifacts(out_dir, out_dir / "report.json")
     payload = {"config": _config_echo(cfg), "operation": cfg.operation, "status": "ok"}
+    plots = []  # (kind, source path) of each plot script
     try:
         model = build_model(cfg)
         rec_cfg = build_recovery_config(cfg)
         check_iteration_ball(model, rec_cfg)
         payload["exponents"] = validate_exponents(model).to_dict()
-        if cfg.operation == "validate":
-            return _finish(artifacts, report_path, payload)
         cond = build_condition(cfg)
         grid = model.base.grid
+        if cfg.operation in ("recover", "scan", "probe"):
+            M = build_observation(cfg, model, cond)
         if cfg.operation == "forward":
             traj = forward_solve(model, initial_profile(cfg, grid), cond.grid)
             artifacts.trajectory_path = out_dir / "trajectory.csv"
             art.emit_trajectory_csv(traj, artifacts.trajectory_path)
             payload["forward"] = {"final_norm": float(np.linalg.norm(traj.states[-1]))}
-            result = _finish(artifacts, report_path, payload)
-            art.emit_plot_script(artifacts, "trajectory")
-            return result
-        M = build_observation(cfg, model, cond)
-        if cfg.operation == "recover":
+            plots = [("trajectory", artifacts.trajectory_path)]
+        elif cfg.operation == "recover":
             u0, traj, solve_report = fixed_point_recover(model, cond, M, rec_cfg)
             artifacts.trajectory_path = out_dir / "trajectory.csv"
             artifacts.recovered_path = out_dir / "recovered_u0.csv"
             art.emit_trajectory_csv(traj, artifacts.trajectory_path)
             art.emit_field_csv(grid.nodes, u0, artifacts.recovered_path)
             payload["solve"] = solve_report.to_dict()
-            result = _finish(artifacts, report_path, payload)
-            art.emit_plot_script(artifacts, "trajectory")
-            art.emit_plot_script(artifacts, "convergence")
-            return result
-        if cfg.operation == "scan":
+            plots = [
+                ("trajectory", artifacts.trajectory_path),
+                ("convergence", artifacts.report_path),
+            ]
+        elif cfg.operation == "scan":
             if not cfg.amplitudes:
                 raise ConfigurationError("[data] amplitudes: required for the scan operation")
             norm = np.linalg.norm(M)
@@ -388,12 +387,10 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
             artifacts.scan_path = out_dir / "scan.csv"
             art.emit_scan_csv(scan, artifacts.scan_path)
             payload["scan"] = scan.to_dict()
-            result = _finish(artifacts, report_path, payload)
-            art.emit_plot_script(artifacts, "scan")
-            return result
-        probe = contraction_probe(model, cond, M, rec_cfg, trials=cfg.trials, seed=cfg.seed)
-        payload["probe"] = probe.to_dict()
-        return _finish(artifacts, report_path, payload)
+            plots = [("scan", artifacts.scan_path)]
+        elif cfg.operation == "probe":
+            probe = contraction_probe(model, cond, M, rec_cfg, trials=cfg.trials, seed=cfg.seed)
+            payload["probe"] = probe.to_dict()
     except NumericalError as exc:
         payload["status"] = "failed"
         payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -402,13 +399,11 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
             payload["error"]["sigma_min"] = float(sigma)
         if exc.report is not None:
             payload["solve"] = exc.report.to_dict()
-        _finish(artifacts, report_path, payload)
+        art.emit_report_json(payload, artifacts.report_path)
         raise
-
-
-def _finish(artifacts: art.RunArtifacts, report_path: Path, payload: dict) -> art.RunArtifacts:
-    art.emit_report_json(payload, report_path)
-    artifacts.report_path = report_path
+    art.emit_report_json(payload, artifacts.report_path)
+    for kind, source in plots:
+        art.emit_plot_script(out_dir, kind, source)
     return artifacts
 
 
@@ -426,7 +421,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed (overrides [run] seed)")
         p.add_argument(
             "--method",
-            choices=METHODS,
+            choices=[m.value for m in PropagatorMethod],
             default=None,
             help="propagator construction inside the solver",
         )

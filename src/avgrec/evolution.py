@@ -145,8 +145,8 @@ class OperatorPath:
 
 
 class PropagatorMethod(Enum):
-    KERNEL_SERIES = "kernel_series"
     STEPPER = "stepper"
+    KERNEL_SERIES = "series"
 
 
 @dataclass(frozen=True)
@@ -366,8 +366,10 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
     eliminated first) or that turn non-finite (a zero pivot) are solved
     again, all at once and in place on their slabs of the stack, by
     :func:`_dgtsv`, the NumPy port of reference dgtsv: the factors, a
-    transposed view of the stack, equal a per-node dgtsv solve bit for bit,
-    and the first singular node is named.
+    transposed view of the stack, equal a per-node dgtsv solve value for
+    value (the row pass leaves out dgtsv's fill term -DL(i) B(i+2), whose
+    DL(i) = +0.0 can turn a -0.0 into +0.0), and the first singular node
+    is named.
     """
     bands = path.bands
     K, n = path.grid.K, path.dim

@@ -217,7 +217,7 @@ def _iterate_detail(
         prop, f_states = _propagation(model, u, config)
         values = prop.sweep(f_states)
         if not np.all(np.isfinite(values.column)):
-            raise ConvergenceError("iteration produced non-finite operator or forcing values")
+            raise ConvergenceError("iteration produced a non-finite propagation")
         # Xi solves the variant resolvent equation; the sigma_min of the
         # singular check reaches the report from the same SVD.
         resolvent = resolvent_matrix(cond, values)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgrec.artifacts import (
-    RunArtifacts,
     emit_field_csv,
     emit_plot_script,
     emit_trajectory_csv,
@@ -345,23 +344,19 @@ class TestRunExperiment:
 
 class TestPlotScripts:
     def test_missing_artifact_rejected(self, tmp_path):
-        artifacts = RunArtifacts(out_dir=tmp_path)
         with pytest.raises(FileNotFoundError):
-            emit_plot_script(artifacts, "trajectory")
+            emit_plot_script(tmp_path, "trajectory", tmp_path / "trajectory.csv")
 
     def test_unknown_kind_rejected(self, tmp_path):
-        artifacts = RunArtifacts(out_dir=tmp_path)
         with pytest.raises(ValueError):
-            emit_plot_script(artifacts, "histogram")
+            emit_plot_script(tmp_path, "histogram", tmp_path / "trajectory.csv")
 
     def test_scripts_compile(self, tmp_path):
         import py_compile
 
         traj = Trajectory.zero(TimeGrid(T=1.0, K=2), 3)
-        artifacts = RunArtifacts(out_dir=tmp_path)
-        artifacts.trajectory_path = tmp_path / "trajectory.csv"
-        emit_trajectory_csv(traj, artifacts.trajectory_path)
-        script = emit_plot_script(artifacts, "trajectory")
+        emit_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        script = emit_plot_script(tmp_path, "trajectory", tmp_path / "trajectory.csv")
         py_compile.compile(str(script), doraise=True)
 
 
@@ -394,6 +389,40 @@ class TestMainExitCodes:
         config.write_text(text.replace("runs/singular_phi", str(tmp_path / "out")))
         assert main(["recover", "--config", str(config), "--quiet"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, code, files",
+        [
+            ("validate", 0, {"report.json"}),
+            ("probe", 0, {"report.json"}),
+            ("forward", 0, {"report.json", "trajectory.csv", "plot_trajectory.py"}),
+            (
+                "recover",
+                0,
+                {
+                    "report.json",
+                    "trajectory.csv",
+                    "recovered_u0.csv",
+                    "plot_trajectory.py",
+                    "plot_convergence.py",
+                },
+            ),
+            ("scan", 0, {"report.json", "scan.csv", "plot_scan.py"}),
+            ("failure", 3, {"report.json"}),
+        ],
+    )
+    def test_files_each_verb_writes(self, tmp_path, verb, code, files):
+        # The run directory holds exactly these files: no stray temporary
+        # file, and a failed run writes its report and nothing else.
+        config = tmp_path / "run.ini"
+        if verb == "failure":
+            verb = "recover"
+            config.write_text((CONFIG_DIR / "singular_phi.ini").read_text())
+        else:
+            config.write_text(fast_config(tmp_path, data=["amplitudes = 0.001 0.01"]))
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(config), "--out", str(out), "--quiet"]) == code
+        assert {path.name for path in out.iterdir()} == files
 
     def test_missing_config_exit_4(self, tmp_path, capsys):
         assert main(["recover", "--config", str(tmp_path / "nope.ini"), "--quiet"]) == 4

@@ -15,7 +15,7 @@ from avgrec.errors import (
     NumericalError,
     SingularOperatorError,
 )
-from avgrec.evolution import PropagatorMethod, TimeGrid
+from avgrec.evolution import PropagatorMethod, SweepValues, TimeGrid
 from avgrec.models import ChemotaxisModel, LinearTestModel
 from avgrec.solver import (
     RecoveryConfig,
@@ -624,6 +624,28 @@ class TestNonFiniteIterate:
         # A(t_0) enters only the first step's right-hand side and A(t_K)
         # only the last step's left-hand side; both are checked.
         self._assert_no_build(NonFiniteModel(small_chemo, "A", node), method, monkeypatch)
+
+    def test_non_finite_column_named(self, small_chemo, monkeypatch):
+        # Finite A(u) and f(u) whose propagation's column is not finite: the
+        # error names the propagation, not the operator or forcing.
+        import avgrec.solver
+
+        class NonFiniteSweep:
+            def sweep(self, f_states):
+                column = np.eye(16) * np.ones((9, 1, 1))
+                column[4, 2, 2] = np.inf
+                return SweepValues(column=column, sums=np.zeros((9, 16)))
+
+        def propagation(model, traj, config):
+            return NonFiniteSweep(), avgrec.solver.operator_path(model, traj)[1]
+
+        monkeypatch.setattr(avgrec.solver, "_propagation", propagation)
+        grid_t = TimeGrid(T=0.5, K=8)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
+        with pytest.raises(ConvergenceError, match="^iteration produced a non-finite propagation$"):
+            _iterate_detail(
+                small_chemo, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig()
+            )
 
     @staticmethod
     def _assert_no_build(model, method, monkeypatch):
