@@ -39,14 +39,13 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class RunArtifacts:
-    """Paths of the report and tables one experiment run emits; its plot
-    scripts are written beside them as ``plot_<kind>.py``."""
+    """Where one experiment run writes: its output directory and its
+    report.  Its tables are written beside the report under fixed names
+    (``trajectory.csv``, ``recovered_u0.csv``, ``scan.csv``), and its plot
+    scripts as ``plot_<kind>.py``."""
 
     out_dir: Path
     report_path: Path
-    trajectory_path: Path | None = None
-    recovered_path: Path | None = None
-    scan_path: Path | None = None
 
 
 def emit_trajectory_csv(traj, path) -> None:

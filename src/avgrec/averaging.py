@@ -134,11 +134,11 @@ def resolvent_matrix(cond: AveragingCondition, values: SweepValues) -> np.ndarra
     return observe(cond, values.column)
 
 
-def check_resolvent(cond: AveragingCondition, resolvent: np.ndarray) -> float:
-    """sigma_min of a variant resolvent from one SVD.  Raises
+def check_resolvent(cond: AveragingCondition, singular_values: np.ndarray) -> float:
+    """sigma_min of a variant resolvent from its singular values, in
+    descending order as ``np.linalg.svd`` returns them.  Raises
     SingularOperatorError when it sits at or below 1e-10 times the spectral
     norm."""
-    singular_values = np.linalg.svd(resolvent, compute_uv=False)
     sigma = float(singular_values[-1])
     floor = 1e-10 * singular_values[0]
     if sigma <= floor:

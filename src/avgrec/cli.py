@@ -363,31 +363,27 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
             M = build_observation(cfg, model, cond)
         if cfg.operation == "forward":
             traj = forward_solve(model, initial_profile(cfg, grid), cond.grid)
-            artifacts.trajectory_path = out_dir / "trajectory.csv"
-            art.emit_trajectory_csv(traj, artifacts.trajectory_path)
+            trajectory_path = out_dir / "trajectory.csv"
+            art.emit_trajectory_csv(traj, trajectory_path)
             payload["forward"] = {"final_norm": float(np.linalg.norm(traj.states[-1]))}
-            plots = [("trajectory", artifacts.trajectory_path)]
+            plots = [("trajectory", trajectory_path)]
         elif cfg.operation == "recover":
             u0, traj, solve_report = fixed_point_recover(model, cond, M, rec_cfg)
-            artifacts.trajectory_path = out_dir / "trajectory.csv"
-            artifacts.recovered_path = out_dir / "recovered_u0.csv"
-            art.emit_trajectory_csv(traj, artifacts.trajectory_path)
-            art.emit_field_csv(grid.nodes, u0, artifacts.recovered_path)
+            trajectory_path = out_dir / "trajectory.csv"
+            art.emit_trajectory_csv(traj, trajectory_path)
+            art.emit_field_csv(grid.nodes, u0, out_dir / "recovered_u0.csv")
             payload["solve"] = solve_report.to_dict()
-            plots = [
-                ("trajectory", artifacts.trajectory_path),
-                ("convergence", artifacts.report_path),
-            ]
+            plots = [("trajectory", trajectory_path), ("convergence", artifacts.report_path)]
         elif cfg.operation == "scan":
             if not cfg.amplitudes:
                 raise ConfigurationError("[data] amplitudes: required for the scan operation")
             norm = np.linalg.norm(M)
             direction = M / norm if norm > 0 else M
             scan = smallness_scan(model, cond, direction, list(cfg.amplitudes), rec_cfg)
-            artifacts.scan_path = out_dir / "scan.csv"
-            art.emit_scan_csv(scan, artifacts.scan_path)
+            scan_path = out_dir / "scan.csv"
+            art.emit_scan_csv(scan, scan_path)
             payload["scan"] = scan.to_dict()
-            plots = [("scan", artifacts.scan_path)]
+            plots = [("scan", scan_path)]
         elif cfg.operation == "probe":
             probe = contraction_probe(model, cond, M, rec_cfg, trials=cfg.trials, seed=cfg.seed)
             payload["probe"] = probe.to_dict()

@@ -22,7 +22,10 @@ the stepper from its K one-step factors S_j (:class:`StepFactors`: O(K n^2)
 for the factors, one Gaussian elimination on the bands over all K nodes at
 once with a NumPy port of LAPACK dgtsv for the nodes that need row
 interchanges, and one K-step loop of (n, n) x (n, n+1) products,
-O(K n^3)), the kernel series from the frozen steps exp(h A_G) of its G
+O(K n^3); a stack of R paths, such as the rows of a scan, takes one
+elimination over its R K nodes, or over one node when they all share a
+generator, and one K-step loop of stacked products), the kernel series
+from the frozen steps exp(h A_G) of its G
 distinct generators, nodes with bitwise-equal generators sharing one
 step and one carried product (:class:`SeriesSweep`, O(K G n^3): O(K^2 n^3)
 when no generator repeats, O(K n^3) on a constant path), neither forming
@@ -57,7 +60,7 @@ Sweeps are immutable once built and safe to reuse across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -108,7 +111,8 @@ class OperatorPath:
 
     ``bands`` are the (sub, diag, super) diagonals of every A(t_j), shapes
     (K+1, n-1), (K+1, n) and (K+1, n-1), as a model's ``linearise``
-    returns them; every entry off them is an exact zero.
+    returns them; every entry off them is an exact zero.  A stack of R paths
+    on one grid carries a leading axis of R rows on each band.
     """
 
     grid: TimeGrid
@@ -117,10 +121,11 @@ class OperatorPath:
 
     def __post_init__(self):
         sub, diag, sup = (np.asarray(band, dtype=float) for band in self.bands)
-        n = diag.shape[-1] if diag.ndim == 2 else 0
+        lead = diag.shape[:-2] if diag.ndim in (2, 3) else None
+        n = diag.shape[-1] if lead is not None else 0
         K = self.grid.K
         shapes = (sub.shape, diag.shape, sup.shape)
-        if n < 1 or shapes != ((K + 1, n - 1), (K + 1, n), (K + 1, n - 1)):
+        if n < 1 or shapes != tuple(lead + (K + 1, width) for width in (n - 1, n, n - 1)):
             raise ValueError(f"need the diagonals of {K + 1} square matrices, got {shapes}")
         if not 0.0 < self.holder_rho < 1.0:
             raise ValueError(f"holder exponent must lie in (0,1), got {self.holder_rho}")
@@ -128,7 +133,14 @@ class OperatorPath:
 
     @property
     def dim(self) -> int:
-        return self.bands[1].shape[1]
+        return self.bands[1].shape[-1]
+
+    @property
+    def rows(self) -> tuple["OperatorPath", ...]:
+        """The single paths of a stack, each on views of its bands."""
+        return tuple(
+            OperatorPath(self.grid, row, self.holder_rho) for row in zip(*self.bands)
+        )
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -139,9 +151,9 @@ class OperatorPath:
     @property
     def node_keys(self) -> np.ndarray:
         """The three diagonals of every A(t_j) side by side, shape
-        (K+1, 3n-2): two rows are equal bit for bit exactly where the two
-        generators are."""
-        return np.concatenate(self.bands, axis=1)
+        (K+1, 3n-2) (with the leading axis of a stack): two rows are equal
+        bit for bit exactly where the two generators are."""
+        return np.concatenate(self.bands, axis=-1)
 
 
 class PropagatorMethod(Enum):
@@ -152,7 +164,8 @@ class PropagatorMethod(Enum):
 @dataclass(frozen=True)
 class SweepValues:
     """What one fixed-point sweep reads of a propagation, for one forcing f:
-    the initial column U(t_i, 0) and the trapezoid Duhamel sums G_i of f."""
+    the initial column U(t_i, 0) and the trapezoid Duhamel sums G_i of f;
+    a sweep of a stack of R paths carries a leading axis of R rows."""
 
     column: np.ndarray  # (K+1, n, n)
     sums: np.ndarray  # (K+1, n)
@@ -173,27 +186,32 @@ class _Sweep:
         """Column and trapezoid Duhamel sums
         G_i = sum_m wts_m U(t_i, t_m) f(t_m) from one recursion on the
         widened right-hand side [I | qw f], width n+1, with qw the trapezoid
-        weights (h/2 at t_0, h inside).
+        weights (h/2 at t_0, h inside).  A stack of paths takes a forcing
+        f of shape (R, K+1, n), one row per path.
 
         With H_i the left sums of qw f, which weight the terms m < i:
             G_0 = 0,   G_i = H_i + (h/2) f_i  for i >= 1.
         """
         n = self.dim
         weighted = self.grid.trapezoid_weights[:, None] * f_states
-        left = self._left_sums(weighted[:, :, None])
-        sums = left[:, :, n].copy()
-        sums[1:] += 0.5 * self.grid.h * f_states[1:]
-        return SweepValues(left[:, :, :n], sums)
+        left = self._left_sums(weighted[..., None])
+        sums = left[..., n].copy()
+        sums[..., 1:, :] += 0.5 * self.grid.h * f_states[..., 1:, :]
+        return SweepValues(left[..., :n], sums)
 
 
 @dataclass(frozen=True)
 class StepFactors(_Sweep):
     """One-step factors S_j = U(t_{j+1}, t_j) of a stepper: the sweep
     interface in O(K n^2) memory, every quantity from the K-step loop of
-    :func:`_stepper_left_sums`."""
+    :func:`_stepper_left_sums`.  The factors of a stack of R paths carry a
+    leading axis of R rows, and ``singular`` maps each row whose one-step
+    matrix is singular to the message naming its node; that row's factors
+    are not dgtsv's."""
 
     grid: TimeGrid
     factors: np.ndarray  # (K, n, n)
+    singular: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -209,17 +227,22 @@ def _stepper_left_sums(factors: np.ndarray, forcing: np.ndarray) -> np.ndarray:
 
         X_0 = [I | 0],   X_{j+1} = S_j (X_j + [0 | F_j]),
 
-    one (n, n) x (n, n+r) product per step, O(K n^2 (n+r)) in all.
+    one (n, n) x (n, n+r) product per step, O(K n^2 (n+r)) in all.  Factors
+    and forcing of R paths, with a leading axis of R rows, recur together:
+    each step is one stacked product, slice by slice that of one path.
     """
-    K, n, _ = factors.shape
-    left = np.empty((K + 1, n, n + forcing.shape[-1]))
-    left[0] = 0.0
-    left[0, :, :n] = np.eye(n)
-    carry = left[0].copy()
+    *lead, K, n, _ = factors.shape
+    left = np.empty((*lead, K + 1, n, n + forcing.shape[-1]))
+    # Views with the node axis first, so that each step's operands are one
+    # index away; the layout of every array is unchanged.
+    steps, blocks, terms = (np.moveaxis(a, -3, 0) for a in (factors, left, forcing))
+    blocks[0] = 0.0
+    blocks[0, ..., :n] = np.eye(n)
+    carry = blocks[0].copy()
     for j in range(K):
-        carry[:, n:] += forcing[j]
-        np.matmul(factors[j], carry, out=left[j + 1])
-        carry[...] = left[j + 1]
+        carry[..., n:] += terms[j]
+        np.matmul(steps[j], carry, out=blocks[j + 1])
+        carry[...] = blocks[j + 1]
     return left
 
 
@@ -354,35 +377,43 @@ def evolution_series(path: OperatorPath) -> SeriesSweep:
     return SeriesSweep(path=path, steps=steps, labels=labels, first=first)
 
 
-def _one_step_factors(path: OperatorPath) -> np.ndarray:
-    """Crank-Nicolson steps S_j for j = 0..K-1, shape (K, n, n), from
-    (I - c A(t_{j+1})) S_j = R_j with c = h/2 and R_j = I + c A(t_j).
+def _one_step_factors(bands: tuple, h: float) -> tuple[np.ndarray, dict[int, str]]:
+    """Crank-Nicolson steps S_j for j = 0..K-1 of R paths, shape
+    (R, K, n, n), from (I - c A(t_{j+1})) S_j = R_j with c = h/2 and
+    R_j = I + c A(t_j), with the rows that meet a singular one-step matrix,
+    each mapped to the message naming its first such node.
 
-    One Gaussian elimination on the path's bands solves all K nodes at
-    once, O(K n^2): the right-hand sides are an (n, K, n) stack of rows
-    written straight from the bands, so each step is one contiguous (K, n)
-    operation, in the order of LAPACK dgtsv without row interchanges.
-    Nodes that dgtsv would pivot (known from the pivots, which are
-    eliminated first) or that turn non-finite (a zero pivot) are solved
+    ``bands`` are the (sub, diag, sup) diagonals of the R paths, shapes
+    (R, K+1, n-1), (R, K+1, n) and (R, K+1, n-1).  One Gaussian elimination
+    solves all R K nodes at once, O(R K n^2): the right-hand sides are an
+    (n, R K, n) stack of rows written straight from the bands, so each step
+    is one contiguous (R K, n) operation, in the order of LAPACK dgtsv
+    without row interchanges.  The elimination is elementwise over nodes, so
+    each node's factor is the same bit for bit whatever else is eliminated
+    beside it.  Nodes that dgtsv would pivot (known from the pivots, which
+    are eliminated first) or that turn non-finite (a zero pivot) are solved
     again, all at once and in place on their slabs of the stack, by
     :func:`_dgtsv`, the NumPy port of reference dgtsv: the factors, a
     transposed view of the stack, equal a per-node dgtsv solve value for
     value (the row pass leaves out dgtsv's fill term -DL(i) B(i+2), whose
-    DL(i) = +0.0 can turn a -0.0 into +0.0), and the first singular node
-    is named.
+    DL(i) = +0.0 can turn a -0.0 into +0.0), and the port's info per system
+    maps back to the row and node of a zero pivot.
     """
-    bands = path.bands
-    K, n = path.grid.K, path.dim
-    c = 0.5 * path.grid.h
-    sub, diag, sup = (band[1:] for band in bands)
+    R, nodes, n = bands[1].shape
+    K = nodes - 1
+    c = 0.5 * h
+    # Node j of row r is system r K + j; the left-hand side is A(t_{j+1}).
+    sub, diag, sup = (band[:, 1:].reshape(R * K, band.shape[-1]) for band in bands)
     # The same roundings as the dense I - c A: 1 - c a on the diagonal, -(c a) off it.
     lower, main, upper = -c * sub, 1.0 - c * diag, -c * sup
     # Row r of each band at every node, for the pass over all nodes.
     low_rows, pivots, up_rows = lower.T.copy(), main.T.copy(), upper.T.copy()
-    rows = np.zeros((n, K, n))  # rows[i, j]: row i of R_j, solved into row i of S_j
+    rows = np.zeros((n, R * K, n))  # rows[i, j]: row i of R_j, solved into row i of S_j
     idx = np.arange(n)
     # R_j = I + c A(t_j) as the dense c A(t_j) with 1 added on the diagonal.
-    rhs_sub, rhs_diag, rhs_sup = (c * band[:-1].T for band in bands)
+    rhs_sub, rhs_diag, rhs_sup = (
+        c * band[:, :-1].reshape(R * K, band.shape[-1]).T for band in bands
+    )
     rows[idx, :, idx] = rhs_diag + 1.0
     rows[idx[1:], :, idx[:-1]] = rhs_sub
     rows[idx[:-1], :, idx[1:]] = rhs_sup
@@ -411,6 +442,7 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
     # extra term 0 * B_{r+2} vanishes.
     redo |= ~np.isfinite(rows[0]).all(axis=1)
     nodes = np.flatnonzero(redo)
+    singular = {}
     if nodes.size:
         # R_j rewritten from node j's bands over what the row pass left.
         rows[:, nodes] = 0.0
@@ -419,14 +451,14 @@ def _one_step_factors(path: OperatorPath) -> np.ndarray:
         rows[idx[:-1, None], nodes, idx[1:, None]] = rhs_sup[:, nodes]
         node_bands = (np.ascontiguousarray(band[nodes].T) for band in (lower, main, upper))
         info = _dgtsv(*node_bands, rows, nodes)
-        singular = np.flatnonzero(info)
-        if singular.size:
-            j = nodes[singular[0]]
-            raise NumericalError(
+        for system, pivot_row in zip(nodes[info > 0], info[info > 0]):
+            path_row, j = divmod(int(system), K)
+            singular.setdefault(
+                path_row,
                 f"singular one-step matrix at node {j + 1}: zero pivot in row "
-                f"{info[singular[0]]} of the tridiagonal solve"
+                f"{pivot_row} of the tridiagonal solve",
             )
-    return rows.transpose(1, 0, 2)
+    return rows.transpose(1, 0, 2).reshape(R, K, n, n), singular
 
 
 @np.errstate(all="ignore")
@@ -529,12 +561,47 @@ def stepper_peak_bytes(n: int, K: int) -> int:
     The sweep holds the K factors, the K+1 left-sum blocks of width n+1
     and, while it forms the Duhamel sums, a few (K+1, n) forcing and sum
     arrays, which the two extra columns cover.  The path's bands, O(K n),
-    are not counted.
+    are not counted.  The estimate is per path: a sweep of a stack of R
+    paths holds R of them at once.
     """
     return 2 * 8 * (K + 1) * n * (n + 2)
 
 
+def _one_generator(bands: tuple) -> bool:
+    """Whether every node of every path of a stack has the generator of the
+    first, bit for bit (the rows of ``OperatorPath.node_keys``), compared
+    band by band."""
+    for band in bands:
+        bits = np.ascontiguousarray(band).view(np.uint64)
+        if not (bits == bits[:1, :1]).all():
+            return False
+    return True
+
+
 def step_factors(path: OperatorPath) -> StepFactors:
-    """The one-step factors of a stepper; the initial column
-    U(t_i, 0) = S_{i-1} ... S_0 and the left sums follow by recursion."""
-    return StepFactors(grid=path.grid, factors=_one_step_factors(path))
+    """The one-step factors of a path, or of each path of a stack; the
+    initial column U(t_i, 0) = S_{i-1} ... S_0 and the left sums follow by
+    recursion.
+
+    Where every node of every path has one generator, bit for bit (every
+    path of a sweep from the zero trajectory), the R K steps are one
+    system: :func:`_one_step_factors` eliminates one node and the factors
+    are a broadcast view of its block, equal to the full elimination's bit
+    for bit.  A single path raises NumericalError at a singular one-step
+    matrix, naming its first such node; a stack names each such row in
+    ``singular`` instead, and its other rows go on.
+    """
+    stacked = path.bands[1].ndim == 3
+    bands = path.bands if stacked else tuple(band[None] for band in path.bands)
+    R, K, n = bands[1].shape[0], path.grid.K, path.dim
+    if _one_generator(bands):
+        block, singular = _one_step_factors(tuple(band[:1, :2] for band in bands), path.grid.h)
+        factors = np.broadcast_to(block, (R, K, n, n))
+        singular = dict.fromkeys(range(R), singular[0]) if singular else {}
+    else:
+        factors, singular = _one_step_factors(bands, path.grid.h)
+    if stacked:
+        return StepFactors(grid=path.grid, factors=factors, singular=singular)
+    if singular:
+        raise NumericalError(singular[0])
+    return StepFactors(grid=path.grid, factors=factors[0])

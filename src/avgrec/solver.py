@@ -23,7 +23,8 @@ The operator path is the three diagonals of every A(u(t_j)), from one
 stacked ``linearise`` call that gives f(u(t_j)) too; the non-finite check
 reads the diagonals alone.
 The default propagation is the K one-step Crank-Nicolson factors, one
-tridiagonal elimination over all K nodes at once (the nodes that need row
+tridiagonal elimination over all K nodes at once, or over one node when
+they all share a generator (the nodes that need row
 interchanges are solved together by a NumPy port of LAPACK dgtsv, so the
 stepper imports no SciPy); its recursion is K products of n x n factors
 with n x (n+1) blocks, so a sweep costs O(K n^3) time and O(K n^2)
@@ -51,8 +52,16 @@ Python floats, or the NumPy port of dgtsv for a step that interchanges
 rows; equal to LAPACK dgtsv bit for bit), provides manufactured data
 and the self-convergence error that recovery accuracy is measured against.
 
-Recovery runs are sequential in their iteration loop; scans and probes run
-independent configurations and share nothing mutable.
+There is one iteration loop, over a batch of rows: a scan's amplitudes,
+a probe's base run and trials, or the one row of a recovery.  Each
+iteration sweeps the rows still running together, with one stacked ball
+check, ``linearise``, propagation build and recursion (the stepper's;
+the kernel series builds and recurs row by row), SVD and solve, each of
+which equals the per-row call slice by slice, bit for bit; the
+reconstruction and the distance are per row.  A row leaves the batch
+where its own recovery would stop, with the same error, message and
+partial report.  A batch holds as many rows as fit the memory budget at
+the per-row peak of a sweep.
 """
 from __future__ import annotations
 
@@ -61,6 +70,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import evolution
 from .averaging import (
     AveragingCondition,
     check_resolvent,
@@ -68,14 +78,18 @@ from .averaging import (
     observe,
     resolvent_matrix,
 )
-from .errors import ConfigurationError, ConvergenceError, NumericalError
+from .errors import ConfigurationError, ConvergenceError, NumericalError, SingularOperatorError
 from .evolution import (
     OperatorPath,
     PropagatorMethod,
+    StepFactors,
+    SweepValues,
     TimeGrid,
     evolution_series,
+    series_peak_bytes,
     solve_tridiagonal,
     step_factors,
+    stepper_peak_bytes,
 )
 from .models import check_ball
 from .spatial import modal_norm
@@ -182,54 +196,223 @@ def weighted_distance(u: Trajectory, v: Trajectory, model) -> float:
     return xi_part + sup_part + holder
 
 
-def operator_path(model, traj: Trajectory) -> tuple[OperatorPath, np.ndarray]:
-    """A(u(t_j)) at every node as its three diagonals, with f(u(t_j)) of
-    shape (K+1, n), from one stacked ``linearise`` call."""
-    bands, f_states = model.linearise(traj.states)
-    return OperatorPath(traj.grid, bands, model.exponents.rho), f_states
+def operator_path(model, grid: TimeGrid, states: np.ndarray) -> tuple[OperatorPath, np.ndarray]:
+    """A(u(t_j)) at every node of a trajectory's (K+1, n) states, or of
+    each of a (R, K+1, n) stack of them, as its three diagonals (an
+    operator path, or a stack of R), with f(u(t_j)) of the states' shape,
+    from one stacked ``linearise`` call."""
+    bands, f_states = model.linearise(states)
+    return OperatorPath(grid, bands, model.exponents.rho), f_states
 
 
-def _propagation(model, traj: Trajectory, config: RecoveryConfig):
-    """The propagation on A(u), the stepper's one-step factors or the
-    kernel series' frozen steps (neither builds a propagator table), with
-    f(u).  Raises ConvergenceError before the build when A(u) or f(u) is
-    not finite; only the bands are read, every other entry being an exact
-    zero."""
-    path, f_states = operator_path(model, traj)
-    if not (all(np.all(np.isfinite(b)) for b in path.bands) and np.all(np.isfinite(f_states))):
-        raise ConvergenceError("iteration produced non-finite operator or forcing values")
+def _propagation(path: OperatorPath, f_states: np.ndarray, config: RecoveryConfig) -> list:
+    """The sweep values of each path of a stack for its forcing, from the
+    stepper's one-step factors or the kernel series' frozen steps (neither
+    builds a propagator table): per row, its SweepValues or the
+    NumericalError of its build.
+
+    The stepper eliminates the nodes of every row at once (one node when
+    they all share a generator) and sweeps every row in one K-step
+    recursion; the kernel series builds and sweeps row by row, since its
+    generator groups differ from row to row.  Only the values are returned:
+    the factors or frozen steps are freed before the reconstruction
+    allocates, which lowers the peak RSS.
+    """
     if config.method is PropagatorMethod.KERNEL_SERIES:
-        return evolution_series(path), f_states
-    return step_factors(path), f_states
+        values = []
+        for row, f_row in zip(path.rows, f_states):
+            try:
+                values.append(evolution_series(row).sweep(f_row))
+            except NumericalError as exc:
+                values.append(exc)
+        return values
+    prop = step_factors(path)
+    singular, rows = prop.singular, len(f_states)
+    if singular:
+        keep = [r for r in range(rows) if r not in singular]
+        prop = StepFactors(grid=prop.grid, factors=prop.factors[keep])
+        f_states = f_states[keep]
+    swept = prop.sweep(f_states)
+    values = iter(SweepValues(column, sums) for column, sums in zip(swept.column, swept.sums))
+    return [NumericalError(singular[r]) if r in singular else next(values) for r in range(rows)]
 
 
-def _iterate_detail(
-    model, cond: AveragingCondition, M: np.ndarray, u: Trajectory, config: RecoveryConfig
-) -> tuple[Trajectory, np.ndarray, float, int]:
-    """One sweep of the fixed-point map: (u_new, Xi(u), the sigma_min of its
-    resolvent, the count of states of u outside the model ball), from one
-    propagation build and one left-sum recursion."""
-    norms = check_ball(model, u.states, enforce=False)
-    ball_exits = int(np.count_nonzero(norms > model.ball_radius))
-    if ball_exits:
-        warnings.warn(f"{ball_exits} iterate states left the model ball; continuing", stacklevel=3)
+def _sweep(
+    model, cond: AveragingCondition, Ms: np.ndarray, states: np.ndarray, config: RecoveryConfig
+) -> list:
+    """One sweep of the fixed-point map on each of a (R, K+1, n) stack of
+    iterates u, for its row of the data Ms (R, n): per row (u_new, Xi(u),
+    the sigma_min of its resolvent), or the NumericalError that ends its
+    recovery, the one its own sweep would meet.
+
+    The rows share one stacked ``linearise``, one propagation build and
+    recursion (:func:`_propagation`), one stacked SVD of their resolvents
+    and one stacked solve; each of these equals the per-row call slice by
+    slice, bit for bit.  A row drops out at its first failure, before the
+    next stage: a non-finite A(u) or f(u) (checked on the bands alone,
+    every other entry being an exact zero), its build, a non-finite
+    column, a singular resolvent, or non-finite states.  A sweep whose
+    stack raises LinAlgError or FloatingPointError (one row's SVD that does
+    not converge fails the stacked call) is redone row by row, so that each
+    row meets its own error.
+    """
+    grid = cond.grid
+    outcomes: list = [None] * len(states)
     try:
-        prop, f_states = _propagation(model, u, config)
-        values = prop.sweep(f_states)
-        if not np.all(np.isfinite(values.column)):
-            raise ConvergenceError("iteration produced a non-finite propagation")
+        path, f_states = operator_path(model, grid, states)
+        finite = np.isfinite(f_states).all(axis=(1, 2))
+        for band in path.bands:
+            finite &= np.isfinite(band).all(axis=(1, 2))
+        live = np.flatnonzero(finite)
+        for r in np.flatnonzero(~finite):
+            outcomes[r] = ConvergenceError(
+                "iteration produced non-finite operator or forcing values"
+            )
+        if live.size < len(states):
+            path = OperatorPath(grid, tuple(band[live] for band in path.bands), path.holder_rho)
+            f_states = f_states[live]
+        swept = []  # (row, its sweep values)
+        for r, values in zip(live, _propagation(path, f_states, config) if live.size else ()):
+            if isinstance(values, NumericalError):
+                outcomes[r] = values
+            elif not np.all(np.isfinite(values.column)):
+                outcomes[r] = ConvergenceError("iteration produced a non-finite propagation")
+            else:
+                swept.append((r, values))
+        if not swept:
+            return outcomes
         # Xi solves the variant resolvent equation; the sigma_min of the
         # singular check reaches the report from the same SVD.
-        resolvent = resolvent_matrix(cond, values)
-        sigma = check_resolvent(cond, resolvent)
-        xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
+        resolvents = np.stack([resolvent_matrix(cond, values) for _, values in swept])
+        solvable, sigmas = [], []
+        for k, singular_values in enumerate(np.linalg.svd(resolvents, compute_uv=False)):
+            try:
+                sigmas.append(check_resolvent(cond, singular_values))
+                solvable.append(k)
+            except SingularOperatorError as exc:
+                outcomes[swept[k][0]] = exc
+        if len(solvable) < len(swept):
+            swept, resolvents = [swept[k] for k in solvable], resolvents[solvable]
+        if not swept:
+            return outcomes
+        shifts = np.stack([data_shift(cond, values, Ms[r]) for r, values in swept])
+        xis = np.linalg.solve(resolvents, shifts[..., None])[..., 0]
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        raise ConvergenceError(f"iteration left the computable regime: {exc}") from exc
-    del prop  # free its K (n, n) steps before the reconstruction allocates: a lower peak RSS
-    new_states = values.column @ xi + values.sums
-    if not np.all(np.isfinite(new_states)):
-        raise ConvergenceError("iteration produced non-finite states")
-    return Trajectory(grid=u.grid, states=new_states), xi, sigma, ball_exits
+        if len(states) > 1:
+            return [
+                outcome
+                for r in range(len(states))
+                for outcome in _sweep(model, cond, Ms[r : r + 1], states[r : r + 1], config)
+            ]
+        error = ConvergenceError(f"iteration left the computable regime: {exc}")
+        error.__cause__ = exc
+        return [error]
+    for (r, values), xi, sigma in zip(swept, xis, sigmas):
+        new_states = values.column @ xi + values.sums
+        if not np.all(np.isfinite(new_states)):
+            outcomes[r] = ConvergenceError("iteration produced non-finite states")
+        else:
+            outcomes[r] = (Trajectory(grid=grid, states=new_states), xi, sigma)
+    return outcomes
+
+
+@dataclass(eq=False)
+class _Row:
+    """One recovery of a batch: its data, its iterate, its report, the
+    ball warnings of its sweeps, and the Xi or the error it ended with."""
+
+    M: np.ndarray
+    u: Trajectory
+    report: SolveReport = field(default_factory=SolveReport)
+    ball_warnings: list = field(default_factory=list)
+    xi: np.ndarray | None = None
+    error: NumericalError | None = None
+
+    def result(self) -> tuple[np.ndarray, Trajectory, SolveReport]:
+        """(Xi, u_final, report) of a converged row, after its warnings,
+        attributed to the caller of the public function that ran it; a
+        failed row raises its error, which carries the partial report."""
+        for message in self.ball_warnings:
+            warnings.warn(message, stacklevel=3)
+        if self.error is not None:
+            raise self.error
+        return self.xi, self.u, self.report
+
+
+def _recover_rows(
+    model, cond: AveragingCondition, Ms: list, starts: list, config: RecoveryConfig
+) -> list[_Row]:
+    """The recoveries for the data Ms from the starts (None for the zero
+    trajectory), in order, run as batches of rows swept together.  A batch
+    holds as many rows as fit ``evolution.MEMORY_BUDGET`` at the per-row
+    peak of a sweep (``stepper_peak_bytes`` or ``series_peak_bytes``), and
+    at least one; the rows beyond it run in the next batch."""
+    check_iteration_ball(model, config)
+    grid, n = cond.grid, model.base.grid.n
+    rows = [
+        _Row(np.asarray(M, dtype=float), Trajectory.zero(grid, n) if start is None else start)
+        for M, start in zip(Ms, starts)
+    ]
+    series = config.method is PropagatorMethod.KERNEL_SERIES
+    peak = (series_peak_bytes if series else stepper_peak_bytes)(n, grid.K)
+    size = max(1, evolution.MEMORY_BUDGET // peak)
+    for first in range(0, len(rows), size):
+        _recover_batch(model, cond, rows[first : first + size], config)
+    return rows
+
+
+def _recover_batch(
+    model, cond: AveragingCondition, rows: list[_Row], config: RecoveryConfig
+) -> None:
+    """Banach iteration of every row of a batch, one stacked sweep per
+    iteration over the rows still running.  A row leaves the batch where
+    its own recovery stops: converged, at its sweep's error, diverged, or
+    after max_iters sweeps; its report then gets its residual, or its error
+    the partial report."""
+    running = rows
+    for _ in range(config.max_iters):
+        states = np.stack([row.u.states for row in running])
+        norms = check_ball(model, states, enforce=False)
+        exits = np.count_nonzero(norms > model.ball_radius, axis=-1).tolist()
+        outcomes = _sweep(model, cond, np.stack([row.M for row in running]), states, config)
+        for row, ball_exits, outcome in zip(running, exits, outcomes):
+            if ball_exits:
+                row.ball_warnings.append(
+                    f"{ball_exits} iterate states left the model ball; continuing"
+                )
+            if isinstance(outcome, NumericalError):
+                row.error = outcome
+                continue
+            new_u, row.xi, sigma = outcome
+            report = row.report
+            dist = weighted_distance(new_u, row.u, model)
+            report.iterates += 1
+            report.distances.append(dist)
+            report.sigma_min_history.append(sigma)
+            report.ball_exits += ball_exits
+            if len(report.distances) >= 2 and report.distances[-2] > 0:
+                report.contraction_estimates.append(dist / report.distances[-2])
+            row.u = new_u
+            blow_up = DIVERGENCE_FACTOR * max(report.distances[0], 1e-30)
+            if dist <= config.tol_fixed_point:
+                report.converged = True
+            elif not np.isfinite(dist) or dist > blow_up:
+                row.error = ConvergenceError(
+                    f"fixed-point iteration diverged (distance {dist:.3e})"
+                )
+        running = [row for row in running if row.error is None and not row.report.converged]
+        if not running:
+            break
+    for row in running:
+        row.error = ConvergenceError(
+            f"no convergence in {config.max_iters} iterations "
+            f"(last distance {row.report.distances[-1]:.3e})"
+        )
+    for row in rows:
+        if row.error is not None:
+            row.error.report = row.report
+        else:
+            row.report.residual = averaging_residual(cond, row.u, row.M)
 
 
 def fixed_point_recover(
@@ -250,41 +433,11 @@ def fixed_point_recover(
     ConvergenceError when max_iters is exhausted or the distances blow up,
     and SingularOperatorError on a singular variant resolvent; every
     NumericalError that ends the iteration carries the partial report, its
-    completed sweeps and last distance included, as ``report``.
+    completed sweeps and last distance included, as ``report``.  It is the
+    batch of one row of :func:`_recover_rows`.
     """
-    config = config or RecoveryConfig()
-    grid = cond.grid
-    n = model.base.grid.n
-    check_iteration_ball(model, config)
-    M = np.asarray(M, dtype=float)
-    u = initial if initial is not None else Trajectory.zero(grid, n)
-    report = SolveReport()
-    try:
-        for _ in range(config.max_iters):
-            new_u, xi, sigma, ball_exits = _iterate_detail(model, cond, M, u, config)
-            dist = weighted_distance(new_u, u, model)
-            report.iterates += 1
-            report.distances.append(dist)
-            report.sigma_min_history.append(sigma)
-            report.ball_exits += ball_exits
-            if len(report.distances) >= 2 and report.distances[-2] > 0:
-                report.contraction_estimates.append(dist / report.distances[-2])
-            u = new_u
-            if dist <= config.tol_fixed_point:
-                report.converged = True
-                break
-            if not np.isfinite(dist) or dist > DIVERGENCE_FACTOR * max(report.distances[0], 1e-30):
-                raise ConvergenceError(f"fixed-point iteration diverged (distance {dist:.3e})")
-        if not report.converged:
-            raise ConvergenceError(
-                f"no convergence in {config.max_iters} iterations "
-                f"(last distance {report.distances[-1]:.3e})"
-            )
-    except NumericalError as exc:
-        exc.report = report
-        raise
-    report.residual = averaging_residual(cond, u, M)
-    return xi, u, report
+    (row,) = _recover_rows(model, cond, [M], [initial], config or RecoveryConfig())
+    return row.result()
 
 
 def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -372,7 +525,9 @@ def smallness_scan(
     amplitudes,
     config: RecoveryConfig | None = None,
 ) -> ScanResult:
-    """Recovery attempts for M = amplitude * M_direction at each amplitude.
+    """Recovery attempts for M = amplitude * M_direction at each amplitude,
+    swept together as the rows of one batch (or of several, past the memory
+    budget).
 
     Failures become table rows, never exceptions; the largest converged
     amplitude is an empirical lower bound for the smallness threshold.
@@ -384,30 +539,33 @@ def smallness_scan(
         raise ValueError("amplitudes must be nonnegative and strictly ascending")
     config = config or RecoveryConfig()
     M_direction = np.asarray(M_direction, dtype=float)
-    rows = []
+    data = [amp * M_direction for amp in amplitudes]
+    result_rows = []
     largest = None
-    for amp in amplitudes:
-        note = ""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = _recover_rows(model, cond, data, [None] * len(data), config)
+        for amp, row in zip(amplitudes, rows):
+            note = ""
             try:
-                _, _, rep = fixed_point_recover(model, cond, amp * M_direction, config)
+                _, _, rep = row.result()
                 converged = True
             except NumericalError as exc:
                 converged, rep = False, exc.report
                 note = f"{type(exc).__name__}: {exc}"
-        rows.append(
-            ScanRow(
-                amplitude=amp,
-                converged=converged,
-                iterations=rep.iterates,
-                contraction=rep.contraction_estimates[-1] if rep.contraction_estimates else None,
-                note=note,
+            estimates = rep.contraction_estimates
+            result_rows.append(
+                ScanRow(
+                    amplitude=amp,
+                    converged=converged,
+                    iterations=rep.iterates,
+                    contraction=estimates[-1] if estimates else None,
+                    note=note,
+                )
             )
-        )
-        if converged:
-            largest = amp
-    return ScanResult(rows=tuple(rows), m0_lower_bound=largest)
+            if converged:
+                largest = amp
+    return ScanResult(rows=tuple(result_rows), m0_lower_bound=largest)
 
 
 @dataclass(frozen=True)
@@ -443,20 +601,23 @@ def contraction_probe(
     shows up as a tight cluster of limits with sub-unit contraction ratios.
 
     The base run starts from zero and its failure raises; a failed trial is
-    recorded and the probe goes on.  Recoveries draw nothing from the seeded
-    generator, so trial k starts from its (k+1)-th draw.
+    recorded and the probe goes on.  Every start is drawn up front, and the
+    base run and the trials are swept together as the rows of one batch:
+    recoveries draw nothing from the seeded generator, so trial k starts
+    from its (k+1)-th draw.
     """
     config = config or RecoveryConfig()
     rng = np.random.default_rng(seed)
+    starts = [None]  # the base run, from zero
+    for _ in range(trials):
+        starts.append(random_admissible_trajectory(cond.grid, model, config.ball_L, rng))
+    rows = _recover_rows(model, cond, [M] * len(starts), starts, config)
     limits, u0s, per_run, failures = [], [], [], []
-    for trial in range(-1, trials):
-        start = None  # trial -1 is the base run, from zero
-        if trial >= 0:
-            start = random_admissible_trajectory(cond.grid, model, config.ball_L, rng)
+    for trial, row in enumerate(rows, start=-1):
         try:
-            u0, traj, rep = fixed_point_recover(model, cond, M, config, initial=start)
+            u0, traj, rep = row.result()
         except NumericalError as exc:
-            if start is None:
+            if trial < 0:
                 raise
             failures.append(f"trial {trial}: {type(exc).__name__}: {exc}")
             continue

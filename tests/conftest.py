@@ -4,6 +4,7 @@ import pytest
 from avgrec.averaging import AveragingCondition, Variant, observe
 from avgrec.evolution import OperatorPath, TimeGrid
 from avgrec.models import ChemotaxisModel, NonlocalRDModel
+import avgrec.solver
 from avgrec.solver import (
     RecoveryConfig,
     fixed_point_recover,
@@ -28,6 +29,17 @@ def chemo32():
 @pytest.fixture(scope="session")
 def rd32():
     return NonlocalRDModel.default(build_grid(32, 1.0, BoundaryKind.NEUMANN))
+
+
+def one_sweep(model, cond, M, u, config):
+    """One sweep of the solver's fixed-point map on the single iterate u (a
+    batch of one row): (u_new, Xi, sigma_min), or the error that ends it,
+    raised."""
+    states = u.states[None]
+    (outcome,) = avgrec.solver._sweep(model, cond, np.asarray(M, dtype=float)[None], states, config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def counted_port(monkeypatch):

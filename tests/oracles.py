@@ -131,8 +131,8 @@ def dense_factors(path) -> np.ndarray:
     elimination."""
     h = path.grid.h
     eye = np.eye(path.dim)
-    lhs = eye - 0.5 * h * path.matrices[1:]
-    rhs = eye + 0.5 * h * path.matrices[:-1]
+    lhs = eye - 0.5 * h * path.matrices[..., 1:, :, :]
+    rhs = eye + 0.5 * h * path.matrices[..., :-1, :, :]
     try:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
@@ -571,7 +571,7 @@ def initial_state_map(cond: AveragingCondition, prop, M: np.ndarray, f_traj) -> 
     M = np.asarray(M, dtype=float)
     values = prop.sweep(_states_of(f_traj))
     resolvent = resolvent_matrix(cond, values)
-    check_resolvent(cond, resolvent)
+    check_resolvent(cond, np.linalg.svd(resolvent, compute_uv=False))
     return np.linalg.solve(resolvent, data_shift(cond, values, M))
 
 

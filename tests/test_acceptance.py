@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,7 +161,7 @@ def test_reaction_diffusion_round_trip_where_the_coefficient_acts(rd32, monkeypa
 
     def counted(*args, **kwargs):
         path, f_states = operator_path(*args, **kwargs)
-        distinct.append(len(np.unique(path.node_keys, axis=0)))
+        distinct.extend(len(np.unique(row.node_keys, axis=0)) for row in path.rows)
         return path, f_states
 
     monkeypatch.setattr(avgrec.solver, "operator_path", counted)
@@ -330,8 +329,9 @@ def test_criterion_9_invariant_bundle(series_family, chemo16, rd32, tmp_path):
     cfg = parse_config(text)
     run_a = run_experiment(replace(cfg, out=str(tmp_path / "a")))
     run_b = run_experiment(replace(cfg, out=str(tmp_path / "b")))
-    bytes_a = Path(run_a.trajectory_path).read_bytes() + Path(run_a.recovered_path).read_bytes()
-    bytes_b = Path(run_b.trajectory_path).read_bytes() + Path(run_b.recovered_path).read_bytes()
+    tables = ("trajectory.csv", "recovered_u0.csv")
+    bytes_a = b"".join((run_a.out_dir / name).read_bytes() for name in tables)
+    bytes_b = b"".join((run_b.out_dir / name).read_bytes() for name in tables)
     checks["determinism"] = bytes_a == bytes_b
     ok = all(checks.values())
     report_line(

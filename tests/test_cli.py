@@ -232,21 +232,21 @@ class TestRunExperiment:
         report = json.loads(Path(artifacts.report_path).read_text())
         assert report["status"] == "ok"
         assert report["solve"]["converged"]
-        assert artifacts.trajectory_path.exists()
-        assert artifacts.recovered_path.exists()
+        assert (artifacts.out_dir / "trajectory.csv").exists()
+        assert (artifacts.out_dir / "recovered_u0.csv").exists()
         assert (artifacts.out_dir / "plot_convergence.py").exists()
         assert (artifacts.out_dir / "plot_trajectory.py").exists()
 
     def test_zero_data_recovers_zero(self, tmp_path):
         cfg = parse_config(fast_config(tmp_path, data=["source = zero"]))
         artifacts = run_experiment(cfg)
-        recovered = read_field_csv(artifacts.recovered_path)
+        recovered = read_field_csv(artifacts.out_dir / "recovered_u0.csv")
         assert np.all(recovered == 0.0)
 
     def test_forward_operation(self, tmp_path):
         cfg = parse_config(fast_config(tmp_path, run=["operation = forward"]))
         artifacts = run_experiment(cfg)
-        ts, states = read_trajectory_csv(artifacts.trajectory_path)
+        ts, states = read_trajectory_csv(artifacts.out_dir / "trajectory.csv")
         assert states.shape == (17, 8)
 
     def test_scan_operation(self, tmp_path):
@@ -254,7 +254,7 @@ class TestRunExperiment:
             fast_config(tmp_path, data=["amplitudes = 0.001 0.01"], run=["operation = scan"])
         )
         artifacts = run_experiment(cfg)
-        lines = Path(artifacts.scan_path).read_text().strip().splitlines()
+        lines = (artifacts.out_dir / "scan.csv").read_text().strip().splitlines()
         assert lines[0] == "amplitude,converged,iterations,contraction"
         assert len(lines) == 3
         assert (artifacts.out_dir / "plot_scan.py").exists()
@@ -330,15 +330,12 @@ class TestRunExperiment:
         cfg = parse_config(fast_config(tmp_path))
         a = run_experiment(replace(cfg, out=str(tmp_path / "a")))
         b = run_experiment(replace(cfg, out=str(tmp_path / "b")))
-        for x, y in (
-            (a.report_path, b.report_path),
-            (a.trajectory_path, b.trajectory_path),
-            (a.recovered_path, b.recovered_path),
-        ):
-            ax = Path(x).read_bytes()
+        for name in ("report.json", "trajectory.csv", "recovered_u0.csv"):
+            x, y = a.out_dir / name, b.out_dir / name
+            ax = x.read_bytes()
             # the config echo embeds the out directory; normalize it away
             ax = ax.replace(str(tmp_path / "a").encode(), b"OUT")
-            by = Path(y).read_bytes().replace(str(tmp_path / "b").encode(), b"OUT")
+            by = y.read_bytes().replace(str(tmp_path / "b").encode(), b"OUT")
             assert ax == by
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.linalg.lapack import dgtsv
 
+import avgrec.evolution
 from avgrec.averaging import AveragingCondition, Variant, duhamel_sums, observe, terminal_forcing
 from avgrec.errors import NumericalError
 from avgrec.evolution import (
@@ -531,6 +532,70 @@ class TestBatchedTridiagonalFactors:
             step_factors(bad)
 
 
+class TestRowStackedFactors:
+    """One elimination over the nodes of a stack of paths gives each row the
+    factors of its own path bit for bit; a row that meets a singular
+    one-step matrix is named as its own path names it, and the other rows
+    solve.  A stack whose nodes all share one generator eliminates one
+    node."""
+
+    @staticmethod
+    def stack(paths):
+        return tuple(np.stack(bands) for bands in zip(*(path.bands for path in paths)))
+
+    def test_singular_row_named_and_others_solve(self, monkeypatch):
+        # Rows 0 and 2 interchange rows at every other node, so the port
+        # solves nodes of three rows at once; row 1 meets a zero pivot at
+        # node 5 only.
+        base = constant_path(-np.eye(3), K=8, T=1.0)
+        target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        bad = with_node(base, 5, target, 0.5 * base.grid.h)
+        paths = [tridiagonal_path(n=3, K=8, T=1.0, seed=seed) for seed in (1, 2)]
+        paths.insert(1, bad)
+        with pytest.raises(NumericalError) as one_row:
+            step_factors(bad)
+        calls = counted_port(monkeypatch)
+        factors, singular = _one_step_factors(self.stack(paths), base.grid.h)
+        assert len(calls) == 1
+        message = str(one_row.value)
+        assert message.startswith("singular one-step matrix at node 5: zero pivot in row 2 ")
+        assert singular == {1: message}
+        for row in (0, 2):
+            expected = np.ascontiguousarray(step_factors(paths[row]).factors)
+            assert same_bytes(np.ascontiguousarray(factors[row]), expected)
+        stacked = step_factors(OperatorPath(base.grid, self.stack(paths), 0.5))
+        assert stacked.singular == singular and stacked.factors.shape == (3, 8, 3, 3)
+
+    def test_shared_generator_eliminates_one_node(self, monkeypatch):
+        model = MODELS["chemotaxis"](6)
+        grid = TimeGrid(T=0.5, K=12)
+        bands = model.linearise(np.full((3, 13, 6), 0.01))[0]
+        full, _ = _one_step_factors(bands, grid.h)
+        original, widths = _one_step_factors, []
+
+        def recorded(bands, h):
+            widths.append(bands[1].shape[0] * (bands[1].shape[1] - 1))
+            return original(bands, h)
+
+        monkeypatch.setattr(avgrec.evolution, "_one_step_factors", recorded)
+        shared = step_factors(OperatorPath(grid, bands, 0.5))
+        assert widths == [1]
+        assert same_bytes(np.ascontiguousarray(shared.factors), full)
+        single = step_factors(OperatorPath(grid, tuple(band[0] for band in bands), 0.5))
+        assert same_bytes(np.ascontiguousarray(single.factors), full[0])
+        assert widths == [1, 1]
+
+    def test_shared_singular_generator_names_every_row(self):
+        grid = TimeGrid(T=0.5, K=4)
+        a = np.full((2, 5, 1), 1.0 / (0.5 * grid.h))
+        off = np.empty((2, 5, 0))
+        stacked = step_factors(OperatorPath(grid, (off, a, off), 0.5))
+        message = "singular one-step matrix at node 1: zero pivot in row 1 of the tridiagonal solve"
+        assert stacked.singular == {0: message, 1: message}
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            step_factors(OperatorPath(grid, (off[0], a[0], off[0]), 0.5))
+
+
 KINDS = ["dominant", "interchange", "all_swap", "zero_pivot", "nonfinite", "swap_nonfinite"]
 
 
@@ -766,7 +831,7 @@ class TestBandBuiltPath:
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_model_bands_equal_dense_path(self, model, n):
         band, dense = model_paths(MODELS[model](n))
-        factors = _one_step_factors(band)
+        factors = step_factors(band).factors
         assert "matrices" not in vars(band)
         assert rel_err(factors, dense_factors(dense)) <= 1e-13
         assert band.dim == dense.dim == n
@@ -783,7 +848,7 @@ class TestBandBuiltPath:
         band = tridiagonal_path()
         dense = DensePath(band.grid, band_stack(*band.bands), band.holder_rho)
         calls = counted_port(monkeypatch)
-        assert rel_err(_one_step_factors(band), dense_factors(dense)) <= 1e-13
+        assert rel_err(step_factors(band).factors, dense_factors(dense)) <= 1e-13
         assert calls == [band.grid.K]
         assert "matrices" not in vars(band)
 
@@ -792,7 +857,7 @@ class TestBandBuiltPath:
         target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         band = with_node(path, 5, target, 0.5 * path.grid.h)
         with pytest.raises(NumericalError, match="node 5: zero pivot in row 2 "):
-            _one_step_factors(band)
+            step_factors(band)
 
     @pytest.mark.parametrize("node", [1, 4])
     def test_scalar_singular_node_named(self, node):
@@ -801,7 +866,7 @@ class TestBandBuiltPath:
         diag[node] = 1.0 / (0.5 * grid.h)
         band = OperatorPath(grid, (np.empty((5, 0)), diag, np.empty((5, 0))), 0.5)
         with pytest.raises(NumericalError, match=f"node {node}: zero pivot in row 1 "):
-            _one_step_factors(band)
+            step_factors(band)
 
     @pytest.mark.parametrize(
         "shapes", [((13, 5), (13, 6), (13, 6)), ((12, 5), (12, 6), (12, 5)), ((13,), (13,), (13,))]

@@ -20,7 +20,6 @@ from avgrec.models import ChemotaxisModel, LinearTestModel
 from avgrec.solver import (
     RecoveryConfig,
     Trajectory,
-    _iterate_detail,
     averaging_residual,
     contraction_probe,
     fixed_point_recover,
@@ -34,7 +33,7 @@ from avgrec.solver import (
 from avgrec.spatial import BoundaryKind, band_stack, build_grid
 
 import oracles
-from conftest import counted_port
+from conftest import counted_port, one_sweep
 from oracles import assemble_phi, evolution_stepper, series_table
 
 RNG = np.random.default_rng(51)
@@ -52,7 +51,7 @@ def small_chemo():
 
 def linear_observation(model, cond, x0):
     table = evolution_stepper(
-        operator_path(model, Trajectory.zero(cond.grid, model.base.grid.n))[0]
+        operator_path(model, cond.grid, np.zeros((cond.grid.K + 1, model.base.grid.n)))[0]
     )
     if cond.variant is Variant.TIME_AVERAGE:
         return assemble_phi(table, cond).matrix @ x0
@@ -231,16 +230,16 @@ class TestIterateOnce:
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         x0 = 0.2 * RNG.standard_normal(16)
         M = linear_observation(linear16, cond, x0)
-        table = evolution_stepper(operator_path(linear16, Trajectory.zero(grid_t, 16))[0])
+        table = evolution_stepper(operator_path(linear16, grid_t, np.zeros((33, 16)))[0])
         start = Trajectory(grid=grid_t, states=RNG.standard_normal((33, 16)))
-        got, *_ = _iterate_detail(linear16, cond, M, start, RecoveryConfig())
+        got, *_ = one_sweep(linear16, cond, M, start, RecoveryConfig())
         expected = table.column @ x0
         assert np.abs(got.states - expected).max() <= 1e-8
 
     def test_zero_data_zero_fixed_point(self, small_chemo):
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        got, *_ = _iterate_detail(
+        got, *_ = one_sweep(
             small_chemo, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig()
         )
         assert np.all(got.states == 0.0)
@@ -249,7 +248,7 @@ class TestIterateOnce:
         grid_t = TimeGrid(T=0.5, K=32)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         M = 1e-3 * np.cos(np.pi * small_chemo.base.grid.nodes)
-        traj, *_ = _iterate_detail(
+        traj, *_ = one_sweep(
             small_chemo, cond, M, Trajectory.zero(grid_t, 16), RecoveryConfig()
         )
         from avgrec.spatial import sobolev_norm
@@ -282,7 +281,7 @@ class TestFixedPointRecover:
         run = manufactured["chemotaxis", 128]
         data = run["variants"][Variant.TIME_AVERAGE]
         config = RecoveryConfig()
-        moved, *_ = _iterate_detail(
+        moved, *_ = one_sweep(
             run["model"], data["cond"], data["M"], data["trajectory"], config
         )
         assert weighted_distance(moved, data["trajectory"], run["model"]) <= config.tol_fixed_point
@@ -358,7 +357,7 @@ class TestVariantDegeneracy:
         M = 1e-3 * np.cos(np.pi * small_chemo.base.grid.nodes)
         u0, traj, report = fixed_point_recover(small_chemo, cond, M)
         np.testing.assert_array_equal(u0, M)
-        path, f_states = operator_path(small_chemo, traj)
+        path, f_states = operator_path(small_chemo, traj.grid, traj.states)
         table = evolution_stepper(path)
         reconstructed = table.column @ M + duhamel_sums(table, f_states)
         assert np.abs(traj.states - reconstructed).max() <= 10 * RecoveryConfig().tol_fixed_point
@@ -381,9 +380,8 @@ class TestStepperSweep:
         elif variant is Variant.TERMINAL_DIFFERENCE:
             M = truth.states[0] - cond.w0 * truth.states[-1]
 
-        def table_route(model, traj, config):
-            path, f_states = operator_path(model, traj)
-            return evolution_stepper(path), f_states
+        def table_route(path, f_states, config):
+            return [evolution_stepper(row).sweep(f) for row, f in zip(path.rows, f_states)]
 
         with monkeypatch.context() as patch:
             patch.setattr(avgrec.solver, "_propagation", table_route)
@@ -437,9 +435,8 @@ class TestSeriesSweep:
         M = observe(cond, truth.states)
         config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
 
-        def table_route(model, traj, config):
-            path, f_states = operator_path(model, traj)
-            return series_table(path), f_states
+        def table_route(path, f_states, config):
+            return [series_table(row).sweep(f) for row, f in zip(path.rows, f_states)]
 
         with monkeypatch.context() as patch:
             patch.setattr(avgrec.solver, "_propagation", table_route)
@@ -543,14 +540,14 @@ class TestOneBuildPerIteration:
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
         solved = []
-        original = avgrec.solver._iterate_detail
+        original = avgrec.solver._sweep
 
         def recorded(*args):
-            result = original(*args)
-            solved.append(result[1])
-            return result
+            outcomes = original(*args)
+            solved.extend(outcome[1] for outcome in outcomes)
+            return outcomes
 
-        monkeypatch.setattr(avgrec.solver, "_iterate_detail", recorded)
+        monkeypatch.setattr(avgrec.solver, "_sweep", recorded)
         u0, traj, report = fixed_point_recover(small_chemo, cond, M, RecoveryConfig())
         assert len(solved) == report.iterates
         assert u0 is solved[-1]
@@ -570,10 +567,10 @@ class NonFiniteModel:
         (sub, main, sup), f_states = self.model.linearise(u)
         if self.part == "A":
             main = main.copy()
-            main[self.node, 0] = np.inf
+            main[..., self.node, 0] = np.inf
         if self.part == "f":
             f_states = f_states.copy()
-            f_states[self.node, 0] = np.nan
+            f_states[..., self.node, 0] = np.nan
         return (sub, main, sup), f_states
 
 
@@ -636,14 +633,14 @@ class TestNonFiniteIterate:
                 column[4, 2, 2] = np.inf
                 return SweepValues(column=column, sums=np.zeros((9, 16)))
 
-        def propagation(model, traj, config):
-            return NonFiniteSweep(), avgrec.solver.operator_path(model, traj)[1]
+        def propagation(path, f_states, config):
+            return [NonFiniteSweep().sweep(f) for f in f_states]
 
         monkeypatch.setattr(avgrec.solver, "_propagation", propagation)
         grid_t = TimeGrid(T=0.5, K=8)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
         with pytest.raises(ConvergenceError, match="^iteration produced a non-finite propagation$"):
-            _iterate_detail(
+            one_sweep(
                 small_chemo, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig()
             )
 
@@ -659,7 +656,7 @@ class TestNonFiniteIterate:
         grid_t = TimeGrid(T=0.5, K=8)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
         with pytest.raises(ConvergenceError, match="non-finite operator or forcing values"):
-            _iterate_detail(
+            one_sweep(
                 model, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig(method=method)
             )
 
@@ -694,15 +691,15 @@ class TestSmallnessScan:
         # two sweeps before it and their contraction, as a diverged row does.
         import avgrec.solver
 
-        calls, iterate_detail = [], avgrec.solver._iterate_detail
+        calls, sweep = [], avgrec.solver._sweep
 
         def failing_third(*args):
             calls.append(None)
             if len(calls) == 3:
-                raise error
-            return iterate_detail(*args)
+                return [error]
+            return sweep(*args)
 
-        monkeypatch.setattr(avgrec.solver, "_iterate_detail", failing_third)
+        monkeypatch.setattr(avgrec.solver, "_sweep", failing_third)
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         direction = np.cos(np.pi * small_chemo.base.grid.nodes)
@@ -760,28 +757,34 @@ class TestContractionProbe:
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
         config = RecoveryConfig(tol_fixed_point=1e-4)
-        original = avgrec.solver.fixed_point_recover
-        starts, runs = [], []
+        original = avgrec.solver._sweep
+        widths = []
 
-        def failing_trial_1(*args, initial=None):
-            starts.append(initial)
-            if len(starts) == 3:  # the base run, trial 0, trial 1
-                raise ConvergenceError("made to fail")
-            runs.append(original(*args, initial=initial))
-            return runs[-1]
+        def failing_trial_1(*args):
+            outcomes = original(*args)
+            widths.append(len(outcomes))
+            if len(widths) == 1:  # the first sweep: the base run, trials 0, 1 and 2
+                outcomes[2] = ConvergenceError("made to fail")
+            return outcomes
 
-        monkeypatch.setattr(avgrec.solver, "fixed_point_recover", failing_trial_1)
-        probe = contraction_probe(small_chemo, cond, M, config, trials=3, seed=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(avgrec.solver, "_sweep", failing_trial_1)
+            probe = contraction_probe(small_chemo, cond, M, config, trials=3, seed=4)
+        assert widths[0] == 4
         assert probe.failures == ("trial 1: ConvergenceError: made to fail",)
         assert not probe.all_converged
-        # The starts are the seeded draws in order, the base run's zero first.
+        # The other rows are the recoveries from the seeded draws in order,
+        # the base run's zero first.
         rng = np.random.default_rng(4)
-        assert starts[0] is None
-        for start in starts[1:]:
-            drawn = random_admissible_trajectory(grid_t, small_chemo, config.ball_L, rng)
-            assert np.array_equal(start.states, drawn.states)
+        starts = [None] + [
+            random_admissible_trajectory(grid_t, small_chemo, config.ball_L, rng) for _ in range(3)
+        ]
+        runs = [
+            fixed_point_recover(small_chemo, cond, M, config, initial=start)
+            for trial, start in enumerate(starts, start=-1)
+            if trial != 1
+        ]
         # The failed trial adds no limit, no initial state and no ratios.
-        assert len(runs) == 3
         assert probe.per_run_ratios == tuple(tuple(rep.contraction_estimates) for *_, rep in runs)
         assert probe.contraction_ratios == sum(probe.per_run_ratios, ())
         pairs = [(a, b) for i, a in enumerate(runs) for b in runs[i + 1 :]]
@@ -791,23 +794,28 @@ class TestContractionProbe:
         )
 
     def test_failed_base_run_raises(self, small_chemo, monkeypatch):
+        # The trials are swept beside the base run; its failure is raised,
+        # with the report of the sweeps it completed.
         import avgrec.solver
 
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        original = avgrec.solver.fixed_point_recover
-        starts = []
+        M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        original = avgrec.solver._sweep
+        calls = []
 
-        def failing_base(*args, initial=None):
-            starts.append(initial)
-            if initial is None:
-                raise SingularOperatorError("made to fail", 0.0)
-            return original(*args, initial=initial)
+        def failing_base(*args):
+            outcomes = original(*args)
+            calls.append(len(outcomes))
+            if len(calls) == 2:
+                outcomes[0] = SingularOperatorError("made to fail", 0.0)
+            return outcomes
 
-        monkeypatch.setattr(avgrec.solver, "fixed_point_recover", failing_base)
-        with pytest.raises(SingularOperatorError, match="made to fail"):
-            contraction_probe(small_chemo, cond, np.zeros(16), trials=2, seed=0)
-        assert starts == [None]
+        monkeypatch.setattr(avgrec.solver, "_sweep", failing_base)
+        with pytest.raises(SingularOperatorError, match="made to fail") as failed:
+            contraction_probe(small_chemo, cond, M, trials=2, seed=0)
+        assert calls[0] == 3
+        assert failed.value.report.iterates == 1
 
 
 def as_written(mapping):

@@ -6,7 +6,7 @@ import pytest
 import avgrec.models
 from avgrec import spatial
 from avgrec.averaging import AveragingCondition, Variant, observe
-from avgrec.errors import NumericalError
+from avgrec.errors import ConvergenceError, NumericalError
 from avgrec.evolution import PropagatorMethod, TimeGrid
 from avgrec.models import (
     ChemotaxisModel,
@@ -17,7 +17,6 @@ from avgrec.models import (
 from avgrec.solver import (
     RecoveryConfig,
     Trajectory,
-    _iterate_detail,
     fixed_point_recover,
     forward_solve,
 )
@@ -144,6 +143,49 @@ def test_linearise_skips_the_ball_norm(name, monkeypatch):
     model.linearise(states[0])
 
 
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_stacked_ops_match_per_slice(n):
+    # The solver sweeps the rows of a scan or probe together: the stepper's
+    # recursion is one stacked matmul per step (its factors broadcast over
+    # rows and nodes on a shared generator), the resolvents take one stacked
+    # SVD and one stacked solve, and the model one stacked linearise and
+    # ball check.  Each slice must be the per-row call's bit for bit.
+    rng = np.random.default_rng(n)
+    R, K = 3, 6
+    factors = rng.standard_normal((R, K, n, n))
+    carry = rng.standard_normal((R, n, n + 1))
+    left = np.empty((R, K + 1, n, n + 1))
+    for stack in (factors, np.broadcast_to(factors[:1, :1], factors.shape)):
+        np.matmul(stack[:, 2], carry, out=left[:, 3])
+        for r in range(R):
+            assert same_bytes(left[r, 3], np.matmul(stack[r, 2], carry[r]))
+    resolvents = np.eye(n) + 0.1 * rng.standard_normal((R, n, n))
+    shifts = rng.standard_normal((R, n))
+    singular_values = np.linalg.svd(resolvents, compute_uv=False)
+    solved = np.linalg.solve(resolvents, shifts[..., None])[..., 0]
+    for r in range(R):
+        assert same_bytes(singular_values[r], np.linalg.svd(resolvents[r], compute_uv=False))
+        assert same_bytes(solved[r], np.linalg.solve(resolvents[r], shifts[r]))
+    grid = build_grid(n, 1.0, BoundaryKind.NEUMANN)
+    for model in (
+        ChemotaxisModel.default(grid, delta=0.5),
+        NonlocalRDModel.default(grid),
+        LinearTestModel.default(grid, coefficient=0.7),
+    ):
+        states = 0.1 * rng.standard_normal((R, K + 1, n))
+        bands, f_states = model.linearise(states)
+        norms = check_ball(model, states, enforce=False)
+        for r in range(R):
+            row_bands, row_f = model.linearise(states[r])
+            assert all(same_bytes(band[r], row) for band, row in zip(bands, row_bands))
+            assert same_bytes(f_states[r], row_f)
+            assert same_bytes(norms[r], check_ball(model, states[r], enforce=False))
+
+
 class TestStackedErrors:
     def test_ball_violation_names_first_node(self):
         model = MODELS["chemotaxis"]
@@ -202,11 +244,11 @@ def test_ball_exits_counted_per_state():
     norms = [sobolev_norm(model.base, s, 2.0 * model.exponents.beta) for s in states]
     expected = sum(norm > model.ball_radius for norm in norms)
     assert 0 < expected < len(states)
-    with pytest.warns(UserWarning, match=f"{expected} iterate states left the model ball"):
-        *_, ball_exits = _iterate_detail(
-            model, cond, np.zeros(12), Trajectory(grid=grid_t, states=states), RecoveryConfig()
-        )
-    assert ball_exits == expected
+    start = Trajectory(grid=grid_t, states=states)
+    with pytest.warns(UserWarning, match=f"^{expected} iterate states left the model ball"):
+        with pytest.raises(ConvergenceError, match="^no convergence in 1 iterations") as failed:
+            fixed_point_recover(model, cond, np.zeros(12), RecoveryConfig(max_iters=1), start)
+    assert failed.value.report.ball_exits == expected
 
 
 class PerStateModel:
