@@ -11,7 +11,6 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +34,6 @@ def _atomic_write(path: Path, data: str) -> None:
 
 def _fmt(x: float) -> str:
     return FLOAT_FMT.format(float(x))
-
-
-@dataclass
-class RunArtifacts:
-    """Where one experiment run writes: its output directory and its
-    report.  Its tables are written beside the report under fixed names
-    (``trajectory.csv``, ``recovered_u0.csv``, ``scan.csv``), and its plot
-    scripts as ``plot_<kind>.py``."""
-
-    out_dir: Path
-    report_path: Path
 
 
 def emit_trajectory_csv(traj, path) -> None:

@@ -12,7 +12,7 @@ Psi g = int_0^T w(t) int_0^t U(t,s) g(s) ds dt and the terminal forcing
 N(T) g = int_0^T U(T,s) g(s) ds.  Every time integral uses the composite
 trapezoid rule: outer integrals on [0, T], inner Duhamel integrals on
 [0, t_i], so N(T) g is the last Duhamel sum.  The solver's sweep
-(``solver._iterate_detail``) solves for the initial state by the
+(``solver._sweep``) solves for the initial state by the
 variation-of-constants identities, so substituting its output back into
 the discretized condition closes to solver roundoff.
 
@@ -134,11 +134,11 @@ def resolvent_matrix(cond: AveragingCondition, values: SweepValues) -> np.ndarra
     return observe(cond, values.column)
 
 
-def check_resolvent(cond: AveragingCondition, singular_values: np.ndarray) -> float:
-    """sigma_min of a variant resolvent from its singular values, in
-    descending order as ``np.linalg.svd`` returns them.  Raises
+def check_resolvent(cond: AveragingCondition, resolvent: np.ndarray) -> float:
+    """sigma_min of a variant resolvent from one SVD.  Raises
     SingularOperatorError when it sits at or below 1e-10 times the spectral
     norm."""
+    singular_values = np.linalg.svd(resolvent, compute_uv=False)
     sigma = float(singular_values[-1])
     floor = 1e-10 * singular_values[0]
     if sigma <= floor:

@@ -339,17 +339,18 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
+def run_experiment(cfg: ExperimentConfig) -> Path:
     """Build the model, generate or load the observation, run the configured
-    operation, and persist artifacts: the operation's tables, then the run
-    report, then the plot script of each plotted file.
+    operation, and persist artifacts in the output directory, which is
+    returned: the operation's tables, then the run report
+    (``report.json``), then the plot script of each plotted file.
 
     Numerical failures are written to the run report (machine readable, with
     sigma_min when a singular resolvent caused them, and the partial solve
     report of the recovery they ended) before being re-raised.
     """
     out_dir = Path(cfg.out)
-    artifacts = art.RunArtifacts(out_dir, out_dir / "report.json")
+    report_path = out_dir / "report.json"
     payload = {"config": _config_echo(cfg), "operation": cfg.operation, "status": "ok"}
     plots = []  # (kind, source path) of each plot script
     try:
@@ -373,7 +374,7 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
             art.emit_trajectory_csv(traj, trajectory_path)
             art.emit_field_csv(grid.nodes, u0, out_dir / "recovered_u0.csv")
             payload["solve"] = solve_report.to_dict()
-            plots = [("trajectory", trajectory_path), ("convergence", artifacts.report_path)]
+            plots = [("trajectory", trajectory_path), ("convergence", report_path)]
         elif cfg.operation == "scan":
             if not cfg.amplitudes:
                 raise ConfigurationError("[data] amplitudes: required for the scan operation")
@@ -395,12 +396,12 @@ def run_experiment(cfg: ExperimentConfig) -> art.RunArtifacts:
             payload["error"]["sigma_min"] = float(sigma)
         if exc.report is not None:
             payload["solve"] = exc.report.to_dict()
-        art.emit_report_json(payload, artifacts.report_path)
+        art.emit_report_json(payload, report_path)
         raise
-    art.emit_report_json(payload, artifacts.report_path)
+    art.emit_report_json(payload, report_path)
     for kind, source in plots:
         art.emit_plot_script(out_dir, kind, source)
-    return artifacts
+    return out_dir
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -437,7 +438,7 @@ def main(argv=None) -> int:
         cfg = parse_config(
             text, operation=args.verb, **{k: v for k, v in flags.items() if v is not None}
         )
-        artifacts = run_experiment(cfg)
+        out_dir = run_experiment(cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -448,7 +449,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     if not args.quiet:
-        print(f"{args.verb}: artifacts in {artifacts.out_dir}")
+        print(f"{args.verb}: artifacts in {out_dir}")
     return 0
 
 

@@ -24,14 +24,15 @@ once with a NumPy port of LAPACK dgtsv for the nodes that need row
 interchanges, and one K-step loop of (n, n) x (n, n+1) products,
 O(K n^3); a stack of R paths, such as the rows of a scan, takes one
 elimination over its R K nodes, or over one node when they all share a
-generator, and one K-step loop of stacked products), the kernel series
-from the frozen steps exp(h A_G) of its G
-distinct generators, nodes with bitwise-equal generators sharing one
-step and one carried product (:class:`SeriesSweep`, O(K G n^3): O(K^2 n^3)
-when no generator repeats, O(K n^3) on a constant path), neither forming
-a table.  The full lower-triangular tables of both constructions,
-O(K^2 n^2) memory, are test oracles (``tests/oracles.py``) and serve the
-same ``sweep`` entry from their rows.
+generator, and one K-step loop of stacked products; a singular one-step
+matrix in any row fails the whole stack), the kernel series from the
+frozen steps exp(h A_G) of its G distinct generators, nodes with
+bitwise-equal generators sharing one step and one carried product
+(:class:`SeriesSweep`, O(K G n^3): O(K^2 n^3) when no generator repeats,
+O(K n^3) on a constant path), neither forming a table.  The full
+lower-triangular tables of both constructions, O(K^2 n^2) memory, are
+test oracles (``tests/oracles.py``) and serve the same ``sweep`` entry
+from their rows.
 
 Neither construction imports SciPy: the kernel series takes its frozen
 steps from ``spatial.matrix_exponential``, a batched NumPy Pade
@@ -60,7 +61,7 @@ Sweeps are immutable once built and safe to reuse across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -205,13 +206,10 @@ class StepFactors(_Sweep):
     """One-step factors S_j = U(t_{j+1}, t_j) of a stepper: the sweep
     interface in O(K n^2) memory, every quantity from the K-step loop of
     :func:`_stepper_left_sums`.  The factors of a stack of R paths carry a
-    leading axis of R rows, and ``singular`` maps each row whose one-step
-    matrix is singular to the message naming its node; that row's factors
-    are not dgtsv's."""
+    leading axis of R rows."""
 
     grid: TimeGrid
     factors: np.ndarray  # (K, n, n)
-    singular: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -377,11 +375,11 @@ def evolution_series(path: OperatorPath) -> SeriesSweep:
     return SeriesSweep(path=path, steps=steps, labels=labels, first=first)
 
 
-def _one_step_factors(bands: tuple, h: float) -> tuple[np.ndarray, dict[int, str]]:
+def _one_step_factors(bands: tuple, h: float) -> np.ndarray:
     """Crank-Nicolson steps S_j for j = 0..K-1 of R paths, shape
     (R, K, n, n), from (I - c A(t_{j+1})) S_j = R_j with c = h/2 and
-    R_j = I + c A(t_j), with the rows that meet a singular one-step matrix,
-    each mapped to the message naming its first such node.
+    R_j = I + c A(t_j).  Raises NumericalError at the first singular
+    one-step matrix, naming its node.
 
     ``bands`` are the (sub, diag, sup) diagonals of the R paths, shapes
     (R, K+1, n-1), (R, K+1, n) and (R, K+1, n-1).  One Gaussian elimination
@@ -397,7 +395,7 @@ def _one_step_factors(bands: tuple, h: float) -> tuple[np.ndarray, dict[int, str
     transposed view of the stack, equal a per-node dgtsv solve value for
     value (the row pass leaves out dgtsv's fill term -DL(i) B(i+2), whose
     DL(i) = +0.0 can turn a -0.0 into +0.0), and the port's info per system
-    maps back to the row and node of a zero pivot.
+    names the node of the first zero pivot.
     """
     R, nodes, n = bands[1].shape
     K = nodes - 1
@@ -442,7 +440,6 @@ def _one_step_factors(bands: tuple, h: float) -> tuple[np.ndarray, dict[int, str
     # extra term 0 * B_{r+2} vanishes.
     redo |= ~np.isfinite(rows[0]).all(axis=1)
     nodes = np.flatnonzero(redo)
-    singular = {}
     if nodes.size:
         # R_j rewritten from node j's bands over what the row pass left.
         rows[:, nodes] = 0.0
@@ -451,14 +448,14 @@ def _one_step_factors(bands: tuple, h: float) -> tuple[np.ndarray, dict[int, str
         rows[idx[:-1, None], nodes, idx[1:, None]] = rhs_sup[:, nodes]
         node_bands = (np.ascontiguousarray(band[nodes].T) for band in (lower, main, upper))
         info = _dgtsv(*node_bands, rows, nodes)
-        for system, pivot_row in zip(nodes[info > 0], info[info > 0]):
-            path_row, j = divmod(int(system), K)
-            singular.setdefault(
-                path_row,
-                f"singular one-step matrix at node {j + 1}: zero pivot in row "
-                f"{pivot_row} of the tridiagonal solve",
+        singular = np.flatnonzero(info)
+        if singular.size:
+            system = nodes[singular[0]]
+            raise NumericalError(
+                f"singular one-step matrix at node {system % K + 1}: zero pivot in row "
+                f"{info[singular[0]]} of the tridiagonal solve"
             )
-    return rows.transpose(1, 0, 2).reshape(R, K, n, n), singular
+    return rows.transpose(1, 0, 2).reshape(R, K, n, n)
 
 
 @np.errstate(all="ignore")
@@ -587,21 +584,15 @@ def step_factors(path: OperatorPath) -> StepFactors:
     path of a sweep from the zero trajectory), the R K steps are one
     system: :func:`_one_step_factors` eliminates one node and the factors
     are a broadcast view of its block, equal to the full elimination's bit
-    for bit.  A single path raises NumericalError at a singular one-step
-    matrix, naming its first such node; a stack names each such row in
-    ``singular`` instead, and its other rows go on.
+    for bit.  A singular one-step matrix raises NumericalError naming its
+    node, in a stack as in a single path.
     """
     stacked = path.bands[1].ndim == 3
     bands = path.bands if stacked else tuple(band[None] for band in path.bands)
     R, K, n = bands[1].shape[0], path.grid.K, path.dim
     if _one_generator(bands):
-        block, singular = _one_step_factors(tuple(band[:1, :2] for band in bands), path.grid.h)
+        block = _one_step_factors(tuple(band[:1, :2] for band in bands), path.grid.h)
         factors = np.broadcast_to(block, (R, K, n, n))
-        singular = dict.fromkeys(range(R), singular[0]) if singular else {}
     else:
-        factors, singular = _one_step_factors(bands, path.grid.h)
-    if stacked:
-        return StepFactors(grid=path.grid, factors=factors, singular=singular)
-    if singular:
-        raise NumericalError(singular[0])
-    return StepFactors(grid=path.grid, factors=factors[0])
+        factors = _one_step_factors(bands, path.grid.h)
+    return StepFactors(grid=path.grid, factors=factors if stacked else factors[0])

@@ -56,12 +56,13 @@ There is one iteration loop, over a batch of rows: a scan's amplitudes,
 a probe's base run and trials, or the one row of a recovery.  Each
 iteration sweeps the rows still running together, with one stacked ball
 check, ``linearise``, propagation build and recursion (the stepper's;
-the kernel series builds and recurs row by row), SVD and solve, each of
-which equals the per-row call slice by slice, bit for bit; the
-reconstruction and the distance are per row.  A row leaves the batch
-where its own recovery would stop, with the same error, message and
-partial report.  A batch holds as many rows as fit the memory budget at
-the per-row peak of a sweep.
+the kernel series builds and recurs row by row), each of which equals the
+per-row call slice by slice, bit for bit; the resolvent, its SVD, the
+solve, the reconstruction and the distance are per row.  A stacked stage
+that fails is redone row by row, so that each row meets its own error.  A
+row leaves the batch where its own recovery would stop, with the same
+error, message and partial report.  A batch holds as many rows as fit the
+memory budget at the per-row peak of a sweep.
 """
 from __future__ import annotations
 
@@ -78,11 +79,10 @@ from .averaging import (
     observe,
     resolvent_matrix,
 )
-from .errors import ConfigurationError, ConvergenceError, NumericalError, SingularOperatorError
+from .errors import ConfigurationError, ConvergenceError, NumericalError
 from .evolution import (
     OperatorPath,
     PropagatorMethod,
-    StepFactors,
     SweepValues,
     TimeGrid,
     evolution_series,
@@ -206,10 +206,9 @@ def operator_path(model, grid: TimeGrid, states: np.ndarray) -> tuple[OperatorPa
 
 
 def _propagation(path: OperatorPath, f_states: np.ndarray, config: RecoveryConfig) -> list:
-    """The sweep values of each path of a stack for its forcing, from the
+    """The SweepValues of each path of a stack for its forcing, from the
     stepper's one-step factors or the kernel series' frozen steps (neither
-    builds a propagator table): per row, its SweepValues or the
-    NumericalError of its build.
+    builds a propagator table); raises the first build error.
 
     The stepper eliminates the nodes of every row at once (one node when
     they all share a generator) and sweeps every row in one K-step
@@ -219,22 +218,19 @@ def _propagation(path: OperatorPath, f_states: np.ndarray, config: RecoveryConfi
     allocates, which lowers the peak RSS.
     """
     if config.method is PropagatorMethod.KERNEL_SERIES:
-        values = []
-        for row, f_row in zip(path.rows, f_states):
-            try:
-                values.append(evolution_series(row).sweep(f_row))
-            except NumericalError as exc:
-                values.append(exc)
-        return values
-    prop = step_factors(path)
-    singular, rows = prop.singular, len(f_states)
-    if singular:
-        keep = [r for r in range(rows) if r not in singular]
-        prop = StepFactors(grid=prop.grid, factors=prop.factors[keep])
-        f_states = f_states[keep]
-    swept = prop.sweep(f_states)
-    values = iter(SweepValues(column, sums) for column, sums in zip(swept.column, swept.sums))
-    return [NumericalError(singular[r]) if r in singular else next(values) for r in range(rows)]
+        return [evolution_series(row).sweep(f_row) for row, f_row in zip(path.rows, f_states)]
+    swept = step_factors(path).sweep(f_states)
+    return [SweepValues(column, sums) for column, sums in zip(swept.column, swept.sums)]
+
+
+def _failure(exc: Exception) -> NumericalError:
+    """The error that ends a row's recovery: a NumericalError as it is, a
+    LinAlgError or FloatingPointError as leaving the computable regime."""
+    if isinstance(exc, NumericalError):
+        return exc
+    error = ConvergenceError(f"iteration left the computable regime: {exc}")
+    error.__cause__ = exc
+    return error
 
 
 def _sweep(
@@ -245,75 +241,48 @@ def _sweep(
     the sigma_min of its resolvent), or the NumericalError that ends its
     recovery, the one its own sweep would meet.
 
-    The rows share one stacked ``linearise``, one propagation build and
-    recursion (:func:`_propagation`), one stacked SVD of their resolvents
-    and one stacked solve; each of these equals the per-row call slice by
-    slice, bit for bit.  A row drops out at its first failure, before the
-    next stage: a non-finite A(u) or f(u) (checked on the bands alone,
-    every other entry being an exact zero), its build, a non-finite
-    column, a singular resolvent, or non-finite states.  A sweep whose
-    stack raises LinAlgError or FloatingPointError (one row's SVD that does
-    not converge fails the stacked call) is redone row by row, so that each
-    row meets its own error.
+    The rows share one stacked ``linearise``, one check that A(u) and f(u)
+    are finite (on the bands alone, every other entry being an exact zero)
+    and one propagation build and recursion (:func:`_propagation`); each of
+    these equals the per-row call slice by slice, bit for bit.  Where any
+    of them fails, the stage is redone row by row, each row as a batch of
+    one, so that each row meets its own error.  The rest of the sweep runs
+    per row (:func:`_solve_row`).
     """
-    grid = cond.grid
-    outcomes: list = [None] * len(states)
     try:
-        path, f_states = operator_path(model, grid, states)
-        finite = np.isfinite(f_states).all(axis=(1, 2))
-        for band in path.bands:
-            finite &= np.isfinite(band).all(axis=(1, 2))
-        live = np.flatnonzero(finite)
-        for r in np.flatnonzero(~finite):
-            outcomes[r] = ConvergenceError(
-                "iteration produced non-finite operator or forcing values"
-            )
-        if live.size < len(states):
-            path = OperatorPath(grid, tuple(band[live] for band in path.bands), path.holder_rho)
-            f_states = f_states[live]
-        swept = []  # (row, its sweep values)
-        for r, values in zip(live, _propagation(path, f_states, config) if live.size else ()):
-            if isinstance(values, NumericalError):
-                outcomes[r] = values
-            elif not np.all(np.isfinite(values.column)):
-                outcomes[r] = ConvergenceError("iteration produced a non-finite propagation")
-            else:
-                swept.append((r, values))
-        if not swept:
-            return outcomes
+        path, f_states = operator_path(model, cond.grid, states)
+        if not (np.isfinite(f_states).all() and all(np.isfinite(b).all() for b in path.bands)):
+            raise ConvergenceError("iteration produced non-finite operator or forcing values")
+        swept = _propagation(path, f_states, config)
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        if len(states) == 1:
+            return [_failure(exc)]
+        return [
+            outcome
+            for r in range(len(states))
+            for outcome in _sweep(model, cond, Ms[r : r + 1], states[r : r + 1], config)
+        ]
+    return [_solve_row(cond, values, M) for values, M in zip(swept, Ms)]
+
+
+def _solve_row(cond: AveragingCondition, values: SweepValues, M: np.ndarray):
+    """(u_new, Xi, sigma_min) of one row from its sweep values and data,
+    or the error that ends its recovery: a non-finite column, a singular
+    resolvent, or non-finite states."""
+    try:
+        if not np.all(np.isfinite(values.column)):
+            raise ConvergenceError("iteration produced a non-finite propagation")
         # Xi solves the variant resolvent equation; the sigma_min of the
-        # singular check reaches the report from the same SVD.
-        resolvents = np.stack([resolvent_matrix(cond, values) for _, values in swept])
-        solvable, sigmas = [], []
-        for k, singular_values in enumerate(np.linalg.svd(resolvents, compute_uv=False)):
-            try:
-                sigmas.append(check_resolvent(cond, singular_values))
-                solvable.append(k)
-            except SingularOperatorError as exc:
-                outcomes[swept[k][0]] = exc
-        if len(solvable) < len(swept):
-            swept, resolvents = [swept[k] for k in solvable], resolvents[solvable]
-        if not swept:
-            return outcomes
-        shifts = np.stack([data_shift(cond, values, Ms[r]) for r, values in swept])
-        xis = np.linalg.solve(resolvents, shifts[..., None])[..., 0]
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        if len(states) > 1:
-            return [
-                outcome
-                for r in range(len(states))
-                for outcome in _sweep(model, cond, Ms[r : r + 1], states[r : r + 1], config)
-            ]
-        error = ConvergenceError(f"iteration left the computable regime: {exc}")
-        error.__cause__ = exc
-        return [error]
-    for (r, values), xi, sigma in zip(swept, xis, sigmas):
+        # singular check reaches the report.
+        resolvent = resolvent_matrix(cond, values)
+        sigma = check_resolvent(cond, resolvent)
+        xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
         new_states = values.column @ xi + values.sums
         if not np.all(np.isfinite(new_states)):
-            outcomes[r] = ConvergenceError("iteration produced non-finite states")
-        else:
-            outcomes[r] = (Trajectory(grid=grid, states=new_states), xi, sigma)
-    return outcomes
+            raise ConvergenceError("iteration produced non-finite states")
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        return _failure(exc)
+    return Trajectory(grid=cond.grid, states=new_states), xi, sigma
 
 
 @dataclass(eq=False)

@@ -571,7 +571,7 @@ def initial_state_map(cond: AveragingCondition, prop, M: np.ndarray, f_traj) -> 
     M = np.asarray(M, dtype=float)
     values = prop.sweep(_states_of(f_traj))
     resolvent = resolvent_matrix(cond, values)
-    check_resolvent(cond, np.linalg.svd(resolvent, compute_uv=False))
+    check_resolvent(cond, resolvent)
     return np.linalg.solve(resolvent, data_shift(cond, values, M))
 
 

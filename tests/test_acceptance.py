@@ -330,8 +330,8 @@ def test_criterion_9_invariant_bundle(series_family, chemo16, rd32, tmp_path):
     run_a = run_experiment(replace(cfg, out=str(tmp_path / "a")))
     run_b = run_experiment(replace(cfg, out=str(tmp_path / "b")))
     tables = ("trajectory.csv", "recovered_u0.csv")
-    bytes_a = b"".join((run_a.out_dir / name).read_bytes() for name in tables)
-    bytes_b = b"".join((run_b.out_dir / name).read_bytes() for name in tables)
+    bytes_a = b"".join((run_a / name).read_bytes() for name in tables)
+    bytes_b = b"".join((run_b / name).read_bytes() for name in tables)
     checks["determinism"] = bytes_a == bytes_b
     ok = all(checks.values())
     report_line(

@@ -216,10 +216,9 @@ def test_zero_start_sweep_eliminates_one_node_for_every_row(monkeypatch):
     assert running > 1 and widths[1] >= running * K
 
 
-@pytest.mark.parametrize("method, variant", CASES)
-def test_probe_equals_single_row_recoveries(method, variant):
-    # Failed trials, a failed base run and the ball warnings, in the order
-    # the single-row recoveries give them.
+def probe_outcomes(method, variant):
+    """(report or error, ball warnings) of the ladder's probe, batched and
+    as single-row recoveries."""
     cond, M = condition(variant), 0.1 * DIRECTION
     config = RecoveryConfig(method=method, max_iters=9)
     outcomes = []
@@ -232,7 +231,31 @@ def test_probe_equals_single_row_recoveries(method, variant):
                 outcome = (type(exc), str(exc), exc.report)
         messages = [str(w.message) for w in caught if w.category is UserWarning]
         outcomes.append((outcome, messages))
-    assert outcomes[0] == outcomes[1]
+    return outcomes
+
+
+@pytest.mark.parametrize("method, variant", CASES)
+def test_probe_equals_single_row_recoveries(method, variant):
+    # Failed trials, a failed base run and the ball warnings, in the order
+    # the single-row recoveries give them.
+    batched, single = probe_outcomes(method, variant)
+    assert batched == single
+
+
+@pytest.mark.parametrize("method, variant", CASES)
+def test_rows_equal_single_row_recoveries_under_raise_mode(method, variant):
+    # Under NumPy's raise mode an overflow or underflow in one row's
+    # linearise, build or recursion raises for the whole stack: it is redone
+    # row by row, and each row still ends as its single-row recovery does,
+    # some of them as leaving the computable regime.
+    config = RecoveryConfig(method=method, **LADDER_CONFIG)
+    with np.errstate(all="raise"):
+        scan = ladder_scan(method, variant)
+        assert scan == scan_reference(CHEMO, condition(variant), DIRECTION, LADDER, config)
+        batched, single = probe_outcomes(method, variant)
+    assert batched == single
+    left = "ConvergenceError: iteration left the computable regime: "
+    assert any(row.note.startswith(left) for row in scan.rows)
 
 
 def test_probe_ladder_has_failed_trials_and_failed_base_runs():
@@ -248,38 +271,49 @@ def test_probe_ladder_has_failed_trials_and_failed_base_runs():
         )
 
 
-def test_singular_build_fails_its_own_rows():
-    # A stack of three paths whose middle one meets a singular one-step
-    # matrix at node 3, then a stack where every path does: the failing rows
-    # get the error a single path raises, the others their own sweeps.
+class ScalarModel:
+    """A model whose generator at each node is the 1 x 1 matrix of its
+    state, with forcing f(u) = u."""
+
+    exponents = CHEMO.exponents
+
+    def linearise(self, states):
+        off = np.empty(states.shape[:-1] + (0,))
+        return (off, states, off), states
+
+
+def test_singular_build_fails_only_its_own_row():
+    # A stack of three rows whose middle one meets a singular one-step
+    # matrix at node 3: the stacked build raises, and the sweep gives that
+    # row the error of its single-row sweep and the others their own
+    # outcomes, bit for bit.
     grid = TimeGrid(T=0.5, K=4)
-    off = np.empty((3, 5, 0))
-    a = -1.0 - np.arange(15.0).reshape(3, 5, 1) / 10
-    a[1, 3] = 1.0 / (0.5 * grid.h)
-    f_states = np.random.default_rng(8).standard_normal((3, 5, 1))
-    config = RecoveryConfig()
-    path = OperatorPath(grid, (off, a, off), 0.5)
-    values = avgrec.solver._propagation(path, f_states, config)
-    with pytest.raises(NumericalError) as single:
-        step_factors(path.rows[1])
-    assert isinstance(values[1], NumericalError) and str(values[1]) == str(single.value)
+    cond = AveragingCondition.from_preset(grid, Variant.TERMINAL_DIFFERENCE, w0=0.5)
+    states = -1.0 - np.arange(15.0).reshape(3, 5, 1) / 10
+    states[1, 3] = 1.0 / (0.5 * grid.h)
+    Ms = np.random.default_rng(8).standard_normal((3, 1))
+    model, config = ScalarModel(), RecoveryConfig()
+    with pytest.raises(NumericalError) as stacked:
+        step_factors(OperatorPath(grid, model.linearise(states)[0], 0.5))
+    outcomes = avgrec.solver._sweep(model, cond, Ms, states, config)
+    singles = [
+        avgrec.solver._sweep(model, cond, Ms[r : r + 1], states[r : r + 1], config)[0]
+        for r in range(3)
+    ]
+    message = "singular one-step matrix at node 3: zero pivot in row 1 of the tridiagonal solve"
+    assert str(stacked.value) == message
+    assert isinstance(outcomes[1], NumericalError) and str(outcomes[1]) == message
+    assert str(singles[1]) == message
     for r in (0, 2):
-        expected = step_factors(path.rows[r]).sweep(f_states[r])
-        assert np.array_equal(values[r].column, expected.column)
-        assert np.array_equal(values[r].sums, expected.sums)
-    constant = np.full((2, 5, 1), 1.0 / (0.5 * grid.h))
-    path = OperatorPath(grid, (off[:2], constant, off[:2]), 0.5)
-    values = avgrec.solver._propagation(path, f_states[:2], config)
-    assert [str(value) for value in values] == [
-        "singular one-step matrix at node 1: zero pivot in row 1 of the tridiagonal solve"
-    ] * 2
+        (traj, xi, sigma), (single_traj, single_xi, single_sigma) = outcomes[r], singles[r]
+        assert np.array_equal(traj.states, single_traj.states)
+        assert np.array_equal(xi, single_xi) and sigma == single_sigma
 
 
-def test_a_stack_that_raises_is_swept_row_by_row(monkeypatch):
-    # One row's resolvent turns NaN once its Duhamel sums grow, so the
-    # stacked SVD of its sweep raises for every row: the sweep is redone
-    # row by row, that row fails as its single-row recovery does, and the
-    # others go on.
+def test_a_nan_resolvent_fails_its_own_row(monkeypatch):
+    # One row's resolvent turns NaN once its Duhamel sums grow: that row's
+    # own SVD raises and it fails as its single-row recovery does, leaving
+    # the computable regime, while the others go on.
     original = avgrec.solver.resolvent_matrix
 
     def spoiled(cond, values):

@@ -228,47 +228,47 @@ class TestCsvRoundTrip:
 class TestRunExperiment:
     def test_recover_artifacts(self, tmp_path):
         cfg = parse_config(fast_config(tmp_path))
-        artifacts = run_experiment(cfg)
-        report = json.loads(Path(artifacts.report_path).read_text())
+        out = run_experiment(cfg)
+        report = json.loads((out / "report.json").read_text())
         assert report["status"] == "ok"
         assert report["solve"]["converged"]
-        assert (artifacts.out_dir / "trajectory.csv").exists()
-        assert (artifacts.out_dir / "recovered_u0.csv").exists()
-        assert (artifacts.out_dir / "plot_convergence.py").exists()
-        assert (artifacts.out_dir / "plot_trajectory.py").exists()
+        assert (out / "trajectory.csv").exists()
+        assert (out / "recovered_u0.csv").exists()
+        assert (out / "plot_convergence.py").exists()
+        assert (out / "plot_trajectory.py").exists()
 
     def test_zero_data_recovers_zero(self, tmp_path):
         cfg = parse_config(fast_config(tmp_path, data=["source = zero"]))
-        artifacts = run_experiment(cfg)
-        recovered = read_field_csv(artifacts.out_dir / "recovered_u0.csv")
+        out = run_experiment(cfg)
+        recovered = read_field_csv(out / "recovered_u0.csv")
         assert np.all(recovered == 0.0)
 
     def test_forward_operation(self, tmp_path):
         cfg = parse_config(fast_config(tmp_path, run=["operation = forward"]))
-        artifacts = run_experiment(cfg)
-        ts, states = read_trajectory_csv(artifacts.out_dir / "trajectory.csv")
+        out = run_experiment(cfg)
+        ts, states = read_trajectory_csv(out / "trajectory.csv")
         assert states.shape == (17, 8)
 
     def test_scan_operation(self, tmp_path):
         cfg = parse_config(
             fast_config(tmp_path, data=["amplitudes = 0.001 0.01"], run=["operation = scan"])
         )
-        artifacts = run_experiment(cfg)
-        lines = (artifacts.out_dir / "scan.csv").read_text().strip().splitlines()
+        out = run_experiment(cfg)
+        lines = (out / "scan.csv").read_text().strip().splitlines()
         assert lines[0] == "amplitude,converged,iterations,contraction"
         assert len(lines) == 3
-        assert (artifacts.out_dir / "plot_scan.py").exists()
+        assert (out / "plot_scan.py").exists()
 
     def test_probe_operation(self, tmp_path):
         cfg = parse_config(fast_config(tmp_path, run=["operation = probe", "trials = 2"]))
-        artifacts = run_experiment(cfg)
-        report = json.loads(Path(artifacts.report_path).read_text())
+        out = run_experiment(cfg)
+        report = json.loads((out / "report.json").read_text())
         assert report["probe"]["all_converged"]
 
     def test_validate_operation(self, tmp_path):
         cfg = parse_config(fast_config(tmp_path, run=["operation = validate"]))
-        artifacts = run_experiment(cfg)
-        report = json.loads(Path(artifacts.report_path).read_text())
+        out = run_experiment(cfg)
+        report = json.loads((out / "report.json").read_text())
         assert report["exponents"]["all_passed"]
 
     def test_singular_phi_failure_report_names_sigma(self, tmp_path):
@@ -331,7 +331,7 @@ class TestRunExperiment:
         a = run_experiment(replace(cfg, out=str(tmp_path / "a")))
         b = run_experiment(replace(cfg, out=str(tmp_path / "b")))
         for name in ("report.json", "trajectory.csv", "recovered_u0.csv"):
-            x, y = a.out_dir / name, b.out_dir / name
+            x, y = a / name, b / name
             ax = x.read_bytes()
             # the config echo embeds the out directory; normalize it away
             ax = ax.replace(str(tmp_path / "a").encode(), b"OUT")

@@ -534,43 +534,42 @@ class TestBatchedTridiagonalFactors:
 
 class TestRowStackedFactors:
     """One elimination over the nodes of a stack of paths gives each row the
-    factors of its own path bit for bit; a row that meets a singular
-    one-step matrix is named as its own path names it, and the other rows
-    solve.  A stack whose nodes all share one generator eliminates one
-    node."""
+    factors of its own path bit for bit; a stack with a singular one-step
+    matrix raises the message its own path raises.  A stack whose nodes all
+    share one generator eliminates one node."""
 
     @staticmethod
     def stack(paths):
         return tuple(np.stack(bands) for bands in zip(*(path.bands for path in paths)))
 
-    def test_singular_row_named_and_others_solve(self, monkeypatch):
+    def test_singular_row_fails_the_stack_and_the_others_solve(self, monkeypatch):
         # Rows 0 and 2 interchange rows at every other node, so the port
-        # solves nodes of three rows at once; row 1 meets a zero pivot at
+        # solves nodes of both rows at once; row 1 meets a zero pivot at
         # node 5 only.
         base = constant_path(-np.eye(3), K=8, T=1.0)
         target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         bad = with_node(base, 5, target, 0.5 * base.grid.h)
         paths = [tridiagonal_path(n=3, K=8, T=1.0, seed=seed) for seed in (1, 2)]
-        paths.insert(1, bad)
         with pytest.raises(NumericalError) as one_row:
             step_factors(bad)
-        calls = counted_port(monkeypatch)
-        factors, singular = _one_step_factors(self.stack(paths), base.grid.h)
-        assert len(calls) == 1
         message = str(one_row.value)
         assert message.startswith("singular one-step matrix at node 5: zero pivot in row 2 ")
-        assert singular == {1: message}
-        for row in (0, 2):
-            expected = np.ascontiguousarray(step_factors(paths[row]).factors)
+        stacked = OperatorPath(base.grid, self.stack([paths[0], bad, paths[1]]), 0.5)
+        with pytest.raises(NumericalError) as stack:
+            step_factors(stacked)
+        assert str(stack.value) == message
+        calls = counted_port(monkeypatch)
+        factors = _one_step_factors(self.stack(paths), base.grid.h)
+        assert len(calls) == 1
+        for row, path in enumerate(paths):
+            expected = np.ascontiguousarray(step_factors(path).factors)
             assert same_bytes(np.ascontiguousarray(factors[row]), expected)
-        stacked = step_factors(OperatorPath(base.grid, self.stack(paths), 0.5))
-        assert stacked.singular == singular and stacked.factors.shape == (3, 8, 3, 3)
 
     def test_shared_generator_eliminates_one_node(self, monkeypatch):
         model = MODELS["chemotaxis"](6)
         grid = TimeGrid(T=0.5, K=12)
         bands = model.linearise(np.full((3, 13, 6), 0.01))[0]
-        full, _ = _one_step_factors(bands, grid.h)
+        full = _one_step_factors(bands, grid.h)
         original, widths = _one_step_factors, []
 
         def recorded(bands, h):
@@ -585,13 +584,13 @@ class TestRowStackedFactors:
         assert same_bytes(np.ascontiguousarray(single.factors), full[0])
         assert widths == [1, 1]
 
-    def test_shared_singular_generator_names_every_row(self):
+    def test_shared_singular_generator_fails_the_stack(self):
         grid = TimeGrid(T=0.5, K=4)
         a = np.full((2, 5, 1), 1.0 / (0.5 * grid.h))
         off = np.empty((2, 5, 0))
-        stacked = step_factors(OperatorPath(grid, (off, a, off), 0.5))
         message = "singular one-step matrix at node 1: zero pivot in row 1 of the tridiagonal solve"
-        assert stacked.singular == {0: message, 1: message}
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            step_factors(OperatorPath(grid, (off, a, off), 0.5))
         with pytest.raises(NumericalError, match=f"^{message}$"):
             step_factors(OperatorPath(grid, (off[0], a[0], off[0]), 0.5))
 

@@ -511,6 +511,15 @@ class TestOneBuildPerIteration:
         assert row.converged and row.iterations >= 2
         assert len(counts["_propagation"]) == row.iterations
         assert len(counts["_stepper_left_sums"]) == row.iterations
+        # A batch whose rows all converge builds once per iteration for all
+        # of them: no stage is redone row by row.
+        for calls in counts.values():
+            calls.clear()
+        result = smallness_scan(small_chemo, cond, direction, [0.0, 0.005, 0.01, 0.02])
+        iterations = [row.iterations for row in result.rows]
+        assert all(row.converged for row in result.rows) and len(set(iterations)) > 1
+        assert len(counts["_propagation"]) == max(iterations)
+        assert len(counts["_stepper_left_sums"]) == max(iterations)
 
     def test_forward_step_solves_for_the_signal_once(self, small_chemo, monkeypatch):
         import avgrec.models

@@ -151,9 +151,10 @@ def same_bytes(a, b):
 def test_stacked_ops_match_per_slice(n):
     # The solver sweeps the rows of a scan or probe together: the stepper's
     # recursion is one stacked matmul per step (its factors broadcast over
-    # rows and nodes on a shared generator), the resolvents take one stacked
-    # SVD and one stacked solve, and the model one stacked linearise and
-    # ball check.  Each slice must be the per-row call's bit for bit.
+    # rows and nodes on a shared generator), and the model takes one stacked
+    # linearise and ball check.  Each slice must be the per-row call's bit
+    # for bit.  The solver takes the resolvents' SVD and solve row by row;
+    # their stacked calls are still checked here.
     rng = np.random.default_rng(n)
     R, K = 3, 6
     factors = rng.standard_normal((R, K, n, n))
