@@ -55,14 +55,14 @@ and the self-convergence error that recovery accuracy is measured against.
 There is one iteration loop, over a batch of rows: a scan's amplitudes,
 a probe's base run and trials, or the one row of a recovery.  Each
 iteration sweeps the rows still running together, with one stacked ball
-check, ``linearise``, propagation build and recursion (the stepper's;
-the kernel series builds and recurs row by row), each of which equals the
-per-row call slice by slice, bit for bit; the resolvent, its SVD, the
-solve, the reconstruction and the distance are per row.  A stacked stage
-that fails is redone row by row, so that each row meets its own error.  A
-row leaves the batch where its own recovery would stop, with the same
-error, message and partial report.  A batch holds as many rows as fit the
-memory budget at the per-row peak of a sweep.
+check, ``linearise``, propagation build and recursion (the kernel series
+builds and recurs row by row) and distance, each equal to the per-row
+call slice by slice, bit for bit; the resolvent, its SVD, the solve and
+the reconstruction are per row.  A stacked stage that fails is redone row
+by row, so that each row meets its own error.  A row leaves the batch
+where its own recovery would stop, with the same error, message and
+partial report.  A batch holds as many rows as fit the memory budget at
+the per-row peak of a sweep.
 """
 from __future__ import annotations
 
@@ -169,31 +169,36 @@ class SolveReport:
         return asdict(self)
 
 
-def weighted_distance(u: Trajectory, v: Trajectory, model) -> float:
+def weighted_distance(u, v, model, grid: TimeGrid | None = None) -> float | np.ndarray:
     """Distance of the iteration space; homogeneous of degree one.
 
-    The orders are the model's exponent book: the weight t^mu, the spectral
-    norms of orders 2 xi and 2 beta of its base Laplacian, and the Hoelder
-    exponent rho.  The t=0 node is excluded from the weighted part (the
-    weight vanishes there); the Hoelder quotient runs over adjacent and
-    dyadic gaps only.
+    u and v are two Trajectories, or states on ``grid``: one pair (K+1, n)
+    gives a float, a stack (R, K+1, n) one distance per row, each its own
+    call's bit for bit.  The orders are the model's exponent book: the
+    weight t^mu, the spectral norms of orders 2 xi and 2 beta of its base
+    Laplacian, and the Hoelder exponent rho.  The t=0 node is excluded from
+    the weighted part (the weight vanishes there); the Hoelder quotient runs
+    over adjacent and dyadic gaps only, a gap whose quotient is NaN left out.
     """
-    if u.grid.K != v.grid.K or u.grid.T != v.grid.T:
-        raise ValueError("trajectories live on different time grids")
+    if isinstance(u, Trajectory):
+        if u.grid.K != v.grid.K or u.grid.T != v.grid.T:
+            raise ValueError("trajectories live on different time grids")
+        u, v, grid = u.states, v.states, u.grid
     book, base = model.exponents, model.base
-    # (K+1, n) modal coefficients of the difference; the transform is linear,
-    # so a difference of nodes is the difference of their rows.
-    coeffs = (u.states - v.states) @ base.eigenvectors
-    nodes = u.grid.nodes
-    xi_part = float(np.max(nodes[1:] ** book.mu * modal_norm(base, coeffs, 2.0 * book.xi)[1:]))
-    sup_part = float(modal_norm(base, coeffs, 2.0 * book.beta).max())
-    holder = 0.0
+    # (..., K+1, n) modal coefficients of the differences; the transform is
+    # linear, so a difference of nodes is the difference of their rows.
+    coeffs = (u - v) @ base.eigenvectors
+    xi_norms = modal_norm(base, coeffs, 2.0 * book.xi)[..., 1:]
+    xi_part = (grid.nodes[1:] ** book.mu * xi_norms).max(axis=-1)
+    sup_part = modal_norm(base, coeffs, 2.0 * book.beta).max(axis=-1)
+    holder = np.zeros(coeffs.shape[:-2])
     gap = 1
-    while gap <= u.grid.K:
-        seg_norms = modal_norm(base, coeffs[gap:] - coeffs[:-gap], 2.0 * book.beta)
-        holder = max(holder, float(seg_norms.max()) / (gap * u.grid.h) ** book.rho)
+    while gap <= grid.K:
+        seg_norms = modal_norm(base, coeffs[..., gap:, :] - coeffs[..., :-gap, :], 2.0 * book.beta)
+        holder = np.fmax(holder, seg_norms.max(axis=-1) / (gap * grid.h) ** book.rho)
         gap *= 2
-    return xi_part + sup_part + holder
+    distance = xi_part + sup_part + holder
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def operator_path(model, grid: TimeGrid, states: np.ndarray) -> tuple[OperatorPath, np.ndarray]:
@@ -344,6 +349,10 @@ def _recover_batch(
         norms = check_ball(model, states, enforce=False)
         exits = np.count_nonzero(norms > model.ball_radius, axis=-1).tolist()
         outcomes = _sweep(model, cond, np.stack([row.M for row in running]), states, config)
+        # The distances of every row that swept, in one stacked call.
+        swept = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, NumericalError)]
+        new_states = np.stack([outcomes[k][0].states for k in swept]) if swept else states[:0]
+        dists = iter(weighted_distance(new_states, states[swept], model, cond.grid).tolist())
         for row, ball_exits, outcome in zip(running, exits, outcomes):
             if ball_exits:
                 row.ball_warnings.append(
@@ -354,7 +363,7 @@ def _recover_batch(
                 continue
             new_u, row.xi, sigma = outcome
             report = row.report
-            dist = weighted_distance(new_u, row.u, model)
+            dist = next(dists)
             report.iterates += 1
             report.distances.append(dist)
             report.sigma_min_history.append(sigma)
@@ -593,10 +602,11 @@ def contraction_probe(
         limits.append(traj)
         u0s.append(u0)
         per_run.append(tuple(rep.contraction_estimates))
-    spread = max(
-        (weighted_distance(a, b, model) for i, a in enumerate(limits) for b in limits[i + 1 :]),
-        default=0.0,
-    )
+    # Every pair i < j of limits in one stacked call.
+    first, second = np.triu_indices(len(limits), k=1)
+    states = np.stack([traj.states for traj in limits])
+    distances = weighted_distance(states[first], states[second], model, cond.grid)
+    spread = float(distances.max(initial=0.0))
     u0_spread = max(
         (float(np.linalg.norm(a - b)) for i, a in enumerate(u0s) for b in u0s[i + 1 :]),
         default=0.0,

@@ -521,6 +521,20 @@ class TestOneBuildPerIteration:
         assert len(counts["_propagation"]) == max(iterations)
         assert len(counts["_stepper_left_sums"]) == max(iterations)
 
+    def test_scan_measures_its_rows_once_per_iteration(self, small_chemo, monkeypatch):
+        # The distances of the rows still running are one stacked call per
+        # batched iteration, not one call per row-sweep.
+        import avgrec.solver
+
+        grid_t = TimeGrid(T=0.5, K=16)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
+        direction = np.cos(np.pi * small_chemo.base.grid.nodes)
+        calls = self.counting(monkeypatch, avgrec.solver, "weighted_distance")
+        result = smallness_scan(small_chemo, cond, direction, [0.0, 0.005, 0.01, 0.02])
+        iterations = [row.iterations for row in result.rows]
+        assert all(row.converged for row in result.rows) and sum(iterations) > max(iterations)
+        assert len(calls) == max(iterations)
+
     def test_forward_step_solves_for_the_signal_once(self, small_chemo, monkeypatch):
         import avgrec.models
 

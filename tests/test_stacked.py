@@ -19,6 +19,7 @@ from avgrec.solver import (
     Trajectory,
     fixed_point_recover,
     forward_solve,
+    weighted_distance,
 )
 from avgrec.spatial import (
     BoundaryKind,
@@ -152,7 +153,8 @@ def test_stacked_ops_match_per_slice(n):
     # The solver sweeps the rows of a scan or probe together: the stepper's
     # recursion is one stacked matmul per step (its factors broadcast over
     # rows and nodes on a shared generator), and the model takes one stacked
-    # linearise and ball check.  Each slice must be the per-row call's bit
+    # linearise and ball check, and the distance of every row in one modal
+    # transform and modal_norm.  Each slice must be the per-row call's bit
     # for bit.  The solver takes the resolvents' SVD and solve row by row;
     # their stacked calls are still checked here.
     rng = np.random.default_rng(n)
@@ -172,6 +174,14 @@ def test_stacked_ops_match_per_slice(n):
         assert same_bytes(singular_values[r], np.linalg.svd(resolvents[r], compute_uv=False))
         assert same_bytes(solved[r], np.linalg.solve(resolvents[r], shifts[r]))
     grid = build_grid(n, 1.0, BoundaryKind.NEUMANN)
+    # The distance's modal transform and norms at a scan's batch shape.
+    base = assemble_laplacian(grid)
+    diffs = rng.standard_normal((8, 65, n))
+    coeffs = diffs @ base.eigenvectors
+    modal_norms = spatial.modal_norm(base, coeffs, 0.7)
+    for r in range(len(diffs)):
+        assert same_bytes(coeffs[r], diffs[r] @ base.eigenvectors)
+        assert same_bytes(modal_norms[r], spatial.modal_norm(base, coeffs[r], 0.7))
     for model in (
         ChemotaxisModel.default(grid, delta=0.5),
         NonlocalRDModel.default(grid),
@@ -281,3 +291,76 @@ def test_recovery_equals_per_state_model(variant, method):
     assert np.array_equal(u0, ref_u0)
     assert np.array_equal(traj.states, ref_traj.states)
     assert report.to_dict() == ref_report.to_dict()
+
+
+def distance_reference(u, v, model, grid_t) -> float:
+    """The iteration distance from its definition, node by node and pair by
+    pair of nodes through ``sobolev_norm``: equal to the solver's up to
+    roundoff, since it transforms each node's difference on its own."""
+    book, diff = model.exponents, u - v
+    xi, beta = 2.0 * book.xi, 2.0 * book.beta
+    weighted = max(
+        t**book.mu * sobolev_norm(model.base, d, xi) for t, d in zip(grid_t.nodes[1:], diff[1:])
+    )
+    sup = max(sobolev_norm(model.base, d, beta) for d in diff)
+    holder = max(
+        sobolev_norm(model.base, diff[j + gap] - diff[j], beta) / (gap * grid_t.h) ** book.rho
+        for gap in (2**p for p in range(grid_t.K.bit_length()))
+        for j in range(grid_t.K + 1 - gap)
+    )
+    return weighted + sup + holder
+
+
+def pair_bytes(us, vs, model, grid_t) -> list:
+    """The distance of each pair of a stack, one call per Trajectory pair."""
+    out = []
+    for u, v in zip(us, vs):
+        pair = weighted_distance(Trajectory(grid_t, u), Trajectory(grid_t, v), model)
+        assert isinstance(pair, float)
+        out.append(np.float64(pair).tobytes())
+    return out
+
+
+@pytest.mark.parametrize("R", [1, 3, 8])
+@pytest.mark.parametrize(
+    "model_class, bc",
+    [
+        (ChemotaxisModel, BoundaryKind.NEUMANN),  # chemotaxis needs a Neumann grid
+        (NonlocalRDModel, BoundaryKind.NEUMANN),
+        (NonlocalRDModel, BoundaryKind.DIRICHLET),
+    ],
+)
+def test_stacked_distance_matches_per_pair(model_class, bc, R):
+    # K = 13 is no power of two, so the last dyadic gap, 8, spans part of
+    # the horizon.
+    model = model_class.default(build_grid(12, 1.0, bc))
+    assert model.exponents.mu > 0 and model.exponents.rho > 0
+    grid_t = TimeGrid(T=0.5, K=13)
+    us, vs = np.random.default_rng(R).standard_normal((2, R, grid_t.K + 1, 12))
+    got = weighted_distance(us, vs, model, grid_t)
+    assert got.shape == (R,)
+    assert [d.tobytes() for d in got] == pair_bytes(us, vs, model, grid_t)
+    reference = [distance_reference(u, v, model, grid_t) for u, v in zip(us, vs)]
+    np.testing.assert_allclose(got, reference, rtol=1e-12, atol=0.0)
+    # A zero difference is exactly 0.0, stacked and alone.
+    assert weighted_distance(us, us, model, grid_t).tolist() == [0.0] * R
+    assert weighted_distance(us[0], us[0], model, grid_t) == 0.0
+
+
+def test_stacked_distance_raises_where_a_pair_would():
+    # Under raise mode the second pair's squared modal coefficients
+    # underflow: its own call raises, and so does every stack that holds it,
+    # with the same error; the stack of the other two does not.
+    model = MODELS["chemotaxis"]
+    grid_t = TimeGrid(T=0.5, K=13)
+    us = RNG.standard_normal((3, grid_t.K + 1, 12))
+    us[1] *= 1e-160
+    vs = np.zeros_like(us)
+    with np.errstate(all="raise"):
+        others = weighted_distance(us[[0, 2]], vs[[0, 2]], model, grid_t)
+        assert [d.tobytes() for d in others] == pair_bytes(us[[0, 2]], vs[[0, 2]], model, grid_t)
+        with pytest.raises(FloatingPointError) as own:
+            weighted_distance(us[1], vs[1], model, grid_t)
+        with pytest.raises(FloatingPointError) as stacked:
+            weighted_distance(us, vs, model, grid_t)
+    assert str(stacked.value) == str(own.value)
