@@ -25,14 +25,14 @@ interchanges, and one K-step loop of (n, n) x (n, n+1) products,
 O(K n^3); a stack of R paths, such as the rows of a scan, takes one
 elimination over its R K nodes, or over one node when they all share a
 generator, and one K-step loop of stacked products; a singular one-step
-matrix in any row fails the whole stack), the kernel series from the
-frozen steps exp(h A_G) of its G distinct generators, nodes with
-bitwise-equal generators sharing one step and one carried product
-(:class:`SeriesSweep`, O(K G n^3): O(K^2 n^3) when no generator repeats,
-O(K n^3) on a constant path), neither forming a table.  The full
-lower-triangular tables of both constructions, O(K^2 n^2) memory, are
-test oracles (``tests/oracles.py``) and serve the same ``sweep`` entry
-from their rows.
+matrix in any row fails the whole stack), the kernel series by one of
+two routes (:func:`evolution_series`): on a constant path, whose kernel is
+exactly zero, the stepper's K-step loop over its one frozen step
+exp(h A_0), O(K n^3), and on any other path its own recursion over the
+frozen steps exp(h A_j) of the nodes 0..K-1 (:class:`SeriesSweep`,
+O(K^2 n^3)); neither forms a table.  The full lower-triangular tables of
+both constructions, O(K^2 n^2) memory, are test oracles
+(``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
 
 Neither construction imports SciPy: the kernel series takes its frozen
 steps from ``spatial.matrix_exponential``, a batched NumPy Pade
@@ -244,20 +244,15 @@ def _stepper_left_sums(factors: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     return left
 
 
-def _generator_groups(path: OperatorPath) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, first) of the nodes j = 0..K-1 grouped by generator: the
-    group of each node, numbered in order of first occurrence, and the first
-    node of each group.  Nodes are keyed on the rows of ``path.node_keys``,
-    bit for bit."""
-    groups: dict[bytes, int] = {}
-    keys = path.node_keys[:-1]
-    labels = np.array([groups.setdefault(key.tobytes(), len(groups)) for key in keys])
-    return labels, np.unique(labels, return_index=True)[1]
+def _one_generator(path) -> bool:
+    """Whether all nodes 0..K of a path, or of a stack of paths, have the
+    first's generator bit for bit (``node_keys``), tested last node first."""
+    keys = path.node_keys
+    bits = np.ascontiguousarray(keys).view(np.uint64).reshape(-1, keys.shape[-1])
+    return bool((bits[-1] == bits[0]).all() and (bits == bits[0]).all())
 
 
-def _series_left_sums(
-    path: OperatorPath, steps: np.ndarray, labels: np.ndarray, first: np.ndarray, forcing: np.ndarray
-) -> np.ndarray:
+def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     """X_i = [U(t_i, 0) | sum_{m<i} U(t_i, t_m) F_m] for i = 0..K and the
     series U = a + a*w, from one forward recursion on the right-hand side
     r_0 = [I | F_0], r_m = [0 | F_m] (width n+r) of a forcing stack F of
@@ -268,46 +263,30 @@ def _series_left_sums(
     g_m = r_m + h y_m + (h/rho) s_{m-1}:
         R_m = sum_{l<m} a[m, l] g_l + (h/rho) s_{m-1},
         y_m = sum_{l<m} w[m, l] r_l = sum_{l<m} k[m, l] g_l.
-    Nodes whose generators are equal share one frozen step E_G = exp(h A_G)
-    and one carried product p_G = sum_{l<m, l in G} a[m, l] g_l, given as
-    the ``steps`` E_G, the group ``labels`` of the nodes 0..K-1, numbered in
-    order of first occurrence, and the ``first`` node of each group, whose
-    generator is A_G.  Each step advances every group met so far by
-    p_G <- E_G p_G, then starts or adds to the group of node m-1 with
-    E_G g_{m-1}; R_m sums the p_G, and k[m, l] g_l summed over a group is
-    (A_m - A_G) p_G, exactly zero where A_m = A_G.  With G groups a sweep
-    costs O(K G n^2 (n+r)): a path with no repeated generator carries up to
-    K products, in the order of the ungrouped recursion, and a constant
-    path one.  The identity block of r_m is zero beyond node 0, so its r_m
-    and s_m terms are skipped there.  X_0 = [I | 0].
+    With the ``steps`` E_l = exp(h A_l) of the nodes 0..K-1, node l carries
+    the product p_l = a[m, l] g_l: each step advances every carried product
+    by p_l <- E_l p_l and starts p_{m-1} = E_{m-1} g_{m-1}; R_m sums them,
+    and k[m, l] g_l = (A_m - A_l) p_l.  A sweep costs O(K^2 n^2 (n+r)).  The
+    identity block of r_m is zero beyond node 0, so its r_m and s_m terms
+    are skipped there.  X_0 = [I | 0].
     """
-    K = path.grid.K
-    h = path.grid.h
+    K, h, n = path.grid.K, path.grid.h, path.dim
     end = h / path.holder_rho
     mats = path.matrices
-    n = path.dim
     left = np.zeros((K + 1, n, n + forcing.shape[-1]))
-    carried = np.empty((steps.shape[0],) + left.shape[1:])  # p_G for the groups met
-    met = 0
+    carried = np.empty((K,) + left.shape[1:])  # p_l for the nodes l < m
     g = np.concatenate((np.eye(n), forcing[0]), axis=1)
     for m in range(1, K + 1):
-        group = labels[m - 1]
-        carried[:met] = np.matmul(steps[:met], carried[:met])
-        if group == met:
-            carried[group] = steps[group] @ g
-            met += 1
-        else:
-            carried[group] += steps[group] @ g
-        left[m] = carried[:met].sum(axis=0)
+        carried[: m - 1] = np.matmul(steps[: m - 1], carried[: m - 1])
+        carried[m - 1] = steps[m - 1] @ g
+        left[m] = carried[:m].sum(axis=0)
         # s_{m-1}: on both blocks at m = 1 (where E_0 r_0 = p_0), else on F.
         edge = slice(None) if m == 1 else slice(n, None)
-        applied = carried[0] if m == 1 else steps[group] @ forcing[m - 1]
+        applied = carried[0] if m == 1 else steps[m - 1] @ forcing[m - 1]
         end_term = end * ((mats[m] - mats[m - 1]) @ applied)
         left[m, :, edge] += end_term
         if m < K:
-            diffs = mats[first[:met]]
-            np.subtract(mats[m], diffs, out=diffs)
-            g = h * np.matmul(diffs, carried[:met]).sum(axis=0)
+            g = h * np.matmul(mats[m] - mats[:m], carried[:m]).sum(axis=0)
             g[:, n:] += forcing[m]
             g[:, edge] += end_term
     left[0, :, :n] = np.eye(n)
@@ -316,16 +295,13 @@ def _series_left_sums(
 
 @dataclass(frozen=True)
 class SeriesSweep(_Sweep):
-    """The kernel series' sweep interface in O(K n^2) memory: the path, the
-    frozen steps exp(h A_G) of its G distinct generators, the group of each
-    node 0..K-1 and the first node of each group; every quantity comes from
-    the forward recursion of :func:`_series_left_sums`, O(K G n^2 (n+1)) per
-    sweep, and a, k, w and U are never formed."""
+    """The kernel series' sweep interface on a nonconstant path, in O(K n^2)
+    memory: the path and the frozen steps exp(h A_j) of its nodes 0..K-1;
+    every quantity comes from :func:`_series_left_sums`, O(K^2 n^2 (n+1))
+    per sweep, and a, k, w and U are never formed."""
 
     path: OperatorPath
-    steps: np.ndarray  # (G, n, n)
-    labels: np.ndarray  # (K,)
-    first: np.ndarray  # (G,)
+    steps: np.ndarray  # (K, n, n)
 
     @property
     def grid(self) -> TimeGrid:
@@ -336,43 +312,38 @@ class SeriesSweep(_Sweep):
         return self.path.dim
 
     def _left_sums(self, forcing: np.ndarray) -> np.ndarray:
-        return _series_left_sums(self.path, self.steps, self.labels, self.first, forcing)
+        return _series_left_sums(self.path, self.steps, forcing)
 
 
 def series_peak_bytes(n: int, K: int) -> int:
     """Estimated peak memory of a kernel-series sweep (:func:`evolution_series`
-    and :meth:`SeriesSweep.sweep`) in bytes: six stacks of K+1 float64
-    n x (n+1) blocks.
+    and its ``sweep``) in bytes: six stacks of K+1 float64 n x (n+1) blocks.
 
     The build forms the path's dense (K+1, n, n) generator stack from its
-    bands (``OperatorPath.matrices``); the recursion holds the frozen steps,
-    the carried products, the left sums, and at the last nodes the
-    differences A_m - A_G and their products with the carried blocks; its
-    right-hand side is [I | qw f].  The estimate is reached when no
-    generator repeats (G = K); every other path holds G < K steps, products
-    and differences, and stays below it.
+    bands (``OperatorPath.matrices``); on a nonconstant path the recursion
+    holds the K frozen steps, the carried products, the left sums, and at
+    the last nodes the differences A_m - A_l and their products with the
+    carried blocks, on [I | qw f].  A constant path stays below it.
     """
     return 6 * 8 * (K + 1) * n * (n + 1)
 
 
-def evolution_series(path: OperatorPath) -> SeriesSweep:
-    """Sweep interface of the kernel series U = a + a*w: the nodes
-    0..K-1 grouped by bitwise-equal generators, and the frozen step of each
-    of the G groups from one stacked matrix exponential.
+def evolution_series(path: OperatorPath) -> StepFactors | SeriesSweep:
+    """Sweep interface of the kernel series U = a + a*w, by one of two routes.
 
-    A sweep's column U(t_i, 0) and Duhamel sums are one recursion on
-    [I | qw f], O(K G n^2 (n+1)).  A path with no repeated generator
-    (G = K) exponentiates a view of the dense stack, not a copy.  On a
-    constant path (G = 1) the kernel is exactly zero, the sweep costs
-    O(K n^3) with one exponential, and the column equals that of the dense
-    series table (``tests/oracles.py``) bit for bit.  The overflow cap of
-    the exponential names the first node over it.
+    Where the generators of all nodes 0..K are equal bit for bit (node K
+    too: the end term of the last node reads A_K - A_{K-1}), the kernel is
+    exactly zero: the one frozen step exp(h A_0) is the factor of every
+    step of the stepper's K-step loop, O(K n^3), whose column is the dense
+    series table's bit for bit.  Any other path exponentiates a view of its
+    nodes 0..K-1 of the dense stack, swept by :class:`SeriesSweep` in
+    O(K^2 n^3).  The overflow cap names the first node over it.
     """
-    labels, first = _generator_groups(path)
-    K = path.grid.K
-    generators = path.matrices[:K] if first.size == K else path.matrices[first]
-    steps = matrix_exponential(generators, path.grid.h, nodes=first)
-    return SeriesSweep(path=path, steps=steps, labels=labels, first=first)
+    K, h = path.grid.K, path.grid.h
+    if _one_generator(path):
+        step = matrix_exponential(path.matrices[:1], h)
+        return StepFactors(grid=path.grid, factors=np.broadcast_to(step, (K,) + step.shape[1:]))
+    return SeriesSweep(path=path, steps=matrix_exponential(path.matrices[:K], h))
 
 
 def _one_step_factors(bands: tuple, h: float) -> np.ndarray:
@@ -564,17 +535,6 @@ def stepper_peak_bytes(n: int, K: int) -> int:
     return 2 * 8 * (K + 1) * n * (n + 2)
 
 
-def _one_generator(bands: tuple) -> bool:
-    """Whether every node of every path of a stack has the generator of the
-    first, bit for bit (the rows of ``OperatorPath.node_keys``), compared
-    band by band."""
-    for band in bands:
-        bits = np.ascontiguousarray(band).view(np.uint64)
-        if not (bits == bits[:1, :1]).all():
-            return False
-    return True
-
-
 def step_factors(path: OperatorPath) -> StepFactors:
     """The one-step factors of a path, or of each path of a stack; the
     initial column U(t_i, 0) = S_{i-1} ... S_0 and the left sums follow by
@@ -590,7 +550,7 @@ def step_factors(path: OperatorPath) -> StepFactors:
     stacked = path.bands[1].ndim == 3
     bands = path.bands if stacked else tuple(band[None] for band in path.bands)
     R, K, n = bands[1].shape[0], path.grid.K, path.dim
-    if _one_generator(bands):
+    if _one_generator(path):
         block = _one_step_factors(tuple(band[:1, :2] for band in bands), path.grid.h)
         factors = np.broadcast_to(block, (R, K, n, n))
     else:

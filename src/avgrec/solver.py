@@ -21,20 +21,19 @@ propagations.
 
 The operator path is the three diagonals of every A(u(t_j)), from one
 stacked ``linearise`` call that gives f(u(t_j)) too; the non-finite check
-reads the diagonals alone.
-The default propagation is the K one-step Crank-Nicolson factors, one
-tridiagonal elimination over all K nodes at once, or over one node when
-they all share a generator (the nodes that need row
-interchanges are solved together by a NumPy port of LAPACK dgtsv, so the
-stepper imports no SciPy); its recursion is K products of n x n factors
-with n x (n+1) blocks, so a sweep costs O(K n^3) time and O(K n^2)
-memory, and the dense (K+1, n, n) stack is never formed.  The kernel
-series (behind a flag) groups the nodes whose generators are equal bit
-for bit and recurs on the frozen steps exp(h A_G) of its G distinct
-generators, formed from the dense stack, in O(K G n^3) time and
-O(K n^2) memory: O(K^2 n^3) when no generator repeats, O(K n^3) on the
-constant path of a sweep from the zero trajectory.  The
-full propagator tables of either method are test oracles
+reads the diagonals alone.  The default propagation is the K one-step
+Crank-Nicolson factors, one tridiagonal elimination over all K nodes at
+once, or over one node when they all share a generator (the nodes that
+need row interchanges are solved together by a NumPy port of LAPACK
+dgtsv, so the stepper imports no SciPy); its recursion is K products of
+n x n factors with n x (n+1) blocks, so a sweep costs O(K n^3) time and
+O(K n^2) memory, and the dense (K+1, n, n) stack is never formed.  The
+kernel series (behind a flag) has an exactly zero kernel on a constant
+path, such as that of a sweep from the zero trajectory, and runs the
+stepper's recursion over its one frozen step exp(h A_0) there, O(K n^3);
+any other path recurs on its K frozen steps exp(h A_j), formed from the
+dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The full
+propagator tables of either method are test oracles
 (``tests/oracles.py``).  The per-node model work at all K+1 nodes is two
 stacked calls per sweep: ``linearise`` for the bands of A(u(t_j)) and
 f(u(t_j)), and ``check_ball`` for the ball norms.
@@ -218,9 +217,10 @@ def _propagation(path: OperatorPath, f_states: np.ndarray, config: RecoveryConfi
     The stepper eliminates the nodes of every row at once (one node when
     they all share a generator) and sweeps every row in one K-step
     recursion; the kernel series builds and sweeps row by row, since its
-    generator groups differ from row to row.  Only the values are returned:
-    the factors or frozen steps are freed before the reconstruction
-    allocates, which lowers the peak RSS.
+    rows differ in their route (a constant path or not) and in their
+    frozen steps.  Only the values are returned: the factors or frozen
+    steps are freed before the reconstruction allocates, which lowers the
+    peak RSS.
     """
     if config.method is PropagatorMethod.KERNEL_SERIES:
         return [evolution_series(row).sweep(f_row) for row, f_row in zip(path.rows, f_states)]
@@ -243,22 +243,27 @@ def _sweep(
 ) -> list:
     """One sweep of the fixed-point map on each of a (R, K+1, n) stack of
     iterates u, for its row of the data Ms (R, n): per row (u_new, Xi(u),
-    the sigma_min of its resolvent), or the NumericalError that ends its
-    recovery, the one its own sweep would meet.
+    the sigma_min of its resolvent, the distance of u_new from u), or the
+    NumericalError that ends its recovery, the one its own sweep would meet.
 
     The rows share one stacked ``linearise``, one check that A(u) and f(u)
-    are finite (on the bands alone, every other entry being an exact zero)
-    and one propagation build and recursion (:func:`_propagation`); each of
-    these equals the per-row call slice by slice, bit for bit.  Where any
-    of them fails, the stage is redone row by row, each row as a batch of
-    one, so that each row meets its own error.  The rest of the sweep runs
-    per row (:func:`_solve_row`).
+    are finite (on the bands alone, every other entry being an exact zero),
+    one propagation build and recursion (:func:`_propagation`) and one
+    distance of the rows that solved; each of these equals the per-row call
+    slice by slice, bit for bit.  Where any of them fails, the sweep is
+    redone row by row, each row as a batch of one, so that each row meets
+    its own error.  The resolvent, its SVD, the solve and the reconstruction
+    run per row (:func:`_solve_row`).
     """
     try:
         path, f_states = operator_path(model, cond.grid, states)
         if not (np.isfinite(f_states).all() and all(np.isfinite(b).all() for b in path.bands)):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
         swept = _propagation(path, f_states, config)
+        outcomes = [_solve_row(cond, values, M) for values, M in zip(swept, Ms)]
+        solved = [k for k, out in enumerate(outcomes) if not isinstance(out, NumericalError)]
+        new_states = np.stack([outcomes[k][0].states for k in solved]) if solved else states[:0]
+        dists = weighted_distance(new_states, states[solved], model, cond.grid).tolist()
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         if len(states) == 1:
             return [_failure(exc)]
@@ -267,7 +272,9 @@ def _sweep(
             for r in range(len(states))
             for outcome in _sweep(model, cond, Ms[r : r + 1], states[r : r + 1], config)
         ]
-    return [_solve_row(cond, values, M) for values, M in zip(swept, Ms)]
+    for k, dist in zip(solved, dists):
+        outcomes[k] += (dist,)
+    return outcomes
 
 
 def _solve_row(cond: AveragingCondition, values: SweepValues, M: np.ndarray):
@@ -349,10 +356,6 @@ def _recover_batch(
         norms = check_ball(model, states, enforce=False)
         exits = np.count_nonzero(norms > model.ball_radius, axis=-1).tolist()
         outcomes = _sweep(model, cond, np.stack([row.M for row in running]), states, config)
-        # The distances of every row that swept, in one stacked call.
-        swept = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, NumericalError)]
-        new_states = np.stack([outcomes[k][0].states for k in swept]) if swept else states[:0]
-        dists = iter(weighted_distance(new_states, states[swept], model, cond.grid).tolist())
         for row, ball_exits, outcome in zip(running, exits, outcomes):
             if ball_exits:
                 row.ball_warnings.append(
@@ -361,9 +364,8 @@ def _recover_batch(
             if isinstance(outcome, NumericalError):
                 row.error = outcome
                 continue
-            new_u, row.xi, sigma = outcome
+            new_u, row.xi, sigma, dist = outcome
             report = row.report
-            dist = next(dists)
             report.iterates += 1
             report.distances.append(dist)
             report.sigma_min_history.append(sigma)

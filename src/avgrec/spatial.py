@@ -309,7 +309,7 @@ def _expm_chunk(a: np.ndarray, out: np.ndarray) -> None:
         out[rows] = np.matmul(part, part)
 
 
-def matrix_exponential(m: np.ndarray, t: float, nodes: np.ndarray | None = None) -> np.ndarray:
+def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     """exp(t*m) by scaling and squaring with the degree-13 Pade kernel, the
     scaling of each slice of t*m read from its exact 1-norm (Higham 2005).
 
@@ -318,9 +318,8 @@ def matrix_exponential(m: np.ndarray, t: float, nodes: np.ndarray | None = None)
     stacked solve, every slice scaled and squared by its own s, so that each
     equals the single-matrix call bit for bit.  Raises NumericalError when t
     times the logarithmic 1-norm of any slice exceeds EXP_NORM_CAP, where
-    entries of the result would overflow float64, naming the first such node:
-    its index in the stack, or for a stack (N, n, n) its entry of ``nodes``
-    (N,) when given.
+    entries of the result would overflow float64, naming the first such node
+    by its index in the stack.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
@@ -330,9 +329,8 @@ def matrix_exponential(m: np.ndarray, t: float, nodes: np.ndarray | None = None)
     growth = t * _log_norm_1(m)
     node = first_node(growth > EXP_NORM_CAP)
     if node is not None:
-        name = node if nodes is None else (int(nodes[node[0]]),)
         raise NumericalError(
-            f"{node_label(name)}t*mu_1(m) = {growth[node]:.3g} exceeds the overflow cap "
+            f"{node_label(node)}t*mu_1(m) = {growth[node]:.3g} exceeds the overflow cap "
             f"{EXP_NORM_CAP}"
         )
     n = m.shape[-1]

@@ -33,8 +33,8 @@ def rd32():
 
 def one_sweep(model, cond, M, u, config):
     """One sweep of the solver's fixed-point map on the single iterate u (a
-    batch of one row): (u_new, Xi, sigma_min), or the error that ends it,
-    raised."""
+    batch of one row): (u_new, Xi, sigma_min, the distance of u_new from
+    u), or the error that ends it, raised."""
     states = u.states[None]
     (outcome,) = avgrec.solver._sweep(model, cond, np.asarray(M, dtype=float)[None], states, config)
     if isinstance(outcome, Exception):

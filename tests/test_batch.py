@@ -2,6 +2,7 @@
 one-row recovery of its amplitude or start, bit for bit, however the rows
 end and however many rows a batch holds."""
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import avgrec.evolution
 import avgrec.solver
 from avgrec.averaging import AveragingCondition, Variant
-from avgrec.errors import NumericalError
+from avgrec.errors import ConvergenceError, NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
@@ -258,6 +259,27 @@ def test_rows_equal_single_row_recoveries_under_raise_mode(method, variant):
     assert any(row.note.startswith(left) for row in scan.rows)
 
 
+@pytest.mark.parametrize("method", list(PropagatorMethod))
+def test_a_row_whose_distance_raises_fails_alone(method):
+    # Under raise mode the distance of the 1e-150 row underflows: the
+    # stacked distance is redone row by row, so that row leaves the
+    # computable regime, as its single-row recovery does, and the other row
+    # ends as it does in a scan without it.
+    config, cond = RecoveryConfig(method=method), condition(Variant.TERMINAL_DIFFERENCE)
+    with np.errstate(all="raise"):
+        scan = smallness_scan(CHEMO, cond, DIRECTION, [1e-150, 0.01], config)
+        alone = smallness_scan(CHEMO, cond, DIRECTION, [0.01], config)
+        with pytest.raises(ConvergenceError) as single:
+            fixed_point_recover(CHEMO, cond, 1e-150 * DIRECTION, config)
+    assert isinstance(single.value.__cause__, FloatingPointError)
+    assert str(single.value).startswith("iteration left the computable regime: ")
+    assert single.value.report.iterates == 0
+    failed, converged = scan.rows
+    assert failed.note == f"ConvergenceError: {single.value}" and not failed.converged
+    assert converged == alone.rows[0] and converged.converged
+    assert scan.m0_lower_bound == 0.01
+
+
 def test_probe_ladder_has_failed_trials_and_failed_base_runs():
     failed_trials = contraction_probe(
         CHEMO, condition(Variant.TIME_AVERAGE), 0.1 * DIRECTION, RecoveryConfig(max_iters=9),
@@ -273,9 +295,12 @@ def test_probe_ladder_has_failed_trials_and_failed_base_runs():
 
 class ScalarModel:
     """A model whose generator at each node is the 1 x 1 matrix of its
-    state, with forcing f(u) = u."""
+    state, with forcing f(u) = u, on a base of one mode for the distance."""
 
     exponents = CHEMO.exponents
+    base = SimpleNamespace(
+        eigenvectors=np.ones((1, 1)), eigenvalues=np.zeros(1), grid=SimpleNamespace(spacing=1.0)
+    )
 
     def linearise(self, states):
         off = np.empty(states.shape[:-1] + (0,))
@@ -305,9 +330,11 @@ def test_singular_build_fails_only_its_own_row():
     assert isinstance(outcomes[1], NumericalError) and str(outcomes[1]) == message
     assert str(singles[1]) == message
     for r in (0, 2):
-        (traj, xi, sigma), (single_traj, single_xi, single_sigma) = outcomes[r], singles[r]
+        (traj, xi, sigma, dist), (single_traj, single_xi, single_sigma, single_dist) = (
+            outcomes[r], singles[r]
+        )
         assert np.array_equal(traj.states, single_traj.states)
-        assert np.array_equal(xi, single_xi) and sigma == single_sigma
+        assert np.array_equal(xi, single_xi) and sigma == single_sigma and dist == single_dist
 
 
 def test_a_nan_resolvent_fails_its_own_row(monkeypatch):

@@ -357,6 +357,27 @@ class TestPlotScripts:
         py_compile.compile(str(script), doraise=True)
 
 
+def test_census_names_each_differing_run():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "census", Path(__file__).resolve().parent.parent / "scripts" / "census.py"
+    )
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    run = {"exit": 0, "stdout": "a", "stderr": "b", "files": {"report.json": "c"}}
+    moved = dict(run, exit=3, stdout="d", files={"report.json": "e", "scan.csv": "f"})
+    ours, theirs = {"same": run, "moved": moved, "new": run}, {"same": run, "moved": run}
+    assert census.differences(ours, theirs, "REV") == [
+        "moved: exit 0 -> 3, stdout, report.json, scan.csv",
+        "new: only in this tree",
+    ]
+    assert census.differences(theirs, ours, "REV") == [
+        "moved: exit 3 -> 0, stdout, report.json, scan.csv",
+        "new: only in REV",
+    ]
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         config = tmp_path / "ok.ini"

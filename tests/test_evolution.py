@@ -15,6 +15,8 @@ from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
+    SeriesSweep,
+    StepFactors,
     TimeGrid,
     _dgtsv,
     _one_step_factors,
@@ -940,14 +942,27 @@ def test_stepper_peak_estimate_matches_traced_allocation():
         assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
 
 
-class TestSeriesSweepAgainstTable:
-    """The kernel-series recursion reproduces the dense-table oracle."""
+def assert_one_frozen_step(sweep, path):
+    """The series sweep of a constant path is the stepper's loop over its
+    one frozen step exp(h A_0), broadcast to every node."""
+    assert isinstance(sweep, StepFactors)
+    assert sweep.factors.shape == (path.grid.K, path.dim, path.dim)
+    assert sweep.factors.strides[0] == 0
+    assert np.array_equal(sweep.factors[0], matrix_exponential(path.matrices[0], path.grid.h))
 
-    @pytest.fixture(scope="class", params=["sqrt_holder", "chemotaxis"])
+
+class TestSeriesSweepAgainstTable:
+    """Both routes of the kernel series reproduce the dense-table oracle."""
+
+    @pytest.fixture(scope="class", params=["sqrt_holder", "chemotaxis", "constant"])
     def pair(self, request, series_family):
-        """(sweep, oracle table) on a nonconstant path."""
+        """(sweep, oracle table) on a nonconstant or a band-built constant path."""
         if request.param == "sqrt_holder":
             path = sqrt_holder_path(24)
+            return evolution_series(path), series_table(path)
+        if request.param == "constant":
+            mats = np.repeat(tridiagonal_palette(1), 25, axis=0)
+            path = banded_path(TimeGrid(T=0.8, K=24), mats, 0.5)
             return evolution_series(path), series_table(path)
         entry = series_family[32]
         return evolution_series(entry["path"]), entry["series"]
@@ -968,15 +983,26 @@ class TestSeriesSweepAgainstTable:
         assert_terminal_forcing_matches_final_row(*pair)
 
     def test_constant_path_column_bitwise(self):
-        # The kernel is exactly zero on a constant path, so the recursion
-        # reduces to the oracle's frozen-semigroup power chain, with one
-        # frozen step for every node, on a dense and on a band-built path.
+        # The kernel is exactly zero on a constant path, so the sweep is the
+        # stepper's loop over one frozen step, and its column is the oracle's
+        # frozen-semigroup power chain, on a dense and on a band-built path.
         dense = constant_path(stable_symmetric(6), K=16, T=1.0)
         tridiagonal = constant_path(tridiagonal_palette(1)[0], K=16, T=1.0)
         for path in (dense, banded_path(tridiagonal.grid, tridiagonal.matrices, 0.5)):
             sweep = evolution_series(path)
-            assert sweep.steps.shape == (1, 6, 6)
+            assert_one_frozen_step(sweep, path)
             assert np.array_equal(sweep.column, series_table(path).column)
+
+    def test_end_node_decides_the_route(self):
+        # Nodes 0..K-1 share one generator and A_K differs.  The end term of
+        # the last node reads A_K - A_{K-1}, so the path takes the series
+        # recursion; the frozen-step loop would drop that term from G_K.
+        mats = tridiagonal_palette(2)[[0] * 16 + [1]]
+        path = banded_path(TimeGrid(T=0.8, K=16), mats, 0.5)
+        sweep, table = evolution_series(path), series_table(path)
+        assert isinstance(sweep, SeriesSweep)
+        f_states = np.random.default_rng(9).standard_normal((17, 6))
+        assert rel_err(sweep.sweep(f_states).sums, duhamel_sums(table, f_states)) <= 1e-13
 
 
 def test_series_peak_estimate_matches_traced_allocation():
@@ -1004,8 +1030,8 @@ REPEATS = np.array([0, 1, 0, 2, 1, 3, 0, 4, 2, 2, 1, 3, 4, 0, 1, 2, 3, 3, 0, 4, 
 
 
 class TestRepeatedGenerators:
-    """Nodes with bitwise-equal generators share one frozen step and one
-    carried product of the series recursion."""
+    """A path whose generators repeat out of order takes the series
+    recursion, one frozen step per node, and reproduces the oracle."""
 
     @pytest.fixture(scope="class", params=["dense", "banded"])
     def pair(self, request):
@@ -1017,12 +1043,6 @@ class TestRepeatedGenerators:
         else:
             path = banded_path(grid, mats, 0.5)
         return evolution_series(path), series_table(path)
-
-    def test_one_step_per_distinct_generator(self, pair):
-        sweep, _ = pair
-        assert np.array_equal(sweep.labels, REPEATS[:-1])
-        expected = matrix_exponential(tridiagonal_palette(5), sweep.grid.h)
-        assert np.array_equal(sweep.steps, expected)
 
     def test_column(self, pair):
         sweep, table = pair
@@ -1053,8 +1073,9 @@ class TestRepeatedGenerators:
         assert str(grouped.value) == str(ungrouped.value)
 
     def test_chemotaxis_recovery_from_zero_starts_constant(self, monkeypatch):
-        # The zero trajectory freezes one generator at every node; the sweeps
-        # after it run on a nonconstant path with no repeated generator.
+        # The zero trajectory freezes one generator at every node, so the
+        # first sweep is the loop over one frozen step; the sweeps after it
+        # run the series recursion on a path with no repeated generator.
         import avgrec.solver
 
         model = ChemotaxisModel.default(build_grid(16, 1.0, BoundaryKind.NEUMANN))
@@ -1064,14 +1085,16 @@ class TestRepeatedGenerators:
         sweeps = []
 
         def recorded(path):
-            sweeps.append(evolution_series(path))
-            return sweeps[-1]
+            sweeps.append((path, evolution_series(path)))
+            return sweeps[-1][1]
 
         monkeypatch.setattr(avgrec.solver, "evolution_series", recorded)
         config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
         _, _, report = fixed_point_recover(model, cond, observe(cond, truth.states), config)
         assert report.converged and len(sweeps) == report.iterates >= 2
-        assert [sweep.steps.shape[0] for sweep in sweeps[:2]] == [1, grid_t.K]
+        (first_path, first), (_, second) = sweeps[:2]
+        assert_one_frozen_step(first, first_path)
+        assert isinstance(second, SeriesSweep) and second.steps.shape[0] == grid_t.K
 
 
 class TestSeriesCocycle:
