@@ -426,17 +426,25 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _decode(data: bytes) -> str:
+    """A configuration document's bytes read as UTF-8, whatever the locale."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"malformed configuration: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text()
+        data = Path(args.config).read_bytes()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 4
     flags = {"out": args.out, "seed": args.seed, "method": args.method}
     try:
         cfg = parse_config(
-            text, operation=args.verb, **{k: v for k, v in flags.items() if v is not None}
+            _decode(data), operation=args.verb, **{k: v for k, v in flags.items() if v is not None}
         )
         out_dir = run_experiment(cfg)
     except ConfigurationError as exc:

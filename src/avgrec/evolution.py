@@ -48,8 +48,9 @@ dgtsv bit for bit.
 An :class:`OperatorPath` holds the three central diagonals of every
 A(t_j), as a model's ``linearise`` returns them: every generator in
 the package is tridiagonal.  The stepper's elimination reads only the
-diagonals; the kernel series forms the dense (K+1, n, n) stack from them on
-first access.
+diagonals; the kernel series forms the dense generators of the nodes it
+reads from them (``OperatorPath.generators``): node 0's alone on a constant
+path, the (K+1, n, n) stack of all nodes on any other.
 
 The kernel k carries an integrable (t-s)^(rho-1) singularity when A is only
 rho-Hoelder in time.  Discrete convolutions therefore use a product rule:
@@ -143,11 +144,11 @@ class OperatorPath:
             OperatorPath(self.grid, row, self.holder_rho) for row in zip(*self.bands)
         )
 
-    @cached_property
-    def matrices(self) -> np.ndarray:
-        """A(t_j) for j = 0..K, shape (K+1, n, n), formed from the bands on
-        first access: the kernel series reads it, the stepper does not."""
-        return band_stack(*self.bands)
+    def generators(self, nodes=slice(None)) -> np.ndarray:
+        """The dense A(t_j) of the ``nodes`` (an index or a slice of the node
+        axis, all K+1 by default), formed from their bands, shape
+        (nodes, n, n): the kernel series reads them, the stepper does not."""
+        return band_stack(*(band[..., nodes, :] for band in self.bands))
 
     @property
     def node_keys(self) -> np.ndarray:
@@ -272,7 +273,7 @@ def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray
     """
     K, h, n = path.grid.K, path.grid.h, path.dim
     end = h / path.holder_rho
-    mats = path.matrices
+    mats = path.generators()
     left = np.zeros((K + 1, n, n + forcing.shape[-1]))
     carried = np.empty((K,) + left.shape[1:])  # p_l for the nodes l < m
     g = np.concatenate((np.eye(n), forcing[0]), axis=1)
@@ -319,9 +320,9 @@ def series_peak_bytes(n: int, K: int) -> int:
     """Estimated peak memory of a kernel-series sweep (:func:`evolution_series`
     and its ``sweep``) in bytes: six stacks of K+1 float64 n x (n+1) blocks.
 
-    The build forms the path's dense (K+1, n, n) generator stack from its
-    bands (``OperatorPath.matrices``); on a nonconstant path the recursion
-    holds the K frozen steps, the carried products, the left sums, and at
+    On a nonconstant path the recursion forms the dense (K+1, n, n)
+    generator stack from the bands (``OperatorPath.generators``) and holds
+    the K frozen steps, the carried products, the left sums, and at
     the last nodes the differences A_m - A_l and their products with the
     carried blocks, on [I | qw f].  A constant path stays below it.
     """
@@ -335,15 +336,16 @@ def evolution_series(path: OperatorPath) -> StepFactors | SeriesSweep:
     too: the end term of the last node reads A_K - A_{K-1}), the kernel is
     exactly zero: the one frozen step exp(h A_0) is the factor of every
     step of the stepper's K-step loop, O(K n^3), whose column is the dense
-    series table's bit for bit.  Any other path exponentiates a view of its
-    nodes 0..K-1 of the dense stack, swept by :class:`SeriesSweep` in
-    O(K^2 n^3).  The overflow cap names the first node over it.
+    series table's bit for bit; only node 0's dense generator is formed.
+    Any other path exponentiates the dense generators of its nodes 0..K-1,
+    swept by :class:`SeriesSweep` in O(K^2 n^3).  The overflow cap names
+    the first node over it.
     """
     K, h = path.grid.K, path.grid.h
     if _one_generator(path):
-        step = matrix_exponential(path.matrices[:1], h)
+        step = matrix_exponential(path.generators(slice(0, 1)), h)
         return StepFactors(grid=path.grid, factors=np.broadcast_to(step, (K,) + step.shape[1:]))
-    return SeriesSweep(path=path, steps=matrix_exponential(path.matrices[:K], h))
+    return SeriesSweep(path=path, steps=matrix_exponential(path.generators(slice(0, K)), h))
 
 
 def _one_step_factors(bands: tuple, h: float) -> np.ndarray:

@@ -90,7 +90,7 @@ class DensePath:
     """A generator path held as its dense (K+1, n, n) stack, for tests whose
     generators are not tridiagonal.  It has the surface that
     :func:`avgrec.evolution.evolution_series` and the oracles here read
-    (``grid``, ``dim``, ``holder_rho``, ``matrices``, ``node_keys``); its
+    (``grid``, ``dim``, ``holder_rho``, ``generators``, ``node_keys``); its
     stepper is :func:`dense_step_factors`."""
 
     grid: TimeGrid
@@ -108,6 +108,10 @@ class DensePath:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
+
+    def generators(self, nodes=slice(None)) -> np.ndarray:
+        """The matrices of the ``nodes``, a view of the stack."""
+        return self.matrices[nodes]
 
     @property
     def node_keys(self) -> np.ndarray:
@@ -130,9 +134,9 @@ def dense_factors(path) -> np.ndarray:
     dense LU solve: the reference for the package's tridiagonal
     elimination."""
     h = path.grid.h
-    eye = np.eye(path.dim)
-    lhs = eye - 0.5 * h * path.matrices[..., 1:, :, :]
-    rhs = eye + 0.5 * h * path.matrices[..., :-1, :, :]
+    eye, mats = np.eye(path.dim), path.generators()
+    lhs = eye - 0.5 * h * mats[..., 1:, :, :]
+    rhs = eye + 0.5 * h * mats[..., :-1, :, :]
     try:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
@@ -309,14 +313,14 @@ def frozen_semigroup(path: OperatorPath | DensePath, i: int, j: int) -> np.ndarr
         raise ValueError(f"need 0 <= j <= i <= K, got (i,j)=({i},{j})")
     if i == j:
         return np.eye(path.dim)
-    return matrix_exponential(path.matrices[j], (i - j) * path.grid.h)
+    return matrix_exponential(path.generators(j), (i - j) * path.grid.h)
 
 
 def commutator_kernel(path: OperatorPath | DensePath, i: int, j: int) -> np.ndarray:
     """[A(t_i) - A(t_j)] exp((t_i - t_j) A(t_j)); vanishes for constant paths."""
     if not 0 <= j < i <= path.grid.K:
         raise ValueError(f"need 0 <= j < i <= K, got (i,j)=({i},{j})")
-    return (path.matrices[i] - path.matrices[j]) @ frozen_semigroup(path, i, j)
+    return (path.generators(i) - path.generators(j)) @ frozen_semigroup(path, i, j)
 
 
 def _block(t4: np.ndarray) -> np.ndarray:
@@ -357,7 +361,8 @@ def _frozen_tables(path: OperatorPath | DensePath) -> tuple[np.ndarray, np.ndarr
     kk = path.grid.K + 1
     n = path.dim
     eye = np.eye(n)
-    steps = matrix_exponential(path.matrices[:-1], path.grid.h)
+    mats = path.generators()
+    steps = matrix_exponential(mats[:-1], path.grid.h)
     a4 = np.zeros((kk, kk, n, n))
     k4 = np.zeros((kk, kk, n, n))
     for j in range(kk):
@@ -366,7 +371,7 @@ def _frozen_tables(path: OperatorPath | DensePath) -> tuple[np.ndarray, np.ndarr
             continue
         for i in range(j + 1, kk):
             a4[i, j] = steps[j] @ a4[i - 1, j]
-        k4[j + 1 :, j] = np.matmul(path.matrices[j + 1 :] - path.matrices[j], a4[j + 1 :, j])
+        k4[j + 1 :, j] = np.matmul(mats[j + 1 :] - mats[j], a4[j + 1 :, j])
     return a4, k4
 
 
@@ -446,7 +451,7 @@ def holder_seminorm(path: OperatorPath | DensePath, rho: float) -> float:
     max node norm -- the discrete Hoelder norm of the path."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0,1), got {rho}")
-    mats = path.matrices
+    mats = path.generators()
     nodes = path.grid.nodes
     sup_norm = float(np.linalg.svd(mats, compute_uv=False).max())
     semi = 0.0
@@ -639,7 +644,7 @@ def phi_lipschitz_probe(
     the smoothing matrix (discrete stand-in for the order-one target norm)."""
     if path_a.grid.K != path_b.grid.K or path_a.grid.T != path_b.grid.T:
         raise ValueError("paths must share a time grid")
-    if np.array_equal(path_a.matrices, path_b.matrices):
+    if np.array_equal(path_a.generators(), path_b.generators()):
         raise ValueError("Lipschitz ratio undefined for identical paths")
     rho = path_a.holder_rho
     if eta is not None:
@@ -653,7 +658,7 @@ def phi_lipschitz_probe(
     if smoother is not None:
         diff = smoother @ diff
     diff_path = DensePath(
-        grid=path_a.grid, matrices=path_a.matrices - path_b.matrices, holder_rho=rho
+        grid=path_a.grid, matrices=path_a.generators() - path_b.generators(), holder_rho=rho
     )
     return float(np.linalg.norm(diff, 2) / holder_seminorm(diff_path, rho))
 

@@ -255,7 +255,7 @@ def test_criterion_8_lipschitz_probes():
     ratios = []
     for eps in (1e-3, 1e-4, 1e-5):
         a = banded_path(grid_t, np.repeat(0.5 * band_stack(*base.bands)[None], 33, 0), 0.5)
-        b = banded_path(grid_t, a.matrices + eps * np.eye(8), 0.5)
+        b = banded_path(grid_t, a.generators() + eps * np.eye(8), 0.5)
         ratios.append(phi_lipschitz_probe(a, b, cond, smoother=smoother))
     stable_phi = max(ratios) <= 2.0 * min(ratios)
     rng = np.random.default_rng(8)

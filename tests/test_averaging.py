@@ -477,7 +477,7 @@ class TestPhiLipschitzProbe:
         base = assemble_laplacian(build_grid(8, 1.0, BoundaryKind.NEUMANN))
         grid_t = TimeGrid(T=0.5, K=32)
         a = constant_path(0.5 * band_stack(*base.bands), grid_t)
-        b = banded_path(grid_t, a.matrices + eps * np.eye(8), 0.5)
+        b = banded_path(grid_t, a.generators() + eps * np.eye(8), 0.5)
         return a, b
 
     def test_identical_paths_rejected(self):

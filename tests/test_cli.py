@@ -1,5 +1,6 @@
 import json
 import re
+import runpy
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -29,6 +30,7 @@ from avgrec.evolution import TimeGrid, series_peak_bytes
 from avgrec.models import ExponentBook
 from avgrec.solver import Trajectory
 
+from conftest import SCRIPTS, load_script
 from oracles import read_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -357,14 +359,17 @@ class TestPlotScripts:
         py_compile.compile(str(script), doraise=True)
 
 
-def test_census_names_each_differing_run():
-    import importlib.util
+@pytest.mark.parametrize("script", sorted(path.name for path in SCRIPTS.glob("run_*.py")))
+def test_experiment_script_prints_its_table(script, capsys):
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert len(rows) >= 3, header
+    for row in rows:
+        float(row.split()[-1])  # each row ends in a number
 
-    spec = importlib.util.spec_from_file_location(
-        "census", Path(__file__).resolve().parent.parent / "scripts" / "census.py"
-    )
-    census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(census)
+
+def test_census_names_each_differing_run():
+    census = load_script("census")
     run = {"exit": 0, "stdout": "a", "stderr": "b", "files": {"report.json": "c"}}
     moved = dict(run, exit=3, stdout="d", files={"report.json": "e", "scan.csv": "f"})
     ours, theirs = {"same": run, "moved": moved, "new": run}, {"same": run, "moved": run}
@@ -400,6 +405,17 @@ class TestMainExitCodes:
         config.write_text("[grid]\nn = 1\n")
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_config_read_as_utf8(self, tmp_path, capsys):
+        # A document that is not UTF-8 is malformed; a UTF-8 one parses
+        # whatever the locale's encoding.
+        config = tmp_path / "bad.ini"
+        config.write_bytes(b"\xff\xfe\x00[grid]\n")
+        assert main(["validate", "--config", str(config), "--quiet"]) == 2
+        assert "configuration error: malformed configuration: " in capsys.readouterr().err
+        config.write_bytes("# \u00b5 \u2014 n\n[grid]\nn = 16\n".encode("utf-8"))
+        out = str(tmp_path / "out")
+        assert main(["validate", "--config", str(config), "--quiet", "--out", out]) == 0
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         config = tmp_path / "singular.ini"

@@ -342,10 +342,10 @@ class TestTridiagonalFactors:
         path = tridiagonal_path()
         n = path.dim
         c = 0.5 * path.grid.h
-        lhs = np.eye(n) - c * path.matrices[1:]
+        lhs = np.eye(n) - c * path.generators()[1:]
         sub, diag = np.diagonal(lhs, -1, 1, 2), np.diagonal(lhs, 0, 1, 2)
         assert np.any(np.abs(sub) > np.abs(diag[:, :-1]))
-        rhs = np.eye(n) + c * path.matrices[:-1]
+        rhs = np.eye(n) + c * path.generators()[:-1]
         expected = np.stack([np.linalg.solve(a, b) for a, b in zip(lhs, rhs)])
         column = [np.eye(n)]
         for factor in expected:
@@ -360,7 +360,7 @@ class TestTridiagonalFactors:
         path = constant_path(-np.eye(3), K=8, T=1.0)
         c = 0.5 * path.grid.h
         target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        mats = path.matrices.copy()
+        mats = path.generators().copy()
         mats[5] = (np.eye(3) - target) / c
         bad = banded_path(path.grid, mats, 0.5)
         with pytest.raises(NumericalError, match="node 5"):
@@ -397,7 +397,7 @@ MODELS = {
 
 def with_node(path, j, target, c):
     """``path`` with A(t_j) replaced so that I - c A(t_j) equals ``target``."""
-    mats = path.matrices.copy()
+    mats = path.generators().copy()
     mats[j] = (np.eye(path.dim) - target) / c
     return banded_path(path.grid, mats, path.holder_rho)
 
@@ -430,7 +430,6 @@ class TestBatchedTridiagonalFactors:
         assert factors.shape == (24, n, n)
         assert same_bytes(factors, expected)
         assert sum(calls) == 0
-        assert "matrices" not in vars(path)
 
     def test_signed_zero_generator_equals_gtsv_in_value(self):
         # A = -0.0 times the Laplacian: gtsv's fill term turns the -0.0
@@ -480,12 +479,11 @@ class TestBatchedTridiagonalFactors:
         calls = counted_port(monkeypatch)
         assert same_bytes(step_factors(path).factors, expected)
         assert calls == [path.grid.K]
-        assert "matrices" not in vars(path)
 
     def test_some_nodes_pivot(self, monkeypatch):
         # The sub-diagonal of tridiagonal_path() shrunk at every third node,
         # where no row interchange is needed any more.
-        mats = tridiagonal_path(n=10, K=15).matrices.copy()
+        mats = tridiagonal_path(n=10, K=15).generators().copy()
         idx = np.arange(10)
         mats[::3, idx[1:], idx[:-1]] *= 1e-3
         path = banded_path(TimeGrid(T=0.8, K=15), mats, 0.5)
@@ -825,25 +823,28 @@ def model_paths(model, K=12, T=0.5):
 
 
 class TestBandBuiltPath:
-    """A path holds its bands as given, checks their shapes, forms its
-    dense stack only when read, and its factors agree with the dense LU's."""
+    """A path holds its bands as given, checks their shapes, forms the dense
+    generators of the nodes asked for, and its factors agree with the dense
+    LU's."""
 
     @pytest.mark.parametrize("n", [2, 3, 16])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_model_bands_equal_dense_path(self, model, n):
         band, dense = model_paths(MODELS[model](n))
         factors = step_factors(band).factors
-        assert "matrices" not in vars(band)
         assert rel_err(factors, dense_factors(dense)) <= 1e-13
         assert band.dim == dense.dim == n
-        assert np.array_equal(band.matrices, dense.matrices)
+        assert np.array_equal(band.generators(), dense.generators())
 
     def test_bands_held_as_given(self):
         bands = MODELS["chemotaxis"](6).linearise(np.zeros((13, 6)))[0]
         path = OperatorPath(TimeGrid(T=0.5, K=12), bands, 0.9)
         assert all(got is given for got, given in zip(path.bands, bands))
-        assert path.dim == 6 and "matrices" not in vars(path)
-        assert np.array_equal(path.matrices, band_stack(*bands))
+        assert path.dim == 6
+        dense = band_stack(*bands)
+        assert np.array_equal(path.generators(), dense)
+        assert np.array_equal(path.generators(slice(0, 1)), dense[:1])
+        assert np.array_equal(path.generators(5), dense[5])
 
     def test_pivoting_nodes(self, monkeypatch):
         band = tridiagonal_path()
@@ -851,7 +852,6 @@ class TestBandBuiltPath:
         calls = counted_port(monkeypatch)
         assert rel_err(step_factors(band).factors, dense_factors(dense)) <= 1e-13
         assert calls == [band.grid.K]
-        assert "matrices" not in vars(band)
 
     def test_singular_node_named(self):
         path = constant_path(-np.eye(3), K=8, T=1.0)
@@ -948,7 +948,7 @@ def assert_one_frozen_step(sweep, path):
     assert isinstance(sweep, StepFactors)
     assert sweep.factors.shape == (path.grid.K, path.dim, path.dim)
     assert sweep.factors.strides[0] == 0
-    assert np.array_equal(sweep.factors[0], matrix_exponential(path.matrices[0], path.grid.h))
+    assert np.array_equal(sweep.factors[0], matrix_exponential(path.generators(0), path.grid.h))
 
 
 class TestSeriesSweepAgainstTable:
@@ -988,7 +988,7 @@ class TestSeriesSweepAgainstTable:
         # frozen-semigroup power chain, on a dense and on a band-built path.
         dense = constant_path(stable_symmetric(6), K=16, T=1.0)
         tridiagonal = constant_path(tridiagonal_palette(1)[0], K=16, T=1.0)
-        for path in (dense, banded_path(tridiagonal.grid, tridiagonal.matrices, 0.5)):
+        for path in (dense, banded_path(tridiagonal.grid, tridiagonal.generators(), 0.5)):
             sweep = evolution_series(path)
             assert_one_frozen_step(sweep, path)
             assert np.array_equal(sweep.column, series_table(path).column)
@@ -1011,6 +1011,20 @@ def test_series_peak_estimate_matches_traced_allocation():
         peak = traced_sweep_peak(evolution_series, tridiagonal_path(n=n, K=K))
         estimate = series_peak_bytes(n, K)
         assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
+
+
+def test_constant_series_build_forms_one_generator():
+    # A constant band-built path exponentiates node 0's dense generator
+    # alone, never the (K+1, n, n) stack of all nodes.
+    n, K = 64, 256
+    path = banded_path(TimeGrid(T=0.5, K=K), np.repeat(tridiagonal_palette(1, n=n), K + 1, 0), 0.5)
+    tracemalloc.start()
+    try:
+        assert_one_frozen_step(evolution_series(path), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * (K + 1) * n * n * 8
 
 
 def tridiagonal_palette(count, n=6, seed=29):
@@ -1066,7 +1080,7 @@ class TestRepeatedGenerators:
         mats = np.stack([tame, tame, other, huge, tame, other, tame, huge, other, tame, tame])
         path = banded_path(TimeGrid(T=10.0, K=10), mats, 0.5)
         with pytest.raises(NumericalError) as ungrouped:
-            matrix_exponential(path.matrices[:-1], path.grid.h)
+            matrix_exponential(path.generators()[:-1], path.grid.h)
         with pytest.raises(NumericalError) as grouped:
             evolution_series(path)
         assert str(grouped.value) == "node 3: t*mu_1(m) = 800 exceeds the overflow cap 700.0"
@@ -1141,7 +1155,7 @@ class TestHolderSeminorm:
     @settings(max_examples=20, deadline=None)
     def test_scaling_homogeneity(self, c):
         path = sqrt_holder_path(8)
-        scaled = DensePath(grid=path.grid, matrices=c * path.matrices, holder_rho=0.5)
+        scaled = DensePath(grid=path.grid, matrices=c * path.generators(), holder_rho=0.5)
         assert holder_seminorm(scaled, 0.5) == pytest.approx(
             c * holder_seminorm(path, 0.5), rel=1e-10
         )
