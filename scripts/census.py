@@ -13,15 +13,20 @@ sees is relative to it, so identical trees give identical manifests
 wherever they run.  The second form also takes the census of the git
 revision REV, extracted with ``git archive`` (local git only) into a
 temporary directory that is removed afterwards, prints every run whose
-entries differ, and exits 1 when any do.  --workdir keeps the runs: with
---against, this tree's go under DIR/current and REV's under DIR/against.
-A census that cannot run exits 2.
+entries differ, and exits 1 when any do.  A differing .csv or .json file
+is followed by how far its numbers moved: their largest relative
+difference when both sides hold numbers in the same places, otherwise
+"shape differs".  --workdir keeps the runs: with --against, this tree's
+go under DIR/current and REV's under DIR/against.  A census that cannot
+run exits 2.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,8 +95,53 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def differences(ours: dict, theirs: dict, rev: str) -> list[str]:
-    """One line for each run whose entries differ between the manifests."""
+def numbers(path: Path) -> dict:
+    """The numbers of a .json or .csv file, keyed by their place: a JSON
+    leaf's key path, a CSV cell's row and column below the header."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        rows = list(csv.reader(text.splitlines()))[1:]
+        return {(i, j): float(cell) for i, row in enumerate(rows) for j, cell in enumerate(row)}
+    leaves = {}
+
+    def walk(node, key):
+        if isinstance(node, (dict, list)):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for k, child in items:
+                walk(child, key + (k,))
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            leaves[key] = float(node)
+
+    walk(json.loads(text), ())
+    return leaves
+
+
+def relative_difference(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); 0 for equal values (NaN equal to NaN), inf
+    where either is not finite and they differ."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def movement(ours: Path, theirs: Path) -> str:
+    """How far the numbers of one differing .csv or .json file moved."""
+    try:
+        a, b = numbers(ours), numbers(theirs)
+    except (OSError, ValueError):
+        return "shape differs"
+    if a.keys() != b.keys():
+        return "shape differs"
+    largest = max((relative_difference(a[k], b[k]) for k in a), default=0.0)
+    return f"max rel diff {largest:.3g}"
+
+
+def differences(ours: dict, theirs: dict, rev: str, runs: tuple | None = None) -> list[str]:
+    """One line for each run whose entries differ between the manifests.
+    With ``runs``, the directories holding the runs of each manifest, a
+    differing .csv or .json file is followed by its :func:`movement`."""
     lines = []
     for run in sorted(ours.keys() | theirs.keys()):
         a, b = ours.get(run), theirs.get(run)
@@ -103,7 +153,12 @@ def differences(ours: dict, theirs: dict, rev: str) -> list[str]:
         parts = [f"exit {b['exit']} -> {a['exit']}"] if a["exit"] != b["exit"] else []
         parts += [stream for stream in ("stdout", "stderr") if a[stream] != b[stream]]
         names = a["files"].keys() | b["files"].keys()
-        parts += sorted(name for name in names if a["files"].get(name) != b["files"].get(name))
+        for name in sorted(names):
+            if a["files"].get(name) == b["files"].get(name):
+                continue
+            if runs is not None and name.endswith((".csv", ".json")):
+                name += f" ({movement(*(folder / run / name for folder in runs))})"
+            parts.append(name)
         lines.append(f"{run}: {', '.join(parts)}")
     return lines
 
@@ -124,6 +179,8 @@ def main(argv=None) -> int:
             extract(args.against, tree)
             ours = census(ROOT, base / "current")
             theirs = census(tree, base / "against")
+            runs = (base / "current" / "runs", base / "against" / "runs")
+            lines = differences(ours, theirs, args.against, runs)
     text = json.dumps(ours, indent=1, sort_keys=True) + "\n"
     if args.out is not None:
         args.out.write_text(text)
@@ -131,7 +188,6 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     if args.against is None:
         return 0
-    lines = differences(ours, theirs, args.against)
     print("\n".join(lines) if lines else f"no run differs from {args.against}")
     return 1 if lines else 0
 

@@ -83,7 +83,7 @@ class AveragingCondition:
         object.__setattr__(self, "weight", w)
         if self.variant is Variant.TIME_AVERAGE and abs(w[0]) <= 1e-14 * max(np.abs(w).max(), 1.0):
             raise ConfigurationError(
-                "time-average condition requires a nonvanishing weight at t=0 "
+                "[condition] weight: the time-average condition needs w(0) != 0 "
                 "(otherwise the data carries no information about u(0))"
             )
 

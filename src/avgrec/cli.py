@@ -191,11 +191,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                 f"[{f.metadata['section']}] {key}: {value!r} not one of {sorted(allowed)}"
             )
     build_recovery_config(cfg)
-    if cfg.variant == Variant.TIME_AVERAGE.value and cfg.weight == "ramp":
-        raise ConfigurationError(
-            "[condition] weight: the ramp weight vanishes at t=0, which the "
-            "time-average condition does not admit (w(0) must be nonzero)"
-        )
     if cfg.data_source == "file" and not cfg.data_path:
         raise ConfigurationError("[data] path: required when source = file")
     if cfg.steps < 1:
@@ -227,6 +222,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             f"needs an estimated {need / 2**20:.0f} MiB, over the "
             f"{MEMORY_BUDGET / 2**20:.0f} MiB budget{hint}"
         )
+    if cfg.grid_n >= 2:  # else the admission does not bound its K+1 weights
+        build_condition(cfg)
 
 
 def build_grid_from(cfg: ExperimentConfig):
@@ -277,8 +274,15 @@ def build_model(cfg: ExperimentConfig):
             "exponent book rejected; failed constraints: "
             + "; ".join(f"{name} ({_constraint_keys(cfg, name)})" for name in report.failures())
         )
+    with np.errstate(all="ignore"):
+        bands = model.linearise(np.zeros(grid.n))[0]
+    # Of the models' A(0), only the chemotaxis drift -delta (1 - delta) can overflow.
+    if not all(np.isfinite(band).all() for band in bands):
+        raise ConfigurationError(
+            f"[model] delta: {cfg.delta} overflows the generator A(0) to non-finite values"
+        )
     # The implicit step's diagonal 1 - h a rounds to -h a once |h a| passes 2^53.
-    h, main = cfg.horizon / cfg.steps, model.linearise(np.zeros(grid.n))[0][1]
+    h, main = cfg.horizon / cfg.steps, bands[1]
     if np.any(1.0 - h * main == -(h * main)):
         raise ConfigurationError(
             f"[grid] length: {cfg.grid_length} is too short for n={cfg.grid_n} at time step "

@@ -21,8 +21,8 @@ bands of shapes (..., n-1), (..., n) and (..., n-1) and a (..., n) stack
 of forcings.  A stack is one call with one implementation, and each slice
 equals the single-state call bit for bit; the solver makes one such call
 per sweep instead of one per node.  ``linearise`` does not evaluate the
-ball norm; ``check_ball`` is the one ball check, and takes the same
-stacks.
+ball norm; ``ball_norm`` is the one ball norm, takes the same stacks
+and never raises.
 
 Shipped models:
 
@@ -44,7 +44,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .errors import BallViolationError, ConfigurationError
+from .errors import ConfigurationError
 from .spatial import (
     BaseOperator,
     BoundaryKind,
@@ -52,10 +52,8 @@ from .spatial import (
     assemble_laplacian,
     band_matvec,
     first_difference,
-    first_node,
     helmholtz_solve,
     laplacian_stencil,
-    node_label,
     sobolev_norm,
 )
 
@@ -120,25 +118,11 @@ class QuasilinearModel(Protocol):
     def linearise(self, u: np.ndarray) -> tuple[Bands, np.ndarray]: ...
 
 
-def _ball_norm(model, u: np.ndarray) -> float:
-    return sobolev_norm(model.base, u, 2.0 * model.exponents.beta)
-
-
-def check_ball(model, u: np.ndarray, enforce: bool) -> float | np.ndarray:
+def ball_norm(model, u: np.ndarray) -> float | np.ndarray:
     """Ball norm of a state (a float) or of each state of a stack (shape
-    (...)); with ``enforce``, a state outside the ball raises, the first
-    such node of a stack named."""
-    norm = _ball_norm(model, u)
-    node = first_node(np.asarray(norm) > model.ball_radius) if enforce else None
-    if node is not None:
-        bad = float(np.asarray(norm)[node])
-        raise BallViolationError(
-            f"{node_label(node)}state leaves the admissible ball: "
-            f"|u| = {bad:.3e} > {model.ball_radius:.3e}",
-            norm=bad,
-            radius=model.ball_radius,
-        )
-    return norm
+    (...)), the spectral norm of order 2 beta.  It never raises: a state
+    with a NaN entry has a NaN norm, which ``norm > radius`` lets through."""
+    return sobolev_norm(model.base, u, 2.0 * model.exponents.beta)
 
 
 # The rows of the (sub, main, sup) diagonals' entries: (i, i - 1) for

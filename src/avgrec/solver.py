@@ -36,7 +36,7 @@ dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The full
 propagator tables of either method are test oracles
 (``tests/oracles.py``).  The per-node model work at all K+1 nodes is two
 stacked calls per sweep: ``linearise`` for the bands of A(u(t_j)) and
-f(u(t_j)), and ``check_ball`` for the ball norms.
+f(u(t_j)), and ``ball_norm`` for the ball norms.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -54,7 +54,7 @@ and the self-convergence error that recovery accuracy is measured against.
 There is one iteration loop, over a batch of rows: a scan's amplitudes,
 a probe's base run and trials, or the one row of a recovery.  Each
 iteration sweeps the rows still running together, with one stacked ball
-check, ``linearise``, propagation build and recursion (the kernel series
+norm, ``linearise``, propagation build and recursion (the kernel series
 builds and recurs row by row) and distance, each equal to the per-row
 call slice by slice, bit for bit; the resolvent, its SVD, the solve and
 the reconstruction are per row.  A stacked stage that fails is redone row
@@ -78,7 +78,7 @@ from .averaging import (
     observe,
     resolvent_matrix,
 )
-from .errors import ConfigurationError, ConvergenceError, NumericalError
+from .errors import BallViolationError, ConfigurationError, ConvergenceError, NumericalError
 from .evolution import (
     OperatorPath,
     PropagatorMethod,
@@ -90,7 +90,7 @@ from .evolution import (
     step_factors,
     stepper_peak_bytes,
 )
-from .models import check_ball
+from .models import ball_norm
 from .spatial import modal_norm
 
 DIVERGENCE_FACTOR = 1e8
@@ -353,7 +353,7 @@ def _recover_batch(
     running = rows
     for _ in range(config.max_iters):
         states = np.stack([row.u.states for row in running])
-        norms = check_ball(model, states, enforce=False)
+        norms = ball_norm(model, states)
         exits = np.count_nonzero(norms > model.ball_radius, axis=-1).tolist()
         outcomes = _sweep(model, cond, np.stack([row.M for row in running]), states, config)
         for row, ball_exits, outcome in zip(running, exits, outcomes):
@@ -420,6 +420,17 @@ def fixed_point_recover(
     return row.result()
 
 
+def _check_march_state(model, u: np.ndarray, state: str) -> None:
+    """Raise for a march state with a NaN ball norm (a non-finite state) or
+    one outside the model's ball; ``state`` names it in the message."""
+    norm = ball_norm(model, u)
+    if np.isnan(norm):
+        raise NumericalError(f"forward march: non-finite {state}")
+    if norm > model.ball_radius:
+        message = f"state leaves the admissible ball: |u| = {norm:.3e} > {model.ball_radius:.3e}"
+        raise BallViolationError(message, norm=norm, radius=model.ball_radius)
+
+
 def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Semi-implicit IMEX march u_{j+1} = (I - h A(u_j))^{-1} (u_j + h f(u_j)).
 
@@ -428,25 +439,29 @@ def forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     solves I - h A(u_j) on its bands by ``solve_tridiagonal``, O(n):
     reference dgtsv's elimination on Python floats, and the NumPy port of
     dgtsv for a step that interchanges rows, so SciPy is not imported for
-    the march.
+    the march.  u0 and each state after it get one check: a NaN ball norm
+    raises NumericalError naming the step, a norm above the radius
+    BallViolationError.  NumPy does not warn of overflow in the march; the
+    check ends it at the first non-finite state.
     """
     u0 = np.asarray(u0, dtype=float)
     n = u0.shape[0]
-    check_ball(model, u0, enforce=True)
+    _check_march_state(model, u0, "initial state")
     states = np.empty((grid.K + 1, n))
     states[0] = u0
     h = grid.h
-    for j in range(grid.K):
-        (sub, main, sup), f = model.linearise(states[j])
-        rhs = states[j] + h * f
-        # I - h A(u_j) on its diagonals: 1 - h a on the main one, -(h a) off it.
-        states[j + 1], info = solve_tridiagonal(-(h * sub), 1.0 - h * main, -(h * sup), rhs)
-        if info > 0:
-            raise NumericalError(
-                f"singular implicit matrix at step {j}: zero pivot in row {info} "
-                "of the tridiagonal solve"
-            )
-        check_ball(model, states[j + 1], enforce=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(grid.K):
+            (sub, main, sup), f = model.linearise(states[j])
+            rhs = states[j] + h * f
+            # I - h A(u_j) on its diagonals: 1 - h a on the main one, -(h a) off it.
+            states[j + 1], info = solve_tridiagonal(-(h * sub), 1.0 - h * main, -(h * sup), rhs)
+            if info > 0:
+                raise NumericalError(
+                    f"singular implicit matrix at step {j}: zero pivot in row {info} "
+                    "of the tridiagonal solve"
+                )
+            _check_march_state(model, states[j + 1], f"state after step {j}")
     return Trajectory(grid=grid, states=states)
 
 

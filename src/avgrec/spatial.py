@@ -84,22 +84,6 @@ def band_matvec(bands: tuple, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def first_node(mask: np.ndarray) -> tuple | None:
-    """Leading-axes index of the first set entry of a per-node mask (C
-    order), or None when none is set; () for a set 0-d mask."""
-    flat = np.flatnonzero(mask)
-    if flat.size == 0:
-        return None
-    return tuple(int(i) for i in np.unravel_index(flat[0], np.shape(mask)))
-
-
-def node_label(index: tuple) -> str:
-    """Message prefix naming a node of a stack; empty for a single state."""
-    if not index:
-        return ""
-    return f"node {index[0] if len(index) == 1 else index}: "
-
-
 class BoundaryKind(Enum):
     DIRICHLET = "dirichlet"
     NEUMANN = "neumann"
@@ -327,11 +311,12 @@ def matrix_exponential(m: np.ndarray, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"elapsed time must be nonnegative, got t={t}")
     growth = t * _log_norm_1(m)
-    node = first_node(growth > EXP_NORM_CAP)
-    if node is not None:
+    over = np.argwhere(growth > EXP_NORM_CAP)
+    if len(over):
+        node = tuple(int(i) for i in over[0])  # () for a single matrix
+        label = f"node {node[0] if len(node) == 1 else node}: " if node else ""
         raise NumericalError(
-            f"{node_label(node)}t*mu_1(m) = {growth[node]:.3g} exceeds the overflow cap "
-            f"{EXP_NORM_CAP}"
+            f"{label}t*mu_1(m) = {growth[node]:.3g} exceeds the overflow cap {EXP_NORM_CAP}"
         )
     n = m.shape[-1]
     flat = m.reshape(-1, n, n)

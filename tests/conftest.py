@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,16 @@ from avgrec.spatial import BoundaryKind, assemble_laplacian, band_stack, build_g
 from oracles import DensePath, evolution_stepper, series_table
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def read_strict_json(path: Path):
+    """The JSON document in ``path``; NaN, Infinity and -Infinity, which
+    Python's json writes and strict JSON forbids, raise ValueError."""
+
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 def load_script(name: str):

@@ -69,9 +69,8 @@ from avgrec.models import (
     ExponentBook,
     NonlocalRDModel,
     QuasilinearModel,
-    check_ball,
 )
-from avgrec.solver import Trajectory
+from avgrec.solver import Trajectory, _check_march_state
 from avgrec.spatial import (
     BaseOperator,
     BoundaryKind,
@@ -197,7 +196,7 @@ def dense_forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     LU solve of I - h A(u_j) per step: the reference for its gtsv solve."""
     u0 = np.asarray(u0, dtype=float)
     n = u0.shape[0]
-    check_ball(model, u0, enforce=True)
+    _check_march_state(model, u0, "initial state")
     states = np.empty((grid.K + 1, n))
     states[0] = u0
     eye = np.eye(n)
@@ -210,7 +209,7 @@ def dense_forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
             states[j + 1] = np.linalg.solve(eye - h * a_mat, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"singular implicit matrix at step {j}: {exc}") from exc
-        check_ball(model, states[j + 1], enforce=True)
+        _check_march_state(model, states[j + 1], f"state after step {j}")
     return Trajectory(grid=grid, states=states)
 
 
@@ -219,7 +218,7 @@ def gtsv_forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
     gtsv call per step on the bands of I - h A(u_j), with the same error
     text: the reference its elimination on Python floats equals by bytes."""
     u0 = np.asarray(u0, dtype=float)
-    check_ball(model, u0, enforce=True)
+    _check_march_state(model, u0, "initial state")
     states = np.empty((grid.K + 1, u0.shape[0]))
     states[0] = u0
     h = grid.h
@@ -232,7 +231,7 @@ def gtsv_forward_solve(model, u0: np.ndarray, grid: TimeGrid) -> Trajectory:
                 f"singular implicit matrix at step {j}: zero pivot in row {info} "
                 "of the tridiagonal solve"
             )
-        check_ball(model, states[j + 1], enforce=True)
+        _check_march_state(model, states[j + 1], f"state after step {j}")
     return Trajectory(grid=grid, states=states)
 
 

@@ -30,7 +30,7 @@ from avgrec.evolution import TimeGrid, series_peak_bytes
 from avgrec.models import ExponentBook
 from avgrec.solver import Trajectory
 
-from conftest import SCRIPTS, load_script
+from conftest import SCRIPTS, load_script, read_strict_json
 from oracles import read_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -368,7 +368,7 @@ def test_experiment_script_prints_its_table(script, capsys):
         float(row.split()[-1])  # each row ends in a number
 
 
-def test_census_names_each_differing_run():
+def test_census_names_each_differing_run(tmp_path):
     census = load_script("census")
     run = {"exit": 0, "stdout": "a", "stderr": "b", "files": {"report.json": "c"}}
     moved = dict(run, exit=3, stdout="d", files={"report.json": "e", "scan.csv": "f"})
@@ -381,6 +381,29 @@ def test_census_names_each_differing_run():
         "moved: exit 3 -> 0, stdout, report.json, scan.csv",
         "new: only in REV",
     ]
+    # With the runs at hand, a differing table or report says how far its
+    # numbers moved: a report whose numbers sit in the same places by
+    # their largest relative difference, a file on one side only or with
+    # numbers in other places as "shape differs".
+    current, against = tmp_path / "current", tmp_path / "against"
+    files = {
+        current: {"report.json": '{"a": [1.0, 4.0], "b": NaN, "ok": true}', "scan.csv": "x\n1\n"},
+        against: {"report.json": '{"a": [1.0, 2.0], "b": NaN, "ok": false}'},
+    }
+    for folder, texts in files.items():
+        (folder / "moved").mkdir(parents=True)
+        for name, text in texts.items():
+            (folder / "moved" / name).write_text(text)
+    assert census.differences(ours, theirs, "REV", (current, against)) == [
+        "moved: exit 0 -> 3, stdout, report.json (max rel diff 0.5), scan.csv (shape differs)",
+        "new: only in this tree",
+    ]
+    (against / "moved" / "scan.csv").write_text("x\n1\n2\n")
+    moved = [folder / "moved" for folder in (current, against)]
+    assert census.movement(*(folder / "scan.csv" for folder in moved)) == "shape differs"
+    assert census.movement(*(folder / "report.json" for folder in moved[::-1])) == (
+        "max rel diff 0.5"
+    )
 
 
 class TestMainExitCodes:
@@ -405,6 +428,20 @@ class TestMainExitCodes:
         config.write_text("[grid]\nn = 1\n")
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["forward", "recover"])
+    def test_non_finite_march_state_exit_3(self, tmp_path, capsys, verb):
+        # At delta = 1e154 the generator at zero is finite, so the config is
+        # admitted, but exp(-delta v) overflows on the first state's signal.
+        # recover meets it in the march that manufactures its data.
+        config = tmp_path / "nan.ini"
+        config.write_text(fast_config(tmp_path, model=["delta = 1e154"], time=["steps = 8"]))
+        assert main([verb, "--config", str(config), "--quiet"]) == 3
+        message = "forward march: non-finite state after step 0"
+        assert capsys.readouterr().err == f"numerical failure: NumericalError: {message}\n"
+        report = read_strict_json(tmp_path / "run" / "report.json")
+        assert report["status"] == "failed" and report["error"]["message"] == message
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
 
     def test_config_read_as_utf8(self, tmp_path, capsys):
         # A document that is not UTF-8 is malformed; a UTF-8 one parses
@@ -553,6 +590,10 @@ class TestMainExitCodes:
                 "ell > 0 ([exponents])",
             ),
             ("validate", BOOK_ELL_MINUS_ONE, "ell > 0 ([exponents])"),
+            ("validate", {"model": ["delta = 1e300"]}, "[model] delta"),
+            # The memory admission bounds K only from n = 1 up; parsing
+            # builds no condition of 10^12 + 1 weights for a grid build_model rejects.
+            ("validate", {"grid": ["n = 0"], "time": ["steps = 1000000000000"]}, "[grid] n"),
         ],
     )
     def test_parse_time_rejections_exit_2(self, tmp_path, capsys, verb, extra, named):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import avgrec
-from conftest import load_script
+from conftest import load_script, read_strict_json
 
 SRC = Path(avgrec.__file__).resolve().parent.parent
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -121,6 +121,14 @@ def test_census_set_exits_alike_without_scipy(census_runs):
     codes = {name: code for name, (_, _, code, _) in census_runs.items()}
     expected = {name: expected_exit(doc, verb) for name, (doc, verb, _, _) in census_runs.items()}
     assert codes == expected
+
+
+def test_census_reports_are_strict_json(census_runs):
+    reports = [out / "report.json" for *_, out in census_runs.values()]
+    reports = [path for path in reports if path.exists()]
+    assert reports
+    for path in reports:
+        read_strict_json(path)
 
 
 # Pinned to 1e-9 relative, since BLAS builds differ in roundoff; every

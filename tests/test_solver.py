@@ -217,6 +217,24 @@ class TestForwardSolve:
         with pytest.raises(NumericalError, match="^singular implicit matrix at step 0: "):
             forward_solve(model, np.ones(4), grid_t)
 
+    def test_non_finite_state_ends_the_march(self):
+        # At delta = 1e154, exp(-delta v) overflows on u0's signal, so the
+        # state after step 0 holds NaN; its ball norm is NaN, which the
+        # radius comparison lets through.  The march warns of nothing.
+        model = ChemotaxisModel.default(build_grid(8, 1.0, BoundaryKind.NEUMANN), delta=1e154)
+        u0 = 0.01 * np.cos(np.pi * model.base.grid.nodes)
+        grid_t = TimeGrid(T=0.5, K=8)
+        message = "^forward march: non-finite state after step 0$"
+        with pytest.raises(NumericalError, match=message) as err:
+            forward_solve(model, u0, grid_t)
+        assert not isinstance(err.value, BallViolationError)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for march in (oracles.gtsv_forward_solve, oracles.dense_forward_solve):
+                with pytest.raises(NumericalError, match=message):
+                    march(model, u0, grid_t)
+        with pytest.raises(NumericalError, match="^forward march: non-finite initial state$"):
+            forward_solve(model, np.full(8, np.nan), grid_t)
+
     def test_self_convergence_first_order(self, small_chemo):
         u0 = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
         e_coarse = self_convergence_error(small_chemo, u0, TimeGrid(T=0.5, K=32))

@@ -12,7 +12,7 @@ from avgrec.models import (
     ChemotaxisModel,
     LinearTestModel,
     NonlocalRDModel,
-    check_ball,
+    ball_norm,
 )
 from avgrec.solver import (
     RecoveryConfig,
@@ -125,9 +125,9 @@ class TestStackedModel:
     def test_ball_norms(self, name, lead):
         model = MODELS[name]
         states = self.states(lead)
-        got = check_ball(model, states, enforce=False)
+        got = ball_norm(model, states)
         assert got.shape == lead
-        expected = each_state(lambda u: np.array(check_ball(model, u, enforce=False)), states)
+        expected = each_state(lambda u: np.array(ball_norm(model, u)), states)
         assert np.array_equal(got, expected)
 
 
@@ -139,7 +139,7 @@ def test_linearise_skips_the_ball_norm(name, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("linearise computed the ball norm")
 
-    monkeypatch.setattr(avgrec.models, "_ball_norm", forbidden)
+    monkeypatch.setattr(avgrec.models, "ball_norm", forbidden)
     model.linearise(states)
     model.linearise(states[0])
 
@@ -153,7 +153,7 @@ def test_stacked_ops_match_per_slice(n):
     # The solver sweeps the rows of a scan or probe together: the stepper's
     # recursion is one stacked matmul per step (its factors broadcast over
     # rows and nodes on a shared generator), and the model takes one stacked
-    # linearise and ball check, and the distance of every row in one modal
+    # linearise and ball norm, and the distance of every row in one modal
     # transform and modal_norm.  Each slice must be the per-row call's bit
     # for bit.  The solver takes the resolvents' SVD and solve row by row;
     # their stacked calls are still checked here.
@@ -189,21 +189,12 @@ def test_stacked_ops_match_per_slice(n):
     ):
         states = 0.1 * rng.standard_normal((R, K + 1, n))
         bands, f_states = model.linearise(states)
-        norms = check_ball(model, states, enforce=False)
+        norms = ball_norm(model, states)
         for r in range(R):
             row_bands, row_f = model.linearise(states[r])
             assert all(same_bytes(band[r], row) for band, row in zip(bands, row_bands))
             assert same_bytes(f_states[r], row_f)
-            assert same_bytes(norms[r], check_ball(model, states[r], enforce=False))
-
-
-class TestStackedErrors:
-    def test_ball_violation_names_first_node(self):
-        model = MODELS["chemotaxis"]
-        states = np.zeros((5, 12))
-        states[3] = 10.0
-        with pytest.raises(NumericalError, match="^node 3: state leaves the admissible ball"):
-            check_ball(model, states, enforce=True)
+            assert same_bytes(norms[r], ball_norm(model, states[r]))
 
 
 class TestStackedSpatial:
