@@ -224,6 +224,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         )
     if cfg.grid_n >= 2:  # else the admission does not bound its K+1 weights
         build_condition(cfg)
+    if cfg.operation == "scan" and not cfg.amplitudes:
+        raise ConfigurationError("[data] amplitudes: required for the scan operation")
 
 
 def build_grid_from(cfg: ExperimentConfig):
@@ -380,8 +382,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             payload["solve"] = solve_report.to_dict()
             plots = [("trajectory", trajectory_path), ("convergence", report_path)]
         elif cfg.operation == "scan":
-            if not cfg.amplitudes:
-                raise ConfigurationError("[data] amplitudes: required for the scan operation")
             norm = np.linalg.norm(M)
             direction = M / norm if norm > 0 else M
             scan = smallness_scan(model, cond, direction, list(cfg.amplitudes), rec_cfg)
@@ -450,7 +450,9 @@ def main(argv=None) -> int:
         cfg = parse_config(
             _decode(data), operation=args.verb, **{k: v for k, v in flags.items() if v is not None}
         )
-        out_dir = run_experiment(cfg)
+        # An overflow ends the run in one stderr line, its numerical failure's.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out_dir = run_experiment(cfg)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

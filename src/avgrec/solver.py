@@ -111,10 +111,6 @@ class Trajectory:
             )
         object.__setattr__(self, "states", states)
 
-    @classmethod
-    def zero(cls, grid: TimeGrid, n: int) -> "Trajectory":
-        return cls(grid=grid, states=np.zeros((grid.K + 1, n)))
-
 
 @dataclass
 class RecoveryConfig:
@@ -168,21 +164,17 @@ class SolveReport:
         return asdict(self)
 
 
-def weighted_distance(u, v, model, grid: TimeGrid | None = None) -> float | np.ndarray:
+def weighted_distance(u, v, model, grid: TimeGrid) -> float | np.ndarray:
     """Distance of the iteration space; homogeneous of degree one.
 
-    u and v are two Trajectories, or states on ``grid``: one pair (K+1, n)
-    gives a float, a stack (R, K+1, n) one distance per row, each its own
-    call's bit for bit.  The orders are the model's exponent book: the
-    weight t^mu, the spectral norms of orders 2 xi and 2 beta of its base
-    Laplacian, and the Hoelder exponent rho.  The t=0 node is excluded from
+    u and v are states on ``grid``: one pair (K+1, n) gives a float, a
+    stack (R, K+1, n) one distance per row, each its own call's bit for
+    bit.  The orders are the model's exponent book: the weight t^mu, the
+    spectral norms of orders 2 xi and 2 beta of its base Laplacian, and the
+    Hoelder exponent rho.  The t=0 node is excluded from
     the weighted part (the weight vanishes there); the Hoelder quotient runs
     over adjacent and dyadic gaps only, a gap whose quotient is NaN left out.
     """
-    if isinstance(u, Trajectory):
-        if u.grid.K != v.grid.K or u.grid.T != v.grid.T:
-            raise ValueError("trajectories live on different time grids")
-        u, v, grid = u.states, v.states, u.grid
     book, base = model.exponents, model.base
     # (..., K+1, n) modal coefficients of the differences; the transform is
     # linear, so a difference of nodes is the difference of their rows.
@@ -242,9 +234,10 @@ def _sweep(
     model, cond: AveragingCondition, Ms: np.ndarray, states: np.ndarray, config: RecoveryConfig
 ) -> list:
     """One sweep of the fixed-point map on each of a (R, K+1, n) stack of
-    iterates u, for its row of the data Ms (R, n): per row (u_new, Xi(u),
-    the sigma_min of its resolvent, the distance of u_new from u), or the
-    NumericalError that ends its recovery, the one its own sweep would meet.
+    iterates u, for its row of the data Ms (R, n): per row (the states of
+    u_new, Xi(u), the sigma_min of its resolvent, the distance of u_new
+    from u), or the NumericalError that ends its recovery, the one its own
+    sweep would meet.
 
     The rows share one stacked ``linearise``, one check that A(u) and f(u)
     are finite (on the bands alone, every other entry being an exact zero),
@@ -262,7 +255,7 @@ def _sweep(
         swept = _propagation(path, f_states, config)
         outcomes = [_solve_row(cond, values, M) for values, M in zip(swept, Ms)]
         solved = [k for k, out in enumerate(outcomes) if not isinstance(out, NumericalError)]
-        new_states = np.stack([outcomes[k][0].states for k in solved]) if solved else states[:0]
+        new_states = np.stack([outcomes[k][0] for k in solved]) if solved else states[:0]
         dists = weighted_distance(new_states, states[solved], model, cond.grid).tolist()
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         if len(states) == 1:
@@ -278,9 +271,9 @@ def _sweep(
 
 
 def _solve_row(cond: AveragingCondition, values: SweepValues, M: np.ndarray):
-    """(u_new, Xi, sigma_min) of one row from its sweep values and data,
-    or the error that ends its recovery: a non-finite column, a singular
-    resolvent, or non-finite states."""
+    """(the states of u_new, Xi, sigma_min) of one row from its sweep
+    values and data, or the error that ends its recovery: a non-finite
+    column, a singular resolvent, or non-finite states."""
     try:
         if not np.all(np.isfinite(values.column)):
             raise ConvergenceError("iteration produced a non-finite propagation")
@@ -294,30 +287,21 @@ def _solve_row(cond: AveragingCondition, values: SweepValues, M: np.ndarray):
             raise ConvergenceError("iteration produced non-finite states")
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _failure(exc)
-    return Trajectory(grid=cond.grid, states=new_states), xi, sigma
+    return new_states, xi, sigma
 
 
 @dataclass(eq=False)
 class _Row:
-    """One recovery of a batch: its data, its iterate, its report, the
-    ball warnings of its sweeps, and the Xi or the error it ended with."""
+    """One recovery of a batch: its data, its iterate's (K+1, n) states,
+    its report, the ball warnings of its sweeps, and the Xi it converged
+    to or the error, carrying the partial report, that ended it."""
 
     M: np.ndarray
-    u: Trajectory
+    states: np.ndarray
     report: SolveReport = field(default_factory=SolveReport)
     ball_warnings: list = field(default_factory=list)
     xi: np.ndarray | None = None
     error: NumericalError | None = None
-
-    def result(self) -> tuple[np.ndarray, Trajectory, SolveReport]:
-        """(Xi, u_final, report) of a converged row, after its warnings,
-        attributed to the caller of the public function that ran it; a
-        failed row raises its error, which carries the partial report."""
-        for message in self.ball_warnings:
-            warnings.warn(message, stacklevel=3)
-        if self.error is not None:
-            raise self.error
-        return self.xi, self.u, self.report
 
 
 def _recover_rows(
@@ -330,8 +314,9 @@ def _recover_rows(
     at least one; the rows beyond it run in the next batch."""
     check_iteration_ball(model, config)
     grid, n = cond.grid, model.base.grid.n
+    zero = np.zeros((grid.K + 1, n))
     rows = [
-        _Row(np.asarray(M, dtype=float), Trajectory.zero(grid, n) if start is None else start)
+        _Row(np.asarray(M, dtype=float), zero if start is None else start.states)
         for M, start in zip(Ms, starts)
     ]
     series = config.method is PropagatorMethod.KERNEL_SERIES
@@ -349,14 +334,17 @@ def _recover_batch(
     iteration over the rows still running.  A row leaves the batch where
     its own recovery stops: converged, at its sweep's error, diverged, or
     after max_iters sweeps; its report then gets its residual, or its error
-    the partial report."""
+    the partial report.  Every iterate swept counts its ball exits; a sweep
+    whose distance is not finite ends the row unrecorded."""
     running = rows
     for _ in range(config.max_iters):
-        states = np.stack([row.u.states for row in running])
+        states = np.stack([row.states for row in running])
         norms = ball_norm(model, states)
         exits = np.count_nonzero(norms > model.ball_radius, axis=-1).tolist()
         outcomes = _sweep(model, cond, np.stack([row.M for row in running]), states, config)
         for row, ball_exits, outcome in zip(running, exits, outcomes):
+            report = row.report
+            report.ball_exits += ball_exits
             if ball_exits:
                 row.ball_warnings.append(
                     f"{ball_exits} iterate states left the model ball; continuing"
@@ -364,19 +352,18 @@ def _recover_batch(
             if isinstance(outcome, NumericalError):
                 row.error = outcome
                 continue
-            new_u, row.xi, sigma, dist = outcome
-            report = row.report
-            report.iterates += 1
-            report.distances.append(dist)
-            report.sigma_min_history.append(sigma)
-            report.ball_exits += ball_exits
-            if len(report.distances) >= 2 and report.distances[-2] > 0:
-                report.contraction_estimates.append(dist / report.distances[-2])
-            row.u = new_u
-            blow_up = DIVERGENCE_FACTOR * max(report.distances[0], 1e-30)
+            row.states, row.xi, sigma, dist = outcome
+            if np.isfinite(dist):
+                report.iterates += 1
+                report.distances.append(dist)
+                report.sigma_min_history.append(sigma)
+                if len(report.distances) >= 2 and report.distances[-2] > 0:
+                    report.contraction_estimates.append(dist / report.distances[-2])
             if dist <= config.tol_fixed_point:
                 report.converged = True
-            elif not np.isfinite(dist) or dist > blow_up:
+            elif not np.isfinite(dist) or (
+                dist > DIVERGENCE_FACTOR * max(report.distances[0], 1e-30)
+            ):
                 row.error = ConvergenceError(
                     f"fixed-point iteration diverged (distance {dist:.3e})"
                 )
@@ -392,7 +379,7 @@ def _recover_batch(
         if row.error is not None:
             row.error.report = row.report
         else:
-            row.report.residual = averaging_residual(cond, row.u, row.M)
+            row.report.residual = averaging_residual(cond, row.states, row.M)
 
 
 def fixed_point_recover(
@@ -417,7 +404,11 @@ def fixed_point_recover(
     batch of one row of :func:`_recover_rows`.
     """
     (row,) = _recover_rows(model, cond, [M], [initial], config or RecoveryConfig())
-    return row.result()
+    for message in row.ball_warnings:
+        warnings.warn(message, stacklevel=2)
+    if row.error is not None:
+        raise row.error
+    return row.xi, Trajectory(cond.grid, row.states), row.report
 
 
 def _check_march_state(model, u: np.ndarray, state: str) -> None:
@@ -481,13 +472,13 @@ def self_convergence_error(model, u0: np.ndarray, grid: TimeGrid) -> float:
     return float(2.0 * num / den)
 
 
-def averaging_residual(cond: AveragingCondition, traj: Trajectory, M: np.ndarray) -> float:
-    """Relative defect of the discretized nonlocal condition on a trajectory
-    (absolute when M = 0)."""
-    if traj.grid.K != cond.grid.K or traj.grid.T != cond.grid.T:
-        raise ValueError("trajectory and condition live on different time grids")
+def averaging_residual(cond: AveragingCondition, states: np.ndarray, M: np.ndarray) -> float:
+    """Relative defect of the discretized nonlocal condition on a
+    trajectory's (K+1, n) states (absolute when M = 0)."""
+    if len(states) != cond.grid.K + 1:
+        raise ValueError(f"states hold {len(states)} nodes, the condition {cond.grid.K + 1}")
     M = np.asarray(M, dtype=float)
-    defect = observe(cond, traj.states) - M
+    defect = observe(cond, states) - M
     m_norm = np.linalg.norm(M)
     return float(np.linalg.norm(defect) / (m_norm if m_norm > 0 else 1.0))
 
@@ -535,31 +526,23 @@ def smallness_scan(
     config = config or RecoveryConfig()
     M_direction = np.asarray(M_direction, dtype=float)
     data = [amp * M_direction for amp in amplitudes]
-    result_rows = []
-    largest = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows = _recover_rows(model, cond, data, [None] * len(data), config)
-        for amp, row in zip(amplitudes, rows):
-            note = ""
-            try:
-                _, _, rep = row.result()
-                converged = True
-            except NumericalError as exc:
-                converged, rep = False, exc.report
-                note = f"{type(exc).__name__}: {exc}"
-            estimates = rep.contraction_estimates
-            result_rows.append(
-                ScanRow(
-                    amplitude=amp,
-                    converged=converged,
-                    iterations=rep.iterates,
-                    contraction=estimates[-1] if estimates else None,
-                    note=note,
-                )
+    result_rows, largest = [], None
+    for amp, row in zip(amplitudes, rows):
+        estimates, error = row.report.contraction_estimates, row.error
+        result_rows.append(
+            ScanRow(
+                amplitude=amp,
+                converged=error is None,
+                iterations=row.report.iterates,
+                contraction=estimates[-1] if estimates else None,
+                note="" if error is None else f"{type(error).__name__}: {error}",
             )
-            if converged:
-                largest = amp
+        )
+        if error is None:
+            largest = amp
     return ScanResult(rows=tuple(result_rows), m0_lower_bound=largest)
 
 
@@ -579,9 +562,9 @@ class ProbeReport:
 def random_admissible_trajectory(
     grid: TimeGrid, model, radius: float, rng: np.random.Generator
 ) -> Trajectory:
-    traj = Trajectory(grid=grid, states=rng.standard_normal((grid.K + 1, model.base.grid.n)))
-    norm = weighted_distance(traj, Trajectory.zero(grid, model.base.grid.n), model)
-    return Trajectory(grid=grid, states=radius * rng.uniform(0.2, 0.9) / norm * traj.states)
+    states = rng.standard_normal((grid.K + 1, model.base.grid.n))
+    norm = weighted_distance(states, np.zeros_like(states), model, grid)
+    return Trajectory(grid=grid, states=radius * rng.uniform(0.2, 0.9) / norm * states)
 
 
 def contraction_probe(
@@ -607,21 +590,21 @@ def contraction_probe(
     for _ in range(trials):
         starts.append(random_admissible_trajectory(cond.grid, model, config.ball_L, rng))
     rows = _recover_rows(model, cond, [M] * len(starts), starts, config)
-    limits, u0s, per_run, failures = [], [], [], []
+    converged, failures = [], []
     for trial, row in enumerate(rows, start=-1):
-        try:
-            u0, traj, rep = row.result()
-        except NumericalError as exc:
-            if trial < 0:
-                raise
-            failures.append(f"trial {trial}: {type(exc).__name__}: {exc}")
-            continue
-        limits.append(traj)
-        u0s.append(u0)
-        per_run.append(tuple(rep.contraction_estimates))
+        for message in row.ball_warnings:
+            warnings.warn(message, stacklevel=2)
+        if row.error is None:
+            converged.append(row)
+        elif trial < 0:
+            raise row.error
+        else:
+            failures.append(f"trial {trial}: {type(row.error).__name__}: {row.error}")
+    per_run = [tuple(row.report.contraction_estimates) for row in converged]
+    u0s = [row.xi for row in converged]
     # Every pair i < j of limits in one stacked call.
-    first, second = np.triu_indices(len(limits), k=1)
-    states = np.stack([traj.states for traj in limits])
+    first, second = np.triu_indices(len(converged), k=1)
+    states = np.stack([row.states for row in converged])
     distances = weighted_distance(states[first], states[second], model, cond.grid)
     spread = float(distances.max(initial=0.0))
     u0_spread = max(

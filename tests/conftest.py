@@ -55,12 +55,13 @@ def rd32():
     return NonlocalRDModel.default(build_grid(32, 1.0, BoundaryKind.NEUMANN))
 
 
-def one_sweep(model, cond, M, u, config):
-    """One sweep of the solver's fixed-point map on the single iterate u (a
-    batch of one row): (u_new, Xi, sigma_min, the distance of u_new from
-    u), or the error that ends it, raised."""
-    states = u.states[None]
-    (outcome,) = avgrec.solver._sweep(model, cond, np.asarray(M, dtype=float)[None], states, config)
+def one_sweep(model, cond, M, states, config):
+    """One sweep of the solver's fixed-point map on the single iterate of
+    (K+1, n) states (a batch of one row): (the states of u_new, Xi,
+    sigma_min, the distance of u_new from u), or the error that ends it,
+    raised."""
+    Ms = np.asarray(M, dtype=float)[None]
+    (outcome,) = avgrec.solver._sweep(model, cond, Ms, np.asarray(states)[None], config)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

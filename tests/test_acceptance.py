@@ -301,17 +301,14 @@ def test_criterion_9_invariant_bundle(series_family, chemo16, rd32, tmp_path):
     # Psi of the zero trajectory is exactly zero
     grid_t = series_family[32]["path"].grid
     cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-    psi_zero = apply_psi(Trajectory.zero(grid_t, 16), series_family[32]["stepper"], cond)
+    zero = Trajectory(grid_t, np.zeros((grid_t.K + 1, 16)))
+    psi_zero = apply_psi(zero, series_family[32]["stepper"], cond)
     checks["Psi(0) = 0"] = np.all(psi_zero == 0.0)
     # weighted-distance homogeneity
     u_t = Trajectory(grid=grid_t, states=rng.standard_normal((33, 16)))
     v_t = Trajectory(grid=grid_t, states=rng.standard_normal((33, 16)))
-    d1 = weighted_distance(u_t, v_t, chemo16)
-    d3 = weighted_distance(
-        Trajectory(grid=grid_t, states=3.0 * u_t.states),
-        Trajectory(grid=grid_t, states=3.0 * v_t.states),
-        chemo16,
-    )
+    d1 = weighted_distance(u_t.states, v_t.states, chemo16, grid_t)
+    d3 = weighted_distance(3.0 * u_t.states, 3.0 * v_t.states, chemo16, grid_t)
     checks["distance homogeneity"] = abs(d3 - 3.0 * d1) <= 1e-10 * d1
     # CSV round trip is lossless
     from avgrec.artifacts import emit_trajectory_csv

@@ -220,7 +220,7 @@ class TestApplyPsi:
         entry = series_family[32]
         grid_t = entry["path"].grid
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        traj = Trajectory.zero(grid_t, 16)
+        traj = Trajectory(grid_t, np.zeros((grid_t.K + 1, 16)))
         assert np.array_equal(apply_psi(traj, entry["stepper"], cond), np.zeros(16))
 
     def test_iterated_integral_closed_form(self):
@@ -250,7 +250,7 @@ class TestApplyPsi:
         other = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(entry["path"].grid, Variant.TIME_AVERAGE, "constant")
         with pytest.raises(ValueError):
-            apply_psi(Trajectory.zero(other, 16), entry["stepper"], cond)
+            apply_psi(Trajectory(other, np.zeros((other.K + 1, 16))), entry["stepper"], cond)
 
 
 class TestInitialStateMap:
@@ -265,7 +265,7 @@ class TestInitialStateMap:
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         x0 = RNG.standard_normal(8)
         M = assemble_phi(table, cond).matrix @ x0
-        zero_f = Trajectory.zero(grid_t, 8)
+        zero_f = Trajectory(grid_t, np.zeros((grid_t.K + 1, 8)))
         got = initial_state_map(cond, table, M, zero_f)
         assert np.linalg.norm(got - x0) <= 1e-8 * np.linalg.norm(x0)
 
@@ -275,14 +275,14 @@ class TestInitialStateMap:
             grid_t, Variant.TERMINAL_DIFFERENCE, "constant", w0=0.0
         )
         M = RNG.standard_normal(8)
-        got = initial_state_map(cond, table, M, Trajectory.zero(grid_t, 8))
+        got = initial_state_map(cond, table, M, Trajectory(grid_t, np.zeros((grid_t.K + 1, 8))))
         np.testing.assert_array_equal(got, M)
 
     def test_initial_plus_average_scalar_resolvent(self):
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.INITIAL_PLUS_AVERAGE, "constant")
         M = np.array([2.0, -1.0, 0.5])
-        got = initial_state_map(cond, identity_table(3, grid_t), M, Trajectory.zero(grid_t, 3))
+        got = initial_state_map(cond, identity_table(3, grid_t), M, Trajectory(grid_t, np.zeros((grid_t.K + 1, 3))))
         np.testing.assert_allclose(got, M / 1.5, rtol=1e-12)
 
     def test_singular_resolvent_diagnosed(self):
@@ -293,7 +293,7 @@ class TestInitialStateMap:
         table = evolution_stepper(constant_path(band_stack(*base.bands), grid_t))
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "cosine_cycle")
         with pytest.raises(SingularOperatorError) as err:
-            initial_state_map(cond, table, np.ones(6), Trajectory.zero(grid_t, 6))
+            initial_state_map(cond, table, np.ones(6), Trajectory(grid_t, np.zeros((grid_t.K + 1, 6))))
         assert err.value.sigma_min < 1e-10
 
     @pytest.mark.parametrize("variant", list(Variant))

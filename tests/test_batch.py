@@ -105,7 +105,11 @@ def probe_reference(model, cond, M, config, trials, seed) -> ProbeReport:
     return ProbeReport(
         all_converged=not failures,
         limit_spread=max(
-            (weighted_distance(limits[i], limits[k], model) for i, k in pairs), default=0.0
+            (
+                weighted_distance(limits[i].states, limits[k].states, model, cond.grid)
+                for i, k in pairs
+            ),
+            default=0.0,
         ),
         initial_state_spread=max(
             (float(np.linalg.norm(u0s[i] - u0s[k])) for i, k in pairs), default=0.0
@@ -146,7 +150,7 @@ def test_batch_rows_equal_single_row_recoveries_in_full(method, variant):
                 assert row.error.report == exc.report
                 continue
             assert row.error is None
-            assert np.array_equal(row.xi, xi) and np.array_equal(row.u.states, traj.states)
+            assert np.array_equal(row.xi, xi) and np.array_equal(row.states, traj.states)
             assert row.report == report
     assert any(row.error is not None and row.report.ball_exits for row in rows)
 
@@ -280,6 +284,29 @@ def test_a_row_whose_distance_raises_fails_alone(method):
     assert scan.m0_lower_bound == 0.01
 
 
+def test_failed_base_run_raises_before_any_trial_warns():
+    # At max_iters = 2 every row's second iterate leaves the ball and every
+    # row fails: the probe warns as the base run's own recovery does, then
+    # raises its error, and no trial's warning is issued.
+    cond, M, config = condition(Variant.TIME_AVERAGE), 0.5 * DIRECTION, RecoveryConfig(max_iters=2)
+    rng = np.random.default_rng(0)
+    trial_start = random_admissible_trajectory(cond.grid, CHEMO, config.ball_L, rng)
+    outcomes = []
+    for run in (
+        lambda: contraction_probe(CHEMO, cond, M, config, trials=2, seed=0),
+        lambda: fixed_point_recover(CHEMO, cond, M, config),
+        lambda: fixed_point_recover(CHEMO, cond, M, config, initial=trial_start),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError) as err:
+                run()
+        messages = [str(w.message) for w in caught if w.category is UserWarning]
+        outcomes.append((str(err.value), messages))
+    probe, base, trial = outcomes
+    assert probe == base and base[1] and trial[1]
+
+
 def test_probe_ladder_has_failed_trials_and_failed_base_runs():
     failed_trials = contraction_probe(
         CHEMO, condition(Variant.TIME_AVERAGE), 0.1 * DIRECTION, RecoveryConfig(max_iters=9),
@@ -330,10 +357,10 @@ def test_singular_build_fails_only_its_own_row():
     assert isinstance(outcomes[1], NumericalError) and str(outcomes[1]) == message
     assert str(singles[1]) == message
     for r in (0, 2):
-        (traj, xi, sigma, dist), (single_traj, single_xi, single_sigma, single_dist) = (
+        (states, xi, sigma, dist), (single_states, single_xi, single_sigma, single_dist) = (
             outcomes[r], singles[r]
         )
-        assert np.array_equal(traj.states, single_traj.states)
+        assert np.array_equal(states, single_states)
         assert np.array_equal(xi, single_xi) and sigma == single_sigma and dist == single_dist
 
 

@@ -213,7 +213,7 @@ class TestCsvRoundTrip:
         assert np.array_equal(ts, grid_t.nodes)
 
     def test_zero_trajectory_rows(self, tmp_path):
-        traj = Trajectory.zero(TimeGrid(T=1.0, K=1), 2)
+        traj = Trajectory(TimeGrid(T=1.0, K=1), np.zeros((2, 2)))
         target = tmp_path / "zero.csv"
         emit_trajectory_csv(traj, target)
         lines = target.read_text().strip().splitlines()
@@ -353,7 +353,7 @@ class TestPlotScripts:
     def test_scripts_compile(self, tmp_path):
         import py_compile
 
-        traj = Trajectory.zero(TimeGrid(T=1.0, K=2), 3)
+        traj = Trajectory(TimeGrid(T=1.0, K=2), np.zeros((3, 3)))
         emit_trajectory_csv(traj, tmp_path / "trajectory.csv")
         script = emit_plot_script(tmp_path, "trajectory", tmp_path / "trajectory.csv")
         py_compile.compile(str(script), doraise=True)
@@ -442,6 +442,30 @@ class TestMainExitCodes:
         report = read_strict_json(tmp_path / "run" / "report.json")
         assert report["status"] == "failed" and report["error"]["message"] == message
         assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["linear_test", "chemotaxis"])
+    def test_diverging_distance_exit_3_with_a_strict_report(self, tmp_path, capsys, kind):
+        # Data of size 1e200 overflow the first sweep's distance: the run
+        # ends with one stderr line, and the report records no sweep.
+        nodes = (np.arange(8) + 0.5) / 8
+        field = tmp_path / "field.csv"
+        emit_field_csv(nodes, 1e200 * np.cos(np.pi * nodes), field)
+        extra = {
+            "model": [f"kind = {kind}"],
+            "time": ["steps = 8"],
+            "data": ["source = file", f"path = {field}"],
+        }
+        config = tmp_path / "big.ini"
+        config.write_text(fast_config(tmp_path, **extra))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["recover", "--config", str(config), "--quiet"]) == 3
+        assert [str(w.message) for w in caught] == []
+        message = "fixed-point iteration diverged (distance inf)"
+        assert capsys.readouterr().err == f"numerical failure: ConvergenceError: {message}\n"
+        report = read_strict_json(tmp_path / "run" / "report.json")
+        assert report["error"]["message"] == message
+        assert report["solve"]["distances"] == [] and report["solve"]["iterates"] == 0
 
     def test_config_read_as_utf8(self, tmp_path, capsys):
         # A document that is not UTF-8 is malformed; a UTF-8 one parses
@@ -591,6 +615,8 @@ class TestMainExitCodes:
             ),
             ("validate", BOOK_ELL_MINUS_ONE, "ell > 0 ([exponents])"),
             ("validate", {"model": ["delta = 1e300"]}, "[model] delta"),
+            # Rejected before the march that would fail at its first step.
+            ("scan", {"model": ["delta = 1e154"], "time": ["steps = 8"]}, "[data] amplitudes"),
             # The memory admission bounds K only from n = 1 up; parsing
             # builds no condition of 10^12 + 1 weights for a grid build_model rejects.
             ("validate", {"grid": ["n = 0"], "time": ["steps = 1000000000000"]}, "[grid] n"),

@@ -62,8 +62,8 @@ def linear_observation(model, cond, x0):
 
 class TestTrajectory:
     def test_zero_constructor(self):
-        traj = Trajectory.zero(TimeGrid(T=1.0, K=4), 3)
-        assert traj.states.shape == (5, 3)
+        traj = Trajectory(TimeGrid(T=1.0, K=4), np.zeros((5, 3), dtype=int))
+        assert traj.states.shape == (5, 3) and traj.states.dtype == float
         assert np.all(traj.states == 0.0)
 
     def test_shape_validated(self):
@@ -74,16 +74,16 @@ class TestTrajectory:
 class TestWeightedDistance:
     def test_identical_trajectories(self, small_chemo):
         grid_t = TimeGrid(T=1.0, K=8)
-        traj = Trajectory(grid=grid_t, states=RNG.standard_normal((9, 16)))
-        assert weighted_distance(traj, traj, small_chemo) == 0.0
+        states = RNG.standard_normal((9, 16))
+        assert weighted_distance(states, states, small_chemo, grid_t) == 0.0
 
     def test_constant_difference_unweighted(self, small_chemo):
         # mu = 0 and a constant-in-time difference: no Hoelder part, just the
         # two spatial norms of the constant field.
         grid_t = TimeGrid(T=1.0, K=8)
         c = RNG.standard_normal(16)
-        u = Trajectory(grid=grid_t, states=np.tile(c, (9, 1)))
-        v = Trajectory.zero(grid_t, 16)
+        u = np.tile(c, (9, 1))
+        v = np.zeros((9, 16))
         model = replace(small_chemo, exponents=replace(small_chemo.exponents, mu=0.0))
         from avgrec.spatial import sobolev_norm
 
@@ -91,28 +91,22 @@ class TestWeightedDistance:
         expected = sobolev_norm(model.base, c, 2.0 * book.xi) + sobolev_norm(
             model.base, c, 2.0 * book.beta
         )
-        assert weighted_distance(u, v, model) == pytest.approx(expected, rel=1e-12)
+        assert weighted_distance(u, v, model, grid_t) == pytest.approx(expected, rel=1e-12)
 
     @given(c=st.floats(-20.0, 20.0))
     @settings(max_examples=20, deadline=None)
     def test_homogeneity(self, c, small_chemo):
         grid_t = TimeGrid(T=1.0, K=8)
         rng = np.random.default_rng(3)
-        u = Trajectory(grid=grid_t, states=rng.standard_normal((9, 16)))
-        v = Trajectory(grid=grid_t, states=rng.standard_normal((9, 16)))
-        base = weighted_distance(u, v, small_chemo)
-        scaled = weighted_distance(
-            Trajectory(grid=grid_t, states=c * u.states),
-            Trajectory(grid=grid_t, states=c * v.states),
-            small_chemo,
-        )
+        u, v = rng.standard_normal((2, 9, 16))
+        base = weighted_distance(u, v, small_chemo, grid_t)
+        scaled = weighted_distance(c * u, c * v, small_chemo, grid_t)
         assert scaled == pytest.approx(abs(c) * base, rel=1e-10, abs=1e-12)
 
     def test_grid_mismatch_rejected(self, small_chemo):
-        u = Trajectory.zero(TimeGrid(T=1.0, K=8), 16)
-        v = Trajectory.zero(TimeGrid(T=1.0, K=4), 16)
+        u, v = np.zeros((9, 16)), np.zeros((5, 16))
         with pytest.raises(ValueError):
-            weighted_distance(u, v, small_chemo)
+            weighted_distance(u, v, small_chemo, TimeGrid(T=1.0, K=8))
 
 
 class TestForwardSolve:
@@ -249,29 +243,25 @@ class TestIterateOnce:
         x0 = 0.2 * RNG.standard_normal(16)
         M = linear_observation(linear16, cond, x0)
         table = evolution_stepper(operator_path(linear16, grid_t, np.zeros((33, 16)))[0])
-        start = Trajectory(grid=grid_t, states=RNG.standard_normal((33, 16)))
+        start = RNG.standard_normal((33, 16))
         got, *_ = one_sweep(linear16, cond, M, start, RecoveryConfig())
         expected = table.column @ x0
-        assert np.abs(got.states - expected).max() <= 1e-8
+        assert np.abs(got - expected).max() <= 1e-8
 
     def test_zero_data_zero_fixed_point(self, small_chemo):
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
-        got, *_ = one_sweep(
-            small_chemo, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig()
-        )
-        assert np.all(got.states == 0.0)
+        got, *_ = one_sweep(small_chemo, cond, np.zeros(16), np.zeros((17, 16)), RecoveryConfig())
+        assert np.all(got == 0.0)
 
     def test_small_data_stays_in_ball(self, small_chemo):
         grid_t = TimeGrid(T=0.5, K=32)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         M = 1e-3 * np.cos(np.pi * small_chemo.base.grid.nodes)
-        traj, *_ = one_sweep(
-            small_chemo, cond, M, Trajectory.zero(grid_t, 16), RecoveryConfig()
-        )
+        states, *_ = one_sweep(small_chemo, cond, M, np.zeros((33, 16)), RecoveryConfig())
         from avgrec.spatial import sobolev_norm
 
-        norms = [sobolev_norm(small_chemo.base, s, 0.0) for s in traj.states]
+        norms = [sobolev_norm(small_chemo.base, s, 0.0) for s in states]
         assert max(norms) <= small_chemo.ball_radius
 
 
@@ -299,10 +289,10 @@ class TestFixedPointRecover:
         run = manufactured["chemotaxis", 128]
         data = run["variants"][Variant.TIME_AVERAGE]
         config = RecoveryConfig()
-        moved, *_ = one_sweep(
-            run["model"], data["cond"], data["M"], data["trajectory"], config
-        )
-        assert weighted_distance(moved, data["trajectory"], run["model"]) <= config.tol_fixed_point
+        states = data["trajectory"].states
+        moved, *_ = one_sweep(run["model"], data["cond"], data["M"], states, config)
+        distance = weighted_distance(moved, states, run["model"], data["cond"].grid)
+        assert distance <= config.tol_fixed_point
 
     def test_report_serializable(self, manufactured):
         report = manufactured["chemotaxis", 128]["variants"][Variant.TIME_AVERAGE]["report"]
@@ -320,6 +310,20 @@ class TestFixedPointRecover:
     def test_iteration_cap_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="max_iters"):
             RecoveryConfig(max_iters=0)
+
+    def test_failed_sweep_counts_its_ball_exits(self, small_chemo):
+        # Every state of the start leaves the ball, and NaN data make the
+        # first sweep's states non-finite: the report counts the exits the
+        # warning names, though no sweep completed.
+        grid_t = TimeGrid(T=0.5, K=8)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
+        states = np.tile(2.0 * np.cos(np.pi * small_chemo.base.grid.nodes), (9, 1))
+        with pytest.raises(ConvergenceError, match="^iteration produced non-finite states$") as err:
+            with pytest.warns(UserWarning, match="^9 iterate states left the model ball"):
+                fixed_point_recover(
+                    small_chemo, cond, np.full(16, np.nan), initial=Trajectory(grid_t, states)
+                )
+        assert err.value.report.ball_exits == 9 and err.value.report.iterates == 0
 
     def test_divergence_fails_with_numerical_error(self, small_chemo):
         # Far beyond the smallness regime the run must fail as a numerical
@@ -344,7 +348,7 @@ class TestAveragingResidual:
             small_chemo, 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes), grid_t
         )
         M = np.einsum("j,ja->a", cond.grid.trapezoid_weights * cond.weight, traj.states)
-        assert averaging_residual(cond, traj, M) <= 1e-12
+        assert averaging_residual(cond, traj.states, M) <= 1e-12
 
     def test_recovered_residual_within_tolerance(self, manufactured):
         config_tol = RecoveryConfig().tol_fixed_point
@@ -359,9 +363,8 @@ class TestAveragingResidual:
         )
         states = RNG.standard_normal((5, 3))
         M = RNG.standard_normal(3)
-        traj = Trajectory(grid=grid_t, states=states)
         expected = np.linalg.norm(states[0] - M) / np.linalg.norm(M)
-        assert averaging_residual(cond, traj, M) == pytest.approx(expected, rel=1e-12)
+        assert averaging_residual(cond, states, M) == pytest.approx(expected, rel=1e-12)
 
 
 class TestVariantDegeneracy:
@@ -683,9 +686,7 @@ class TestNonFiniteIterate:
         grid_t = TimeGrid(T=0.5, K=8)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
         with pytest.raises(ConvergenceError, match="^iteration produced a non-finite propagation$"):
-            one_sweep(
-                small_chemo, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig()
-            )
+            one_sweep(small_chemo, cond, np.zeros(16), np.zeros((9, 16)), RecoveryConfig())
 
     @staticmethod
     def _assert_no_build(model, method, monkeypatch):
@@ -699,9 +700,7 @@ class TestNonFiniteIterate:
         grid_t = TimeGrid(T=0.5, K=8)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
         with pytest.raises(ConvergenceError, match="non-finite operator or forcing values"):
-            one_sweep(
-                model, cond, np.zeros(16), Trajectory.zero(grid_t, 16), RecoveryConfig(method=method)
-            )
+            one_sweep(model, cond, np.zeros(16), np.zeros((9, 16)), RecoveryConfig(method=method))
 
 
 class TestSmallnessScan:
@@ -831,7 +830,9 @@ class TestContractionProbe:
         assert probe.per_run_ratios == tuple(tuple(rep.contraction_estimates) for *_, rep in runs)
         assert probe.contraction_ratios == sum(probe.per_run_ratios, ())
         pairs = [(a, b) for i, a in enumerate(runs) for b in runs[i + 1 :]]
-        assert probe.limit_spread == max(weighted_distance(a[1], b[1], small_chemo) for a, b in pairs)
+        assert probe.limit_spread == max(
+            weighted_distance(a[1].states, b[1].states, small_chemo, grid_t) for a, b in pairs
+        )
         assert probe.initial_state_spread == max(
             float(np.linalg.norm(a[0] - b[0])) for a, b in pairs
         )

@@ -303,10 +303,10 @@ def distance_reference(u, v, model, grid_t) -> float:
 
 
 def pair_bytes(us, vs, model, grid_t) -> list:
-    """The distance of each pair of a stack, one call per Trajectory pair."""
+    """The distance of each pair of a stack, one call per pair."""
     out = []
     for u, v in zip(us, vs):
-        pair = weighted_distance(Trajectory(grid_t, u), Trajectory(grid_t, v), model)
+        pair = weighted_distance(u, v, model, grid_t)
         assert isinstance(pair, float)
         out.append(np.float64(pair).tobytes())
     return out
