@@ -23,10 +23,10 @@ the resolvent is ``observe`` of the initial column and the data shift is M
 minus ``observe`` of the Duhamel sums, both read off one ``sweep`` of a
 propagation (:class:`~avgrec.evolution.SweepValues`); U(0, 0) = I and
 G_0 = 0 exactly, so the I of the last two resolvents is the column's first
-entry.  A propagation is the stepper's one-step factors or the kernel
-series' frozen steps; the tests' full propagator tables serve the same
-``sweep``.  The data generator, the residual and the solver thus share one
-discretised condition.
+entry.  A propagation is the stepper, whose affine steps carry the forcing
+beside the one-step factors, or the kernel series' frozen steps; the tests'
+full propagator tables serve the same ``sweep``.  The data generator, the
+residual and the solver thus share one discretised condition.
 """
 from __future__ import annotations
 

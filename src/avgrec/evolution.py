@@ -17,19 +17,25 @@ A fixed-point sweep needs only the initial column U(t_i, 0) and the
 trapezoid Duhamel sums G_i; the last of them, G_K, is also the terminal
 forcing.  Both constructions serve them from one forward recursion of left
 sums on the widened right-hand side [I | qw f], qw the trapezoid weights
-(:meth:`_Sweep.sweep`, returning :class:`SweepValues`), in O(K n^2) memory:
-the stepper from its K one-step factors S_j (:class:`StepFactors`: O(K n^2)
-for the factors, one Gaussian elimination on the bands over all K nodes at
-once with a NumPy port of LAPACK dgtsv for the nodes that need row
-interchanges, and one K-step loop of (n, n) x (n, n+1) products,
-O(K n^3); a stack of R paths, such as the rows of a scan, takes one
-elimination over its R K nodes, or over one node when they all share a
-generator, and one K-step loop of stacked products; a singular one-step
-matrix in any row fails the whole stack), the kernel series by one of
-two routes (:func:`evolution_series`): on a constant path, whose kernel is
-exactly zero, the stepper's K-step loop over its one frozen step
-exp(h A_0), O(K n^3), and on any other path its own recursion over the
-frozen steps exp(h A_j) of the nodes 0..K-1 (:class:`SeriesSweep`,
+(:meth:`_Sweep.sweep`, returning :class:`SweepValues`), in O(K n^2) memory.
+
+The stepper (:class:`StepFactors`) carries the forcing in its steps: each
+Crank-Nicolson step is one affine map [[S_j, s_j], [0, 1]], with S_j the
+one-step factor and s_j = S_j qw_j f_j, and the recursion is their chain,
+one (n+1)-square product per step (:func:`_affine_chain`, O(K n^3)), whose
+blocks hold U(t_i, 0) and the left sums side by side.  A sweep takes its
+steps from one Gaussian elimination on the bands over all K nodes at once,
+the forcing one more right-hand-side column (:func:`_eliminated_steps`,
+O(K n^2), with a NumPy port of LAPACK dgtsv for the nodes that need row
+interchanges).  A stack of R paths, such as the rows of a scan, takes one
+elimination over its R K nodes and one chain of stacked products; where
+they all share a generator, one node is eliminated and s_j comes from one
+stacked product (:func:`_product_steps`).  A singular one-step matrix in
+any row fails the whole stack.  The kernel series takes one of two routes
+(:func:`evolution_series`): on a constant path, whose kernel is exactly
+zero, the stepper's chain over its one frozen step exp(h A_0)
+(:class:`FactorSweep`), O(K n^3), and on any other path its own recursion
+over the frozen steps exp(h A_j) of the nodes 0..K-1 (:class:`SeriesSweep`,
 O(K^2 n^3)); neither forms a table.  The full lower-triangular tables of
 both constructions, O(K^2 n^2) memory, are test oracles
 (``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
@@ -58,7 +64,9 @@ interior nodes weighted h, and the singular cell adjacent to the lower
 endpoint replaced by the exact cell integral of (t-s)^(rho-1) against the
 nearest kernel value, which amounts to an extra weight h/rho on that cell.
 
-Sweeps are immutable once built and safe to reuse across threads.
+Propagations are immutable once built and hold no buffers: each sweep
+makes its own steps and chain, so one propagation may be swept from
+several threads at once.
 """
 from __future__ import annotations
 
@@ -177,7 +185,9 @@ class _Sweep:
     """The sweep interface of a propagation from its one forward recursion
     ``_left_sums(forcing)``: for a forcing stack F of shape (K+1, n, r) it
     returns X_i = [U(t_i, 0) | sum_{m<i} U(t_i, t_m) F_m], shape
-    (K+1, n, n+r), with X_0 = [I | 0]."""
+    (K+1, n, n+r), with X_0 = [I | 0].  By default the recursion is the
+    chain (:func:`_affine_chain`) of the propagation's affine steps
+    ``_steps(forcing)``, [[S_j, S_j F_j], [0, I_r]] for j = 0..K-1."""
 
     @cached_property
     def column(self) -> np.ndarray:
@@ -201,48 +211,119 @@ class _Sweep:
         sums[..., 1:, :] += 0.5 * self.grid.h * f_states[..., 1:, :]
         return SweepValues(left[..., :n], sums)
 
+    def _left_sums(self, forcing: np.ndarray) -> np.ndarray:
+        return _affine_chain(self._steps(forcing))[..., : self.dim, :]
+
 
 @dataclass(frozen=True)
 class StepFactors(_Sweep):
-    """One-step factors S_j = U(t_{j+1}, t_j) of a stepper: the sweep
-    interface in O(K n^2) memory, every quantity from the K-step loop of
-    :func:`_stepper_left_sums`.  The factors of a stack of R paths carry a
-    leading axis of R rows."""
+    """The Crank-Nicolson stepper of a path, or of each path of a stack of
+    R paths: the sweep interface in O(K n^2) memory.  It holds the path
+    alone: each sweep eliminates the affine steps of its forcing
+    (:meth:`_steps`) and chains them (:func:`_affine_chain`), and
+    ``factors``, the one-step factors S_j = U(t_{j+1}, t_j), are the steps
+    of no forcing."""
+
+    path: OperatorPath
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.path.grid
+
+    @property
+    def dim(self) -> int:
+        return self.path.dim
+
+    @cached_property
+    def factors(self) -> np.ndarray:
+        """The one-step factors S_j = U(t_{j+1}, t_j), shape (K, n, n)
+        (with the leading axis of a stack): the steps of no forcing."""
+        return self._steps(np.empty((self.grid.K + 1, self.dim, 0)))
+
+    def _steps(self, forcing: np.ndarray) -> np.ndarray:
+        """The affine steps of a forcing F of shape (K+1, n, r), or
+        (R, K+1, n, r) on a stack; a singular one-step matrix raises
+        NumericalError naming its node, in a stack as in a single path.
+
+        Where every node of every path has one generator, bit for bit
+        (every path of a sweep from the zero trajectory), the R K steps are
+        one system: one node is eliminated, and its factor, equal to the
+        full elimination's bit for bit, serves every step.
+        """
+        stacked = self.path.bands[1].ndim == 3
+        bands = self.path.bands if stacked else tuple(band[None] for band in self.path.bands)
+        forcing = np.broadcast_to(forcing, bands[1].shape[:1] + forcing.shape[-3:])
+        if _one_generator(self.path):
+            node = tuple(band[:1, :2] for band in bands)
+            factor = _eliminated_steps(node, self.grid.h, np.empty((1, 2, self.dim, 0)))
+            steps = _product_steps(factor, forcing)
+        else:
+            steps = _eliminated_steps(bands, self.grid.h, forcing)
+        return steps if stacked else steps[0]
+
+
+@dataclass(frozen=True)
+class FactorSweep(_Sweep):
+    """The sweep interface over given one-step factors S_j = U(t_{j+1}, t_j),
+    (K, n, n), or (1, n, n) for one step that every node shares, as the
+    kernel series' frozen step exp(h A_0) on a constant path; the affine
+    steps come from :func:`_product_steps`."""
 
     grid: TimeGrid
-    factors: np.ndarray  # (K, n, n)
+    factors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.factors.shape[-1]
 
-    def _left_sums(self, forcing: np.ndarray) -> np.ndarray:
-        return _stepper_left_sums(self.factors, forcing)
+    def _steps(self, forcing: np.ndarray) -> np.ndarray:
+        return _product_steps(self.factors, forcing)
 
 
-def _stepper_left_sums(factors: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-    """X_i = [U(t_i, 0) | sum_{m<i} U(t_i, t_m) F_m] for i = 0..K from the
-    factors S_j and a forcing stack F of shape (K+1, n, r), by the K-step loop
+def _affine_chain(steps: np.ndarray) -> np.ndarray:
+    """The chain of the affine steps T_j = [[S_j, S_j F_j], [0, I_r]],
+    shape (K, n+r, n+r), by the K-step loop
 
-        X_0 = [I | 0],   X_{j+1} = S_j (X_j + [0 | F_j]),
+        X_0 = I,   X_{j+1} = T_j X_j,
 
-    one (n, n) x (n, n+r) product per step, O(K n^2 (n+r)) in all.  Factors
-    and forcing of R paths, with a leading axis of R rows, recur together:
-    each step is one stacked product, slice by slice that of one path.
+    one (n+r)-square product per step, O(K (n+r)^3) in all; shape
+    (K+1, n+r, n+r).  The top rows of X_i are
+    [U(t_i, 0) | sum_{m<i} U(t_i, t_m) F_m], since
+    S_j [U | H] + [0 | S_j F_j] = S_j [U | H + F_j].  Steps of R paths,
+    with a leading axis of R rows, chain together: each step is one stacked
+    product, slice by slice that of one path.
     """
-    *lead, K, n, _ = factors.shape
-    left = np.empty((*lead, K + 1, n, n + forcing.shape[-1]))
+    *lead, K, m, _ = steps.shape
+    chain = np.empty((*lead, K + 1, m, m))
     # Views with the node axis first, so that each step's operands are one
     # index away; the layout of every array is unchanged.
-    steps, blocks, terms = (np.moveaxis(a, -3, 0) for a in (factors, left, forcing))
-    blocks[0] = 0.0
-    blocks[0, ..., :n] = np.eye(n)
-    carry = blocks[0].copy()
+    steps, blocks = (np.moveaxis(a, -3, 0) for a in (steps, chain))
+    blocks[0] = np.eye(m)
     for j in range(K):
-        carry[..., n:] += terms[j]
-        np.matmul(steps[j], carry, out=blocks[j + 1])
-        carry[...] = blocks[j + 1]
-    return left
+        np.matmul(steps[j], blocks[j], out=blocks[j + 1])
+    return chain
+
+
+def _product_steps(factors: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+    """The affine steps [[S_j, S_j F_j], [0, I_r]] of given factors S_j,
+    shape (..., K, n, n) or (..., 1, n, n) for one shared step, for a
+    forcing F of shape (..., K+1, n, r): S_j F_j from one stacked product,
+    written with the factors into one (..., K, n+r, n+r) stack.  Under no
+    or a zero forcing, such as f(0) on every sweep from the zero trajectory,
+    a shared step stays one broadcast block."""
+    K, n, r = forcing.shape[-3] - 1, factors.shape[-1], forcing.shape[-1]
+    lead = np.broadcast_shapes(factors.shape[:-3], forcing.shape[:-3])
+    shape = (*lead, K, n + r, n + r)
+    shared = factors.shape[-3] == 1 and not forcing.any()
+    steps = np.empty(factors.shape[:-2] + shape[-2:] if shared else shape)
+    steps[..., :n, :n] = factors
+    steps[..., n:, :n] = 0.0
+    steps[..., n:, n:] = np.eye(r)
+    if shared:
+        steps[..., :n, n:] = 0.0
+        return np.broadcast_to(steps, shape)
+    np.matmul(factors, forcing[..., :K, :, :], out=steps[..., :n, n:])
+    return steps
 
 
 def _one_generator(path) -> bool:
@@ -329,70 +410,93 @@ def series_peak_bytes(n: int, K: int) -> int:
     return 6 * 8 * (K + 1) * n * (n + 1)
 
 
-def evolution_series(path: OperatorPath) -> StepFactors | SeriesSweep:
+def evolution_series(path: OperatorPath) -> FactorSweep | SeriesSweep:
     """Sweep interface of the kernel series U = a + a*w, by one of two routes.
 
     Where the generators of all nodes 0..K are equal bit for bit (node K
     too: the end term of the last node reads A_K - A_{K-1}), the kernel is
     exactly zero: the one frozen step exp(h A_0) is the factor of every
-    step of the stepper's K-step loop, O(K n^3), whose column is the dense
-    series table's bit for bit; only node 0's dense generator is formed.
-    Any other path exponentiates the dense generators of its nodes 0..K-1,
-    swept by :class:`SeriesSweep` in O(K^2 n^3).  The overflow cap names
-    the first node over it.
+    step of the stepper's chain (:class:`FactorSweep`), O(K n^3), whose
+    column is the dense series table's bit for bit; only node 0's dense
+    generator is formed.  Any other path exponentiates the dense generators
+    of its nodes 0..K-1, swept by :class:`SeriesSweep` in O(K^2 n^3).  The
+    overflow cap names the first node over it.
     """
     K, h = path.grid.K, path.grid.h
     if _one_generator(path):
         step = matrix_exponential(path.generators(slice(0, 1)), h)
-        return StepFactors(grid=path.grid, factors=np.broadcast_to(step, (K,) + step.shape[1:]))
+        return FactorSweep(grid=path.grid, factors=step)
     return SeriesSweep(path=path, steps=matrix_exponential(path.generators(slice(0, K)), h))
 
 
-def _one_step_factors(bands: tuple, h: float) -> np.ndarray:
-    """Crank-Nicolson steps S_j for j = 0..K-1 of R paths, shape
-    (R, K, n, n), from (I - c A(t_{j+1})) S_j = R_j with c = h/2 and
-    R_j = I + c A(t_j).  Raises NumericalError at the first singular
-    one-step matrix, naming its node.
+def _eliminated_steps(bands: tuple, h: float, forcing: np.ndarray) -> np.ndarray:
+    """Affine Crank-Nicolson steps [[S_j, s_j], [0, I_r]] for j = 0..K-1
+    of R paths, shape (R, K, n+r, n+r), from
+
+        (I - c A(t_{j+1})) [S_j | s_j] = R_j [I | F_j],
+
+    c = h/2 and R_j = I + c A(t_j), for a forcing F of shape
+    (R, K+1, n, r): s_j = S_j F_j, and with r = 0 the steps are the factors
+    S_j.  Raises NumericalError at the first singular one-step matrix,
+    naming its node.
 
     ``bands`` are the (sub, diag, sup) diagonals of the R paths, shapes
     (R, K+1, n-1), (R, K+1, n) and (R, K+1, n-1).  One Gaussian elimination
-    solves all R K nodes at once, O(R K n^2): the right-hand sides are an
-    (n, R K, n) stack of rows written straight from the bands, so each step
-    is one contiguous (R K, n) operation, in the order of LAPACK dgtsv
-    without row interchanges.  The elimination is elementwise over nodes, so
-    each node's factor is the same bit for bit whatever else is eliminated
-    beside it.  Nodes that dgtsv would pivot (known from the pivots, which
-    are eliminated first) or that turn non-finite (a zero pivot) are solved
-    again, all at once and in place on their slabs of the stack, by
-    :func:`_dgtsv`, the NumPy port of reference dgtsv: the factors, a
-    transposed view of the stack, equal a per-node dgtsv solve value for
-    value (the row pass leaves out dgtsv's fill term -DL(i) B(i+2), whose
-    DL(i) = +0.0 can turn a -0.0 into +0.0), and the port's info per system
-    names the node of the first zero pivot.
+    solves all R K nodes at once, O(R K n (n+r)): the right-hand sides are
+    an (n+r, R K, n+r) stack of rows written straight from the bands and
+    the forcing, whose last r rows are [0 | I_r], so each step is one
+    contiguous (R K, n+r) operation, in the order of LAPACK dgtsv without
+    row interchanges.  The elimination is elementwise over nodes and over
+    right-hand-side columns, so each node's factor S_j is the same bit for
+    bit whatever else is eliminated beside it.  Nodes that dgtsv would
+    pivot (known from the pivots, which are eliminated first) or whose
+    factor turns non-finite (a zero pivot) are solved again, all at once and
+    in place on their slabs of the stack, by :func:`_dgtsv`, the NumPy port
+    of reference dgtsv: the steps, a transposed view of the stack, equal a
+    per-node dgtsv solve value for value (the row pass leaves out dgtsv's
+    fill term -DL(i) B(i+2), whose DL(i) = +0.0 can turn a -0.0 into +0.0),
+    and the port's info per system names the node of the first zero pivot.
     """
-    R, nodes, n = bands[1].shape
-    K = nodes - 1
+    R, K, n, r = bands[1].shape[0], bands[1].shape[1] - 1, bands[1].shape[2], forcing.shape[-1]
     c = 0.5 * h
-    # Node j of row r is system r K + j; the left-hand side is A(t_{j+1}).
+    # Node j of path p is system p K + j; the left-hand side is A(t_{j+1}).
     sub, diag, sup = (band[:, 1:].reshape(R * K, band.shape[-1]) for band in bands)
     # The same roundings as the dense I - c A: 1 - c a on the diagonal, -(c a) off it.
     lower, main, upper = -c * sub, 1.0 - c * diag, -c * sup
     # Row r of each band at every node, for the pass over all nodes.
     low_rows, pivots, up_rows = lower.T.copy(), main.T.copy(), upper.T.copy()
-    rows = np.zeros((n, R * K, n))  # rows[i, j]: row i of R_j, solved into row i of S_j
-    idx = np.arange(n)
     # R_j = I + c A(t_j) as the dense c A(t_j) with 1 added on the diagonal.
     rhs_sub, rhs_diag, rhs_sup = (
         c * band[:, :-1].reshape(R * K, band.shape[-1]).T for band in bands
     )
-    rows[idx, :, idx] = rhs_diag + 1.0
-    rows[idx[1:], :, idx[:-1]] = rhs_sub
-    rows[idx[:-1], :, idx[1:]] = rhs_sup
+    rhs_diag += 1.0
+    terms = forcing[:, :-1].reshape(R * K, n, r)
+    # rows[i, j]: row i of system j's right side, solved in place.
+    rows = np.zeros((n + r, R * K, n + r))
+
+    def write_right_sides(systems):
+        """Rows i of R_j [I | F_j], and the rows [0 | I_r], of the
+        ``systems`` (all, or an index array) written over zeros."""
+        diag_j, sub_j, sup_j = (a[:, systems] for a in (rhs_diag, rhs_sub, rhs_sup))
+        idx = np.arange(n) if isinstance(systems, slice) else np.arange(n)[:, None]
+        rows[idx, systems, idx] = diag_j
+        rows[idx[1:], systems, idx[:-1]] = sub_j
+        rows[idx[:-1], systems, idx[1:]] = sup_j
+        # R_j F_j system by system, on the node-major layout of the bands.
+        terms_j = terms[systems]
+        applied = diag_j.T[..., None] * terms_j
+        applied[:, 1:] += sub_j.T[..., None] * terms_j[:, :-1]
+        applied[:, :-1] += sup_j.T[..., None] * terms_j[:, 1:]
+        rows[:n, systems, n:] = applied.transpose(1, 0, 2)
+        for k in range(n, n + r):
+            rows[k, systems, k] = 1.0
+
+    write_right_sides(slice(None))
     facts = np.empty_like(low_rows)
     with np.errstate(all="ignore"):
-        for r in range(n - 1):
-            facts[r] = low_rows[r] / pivots[r]
-            pivots[r + 1] -= facts[r] * up_rows[r]
+        for i in range(n - 1):
+            facts[i] = low_rows[i] / pivots[i]
+            pivots[i + 1] -= facts[i] * up_rows[i]
         # dgtsv interchanges rows where |pivot| < |entry below| (or either
         # is NaN).  The row pass leaves such nodes as they are, since
         # without interchanges they can overflow or go subnormal and slow it
@@ -402,33 +506,33 @@ def _one_step_factors(bands: tuple, h: float) -> np.ndarray:
             facts[:, redo] = 0.0
             pivots[:, redo] = 1.0
             up_rows[:, redo] = 0.0
-            for r in range(n - 1):
-                rows[r + 1] -= facts[r][:, None] * rows[r]
-            rows[-1] /= pivots[-1][:, None]
-            for r in range(n - 2, -1, -1):
-                rows[r] -= up_rows[r][:, None] * rows[r + 1]
-                rows[r] /= pivots[r][:, None]
+            for i in range(n - 1):
+                rows[i + 1] -= facts[i][:, None] * rows[i]
+            rows[n - 1] /= pivots[-1][:, None]
+            for i in range(n - 2, -1, -1):
+                rows[i] -= up_rows[i][:, None] * rows[i + 1]
+                rows[i] /= pivots[i][:, None]
     # A zero pivot, like any non-finite entry, spreads down its column and
-    # back up to row 0; where row 0 is finite, so is the rest, and dgtsv's
-    # extra term 0 * B_{r+2} vanishes.
-    redo |= ~np.isfinite(rows[0]).all(axis=1)
-    nodes = np.flatnonzero(redo)
-    if nodes.size:
-        # R_j rewritten from node j's bands over what the row pass left.
-        rows[:, nodes] = 0.0
-        rows[idx[:, None], nodes, idx[:, None]] = rhs_diag[:, nodes] + 1.0
-        rows[idx[1:, None], nodes, idx[:-1, None]] = rhs_sub[:, nodes]
-        rows[idx[:-1, None], nodes, idx[1:, None]] = rhs_sup[:, nodes]
-        node_bands = (np.ascontiguousarray(band[nodes].T) for band in (lower, main, upper))
-        info = _dgtsv(*node_bands, rows, nodes)
+    # back up to row 0; where row 0 of the factor is finite, so is the rest,
+    # and dgtsv's extra term 0 * B_{r+2} vanishes.
+    redo |= ~np.isfinite(rows[0, :, :n]).all(axis=1)
+    systems = np.flatnonzero(redo)
+    # The row pass's bands go before the port allocates its own.
+    del low_rows, pivots, up_rows, facts
+    if systems.size:
+        # The right sides rewritten over what the row pass left.
+        rows[:, systems] = 0.0
+        write_right_sides(systems)
+        node_bands = (np.ascontiguousarray(band[systems].T) for band in (lower, main, upper))
+        info = _dgtsv(*node_bands, rows, systems)
         singular = np.flatnonzero(info)
         if singular.size:
-            system = nodes[singular[0]]
+            system = systems[singular[0]]
             raise NumericalError(
                 f"singular one-step matrix at node {system % K + 1}: zero pivot in row "
                 f"{info[singular[0]]} of the tridiagonal solve"
             )
-    return rows.transpose(1, 0, 2).reshape(R, K, n, n)
+    return rows.transpose(1, 0, 2).reshape(R, K, n + r, n + r)
 
 
 @np.errstate(all="ignore")
@@ -526,35 +630,20 @@ def solve_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray, rh
 def stepper_peak_bytes(n: int, K: int) -> int:
     """Estimated peak memory of a stepper sweep (:func:`step_factors`, then
     :meth:`StepFactors.sweep`) in bytes: two stacks of K+1 float64
-    n x (n+2) blocks.
+    n x (n+3) blocks.
 
-    The sweep holds the K factors, the K+1 left-sum blocks of width n+1
-    and, while it forms the Duhamel sums, a few (K+1, n) forcing and sum
-    arrays, which the two extra columns cover.  The path's bands, O(K n),
-    are not counted.  The estimate is per path: a sweep of a stack of R
-    paths holds R of them at once.
+    The sweep holds the K affine steps and the K+1 chain blocks, each
+    (n+1)-square, and while it chains them the (K+1, n) weighted forcing;
+    n (n+3) = (n+1)^2 + n - 1 covers both.  The path's bands, O(K n), are
+    not counted.  The estimate is per path: a sweep of a stack of R paths
+    holds R of them at once.
     """
-    return 2 * 8 * (K + 1) * n * (n + 2)
+    return 2 * 8 * (K + 1) * n * (n + 3)
 
 
 def step_factors(path: OperatorPath) -> StepFactors:
-    """The one-step factors of a path, or of each path of a stack; the
-    initial column U(t_i, 0) = S_{i-1} ... S_0 and the left sums follow by
-    recursion.
-
-    Where every node of every path has one generator, bit for bit (every
-    path of a sweep from the zero trajectory), the R K steps are one
-    system: :func:`_one_step_factors` eliminates one node and the factors
-    are a broadcast view of its block, equal to the full elimination's bit
-    for bit.  A singular one-step matrix raises NumericalError naming its
-    node, in a stack as in a single path.
-    """
-    stacked = path.bands[1].ndim == 3
-    bands = path.bands if stacked else tuple(band[None] for band in path.bands)
-    R, K, n = bands[1].shape[0], path.grid.K, path.dim
-    if _one_generator(path):
-        block = _one_step_factors(tuple(band[:1, :2] for band in bands), path.grid.h)
-        factors = np.broadcast_to(block, (R, K, n, n))
-    else:
-        factors = _one_step_factors(bands, path.grid.h)
-    return StepFactors(grid=path.grid, factors=factors if stacked else factors[0])
+    """The Crank-Nicolson stepper of a path, or of each path of a stack:
+    its factors, the initial column U(t_i, 0) = S_{i-1} ... S_0 and each
+    sweep's left sums come from the elimination of the affine steps of a
+    forcing and their chain (:class:`StepFactors`)."""
+    return StepFactors(path)

@@ -21,16 +21,19 @@ propagations.
 
 The operator path is the three diagonals of every A(u(t_j)), from one
 stacked ``linearise`` call that gives f(u(t_j)) too; the non-finite check
-reads the diagonals alone.  The default propagation is the K one-step
-Crank-Nicolson factors, one tridiagonal elimination over all K nodes at
-once, or over one node when they all share a generator (the nodes that
-need row interchanges are solved together by a NumPy port of LAPACK
-dgtsv, so the stepper imports no SciPy); its recursion is K products of
-n x n factors with n x (n+1) blocks, so a sweep costs O(K n^3) time and
-O(K n^2) memory, and the dense (K+1, n, n) stack is never formed.  The
-kernel series (behind a flag) has an exactly zero kernel on a constant
-path, such as that of a sweep from the zero trajectory, and runs the
-stepper's recursion over its one frozen step exp(h A_0) there, O(K n^3);
+reads the diagonals alone.  The default propagation is the Crank-Nicolson
+stepper, whose K steps carry the forcing as an affine column,
+[[S_j, S_j qw_j f_j], [0, 1]]: one tridiagonal elimination over all K
+nodes at once solves for both, the forcing one more right-hand-side
+column, or one node is eliminated when they all share a generator (the
+nodes that need row interchanges are solved together by a NumPy port of
+LAPACK dgtsv, so the stepper imports no SciPy); its recursion is the chain
+of K (n+1)-square products of the steps, whose blocks hold the column and
+the left sums, so a sweep costs O(K n^3) time and O(K n^2) memory, and the
+dense (K+1, n, n) stack is never formed.  The kernel series (behind a
+flag) has an exactly zero kernel on a constant path, such as that of a
+sweep from the zero trajectory, and runs the stepper's chain over its one
+frozen step exp(h A_0) there, O(K n^3);
 any other path recurs on its K frozen steps exp(h A_j), formed from the
 dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The full
 propagator tables of either method are test oracles
@@ -203,14 +206,14 @@ def operator_path(model, grid: TimeGrid, states: np.ndarray) -> tuple[OperatorPa
 
 def _propagation(path: OperatorPath, f_states: np.ndarray, config: RecoveryConfig) -> list:
     """The SweepValues of each path of a stack for its forcing, from the
-    stepper's one-step factors or the kernel series' frozen steps (neither
+    stepper's affine steps or the kernel series' frozen steps (neither
     builds a propagator table); raises the first build error.
 
-    The stepper eliminates the nodes of every row at once (one node when
-    they all share a generator) and sweeps every row in one K-step
-    recursion; the kernel series builds and sweeps row by row, since its
-    rows differ in their route (a constant path or not) and in their
-    frozen steps.  Only the values are returned: the factors or frozen
+    The stepper eliminates the steps of every row at once (one node when
+    they all share a generator) and sweeps every row in one chain of K
+    stacked products; the kernel series builds and sweeps row by row, since
+    its rows differ in their route (a constant path or not) and in their
+    frozen steps.  Only the values, views of the chain, are returned: the
     steps are freed before the reconstruction allocates, which lowers the
     peak RSS.
     """

@@ -56,9 +56,9 @@ from avgrec.averaging import (
 )
 from avgrec.errors import NumericalError
 from avgrec.evolution import (
+    FactorSweep,
     OperatorPath,
     PropagatorMethod,
-    StepFactors,
     SweepValues,
     TimeGrid,
     step_factors,
@@ -148,9 +148,10 @@ def dense_factors(path) -> np.ndarray:
         raise
 
 
-def dense_step_factors(path) -> StepFactors:
-    """The package's stepper sweep on the factors of :func:`dense_factors`."""
-    return StepFactors(grid=path.grid, factors=dense_factors(path))
+def dense_step_factors(path) -> FactorSweep:
+    """The package's stepper sweep, through the same chain of affine steps,
+    on the factors of :func:`dense_factors`."""
+    return FactorSweep(grid=path.grid, factors=dense_factors(path))
 
 
 def dense_laplacian(grid: Grid1D) -> np.ndarray:

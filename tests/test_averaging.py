@@ -351,7 +351,7 @@ class TestInitialStateMap:
         grid_t = TimeGrid(T=0.5, K=24)
         rng = np.random.default_rng(4)
         path = drifting_path(grid_t, rng)
-        name = "_stepper_left_sums" if method == "stepper" else "_series_left_sums"
+        name = "_affine_chain" if method == "stepper" else "_series_left_sums"
         recursion = getattr(avgrec.evolution, name)
         calls = []
 

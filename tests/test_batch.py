@@ -207,14 +207,14 @@ def test_zero_start_sweep_eliminates_one_node_for_every_row(monkeypatch):
     # Every row of a scan starts from the zero trajectory, whose path is
     # constant: its first sweep eliminates one node for all rows, and the
     # later sweeps eliminate the nodes of all their rows at once.
-    original, widths = avgrec.evolution._one_step_factors, []
+    original, widths = avgrec.evolution._eliminated_steps, []
 
-    def recorded(bands, h):
+    def recorded(bands, h, forcing):
         rows, nodes = bands[1].shape[:2]
         widths.append(rows * (nodes - 1))
-        return original(bands, h)
+        return original(bands, h, forcing)
 
-    monkeypatch.setattr(avgrec.evolution, "_one_step_factors", recorded)
+    monkeypatch.setattr(avgrec.evolution, "_eliminated_steps", recorded)
     result = ladder_scan(PropagatorMethod.STEPPER, Variant.TERMINAL_DIFFERENCE)
     assert widths[0] == 1
     running = sum(row.iterations >= 2 for row in result.rows)
@@ -346,7 +346,7 @@ def test_singular_build_fails_only_its_own_row():
     Ms = np.random.default_rng(8).standard_normal((3, 1))
     model, config = ScalarModel(), RecoveryConfig()
     with pytest.raises(NumericalError) as stacked:
-        step_factors(OperatorPath(grid, model.linearise(states)[0], 0.5))
+        step_factors(OperatorPath(grid, model.linearise(states)[0], 0.5)).factors
     outcomes = avgrec.solver._sweep(model, cond, Ms, states, config)
     singles = [
         avgrec.solver._sweep(model, cond, Ms[r : r + 1], states[r : r + 1], config)[0]

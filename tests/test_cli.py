@@ -756,7 +756,7 @@ class TestMemoryAdmission:
 
     def test_method_flag_override_admits_an_over_budget_series_document(self, tmp_path):
         # The document's series needs an estimated 3087 MiB at n=256,
-        # K=1024; the stepper it is run with needs 1033 MiB.
+        # K=1024; the stepper it is run with needs 1037 MiB.
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "series", n=256, steps=1024))
         assert main(["validate", "--config", str(config), "--method", "stepper", "--quiet"]) == 0
@@ -775,12 +775,12 @@ class TestMemoryAdmission:
 
     @pytest.mark.parametrize("verb", ["recover", "scan", "probe"])
     def test_over_budget_stepper_rejected_with_estimate(self, tmp_path, capsys, verb):
-        # Two stacks of K+1 n x (n+2) blocks at n=256, K=200000: 201564 MiB.
+        # Two stacks of K+1 n x (n+3) blocks at n=256, K=200000: 202345 MiB.
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper", n=256, steps=200000))
         assert main([verb, "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "stepper" in err and "201564 MiB" in err
+        assert "configuration error" in err and "stepper" in err and "202345 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_same_grid_admitted_with_stepper(self, tmp_path):

@@ -15,11 +15,12 @@ from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
+    FactorSweep,
     SeriesSweep,
-    StepFactors,
     TimeGrid,
+    _affine_chain,
     _dgtsv,
-    _one_step_factors,
+    _eliminated_steps,
     evolution_series,
     series_peak_bytes,
     solve_tridiagonal,
@@ -364,7 +365,7 @@ class TestTridiagonalFactors:
         mats[5] = (np.eye(3) - target) / c
         bad = banded_path(path.grid, mats, 0.5)
         with pytest.raises(NumericalError, match="node 5"):
-            step_factors(bad)
+            step_factors(bad).factors
         with pytest.raises(NumericalError, match="node 5"):
             evolution_stepper(bad)
 
@@ -459,9 +460,13 @@ class TestBatchedTridiagonalFactors:
         a[3] = 1.0 / (0.5 * grid.h)
         path = scalar_path(grid, a)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 1 "):
-            step_factors(path)
+            step_factors(path).factors
 
-    @pytest.mark.parametrize("build", [step_factors, evolution_stepper], ids=["factors", "table"])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda path: step_factors(path).factors, evolution_stepper],
+        ids=["factors", "table"],
+    )
     @pytest.mark.parametrize("node", [1, 2, 4])
     def test_scalar_singular_node_named(self, node, build):
         # I - c A(t_node) = 0 at the first, an inner and the last node: both
@@ -520,7 +525,7 @@ class TestBatchedTridiagonalFactors:
         c = 0.5 * path.grid.h
         bad = with_node(path, 5, np.array(target), c)
         with pytest.raises(NumericalError, match=f"node 5: zero pivot in row {row} "):
-            step_factors(bad)
+            step_factors(bad).factors
 
     def test_first_of_two_singular_nodes_named(self):
         path = constant_path(-np.eye(3), K=8, T=1.0)
@@ -529,7 +534,7 @@ class TestBatchedTridiagonalFactors:
         middle = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         bad = with_node(with_node(path, 6, middle, c), 3, last, c)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 3 "):
-            step_factors(bad)
+            step_factors(bad).factors
 
 
 class TestRowStackedFactors:
@@ -551,15 +556,15 @@ class TestRowStackedFactors:
         bad = with_node(base, 5, target, 0.5 * base.grid.h)
         paths = [tridiagonal_path(n=3, K=8, T=1.0, seed=seed) for seed in (1, 2)]
         with pytest.raises(NumericalError) as one_row:
-            step_factors(bad)
+            step_factors(bad).factors
         message = str(one_row.value)
         assert message.startswith("singular one-step matrix at node 5: zero pivot in row 2 ")
         stacked = OperatorPath(base.grid, self.stack([paths[0], bad, paths[1]]), 0.5)
         with pytest.raises(NumericalError) as stack:
-            step_factors(stacked)
+            step_factors(stacked).factors
         assert str(stack.value) == message
         calls = counted_port(monkeypatch)
-        factors = _one_step_factors(self.stack(paths), base.grid.h)
+        factors = _eliminated_steps(self.stack(paths), base.grid.h, np.empty((2, 9, 3, 0)))
         assert len(calls) == 1
         for row, path in enumerate(paths):
             expected = np.ascontiguousarray(step_factors(path).factors)
@@ -569,19 +574,19 @@ class TestRowStackedFactors:
         model = MODELS["chemotaxis"](6)
         grid = TimeGrid(T=0.5, K=12)
         bands = model.linearise(np.full((3, 13, 6), 0.01))[0]
-        full = _one_step_factors(bands, grid.h)
-        original, widths = _one_step_factors, []
+        full = _eliminated_steps(bands, grid.h, np.empty((3, 13, 6, 0)))
+        original, widths = _eliminated_steps, []
 
-        def recorded(bands, h):
+        def recorded(bands, h, forcing):
             widths.append(bands[1].shape[0] * (bands[1].shape[1] - 1))
-            return original(bands, h)
+            return original(bands, h, forcing)
 
-        monkeypatch.setattr(avgrec.evolution, "_one_step_factors", recorded)
-        shared = step_factors(OperatorPath(grid, bands, 0.5))
+        monkeypatch.setattr(avgrec.evolution, "_eliminated_steps", recorded)
+        shared = step_factors(OperatorPath(grid, bands, 0.5)).factors
         assert widths == [1]
-        assert same_bytes(np.ascontiguousarray(shared.factors), full)
-        single = step_factors(OperatorPath(grid, tuple(band[0] for band in bands), 0.5))
-        assert same_bytes(np.ascontiguousarray(single.factors), full[0])
+        assert same_bytes(np.ascontiguousarray(shared), full)
+        single = step_factors(OperatorPath(grid, tuple(band[0] for band in bands), 0.5)).factors
+        assert same_bytes(np.ascontiguousarray(single), full[0])
         assert widths == [1, 1]
 
     def test_shared_singular_generator_fails_the_stack(self):
@@ -590,9 +595,82 @@ class TestRowStackedFactors:
         off = np.empty((2, 5, 0))
         message = "singular one-step matrix at node 1: zero pivot in row 1 of the tridiagonal solve"
         with pytest.raises(NumericalError, match=f"^{message}$"):
-            step_factors(OperatorPath(grid, (off, a, off), 0.5))
+            step_factors(OperatorPath(grid, (off, a, off), 0.5)).factors
         with pytest.raises(NumericalError, match=f"^{message}$"):
-            step_factors(OperatorPath(grid, (off[0], a[0], off[0]), 0.5))
+            step_factors(OperatorPath(grid, (off[0], a[0], off[0]), 0.5)).factors
+
+
+class TestAffineSteps:
+    """Each Crank-Nicolson step carries its forcing as an affine column,
+    [[S_j, S_j F_j], [0, 1]], and one chain of (n+1)-square products gives
+    the column and the left sums."""
+
+    @pytest.mark.parametrize("n", [12, 19])
+    def test_chain_column_is_the_product_of_the_elimination_factors(self, n):
+        # Three rows of a non-constant chemotaxis path with a forcing.  The
+        # elimination is elementwise per right-hand-side column, so the
+        # factors beside the forcing column are the factors alone, bit for
+        # bit; the chain's column is S_{i-1} ... S_0 of them to roundoff.
+        # The trailing [0 | 1] row only adds zero terms, yet BLAS may block
+        # an (n+1)-square product unlike an n-square one (here at
+        # n = 19, 20, 27, 28, ...), so the products are not compared by bytes.
+        model, grid = MODELS["chemotaxis"](n), TimeGrid(T=0.5, K=20)
+        rng = np.random.default_rng(13)
+        states = 0.05 * rng.standard_normal((3, grid.K + 1, n))
+        bands, f_states = model.linearise(states)
+        weighted = grid.trapezoid_weights[:, None] * f_states
+        steps = _eliminated_steps(bands, grid.h, weighted[..., None])
+        factors = steps[..., :n, :n]
+        stepper = step_factors(OperatorPath(grid, bands, 0.5))
+        assert same_bytes(np.ascontiguousarray(stepper.factors), np.ascontiguousarray(factors))
+        column = _affine_chain(steps)[..., :n, :n]
+        assert same_bytes(stepper.sweep(f_states).column, column)
+        expected = [np.broadcast_to(np.eye(n), (3, n, n))]
+        for j in range(grid.K):
+            expected.append(np.matmul(factors[:, j], expected[-1]))
+        assert np.abs(column - np.stack(expected, axis=1)).max() <= 1e-14
+
+    def test_port_node_carries_the_solved_forcing_column(self, monkeypatch):
+        # Every node of tridiagonal_path() interchanges rows, so the dgtsv
+        # port solves each step, forcing column included.
+        path = tridiagonal_path()
+        K, n, c = path.grid.K, path.dim, 0.5 * path.grid.h
+        forcing = np.random.default_rng(17).standard_normal((K + 1, n))
+        calls = counted_port(monkeypatch)
+        bands = tuple(band[None] for band in path.bands)
+        steps = _eliminated_steps(bands, path.grid.h, forcing[None, ..., None])[0]
+        assert calls == [K]
+        mats = path.generators()
+        for j in range(K):
+            rhs = (np.eye(n) + c * mats[j]) @ forcing[j]
+            expected = np.linalg.solve(np.eye(n) - c * mats[j + 1], rhs)
+            assert rel_err(steps[j, :n, n], expected) <= 1e-14
+            assert np.array_equal(steps[j, n], np.eye(n + 1)[n])
+
+    @pytest.mark.parametrize("method", list(PropagatorMethod))
+    def test_shared_step_with_forcing_matches_table(self, method, monkeypatch):
+        # The reaction-diffusion generator is its coefficient times the
+        # Laplacian: at a state held in time every node shares it, while
+        # f(u) is nonzero.  The stepper eliminates one node and the series
+        # takes its frozen step; s_j = S F_j comes from one stacked product.
+        model, grid = MODELS["rd_neumann"](8), TimeGrid(T=0.5, K=16)
+        u = 0.1 * np.cos(np.pi * model.base.grid.nodes)
+        bands, f_states = model.linearise(np.tile(u, (grid.K + 1, 1)))
+        path = OperatorPath(grid, bands, 0.5)
+        assert np.abs(f_states).min() > 0
+        widths = []
+        original = avgrec.evolution._eliminated_steps
+
+        def recorded(bands, h, forcing):
+            widths.append(bands[1].shape[0] * (bands[1].shape[1] - 1))
+            return original(bands, h, forcing)
+
+        monkeypatch.setattr(avgrec.evolution, "_eliminated_steps", recorded)
+        build, oracle = SWEEPS[method]
+        values, table = build(path).sweep(f_states), oracle(path)
+        assert widths == ([1] if method is PropagatorMethod.STEPPER else [])
+        assert rel_err(values.sums, duhamel_sums(table, f_states)) <= 1e-13
+        assert rel_err(values.column, table.column) <= 1e-13
 
 
 KINDS = ["dominant", "interchange", "all_swap", "zero_pivot", "nonfinite", "swap_nonfinite"]
@@ -858,7 +936,7 @@ class TestBandBuiltPath:
         target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         band = with_node(path, 5, target, 0.5 * path.grid.h)
         with pytest.raises(NumericalError, match="node 5: zero pivot in row 2 "):
-            step_factors(band)
+            step_factors(band).factors
 
     @pytest.mark.parametrize("node", [1, 4])
     def test_scalar_singular_node_named(self, node):
@@ -867,7 +945,7 @@ class TestBandBuiltPath:
         diag[node] = 1.0 / (0.5 * grid.h)
         band = OperatorPath(grid, (np.empty((5, 0)), diag, np.empty((5, 0))), 0.5)
         with pytest.raises(NumericalError, match=f"node {node}: zero pivot in row 1 "):
-            step_factors(band)
+            step_factors(band).factors
 
     @pytest.mark.parametrize(
         "shapes", [((13, 5), (13, 6), (13, 6)), ((12, 5), (12, 6), (12, 5)), ((13,), (13,), (13,))]
@@ -943,11 +1021,10 @@ def test_stepper_peak_estimate_matches_traced_allocation():
 
 
 def assert_one_frozen_step(sweep, path):
-    """The series sweep of a constant path is the stepper's loop over its
-    one frozen step exp(h A_0), broadcast to every node."""
-    assert isinstance(sweep, StepFactors)
-    assert sweep.factors.shape == (path.grid.K, path.dim, path.dim)
-    assert sweep.factors.strides[0] == 0
+    """The series sweep of a constant path is the stepper's chain over its
+    one frozen step exp(h A_0), shared by every node."""
+    assert isinstance(sweep, FactorSweep)
+    assert sweep.factors.shape == (1, path.dim, path.dim)
     assert np.array_equal(sweep.factors[0], matrix_exponential(path.generators(0), path.grid.h))
 
 
@@ -984,7 +1061,7 @@ class TestSeriesSweepAgainstTable:
 
     def test_constant_path_column_bitwise(self):
         # The kernel is exactly zero on a constant path, so the sweep is the
-        # stepper's loop over one frozen step, and its column is the oracle's
+        # stepper's chain over one frozen step, and its column is the oracle's
         # frozen-semigroup power chain, on a dense and on a band-built path.
         dense = constant_path(stable_symmetric(6), K=16, T=1.0)
         tridiagonal = constant_path(tridiagonal_palette(1)[0], K=16, T=1.0)

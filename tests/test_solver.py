@@ -476,9 +476,10 @@ class TestSeriesSweep:
 
 
 class TestOneBuildPerIteration:
-    """A sweep builds one propagation, runs one left-sum recursion and
-    solves for the chemotaxis signal once, as a forward step does; the
-    recovered initial state is the last sweep's Xi, with no extra build."""
+    """A sweep builds one propagation (for the stepper, one elimination of
+    its affine steps), runs one left-sum recursion and solves for the
+    chemotaxis signal once, as a forward step does; the recovered initial
+    state is the last sweep's Xi, with no extra build."""
 
     @staticmethod
     def counting(monkeypatch, module, name):
@@ -501,7 +502,8 @@ class TestOneBuildPerIteration:
             name: self.counting(monkeypatch, module, name)
             for module, name in (
                 (avgrec.solver, "_propagation"),
-                (avgrec.evolution, "_stepper_left_sums"),
+                (avgrec.evolution, "_eliminated_steps"),
+                (avgrec.evolution, "_affine_chain"),
                 (avgrec.evolution, "_series_left_sums"),
             )
         }
@@ -516,11 +518,12 @@ class TestOneBuildPerIteration:
         u0, traj, report = fixed_point_recover(small_chemo, cond, M, RecoveryConfig(method=method))
         assert report.converged and report.iterates >= 2
         # The series' first sweep, from the zero trajectory, runs on a
-        # constant path: the stepper's loop over its one frozen step.
+        # constant path: the stepper's chain over its one frozen step.
         series = method is PropagatorMethod.KERNEL_SERIES
         assert {name: len(calls) for name, calls in counts.items()} == {
             "_propagation": report.iterates,
-            "_stepper_left_sums": 1 if series else report.iterates,
+            "_eliminated_steps": 0 if series else report.iterates,
+            "_affine_chain": 1 if series else report.iterates,
             "_series_left_sums": report.iterates - 1 if series else 0,
         }
         assert np.array_equal(u0, traj.states[0])
@@ -533,7 +536,8 @@ class TestOneBuildPerIteration:
         (row,) = result.rows
         assert row.converged and row.iterations >= 2
         assert len(counts["_propagation"]) == row.iterations
-        assert len(counts["_stepper_left_sums"]) == row.iterations
+        assert len(counts["_eliminated_steps"]) == row.iterations
+        assert len(counts["_affine_chain"]) == row.iterations
         # A batch whose rows all converge builds once per iteration for all
         # of them: no stage is redone row by row.
         for calls in counts.values():
@@ -542,7 +546,8 @@ class TestOneBuildPerIteration:
         iterations = [row.iterations for row in result.rows]
         assert all(row.converged for row in result.rows) and len(set(iterations)) > 1
         assert len(counts["_propagation"]) == max(iterations)
-        assert len(counts["_stepper_left_sums"]) == max(iterations)
+        assert len(counts["_eliminated_steps"]) == max(iterations)
+        assert len(counts["_affine_chain"]) == max(iterations)
 
     def test_scan_measures_its_rows_once_per_iteration(self, small_chemo, monkeypatch):
         # The distances of the rows still running are one stacked call per

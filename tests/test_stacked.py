@@ -151,21 +151,23 @@ def same_bytes(a, b):
 @pytest.mark.parametrize("n", [8, 16, 64])
 def test_stacked_ops_match_per_slice(n):
     # The solver sweeps the rows of a scan or probe together: the stepper's
-    # recursion is one stacked matmul per step (its factors broadcast over
-    # rows and nodes on a shared generator), and the model takes one stacked
-    # linearise and ball norm, and the distance of every row in one modal
-    # transform and modal_norm.  Each slice must be the per-row call's bit
-    # for bit.  The solver takes the resolvents' SVD and solve row by row;
-    # their stacked calls are still checked here.
+    # chain is one stacked matmul per step of (n+1)-square affine steps, a
+    # strided view of the elimination's (n+1, R K, n+1) stack of rows (or
+    # one step broadcast over rows and nodes on a shared generator), into
+    # the chain's blocks; the model takes one stacked linearise and ball
+    # norm, and the distance of every row in one modal transform and
+    # modal_norm.  Each slice must be the per-row call's bit for bit.  The
+    # solver takes the resolvents' SVD and solve row by row; their stacked
+    # calls are still checked here.
     rng = np.random.default_rng(n)
-    R, K = 3, 6
-    factors = rng.standard_normal((R, K, n, n))
-    carry = rng.standard_normal((R, n, n + 1))
-    left = np.empty((R, K + 1, n, n + 1))
-    for stack in (factors, np.broadcast_to(factors[:1, :1], factors.shape)):
-        np.matmul(stack[:, 2], carry, out=left[:, 3])
+    R, K, m = 3, 6, n + 1
+    rows = rng.standard_normal((m, R * K, m))
+    steps = rows.transpose(1, 0, 2).reshape(R, K, m, m)
+    blocks = rng.standard_normal((R, K + 1, m, m))
+    for stack in (steps, np.broadcast_to(steps[:1, :1], steps.shape)):
+        np.matmul(stack[:, 2], blocks[:, 2], out=blocks[:, 3])
         for r in range(R):
-            assert same_bytes(left[r, 3], np.matmul(stack[r, 2], carry[r]))
+            assert same_bytes(blocks[r, 3], np.matmul(stack[r, 2], blocks[r, 2]))
     resolvents = np.eye(n) + 0.1 * rng.standard_normal((R, n, n))
     shifts = rng.standard_normal((R, n))
     singular_values = np.linalg.svd(resolvents, compute_uv=False)
