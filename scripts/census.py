@@ -15,9 +15,10 @@ revision REV, extracted with ``git archive`` (local git only) into a
 temporary directory that is removed afterwards, prints every run whose
 entries differ, and exits 1 when any do.  A differing .csv or .json file
 is followed by how far its numbers moved: their largest relative
-difference when both sides hold numbers in the same places, otherwise
-"shape differs".  --workdir keeps the runs: with --against, this tree's
-go under DIR/current and REV's under DIR/against.  A census that cannot
+difference and the field that moved by it (``at solve.residual``,
+``at value[3]``) when both sides hold numbers in the same places,
+otherwise "shape differs".  --workdir keeps the runs: with --against,
+this tree's go under DIR/current and REV's under DIR/against.  A census that cannot
 run exits 2.
 """
 from __future__ import annotations
@@ -96,23 +97,30 @@ def extract(rev: str, dest: Path) -> None:
 
 
 def numbers(path: Path) -> dict:
-    """The numbers of a .json or .csv file, keyed by their place: a JSON
-    leaf's key path, a CSV cell's row and column below the header."""
+    """The numbers of a .json or .csv file, keyed by the field that holds
+    them: a JSON leaf's key path, such as ``solve.distances[2]``, or a CSV
+    cell's column name and its row below the header, such as ``u0[3]``."""
     text = path.read_text()
     if path.suffix == ".csv":
-        rows = list(csv.reader(text.splitlines()))[1:]
-        return {(i, j): float(cell) for i, row in enumerate(rows) for j, cell in enumerate(row)}
+        header, *rows = csv.reader(text.splitlines())
+        return {
+            f"{header[j] if j < len(header) else j}[{i}]": float(cell)
+            for i, row in enumerate(rows)
+            for j, cell in enumerate(row)
+        }
     leaves = {}
 
-    def walk(node, key):
-        if isinstance(node, (dict, list)):
-            items = node.items() if isinstance(node, dict) else enumerate(node)
-            for k, child in items:
-                walk(child, key + (k,))
+    def walk(node, field):
+        if isinstance(node, dict):
+            for key, child in node.items():
+                walk(child, f"{field}.{key}" if field else str(key))
+        elif isinstance(node, list):
+            for index, child in enumerate(node):
+                walk(child, f"{field}[{index}]")
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            leaves[key] = float(node)
+            leaves[field] = float(node)
 
-    walk(json.loads(text), ())
+    walk(json.loads(text), "")
     return leaves
 
 
@@ -127,15 +135,19 @@ def relative_difference(a: float, b: float) -> float:
 
 
 def movement(ours: Path, theirs: Path) -> str:
-    """How far the numbers of one differing .csv or .json file moved."""
+    """How far the numbers of one differing .csv or .json file moved: their
+    largest relative difference and the first field that moved by it."""
     try:
         a, b = numbers(ours), numbers(theirs)
     except (OSError, ValueError):
         return "shape differs"
     if a.keys() != b.keys():
         return "shape differs"
-    largest = max((relative_difference(a[k], b[k]) for k in a), default=0.0)
-    return f"max rel diff {largest:.3g}"
+    moves = {field: relative_difference(a[field], b[field]) for field in a}
+    field = max(moves, key=moves.get, default=None)
+    if field is None or moves[field] == 0.0:
+        return "max rel diff 0"
+    return f"max rel diff {moves[field]:.3g} at {field}"
 
 
 def differences(ours: dict, theirs: dict, rev: str, runs: tuple | None = None) -> list[str]:

@@ -16,22 +16,29 @@ trapezoid rule: outer integrals on [0, T], inner Duhamel integrals on
 variation-of-constants identities, so substituting its output back into
 the discretized condition closes to solver roundoff.
 
-Each condition is one linear functional B of a trajectory, implemented
-once by :func:`observe` on any (K+1, ...) stack.  The variation-of-constants
+Each condition is one linear functional B of a trajectory, one weight per
+time node, B X = sum_j gamma_j X_j (:func:`node_weights`), implemented once
+by :func:`observe` on any (K+1, ...) stack.  The variation-of-constants
 trajectory u(t_i) = U(t_i, 0) Xi + G_i makes B u = B[U(., 0)] Xi + B[G], so
 the resolvent is ``observe`` of the initial column and the data shift is M
 minus ``observe`` of the Duhamel sums, both read off one ``sweep`` of a
 propagation (:class:`~avgrec.evolution.SweepValues`); U(0, 0) = I and
-G_0 = 0 exactly, so the I of the last two resolvents is the column's first
-entry.  A propagation is the stepper, whose affine steps carry the forcing
-beside the one-step factors, or the kernel series' frozen steps; the tests'
-full propagator tables serve the same ``sweep``.  The data generator, the
-residual and the solver thus share one discretised condition.
+G_0 = 0 exactly, so the 1 in gamma_0 of the last two conditions gives the
+I of their resolvents.  A propagation is the stepper, whose affine steps
+carry the forcing beside the one-step factors, or the kernel series' frozen
+steps; the tests' full propagator tables serve the same ``sweep``.  A
+propagation that is diagonal in the Laplacian's eigenbasis
+(:class:`~avgrec.evolution.ModalValues`) holds its column as one number per
+mode and node: ``observe`` of it is the resolvent's eigenvalues, whose
+moduli are its singular values (:func:`check_resolvent`).  The data
+generator, the residual and the solver thus share one discretised
+condition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +94,15 @@ class AveragingCondition:
                 "(otherwise the data carries no information about u(0))"
             )
 
+    @cached_property
+    def observed(self) -> tuple:
+        """What :func:`observe` reads: the nodes whose :func:`node_weights`
+        entry is not zero (a slice where that is every node) and those
+        weights."""
+        gamma = node_weights(self)
+        nodes = slice(None) if gamma.all() else np.flatnonzero(gamma)
+        return nodes, gamma[nodes]
+
     @classmethod
     def from_preset(
         cls, grid: TimeGrid, variant: Variant, preset: str = "constant", w0: float = 0.0
@@ -94,22 +110,29 @@ class AveragingCondition:
         return cls(grid=grid, variant=variant, weight=weight_samples(grid, preset), w0=w0)
 
 
-def _average(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:
-    """sum_j qw_j w(t_j) X_j over a (K+1, ...) stack X, qw the trapezoid
-    weights of the grid."""
-    return np.einsum("j,j...->...", cond.grid.trapezoid_weights * cond.weight, stack)
+def node_weights(cond: AveragingCondition) -> np.ndarray:
+    """The condition's weight gamma_j at every node, shape (K+1,), so that
+    B X = sum_j gamma_j X_j: qw_j w(t_j) for the time average (qw the
+    trapezoid weights), the same plus 1 at node 0 for the initial plus
+    average, and 1 at node 0 and -w0 at node K for the terminal
+    difference."""
+    if cond.variant is Variant.TERMINAL_DIFFERENCE:
+        gamma = np.zeros(cond.grid.K + 1)
+        gamma[0], gamma[-1] = 1.0, -cond.w0
+        return gamma
+    gamma = cond.grid.trapezoid_weights * cond.weight
+    if cond.variant is Variant.INITIAL_PLUS_AVERAGE:
+        gamma[0] += 1.0
+    return gamma
 
 
 def observe(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:
     """The discretised condition on a (K+1, ...) stack X (a trajectory's
-    states, the initial column or the Duhamel sums): the weighted average
-    sum_j qw_j w(t_j) X_j, X_0 plus that average, or X_0 - w0 X_K."""
-    if cond.variant is Variant.TERMINAL_DIFFERENCE:
-        return stack[0] - cond.w0 * stack[-1]
-    average = _average(cond, stack)
-    if cond.variant is Variant.TIME_AVERAGE:
-        return average
-    return stack[0] + average
+    states, the initial column or the Duhamel sums, in any basis): one sum
+    sum_j gamma_j X_j of :func:`node_weights` over the nodes whose weight is
+    not zero, so that a terminal difference reads two blocks."""
+    nodes, weights = cond.observed
+    return np.einsum("j,j...->...", weights, stack[nodes])
 
 
 def duhamel_sums(prop, f_states: np.ndarray) -> np.ndarray:
@@ -134,13 +157,13 @@ def resolvent_matrix(cond: AveragingCondition, values: SweepValues) -> np.ndarra
     return observe(cond, values.column)
 
 
-def check_resolvent(cond: AveragingCondition, resolvent: np.ndarray) -> float:
-    """sigma_min of a variant resolvent from one SVD.  Raises
-    SingularOperatorError when it sits at or below 1e-10 times the spectral
-    norm."""
-    singular_values = np.linalg.svd(resolvent, compute_uv=False)
-    sigma = float(singular_values[-1])
-    floor = 1e-10 * singular_values[0]
+def check_resolvent(cond: AveragingCondition, singular_values: np.ndarray) -> float:
+    """sigma_min of a variant resolvent from its singular values: those of
+    one SVD, or the moduli of its eigenvalues where it is diagonal in an
+    orthonormal basis.  Raises SingularOperatorError when sigma_min sits at
+    or below 1e-10 times the spectral norm."""
+    sigma = float(singular_values.min())
+    floor = 1e-10 * singular_values.max()
     if sigma <= floor:
         raise SingularOperatorError(
             f"{cond.variant.value} resolvent is numerically singular "

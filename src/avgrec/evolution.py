@@ -40,6 +40,17 @@ O(K^2 n^3)); neither forms a table.  The full lower-triangular tables of
 both constructions, O(K^2 n^2) memory, are test oracles
 (``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
 
+A path whose every generator is, bit for bit, a scalar kappa_j times the
+Laplacian's stencil (reaction-diffusion, the linear model, chemotaxis at
+u = 0) shares the stencil's eigenvectors V at every node, so its
+Crank-Nicolson steps, and the kernel series' one frozen step on a constant
+path, are one number per mode (:func:`modal_factors`).  Such a path sweeps
+in the eigenbasis (:func:`modal_sweep`): the column is the running product
+of the steps and the left sums an O(K n) recursion between two transforms,
+and :class:`ModalValues` carry them one number per mode and node; neither
+the (K+1, n, n) column nor a dense step is formed.  It is the same
+discretisation with other rounding.
+
 Neither construction imports SciPy: the kernel series takes its frozen
 steps from ``spatial.matrix_exponential``, a batched NumPy Pade
 exponential.  :func:`_dgtsv`, reference LAPACK dgtsv with its row
@@ -77,7 +88,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalError
-from .spatial import band_stack, matrix_exponential
+from .spatial import BaseOperator, band_stack, laplacian_stencil, matrix_exponential
 
 # Largest estimated peak (bytes) admitted for either propagation; see
 # series_peak_bytes and stepper_peak_bytes.
@@ -246,7 +257,7 @@ class StepFactors(_Sweep):
         NumericalError naming its node, in a stack as in a single path.
 
         Where every node of every path has one generator, bit for bit
-        (every path of a sweep from the zero trajectory), the R K steps are
+        (every path frozen at one constant state), the R K steps are
         one system: one node is eliminated, and its factor, equal to the
         full elimination's bit for bit, serves every step.
         """
@@ -309,8 +320,8 @@ def _product_steps(factors: np.ndarray, forcing: np.ndarray) -> np.ndarray:
     shape (..., K, n, n) or (..., 1, n, n) for one shared step, for a
     forcing F of shape (..., K+1, n, r): S_j F_j from one stacked product,
     written with the factors into one (..., K, n+r, n+r) stack.  Under no
-    or a zero forcing, such as f(0) on every sweep from the zero trajectory,
-    a shared step stays one broadcast block."""
+    or a zero forcing, such as the linear model's, a shared step stays one
+    broadcast block."""
     K, n, r = forcing.shape[-3] - 1, factors.shape[-1], forcing.shape[-1]
     lead = np.broadcast_shapes(factors.shape[:-3], forcing.shape[:-3])
     shape = (*lead, K, n + r, n + r)
@@ -395,6 +406,93 @@ class SeriesSweep(_Sweep):
 
     def _left_sums(self, forcing: np.ndarray) -> np.ndarray:
         return _series_left_sums(self.path, self.steps, forcing)
+
+
+@dataclass(frozen=True)
+class ModalValues:
+    """What one sweep reads of a propagation that is diagonal in an
+    orthonormal basis V (``basis``, (n, n), one mode per column): U(t_i, 0)
+    = V diag(column_i) V^T and the trapezoid Duhamel sums G_i = V sums_i,
+    each one number per mode and node, shape (K+1, n)."""
+
+    basis: np.ndarray
+    column: np.ndarray
+    sums: np.ndarray
+
+
+def modal_factors(
+    path: OperatorPath, base: BaseOperator, method: PropagatorMethod
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-mode steps of each path of a stack of R paths in the
+    eigenbasis of ``base``'s Laplacian, shape (R, K, n) (None where no row
+    takes them), and whether each row takes them, shape (R,).
+
+    A row takes them where every node's bands are kappa_j times the
+    Laplacian's stencil bit for bit (sub = sup = kappa_j, the main band
+    kappa_j times the stencil's; kappa_j read off ``sup[..., 0]``), and
+    every step is finite.  With mu the stencil's spectrum, the
+    Crank-Nicolson step is e_j = (1 + c kappa_j mu) / (1 - c kappa_{j+1} mu),
+    c = h/2, the same discretisation as the dense step with other rounding.
+    The kernel series takes them on a constant path with kappa_0 >= 0 only,
+    whose one frozen step is exp(h kappa_0 mu), below the overflow cap: any
+    other path, like a step that is not finite, goes to the dense route
+    with its errors.
+    """
+    sub, main, sup = path.bands
+    if path.dim < 2:  # no off-diagonal band to read kappa off
+        return None, np.zeros(main.shape[:-2], dtype=bool)
+    kappa = sup[..., 0]
+    scaled = kappa[..., None]
+    # Node 0 alone turns most other paths away.
+    exact = (sub[..., :1, :] == scaled[..., :1, :]).all(axis=(-2, -1))
+    if exact.any():
+        exact &= ((sub == scaled) & (sup == scaled)).all(axis=(-2, -1))
+        exact &= (main == scaled * laplacian_stencil(base.grid)[1]).all(axis=(-2, -1))
+    if not exact.any():
+        return None, exact
+    mu = base.eigenvalues * base.grid.spacing**2
+    h = path.grid.h
+    with np.errstate(all="ignore"):
+        if method is PropagatorMethod.STEPPER:
+            c = 0.5 * h
+            steps = (1.0 + c * scaled[..., :-1, :] * mu) / (1.0 - c * scaled[..., 1:, :] * mu)
+        else:
+            exact &= (kappa == kappa[..., :1]).all(axis=-1) & (kappa[..., 0] >= 0.0)
+            steps = np.exp(h * scaled[..., :1, :] * mu)
+            steps = np.broadcast_to(steps, steps.shape[:-2] + (path.grid.K, base.grid.n))
+    return steps, exact & np.isfinite(steps).all(axis=(-2, -1))
+
+
+def modal_sweep(
+    basis: np.ndarray, steps: np.ndarray, grid: TimeGrid, f_states: np.ndarray
+) -> list[ModalValues]:
+    """The ModalValues of each of R rows from its per-mode steps e_j (R, K, n)
+    (:func:`modal_factors`) and forcing f (R, K+1, n): the column is the
+    running product of the steps, and with F = qw f V (qw the trapezoid
+    weights) the left sums recur as
+
+        H_0 = 0,   H_{j+1} = e_j (H_j + F_j),
+
+    so that G_i = H_i + (h/2) f_i V for i >= 1, O(K n) beside the two
+    transforms of f.  Every operation is elementwise or one product per
+    row, so each row's values are its own sweep's bit for bit; the
+    (K+1, n, n) column is never formed."""
+    R, K, n = steps.shape
+    column = np.empty((R, K + 1, n))
+    column[:, 0] = 1.0
+    np.cumprod(steps, axis=1, out=column[:, 1:])
+    modal_f = f_states @ basis
+    # Node-major, so that each step's (R, n) operands are one index away:
+    # running[j] holds H_j + F_j once H_j is known.
+    running = (grid.trapezoid_weights[:, None] * modal_f).transpose(1, 0, 2).copy()
+    left = np.empty_like(running)
+    left[0] = 0.0
+    for step, here, after, ahead in zip(steps.transpose(1, 0, 2), running, running[1:], left[1:]):
+        np.multiply(step, here, out=ahead)
+        after += ahead
+    sums = np.ascontiguousarray(left.transpose(1, 0, 2))
+    sums[:, 1:] += 0.5 * grid.h * modal_f[:, 1:]
+    return [ModalValues(basis, column[r], sums[r]) for r in range(R)]
 
 
 def series_peak_bytes(n: int, K: int) -> int:

@@ -32,14 +32,21 @@ of K (n+1)-square products of the steps, whose blocks hold the column and
 the left sums, so a sweep costs O(K n^3) time and O(K n^2) memory, and the
 dense (K+1, n, n) stack is never formed.  The kernel series (behind a
 flag) has an exactly zero kernel on a constant path, such as that of a
-sweep from the zero trajectory, and runs the stepper's chain over its one
+sweep from a constant state, and runs the stepper's chain over its one
 frozen step exp(h A_0) there, O(K n^3);
 any other path recurs on its K frozen steps exp(h A_j), formed from the
 dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The full
 propagator tables of either method are test oracles
-(``tests/oracles.py``).  The per-node model work at all K+1 nodes is two
-stacked calls per sweep: ``linearise`` for the bands of A(u(t_j)) and
-f(u(t_j)), and ``ball_norm`` for the ball norms.
+(``tests/oracles.py``).  A path whose every generator is a scalar
+times the base Laplacian (reaction-diffusion, the linear model, chemotaxis
+at u = 0, so the first sweep of every recovery, scan and probe from zero)
+sweeps in the Laplacian's eigenbasis instead, under either method where
+its steps are finite (the series on a constant path of a nonnegative
+multiple only): O(K n) recursions between O(K n^2) transforms, where the
+resolvent is diagonal, its singular values are the moduli of its
+eigenvalues and the solve is a division.  The per-node model work at all
+K+1 nodes is two stacked calls per sweep: ``linearise`` for the bands of
+A(u(t_j)) and f(u(t_j)), and ``ball_norm`` for the ball norms.
 
 Distances between iterates are measured in the time-weighted norm
 
@@ -57,11 +64,13 @@ and the self-convergence error that recovery accuracy is measured against.
 There is one iteration loop, over a batch of rows: a scan's amplitudes,
 a probe's base run and trials, or the one row of a recovery.  Each
 iteration sweeps the rows still running together, with one stacked ball
-norm, ``linearise``, propagation build and recursion (the kernel series
-builds and recurs row by row) and distance, each equal to the per-row
-call slice by slice, bit for bit; the resolvent, its SVD, the solve and
-the reconstruction are per row.  A stacked stage that fails is redone row
-by row, so that each row meets its own error.  A row leaves the batch
+norm, ``linearise``, propagation build and recursion (each row on its
+own route: one modal sweep of the rows in the eigenbasis, one chain of the
+stepper's other rows, and the kernel series' other rows one by one) and
+distance, each equal to the per-row call slice by slice, bit for bit; the
+resolvent, its SVD, the solve and the reconstruction are per row.  A
+stacked stage that fails is redone row by row, so that each row meets its
+own error.  A row leaves the batch
 where its own recovery would stop, with the same error, message and
 partial report.  A batch holds as many rows as fit the memory budget at
 the per-row peak of a sweep.
@@ -83,18 +92,21 @@ from .averaging import (
 )
 from .errors import BallViolationError, ConfigurationError, ConvergenceError, NumericalError
 from .evolution import (
+    ModalValues,
     OperatorPath,
     PropagatorMethod,
     SweepValues,
     TimeGrid,
     evolution_series,
+    modal_factors,
+    modal_sweep,
     series_peak_bytes,
     solve_tridiagonal,
     step_factors,
     stepper_peak_bytes,
 )
 from .models import ball_norm
-from .spatial import modal_norm
+from .spatial import BaseOperator, modal_norm, modal_weights
 
 DIVERGENCE_FACTOR = 1e8
 
@@ -179,16 +191,17 @@ def weighted_distance(u, v, model, grid: TimeGrid) -> float | np.ndarray:
     over adjacent and dyadic gaps only, a gap whose quotient is NaN left out.
     """
     book, base = model.exponents, model.base
+    xi_weights, beta_weights = (modal_weights(base, 2.0 * order) for order in (book.xi, book.beta))
     # (..., K+1, n) modal coefficients of the differences; the transform is
     # linear, so a difference of nodes is the difference of their rows.
     coeffs = (u - v) @ base.eigenvectors
-    xi_norms = modal_norm(base, coeffs, 2.0 * book.xi)[..., 1:]
+    xi_norms = modal_norm(base, coeffs, xi_weights)[..., 1:]
     xi_part = (grid.nodes[1:] ** book.mu * xi_norms).max(axis=-1)
-    sup_part = modal_norm(base, coeffs, 2.0 * book.beta).max(axis=-1)
+    sup_part = modal_norm(base, coeffs, beta_weights).max(axis=-1)
     holder = np.zeros(coeffs.shape[:-2])
     gap = 1
     while gap <= grid.K:
-        seg_norms = modal_norm(base, coeffs[..., gap:, :] - coeffs[..., :-gap, :], 2.0 * book.beta)
+        seg_norms = modal_norm(base, coeffs[..., gap:, :] - coeffs[..., :-gap, :], beta_weights)
         holder = np.fmax(holder, seg_norms.max(axis=-1) / (gap * grid.h) ** book.rho)
         gap *= 2
     distance = xi_part + sup_part + holder
@@ -204,23 +217,45 @@ def operator_path(model, grid: TimeGrid, states: np.ndarray) -> tuple[OperatorPa
     return OperatorPath(grid, bands, model.exponents.rho), f_states
 
 
-def _propagation(path: OperatorPath, f_states: np.ndarray, config: RecoveryConfig) -> list:
-    """The SweepValues of each path of a stack for its forcing, from the
-    stepper's affine steps or the kernel series' frozen steps (neither
-    builds a propagator table); raises the first build error.
+def _propagation(
+    path: OperatorPath, f_states: np.ndarray, config: RecoveryConfig, base: BaseOperator
+) -> list:
+    """The sweep values of each path of a stack for its forcing, each row on
+    its own route (none builds a propagator table); raises the first build
+    error.
 
-    The stepper eliminates the steps of every row at once (one node when
-    they all share a generator) and sweeps every row in one chain of K
+    A row whose every generator is a scalar times the Laplacian of ``base``
+    (reaction-diffusion, the linear model, chemotaxis at u = 0) sweeps in
+    the Laplacian's eigenbasis (:func:`~avgrec.evolution.modal_sweep`): its
+    ModalValues hold the column and the sums one number per mode.  The
+    other rows go dense.  The stepper eliminates their steps at once (one
+    node when they all share a generator) and sweeps them in one chain of K
     stacked products; the kernel series builds and sweeps row by row, since
     its rows differ in their route (a constant path or not) and in their
     frozen steps.  Only the values, views of the chain, are returned: the
     steps are freed before the reconstruction allocates, which lowers the
     peak RSS.
     """
-    if config.method is PropagatorMethod.KERNEL_SERIES:
-        return [evolution_series(row).sweep(f_row) for row, f_row in zip(path.rows, f_states)]
-    swept = step_factors(path).sweep(f_states)
-    return [SweepValues(column, sums) for column, sums in zip(swept.column, swept.sums)]
+    steps, modal = modal_factors(path, base, config.method)
+    values = [None] * len(f_states)
+    rows = np.flatnonzero(modal)
+    if rows.size:
+        swept = modal_sweep(base.eigenvectors, steps[rows], path.grid, f_states[rows])
+        for r, row_values in zip(rows, swept):
+            values[r] = row_values
+    rows = np.flatnonzero(~modal)
+    if rows.size:
+        dense = path
+        if rows.size < len(modal):
+            dense = OperatorPath(path.grid, tuple(b[rows] for b in path.bands), path.holder_rho)
+        if config.method is PropagatorMethod.KERNEL_SERIES:
+            swept = [evolution_series(row).sweep(f) for row, f in zip(dense.rows, f_states[rows])]
+        else:
+            stacked = step_factors(dense).sweep(f_states[rows])
+            swept = [SweepValues(column, sums) for column, sums in zip(stacked.column, stacked.sums)]
+        for r, row_values in zip(rows, swept):
+            values[r] = row_values
+    return values
 
 
 def _failure(exc: Exception) -> NumericalError:
@@ -255,7 +290,7 @@ def _sweep(
         path, f_states = operator_path(model, cond.grid, states)
         if not (np.isfinite(f_states).all() and all(np.isfinite(b).all() for b in path.bands)):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
-        swept = _propagation(path, f_states, config)
+        swept = _propagation(path, f_states, config, model.base)
         outcomes = [_solve_row(cond, values, M) for values, M in zip(swept, Ms)]
         solved = [k for k, out in enumerate(outcomes) if not isinstance(out, NumericalError)]
         new_states = np.stack([outcomes[k][0] for k in solved]) if solved else states[:0]
@@ -273,24 +308,59 @@ def _sweep(
     return outcomes
 
 
-def _solve_row(cond: AveragingCondition, values: SweepValues, M: np.ndarray):
+def _solve_row(cond: AveragingCondition, values, M: np.ndarray):
     """(the states of u_new, Xi, sigma_min) of one row from its sweep
-    values and data, or the error that ends its recovery: a non-finite
-    column, a singular resolvent, or non-finite states."""
+    values, dense (:func:`_dense_solve`) or modal (:func:`_modal_solve`),
+    and its data, or the error that ends its recovery: a non-finite
+    propagation, a singular resolvent, or non-finite states.
+
+    The resolvent and the new states are checked, not the column: a
+    non-finite step spreads into every block after it, so into the
+    resolvent or, with the sums, into the states.  The column is read only
+    where one of them is not finite, to name the propagation at fault."""
     try:
-        if not np.all(np.isfinite(values.column)):
-            raise ConvergenceError("iteration produced a non-finite propagation")
-        # Xi solves the variant resolvent equation; the sigma_min of the
-        # singular check reaches the report.
-        resolvent = resolvent_matrix(cond, values)
-        sigma = check_resolvent(cond, resolvent)
-        xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
-        new_states = values.column @ xi + values.sums
+        solve = _modal_solve if isinstance(values, ModalValues) else _dense_solve
+        new_states, xi, sigma = solve(cond, values, M)
         if not np.all(np.isfinite(new_states)):
+            if not np.all(np.isfinite(values.column)):
+                raise _non_finite_propagation()
             raise ConvergenceError("iteration produced non-finite states")
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         return _failure(exc)
     return new_states, xi, sigma
+
+
+def _non_finite_propagation() -> ConvergenceError:
+    return ConvergenceError("iteration produced a non-finite propagation")
+
+
+def _dense_solve(cond: AveragingCondition, values: SweepValues, M: np.ndarray):
+    """Xi solves the variant resolvent equation, whose sigma_min from one
+    SVD reaches the report; u_new = column @ Xi + sums.  A resolvent that
+    is not finite on a finite column (an overflow of the condition's sum)
+    meets the SVD's error."""
+    resolvent = resolvent_matrix(cond, values)
+    if not np.all(np.isfinite(resolvent)) and not np.all(np.isfinite(values.column)):
+        raise _non_finite_propagation()
+    sigma = check_resolvent(cond, np.linalg.svd(resolvent, compute_uv=False))
+    xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
+    with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite column
+        return values.column @ xi + values.sums, xi, sigma
+
+
+def _modal_solve(cond: AveragingCondition, values: ModalValues, M: np.ndarray):
+    """The same solve in the eigenbasis V, where the resolvent is diagonal:
+    its eigenvalues phi are the condition on the per-mode column and their
+    moduli its singular values, Xi V = (M V - B[sums]) / phi, and
+    u_new = (column Xi V + sums) V^T, whose node 0 is Xi."""
+    phi = observe(cond, values.column)
+    if not np.all(np.isfinite(phi)):
+        raise _non_finite_propagation()
+    sigma = check_resolvent(cond, np.abs(phi))
+    modal_xi = (M @ values.basis - observe(cond, values.sums)) / phi
+    with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite column
+        new_states = (values.column * modal_xi + values.sums) @ values.basis.T
+    return new_states, new_states[0], sigma
 
 
 @dataclass(eq=False)

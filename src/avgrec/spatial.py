@@ -202,10 +202,15 @@ def helmholtz_solve(base: BaseOperator, rhs: np.ndarray) -> np.ndarray:
     return matvec(base.eigenvectors, coeffs / (1.0 - base.eigenvalues))
 
 
-def modal_norm(base: BaseOperator, coeffs: np.ndarray, s: float) -> np.ndarray:
+def modal_weights(base: BaseOperator, s: float) -> np.ndarray:
+    """The weights (1 - lambda_k)^s of the H^s-type norm, one per mode."""
+    return (1.0 - base.eigenvalues) ** s
+
+
+def modal_norm(base: BaseOperator, coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The H^s-type norm of the fields with modal coefficients ``coeffs``
-    (..., n) in the eigenbasis, one norm per field, shape (...)."""
-    weights = (1.0 - base.eigenvalues) ** s
+    (..., n) in the eigenbasis, one norm per field, shape (...), from the
+    order's :func:`modal_weights`."""
     return np.sqrt(np.sum(weights * coeffs**2, axis=-1) * base.grid.spacing)
 
 
@@ -220,7 +225,7 @@ def sobolev_norm(base: BaseOperator, field: np.ndarray, s: float) -> float | np.
     field = np.asarray(field, dtype=float)
     if field.ndim < 1 or field.shape[-1] != base.grid.n:
         raise ValueError(f"field must have length {base.grid.n}")
-    norms = modal_norm(base, matvec(base.eigenvectors.T, field), s)
+    norms = modal_norm(base, matvec(base.eigenvectors.T, field), modal_weights(base, s))
     return float(norms) if norms.ndim == 0 else norms
 
 

@@ -49,7 +49,6 @@ from scipy.linalg.lapack import dgtsv
 from avgrec.averaging import (
     AveragingCondition,
     Variant,
-    _average,
     check_resolvent,
     data_shift,
     resolvent_matrix,
@@ -542,6 +541,12 @@ def _check_grid(traj, prop) -> None:
         raise ValueError("trajectory and propagator table live on different time grids")
 
 
+def _average(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:
+    """sum_j qw_j w(t_j) X_j over a (K+1, ...) stack X, qw the trapezoid
+    weights of the grid: the averaging part of any condition."""
+    return np.einsum("j,j...->...", cond.grid.trapezoid_weights * cond.weight, stack)
+
+
 def assemble_phi(prop, cond: AveragingCondition) -> PhiOperator:
     """Phi = sum_j qw_j w(t_j) U(t_j, 0), reproducible from the table exactly."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
@@ -576,7 +581,7 @@ def initial_state_map(cond: AveragingCondition, prop, M: np.ndarray, f_traj) -> 
     M = np.asarray(M, dtype=float)
     values = prop.sweep(_states_of(f_traj))
     resolvent = resolvent_matrix(cond, values)
-    check_resolvent(cond, resolvent)
+    check_resolvent(cond, np.linalg.svd(resolvent, compute_uv=False))
     return np.linalg.solve(resolvent, data_shift(cond, values, M))
 
 

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from avgrec.averaging import (
     AveragingCondition,
     Variant,
-    _average,
     data_shift,
     duhamel_sums,
+    node_weights,
+    observe,
     resolvent_matrix,
     weight_samples,
 )
@@ -72,15 +73,40 @@ class TestAveragingCondition:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_quad_weights_are_the_trapezoid_rule(self, variant):
         # The condition's weighted average is the composite trapezoid rule
-        # of the grid: h/2 at both ends, h inside.
+        # of the grid: h/2 at both ends, h inside.  The node weights add the
+        # initial state's 1 at node 0, or are the terminal difference's two.
         grid_t = TimeGrid(T=0.7, K=9)
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.5)
         stack = RNG.standard_normal((10, 3))
         samples = cond.weight[:, None] * stack
         h = grid_t.h
-        expected = h * (0.5 * samples[0] + samples[1:-1].sum(axis=0) + 0.5 * samples[-1])
-        np.testing.assert_allclose(_average(cond, stack), expected, rtol=1e-14, atol=1e-15)
+        average = h * (0.5 * samples[0] + samples[1:-1].sum(axis=0) + 0.5 * samples[-1])
+        gamma = grid_t.trapezoid_weights * cond.weight
+        expected = {
+            Variant.TIME_AVERAGE: average,
+            Variant.INITIAL_PLUS_AVERAGE: stack[0] + average,
+            Variant.TERMINAL_DIFFERENCE: stack[0] - 0.5 * stack[-1],
+        }[variant]
+        if variant is Variant.INITIAL_PLUS_AVERAGE:
+            gamma[0] += 1.0
+        elif variant is Variant.TERMINAL_DIFFERENCE:
+            gamma = np.zeros(10)
+            gamma[[0, 9]] = 1.0, -0.5
+        assert np.array_equal(node_weights(cond), gamma)
+        np.testing.assert_allclose(observe(cond, stack), expected, rtol=1e-14, atol=1e-15)
         assert np.array_equal(grid_t.trapezoid_weights[[0, 5, 9]], [0.5 * h, h, 0.5 * h])
+
+    def test_terminal_difference_reads_two_nodes(self):
+        # A zero weight leaves its node unread: a non-finite interior block
+        # does not reach the terminal difference, nor, with w0 = 0, node K.
+        grid_t = TimeGrid(T=0.7, K=9)
+        stack = RNG.standard_normal((10, 3))
+        stack[1:-1] = np.nan
+        for w0 in (0.5, 0.0):
+            cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=w0)
+            assert np.array_equal(observe(cond, stack), stack[0] - w0 * stack[-1])
+        stack[-1] = np.inf
+        assert np.array_equal(observe(cond, stack), stack[0])
 
     def test_quad_weights_not_settable(self):
         # The outer quadrature is derived from the grid, never passed in.

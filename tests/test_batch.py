@@ -25,6 +25,7 @@ from avgrec.solver import (
     RecoveryConfig,
     ScanResult,
     ScanRow,
+    Trajectory,
     contraction_probe,
     fixed_point_recover,
     random_admissible_trajectory,
@@ -203,10 +204,8 @@ def test_rows_past_the_memory_budget_run_in_later_batches(method, fit, monkeypat
     assert max(widths) == fit
 
 
-def test_zero_start_sweep_eliminates_one_node_for_every_row(monkeypatch):
-    # Every row of a scan starts from the zero trajectory, whose path is
-    # constant: its first sweep eliminates one node for all rows, and the
-    # later sweeps eliminate the nodes of all their rows at once.
+def recorded_widths(monkeypatch):
+    """The number of nodes each elimination of the stepper's steps solves."""
     original, widths = avgrec.evolution._eliminated_steps, []
 
     def recorded(bands, h, forcing):
@@ -215,10 +214,44 @@ def test_zero_start_sweep_eliminates_one_node_for_every_row(monkeypatch):
         return original(bands, h, forcing)
 
     monkeypatch.setattr(avgrec.evolution, "_eliminated_steps", recorded)
-    result = ladder_scan(PropagatorMethod.STEPPER, Variant.TERMINAL_DIFFERENCE)
+    return widths
+
+
+def test_constant_start_sweep_eliminates_one_node_for_every_row(monkeypatch):
+    # Every row starts from one constant state away from zero, whose path
+    # shares one generator and is no multiple of the Laplacian: its first
+    # sweep eliminates one node for all rows, and the later sweeps
+    # eliminate the nodes of all their rows at once.
+    widths = recorded_widths(monkeypatch)
+    config = RecoveryConfig(**LADDER_CONFIG)
+    data = [amp * DIRECTION for amp in LADDER]
+    start = Trajectory(GRID, np.full((K + 1, N), 2e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = avgrec.solver._recover_rows(
+            CHEMO, condition(Variant.TERMINAL_DIFFERENCE), data, [start] * len(data), config
+        )
     assert widths[0] == 1
-    running = sum(row.iterations >= 2 for row in result.rows)
+    running = sum(row.report.iterates >= 2 for row in rows)
     assert running > 1 and widths[1] >= running * K
+
+
+def test_zero_start_sweep_is_one_modal_sweep_for_every_row(monkeypatch):
+    # Every row of a scan starts from the zero trajectory, where the
+    # chemotaxis generator is the Laplacian: its first sweep is one modal
+    # sweep of all rows and eliminates no node, and the later sweeps
+    # eliminate the nodes of all their rows at once.
+    widths, original, modal = recorded_widths(monkeypatch), avgrec.solver.modal_sweep, []
+
+    def recorded(basis, steps, grid, f_states):
+        modal.append(len(steps))
+        return original(basis, steps, grid, f_states)
+
+    monkeypatch.setattr(avgrec.solver, "modal_sweep", recorded)
+    result = ladder_scan(PropagatorMethod.STEPPER, Variant.TERMINAL_DIFFERENCE)
+    assert modal == [len(LADDER)]
+    running = sum(row.iterations >= 2 for row in result.rows)
+    assert running > 1 and widths[0] >= running * K
 
 
 def probe_outcomes(method, variant):
@@ -245,6 +278,28 @@ def test_probe_equals_single_row_recoveries(method, variant):
     # the single-row recoveries give them.
     batched, single = probe_outcomes(method, variant)
     assert batched == single
+
+
+@pytest.mark.parametrize("method", list(PropagatorMethod))
+def test_probe_with_a_modal_base_run_and_dense_trials(method, monkeypatch):
+    # The base run starts from zero, where the chemotaxis generator is the
+    # Laplacian: its first sweep is modal while every trial's is dense, in
+    # one batched sweep.  The probe equals its single-row recoveries bit for
+    # bit.
+    original, modal = avgrec.solver.modal_sweep, []
+
+    def recorded(basis, steps, grid, f_states):
+        modal.append(len(steps))
+        return original(basis, steps, grid, f_states)
+
+    monkeypatch.setattr(avgrec.solver, "modal_sweep", recorded)
+    cond = condition(Variant.TIME_AVERAGE)
+    config = RecoveryConfig(method=method)
+    batched = contraction_probe(CHEMO, cond, 0.01 * DIRECTION, config, trials=3, seed=3)
+    assert modal == [1]
+    single = probe_reference(CHEMO, cond, 0.01 * DIRECTION, config, trials=3, seed=3)
+    assert modal == [1, 1]
+    assert batched == single and batched.all_converged
 
 
 @pytest.mark.parametrize("method, variant", CASES)

@@ -395,15 +395,23 @@ def test_census_names_each_differing_run(tmp_path):
         for name, text in texts.items():
             (folder / "moved" / name).write_text(text)
     assert census.differences(ours, theirs, "REV", (current, against)) == [
-        "moved: exit 0 -> 3, stdout, report.json (max rel diff 0.5), scan.csv (shape differs)",
+        "moved: exit 0 -> 3, stdout, report.json (max rel diff 0.5 at a[1]), scan.csv (shape differs)",
         "new: only in this tree",
     ]
     (against / "moved" / "scan.csv").write_text("x\n1\n2\n")
     moved = [folder / "moved" for folder in (current, against)]
     assert census.movement(*(folder / "scan.csv" for folder in moved)) == "shape differs"
     assert census.movement(*(folder / "report.json" for folder in moved[::-1])) == (
-        "max rel diff 0.5"
+        "max rel diff 0.5 at a[1]"
     )
+    # A table's field is its column and row; a file whose numbers did not
+    # move names none.
+    (current / "moved" / "scan.csv").write_text("x,u0\n1,2\n3,4\n")
+    (against / "moved" / "scan.csv").write_text("x,u0\n1,2\n3,5\n")
+    assert census.movement(*(folder / "scan.csv" for folder in moved)) == "max rel diff 0.2 at u0[1]"
+    (current / "moved" / "report.json").write_text('{"s": {"r": 1.0}, "ok": false}')
+    (against / "moved" / "report.json").write_text('{"s": {"r": 1.0}, "ok": true}')
+    assert census.movement(*(folder / "report.json" for folder in moved)) == "max rel diff 0"
 
 
 class TestMainExitCodes:

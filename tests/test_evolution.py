@@ -28,7 +28,7 @@ from avgrec.evolution import (
     stepper_peak_bytes,
 )
 from avgrec.models import ChemotaxisModel, LinearTestModel, NonlocalRDModel
-from avgrec.solver import RecoveryConfig, fixed_point_recover, forward_solve
+from avgrec.solver import RecoveryConfig, Trajectory, fixed_point_recover, forward_solve
 from avgrec.spatial import (
     BoundaryKind,
     assemble_laplacian,
@@ -1163,16 +1163,18 @@ class TestRepeatedGenerators:
         assert str(grouped.value) == "node 3: t*mu_1(m) = 800 exceeds the overflow cap 700.0"
         assert str(grouped.value) == str(ungrouped.value)
 
-    def test_chemotaxis_recovery_from_zero_starts_constant(self, monkeypatch):
-        # The zero trajectory freezes one generator at every node, so the
-        # first sweep is the loop over one frozen step; the sweeps after it
-        # run the series recursion on a path with no repeated generator.
+    def test_chemotaxis_recovery_from_a_constant_state_starts_constant(self, monkeypatch):
+        # A constant state away from zero freezes one generator at every
+        # node, no multiple of the Laplacian, so the first sweep is the loop
+        # over one frozen step; the sweeps after it run the series recursion
+        # on a path with no repeated generator.
         import avgrec.solver
 
         model = ChemotaxisModel.default(build_grid(16, 1.0, BoundaryKind.NEUMANN))
         grid_t = TimeGrid(T=0.5, K=32)
         cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE, "constant")
         truth = forward_solve(model, 1e-2 * np.cos(np.pi * model.base.grid.nodes), grid_t)
+        start = Trajectory(grid_t, np.full((grid_t.K + 1, 16), 2e-3))
         sweeps = []
 
         def recorded(path):
@@ -1181,7 +1183,8 @@ class TestRepeatedGenerators:
 
         monkeypatch.setattr(avgrec.solver, "evolution_series", recorded)
         config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
-        _, _, report = fixed_point_recover(model, cond, observe(cond, truth.states), config)
+        M = observe(cond, truth.states)
+        _, _, report = fixed_point_recover(model, cond, M, config, initial=start)
         assert report.converged and len(sweeps) == report.iterates >= 2
         (first_path, first), (_, second) = sweeps[:2]
         assert_one_frozen_step(first, first_path)

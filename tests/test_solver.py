@@ -401,7 +401,7 @@ class TestStepperSweep:
         elif variant is Variant.TERMINAL_DIFFERENCE:
             M = truth.states[0] - cond.w0 * truth.states[-1]
 
-        def table_route(path, f_states, config):
+        def table_route(path, f_states, config, base):
             return [evolution_stepper(row).sweep(f) for row, f in zip(path.rows, f_states)]
 
         with monkeypatch.context() as patch:
@@ -456,7 +456,7 @@ class TestSeriesSweep:
         M = observe(cond, truth.states)
         config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
 
-        def table_route(path, f_states, config):
+        def table_route(path, f_states, config, base):
             return [series_table(row).sweep(f) for row, f in zip(path.rows, f_states)]
 
         with monkeypatch.context() as patch:
@@ -477,9 +477,10 @@ class TestSeriesSweep:
 
 class TestOneBuildPerIteration:
     """A sweep builds one propagation (for the stepper, one elimination of
-    its affine steps), runs one left-sum recursion and solves for the
-    chemotaxis signal once, as a forward step does; the recovered initial
-    state is the last sweep's Xi, with no extra build."""
+    its affine steps; on a multiple of the Laplacian, one modal sweep), runs
+    one left-sum recursion and solves for the chemotaxis signal once, as a
+    forward step does; the recovered initial state is the last sweep's Xi,
+    with no extra build."""
 
     @staticmethod
     def counting(monkeypatch, module, name):
@@ -502,33 +503,63 @@ class TestOneBuildPerIteration:
             name: self.counting(monkeypatch, module, name)
             for module, name in (
                 (avgrec.solver, "_propagation"),
+                (avgrec.solver, "modal_sweep"),
                 (avgrec.evolution, "_eliminated_steps"),
                 (avgrec.evolution, "_affine_chain"),
                 (avgrec.evolution, "_series_left_sums"),
             )
         }
 
+    @staticmethod
+    def problem(model, variant):
+        grid_t = TimeGrid(T=0.5, K=24)
+        cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.5)
+        x0 = 1e-2 * np.cos(np.pi * model.base.grid.nodes)
+        return cond, observe(cond, forward_solve(model, x0, grid_t).states)
+
     @pytest.mark.parametrize("method", list(PropagatorMethod))
     @pytest.mark.parametrize("variant", list(Variant))
     def test_recovery_builds_once_per_iteration(self, small_chemo, counts, method, variant):
-        grid_t = TimeGrid(T=0.5, K=24)
-        cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.5)
-        x0 = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
-        M = observe(cond, forward_solve(small_chemo, x0, grid_t).states)
-        u0, traj, report = fixed_point_recover(small_chemo, cond, M, RecoveryConfig(method=method))
+        cond, M = self.problem(small_chemo, variant)
+        # A constant state away from zero freezes one generator at every
+        # node, and it is no multiple of the Laplacian (its main band
+        # carries -chi(v) v): the series' first sweep is the stepper's chain
+        # over its one frozen step.
+        start = Trajectory(cond.grid, np.full((cond.grid.K + 1, 16), 2e-3))
+        config = RecoveryConfig(method=method)
+        u0, traj, report = fixed_point_recover(small_chemo, cond, M, config, initial=start)
         assert report.converged and report.iterates >= 2
-        # The series' first sweep, from the zero trajectory, runs on a
-        # constant path: the stepper's chain over its one frozen step.
         series = method is PropagatorMethod.KERNEL_SERIES
         assert {name: len(calls) for name, calls in counts.items()} == {
             "_propagation": report.iterates,
+            "modal_sweep": 0,
             "_eliminated_steps": 0 if series else report.iterates,
             "_affine_chain": 1 if series else report.iterates,
             "_series_left_sums": report.iterates - 1 if series else 0,
         }
         assert np.array_equal(u0, traj.states[0])
 
+    @pytest.mark.parametrize("method", list(PropagatorMethod))
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_zero_start_sweeps_in_the_eigenbasis(self, small_chemo, counts, method, variant):
+        # At u = 0 the chemotaxis generator is the Laplacian itself: the
+        # first sweep is one modal sweep, and every later one is dense.
+        cond, M = self.problem(small_chemo, variant)
+        u0, traj, report = fixed_point_recover(small_chemo, cond, M, RecoveryConfig(method=method))
+        assert report.converged and report.iterates >= 2
+        series = method is PropagatorMethod.KERNEL_SERIES
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "_propagation": report.iterates,
+            "modal_sweep": 1,
+            "_eliminated_steps": 0 if series else report.iterates - 1,
+            "_affine_chain": 0 if series else report.iterates - 1,
+            "_series_left_sums": report.iterates - 1 if series else 0,
+        }
+        assert np.array_equal(u0, traj.states[0])
+
     def test_converged_scan_row_builds_once_per_iteration(self, small_chemo, counts):
+        # Every row of a scan starts from zero: its first sweep is one modal
+        # sweep, and each later one one elimination and one chain.
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
         direction = np.cos(np.pi * small_chemo.base.grid.nodes)
@@ -536,8 +567,9 @@ class TestOneBuildPerIteration:
         (row,) = result.rows
         assert row.converged and row.iterations >= 2
         assert len(counts["_propagation"]) == row.iterations
-        assert len(counts["_eliminated_steps"]) == row.iterations
-        assert len(counts["_affine_chain"]) == row.iterations
+        assert len(counts["modal_sweep"]) == 1
+        assert len(counts["_eliminated_steps"]) == row.iterations - 1
+        assert len(counts["_affine_chain"]) == row.iterations - 1
         # A batch whose rows all converge builds once per iteration for all
         # of them: no stage is redone row by row.
         for calls in counts.values():
@@ -546,6 +578,28 @@ class TestOneBuildPerIteration:
         iterations = [row.iterations for row in result.rows]
         assert all(row.converged for row in result.rows) and len(set(iterations)) > 1
         assert len(counts["_propagation"]) == max(iterations)
+        assert len(counts["modal_sweep"]) == 1
+        assert len(counts["_eliminated_steps"]) == max(iterations) - 1
+        assert len(counts["_affine_chain"]) == max(iterations) - 1
+
+    def test_constant_start_batch_builds_once_per_iteration(self, small_chemo, counts):
+        # Rows from one constant state away from zero share one generator
+        # and go dense from their first sweep: one elimination and one chain
+        # per batched iteration for all of them.
+        import avgrec.solver
+
+        grid_t = TimeGrid(T=0.5, K=16)
+        cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
+        direction = np.cos(np.pi * small_chemo.base.grid.nodes)
+        data = [amp * direction for amp in (0.005, 0.01, 0.02)]
+        start = Trajectory(grid_t, np.full((grid_t.K + 1, 16), 2e-3))
+        rows = avgrec.solver._recover_rows(
+            small_chemo, cond, data, [start] * len(data), RecoveryConfig()
+        )
+        iterations = [row.report.iterates for row in rows]
+        assert all(row.error is None for row in rows) and len(set(iterations)) > 1
+        assert len(counts["_propagation"]) == max(iterations)
+        assert len(counts["modal_sweep"]) == 0
         assert len(counts["_eliminated_steps"]) == max(iterations)
         assert len(counts["_affine_chain"]) == max(iterations)
 
@@ -684,7 +738,7 @@ class TestNonFiniteIterate:
                 column[4, 2, 2] = np.inf
                 return SweepValues(column=column, sums=np.zeros((9, 16)))
 
-        def propagation(path, f_states, config):
+        def propagation(path, f_states, config, base):
             return [NonFiniteSweep().sweep(f) for f in f_states]
 
         monkeypatch.setattr(avgrec.solver, "_propagation", propagation)
@@ -692,6 +746,34 @@ class TestNonFiniteIterate:
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
         with pytest.raises(ConvergenceError, match="^iteration produced a non-finite propagation$"):
             one_sweep(small_chemo, cond, np.zeros(16), np.zeros((9, 16)), RecoveryConfig())
+
+    @pytest.mark.parametrize(
+        "variant, w0",
+        [(variant, 0.5) for variant in Variant] + [(Variant.TERMINAL_DIFFERENCE, 0.0)],
+    )
+    def test_non_finite_interior_step_ends_the_row(self, small_chemo, variant, w0, monkeypatch):
+        # One interior step of a dense sweep turns non-finite and spreads
+        # into every chain block after it.  The check reads the resolvent
+        # and the new states: a terminal difference with w0 = 0 reads node 0
+        # alone, so only the states see it.  The row still ends with a
+        # ConvergenceError naming the propagation.
+        import avgrec.evolution
+
+        original = avgrec.evolution._eliminated_steps
+
+        def spoiled(bands, h, forcing):
+            steps = original(bands, h, forcing)
+            steps[:, 4, 2, 2] = np.inf
+            return steps
+
+        monkeypatch.setattr(avgrec.evolution, "_eliminated_steps", spoiled)
+        grid_t = TimeGrid(T=0.5, K=8)
+        cond = AveragingCondition.from_preset(grid_t, variant, "constant", w0=w0)
+        start = 1e-3 * np.random.default_rng(2).standard_normal((9, 16))
+        M = 1e-2 * np.cos(np.pi * small_chemo.base.grid.nodes)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="^iteration produced a non-finite propagation$"):
+                one_sweep(small_chemo, cond, M, start, RecoveryConfig())
 
     @staticmethod
     def _assert_no_build(model, method, monkeypatch):

@@ -180,10 +180,11 @@ def test_stacked_ops_match_per_slice(n):
     base = assemble_laplacian(grid)
     diffs = rng.standard_normal((8, 65, n))
     coeffs = diffs @ base.eigenvectors
-    modal_norms = spatial.modal_norm(base, coeffs, 0.7)
+    weights = spatial.modal_weights(base, 0.7)
+    modal_norms = spatial.modal_norm(base, coeffs, weights)
     for r in range(len(diffs)):
         assert same_bytes(coeffs[r], diffs[r] @ base.eigenvectors)
-        assert same_bytes(modal_norms[r], spatial.modal_norm(base, coeffs[r], 0.7))
+        assert same_bytes(modal_norms[r], spatial.modal_norm(base, coeffs[r], weights))
     for model in (
         ChemotaxisModel.default(grid, delta=0.5),
         NonlocalRDModel.default(grid),
