@@ -4,7 +4,7 @@ stepper on a smooth non-commuting generator path (chemotaxis coefficients
 frozen along a prescribed trajectory)."""
 import numpy as np
 
-from avgrec.evolution import OperatorPath, TimeGrid, evolution_series, step_factors
+from avgrec.evolution import OperatorPath, StepFactors, TimeGrid, evolution_series
 from avgrec.models import ChemotaxisModel
 from avgrec.spatial import BoundaryKind, build_grid
 
@@ -25,7 +25,7 @@ def main():
         grid_t = TimeGrid(T=0.5, K=K)
         path = chemotaxis_path(model, grid_t)
         u_series = evolution_series(path).column[-1]
-        u_stepper = step_factors(path).column[-1]
+        u_stepper = StepFactors(path).column[-1]
         rel = np.linalg.norm(u_series - u_stepper, 2) / np.linalg.norm(u_stepper, 2)
         print(f"{K:5d} {rel:16.3e}")
 

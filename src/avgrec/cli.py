@@ -276,19 +276,30 @@ def build_model(cfg: ExperimentConfig):
             "exponent book rejected; failed constraints: "
             + "; ".join(f"{name} ({_constraint_keys(cfg, name)})" for name in report.failures())
         )
+    # A and f at zero (row 0) and at the configured profile (row 1).
+    u0 = initial_profile(cfg, grid)
     with np.errstate(all="ignore"):
-        bands = model.linearise(np.zeros(grid.n))[0]
+        bands, f_states = model.linearise(np.stack((np.zeros(grid.n), u0)))
     # Of the models' A(0), only the chemotaxis drift -delta (1 - delta) can overflow.
-    if not all(np.isfinite(band).all() for band in bands):
+    if not all(np.isfinite(band[0]).all() for band in bands):
         raise ConfigurationError(
             f"[model] delta: {cfg.delta} overflows the generator A(0) to non-finite values"
         )
     # The implicit step's diagonal 1 - h a rounds to -h a once |h a| passes 2^53.
-    h, main = cfg.horizon / cfg.steps, bands[1]
+    h, main = cfg.horizon / cfg.steps, bands[1][0]
     if np.any(1.0 - h * main == -(h * main)):
         raise ConfigurationError(
             f"[grid] length: {cfg.grid_length} is too short for n={cfg.grid_n} at time step "
             f"h={h:.6g}: the implicit step's diagonal 1 - h A(0) rounds to -h A(0)"
+        )
+    # A verb that forward-solves the profile starts its march from A(u0) and f(u0).
+    marched = cfg.operation == "forward" or cfg.data_source == "manufactured"
+    finite = np.isfinite(f_states[1]).all() and all(np.isfinite(band[1]).all() for band in bands)
+    if marched and not finite:
+        key = "[model] delta" if cfg.model_kind == "chemotaxis" else "[model] f_poly"
+        raise ConfigurationError(
+            f"{key}, [data] amplitude: A(u0) and f(u0) at the {cfg.u0_profile} profile of "
+            f"amplitude {cfg.amplitude} are not finite"
         )
     return model
 

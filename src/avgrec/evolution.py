@@ -28,17 +28,14 @@ steps from one Gaussian elimination on the bands over all K nodes at once,
 the forcing one more right-hand-side column (:func:`_eliminated_steps`,
 O(K n^2), with a NumPy port of LAPACK dgtsv for the nodes that need row
 interchanges).  A stack of R paths, such as the rows of a scan, takes one
-elimination over its R K nodes and one chain of stacked products; where
-they all share a generator, one node is eliminated and s_j comes from one
-stacked product (:func:`_product_steps`).  A singular one-step matrix in
-any row fails the whole stack.  The kernel series takes one of two routes
-(:func:`evolution_series`): on a constant path, whose kernel is exactly
-zero, the stepper's chain over its one frozen step exp(h A_0)
-(:class:`FactorSweep`), O(K n^3), and on any other path its own recursion
-over the frozen steps exp(h A_j) of the nodes 0..K-1 (:class:`SeriesSweep`,
-O(K^2 n^3)); neither forms a table.  The full lower-triangular tables of
-both constructions, O(K^2 n^2) memory, are test oracles
-(``tests/oracles.py``) and serve the same ``sweep`` entry from their rows.
+elimination over its R K nodes and one chain of stacked products.  A
+singular one-step matrix in any row fails the whole stack.  The kernel
+series (:func:`evolution_series`) recurs over the frozen steps exp(h A_j)
+of the nodes 0..K-1 (:class:`SeriesSweep`, O(K^2 n^3)), on a constant
+path too, whose kernel is exactly zero; it forms no table.  The full
+lower-triangular tables of both constructions, O(K^2 n^2) memory, are test
+oracles (``tests/oracles.py``) and serve the same ``sweep`` entry from
+their rows.
 
 A path whose every generator is, bit for bit, a scalar kappa_j times the
 Laplacian's stencil (reaction-diffusion, the linear model, chemotaxis at
@@ -65,9 +62,8 @@ dgtsv bit for bit.
 An :class:`OperatorPath` holds the three central diagonals of every
 A(t_j), as a model's ``linearise`` returns them: every generator in
 the package is tridiagonal.  The stepper's elimination reads only the
-diagonals; the kernel series forms the dense generators of the nodes it
-reads from them (``OperatorPath.generators``): node 0's alone on a constant
-path, the (K+1, n, n) stack of all nodes on any other.
+diagonals; the kernel series forms the dense (K+1, n, n) stack of the
+generators from them (``OperatorPath.generators``).
 
 The kernel k carries an integrable (t-s)^(rho-1) singularity when A is only
 rho-Hoelder in time.  Discrete convolutions therefore use a product rule:
@@ -169,13 +165,6 @@ class OperatorPath:
         (nodes, n, n): the kernel series reads them, the stepper does not."""
         return band_stack(*(band[..., nodes, :] for band in self.bands))
 
-    @property
-    def node_keys(self) -> np.ndarray:
-        """The three diagonals of every A(t_j) side by side, shape
-        (K+1, 3n-2) (with the leading axis of a stack): two rows are equal
-        bit for bit exactly where the two generators are."""
-        return np.concatenate(self.bands, axis=-1)
-
 
 class PropagatorMethod(Enum):
     STEPPER = "stepper"
@@ -253,42 +242,14 @@ class StepFactors(_Sweep):
 
     def _steps(self, forcing: np.ndarray) -> np.ndarray:
         """The affine steps of a forcing F of shape (K+1, n, r), or
-        (R, K+1, n, r) on a stack; a singular one-step matrix raises
-        NumericalError naming its node, in a stack as in a single path.
-
-        Where every node of every path has one generator, bit for bit
-        (every path frozen at one constant state), the R K steps are
-        one system: one node is eliminated, and its factor, equal to the
-        full elimination's bit for bit, serves every step.
-        """
+        (R, K+1, n, r) on a stack (:func:`_eliminated_steps`); a singular
+        one-step matrix raises NumericalError naming its node, in a stack as
+        in a single path."""
         stacked = self.path.bands[1].ndim == 3
         bands = self.path.bands if stacked else tuple(band[None] for band in self.path.bands)
         forcing = np.broadcast_to(forcing, bands[1].shape[:1] + forcing.shape[-3:])
-        if _one_generator(self.path):
-            node = tuple(band[:1, :2] for band in bands)
-            factor = _eliminated_steps(node, self.grid.h, np.empty((1, 2, self.dim, 0)))
-            steps = _product_steps(factor, forcing)
-        else:
-            steps = _eliminated_steps(bands, self.grid.h, forcing)
+        steps = _eliminated_steps(bands, self.grid.h, forcing)
         return steps if stacked else steps[0]
-
-
-@dataclass(frozen=True)
-class FactorSweep(_Sweep):
-    """The sweep interface over given one-step factors S_j = U(t_{j+1}, t_j),
-    (K, n, n), or (1, n, n) for one step that every node shares, as the
-    kernel series' frozen step exp(h A_0) on a constant path; the affine
-    steps come from :func:`_product_steps`."""
-
-    grid: TimeGrid
-    factors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.factors.shape[-1]
-
-    def _steps(self, forcing: np.ndarray) -> np.ndarray:
-        return _product_steps(self.factors, forcing)
 
 
 def _affine_chain(steps: np.ndarray) -> np.ndarray:
@@ -313,36 +274,6 @@ def _affine_chain(steps: np.ndarray) -> np.ndarray:
     for j in range(K):
         np.matmul(steps[j], blocks[j], out=blocks[j + 1])
     return chain
-
-
-def _product_steps(factors: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-    """The affine steps [[S_j, S_j F_j], [0, I_r]] of given factors S_j,
-    shape (..., K, n, n) or (..., 1, n, n) for one shared step, for a
-    forcing F of shape (..., K+1, n, r): S_j F_j from one stacked product,
-    written with the factors into one (..., K, n+r, n+r) stack.  Under no
-    or a zero forcing, such as the linear model's, a shared step stays one
-    broadcast block."""
-    K, n, r = forcing.shape[-3] - 1, factors.shape[-1], forcing.shape[-1]
-    lead = np.broadcast_shapes(factors.shape[:-3], forcing.shape[:-3])
-    shape = (*lead, K, n + r, n + r)
-    shared = factors.shape[-3] == 1 and not forcing.any()
-    steps = np.empty(factors.shape[:-2] + shape[-2:] if shared else shape)
-    steps[..., :n, :n] = factors
-    steps[..., n:, :n] = 0.0
-    steps[..., n:, n:] = np.eye(r)
-    if shared:
-        steps[..., :n, n:] = 0.0
-        return np.broadcast_to(steps, shape)
-    np.matmul(factors, forcing[..., :K, :, :], out=steps[..., :n, n:])
-    return steps
-
-
-def _one_generator(path) -> bool:
-    """Whether all nodes 0..K of a path, or of a stack of paths, have the
-    first's generator bit for bit (``node_keys``), tested last node first."""
-    keys = path.node_keys
-    bits = np.ascontiguousarray(keys).view(np.uint64).reshape(-1, keys.shape[-1])
-    return bool((bits[-1] == bits[0]).all() and (bits == bits[0]).all())
 
 
 def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -388,10 +319,11 @@ def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray
 
 @dataclass(frozen=True)
 class SeriesSweep(_Sweep):
-    """The kernel series' sweep interface on a nonconstant path, in O(K n^2)
-    memory: the path and the frozen steps exp(h A_j) of its nodes 0..K-1;
-    every quantity comes from :func:`_series_left_sums`, O(K^2 n^2 (n+1))
-    per sweep, and a, k, w and U are never formed."""
+    """The kernel series' sweep interface, in O(K n^2) memory: the path and
+    the frozen steps exp(h A_j) of its nodes 0..K-1; every quantity comes
+    from :func:`_series_left_sums`, O(K^2 n^2 (n+1)) per sweep, and a, k, w
+    and U are never formed.  On a constant path the kernel terms
+    (A_m - A_l) p_l are exactly zero."""
 
     path: OperatorPath
     steps: np.ndarray  # (K, n, n)
@@ -499,31 +431,22 @@ def series_peak_bytes(n: int, K: int) -> int:
     """Estimated peak memory of a kernel-series sweep (:func:`evolution_series`
     and its ``sweep``) in bytes: six stacks of K+1 float64 n x (n+1) blocks.
 
-    On a nonconstant path the recursion forms the dense (K+1, n, n)
-    generator stack from the bands (``OperatorPath.generators``) and holds
-    the K frozen steps, the carried products, the left sums, and at
-    the last nodes the differences A_m - A_l and their products with the
-    carried blocks, on [I | qw f].  A constant path stays below it.
+    The recursion forms the dense (K+1, n, n) generator stack from the
+    bands (``OperatorPath.generators``) and holds the K frozen steps, the
+    carried products, the left sums, and at the last nodes the differences
+    A_m - A_l and their products with the carried blocks, on [I | qw f].
+    The estimate covers every dense path, a constant one too.
     """
     return 6 * 8 * (K + 1) * n * (n + 1)
 
 
-def evolution_series(path: OperatorPath) -> FactorSweep | SeriesSweep:
-    """Sweep interface of the kernel series U = a + a*w, by one of two routes.
-
-    Where the generators of all nodes 0..K are equal bit for bit (node K
-    too: the end term of the last node reads A_K - A_{K-1}), the kernel is
-    exactly zero: the one frozen step exp(h A_0) is the factor of every
-    step of the stepper's chain (:class:`FactorSweep`), O(K n^3), whose
-    column is the dense series table's bit for bit; only node 0's dense
-    generator is formed.  Any other path exponentiates the dense generators
-    of its nodes 0..K-1, swept by :class:`SeriesSweep` in O(K^2 n^3).  The
-    overflow cap names the first node over it.
+def evolution_series(path: OperatorPath) -> SeriesSweep:
+    """Sweep interface of the kernel series U = a + a*w: the dense
+    generators of the nodes 0..K-1 exponentiated, swept by
+    :class:`SeriesSweep` in O(K^2 n^3).  The overflow cap names the first
+    node over it.
     """
     K, h = path.grid.K, path.grid.h
-    if _one_generator(path):
-        step = matrix_exponential(path.generators(slice(0, 1)), h)
-        return FactorSweep(grid=path.grid, factors=step)
     return SeriesSweep(path=path, steps=matrix_exponential(path.generators(slice(0, K)), h))
 
 
@@ -726,9 +649,8 @@ def solve_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray, rh
 
 
 def stepper_peak_bytes(n: int, K: int) -> int:
-    """Estimated peak memory of a stepper sweep (:func:`step_factors`, then
-    :meth:`StepFactors.sweep`) in bytes: two stacks of K+1 float64
-    n x (n+3) blocks.
+    """Estimated peak memory of a stepper sweep (:meth:`StepFactors.sweep`)
+    in bytes: two stacks of K+1 float64 n x (n+3) blocks.
 
     The sweep holds the K affine steps and the K+1 chain blocks, each
     (n+1)-square, and while it chains them the (K+1, n) weighted forcing;
@@ -737,11 +659,3 @@ def stepper_peak_bytes(n: int, K: int) -> int:
     holds R of them at once.
     """
     return 2 * 8 * (K + 1) * n * (n + 3)
-
-
-def step_factors(path: OperatorPath) -> StepFactors:
-    """The Crank-Nicolson stepper of a path, or of each path of a stack:
-    its factors, the initial column U(t_i, 0) = S_{i-1} ... S_0 and each
-    sweep's left sums come from the elimination of the affine steps of a
-    forcing and their chain (:class:`StepFactors`)."""
-    return StepFactors(path)

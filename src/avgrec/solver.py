@@ -25,17 +25,14 @@ reads the diagonals alone.  The default propagation is the Crank-Nicolson
 stepper, whose K steps carry the forcing as an affine column,
 [[S_j, S_j qw_j f_j], [0, 1]]: one tridiagonal elimination over all K
 nodes at once solves for both, the forcing one more right-hand-side
-column, or one node is eliminated when they all share a generator (the
-nodes that need row interchanges are solved together by a NumPy port of
-LAPACK dgtsv, so the stepper imports no SciPy); its recursion is the chain
-of K (n+1)-square products of the steps, whose blocks hold the column and
-the left sums, so a sweep costs O(K n^3) time and O(K n^2) memory, and the
-dense (K+1, n, n) stack is never formed.  The kernel series (behind a
-flag) has an exactly zero kernel on a constant path, such as that of a
-sweep from a constant state, and runs the stepper's chain over its one
-frozen step exp(h A_0) there, O(K n^3);
-any other path recurs on its K frozen steps exp(h A_j), formed from the
-dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The full
+column (the nodes that need row interchanges are solved together by a
+NumPy port of LAPACK dgtsv, so the stepper imports no SciPy); its
+recursion is the chain of K (n+1)-square products of the steps, whose
+blocks hold the column and the left sums, so a sweep costs O(K n^3) time
+and O(K n^2) memory, and the dense (K+1, n, n) stack is never formed.
+The kernel series (behind a flag) recurs on its K frozen steps
+exp(h A_j), formed from the dense stack, in O(K^2 n^3) time and
+O(K n^2) memory.  The full
 propagator tables of either method are test oracles
 (``tests/oracles.py``).  A path whose every generator is a scalar
 times the base Laplacian (reaction-diffusion, the linear model, chemotaxis
@@ -95,6 +92,7 @@ from .evolution import (
     ModalValues,
     OperatorPath,
     PropagatorMethod,
+    StepFactors,
     SweepValues,
     TimeGrid,
     evolution_series,
@@ -102,7 +100,6 @@ from .evolution import (
     modal_sweep,
     series_peak_bytes,
     solve_tridiagonal,
-    step_factors,
     stepper_peak_bytes,
 )
 from .models import ball_norm
@@ -228,13 +225,12 @@ def _propagation(
     (reaction-diffusion, the linear model, chemotaxis at u = 0) sweeps in
     the Laplacian's eigenbasis (:func:`~avgrec.evolution.modal_sweep`): its
     ModalValues hold the column and the sums one number per mode.  The
-    other rows go dense.  The stepper eliminates their steps at once (one
-    node when they all share a generator) and sweeps them in one chain of K
-    stacked products; the kernel series builds and sweeps row by row, since
-    its rows differ in their route (a constant path or not) and in their
-    frozen steps.  Only the values, views of the chain, are returned: the
-    steps are freed before the reconstruction allocates, which lowers the
-    peak RSS.
+    other rows go dense.  The stepper eliminates their steps at once and
+    sweeps them in one chain of K stacked products; the kernel series
+    builds and sweeps row by row, since its rows differ in their frozen
+    steps.  Only the values, views of the chain, are returned: the steps
+    are freed before the reconstruction allocates, which lowers the peak
+    RSS.
     """
     steps, modal = modal_factors(path, base, config.method)
     values = [None] * len(f_states)
@@ -251,7 +247,7 @@ def _propagation(
         if config.method is PropagatorMethod.KERNEL_SERIES:
             swept = [evolution_series(row).sweep(f) for row, f in zip(dense.rows, f_states[rows])]
         else:
-            stacked = step_factors(dense).sweep(f_states[rows])
+            stacked = StepFactors(dense).sweep(f_states[rows])
             swept = [SweepValues(column, sums) for column, sums in zip(stacked.column, stacked.sums)]
         for r, row_values in zip(rows, swept):
             values[r] = row_values

@@ -2,7 +2,7 @@
 assembled averaging operator, with the probes and diagnostics built on them.
 
 The package's solver runs the variation-of-constants map on one-step
-factors (:func:`avgrec.evolution.step_factors`) or frozen steps
+factors (:class:`avgrec.evolution.StepFactors`) or frozen steps
 (:func:`avgrec.evolution.evolution_series`) and forms no table.  The
 definitions here build the same quantities the long way, so that the tests
 can check the recursions against them:
@@ -55,12 +55,12 @@ from avgrec.averaging import (
 )
 from avgrec.errors import NumericalError
 from avgrec.evolution import (
-    FactorSweep,
     OperatorPath,
     PropagatorMethod,
+    StepFactors,
     SweepValues,
     TimeGrid,
-    step_factors,
+    _Sweep,
 )
 from avgrec.models import (
     _BAND,
@@ -88,8 +88,8 @@ class DensePath:
     """A generator path held as its dense (K+1, n, n) stack, for tests whose
     generators are not tridiagonal.  It has the surface that
     :func:`avgrec.evolution.evolution_series` and the oracles here read
-    (``grid``, ``dim``, ``holder_rho``, ``generators``, ``node_keys``); its
-    stepper is :func:`dense_step_factors`."""
+    (``grid``, ``dim``, ``holder_rho``, ``generators``); its stepper is
+    :func:`dense_step_factors`."""
 
     grid: TimeGrid
     matrices: np.ndarray
@@ -110,11 +110,6 @@ class DensePath:
     def generators(self, nodes=slice(None)) -> np.ndarray:
         """The matrices of the ``nodes``, a view of the stack."""
         return self.matrices[nodes]
-
-    @property
-    def node_keys(self) -> np.ndarray:
-        """Each matrix flattened into a row, shape (K+1, n*n)."""
-        return self.matrices.reshape(self.grid.K + 1, -1)
 
 
 def banded_path(grid: TimeGrid, matrices: np.ndarray, holder_rho: float) -> OperatorPath:
@@ -147,10 +142,34 @@ def dense_factors(path) -> np.ndarray:
         raise
 
 
-def dense_step_factors(path) -> FactorSweep:
+@dataclass(frozen=True)
+class DenseStepSweep(_Sweep):
+    """The package's sweep interface over given one-step factors
+    S_j = U(t_{j+1}, t_j), shape (K, n, n), or (R, K, n, n) for a stack:
+    each affine step [[S_j, S_j F_j], [0, I_r]] is written from its factor
+    and one stacked product, and the package's chain of them gives the
+    left sums."""
+
+    grid: TimeGrid
+    factors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.factors.shape[-1]
+
+    def _steps(self, forcing: np.ndarray) -> np.ndarray:
+        K, n, r = self.grid.K, self.dim, forcing.shape[-1]
+        steps = np.zeros(self.factors.shape[:-2] + (n + r, n + r))
+        steps[..., :n, :n] = self.factors
+        np.matmul(self.factors, forcing[..., :K, :, :], out=steps[..., :n, n:])
+        steps[..., n:, n:] = np.eye(r)
+        return steps
+
+
+def dense_step_factors(path) -> DenseStepSweep:
     """The package's stepper sweep, through the same chain of affine steps,
     on the factors of :func:`dense_factors`."""
-    return FactorSweep(grid=path.grid, factors=dense_factors(path))
+    return DenseStepSweep(grid=path.grid, factors=dense_factors(path))
 
 
 def dense_laplacian(grid: Grid1D) -> np.ndarray:
@@ -430,7 +449,7 @@ def evolution_stepper(path: OperatorPath | DensePath) -> PropagatorTable:
     """Full table of composed one-step factors, U(t_i, t_j) = S_{i-1} ... S_j.
 
     The cocycle identity holds by construction (up to roundoff in the stored
-    products).  The solver uses :func:`step_factors`; this table is the
+    products).  The solver uses :class:`StepFactors`; this table is the
     oracle that the factor recursion is checked against.
     """
     n = path.dim
@@ -657,8 +676,8 @@ def phi_lipschitz_probe(
             semi = holder_seminorm(p, rho)
             if semi > eta:
                 raise ValueError(f"{label} path leaves the declared neighborhood: {semi} > {eta}")
-    phi_a = assemble_phi(step_factors(path_a), cond).matrix
-    phi_b = assemble_phi(step_factors(path_b), cond).matrix
+    phi_a = assemble_phi(StepFactors(path_a), cond).matrix
+    phi_b = assemble_phi(StepFactors(path_b), cond).matrix
     diff = phi_a - phi_b
     if smoother is not None:
         diff = smoother @ diff

@@ -14,9 +14,9 @@ from avgrec.errors import ConvergenceError, NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
+    StepFactors,
     TimeGrid,
     series_peak_bytes,
-    step_factors,
     stepper_peak_bytes,
 )
 from avgrec.models import ChemotaxisModel, LinearTestModel
@@ -217,11 +217,11 @@ def recorded_widths(monkeypatch):
     return widths
 
 
-def test_constant_start_sweep_eliminates_one_node_for_every_row(monkeypatch):
+def test_constant_start_sweep_eliminates_every_row_at_once(monkeypatch):
     # Every row starts from one constant state away from zero, whose path
     # shares one generator and is no multiple of the Laplacian: its first
-    # sweep eliminates one node for all rows, and the later sweeps
-    # eliminate the nodes of all their rows at once.
+    # sweep, like the later sweeps, eliminates the nodes of all its rows at
+    # once.
     widths = recorded_widths(monkeypatch)
     config = RecoveryConfig(**LADDER_CONFIG)
     data = [amp * DIRECTION for amp in LADDER]
@@ -231,7 +231,7 @@ def test_constant_start_sweep_eliminates_one_node_for_every_row(monkeypatch):
         rows = avgrec.solver._recover_rows(
             CHEMO, condition(Variant.TERMINAL_DIFFERENCE), data, [start] * len(data), config
         )
-    assert widths[0] == 1
+    assert widths[0] == len(data) * K
     running = sum(row.report.iterates >= 2 for row in rows)
     assert running > 1 and widths[1] >= running * K
 
@@ -401,7 +401,7 @@ def test_singular_build_fails_only_its_own_row():
     Ms = np.random.default_rng(8).standard_normal((3, 1))
     model, config = ScalarModel(), RecoveryConfig()
     with pytest.raises(NumericalError) as stacked:
-        step_factors(OperatorPath(grid, model.linearise(states)[0], 0.5)).factors
+        StepFactors(OperatorPath(grid, model.linearise(states)[0], 0.5)).factors
     outcomes = avgrec.solver._sweep(model, cond, Ms, states, config)
     singles = [
         avgrec.solver._sweep(model, cond, Ms[r : r + 1], states[r : r + 1], config)[0]

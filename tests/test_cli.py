@@ -437,20 +437,6 @@ class TestMainExitCodes:
         assert main(["recover", "--config", str(config), "--quiet"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["forward", "recover"])
-    def test_non_finite_march_state_exit_3(self, tmp_path, capsys, verb):
-        # At delta = 1e154 the generator at zero is finite, so the config is
-        # admitted, but exp(-delta v) overflows on the first state's signal.
-        # recover meets it in the march that manufactures its data.
-        config = tmp_path / "nan.ini"
-        config.write_text(fast_config(tmp_path, model=["delta = 1e154"], time=["steps = 8"]))
-        assert main([verb, "--config", str(config), "--quiet"]) == 3
-        message = "forward march: non-finite state after step 0"
-        assert capsys.readouterr().err == f"numerical failure: NumericalError: {message}\n"
-        report = read_strict_json(tmp_path / "run" / "report.json")
-        assert report["status"] == "failed" and report["error"]["message"] == message
-        assert not (tmp_path / "run" / "trajectory.csv").exists()
-
     @pytest.mark.parametrize("kind", ["linear_test", "chemotaxis"])
     def test_diverging_distance_exit_3_with_a_strict_report(self, tmp_path, capsys, kind):
         # Data of size 1e200 overflow the first sweep's distance: the run
@@ -623,6 +609,22 @@ class TestMainExitCodes:
             ),
             ("validate", BOOK_ELL_MINUS_ONE, "ell > 0 ([exponents])"),
             ("validate", {"model": ["delta = 1e300"]}, "[model] delta"),
+            # At delta = 1e154 the generator at zero is finite, but
+            # exp(-delta v) overflows on the profile's signal: every verb
+            # that forward-solves the profile is rejected before its march.
+            *(
+                (
+                    verb,
+                    {"model": ["delta = 1e154"], "time": ["steps = 8"]},
+                    "[model] delta, [data] amplitude",
+                )
+                for verb in ("validate", "forward", "recover")
+            ),
+            (
+                "validate",
+                {"model": ["kind = reaction_diffusion"], "data": ["amplitude = 1e200"]},
+                "[model] f_poly, [data] amplitude",
+            ),
             # Rejected before the march that would fail at its first step.
             ("scan", {"model": ["delta = 1e154"], "time": ["steps = 8"]}, "[data] amplitudes"),
             # The memory admission bounds K only from n = 1 up; parsing

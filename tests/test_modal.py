@@ -11,11 +11,11 @@ from avgrec import cli
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
+    StepFactors,
     TimeGrid,
     evolution_series,
     modal_factors,
     modal_sweep,
-    step_factors,
 )
 from avgrec.models import ChemotaxisModel, LinearTestModel, NonlocalRDModel
 from avgrec.solver import RecoveryConfig, fixed_point_recover, forward_solve, operator_path
@@ -58,7 +58,7 @@ def test_gaussian_path_matches_the_dense_stepper_and_its_table(gaussian):
     assert np.unique(path.bands[2][0, :, 0]).size == cond.grid.K + 1
     column, sums = dense_values(model, path, f_states, STEPPER)
     (row,) = path.rows
-    for reference in (step_factors(row).sweep(f_states[0]), evolution_stepper(row).sweep(f_states[0])):
+    for reference in (StepFactors(row).sweep(f_states[0]), evolution_stepper(row).sweep(f_states[0])):
         assert rel_err(column, reference.column) <= 1e-12
         assert rel_err(sums, reference.sums) <= 1e-12
 

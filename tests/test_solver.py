@@ -432,7 +432,7 @@ class TestStepperSweep:
         with monkeypatch.context() as patch:
             # The factors come from the dense LU of the same path: no node
             # reaches the dgtsv port.
-            patch.setattr(avgrec.solver, "step_factors", oracles.dense_step_factors)
+            patch.setattr(avgrec.solver, "StepFactors", oracles.dense_step_factors)
             calls = counted_port(patch)
             reference, _, _ = fixed_point_recover(small_chemo, cond, M)
         assert sum(calls) == 0
@@ -523,8 +523,7 @@ class TestOneBuildPerIteration:
         cond, M = self.problem(small_chemo, variant)
         # A constant state away from zero freezes one generator at every
         # node, and it is no multiple of the Laplacian (its main band
-        # carries -chi(v) v): the series' first sweep is the stepper's chain
-        # over its one frozen step.
+        # carries -chi(v) v): every sweep, the first too, goes dense.
         start = Trajectory(cond.grid, np.full((cond.grid.K + 1, 16), 2e-3))
         config = RecoveryConfig(method=method)
         u0, traj, report = fixed_point_recover(small_chemo, cond, M, config, initial=start)
@@ -534,8 +533,8 @@ class TestOneBuildPerIteration:
             "_propagation": report.iterates,
             "modal_sweep": 0,
             "_eliminated_steps": 0 if series else report.iterates,
-            "_affine_chain": 1 if series else report.iterates,
-            "_series_left_sums": report.iterates - 1 if series else 0,
+            "_affine_chain": 0 if series else report.iterates,
+            "_series_left_sums": report.iterates if series else 0,
         }
         assert np.array_equal(u0, traj.states[0])
 
@@ -782,7 +781,7 @@ class TestNonFiniteIterate:
         def forbidden(*args, **kwargs):
             raise AssertionError("a propagation was built on non-finite values")
 
-        monkeypatch.setattr(avgrec.solver, "step_factors", forbidden)
+        monkeypatch.setattr(avgrec.solver, "StepFactors", forbidden)
         monkeypatch.setattr(avgrec.solver, "evolution_series", forbidden)
         grid_t = TimeGrid(T=0.5, K=8)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)

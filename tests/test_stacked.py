@@ -152,8 +152,7 @@ def same_bytes(a, b):
 def test_stacked_ops_match_per_slice(n):
     # The solver sweeps the rows of a scan or probe together: the stepper's
     # chain is one stacked matmul per step of (n+1)-square affine steps, a
-    # strided view of the elimination's (n+1, R K, n+1) stack of rows (or
-    # one step broadcast over rows and nodes on a shared generator), into
+    # strided view of the elimination's (n+1, R K, n+1) stack of rows, into
     # the chain's blocks; the model takes one stacked linearise and ball
     # norm, and the distance of every row in one modal transform and
     # modal_norm.  Each slice must be the per-row call's bit for bit.  The
@@ -164,10 +163,9 @@ def test_stacked_ops_match_per_slice(n):
     rows = rng.standard_normal((m, R * K, m))
     steps = rows.transpose(1, 0, 2).reshape(R, K, m, m)
     blocks = rng.standard_normal((R, K + 1, m, m))
-    for stack in (steps, np.broadcast_to(steps[:1, :1], steps.shape)):
-        np.matmul(stack[:, 2], blocks[:, 2], out=blocks[:, 3])
-        for r in range(R):
-            assert same_bytes(blocks[r, 3], np.matmul(stack[r, 2], blocks[r, 2]))
+    np.matmul(steps[:, 2], blocks[:, 2], out=blocks[:, 3])
+    for r in range(R):
+        assert same_bytes(blocks[r, 3], np.matmul(steps[r, 2], blocks[r, 2]))
     resolvents = np.eye(n) + 0.1 * rng.standard_normal((R, n, n))
     shifts = rng.standard_normal((R, n))
     singular_values = np.linalg.svd(resolvents, compute_uv=False)
