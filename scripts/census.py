@@ -17,7 +17,11 @@ entries differ, and exits 1 when any do.  A differing .csv or .json file
 is followed by how far its numbers moved: their largest relative
 difference and the field that moved by it (``at solve.residual``,
 ``at value[3]``) when both sides hold numbers in the same places,
-otherwise "shape differs".  --workdir keeps the runs: with --against,
+otherwise "shape differs".  After it come the counts and flags that
+changed, each as ``field old -> new`` (``solve.iterates 5 -> 6``,
+``solve.converged true -> false``, ``iterations[2] 7 -> 8``): every JSON
+integer or boolean leaf and every cell of a CSV column of integers; where
+none changed, "counts and flags unchanged".  --workdir keeps the runs: with --against,
 this tree's go under DIR/current and REV's under DIR/against.  A census that cannot
 run exits 2.
 """
@@ -96,19 +100,26 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def numbers(path: Path) -> dict:
-    """The numbers of a .json or .csv file, keyed by the field that holds
-    them: a JSON leaf's key path, such as ``solve.distances[2]``, or a CSV
-    cell's column name and its row below the header, such as ``u0[3]``."""
+def leaves(path: Path) -> dict:
+    """The numbers and flags of a .json or .csv file, keyed by the field
+    that holds them: a JSON leaf's key path, such as
+    ``solve.distances[2]``, or a CSV cell's column name and its row below
+    the header, such as ``u0[3]``.  A JSON leaf keeps its type (bool, int
+    or float); a CSV cell is an int where every cell of its column is an
+    integer, else a float."""
     text = path.read_text()
     if path.suffix == ".csv":
         header, *rows = csv.reader(text.splitlines())
-        return {
-            f"{header[j] if j < len(header) else j}[{i}]": float(cell)
-            for i, row in enumerate(rows)
-            for j, cell in enumerate(row)
-        }
-    leaves = {}
+        columns = {}
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                columns.setdefault(j, {})[f"{header[j] if j < len(header) else j}[{i}]"] = cell
+        found = {}
+        for cells in columns.values():
+            integral = all(cell.strip().lstrip("+-").isdigit() for cell in cells.values())
+            found.update({field: (int if integral else float)(cell) for field, cell in cells.items()})
+        return found
+    found = {}
 
     def walk(node, field):
         if isinstance(node, dict):
@@ -117,11 +128,23 @@ def numbers(path: Path) -> dict:
         elif isinstance(node, list):
             for index, child in enumerate(node):
                 walk(child, f"{field}[{index}]")
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            leaves[field] = float(node)
+        elif isinstance(node, (int, float)):
+            found[field] = node
 
     walk(json.loads(text), "")
-    return leaves
+    return found
+
+
+def counts_and_flags(ours: dict, theirs: dict) -> str:
+    """The integer and boolean leaves (:func:`leaves`) that differ between
+    two files with the same fields, each as ``field old -> new``, or
+    "counts and flags unchanged"."""
+    moved = [
+        f"{field} {json.dumps(theirs[field])} -> {json.dumps(value)}"
+        for field, value in ours.items()
+        if isinstance(value, int) and value != theirs[field]
+    ]
+    return ", ".join(moved) or "counts and flags unchanged"
 
 
 def relative_difference(a: float, b: float) -> float:
@@ -136,18 +159,24 @@ def relative_difference(a: float, b: float) -> float:
 
 def movement(ours: Path, theirs: Path) -> str:
     """How far the numbers of one differing .csv or .json file moved: their
-    largest relative difference and the first field that moved by it."""
+    largest relative difference and the first field that moved by it,
+    then its counts and flags that changed (:func:`counts_and_flags`)."""
     try:
-        a, b = numbers(ours), numbers(theirs)
+        a, b = leaves(ours), leaves(theirs)
     except (OSError, ValueError):
         return "shape differs"
     if a.keys() != b.keys():
         return "shape differs"
-    moves = {field: relative_difference(a[field], b[field]) for field in a}
+    moves = {
+        field: relative_difference(float(a[field]), float(b[field]))
+        for field in a
+        if not isinstance(a[field], bool)
+    }
     field = max(moves, key=moves.get, default=None)
-    if field is None or moves[field] == 0.0:
-        return "max rel diff 0"
-    return f"max rel diff {moves[field]:.3g} at {field}"
+    largest = "max rel diff 0"
+    if field is not None and moves[field] > 0.0:
+        largest = f"max rel diff {moves[field]:.3g} at {field}"
+    return f"{largest}; {counts_and_flags(a, b)}"
 
 
 def differences(ours: dict, theirs: dict, rev: str, runs: tuple | None = None) -> list[str]:

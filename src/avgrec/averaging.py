@@ -20,32 +20,29 @@ Each condition is one linear functional B of a trajectory, one weight per
 time node, B X = sum_j gamma_j X_j (:func:`node_weights`), implemented once
 by :func:`observe` on any (K+1, ...) stack.  The variation-of-constants
 trajectory u(t_i) = U(t_i, 0) Xi + G_i makes B u = B[U(., 0)] Xi + B[G], so
-the resolvent is ``observe`` of the initial column and the data shift is M
-minus ``observe`` of the Duhamel sums, both read off one ``sweep`` of a
-propagation (:class:`~avgrec.evolution.SweepValues`); U(0, 0) = I and
-G_0 = 0 exactly, so the 1 in gamma_0 of the last two conditions gives the
-I of their resolvents.  A propagation is the stepper, whose affine steps
-carry the forcing beside the one-step factors, or the kernel series' frozen
-steps; the tests' full propagator tables serve the same ``sweep``.  A
-propagation that is diagonal in the Laplacian's eigenbasis
-(:class:`~avgrec.evolution.ModalValues`) holds its column as one number per
-mode and node: ``observe`` of it is the resolvent's eigenvalues, whose
-moduli are its singular values (:func:`check_resolvent`).  The data
-generator, the residual and the solver thus share one discretised
-condition.
+the resolvent is B of the initial column and the data shift is M minus B
+of the Duhamel sums, both observed by a propagation's ``sweep``
+(:class:`~avgrec.evolution.SweepValues`): with ``observe``, or, in the
+stepper, by Horner's rule on the node weights.  U(0, 0) = I and G_0 = 0
+exactly, so the 1 in gamma_0 of the last two conditions gives the I of
+their resolvents.  The data generator, the residual and the solver thus
+share one discretised condition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, SingularOperatorError
-from .evolution import SweepValues, TimeGrid
 # Unused here: perfbench/layers.py traces this binding.
 from .spatial import smallest_singular_value
+
+if TYPE_CHECKING:  # evolution reads the condition at run time
+    from .evolution import SweepValues, TimeGrid
 
 
 class Variant(Enum):
@@ -97,10 +94,14 @@ class AveragingCondition:
     @cached_property
     def observed(self) -> tuple:
         """What :func:`observe` reads: the nodes whose :func:`node_weights`
-        entry is not zero (a slice where that is every node) and those
-        weights."""
+        entry is not zero and those weights.  Evenly spaced nodes are a
+        slice, so that ``observe`` reads a view: every node, or node 0 and
+        node K of a terminal difference."""
         gamma = node_weights(self)
-        nodes = slice(None) if gamma.all() else np.flatnonzero(gamma)
+        nodes = np.flatnonzero(gamma)
+        step = int(nodes[1] - nodes[0]) if nodes.size > 1 else 1
+        if nodes.size and np.array_equal(nodes, np.arange(nodes[0], nodes[-1] + 1, step)):
+            nodes = slice(int(nodes[0]), int(nodes[-1]) + 1, step)
         return nodes, gamma[nodes]
 
     @classmethod
@@ -135,26 +136,23 @@ def observe(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:
     return np.einsum("j,j...->...", weights, stack[nodes])
 
 
-def duhamel_sums(prop, f_states: np.ndarray) -> np.ndarray:
-    """Trapezoid Duhamel sums G_i = int_0^{t_i} U(t_i, s) f(s) ds for every
-    node, from one ``sweep`` of any propagation.  The solver reads the sums
-    off its own sweep; perfbench/layers.py traces this name."""
-    return prop.sweep(f_states).sums
+def duhamel_sums(values: SweepValues) -> np.ndarray:
+    """Trapezoid Duhamel sums G_i = int_0^{t_i} U(t_i, s) f(s) ds, (R, K+1,
+    n): the states of Xi = 0 that one sweep rebuilds.  The solver reads B[G]
+    off its sweep; perfbench/layers.py traces this name."""
+    return values.rebuild(np.zeros(values.sums.shape))
 
 
 def terminal_forcing(values: SweepValues) -> np.ndarray:
-    """N(T) f = int_0^T U(T, s) f(s) ds by the trapezoid rule.
-
-    With qw the trapezoid weights, sum_j qw_j U(T, t_j) f(t_j) is the last
-    Duhamel sum G_K term for term, so it is read off the sweep.
-    """
-    return values.sums[-1]
+    """N(T) f = int_0^T U(T, s) f(s) ds by the trapezoid rule, (R, n):
+    sum_j qw_j U(T, t_j) f(t_j) is the last Duhamel sum G_K term for term."""
+    return duhamel_sums(values)[:, -1]
 
 
-def resolvent_matrix(cond: AveragingCondition, values: SweepValues) -> np.ndarray:
-    """The variant's resolvent, the condition on the initial column: Phi,
-    I + Phi, or I - w0 U(T, 0)."""
-    return observe(cond, values.column)
+def resolvent_matrix(values: SweepValues) -> np.ndarray:
+    """The variant's resolvent of each row as the sweep observed it: Phi,
+    I + Phi, or I - w0 U(T, 0), or its eigenvalues where it is diagonal."""
+    return values.resolvent
 
 
 def check_resolvent(cond: AveragingCondition, singular_values: np.ndarray) -> float:
@@ -173,7 +171,10 @@ def check_resolvent(cond: AveragingCondition, singular_values: np.ndarray) -> fl
     return sigma
 
 
-def data_shift(cond: AveragingCondition, values: SweepValues, M: np.ndarray) -> np.ndarray:
-    """Right-hand side of the variant resolvent equation, M minus the
-    condition on the Duhamel sums of f: M - Psi f or M + w0 N(T) f."""
-    return M - observe(cond, values.sums)
+def data_shift(values: SweepValues, Ms: np.ndarray) -> np.ndarray:
+    """Right-hand side of each row's resolvent equation, M - Psi f or
+    M + w0 N(T) f; where the sweep is diagonal in a basis V, M is taken into
+    it row by row, as a sweep of that row alone would."""
+    if values.basis is not None:
+        Ms = np.array([M @ values.basis for M in Ms])
+    return Ms - values.sums

@@ -13,40 +13,36 @@ v' = A(t) v are provided, as sweeps that never form U itself:
 * composed Crank-Nicolson steps, whose cocycle identity holds by
   construction.
 
-A fixed-point sweep needs only the initial column U(t_i, 0) and the
-trapezoid Duhamel sums G_i; the last of them, G_K, is also the terminal
-forcing.  Both constructions serve them from one forward recursion of left
-sums on the widened right-hand side [I | qw f], qw the trapezoid weights
-(:meth:`_Sweep.sweep`, returning :class:`SweepValues`), in O(K n^2) memory.
+A fixed-point sweep needs only B[U(., 0)] and B[G] under its condition B
+(``averaging``), G the trapezoid Duhamel sums, and the states
+U(t_i, 0) Xi + G_i of one Xi (G is the states of Xi = 0, G_K the terminal
+forcing).  Every construction returns them as one :class:`SweepValues`,
+stacked over a batch's rows, in O(K n^2) memory; none forms U.
 
-The stepper (:class:`StepFactors`) carries the forcing in its steps: each
-Crank-Nicolson step is one affine map [[S_j, s_j], [0, 1]], with S_j the
-one-step factor and s_j = S_j qw_j f_j, and the recursion is their chain,
-one (n+1)-square product per step (:func:`_affine_chain`, O(K n^3)), whose
-blocks hold U(t_i, 0) and the left sums side by side.  A sweep takes its
-steps from one Gaussian elimination on the bands over all K nodes at once,
-the forcing one more right-hand-side column (:func:`_eliminated_steps`,
-O(K n^2), with a NumPy port of LAPACK dgtsv for the nodes that need row
-interchanges).  A stack of R paths, such as the rows of a scan, takes one
-elimination over its R K nodes and one chain of stacked products.  A
-singular one-step matrix in any row fails the whole stack.  The kernel
-series (:func:`evolution_series`) recurs over the frozen steps exp(h A_j)
-of the nodes 0..K-1 (:class:`SeriesSweep`, O(K^2 n^3)), on a constant
-path too, whose kernel is exactly zero; it forms no table.  The full
-lower-triangular tables of both constructions, O(K^2 n^2) memory, are test
-oracles (``tests/oracles.py``) and serve the same ``sweep`` entry from
-their rows.
+The stepper (:class:`StepFactors`) carries the forcing in its steps, the
+affine maps T_j = [[S_j, S_j qw_j f_j], [0, 1]] (S_j the one-step factor,
+qw the trapezoid weights), from one Gaussian elimination on the bands over
+all K nodes at once (:func:`_eliminated_steps`, O(K n^2), with a NumPy
+port of LAPACK dgtsv for the nodes that need row interchanges).  It never
+chains them: it observes them by Horner's rule (:func:`_observed_steps`,
+O(K n^3)) and rebuilds the states by one forward vector pass, so a sweep
+holds one (K, n+1, n+1) stack.  A stack of R paths, such as the rows of a
+scan, takes one elimination and passes of stacked products; a singular
+one-step matrix in any row fails the whole stack.  The kernel series
+(:func:`evolution_series`) recurs over the frozen steps exp(h A_j) of the
+nodes 0..K-1 (:class:`SeriesSweep`, O(K^2 n^3)), on a constant path too,
+whose kernel is exactly zero.  The full tables of both constructions,
+O(K^2 n^2) memory, and the stepper's chain are test oracles
+(``tests/oracles.py``).
 
 A path whose every generator is, bit for bit, a scalar kappa_j times the
 Laplacian's stencil (reaction-diffusion, the linear model, chemotaxis at
 u = 0) shares the stencil's eigenvectors V at every node, so its
 Crank-Nicolson steps, and the kernel series' one frozen step on a constant
 path, are one number per mode (:func:`modal_factors`).  Such a path sweeps
-in the eigenbasis (:func:`modal_sweep`): the column is the running product
-of the steps and the left sums an O(K n) recursion between two transforms,
-and :class:`ModalValues` carry them one number per mode and node; neither
-the (K+1, n, n) column nor a dense step is formed.  It is the same
-discretisation with other rounding.
+in the eigenbasis (:func:`modal_sweep`), where the resolvent is diagonal:
+O(K n) recursions between two transforms, the same discretisation with
+other rounding.
 
 Neither construction imports SciPy: the kernel series takes its frozen
 steps from ``spatial.matrix_exponential``, a batched NumPy Pade
@@ -72,17 +68,18 @@ endpoint replaced by the exact cell integral of (t-s)^(rho-1) against the
 nearest kernel value, which amounts to an extra weight h/rho on that cell.
 
 Propagations are immutable once built and hold no buffers: each sweep
-makes its own steps and chain, so one propagation may be swept from
+makes its own steps and passes, so one propagation may be swept from
 several threads at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
+from .averaging import node_weights, observe
 from .errors import NumericalError
 from .spatial import BaseOperator, band_stack, laplacian_stencil, matrix_exponential
 
@@ -173,107 +170,117 @@ class PropagatorMethod(Enum):
 
 @dataclass(frozen=True)
 class SweepValues:
-    """What one fixed-point sweep reads of a propagation, for one forcing f:
-    the initial column U(t_i, 0) and the trapezoid Duhamel sums G_i of f;
-    a sweep of a stack of R paths carries a leading axis of R rows."""
+    """What one fixed-point sweep of R rows reads of their propagations
+    under a condition B, one forcing f per row: the resolvent B[U(., 0)]
+    (R, n, n), or its eigenvalues (R, n) where ``basis`` holds an
+    orthonormal basis V (one mode per column) that diagonalises it; B[G]
+    (R, n), in V's coordinates where V is set; ``rebuild``, from the rows'
+    Xi (R, n), in V's coordinates where V is set, to their states
+    U(t_i, 0) Xi + G_i (R, K+1, n), whose node 0 is Xi; and ``finite``,
+    whether each row's propagation is finite (R,), read only where a row's
+    resolvent or states are not."""
 
-    column: np.ndarray  # (K+1, n, n)
-    sums: np.ndarray  # (K+1, n)
+    resolvent: np.ndarray
+    sums: np.ndarray
+    rebuild: Callable[[np.ndarray], np.ndarray]
+    finite: Callable[[], np.ndarray]
+    basis: np.ndarray | None = None
 
 
-class _Sweep:
-    """The sweep interface of a propagation from its one forward recursion
-    ``_left_sums(forcing)``: for a forcing stack F of shape (K+1, n, r) it
-    returns X_i = [U(t_i, 0) | sum_{m<i} U(t_i, t_m) F_m], shape
-    (K+1, n, n+r), with X_0 = [I | 0].  By default the recursion is the
-    chain (:func:`_affine_chain`) of the propagation's affine steps
-    ``_steps(forcing)``, [[S_j, S_j F_j], [0, I_r]] for j = 0..K-1."""
+def _column_values(cond, column: np.ndarray, sums: np.ndarray, basis=None) -> SweepValues:
+    """The SweepValues of R rows from their columns U(t_i, 0) (R, K+1, n, n),
+    or, with the basis V, their eigenvalues (R, K+1, n), and their Duhamel
+    sums G (R, K+1, n), in V's coordinates where V is set: observed by
+    ``averaging.observe`` and rebuilt as column Xi + G (then times V^T), row
+    by row, so that each row's values are its own sweep's bit for bit."""
 
-    @cached_property
-    def column(self) -> np.ndarray:
-        """U(t_i, 0) for all i, shape (K+1, n, n): the recursion with no forcing."""
-        return self._left_sums(np.empty((self.grid.K + 1, self.dim, 0)))
+    def rebuild(xi):
+        with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite column
+            if basis is None:
+                return np.array([c @ x + g for c, x, g in zip(column, xi, sums)])
+            return np.array([(c * x + g) @ basis.T for c, x, g in zip(column, xi, sums)])
 
-    def sweep(self, f_states: np.ndarray) -> SweepValues:
-        """Column and trapezoid Duhamel sums
-        G_i = sum_m wts_m U(t_i, t_m) f(t_m) from one recursion on the
-        widened right-hand side [I | qw f], width n+1, with qw the trapezoid
-        weights (h/2 at t_0, h inside).  A stack of paths takes a forcing
-        f of shape (R, K+1, n), one row per path.
-
-        With H_i the left sums of qw f, which weight the terms m < i:
-            G_0 = 0,   G_i = H_i + (h/2) f_i  for i >= 1.
-        """
-        n = self.dim
-        weighted = self.grid.trapezoid_weights[:, None] * f_states
-        left = self._left_sums(weighted[..., None])
-        sums = left[..., n].copy()
-        sums[..., 1:, :] += 0.5 * self.grid.h * f_states[..., 1:, :]
-        return SweepValues(left[..., :n], sums)
-
-    def _left_sums(self, forcing: np.ndarray) -> np.ndarray:
-        return _affine_chain(self._steps(forcing))[..., : self.dim, :]
+    return SweepValues(
+        resolvent=np.array([observe(cond, c) for c in column]),
+        sums=np.array([observe(cond, g) for g in sums]),
+        rebuild=rebuild,
+        finite=lambda: np.isfinite(column).all(axis=tuple(range(1, column.ndim))),
+        basis=basis,
+    )
 
 
 @dataclass(frozen=True)
-class StepFactors(_Sweep):
-    """The Crank-Nicolson stepper of a path, or of each path of a stack of
-    R paths: the sweep interface in O(K n^2) memory.  It holds the path
-    alone: each sweep eliminates the affine steps of its forcing
-    (:meth:`_steps`) and chains them (:func:`_affine_chain`), and
-    ``factors``, the one-step factors S_j = U(t_{j+1}, t_j), are the steps
-    of no forcing."""
+class StepFactors:
+    """The Crank-Nicolson stepper of a stack of R paths, in O(K n^2) memory
+    per row; it holds the paths alone."""
 
     path: OperatorPath
 
-    @property
-    def grid(self) -> TimeGrid:
-        return self.path.grid
+    def sweep(self, cond, f_states: np.ndarray) -> SweepValues:
+        """The SweepValues of the R paths under ``cond`` for their forcing f
+        (R, K+1, n), from the affine steps T_j of [I | qw f], whose chain
+        X_i = T_{i-1} ... T_0 holds [U(t_i, 0) | H_i] in its top rows, H_i
+        the left sums of qw f, so that G_0 = 0 and G_i = H_i + (h/2) f_i.
+        B[X] = [B[U(., 0)] | B[H]] is one backward pass over the steps, and
+        the states of Xi the forward pass [u_{j+1}; 1] = T_j [u_j; 1] from
+        [Xi; 1], plus (h/2) f."""
+        grid, n = self.path.grid, self.path.dim
+        h = grid.h
+        weighted = grid.trapezoid_weights[:, None] * f_states
+        steps = _eliminated_steps(self.path.bands, h, weighted[..., None])
+        tail = 0.5 * h * f_states
+        tail[:, 0] = 0.0
+        top = _observed_steps(node_weights(cond), steps)
 
-    @property
-    def dim(self) -> int:
-        return self.path.dim
+        def rebuild(xi):
+            R, K = steps.shape[:2]
+            augmented = np.empty((R, K + 1, n + 1))
+            augmented[:, 0, :n], augmented[:, 0, n] = xi, 1.0
+            nodes, product = _node_major(steps)
+            vectors = augmented[0] if R == 1 else augmented.swapaxes(0, 1)[..., None]
+            with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite step
+                for step, here, ahead in zip(nodes, vectors, vectors[1:]):
+                    product(step, here, out=ahead)
+            return augmented[..., :n] + tail
 
-    @cached_property
-    def factors(self) -> np.ndarray:
-        """The one-step factors S_j = U(t_{j+1}, t_j), shape (K, n, n)
-        (with the leading axis of a stack): the steps of no forcing."""
-        return self._steps(np.empty((self.grid.K + 1, self.dim, 0)))
-
-    def _steps(self, forcing: np.ndarray) -> np.ndarray:
-        """The affine steps of a forcing F of shape (K+1, n, r), or
-        (R, K+1, n, r) on a stack (:func:`_eliminated_steps`); a singular
-        one-step matrix raises NumericalError naming its node, in a stack as
-        in a single path."""
-        stacked = self.path.bands[1].ndim == 3
-        bands = self.path.bands if stacked else tuple(band[None] for band in self.path.bands)
-        forcing = np.broadcast_to(forcing, bands[1].shape[:1] + forcing.shape[-3:])
-        steps = _eliminated_steps(bands, self.grid.h, forcing)
-        return steps if stacked else steps[0]
+        return SweepValues(
+            resolvent=top[..., :n],
+            sums=top[..., n] + np.array([observe(cond, t) for t in tail]),
+            rebuild=rebuild,
+            finite=lambda: np.isfinite(steps).all(axis=(1, 2, 3)),
+        )
 
 
-def _affine_chain(steps: np.ndarray) -> np.ndarray:
-    """The chain of the affine steps T_j = [[S_j, S_j F_j], [0, I_r]],
-    shape (K, n+r, n+r), by the K-step loop
+def _node_major(steps: np.ndarray) -> tuple:
+    """The steps (R, K, n+1, n+1) node by node and the product that applies
+    them: ndarray.dot on one row's 2-D steps, cheaper per node, or np.matmul
+    on (R, n+1, n+1) slices; each row's product is the same BLAS call."""
+    if len(steps) == 1:
+        return steps[0], np.ndarray.dot
+    return steps.swapaxes(0, 1), np.matmul
 
-        X_0 = I,   X_{j+1} = T_j X_j,
 
-    one (n+r)-square product per step, O(K (n+r)^3) in all; shape
-    (K+1, n+r, n+r).  The top rows of X_i are
-    [U(t_i, 0) | sum_{m<i} U(t_i, t_m) F_m], since
-    S_j [U | H] + [0 | S_j F_j] = S_j [U | H + F_j].  Steps of R paths,
-    with a leading axis of R rows, chain together: each step is one stacked
-    product, slice by slice that of one path.
-    """
-    *lead, K, m, _ = steps.shape
-    chain = np.empty((*lead, K + 1, m, m))
-    # Views with the node axis first, so that each step's operands are one
-    # index away; the layout of every array is unchanged.
-    steps, blocks = (np.moveaxis(a, -3, 0) for a in (steps, chain))
-    blocks[0] = np.eye(m)
-    for j in range(K):
-        np.matmul(steps[j], blocks[j], out=blocks[j + 1])
-    return chain
+def _observed_steps(gamma: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The top n rows of B[X] = sum_i gamma_i X_i, (R, n, n+1), for the
+    chain X_i = T_{i-1} ... T_0 of the affine steps (R, K, n+1, n+1) and the
+    node weights gamma (K+1,), by Horner's rule from the last node:
+
+        Y_K = gamma_K I,   Y_j = gamma_j I + Y_{j+1} T_j,   B[X] = Y_0,
+
+    carrying only the top n rows of each Y_j in two buffers."""
+    R, K, m, _ = steps.shape
+    n = m - 1
+    nodes, product = _node_major(steps)
+    shape = nodes.shape[1:-2] + (n, m)
+    here, ahead = np.zeros(shape), np.empty(shape)
+    # The (i, i) entries, i < n, of each buffer as a strided view.
+    on_here, on_ahead = (buf.reshape(shape[:-2] + (n * m,))[..., :: m + 1] for buf in (here, ahead))
+    on_here[...] = gamma[K]
+    for weight, step in zip(gamma[-2::-1], nodes[::-1]):
+        product(here, step, out=ahead)
+        on_ahead += weight
+        here, ahead, on_here, on_ahead = ahead, here, on_ahead, on_here
+    return here.reshape(R, n, m)
 
 
 def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -318,38 +325,26 @@ def _series_left_sums(path: OperatorPath, steps: np.ndarray, forcing: np.ndarray
 
 
 @dataclass(frozen=True)
-class SeriesSweep(_Sweep):
-    """The kernel series' sweep interface, in O(K n^2) memory: the path and
-    the frozen steps exp(h A_j) of its nodes 0..K-1; every quantity comes
-    from :func:`_series_left_sums`, O(K^2 n^2 (n+1)) per sweep, and a, k, w
+class SeriesSweep:
+    """The kernel series of one path, in O(K n^2) memory: the path and the
+    frozen steps exp(h A_j) of its nodes 0..K-1; every quantity comes from
+    :func:`_series_left_sums`, O(K^2 n^2 (n+1)) per sweep, and a, k, w
     and U are never formed.  On a constant path the kernel terms
     (A_m - A_l) p_l are exactly zero."""
 
     path: OperatorPath
     steps: np.ndarray  # (K, n, n)
 
-    @property
-    def grid(self) -> TimeGrid:
-        return self.path.grid
-
-    @property
-    def dim(self) -> int:
-        return self.path.dim
-
-    def _left_sums(self, forcing: np.ndarray) -> np.ndarray:
-        return _series_left_sums(self.path, self.steps, forcing)
-
-
-@dataclass(frozen=True)
-class ModalValues:
-    """What one sweep reads of a propagation that is diagonal in an
-    orthonormal basis V (``basis``, (n, n), one mode per column): U(t_i, 0)
-    = V diag(column_i) V^T and the trapezoid Duhamel sums G_i = V sums_i,
-    each one number per mode and node, shape (K+1, n)."""
-
-    basis: np.ndarray
-    column: np.ndarray
-    sums: np.ndarray
+    def sweep(self, cond, f_states: np.ndarray) -> SweepValues:
+        """The SweepValues, a batch of one row, under ``cond`` for the path's
+        forcing f (1, K+1, n), from one recursion on [I | qw f]: the column
+        and the left sums H of qw f, so that G_i = H_i + (h/2) f_i, i >= 1."""
+        grid, n = self.path.grid, self.path.dim
+        weighted = grid.trapezoid_weights[:, None] * f_states
+        left = _series_left_sums(self.path, self.steps, weighted[0, ..., None])
+        sums = left[None, ..., n].copy()
+        sums[:, 1:] += 0.5 * grid.h * f_states[:, 1:]
+        return _column_values(cond, left[None, ..., :n], sums)
 
 
 def modal_factors(
@@ -396,19 +391,20 @@ def modal_factors(
 
 
 def modal_sweep(
-    basis: np.ndarray, steps: np.ndarray, grid: TimeGrid, f_states: np.ndarray
-) -> list[ModalValues]:
-    """The ModalValues of each of R rows from its per-mode steps e_j (R, K, n)
-    (:func:`modal_factors`) and forcing f (R, K+1, n): the column is the
-    running product of the steps, and with F = qw f V (qw the trapezoid
-    weights) the left sums recur as
+    cond, basis: np.ndarray, steps: np.ndarray, f_states: np.ndarray
+) -> SweepValues:
+    """The SweepValues of R rows under ``cond`` from their per-mode steps
+    e_j (R, K, n) (:func:`modal_factors`) and forcing f (R, K+1, n), in the
+    eigenbasis V (``basis``): the column is the running product of the
+    steps, and with F = qw f V (qw the trapezoid weights) the left sums
+    recur as
 
         H_0 = 0,   H_{j+1} = e_j (H_j + F_j),
 
     so that G_i = H_i + (h/2) f_i V for i >= 1, O(K n) beside the two
     transforms of f.  Every operation is elementwise or one product per
-    row, so each row's values are its own sweep's bit for bit; the
-    (K+1, n, n) column is never formed."""
+    row, so each row's values are its own sweep's bit for bit."""
+    grid = cond.grid
     R, K, n = steps.shape
     column = np.empty((R, K + 1, n))
     column[:, 0] = 1.0
@@ -424,7 +420,7 @@ def modal_sweep(
         after += ahead
     sums = np.ascontiguousarray(left.transpose(1, 0, 2))
     sums[:, 1:] += 0.5 * grid.h * modal_f[:, 1:]
-    return [ModalValues(basis, column[r], sums[r]) for r in range(R)]
+    return _column_values(cond, column, sums, basis)
 
 
 def series_peak_bytes(n: int, K: int) -> int:
@@ -544,7 +540,9 @@ def _eliminated_steps(bands: tuple, h: float, forcing: np.ndarray) -> np.ndarray
         # The right sides rewritten over what the row pass left.
         rows[:, systems] = 0.0
         write_right_sides(systems)
-        node_bands = (np.ascontiguousarray(band[systems].T) for band in (lower, main, upper))
+        node_bands = [np.ascontiguousarray(band[systems].T) for band in (lower, main, upper)]
+        # The bands of every node go before the port allocates its rows.
+        del rhs_sub, rhs_diag, rhs_sup, lower, main, upper
         info = _dgtsv(*node_bands, rows, systems)
         singular = np.flatnonzero(info)
         if singular.size:
@@ -649,13 +647,12 @@ def solve_tridiagonal(lower: np.ndarray, main: np.ndarray, upper: np.ndarray, rh
 
 
 def stepper_peak_bytes(n: int, K: int) -> int:
-    """Estimated peak memory of a stepper sweep (:meth:`StepFactors.sweep`)
-    in bytes: two stacks of K+1 float64 n x (n+3) blocks.
-
-    The sweep holds the K affine steps and the K+1 chain blocks, each
-    (n+1)-square, and while it chains them the (K+1, n) weighted forcing;
-    n (n+3) = (n+1)^2 + n - 1 covers both.  The path's bands, O(K n), are
-    not counted.  The estimate is per path: a sweep of a stack of R paths
-    holds R of them at once.
+    """Estimated peak memory of a stepper sweep (:meth:`StepFactors.sweep`
+    and its rebuild) in bytes: K float64 blocks of n x (n+18).  The sweep
+    holds its K (n+1)-square steps and at most sixteen (K, n) arrays beside
+    them (the elimination's or the dgtsv port's bands and rows, the
+    weighted forcing, the rebuilt states): n (n+18) = (n+1)^2 + 16 n - 1.
+    The path's bands and the forcing are not counted.  The estimate is per
+    path: a sweep of a stack of R paths holds R of them at once.
     """
-    return 2 * 8 * (K + 1) * n * (n + 3)
+    return 8 * K * n * (n + 18)

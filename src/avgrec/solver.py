@@ -8,15 +8,17 @@ reconstruct
     u_new(t_j) = U(t_j, 0) Xi + int_0^{t_j} U(t_j, s) f(u(s)) ds .
 
 Each iteration checks A(u) and f(u) for non-finite values, then builds one
-propagation on A(u) and sweeps it once: one forward recursion on the
-widened right-hand side [I | qw f] (qw the trapezoid weights, width n+1)
-gives the initial column U(t_j, 0) and the Duhamel sums of f(u) together.
-The resolvent is the discretised condition (``averaging.observe``) applied
-to the column, the data shift is M minus the condition applied to the sums,
-and the reconstruction is column @ Xi + sums.  The resolvent is singular
-when its sigma_min sits at or below 1e-10 times its spectral norm.  The
-recovered initial state is the Xi the last sweep solved for (u_final(0) bit
-for bit), so a recovery that converges in k iterations builds k
+propagation on A(u) and sweeps it once under the variant's condition B
+(``averaging.observe``): one forward recursion on the widened right-hand
+side [I | qw f] (qw the trapezoid weights, width n+1) gives the resolvent
+B[U(., 0)], the condition on the Duhamel sums of f(u), B[G], and a rebuild
+of the states U(t_j, 0) Xi + G_j (``evolution.SweepValues``).  The data
+shift is M minus B[G].  The solve is one body for every route: one SVD
+and a solve, or, where the resolvent is diagonal in the Laplacian's
+eigenbasis, its moduli and a division.  The resolvent is singular when
+its sigma_min sits at or below 1e-10 times its spectral norm.  The
+recovered initial state is the Xi the last sweep solved for, node 0 of
+the rebuilt states, so a recovery that converges in k iterations builds k
 propagations.
 
 The operator path is the three diagonals of every A(u(t_j)), from one
@@ -26,14 +28,14 @@ stepper, whose K steps carry the forcing as an affine column,
 [[S_j, S_j qw_j f_j], [0, 1]]: one tridiagonal elimination over all K
 nodes at once solves for both, the forcing one more right-hand-side
 column (the nodes that need row interchanges are solved together by a
-NumPy port of LAPACK dgtsv, so the stepper imports no SciPy); its
-recursion is the chain of K (n+1)-square products of the steps, whose
-blocks hold the column and the left sums, so a sweep costs O(K n^3) time
-and O(K n^2) memory, and the dense (K+1, n, n) stack is never formed.
-The kernel series (behind a flag) recurs on its K frozen steps
-exp(h A_j), formed from the dense stack, in O(K^2 n^3) time and
-O(K n^2) memory.  The full
-propagator tables of either method are test oracles
+NumPy port of LAPACK dgtsv, so the stepper imports no SciPy).  It observes
+the steps by Horner's rule, one (n, n+1) by (n+1, n+1) product per step,
+and rebuilds the states by one forward vector pass, so a sweep costs
+O(K n^3) time and holds one (K, n+1, n+1) stack; neither the chain of the
+steps nor the dense (K+1, n, n) column is formed.  The kernel series
+(behind a flag) recurs on its K frozen steps exp(h A_j), formed from the
+dense stack, in O(K^2 n^3) time and O(K n^2) memory.  The full propagator
+tables of either method and the stepper's chain are test oracles
 (``tests/oracles.py``).  A path whose every generator is a scalar
 times the base Laplacian (reaction-diffusion, the linear model, chemotaxis
 at u = 0, so the first sweep of every recovery, scan and probe from zero)
@@ -62,10 +64,11 @@ There is one iteration loop, over a batch of rows: a scan's amplitudes,
 a probe's base run and trials, or the one row of a recovery.  Each
 iteration sweeps the rows still running together, with one stacked ball
 norm, ``linearise``, propagation build and recursion (each row on its
-own route: one modal sweep of the rows in the eigenbasis, one chain of the
-stepper's other rows, and the kernel series' other rows one by one) and
-distance, each equal to the per-row call slice by slice, bit for bit; the
-resolvent, its SVD, the solve and the reconstruction are per row.  A
+own route: one modal sweep of the rows in the eigenbasis, one elimination
+and stacked passes for the stepper's other rows, and the kernel series'
+other rows one by one) and distance, each equal to the per-row call slice
+by slice, bit for bit; the SVD and the solve are per row, and each
+route's rows are rebuilt together.  A
 stacked stage that fails is redone row by row, so that each row meets its
 own error.  A row leaves the batch
 where its own recovery would stop, with the same error, message and
@@ -89,7 +92,6 @@ from .averaging import (
 )
 from .errors import BallViolationError, ConfigurationError, ConvergenceError, NumericalError
 from .evolution import (
-    ModalValues,
     OperatorPath,
     PropagatorMethod,
     StepFactors,
@@ -103,7 +105,7 @@ from .evolution import (
     stepper_peak_bytes,
 )
 from .models import ball_norm
-from .spatial import BaseOperator, modal_norm, modal_weights
+from .spatial import modal_norm, modal_weights
 
 DIVERGENCE_FACTOR = 1e8
 
@@ -215,43 +217,38 @@ def operator_path(model, grid: TimeGrid, states: np.ndarray) -> tuple[OperatorPa
 
 
 def _propagation(
-    path: OperatorPath, f_states: np.ndarray, config: RecoveryConfig, base: BaseOperator
+    cond: AveragingCondition, path: OperatorPath, f_states, config: RecoveryConfig, base
 ) -> list:
-    """The sweep values of each path of a stack for its forcing, each row on
-    its own route (none builds a propagator table); raises the first build
-    error.
+    """The sweep values of a stack of paths under the condition for their
+    forcing, as (rows, SweepValues) pairs, one per route (none builds a
+    propagator table); raises the first build error.
 
-    A row whose every generator is a scalar times the Laplacian of ``base``
-    (reaction-diffusion, the linear model, chemotaxis at u = 0) sweeps in
-    the Laplacian's eigenbasis (:func:`~avgrec.evolution.modal_sweep`): its
-    ModalValues hold the column and the sums one number per mode.  The
-    other rows go dense.  The stepper eliminates their steps at once and
-    sweeps them in one chain of K stacked products; the kernel series
-    builds and sweeps row by row, since its rows differ in their frozen
-    steps.  Only the values, views of the chain, are returned: the steps
-    are freed before the reconstruction allocates, which lowers the peak
-    RSS.
+    The rows whose every generator is a scalar times the Laplacian of
+    ``base`` (reaction-diffusion, the linear model, chemotaxis at u = 0)
+    sweep in the Laplacian's eigenbasis together
+    (:func:`~avgrec.evolution.modal_sweep`).  The other rows go dense: the
+    stepper eliminates and observes their steps at once, and the kernel
+    series builds and sweeps row by row, since its rows differ in their
+    frozen steps.
     """
     steps, modal = modal_factors(path, base, config.method)
-    values = [None] * len(f_states)
+    groups = []
     rows = np.flatnonzero(modal)
     if rows.size:
-        swept = modal_sweep(base.eigenvectors, steps[rows], path.grid, f_states[rows])
-        for r, row_values in zip(rows, swept):
-            values[r] = row_values
+        groups.append((rows, modal_sweep(cond, base.eigenvectors, steps[rows], f_states[rows])))
     rows = np.flatnonzero(~modal)
     if rows.size:
         dense = path
         if rows.size < len(modal):
             dense = OperatorPath(path.grid, tuple(b[rows] for b in path.bands), path.holder_rho)
         if config.method is PropagatorMethod.KERNEL_SERIES:
-            swept = [evolution_series(row).sweep(f) for row, f in zip(dense.rows, f_states[rows])]
+            groups += [
+                ([r], evolution_series(row).sweep(cond, f_states[[r]]))
+                for r, row in zip(rows, dense.rows)
+            ]
         else:
-            stacked = StepFactors(dense).sweep(f_states[rows])
-            swept = [SweepValues(column, sums) for column, sums in zip(stacked.column, stacked.sums)]
-        for r, row_values in zip(rows, swept):
-            values[r] = row_values
-    return values
+            groups.append((rows, StepFactors(dense).sweep(cond, f_states[rows])))
+    return groups
 
 
 def _failure(exc: Exception) -> NumericalError:
@@ -279,15 +276,17 @@ def _sweep(
     distance of the rows that solved; each of these equals the per-row call
     slice by slice, bit for bit.  Where any of them fails, the sweep is
     redone row by row, each row as a batch of one, so that each row meets
-    its own error.  The resolvent, its SVD, the solve and the reconstruction
-    run per row (:func:`_solve_row`).
+    its own error.  Each route's rows solve their own resolvent equations
+    and are rebuilt together (:func:`_solve_rows`).
     """
     try:
         path, f_states = operator_path(model, cond.grid, states)
         if not (np.isfinite(f_states).all() and all(np.isfinite(b).all() for b in path.bands)):
             raise ConvergenceError("iteration produced non-finite operator or forcing values")
-        swept = _propagation(path, f_states, config, model.base)
-        outcomes = [_solve_row(cond, values, M) for values, M in zip(swept, Ms)]
+        outcomes = [None] * len(states)
+        for rows, values in _propagation(cond, path, f_states, config, model.base):
+            for r, outcome in zip(rows, _solve_rows(cond, values, Ms[rows])):
+                outcomes[r] = outcome
         solved = [k for k, out in enumerate(outcomes) if not isinstance(out, NumericalError)]
         new_states = np.stack([outcomes[k][0] for k in solved]) if solved else states[:0]
         dists = weighted_distance(new_states, states[solved], model, cond.grid).tolist()
@@ -304,59 +303,51 @@ def _sweep(
     return outcomes
 
 
-def _solve_row(cond: AveragingCondition, values, M: np.ndarray):
-    """(the states of u_new, Xi, sigma_min) of one row from its sweep
-    values, dense (:func:`_dense_solve`) or modal (:func:`_modal_solve`),
-    and its data, or the error that ends its recovery: a non-finite
-    propagation, a singular resolvent, or non-finite states.
+def _solve_rows(cond: AveragingCondition, values: SweepValues, Ms: np.ndarray) -> list:
+    """(the states of u_new, Xi, sigma_min) of each row of one route's
+    sweep values for its data, or the error that ends its recovery: a
+    non-finite propagation, a singular resolvent, or non-finite states.
 
-    The resolvent and the new states are checked, not the column: a
-    non-finite step spreads into every block after it, so into the
-    resolvent or, with the sums, into the states.  The column is read only
-    where one of them is not finite, to name the propagation at fault."""
-    try:
-        solve = _modal_solve if isinstance(values, ModalValues) else _dense_solve
-        new_states, xi, sigma = solve(cond, values, M)
-        if not np.all(np.isfinite(new_states)):
-            if not np.all(np.isfinite(values.column)):
+    Each row solves its own equation (:func:`_solve_row`); the rows are
+    rebuilt together, a failed row from Xi = 0.  A non-finite step spreads
+    into the resolvent or the states, so the propagation is read
+    (``values.finite``) only where one of them is not finite, to name it;
+    a non-finite resolvent of a finite one meets the SVD's error."""
+    outcomes = []
+    for r, (resolvent, shift) in enumerate(zip(resolvent_matrix(values), data_shift(values, Ms))):
+        try:
+            if not np.all(np.isfinite(resolvent)) and not values.finite()[r]:
                 raise _non_finite_propagation()
-            raise ConvergenceError("iteration produced non-finite states")
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        return _failure(exc)
-    return new_states, xi, sigma
+            outcomes.append(_solve_row(cond, resolvent, shift))
+        except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            outcomes.append(_failure(exc))
+    failed = [isinstance(out, NumericalError) for out in outcomes]
+    xis = np.array([np.zeros_like(shift) if bad else out[0] for bad, out in zip(failed, outcomes)])
+    for r, states in enumerate(values.rebuild(xis)):
+        if failed[r]:
+            continue
+        if np.all(np.isfinite(states)):
+            outcomes[r] = (states, states[0], outcomes[r][1])
+        elif values.finite()[r]:
+            outcomes[r] = ConvergenceError("iteration produced non-finite states")
+        else:
+            outcomes[r] = _non_finite_propagation()
+    return outcomes
+
+
+def _solve_row(cond: AveragingCondition, resolvent: np.ndarray, shift: np.ndarray):
+    """Xi and sigma_min of one row's resolvent equation on its data shift:
+    one SVD, whose sigma_min reaches the report, and a solve; or, where the
+    resolvent is diagonal in the sweep's basis (its eigenvalues, shape
+    (n,)), their moduli, its singular values, and a division."""
+    diagonal = resolvent.ndim == 1
+    singular_values = np.abs(resolvent) if diagonal else np.linalg.svd(resolvent, compute_uv=False)
+    sigma = check_resolvent(cond, singular_values)
+    return (shift / resolvent if diagonal else np.linalg.solve(resolvent, shift)), sigma
 
 
 def _non_finite_propagation() -> ConvergenceError:
     return ConvergenceError("iteration produced a non-finite propagation")
-
-
-def _dense_solve(cond: AveragingCondition, values: SweepValues, M: np.ndarray):
-    """Xi solves the variant resolvent equation, whose sigma_min from one
-    SVD reaches the report; u_new = column @ Xi + sums.  A resolvent that
-    is not finite on a finite column (an overflow of the condition's sum)
-    meets the SVD's error."""
-    resolvent = resolvent_matrix(cond, values)
-    if not np.all(np.isfinite(resolvent)) and not np.all(np.isfinite(values.column)):
-        raise _non_finite_propagation()
-    sigma = check_resolvent(cond, np.linalg.svd(resolvent, compute_uv=False))
-    xi = np.linalg.solve(resolvent, data_shift(cond, values, M))
-    with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite column
-        return values.column @ xi + values.sums, xi, sigma
-
-
-def _modal_solve(cond: AveragingCondition, values: ModalValues, M: np.ndarray):
-    """The same solve in the eigenbasis V, where the resolvent is diagonal:
-    its eigenvalues phi are the condition on the per-mode column and their
-    moduli its singular values, Xi V = (M V - B[sums]) / phi, and
-    u_new = (column Xi V + sums) V^T, whose node 0 is Xi."""
-    phi = observe(cond, values.column)
-    if not np.all(np.isfinite(phi)):
-        raise _non_finite_propagation()
-    sigma = check_resolvent(cond, np.abs(phi))
-    modal_xi = (M @ values.basis - observe(cond, values.sums)) / phi
-    with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite column
-        new_states = (values.column * modal_xi + values.sums) @ values.basis.T
-    return new_states, new_states[0], sigma
 
 
 @dataclass(eq=False)

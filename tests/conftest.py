@@ -22,6 +22,29 @@ from oracles import DensePath, evolution_stepper, series_table
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+def rel_err(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+def assert_sweep_matches_table(prop, table, f_states, bound, seed=3):
+    """A propagation of one row against the column and the Duhamel sums of
+    its oracle table, under every variant: the resolvent and the observed
+    sums within ``bound`` relative to B of the table's, and the states that
+    ``rebuild`` gives a random Xi within ``bound`` of the table's.  Sums of
+    zero forcing are exactly zero."""
+    column, sums = table.column, table.duhamel(f_states)
+    xi = np.random.default_rng(seed).standard_normal(table.dim)
+    for variant in Variant:
+        cond = AveragingCondition.from_preset(table.grid, variant, "exp_decay", w0=0.5)
+        values = prop.sweep(cond, f_states[None])
+        assert rel_err(values.resolvent[0], observe(cond, column)) <= bound, variant
+        if np.any(f_states):
+            assert rel_err(values.sums[0], observe(cond, sums)) <= bound, variant
+        else:
+            assert not np.any(values.sums)
+        assert rel_err(values.rebuild(xi[None])[0], column @ xi + sums) <= bound, variant
+
+
 def read_strict_json(path: Path):
     """The JSON document in ``path``; NaN, Infinity and -Infinity, which
     Python's json writes and strict JSON forbids, raise ValueError."""

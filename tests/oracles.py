@@ -1,8 +1,8 @@
 """Test oracles: the full propagator tables, the dense kernel series and the
 assembled averaging operator, with the probes and diagnostics built on them.
 
-The package's solver runs the variation-of-constants map on one-step
-factors (:class:`avgrec.evolution.StepFactors`) or frozen steps
+The package's solver runs the variation-of-constants map on affine
+Crank-Nicolson steps (:class:`avgrec.evolution.StepFactors`) or frozen steps
 (:func:`avgrec.evolution.evolution_series`) and forms no table.  The
 definitions here build the same quantities the long way, so that the tests
 can check the recursions against them:
@@ -10,8 +10,12 @@ can check the recursions against them:
 * :class:`PropagatorTable` holds every U(t_i, t_j), O(K^2 n^2) memory, from
   composed Crank-Nicolson factors (:func:`evolution_stepper`) or from the
   kernel series U = a + a*w on dense (K+1)^2 tables (:func:`series_table`);
-  its ``sweep`` serves the column and Duhamel sums that the package's
-  sweeps recur for;
+  its ``sweep`` serves, from the column and the Duhamel sums, the values
+  that the package's sweeps observe and rebuild;
+* :func:`affine_chain` chains the stepper's affine steps, X_{j+1} = T_j X_j,
+  whose blocks are the column and the left sums: :class:`StepChain` sweeps
+  the package's eliminated steps through it, and
+  :func:`dense_step_factors` the steps of dense factors;
 * :func:`assemble_phi`, :func:`apply_psi` and :func:`initial_state_map`
   form Phi, Psi f and Xi on any propagation, and the probes
   (:func:`phi_lipschitz_probe`, :func:`semigroup_perturbation_check`,
@@ -53,14 +57,14 @@ from avgrec.averaging import (
     data_shift,
     resolvent_matrix,
 )
+from avgrec import evolution
 from avgrec.errors import NumericalError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
-    StepFactors,
     SweepValues,
     TimeGrid,
-    _Sweep,
+    _column_values,
 )
 from avgrec.models import (
     _BAND,
@@ -142,34 +146,107 @@ def dense_factors(path) -> np.ndarray:
         raise
 
 
+def stacked(path: OperatorPath) -> OperatorPath:
+    """The stack of one row of a single path, on views of its bands: the
+    stepper sweeps stacks."""
+    return OperatorPath(path.grid, tuple(band[None] for band in path.bands), path.holder_rho)
+
+
+def eliminated_factors(path: OperatorPath) -> np.ndarray:
+    """The one-step factors S_j = U(t_{j+1}, t_j) of a path, (K, n, n), or
+    of each path of a stack, with its leading axis: the package's
+    elimination (:func:`avgrec.evolution._eliminated_steps`, looked up at
+    call time) of the affine steps of no forcing."""
+    single = path.bands[1].ndim == 2
+    bands = stacked(path).bands if single else path.bands
+    forcing = np.empty(bands[1].shape[:1] + (path.grid.K + 1, path.dim, 0))
+    factors = evolution._eliminated_steps(bands, path.grid.h, forcing)
+    return factors[0] if single else factors
+
+
+def affine_chain(steps: np.ndarray) -> np.ndarray:
+    """The chain of the affine steps T_j = [[S_j, S_j F_j], [0, I_r]] of R
+    paths, shape (R, K, n+r, n+r), by the K-step loop
+
+        X_0 = I,   X_{j+1} = T_j X_j,
+
+    one stacked (n+r)-square product per step; shape (R, K+1, n+r, n+r).
+    The top rows of X_i are [U(t_i, 0) | sum_{m<i} U(t_i, t_m) F_m], since
+    S_j [U | H] + [0 | S_j F_j] = S_j [U | H + F_j]."""
+    R, K, m, _ = steps.shape
+    chain = np.empty((R, K + 1, m, m))
+    chain[:, 0] = np.eye(m)
+    for j in range(K):
+        np.matmul(steps[:, j], chain[:, j], out=chain[:, j + 1])
+    return chain
+
+
+def stepper_column(path: OperatorPath) -> np.ndarray:
+    """U(t_i, 0) of a single path, (K+1, n, n): the chain of the package's
+    eliminated factors."""
+    return affine_chain(eliminated_factors(stacked(path)))[0]
+
+
+def rebuilt_column(prop, grid: TimeGrid, n: int) -> np.ndarray:
+    """U(t_i, 0), (K+1, n, n), of a propagation of one row, read off its
+    sweep's rebuild: the states of the unit Xi's with f = 0."""
+    cond = AveragingCondition.from_preset(grid, Variant.TERMINAL_DIFFERENCE, w0=1.0)
+    values = prop.sweep(cond, np.zeros((1, grid.K + 1, n)))
+    return np.stack([values.rebuild(unit[None])[0] for unit in np.eye(n)], axis=-1)
+
+
+def chain_values(cond: AveragingCondition, grid: TimeGrid, steps, f_states) -> SweepValues:
+    """The SweepValues of R rows from the chain (:func:`affine_chain`) of
+    their affine steps of the trapezoid-weighted forcing qw f, (R, K, n+1,
+    n+1): the column and the left sums H are the chain's blocks, and
+    G_i = H_i + (h/2) f_i for i >= 1."""
+    n = f_states.shape[-1]
+    chain = affine_chain(steps)
+    sums = chain[..., :n, n].copy()
+    sums[:, 1:] += 0.5 * grid.h * f_states[:, 1:]
+    return _column_values(cond, chain[..., :n, :n], sums)
+
+
 @dataclass(frozen=True)
-class DenseStepSweep(_Sweep):
-    """The package's sweep interface over given one-step factors
-    S_j = U(t_{j+1}, t_j), shape (K, n, n), or (R, K, n, n) for a stack:
-    each affine step [[S_j, S_j F_j], [0, I_r]] is written from its factor
-    and one stacked product, and the package's chain of them gives the
-    left sums."""
+class StepChain:
+    """The stepper sweep through the chain: the package's eliminated affine
+    steps of a stack of paths, chained by :func:`affine_chain`, whose
+    blocks are the column and the left sums."""
+
+    path: OperatorPath
+
+    def sweep(self, cond: AveragingCondition, f_states: np.ndarray) -> SweepValues:
+        grid = self.path.grid
+        weighted = grid.trapezoid_weights[:, None] * f_states
+        steps = evolution._eliminated_steps(self.path.bands, grid.h, weighted[..., None])
+        return chain_values(cond, grid, steps, f_states)
+
+
+@dataclass(frozen=True)
+class DenseStepSweep:
+    """The stepper sweep through the chain over given one-step factors
+    S_j = U(t_{j+1}, t_j) of R paths, shape (R, K, n, n): each affine step
+    [[S_j, S_j qw_j f_j], [0, 1]] is written from its factor and one
+    stacked product."""
 
     grid: TimeGrid
     factors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.factors.shape[-1]
-
-    def _steps(self, forcing: np.ndarray) -> np.ndarray:
-        K, n, r = self.grid.K, self.dim, forcing.shape[-1]
-        steps = np.zeros(self.factors.shape[:-2] + (n + r, n + r))
+    def sweep(self, cond: AveragingCondition, f_states: np.ndarray) -> SweepValues:
+        R, K, n, _ = self.factors.shape
+        weighted = self.grid.trapezoid_weights[:, None] * f_states
+        steps = np.zeros((R, K, n + 1, n + 1))
         steps[..., :n, :n] = self.factors
-        np.matmul(self.factors, forcing[..., :K, :, :], out=steps[..., :n, n:])
-        steps[..., n:, n:] = np.eye(r)
-        return steps
+        np.matmul(self.factors, weighted[:, :K, :, None], out=steps[..., :n, n:])
+        steps[..., n, n] = 1.0
+        return chain_values(cond, self.grid, steps, f_states)
 
 
 def dense_step_factors(path) -> DenseStepSweep:
-    """The package's stepper sweep, through the same chain of affine steps,
-    on the factors of :func:`dense_factors`."""
-    return DenseStepSweep(grid=path.grid, factors=dense_factors(path))
+    """The stepper sweep, through the chain of affine steps, on the factors
+    of :func:`dense_factors`; a single path is a stack of one row."""
+    factors = dense_factors(path)
+    return DenseStepSweep(grid=path.grid, factors=factors.reshape((-1,) + factors.shape[-3:]))
 
 
 def dense_laplacian(grid: Grid1D) -> np.ndarray:
@@ -320,9 +397,10 @@ class PropagatorTable:
             sums[i] = np.einsum("m,mab,mb->a", wts, self.rows[i], f_states[: i + 1])
         return sums
 
-    def sweep(self, f_states: np.ndarray) -> "SweepValues":
-        """The sweep entry of :meth:`_Sweep.sweep`, read off the rows."""
-        return SweepValues(self.column, self.duhamel(f_states))
+    def sweep(self, cond: AveragingCondition, f_states: np.ndarray) -> SweepValues:
+        """The package's sweep values, a batch of one row, for the forcing
+        (1, K+1, n), from the column and the Duhamel sums of the rows."""
+        return _column_values(cond, self.column[None], self.duhamel(f_states[0])[None])
 
 
 def frozen_semigroup(path: OperatorPath | DensePath, i: int, j: int) -> np.ndarray:
@@ -449,7 +527,7 @@ def evolution_stepper(path: OperatorPath | DensePath) -> PropagatorTable:
     """Full table of composed one-step factors, U(t_i, t_j) = S_{i-1} ... S_j.
 
     The cocycle identity holds by construction (up to roundoff in the stored
-    products).  The solver uses :class:`StepFactors`; this table is the
+    products).  The solver uses :class:`avgrec.evolution.StepFactors`; this table is the
     oracle that the factor recursion is checked against.
     """
     n = path.dim
@@ -567,10 +645,16 @@ def _average(cond: AveragingCondition, stack: np.ndarray) -> np.ndarray:
 
 
 def assemble_phi(prop, cond: AveragingCondition) -> PhiOperator:
-    """Phi = sum_j qw_j w(t_j) U(t_j, 0), reproducible from the table exactly."""
+    """Phi = sum_j qw_j w(t_j) U(t_j, 0), reproducible from a table exactly;
+    any other propagation of one path gives its column by its rebuild
+    (:func:`rebuilt_column`)."""
     if cond.variant is Variant.TERMINAL_DIFFERENCE:
         raise ValueError("terminal-difference conditions have no averaging operator")
-    matrix = _average(cond, prop.column)
+    if isinstance(prop, PropagatorTable):
+        column = prop.column
+    else:
+        column = rebuilt_column(prop, cond.grid, prop.path.dim)
+    matrix = _average(cond, column)
     return PhiOperator(
         matrix=matrix, condition=cond, sigma_min=smallest_singular_value(matrix)
     )
@@ -585,7 +669,7 @@ def apply_psi(f_traj, prop, cond: AveragingCondition) -> np.ndarray:
             f"forcing trajectory must have shape {(prop.grid.K + 1, prop.dim)}, "
             f"got {f_states.shape}"
         )
-    return _average(cond, prop.sweep(f_states).sums)
+    return _average(cond, prop.duhamel(f_states))
 
 
 def initial_state_map(cond: AveragingCondition, prop, M: np.ndarray, f_traj) -> np.ndarray:
@@ -598,10 +682,10 @@ def initial_state_map(cond: AveragingCondition, prop, M: np.ndarray, f_traj) -> 
     """
     _check_grid(f_traj, prop)
     M = np.asarray(M, dtype=float)
-    values = prop.sweep(_states_of(f_traj))
-    resolvent = resolvent_matrix(cond, values)
+    values = prop.sweep(cond, _states_of(f_traj)[None])
+    (resolvent,), (shift,) = resolvent_matrix(values), data_shift(values, M[None])
     check_resolvent(cond, np.linalg.svd(resolvent, compute_uv=False))
-    return np.linalg.solve(resolvent, data_shift(cond, values, M))
+    return np.linalg.solve(resolvent, shift)
 
 
 @dataclass(frozen=True)
@@ -676,8 +760,7 @@ def phi_lipschitz_probe(
             semi = holder_seminorm(p, rho)
             if semi > eta:
                 raise ValueError(f"{label} path leaves the declared neighborhood: {semi} > {eta}")
-    phi_a = assemble_phi(StepFactors(path_a), cond).matrix
-    phi_b = assemble_phi(StepFactors(path_b), cond).matrix
+    phi_a, phi_b = (_average(cond, stepper_column(p)) for p in (path_a, path_b))
     diff = phi_a - phi_b
     if smoother is not None:
         diff = smoother @ diff

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from avgrec.averaging import (
     AveragingCondition,
     Variant,
@@ -107,6 +108,27 @@ class TestAveragingCondition:
             assert np.array_equal(observe(cond, stack), stack[0] - w0 * stack[-1])
         stack[-1] = np.inf
         assert np.array_equal(observe(cond, stack), stack[0])
+
+    @pytest.mark.parametrize("K, shapes", [(64, [(65, 16, 16), (65, 16)]), (256, [(257, 33, 33)])])
+    def test_observed_nodes_are_a_slice(self, K, shapes):
+        # Evenly spaced nonzero nodes are a basic slice, so observe reads a
+        # view: every node of an average, nodes 0 and K of a terminal
+        # difference.  Its sum is the one over the nonzero nodes taken by
+        # fancy indexing, byte for byte, on all three variants.
+        grid_t = TimeGrid(T=0.7, K=K)
+        for variant in Variant:
+            cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.5)
+            nodes, weights = cond.observed
+            gamma = node_weights(cond)
+            nonzero = np.flatnonzero(gamma)
+            assert isinstance(nodes, slice) and np.array_equal(np.arange(K + 1)[nodes], nonzero)
+            assert np.array_equal(weights, gamma[nonzero])
+            for shape in shapes:
+                stack = RNG.standard_normal(shape)
+                expected = np.einsum("j,j...->...", gamma[nonzero], stack[nonzero])
+                assert observe(cond, stack).tobytes() == expected.tobytes()
+            if variant is Variant.TERMINAL_DIFFERENCE:
+                assert nodes == slice(0, K + 1, K)
 
     def test_quad_weights_not_settable(self):
         # The outer quadrature is derived from the grid, never passed in.
@@ -340,7 +362,7 @@ class TestInitialStateMap:
         M = rng.standard_normal(16)
         f_traj = Trajectory(grid=grid_t, states=f_states)
         xi = initial_state_map(cond, table, M, f_traj)
-        states = table.column @ xi + duhamel_sums(table, f_states)
+        states = table.column @ xi + table.duhamel(f_states)
         average = np.einsum("j,ja->a", cond.grid.trapezoid_weights * cond.weight, states)
         if variant is Variant.TIME_AVERAGE:
             defect = average - M
@@ -353,9 +375,9 @@ class TestInitialStateMap:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_precomputed_sums_reused(self, variant):
-        # The values of one sweep (the column and the Duhamel sums, whose
-        # last entry is the terminal forcing) serve the resolvent and the
-        # data shift as they are, as in the solver: no recursion runs again.
+        # The values of one sweep (the condition on the column and on the
+        # Duhamel sums) serve the resolvent and the data shift as they are,
+        # as in the solver: no recursion runs again.
         grid_t = TimeGrid(T=0.5, K=12)
         table = evolution_stepper(constant_path(-np.diag([1.0, 2.0, 3.0]), grid_t))
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
@@ -363,22 +385,25 @@ class TestInitialStateMap:
         f_states = rng.standard_normal((13, 3))
         M = rng.standard_normal(3)
         expected = initial_state_map(cond, table, M, f_states)
-        values = table.sweep(f_states)
-        got = np.linalg.solve(resolvent_matrix(cond, values), data_shift(cond, values, M))
+        values = table.sweep(cond, f_states[None])
+        got = np.linalg.solve(resolvent_matrix(values)[0], data_shift(values, M[None])[0])
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("method", ["stepper", "series"])
     def test_one_recursion_per_call(self, method, variant, monkeypatch):
         # The resolvent and the data shift are read off one sweep: one
-        # left-sum recursion per call, on a stepper or a kernel series.
+        # left-sum recursion per call, on the chain of a stepper's steps or
+        # a kernel series.
         import avgrec.evolution
 
         grid_t = TimeGrid(T=0.5, K=24)
         rng = np.random.default_rng(4)
         path = drifting_path(grid_t, rng)
-        name = "_affine_chain" if method == "stepper" else "_series_left_sums"
-        recursion = getattr(avgrec.evolution, name)
+        module, name = (
+            (oracles, "affine_chain") if method == "stepper" else (avgrec.evolution, "_series_left_sums")
+        )
+        recursion = getattr(module, name)
         calls = []
 
         def counted(*args):
@@ -386,7 +411,7 @@ class TestInitialStateMap:
             return recursion(*args)
 
         prop = dense_step_factors(path) if method == "stepper" else evolution_series(path)
-        monkeypatch.setattr(avgrec.evolution, name, counted)
+        monkeypatch.setattr(module, name, counted)
         cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.7)
         f_states = 0.1 * rng.standard_normal((25, 6))
         xi = initial_state_map(cond, prop, rng.standard_normal(6), f_states)
@@ -414,22 +439,23 @@ class TestInitialStateMap:
         if variant is Variant.TERMINAL_DIFFERENCE:
             shift = cond.w0 * np.einsum("j,jab,jb->a", qw, table.rows[-1], f_states)
         else:
-            shift = -np.einsum("i,ia->a", qw * cond.weight, duhamel_sums(table, f_states))
-        values = prop.sweep(f_states)
-        got = data_shift(cond, values, M)
+            shift = -np.einsum("i,ia->a", qw * cond.weight, table.duhamel(f_states))
+        values = prop.sweep(cond, f_states[None])
+        (got,) = data_shift(values, M[None])
         scale = np.linalg.norm(M) + np.linalg.norm(shift)
         assert np.linalg.norm(got - (M + shift)) <= 1e-13 * scale
         # The condition reads the I of a resolvent off the column's first
-        # entry and drops the first Duhamel sum; both are exact.
-        assert np.array_equal(values.column[0], np.eye(6))
-        assert np.array_equal(values.sums[0], np.zeros(6))
+        # entry and drops the first Duhamel sum: node 0 of the rebuilt
+        # states is Xi, and of the Duhamel sums zero, both exactly.
+        assert np.array_equal(values.rebuild(M[None])[0, 0], M)
+        assert np.array_equal(duhamel_sums(values)[0, 0], np.zeros(6))
         phi = np.einsum("j,jab->ab", qw * cond.weight, table.column)
         expected = {
             Variant.TIME_AVERAGE: phi,
             Variant.INITIAL_PLUS_AVERAGE: np.eye(6) + phi,
             Variant.TERMINAL_DIFFERENCE: np.eye(6) - cond.w0 * table.column[-1],
         }[variant]
-        resolvent = resolvent_matrix(cond, values)
+        (resolvent,) = resolvent_matrix(values)
         assert np.linalg.norm(resolvent - expected) <= 1e-13 * np.linalg.norm(expected)
 
 

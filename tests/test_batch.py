@@ -243,9 +243,9 @@ def test_zero_start_sweep_is_one_modal_sweep_for_every_row(monkeypatch):
     # eliminate the nodes of all their rows at once.
     widths, original, modal = recorded_widths(monkeypatch), avgrec.solver.modal_sweep, []
 
-    def recorded(basis, steps, grid, f_states):
+    def recorded(cond, basis, steps, f_states):
         modal.append(len(steps))
-        return original(basis, steps, grid, f_states)
+        return original(cond, basis, steps, f_states)
 
     monkeypatch.setattr(avgrec.solver, "modal_sweep", recorded)
     result = ladder_scan(PropagatorMethod.STEPPER, Variant.TERMINAL_DIFFERENCE)
@@ -288,9 +288,9 @@ def test_probe_with_a_modal_base_run_and_dense_trials(method, monkeypatch):
     # bit.
     original, modal = avgrec.solver.modal_sweep, []
 
-    def recorded(basis, steps, grid, f_states):
+    def recorded(cond, basis, steps, f_states):
         modal.append(len(steps))
-        return original(basis, steps, grid, f_states)
+        return original(cond, basis, steps, f_states)
 
     monkeypatch.setattr(avgrec.solver, "modal_sweep", recorded)
     cond = condition(Variant.TIME_AVERAGE)
@@ -401,7 +401,7 @@ def test_singular_build_fails_only_its_own_row():
     Ms = np.random.default_rng(8).standard_normal((3, 1))
     model, config = ScalarModel(), RecoveryConfig()
     with pytest.raises(NumericalError) as stacked:
-        StepFactors(OperatorPath(grid, model.linearise(states)[0], 0.5)).factors
+        StepFactors(OperatorPath(grid, model.linearise(states)[0], 0.5)).sweep(cond, states)
     outcomes = avgrec.solver._sweep(model, cond, Ms, states, config)
     singles = [
         avgrec.solver._sweep(model, cond, Ms[r : r + 1], states[r : r + 1], config)[0]
@@ -419,15 +419,35 @@ def test_singular_build_fails_only_its_own_row():
         assert np.array_equal(xi, single_xi) and sigma == single_sigma and dist == single_dist
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_stepper_rows_are_their_own_sweeps(variant):
+    # A batch's stepper rows give the resolvent, the observed sums and the
+    # rebuilt states of their single-row sweeps bit for bit: each row's
+    # products in the stacked Horner and forward passes are the BLAS calls
+    # of its own sweep, whose forward pass takes plain vector products.
+    rng = np.random.default_rng(12)
+    bands, f_states = CHEMO.linearise(0.05 * rng.standard_normal((4, K + 1, N)))
+    cond, xi = condition(variant), rng.standard_normal((4, N))
+    batch = StepFactors(OperatorPath(GRID, bands, 0.5)).sweep(cond, f_states)
+    rebuilt = batch.rebuild(xi)
+    for r in range(4):
+        row = OperatorPath(GRID, tuple(band[r : r + 1] for band in bands), 0.5)
+        single = StepFactors(row).sweep(cond, f_states[r : r + 1])
+        assert np.array_equal(batch.resolvent[r], single.resolvent[0])
+        assert np.array_equal(batch.sums[r], single.sums[0])
+        assert np.array_equal(rebuilt[r], single.rebuild(xi[r : r + 1])[0])
+
+
 def test_a_nan_resolvent_fails_its_own_row(monkeypatch):
     # One row's resolvent turns NaN once its Duhamel sums grow: that row's
     # own SVD raises and it fails as its single-row recovery does, leaving
     # the computable regime, while the others go on.
     original = avgrec.solver.resolvent_matrix
 
-    def spoiled(cond, values):
-        resolvent = original(cond, values)
-        return np.full_like(resolvent, np.nan) if np.abs(values.sums).max() > 1e-3 else resolvent
+    def spoiled(values):
+        resolvent = original(values).copy()
+        resolvent[np.abs(values.sums).max(axis=-1) > 1e-3] = np.nan
+        return resolvent
 
     monkeypatch.setattr(avgrec.solver, "resolvent_matrix", spoiled)
     config = RecoveryConfig(**LADDER_CONFIG)

@@ -395,23 +395,66 @@ def test_census_names_each_differing_run(tmp_path):
         for name, text in texts.items():
             (folder / "moved" / name).write_text(text)
     assert census.differences(ours, theirs, "REV", (current, against)) == [
-        "moved: exit 0 -> 3, stdout, report.json (max rel diff 0.5 at a[1]), scan.csv (shape differs)",
+        "moved: exit 0 -> 3, stdout, report.json (max rel diff 0.5 at a[1]; ok false -> true), "
+        "scan.csv (shape differs)",
         "new: only in this tree",
     ]
     (against / "moved" / "scan.csv").write_text("x\n1\n2\n")
     moved = [folder / "moved" for folder in (current, against)]
     assert census.movement(*(folder / "scan.csv" for folder in moved)) == "shape differs"
     assert census.movement(*(folder / "report.json" for folder in moved[::-1])) == (
-        "max rel diff 0.5 at a[1]"
+        "max rel diff 0.5 at a[1]; ok true -> false"
     )
     # A table's field is its column and row; a file whose numbers did not
     # move names none.
     (current / "moved" / "scan.csv").write_text("x,u0\n1,2\n3,4\n")
     (against / "moved" / "scan.csv").write_text("x,u0\n1,2\n3,5\n")
-    assert census.movement(*(folder / "scan.csv" for folder in moved)) == "max rel diff 0.2 at u0[1]"
+    assert census.movement(*(folder / "scan.csv" for folder in moved)) == (
+        "max rel diff 0.2 at u0[1]; u0[1] 5 -> 4"
+    )
     (current / "moved" / "report.json").write_text('{"s": {"r": 1.0}, "ok": false}')
     (against / "moved" / "report.json").write_text('{"s": {"r": 1.0}, "ok": true}')
-    assert census.movement(*(folder / "report.json" for folder in moved)) == "max rel diff 0"
+    assert census.movement(*(folder / "report.json" for folder in moved)) == (
+        "max rel diff 0; ok true -> false"
+    )
+
+
+def test_census_names_moved_counts_and_flags(tmp_path):
+    # A residual at the roundoff floor moves by far more than a count, so
+    # after the largest move the census names every changed integer or
+    # boolean JSON leaf and every changed cell of an integer CSV column.
+    census = load_script("census")
+    files = {
+        "current": {
+            "report.json": '{"solve": {"residual": 3e-16, "iterates": 6, "converged": false}, '
+            '"scan": {"rows": [{"converged": true, "iterations": 4}]}, "ball_exits": 2}',
+            "scan.csv": "amplitude,converged,iterations,contraction\n"
+            "0.01,1,5,0.25\n0.1,0,8,nan\n",
+        },
+        "against": {
+            "report.json": '{"solve": {"residual": 2e-16, "iterates": 5, "converged": true}, '
+            '"scan": {"rows": [{"converged": false, "iterations": 4}]}, "ball_exits": 0}',
+            "scan.csv": "amplitude,converged,iterations,contraction\n"
+            "0.01,1,5,0.5\n0.1,1,7,nan\n",
+        },
+    }
+    for side, texts in files.items():
+        for name, text in texts.items():
+            (tmp_path / side).mkdir(exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    current, against = tmp_path / "current", tmp_path / "against"
+    assert census.movement(current / "report.json", against / "report.json") == (
+        "max rel diff 1 at ball_exits; solve.iterates 5 -> 6, solve.converged true -> false, "
+        "scan.rows[0].converged false -> true, ball_exits 0 -> 2"
+    )
+    assert census.movement(current / "scan.csv", against / "scan.csv") == (
+        "max rel diff 1 at converged[1]; converged[1] 1 -> 0, iterations[1] 7 -> 8"
+    )
+    # Floats alone moved: the counts and flags line says so.
+    (against / "scan.csv").write_text(files["current"]["scan.csv"].replace("0.25", "0.3"))
+    assert census.movement(current / "scan.csv", against / "scan.csv") == (
+        "max rel diff 0.167 at contraction[0]; counts and flags unchanged"
+    )
 
 
 class TestMainExitCodes:
@@ -766,7 +809,7 @@ class TestMemoryAdmission:
 
     def test_method_flag_override_admits_an_over_budget_series_document(self, tmp_path):
         # The document's series needs an estimated 3087 MiB at n=256,
-        # K=1024; the stepper it is run with needs 1037 MiB.
+        # K=1024; the stepper it is run with needs 548 MiB.
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "series", n=256, steps=1024))
         assert main(["validate", "--config", str(config), "--method", "stepper", "--quiet"]) == 0
@@ -785,12 +828,12 @@ class TestMemoryAdmission:
 
     @pytest.mark.parametrize("verb", ["recover", "scan", "probe"])
     def test_over_budget_stepper_rejected_with_estimate(self, tmp_path, capsys, verb):
-        # Two stacks of K+1 n x (n+3) blocks at n=256, K=200000: 202345 MiB.
+        # K blocks of n x (n+18) at n=256, K=200000: 107031 MiB.
         config = tmp_path / "large.ini"
         config.write_text(self.large_config(tmp_path, "stepper", n=256, steps=200000))
         assert main([verb, "--config", str(config), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "stepper" in err and "202345 MiB" in err
+        assert "configuration error" in err and "stepper" in err and "107031 MiB" in err
         assert not (tmp_path / "run").exists()
 
     def test_same_grid_admitted_with_stepper(self, tmp_path):

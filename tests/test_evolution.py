@@ -18,7 +18,6 @@ from avgrec.evolution import (
     SeriesSweep,
     StepFactors,
     TimeGrid,
-    _affine_chain,
     _dgtsv,
     _eliminated_steps,
     evolution_series,
@@ -36,15 +35,27 @@ from avgrec.spatial import (
     matrix_exponential,
 )
 
-from conftest import chemotaxis_reference_path, counted_port, sqrt_holder_path
+from conftest import (
+    assert_sweep_matches_table,
+    chemotaxis_reference_path,
+    counted_port,
+    rel_err,
+    sqrt_holder_path,
+)
 from oracles import (
     DensePath,
+    StepChain,
+    affine_chain,
     banded_path,
     commutator_kernel,
     dense_factors,
     dense_generator,
     dense_step_factors,
+    eliminated_factors,
     evolution_stepper,
+    rebuilt_column,
+    stacked,
+    stepper_column,
     frozen_semigroup,
     holder_seminorm,
     semigroup_perturbation_check,
@@ -221,7 +232,7 @@ class TestEvolutionSeries:
             matrices=np.stack([(1.0 + 0.5 * t) * band_stack(*base.bands) for t in grid.nodes]),
             holder_rho=0.9,
         )
-        u_final = evolution_series(path).column[128]
+        u_final = rebuilt_column(evolution_series(path), grid, 16)[128]
         exact = expm(1.25 * band_stack(*base.bands))  # int_0^1 (1 + t/2) dt = 5/4
         rel = np.linalg.norm(u_final - exact, 2) / np.linalg.norm(exact, 2)
         assert rel <= 0.02
@@ -281,36 +292,36 @@ def random_path(n=6, K=24, T=0.8, seed=17):
     return DensePath(grid=grid, matrices=mats, holder_rho=0.5)
 
 
-def rel_err(got, expected):
-    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
-
-
 def assert_terminal_forcing_matches_final_row(sweep, table):
     """The trapezoid sum sum_j qw_j U(T, t_j) f(t_j), formed from the
-    oracle's final row, is the last Duhamel sum of one sweep."""
+    oracle's final row, is the last Duhamel sum of one sweep: the last node
+    of the states of Xi = 0."""
     grid = table.grid
     f_states = np.random.default_rng(8).standard_normal((grid.K + 1, table.dim))
     qw = grid.trapezoid_weights
     expected = np.einsum("j,jab,jb->a", qw, table.rows[grid.K], f_states)
-    values = sweep.sweep(f_states)
-    assert np.array_equal(terminal_forcing(values), values.sums[-1])
-    assert rel_err(values.sums[-1], expected) <= 1e-13
+    cond = AveragingCondition.from_preset(grid, Variant.TERMINAL_DIFFERENCE, w0=0.5)
+    values = sweep.sweep(cond, f_states[None])
+    sums = duhamel_sums(values)
+    assert np.array_equal(sums, values.rebuild(np.zeros((1, table.dim))))
+    assert np.array_equal(sums[0, 0], np.zeros(table.dim))
+    assert np.array_equal(terminal_forcing(values), sums[:, -1])
+    assert rel_err(terminal_forcing(values)[0], expected) <= 1e-13
 
 
 class TestStepFactorsAgainstTable:
-    """The factor recursion reproduces the full-table oracle."""
+    """The chain of the steps of dense factors reproduces the full-table
+    oracle."""
 
     def test_column(self):
         path = random_path()
-        table = evolution_stepper(path)
-        assert rel_err(dense_step_factors(path).column, table.column) <= 1e-13
+        f_states = np.zeros((path.grid.K + 1, path.dim))
+        assert_sweep_matches_table(dense_step_factors(path), evolution_stepper(path), f_states, 1e-13)
 
     def test_duhamel(self):
         path = random_path()
         f_states = np.random.default_rng(5).standard_normal((path.grid.K + 1, path.dim))
-        got = dense_step_factors(path).sweep(f_states).sums
-        assert np.array_equal(got[0], np.zeros(path.dim))
-        assert rel_err(got, duhamel_sums(evolution_stepper(path), f_states)) <= 1e-13
+        assert_sweep_matches_table(dense_step_factors(path), evolution_stepper(path), f_states, 1e-13)
 
     def test_terminal_forcing(self):
         path = random_path()
@@ -350,9 +361,10 @@ class TestTridiagonalFactors:
         column = [np.eye(n)]
         for factor in expected:
             column.append(factor @ column[-1])
-        got = StepFactors(path)
-        assert rel_err(got.factors, expected) <= 1e-13
-        assert rel_err(got.column, np.stack(column)) <= 1e-13
+        assert rel_err(eliminated_factors(path), expected) <= 1e-13
+        assert rel_err(stepper_column(path), np.stack(column)) <= 1e-13
+        stepper = StepFactors(stacked(path))
+        assert rel_err(rebuilt_column(stepper, path.grid, n), np.stack(column)) <= 1e-13
 
     def test_singular_node_named(self):
         # I - c A(t_5) = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: tridiagonal,
@@ -364,7 +376,12 @@ class TestTridiagonalFactors:
         mats[5] = (np.eye(3) - target) / c
         bad = banded_path(path.grid, mats, 0.5)
         with pytest.raises(NumericalError, match="node 5"):
-            StepFactors(bad).factors
+            eliminated_factors(bad)
+        with pytest.raises(NumericalError, match="node 5"):
+            StepFactors(stacked(bad)).sweep(
+                AveragingCondition.from_preset(bad.grid, Variant.TIME_AVERAGE),
+                np.zeros((1, bad.grid.K + 1, bad.dim)),
+            )
         with pytest.raises(NumericalError, match="node 5"):
             evolution_stepper(bad)
 
@@ -426,7 +443,7 @@ class TestBatchedTridiagonalFactors:
         path = chemotaxis_reference_path(MODELS[model](n), K=24)
         expected = gtsv_factors(path)
         calls = counted_port(monkeypatch)
-        factors = StepFactors(path).factors
+        factors = eliminated_factors(path)
         assert factors.shape == (24, n, n)
         assert same_bytes(factors, expected)
         assert sum(calls) == 0
@@ -438,7 +455,7 @@ class TestBatchedTridiagonalFactors:
         model = LinearTestModel.default(build_grid(4, 1.0, BoundaryKind.NEUMANN), -0.0)
         path = chemotaxis_reference_path(model, K=3)
         expected = gtsv_factors(path)
-        factors = np.ascontiguousarray(StepFactors(path).factors)
+        factors = np.ascontiguousarray(eliminated_factors(path))
         assert np.array_equal(factors, expected)
         differ = factors.view(np.uint64) != expected.view(np.uint64)
         assert np.all(factors[differ] == 0.0)
@@ -450,7 +467,7 @@ class TestBatchedTridiagonalFactors:
         path = scalar_path(grid, a)
         c = 0.5 * grid.h
         expected = (c * a[:-1] + 1.0) / (1.0 - c * a[1:])
-        assert np.array_equal(StepFactors(path).factors[:, 0, 0], expected)
+        assert np.array_equal(eliminated_factors(path)[:, 0, 0], expected)
 
     def test_scalar_zero_pivot_names_node(self):
         # I - c A(t_3) = 0 on a 1 x 1 path: the port reports the zero pivot.
@@ -459,11 +476,11 @@ class TestBatchedTridiagonalFactors:
         a[3] = 1.0 / (0.5 * grid.h)
         path = scalar_path(grid, a)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 1 "):
-            StepFactors(path).factors
+            eliminated_factors(path)
 
     @pytest.mark.parametrize(
         "build",
-        [lambda path: StepFactors(path).factors, evolution_stepper],
+        [eliminated_factors, evolution_stepper],
         ids=["factors", "table"],
     )
     @pytest.mark.parametrize("node", [1, 2, 4])
@@ -481,7 +498,7 @@ class TestBatchedTridiagonalFactors:
         path = tridiagonal_path()
         expected = gtsv_factors(path)
         calls = counted_port(monkeypatch)
-        assert same_bytes(StepFactors(path).factors, expected)
+        assert same_bytes(eliminated_factors(path), expected)
         assert calls == [path.grid.K]
 
     def test_some_nodes_pivot(self, monkeypatch):
@@ -493,7 +510,7 @@ class TestBatchedTridiagonalFactors:
         path = banded_path(TimeGrid(T=0.8, K=15), mats, 0.5)
         expected = gtsv_factors(path)
         calls = counted_port(monkeypatch)
-        assert same_bytes(StepFactors(path).factors, expected)
+        assert same_bytes(eliminated_factors(path), expected)
         assert len(calls) == 1 and 0 < calls[0] < path.grid.K
 
     def test_zero_diagonal_pivoted_without_warning(self):
@@ -508,7 +525,7 @@ class TestBatchedTridiagonalFactors:
         expected = gtsv_factors(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factors = StepFactors(path).factors
+            factors = eliminated_factors(path)
         assert np.array_equal(factors, expected)
         assert np.all(np.isfinite(factors))
 
@@ -524,7 +541,7 @@ class TestBatchedTridiagonalFactors:
         c = 0.5 * path.grid.h
         bad = with_node(path, 5, np.array(target), c)
         with pytest.raises(NumericalError, match=f"node 5: zero pivot in row {row} "):
-            StepFactors(bad).factors
+            eliminated_factors(bad)
 
     def test_first_of_two_singular_nodes_named(self):
         path = constant_path(-np.eye(3), K=8, T=1.0)
@@ -533,7 +550,7 @@ class TestBatchedTridiagonalFactors:
         middle = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         bad = with_node(with_node(path, 6, middle, c), 3, last, c)
         with pytest.raises(NumericalError, match="node 3: zero pivot in row 3 "):
-            StepFactors(bad).factors
+            eliminated_factors(bad)
 
 
 class TestRowStackedFactors:
@@ -555,18 +572,18 @@ class TestRowStackedFactors:
         bad = with_node(base, 5, target, 0.5 * base.grid.h)
         paths = [tridiagonal_path(n=3, K=8, T=1.0, seed=seed) for seed in (1, 2)]
         with pytest.raises(NumericalError) as one_row:
-            StepFactors(bad).factors
+            eliminated_factors(bad)
         message = str(one_row.value)
         assert message.startswith("singular one-step matrix at node 5: zero pivot in row 2 ")
         stacked = OperatorPath(base.grid, self.stack([paths[0], bad, paths[1]]), 0.5)
         with pytest.raises(NumericalError) as stack:
-            StepFactors(stacked).factors
+            eliminated_factors(stacked)
         assert str(stack.value) == message
         calls = counted_port(monkeypatch)
         factors = _eliminated_steps(self.stack(paths), base.grid.h, np.empty((2, 9, 3, 0)))
         assert len(calls) == 1
         for row, path in enumerate(paths):
-            expected = np.ascontiguousarray(StepFactors(path).factors)
+            expected = np.ascontiguousarray(eliminated_factors(path))
             assert same_bytes(np.ascontiguousarray(factors[row]), expected)
 
     def test_shared_generator_eliminates_every_node(self, monkeypatch):
@@ -581,10 +598,10 @@ class TestRowStackedFactors:
             return original(bands, h, forcing)
 
         monkeypatch.setattr(avgrec.evolution, "_eliminated_steps", recorded)
-        shared = StepFactors(OperatorPath(grid, bands, 0.5)).factors
+        shared = eliminated_factors(OperatorPath(grid, bands, 0.5))
         assert widths == [3 * grid.K]
         assert same_bytes(np.ascontiguousarray(shared), full)
-        single = StepFactors(OperatorPath(grid, tuple(band[0] for band in bands), 0.5)).factors
+        single = eliminated_factors(OperatorPath(grid, tuple(band[0] for band in bands), 0.5))
         assert same_bytes(np.ascontiguousarray(single), full[0])
         assert widths == [3 * grid.K, grid.K]
 
@@ -594,15 +611,16 @@ class TestRowStackedFactors:
         off = np.empty((2, 5, 0))
         message = "singular one-step matrix at node 1: zero pivot in row 1 of the tridiagonal solve"
         with pytest.raises(NumericalError, match=f"^{message}$"):
-            StepFactors(OperatorPath(grid, (off, a, off), 0.5)).factors
+            eliminated_factors(OperatorPath(grid, (off, a, off), 0.5))
         with pytest.raises(NumericalError, match=f"^{message}$"):
-            StepFactors(OperatorPath(grid, (off[0], a[0], off[0]), 0.5)).factors
+            eliminated_factors(OperatorPath(grid, (off[0], a[0], off[0]), 0.5))
 
 
 class TestAffineSteps:
     """Each Crank-Nicolson step carries its forcing as an affine column,
-    [[S_j, S_j F_j], [0, 1]], and one chain of (n+1)-square products gives
-    the column and the left sums."""
+    [[S_j, S_j F_j], [0, 1]]: the oracle's chain of them gives the column
+    and the left sums, and the sweep observes and rebuilds the same
+    values without the chain."""
 
     @pytest.mark.parametrize("n", [12, 19])
     def test_chain_column_is_the_product_of_the_elimination_factors(self, n):
@@ -620,14 +638,23 @@ class TestAffineSteps:
         weighted = grid.trapezoid_weights[:, None] * f_states
         steps = _eliminated_steps(bands, grid.h, weighted[..., None])
         factors = steps[..., :n, :n]
-        stepper = StepFactors(OperatorPath(grid, bands, 0.5))
-        assert same_bytes(np.ascontiguousarray(stepper.factors), np.ascontiguousarray(factors))
-        column = _affine_chain(steps)[..., :n, :n]
-        assert same_bytes(stepper.sweep(f_states).column, column)
+        path = OperatorPath(grid, bands, 0.5)
+        assert same_bytes(
+            np.ascontiguousarray(eliminated_factors(path)), np.ascontiguousarray(factors)
+        )
+        column = affine_chain(steps)[..., :n, :n]
         expected = [np.broadcast_to(np.eye(n), (3, n, n))]
         for j in range(grid.K):
             expected.append(np.matmul(factors[:, j], expected[-1]))
         assert np.abs(column - np.stack(expected, axis=1)).max() <= 1e-14
+        # The sweep's Horner and forward passes give the chain's values.
+        xi = rng.standard_normal((3, n))
+        for variant in Variant:
+            cond = AveragingCondition.from_preset(grid, variant, "exp_decay", w0=0.5)
+            values, chained = (s.sweep(cond, f_states) for s in (StepFactors(path), StepChain(path)))
+            assert rel_err(values.resolvent, chained.resolvent) <= 1e-14
+            assert rel_err(values.sums, chained.sums) <= 1e-14
+            assert rel_err(values.rebuild(xi), chained.rebuild(xi)) <= 1e-14
 
     def test_port_node_carries_the_solved_forcing_column(self, monkeypatch):
         # Every node of tridiagonal_path() interchanges rows, so the dgtsv
@@ -666,10 +693,8 @@ class TestAffineSteps:
 
         monkeypatch.setattr(avgrec.evolution, "_eliminated_steps", recorded)
         build, oracle = SWEEPS[method]
-        values, table = build(path).sweep(f_states), oracle(path)
-        assert widths == ([grid.K] if method is PropagatorMethod.STEPPER else [])
-        assert rel_err(values.sums, duhamel_sums(table, f_states)) <= 1e-13
-        assert rel_err(values.column, table.column) <= 1e-13
+        assert_sweep_matches_table(build(path), oracle(path), f_states, 1e-13)
+        assert widths == ([grid.K] * 3 if method is PropagatorMethod.STEPPER else [])
 
 
 KINDS = ["dominant", "interchange", "all_swap", "zero_pivot", "nonfinite", "swap_nonfinite"]
@@ -908,7 +933,7 @@ class TestBandBuiltPath:
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_model_bands_equal_dense_path(self, model, n):
         band, dense = model_paths(MODELS[model](n))
-        factors = StepFactors(band).factors
+        factors = eliminated_factors(band)
         assert rel_err(factors, dense_factors(dense)) <= 1e-13
         assert band.dim == dense.dim == n
         assert np.array_equal(band.generators(), dense.generators())
@@ -927,7 +952,7 @@ class TestBandBuiltPath:
         band = tridiagonal_path()
         dense = DensePath(band.grid, band_stack(*band.bands), band.holder_rho)
         calls = counted_port(monkeypatch)
-        assert rel_err(StepFactors(band).factors, dense_factors(dense)) <= 1e-13
+        assert rel_err(eliminated_factors(band), dense_factors(dense)) <= 1e-13
         assert calls == [band.grid.K]
 
     def test_singular_node_named(self):
@@ -935,7 +960,7 @@ class TestBandBuiltPath:
         target = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         band = with_node(path, 5, target, 0.5 * path.grid.h)
         with pytest.raises(NumericalError, match="node 5: zero pivot in row 2 "):
-            StepFactors(band).factors
+            eliminated_factors(band)
 
     @pytest.mark.parametrize("node", [1, 4])
     def test_scalar_singular_node_named(self, node):
@@ -944,7 +969,7 @@ class TestBandBuiltPath:
         diag[node] = 1.0 / (0.5 * grid.h)
         band = OperatorPath(grid, (np.empty((5, 0)), diag, np.empty((5, 0))), 0.5)
         with pytest.raises(NumericalError, match=f"node {node}: zero pivot in row 1 "):
-            StepFactors(band).factors
+            eliminated_factors(band)
 
     @pytest.mark.parametrize(
         "shapes", [((13, 5), (13, 6), (13, 6)), ((12, 5), (12, 6), (12, 5)), ((13,), (13,), (13,))]
@@ -960,7 +985,7 @@ class TestBandBuiltPath:
 
 
 SWEEPS = {
-    PropagatorMethod.STEPPER: (StepFactors, evolution_stepper),
+    PropagatorMethod.STEPPER: (lambda path: StepFactors(stacked(path)), evolution_stepper),
     PropagatorMethod.KERNEL_SERIES: (evolution_series, series_table),
 }
 
@@ -979,9 +1004,7 @@ class TestModelPathSweeps:
     def test_duhamel(self, model, method):
         sweep, table = self._pair(model, method)
         f_states = np.random.default_rng(7).standard_normal((17, 8))
-        values = sweep.sweep(f_states)
-        assert rel_err(values.column, table.column) <= 1e-13
-        assert rel_err(values.sums, duhamel_sums(table, f_states)) <= 1e-13
+        assert_sweep_matches_table(sweep, table, f_states, 1e-13)
 
     def test_terminal_forcing(self, model, method):
         assert_terminal_forcing_matches_final_row(*self._pair(model, method))
@@ -989,24 +1012,36 @@ class TestModelPathSweeps:
     def test_sums_are_the_end_corrected_formula(self, model, method):
         # The sweep weights the forcing by the trapezoid rule before its
         # recursion; the end-corrected form recurs on h f and takes
-        # (h/2) U(t_i, 0) f_0 back off.  G_0 stays exactly zero.
+        # (h/2) U(t_i, 0) f_0 back off.  The sweep of f', with f' = 2 f at
+        # both ends and f inside, recurs on qw f' = h f, so its sums less
+        # (h/2) f' are the left sums of h f.  G_0 stays exactly zero.
         sweep, _ = self._pair(model, method)
-        h = sweep.grid.h
+        grid = sweep.path.grid
+        h = grid.h
         f_states = np.random.default_rng(11).standard_normal((17, 8))
-        values = sweep.sweep(f_states)
-        assert np.array_equal(values.sums[0], np.zeros(8))
-        left = sweep._left_sums((h * f_states)[:, :, None])[:, :, 8]
-        expected = left - 0.5 * h * (values.column @ f_states[0]) + 0.5 * h * f_states
-        assert rel_err(values.sums, expected) <= 1e-15
+        doubled = f_states.copy()
+        doubled[[0, -1]] *= 2.0
+        cond = AveragingCondition.from_preset(grid, Variant.TIME_AVERAGE)
+        sums, left = (duhamel_sums(sweep.sweep(cond, f[None]))[0] for f in (f_states, doubled))
+        left[1:] -= 0.5 * h * doubled[1:]
+        assert np.array_equal(sums[0], np.zeros(8))
+        zero_forcing = sweep.sweep(cond, np.zeros((1, 17, 8)))
+        column_f0 = zero_forcing.rebuild(f_states[:1])[0]
+        expected = left - 0.5 * h * column_f0 + 0.5 * h * f_states
+        expected[0] = 0.0
+        assert rel_err(sums, expected) <= 1e-15
 
 
 def traced_sweep_peak(build, path):
-    """Peak traced allocation of the solver's call: the propagation build and
-    its sweep on the right-hand side [I | h f]."""
-    f_states = np.random.default_rng(1).standard_normal((path.grid.K + 1, path.dim))
+    """Peak traced allocation of the solver's calls: the propagation build,
+    its sweep on the right-hand side [I | qw f] under a time average, which
+    observes every node, and the rebuild of the states."""
+    f_states = np.random.default_rng(1).standard_normal((1, path.grid.K + 1, path.dim))
+    cond = AveragingCondition.from_preset(path.grid, Variant.TIME_AVERAGE)
+    xi = np.ones((1, path.dim))
     tracemalloc.start()
     try:
-        build(path).sweep(f_states)
+        build(path).sweep(cond, f_states).rebuild(xi)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1019,10 +1054,10 @@ def constant_banded_path(n, K):
 
 
 def test_stepper_peak_estimate_matches_traced_allocation():
-    # A constant path takes the same elimination and chain as any other.
+    # A constant path takes the same elimination and passes as any other.
     for n, K in ((16, 48), (64, 32)):
         for path in (tridiagonal_path(n=n, K=K), constant_banded_path(n, K)):
-            peak = traced_sweep_peak(StepFactors, path)
+            peak = traced_sweep_peak(SWEEPS[PropagatorMethod.STEPPER][0], path)
             estimate = stepper_peak_bytes(n, K)
             assert 0.95 * estimate <= peak <= 1.05 * estimate, (n, K, peak / estimate)
 
@@ -1046,15 +1081,13 @@ class TestSeriesSweepAgainstTable:
 
     def test_column(self, pair):
         sweep, table = pair
-        assert rel_err(sweep.column, table.column) <= 1e-13
+        f_states = np.zeros((table.grid.K + 1, table.dim))
+        assert_sweep_matches_table(sweep, table, f_states, 1e-13)
 
     def test_duhamel(self, pair):
         sweep, table = pair
-        grid = sweep.grid
-        f_states = np.random.default_rng(5).standard_normal((grid.K + 1, sweep.dim))
-        got = sweep.sweep(f_states).sums
-        assert np.array_equal(got[0], np.zeros(sweep.dim))
-        assert rel_err(got, duhamel_sums(table, f_states)) <= 1e-13
+        f_states = np.random.default_rng(5).standard_normal((table.grid.K + 1, table.dim))
+        assert_sweep_matches_table(sweep, table, f_states, 1e-13)
 
     def test_terminal_forcing(self, pair):
         assert_terminal_forcing_matches_final_row(*pair)
@@ -1065,10 +1098,16 @@ class TestSeriesSweepAgainstTable:
         # power chain bit for bit, on a dense and on a band-built path.
         dense = constant_path(stable_symmetric(6), K=16, T=1.0)
         tridiagonal = constant_path(tridiagonal_palette(1)[0], K=16, T=1.0)
+        xi = np.random.default_rng(4).standard_normal((1, 6))
         for path in (dense, banded_path(tridiagonal.grid, tridiagonal.generators(), 0.5)):
             sweep = evolution_series(path)
             assert isinstance(sweep, SeriesSweep)
-            assert np.array_equal(sweep.column, series_table(path).column)
+            f_states = np.zeros((1, path.grid.K + 1, path.dim))
+            for variant in Variant:
+                cond = AveragingCondition.from_preset(path.grid, variant, "exp_decay", w0=0.5)
+                values, table = (s.sweep(cond, f_states) for s in (sweep, series_table(path)))
+                assert np.array_equal(values.resolvent, table.resolvent)
+                assert np.array_equal(values.rebuild(xi), table.rebuild(xi))
 
     def test_end_node_generator_enters_the_last_sum(self):
         # Nodes 0..K-1 share one generator and A_K differs.  The end term of
@@ -1077,7 +1116,7 @@ class TestSeriesSweepAgainstTable:
         path = banded_path(TimeGrid(T=0.8, K=16), mats, 0.5)
         sweep, table = evolution_series(path), series_table(path)
         f_states = np.random.default_rng(9).standard_normal((17, 6))
-        assert rel_err(sweep.sweep(f_states).sums, duhamel_sums(table, f_states)) <= 1e-13
+        assert_sweep_matches_table(sweep, table, f_states, 1e-13)
 
 
 def test_series_peak_estimate_matches_traced_allocation():
@@ -1123,14 +1162,13 @@ class TestRepeatedGenerators:
 
     def test_column(self, pair):
         sweep, table = pair
-        assert rel_err(sweep.column, table.column) <= 1e-13
+        f_states = np.zeros((table.grid.K + 1, table.dim))
+        assert_sweep_matches_table(sweep, table, f_states, 1e-13)
 
     def test_duhamel(self, pair):
         sweep, table = pair
-        f_states = np.random.default_rng(6).standard_normal((sweep.grid.K + 1, sweep.dim))
-        got = sweep.sweep(f_states).sums
-        assert np.array_equal(got[0], np.zeros(sweep.dim))
-        assert rel_err(got, duhamel_sums(table, f_states)) <= 1e-13
+        f_states = np.random.default_rng(6).standard_normal((table.grid.K + 1, table.dim))
+        assert_sweep_matches_table(sweep, table, f_states, 1e-13)
 
     def test_terminal_forcing(self, pair):
         assert_terminal_forcing_matches_final_row(*pair)

@@ -8,6 +8,7 @@ import pytest
 
 import avgrec.solver
 from avgrec import cli
+from avgrec.averaging import AveragingCondition, Variant
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
@@ -41,26 +42,33 @@ def gaussian():
     return model, cond, cli.build_observation(cfg, model, cond), truth
 
 
-def dense_values(model, path, f_states, method):
-    """The modal route's column and sums of a stack of one path, written
-    back as the dense (K+1, n, n) column and (K+1, n) sums."""
+def assert_modal_matches(model, path, f_states, method, references):
+    """The modal route's values of a stack of one path, written back in the
+    grid's basis V (the resolvent V diag(phi) V^T, the observed sums B[G] V^T
+    and the states rebuilt from Xi V), against each dense reference's,
+    under every variant."""
     steps, modal = modal_factors(path, model.base, method)
     assert modal.tolist() == [True]
-    (values,) = modal_sweep(model.base.eigenvectors, steps, path.grid, f_states)
-    basis = values.basis
-    column = np.einsum("ak,ik,bk->iab", basis, values.column, basis)
-    return column, values.sums @ basis.T
+    basis = model.base.eigenvectors
+    xi = np.random.default_rng(2).standard_normal((1, path.dim))
+    for variant in Variant:
+        cond = AveragingCondition.from_preset(path.grid, variant, "exp_decay", w0=0.5)
+        values = modal_sweep(cond, basis, steps, f_states)
+        resolvent = (basis * values.resolvent[0]) @ basis.T
+        sums, states = values.sums[0] @ basis.T, values.rebuild(xi @ basis)[0]
+        for reference in references:
+            dense = reference.sweep(cond, f_states)
+            assert rel_err(resolvent, dense.resolvent[0]) <= 1e-12
+            assert rel_err(sums, dense.sums[0]) <= 1e-12
+            assert rel_err(states, dense.rebuild(xi)[0]) <= 1e-12
 
 
 def test_gaussian_path_matches_the_dense_stepper_and_its_table(gaussian):
     model, cond, _, truth = gaussian
     path, f_states = operator_path(model, cond.grid, truth.states[None])
     assert np.unique(path.bands[2][0, :, 0]).size == cond.grid.K + 1
-    column, sums = dense_values(model, path, f_states, STEPPER)
     (row,) = path.rows
-    for reference in (StepFactors(row).sweep(f_states[0]), evolution_stepper(row).sweep(f_states[0])):
-        assert rel_err(column, reference.column) <= 1e-12
-        assert rel_err(sums, reference.sums) <= 1e-12
+    assert_modal_matches(model, path, f_states, STEPPER, (StepFactors(path), evolution_stepper(row)))
 
 
 def test_constant_gaussian_path_matches_the_series_and_its_table(gaussian):
@@ -70,11 +78,8 @@ def test_constant_gaussian_path_matches_the_series_and_its_table(gaussian):
     model, cond, _, truth = gaussian
     grid = TimeGrid(T=24 * cond.grid.h, K=24)
     path, f_states = operator_path(model, grid, np.repeat(truth.states[None, :1], 25, axis=1))
-    column, sums = dense_values(model, path, f_states, SERIES)
     (row,) = path.rows
-    for reference in (evolution_series(row).sweep(f_states[0]), series_table(row).sweep(f_states[0])):
-        assert rel_err(column, reference.column) <= 1e-12
-        assert rel_err(sums, reference.sums) <= 1e-12
+    assert_modal_matches(model, path, f_states, SERIES, (evolution_series(row), series_table(row)))
 
 
 @pytest.mark.parametrize("method", list(PropagatorMethod))
@@ -151,8 +156,8 @@ def same_bytes(a, b):
 
 @pytest.mark.parametrize("method", list(PropagatorMethod))
 def test_stacked_modal_sweep_rows_are_their_own_sweeps(method):
-    # A batch's modal rows sweep in one stacked call, each row's values its
-    # own sweep's bit for bit.
+    # A batch's modal rows sweep in one stacked call, each row's resolvent,
+    # observed sums and rebuilt states its own sweep's bit for bit.
     model = NonlocalRDModel.default(build_grid(16, 1.0, BoundaryKind.NEUMANN))
     grid = TimeGrid(T=0.5, K=40)
     states = 0.05 * np.random.default_rng(6).standard_normal((5, grid.K + 1, 16))
@@ -161,7 +166,13 @@ def test_stacked_modal_sweep_rows_are_their_own_sweeps(method):
     path, f_states = operator_path(model, grid, states)
     steps, modal = modal_factors(path, model.base, method)
     assert modal.all()
-    stacked = modal_sweep(model.base.eigenvectors, steps, grid, f_states)
-    for r, values in enumerate(stacked):
-        (single,) = modal_sweep(model.base.eigenvectors, steps[r : r + 1], grid, f_states[r : r + 1])
-        assert same_bytes(values.column, single.column) and same_bytes(values.sums, single.sums)
+    basis, xi = model.base.eigenvectors, np.random.default_rng(7).standard_normal((5, 16))
+    for variant in Variant:
+        cond = AveragingCondition.from_preset(grid, variant, "exp_decay", w0=0.5)
+        stacked = modal_sweep(cond, basis, steps, f_states)
+        rebuilt = stacked.rebuild(xi)
+        for r in range(5):
+            single = modal_sweep(cond, basis, steps[r : r + 1], f_states[r : r + 1])
+            assert same_bytes(stacked.resolvent[r], single.resolvent[0])
+            assert same_bytes(stacked.sums[r], single.sums[0])
+            assert same_bytes(rebuilt[r], single.rebuild(xi[r : r + 1])[0])

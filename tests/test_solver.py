@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from avgrec.averaging import AveragingCondition, Variant, duhamel_sums, observe
+from avgrec.averaging import AveragingCondition, Variant, observe
 from avgrec.errors import (
     BallViolationError,
     ConfigurationError,
@@ -15,7 +15,7 @@ from avgrec.errors import (
     NumericalError,
     SingularOperatorError,
 )
-from avgrec.evolution import PropagatorMethod, SweepValues, TimeGrid
+from avgrec.evolution import PropagatorMethod, TimeGrid, _column_values
 from avgrec.models import ChemotaxisModel, LinearTestModel
 from avgrec.solver import (
     RecoveryConfig,
@@ -380,7 +380,7 @@ class TestVariantDegeneracy:
         np.testing.assert_array_equal(u0, M)
         path, f_states = operator_path(small_chemo, traj.grid, traj.states)
         table = evolution_stepper(path)
-        reconstructed = table.column @ M + duhamel_sums(table, f_states)
+        reconstructed = table.column @ M + table.duhamel(f_states)
         assert np.abs(traj.states - reconstructed).max() <= 10 * RecoveryConfig().tol_fixed_point
 
 
@@ -401,8 +401,11 @@ class TestStepperSweep:
         elif variant is Variant.TERMINAL_DIFFERENCE:
             M = truth.states[0] - cond.w0 * truth.states[-1]
 
-        def table_route(path, f_states, config, base):
-            return [evolution_stepper(row).sweep(f) for row, f in zip(path.rows, f_states)]
+        def table_route(cond, path, f_states, config, base):
+            return [
+                ([r], evolution_stepper(row).sweep(cond, f_states[[r]]))
+                for r, row in enumerate(path.rows)
+            ]
 
         with monkeypatch.context() as patch:
             patch.setattr(avgrec.solver, "_propagation", table_route)
@@ -456,8 +459,11 @@ class TestSeriesSweep:
         M = observe(cond, truth.states)
         config = RecoveryConfig(method=PropagatorMethod.KERNEL_SERIES)
 
-        def table_route(path, f_states, config, base):
-            return [series_table(row).sweep(f) for row, f in zip(path.rows, f_states)]
+        def table_route(cond, path, f_states, config, base):
+            return [
+                ([r], series_table(row).sweep(cond, f_states[[r]]))
+                for r, row in enumerate(path.rows)
+            ]
 
         with monkeypatch.context() as patch:
             patch.setattr(avgrec.solver, "_propagation", table_route)
@@ -477,10 +483,10 @@ class TestSeriesSweep:
 
 class TestOneBuildPerIteration:
     """A sweep builds one propagation (for the stepper, one elimination of
-    its affine steps; on a multiple of the Laplacian, one modal sweep), runs
-    one left-sum recursion and solves for the chemotaxis signal once, as a
-    forward step does; the recovered initial state is the last sweep's Xi,
-    with no extra build."""
+    its affine steps and one Horner pass over them; on a multiple of the
+    Laplacian, one modal sweep; for the series, one left-sum recursion) and
+    solves for the chemotaxis signal once, as a forward step does; the
+    recovered initial state is the last sweep's Xi, with no extra build."""
 
     @staticmethod
     def counting(monkeypatch, module, name):
@@ -505,7 +511,7 @@ class TestOneBuildPerIteration:
                 (avgrec.solver, "_propagation"),
                 (avgrec.solver, "modal_sweep"),
                 (avgrec.evolution, "_eliminated_steps"),
-                (avgrec.evolution, "_affine_chain"),
+                (avgrec.evolution, "_observed_steps"),
                 (avgrec.evolution, "_series_left_sums"),
             )
         }
@@ -533,7 +539,7 @@ class TestOneBuildPerIteration:
             "_propagation": report.iterates,
             "modal_sweep": 0,
             "_eliminated_steps": 0 if series else report.iterates,
-            "_affine_chain": 0 if series else report.iterates,
+            "_observed_steps": 0 if series else report.iterates,
             "_series_left_sums": report.iterates if series else 0,
         }
         assert np.array_equal(u0, traj.states[0])
@@ -551,14 +557,14 @@ class TestOneBuildPerIteration:
             "_propagation": report.iterates,
             "modal_sweep": 1,
             "_eliminated_steps": 0 if series else report.iterates - 1,
-            "_affine_chain": 0 if series else report.iterates - 1,
+            "_observed_steps": 0 if series else report.iterates - 1,
             "_series_left_sums": report.iterates - 1 if series else 0,
         }
         assert np.array_equal(u0, traj.states[0])
 
     def test_converged_scan_row_builds_once_per_iteration(self, small_chemo, counts):
         # Every row of a scan starts from zero: its first sweep is one modal
-        # sweep, and each later one one elimination and one chain.
+        # sweep, and each later one one elimination and one Horner pass.
         grid_t = TimeGrid(T=0.5, K=16)
         cond = AveragingCondition.from_preset(grid_t, Variant.TERMINAL_DIFFERENCE, w0=0.5)
         direction = np.cos(np.pi * small_chemo.base.grid.nodes)
@@ -568,7 +574,7 @@ class TestOneBuildPerIteration:
         assert len(counts["_propagation"]) == row.iterations
         assert len(counts["modal_sweep"]) == 1
         assert len(counts["_eliminated_steps"]) == row.iterations - 1
-        assert len(counts["_affine_chain"]) == row.iterations - 1
+        assert len(counts["_observed_steps"]) == row.iterations - 1
         # A batch whose rows all converge builds once per iteration for all
         # of them: no stage is redone row by row.
         for calls in counts.values():
@@ -579,12 +585,12 @@ class TestOneBuildPerIteration:
         assert len(counts["_propagation"]) == max(iterations)
         assert len(counts["modal_sweep"]) == 1
         assert len(counts["_eliminated_steps"]) == max(iterations) - 1
-        assert len(counts["_affine_chain"]) == max(iterations) - 1
+        assert len(counts["_observed_steps"]) == max(iterations) - 1
 
     def test_constant_start_batch_builds_once_per_iteration(self, small_chemo, counts):
         # Rows from one constant state away from zero share one generator
-        # and go dense from their first sweep: one elimination and one chain
-        # per batched iteration for all of them.
+        # and go dense from their first sweep: one elimination and one
+        # Horner pass per batched iteration for all of them.
         import avgrec.solver
 
         grid_t = TimeGrid(T=0.5, K=16)
@@ -600,7 +606,7 @@ class TestOneBuildPerIteration:
         assert len(counts["_propagation"]) == max(iterations)
         assert len(counts["modal_sweep"]) == 0
         assert len(counts["_eliminated_steps"]) == max(iterations)
-        assert len(counts["_affine_chain"]) == max(iterations)
+        assert len(counts["_observed_steps"]) == max(iterations)
 
     def test_scan_measures_its_rows_once_per_iteration(self, small_chemo, monkeypatch):
         # The distances of the rows still running are one stacked call per
@@ -731,14 +737,10 @@ class TestNonFiniteIterate:
         # error names the propagation, not the operator or forcing.
         import avgrec.solver
 
-        class NonFiniteSweep:
-            def sweep(self, f_states):
-                column = np.eye(16) * np.ones((9, 1, 1))
-                column[4, 2, 2] = np.inf
-                return SweepValues(column=column, sums=np.zeros((9, 16)))
-
-        def propagation(path, f_states, config, base):
-            return [NonFiniteSweep().sweep(f) for f in f_states]
+        def propagation(cond, path, f_states, config, base):
+            column = np.eye(16) * np.ones((1, 9, 1, 1))
+            column[0, 4, 2, 2] = np.inf
+            return [([0], _column_values(cond, column, np.zeros((1, 9, 16))))]
 
         monkeypatch.setattr(avgrec.solver, "_propagation", propagation)
         grid_t = TimeGrid(T=0.5, K=8)
