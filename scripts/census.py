@@ -54,7 +54,10 @@ def digest(data: bytes) -> str:
 
 
 def fail(message: str):
-    print(f"census: {message}", file=sys.stderr)
+    """End the script with exit 2, ``message`` on stderr after the name of
+    the script that runs (``census``, or ``perf_pairs``, which shares this
+    body and :func:`extract`)."""
+    print(f"{Path(sys.argv[0]).stem}: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 

@@ -155,13 +155,20 @@ def resolvent_matrix(values: SweepValues) -> np.ndarray:
     return values.resolvent
 
 
+def resolvent_floor(singular_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_min, floor) of each of a stack (..., n) of resolvents from
+    their singular values: the floor is 1e-10 times the spectral norm, and
+    a resolvent is singular where its sigma_min sits at or below it."""
+    return singular_values.min(axis=-1), 1e-10 * singular_values.max(axis=-1)
+
+
 def check_resolvent(cond: AveragingCondition, singular_values: np.ndarray) -> float:
     """sigma_min of a variant resolvent from its singular values: those of
     one SVD, or the moduli of its eigenvalues where it is diagonal in an
     orthonormal basis.  Raises SingularOperatorError when sigma_min sits at
-    or below 1e-10 times the spectral norm."""
-    sigma = float(singular_values.min())
-    floor = 1e-10 * singular_values.max()
+    or below the floor (:func:`resolvent_floor`)."""
+    sigma, floor = resolvent_floor(singular_values)
+    sigma = float(sigma)
     if sigma <= floor:
         raise SingularOperatorError(
             f"{cond.variant.value} resolvent is numerically singular "

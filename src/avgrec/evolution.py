@@ -187,22 +187,29 @@ class SweepValues:
     basis: np.ndarray | None = None
 
 
+def _observed_rows(cond, stack: np.ndarray) -> np.ndarray:
+    """``averaging.observe`` of each row of an (R, K+1, ...) stack in one
+    call on its node-major view, each row its own call's bit for bit."""
+    return observe(cond, stack.swapaxes(0, 1))
+
+
 def _column_values(cond, column: np.ndarray, sums: np.ndarray, basis=None) -> SweepValues:
     """The SweepValues of R rows from their columns U(t_i, 0) (R, K+1, n, n),
     or, with the basis V, their eigenvalues (R, K+1, n), and their Duhamel
-    sums G (R, K+1, n), in V's coordinates where V is set: observed by
-    ``averaging.observe`` and rebuilt as column Xi + G (then times V^T), row
-    by row, so that each row's values are its own sweep's bit for bit."""
+    sums G (R, K+1, n), in V's coordinates where V is set: observed by one
+    ``averaging.observe`` each (:func:`_observed_rows`) and rebuilt as
+    column Xi + G, row by row, or, with V, all rows times V^T in one
+    product; each row's values are its own sweep's bit for bit."""
 
     def rebuild(xi):
         with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite column
             if basis is None:
                 return np.array([c @ x + g for c, x, g in zip(column, xi, sums)])
-            return np.array([(c * x + g) @ basis.T for c, x, g in zip(column, xi, sums)])
+            return (column * xi[:, None] + sums) @ basis.T
 
     return SweepValues(
-        resolvent=np.array([observe(cond, c) for c in column]),
-        sums=np.array([observe(cond, g) for g in sums]),
+        resolvent=_observed_rows(cond, column),
+        sums=_observed_rows(cond, sums),
         rebuild=rebuild,
         finite=lambda: np.isfinite(column).all(axis=tuple(range(1, column.ndim))),
         basis=basis,
@@ -245,7 +252,7 @@ class StepFactors:
 
         return SweepValues(
             resolvent=top[..., :n],
-            sums=top[..., n] + np.array([observe(cond, t) for t in tail]),
+            sums=top[..., n] + _observed_rows(cond, tail),
             rebuild=rebuild,
             finite=lambda: np.isfinite(steps).all(axis=(1, 2, 3)),
         )
@@ -267,7 +274,10 @@ def _observed_steps(gamma: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
         Y_K = gamma_K I,   Y_j = gamma_j I + Y_{j+1} T_j,   B[X] = Y_0,
 
-    carrying only the top n rows of each Y_j in two buffers."""
+    carrying only the top n rows of each Y_j in two buffers.  Adding a zero
+    gamma_j changes no entry (but a -0.0 on the diagonal), so it is skipped:
+    a terminal difference, zero at its K-1 interior nodes, adds at node 0
+    alone."""
     R, K, m, _ = steps.shape
     n = m - 1
     nodes, product = _node_major(steps)
@@ -278,7 +288,8 @@ def _observed_steps(gamma: np.ndarray, steps: np.ndarray) -> np.ndarray:
     on_here[...] = gamma[K]
     for weight, step in zip(gamma[-2::-1], nodes[::-1]):
         product(here, step, out=ahead)
-        on_ahead += weight
+        if weight:
+            on_ahead += weight
         here, ahead, on_here, on_ahead = ahead, here, on_ahead, on_here
     return here.reshape(R, n, m)
 

@@ -1,6 +1,7 @@
 """Scans and probes sweep their rows together: each row's outcome equals the
 one-row recovery of its amplitude or start, bit for bit, however the rows
 end and however many rows a batch holds."""
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -9,8 +10,8 @@ import pytest
 
 import avgrec.evolution
 import avgrec.solver
-from avgrec.averaging import AveragingCondition, Variant
-from avgrec.errors import ConvergenceError, NumericalError
+from avgrec.averaging import AveragingCondition, Variant, node_weights
+from avgrec.errors import ConvergenceError, NumericalError, SingularOperatorError
 from avgrec.evolution import (
     OperatorPath,
     PropagatorMethod,
@@ -457,3 +458,110 @@ def test_a_nan_resolvent_fails_its_own_row(monkeypatch):
     notes = [row.note for row in result.rows]
     assert "ConvergenceError: iteration left the computable regime: SVD did not converge" in notes
     assert result.rows[0].converged
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_a_dense_route_makes_one_svd_and_one_solve_per_sweep(width, monkeypatch):
+    # Every row starts from one constant state away from zero, so that every
+    # sweep goes dense: its rows take one stacked SVD and one stacked solve,
+    # whatever the batch holds.
+    calls, sweeps = [], []
+    for name in ("svd", "solve"):
+
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    original = avgrec.solver._sweep
+
+    def recorded(model, cond, Ms, states, config):
+        sweeps.append(len(states))
+        return original(model, cond, Ms, states, config)
+
+    monkeypatch.setattr(avgrec.solver, "_sweep", recorded)
+    data = [amp * DIRECTION for amp in np.linspace(0.01, 0.1, width)]
+    start = Trajectory(GRID, np.full((K + 1, N), 2e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = avgrec.solver._recover_rows(
+            CHEMO, condition(Variant.TERMINAL_DIFFERENCE), data, [start] * width, RecoveryConfig()
+        )
+    assert all(row.error is None for row in rows)
+    assert sweeps[0] == width and len(sweeps) >= 3
+    assert calls == ["svd", "solve"] * len(sweeps)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_horner_pass_adds_only_nonzero_weights(variant):
+    # The pass adds gamma_j to the diagonal where gamma_j is not zero: a
+    # terminal difference adds at node 0 alone, the averages at every node.
+    # The result does not move.
+    adds = []
+
+    class Weight(float):
+        """A node weight that records each ufunc it takes part in."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            adds.append(float(self))
+            inputs = tuple(float(x) if x is self else x for x in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    rng = np.random.default_rng(5)
+    for width in (1, 3):
+        steps = rng.standard_normal((width, K, N + 1, N + 1))
+        steps[..., N, :] = 0.0
+        steps[..., N, N] = 1.0
+        gamma = node_weights(condition(variant))
+        adds.clear()
+        top = avgrec.evolution._observed_steps([Weight(g) for g in gamma], steps)
+        assert np.array_equal(top, avgrec.evolution._observed_steps(gamma, steps))
+        assert adds == [g for g in gamma[-2::-1].tolist() if g != 0.0]
+        if variant is Variant.TERMINAL_DIFFERENCE:
+            assert adds == [1.0]
+        else:
+            assert len(adds) == K
+
+
+def test_mixed_failures_in_one_batch_fail_their_own_rows(monkeypatch):
+    # From its first dense sweep on, a row's resolvent is spoiled by the
+    # size of its own observed Duhamel sums: the 0.1 row's sits at the floor
+    # (a zero column), the 0.3 row's turns NaN on a finite propagation, and
+    # the 1.0 row's turns infinite on a non-finite one.  The 0.01 and 0.03
+    # rows converge.  Each row ends as its one-row recovery does.
+    original = avgrec.solver._propagation
+
+    def spoiled(cond, path, f_states, config, base):
+        groups = []
+        for rows, values in original(cond, path, f_states, config, base):
+            if values.basis is None:
+                size = np.abs(values.sums).max(axis=-1)
+                resolvent = values.resolvent.copy()
+                resolvent[(1e-4 < size) & (size <= 1e-3), :, 0] = 0.0
+                resolvent[(1e-3 < size) & (size <= 1e-2)] = np.nan
+                resolvent[size > 1e-2] = np.inf
+                finite = values.finite() & (size <= 1e-2)
+                values = dataclasses.replace(values, resolvent=resolvent, finite=lambda: finite)
+            groups.append((rows, values))
+        return groups
+
+    monkeypatch.setattr(avgrec.solver, "_propagation", spoiled)
+    cond, config = condition(Variant.TERMINAL_DIFFERENCE), RecoveryConfig(**LADDER_CONFIG)
+    data = [amp * DIRECTION for amp in (0.01, 0.03, 0.1, 0.3, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = avgrec.solver._recover_rows(CHEMO, cond, data, [None] * len(data), config)
+        for row, M in zip(rows, data):
+            try:
+                xi, traj, report = fixed_point_recover(CHEMO, cond, M, config)
+            except NumericalError as exc:
+                assert (type(row.error), str(row.error)) == (type(exc), str(exc))
+                assert row.error.report == exc.report
+                continue
+            assert row.error is None and row.report == report
+            assert np.array_equal(row.xi, xi) and np.array_equal(row.states, traj.states)
+    assert [row.error is None for row in rows] == [True, True, False, False, False]
+    assert isinstance(rows[2].error, SingularOperatorError)
+    assert str(rows[3].error) == "iteration left the computable regime: SVD did not converge"
+    assert str(rows[4].error) == "iteration produced a non-finite propagation"
+    assert all(len(row.report.sigma_min_history) == 1 for row in rows[2:])

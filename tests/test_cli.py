@@ -368,6 +368,37 @@ def test_experiment_script_prints_its_table(script, capsys):
         float(row.split()[-1])  # each row ends in a number
 
 
+def test_perf_pairs_summarises_canned_runs():
+    # Ten pairs of result lines as perfbench/run.py prints them, its info
+    # line first: the tree wins nine on solve_s and clears REV's spread;
+    # setup_s ties every pair, peak_rss_mb is worse beyond the spread, and
+    # sweep_ms, which no run reported, has no line.
+    pairs = load_script("perf_pairs")
+
+    def output(solve_s, rss):
+        metrics = {"solve_s": solve_s, "setup_s": 0.1, "peak_rss_mb": rss}
+        result = {k: {"value": v, "unit": "x"} for k, v in metrics.items()}
+        return json.dumps({"ops": 9}) + "\n" + json.dumps({"metrics": result}) + "\n"
+
+    rev = [pairs.read_metrics(output(0.027 + 0.0001 * k, 50.0)) for k in range(10)]
+    tree = [pairs.read_metrics(output(0.025 + 0.0001 * k, 52.0)) for k in range(9)]
+    tree.append(pairs.read_metrics(output(0.03, 52.0)))
+    metrics = [(name, "lower") for name in ("solve_s", "sweep_ms", "setup_s", "peak_rss_mb")]
+    assert pairs.report("scan-terminal", 3, metrics, rev, tree) == [
+        "scan-terminal seed 3, 10 pairs",
+        "  solve_s (lower is better): REV 0.02745 [0.027225, 0.027675]"
+        "  tree 0.02545 [0.025225, 0.025675]  tree won 9/10, lost 1  better by more than REV's IQR  GAIN",
+        "  setup_s (lower is better): REV 0.1 [0.1, 0.1]  tree 0.1 [0.1, 0.1]"
+        "  tree won 0/10, lost 0  within REV's IQR",
+        "  peak_rss_mb (lower is better): REV 50 [50, 50]  tree 52 [52, 52]"
+        "  tree won 0/10, lost 10  worse by more than REV's IQR",
+    ]
+    # Fewer than ten pairs cannot support a claim: refused before any run.
+    with pytest.raises(SystemExit) as refused:
+        pairs.main(["--against", "HEAD", "--pairs", "9"])
+    assert refused.value.code == 2
+
+
 def test_census_names_each_differing_run(tmp_path):
     census = load_script("census")
     run = {"exit": 0, "stdout": "a", "stderr": "b", "files": {"report.json": "c"}}

@@ -155,9 +155,7 @@ def test_stacked_ops_match_per_slice(n):
     # strided view of the elimination's (n+1, R K, n+1) stack of rows, into
     # the chain's blocks; the model takes one stacked linearise and ball
     # norm, and the distance of every row in one modal transform and
-    # modal_norm.  Each slice must be the per-row call's bit for bit.  The
-    # solver takes the resolvents' SVD and solve row by row; their stacked
-    # calls are still checked here.
+    # modal_norm.  Each slice must be the per-row call's bit for bit.
     rng = np.random.default_rng(n)
     R, K, m = 3, 6, n + 1
     rows = rng.standard_normal((m, R * K, m))
@@ -166,14 +164,36 @@ def test_stacked_ops_match_per_slice(n):
     np.matmul(steps[:, 2], blocks[:, 2], out=blocks[:, 3])
     for r in range(R):
         assert same_bytes(blocks[r, 3], np.matmul(steps[r, 2], blocks[r, 2]))
+    # A route's rows solve together: one stacked SVD of their resolvents,
+    # without the singular vectors.
     resolvents = np.eye(n) + 0.1 * rng.standard_normal((R, n, n))
-    shifts = rng.standard_normal((R, n))
     singular_values = np.linalg.svd(resolvents, compute_uv=False)
-    solved = np.linalg.solve(resolvents, shifts[..., None])[..., 0]
     for r in range(R):
         assert same_bytes(singular_values[r], np.linalg.svd(resolvents[r], compute_uv=False))
+    # One stacked solve, each row's shift one right-hand-side column, against
+    # the row's own solve on its (n,) shift.
+    shifts = rng.standard_normal((R, n))
+    solved = np.linalg.solve(resolvents, shifts[..., None])[..., 0]
+    for r in range(R):
         assert same_bytes(solved[r], np.linalg.solve(resolvents[r], shifts[r]))
+    # One observe of every row under each variant, on the node-major view
+    # (K+1, R, ...) of the rows' columns, eigenvalues or sums (R, K+1, ...);
+    # and the eigenbasis rows rebuilt by one product with V^T.
+    grid_t = TimeGrid(T=0.5, K=64)
+    for variant in Variant:
+        cond = AveragingCondition.from_preset(grid_t, variant, "exp_decay", w0=0.5)
+        for shape in ((R, 65, n, n), (R, 65, n), (R, 65, n, n + 1)):
+            stack = rng.standard_normal(shape)
+            observed = observe(cond, stack.swapaxes(0, 1))
+            for r in range(R):
+                assert same_bytes(observed[r], observe(cond, stack[r]))
     grid = build_grid(n, 1.0, BoundaryKind.NEUMANN)
+    basis = assemble_laplacian(grid).eigenvectors
+    eigenvalues, sums = rng.standard_normal((2, R, 65, n))
+    xis = rng.standard_normal((R, n))
+    rebuilt = (eigenvalues * xis[:, None] + sums) @ basis.T
+    for r in range(R):
+        assert same_bytes(rebuilt[r], (eigenvalues[r] * xis[r] + sums[r]) @ basis.T)
     # The distance's modal transform and norms at a scan's batch shape.
     base = assemble_laplacian(grid)
     diffs = rng.standard_normal((8, 65, n))
