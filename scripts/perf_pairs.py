@@ -17,7 +17,12 @@ metric of BENCHMARK.json, one line gives each side's median and quartiles,
 how many pairs this tree won and lost (ties count for neither), and
 whether the medians differ by more than REV's interquartile range, and in
 which direction.  A gain holds where the tree won at least nine tenths of
-the pairs and its median is better by more than that range.  The script
+the pairs and its median is better by more than that range.  Last comes
+the verdict against the metric's relative ``bound`` in BENCHMARK.json:
+"worse than bound" where the tree's median is worse than REV's by more
+than the bound times REV's median, otherwise "within bound"; and
+"unresolved" where REV's interquartile range exceeds that share of its
+median, unless every tree run beats every REV run.  The script
 edits no file of the benchmark; the runs write only their own output.  A
 run that fails ends the script with exit 2.
 """
@@ -66,10 +71,10 @@ def quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summary(name: str, better: str, rev: list, tree: list) -> str:
+def summary(name: str, better: str, bound: float, rev: list, tree: list) -> str:
     """One metric's line for the pairs (rev[i], tree[i]): the medians and
-    quartiles, the pairs this tree won, and how the medians compare with
-    REV's interquartile range."""
+    quartiles, the pairs this tree won, how the medians compare with REV's
+    interquartile range, and the verdict against the relative bound."""
     sign = -1.0 if better == "lower" else 1.0
     won = sum(sign * (ours - theirs) > 0 for theirs, ours in zip(rev, tree))
     lost = sum(sign * (ours - theirs) < 0 for theirs, ours in zip(rev, tree))
@@ -80,21 +85,27 @@ def summary(name: str, better: str, rev: list, tree: list) -> str:
     else:
         verdict = "better by more than REV's IQR" if shift > 0 else "worse by more than REV's IQR"
     gain = won >= 0.9 * len(rev) and shift > q3 - q1
+    allowed = bound * abs(median)
+    if q3 - q1 > allowed and not all(sign * (ours - theirs) > 0 for theirs in rev for ours in tree):
+        status = "unresolved"
+    else:
+        status = "worse than bound" if -shift > allowed else "within bound"
     return (
         f"  {name} ({better} is better): REV {median:.6g} [{q1:.6g}, {q3:.6g}]"
         f"  tree {tree_median:.6g} [{t1:.6g}, {t3:.6g}]"
         f"  tree won {won}/{len(rev)}, lost {lost}  {verdict}{'  GAIN' if gain else ''}"
+        f"  bound {bound:g}: {status}"
     )
 
 
 def report(workload: str, seed: int, metrics: list, rev_runs: list, tree_runs: list) -> list:
     """The lines of one workload and seed: a heading, then one line per
-    metric (name, better) that every run reported."""
+    metric (name, better, bound) that every run reported."""
     lines = [f"{workload} seed {seed}, {len(rev_runs)} pairs"]
-    for name, better in metrics:
+    for name, better, bound in metrics:
         if all(name in run for run in rev_runs + tree_runs):
             rev = [run[name] for run in rev_runs]
-            lines.append(summary(name, better, rev, [run[name] for run in tree_runs]))
+            lines.append(summary(name, better, bound, rev, [run[name] for run in tree_runs]))
     return lines
 
 
@@ -108,7 +119,9 @@ def main(argv=None) -> int:
     if args.pairs < 10:
         parser.error("--pairs must be at least 10: fewer pairs cannot support a claim")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [(entry["name"], entry["better"]) for entry in benchmark["end_to_end"]]
+    metrics = [
+        (entry["name"], entry["better"], entry["bound"]) for entry in benchmark["end_to_end"]
+    ]
     workloads = args.workload or [entry["name"] for entry in benchmark["workloads"]]
     lines = []
     with tempfile.TemporaryDirectory() as scratch:

@@ -155,33 +155,30 @@ def resolvent_matrix(values: SweepValues) -> np.ndarray:
     return values.resolvent
 
 
-def resolvent_floor(singular_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma_min, floor) of each of a stack (..., n) of resolvents from
-    their singular values: the floor is 1e-10 times the spectral norm, and
-    a resolvent is singular where its sigma_min sits at or below it."""
-    return singular_values.min(axis=-1), 1e-10 * singular_values.max(axis=-1)
-
-
-def check_resolvent(cond: AveragingCondition, singular_values: np.ndarray) -> float:
-    """sigma_min of a variant resolvent from its singular values: those of
-    one SVD, or the moduli of its eigenvalues where it is diagonal in an
-    orthonormal basis.  Raises SingularOperatorError when sigma_min sits at
-    or below the floor (:func:`resolvent_floor`)."""
-    sigma, floor = resolvent_floor(singular_values)
-    sigma = float(sigma)
-    if sigma <= floor:
-        raise SingularOperatorError(
+def check_resolvent(cond: AveragingCondition, singular_values: np.ndarray) -> tuple:
+    """sigma_min (R,) of each of a stack of R variant resolvents from their
+    singular values (R, n): those of one stacked SVD, or the moduli of the
+    eigenvalues of a resolvent diagonal in an orthonormal basis; and per
+    row the SingularOperatorError of a resolvent whose sigma_min sits at or
+    below the floor, 1e-10 times its spectral norm, or None."""
+    sigmas, floors = singular_values.min(axis=-1), 1e-10 * singular_values.max(axis=-1)
+    errors = [
+        SingularOperatorError(
             f"{cond.variant.value} resolvent is numerically singular "
             f"(sigma_min={sigma:.3e} <= floor={floor:.3e})",
             sigma_min=sigma,
         )
-    return sigma
+        if sigma <= floor
+        else None
+        for sigma, floor in zip(sigmas.tolist(), floors.tolist())
+    ]
+    return sigmas, errors
 
 
 def data_shift(values: SweepValues, Ms: np.ndarray) -> np.ndarray:
     """Right-hand side of each row's resolvent equation, M - Psi f or
     M + w0 N(T) f; where the sweep is diagonal in a basis V, M is taken into
-    it row by row, as a sweep of that row alone would."""
+    it by one stacked product, each row its own product's bit for bit."""
     if values.basis is not None:
-        Ms = np.array([M @ values.basis for M in Ms])
+        Ms = (Ms[:, None, :] @ values.basis)[:, 0]
     return Ms - values.sums

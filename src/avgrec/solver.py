@@ -67,12 +67,12 @@ norm, ``linearise``, propagation build and recursion (each row on its
 own route: one modal sweep of the rows in the eigenbasis, one elimination
 and stacked passes for the stepper's other rows, and the kernel series'
 other rows one by one) and distance; each route's rows then solve
-together, one stacked SVD and one stacked solve (or the moduli and one
-division), and are rebuilt and checked together.  Each stacked call equals
-the per-row call slice by slice, bit for bit.  A stacked stage that fails
-is redone row by row, and a row that a stacked solve cannot take (a
-non-finite or singular resolvent) solves alone, so that each row meets its
-own error.  A row leaves the batch
+together, one stacked SVD and one floor test, the rows at the floor
+failing there, and one stacked solve (or the moduli and one division),
+and are rebuilt and checked together.  Each stacked call equals the
+per-row call slice by slice, bit for bit.  A stacked stage that fails,
+the SVD and the solve among them, is redone row by row, so that each row
+meets its own error.  A row leaves the batch
 where its own recovery would stop, with the same error, message and
 partial report.  A batch holds as many rows as fit the memory budget at
 the per-row peak of a sweep.
@@ -90,7 +90,6 @@ from .averaging import (
     check_resolvent,
     data_shift,
     observe,
-    resolvent_floor,
     resolvent_matrix,
 )
 from .errors import BallViolationError, ConfigurationError, ConvergenceError, NumericalError
@@ -277,10 +276,11 @@ def _sweep(
     are finite (on the bands alone, every other entry being an exact zero),
     one propagation build and recursion (:func:`_propagation`) and one
     distance of the rows that solved; each of these equals the per-row call
-    slice by slice, bit for bit.  Where any of them fails, the sweep is
-    redone row by row, each row as a batch of one, so that each row meets
-    its own error.  Each route's rows solve their resolvent equations and
-    are rebuilt together (:func:`_solve_rows`).
+    slice by slice, bit for bit.  Each route's rows solve their resolvent
+    equations and are rebuilt together (:func:`_solve_rows`).  Where any
+    stage fails, a stacked SVD or solve included, the sweep is redone row
+    by row, each row as a batch of one, so that each row meets its own
+    error.
     """
     try:
         path, f_states = operator_path(model, cond.grid, states)
@@ -311,80 +311,50 @@ def _solve_rows(cond: AveragingCondition, values: SweepValues, Ms: np.ndarray) -
     sweep values for its data, or the error that ends its recovery: a
     non-finite propagation, a singular resolvent, or non-finite states.
 
-    The rows solve together (:func:`_solve_together`), each row's values
-    its own call's bit for bit.  A row that the stacked calls leave solves
-    alone (:func:`_solve_row`) and meets its own error.  The rows are
-    rebuilt together, a failed row from Xi = 0, and their states checked
-    at once.  A non-finite step spreads
-    into the resolvent or the states, so the propagation is read
-    (``values.finite``) only where one of them is not finite, to name it;
-    a non-finite resolvent of a finite one meets the SVD's error."""
+    A row whose resolvent is not finite on a non-finite propagation meets
+    that error.  The other rows take one stacked SVD (or, where the
+    resolvent is diagonal in the sweep's basis, the moduli of its
+    eigenvalues) and one floor test (``averaging.check_resolvent``), which
+    gives the rows at the floor their error, and the rows above it one
+    stacked solve (or division), each row its own call's bit for bit.  A
+    stacked call that raises (the SVD of a stack holding a NaN resolvent)
+    reaches :func:`_sweep`, which redoes the sweep row by row.  The rows are
+    rebuilt together, a failed row from Xi = 0, and their states checked at
+    once.  A non-finite step spreads into the resolvent or the states, so
+    the propagation is read (``values.finite``, once) only where one of
+    them is not finite."""
     resolvents, shifts = resolvent_matrix(values), data_shift(values, Ms)
-    xis, sigmas = np.zeros_like(shifts), np.zeros(len(shifts))
-    outcomes = [None] * len(shifts)
-    for r in _solve_together(resolvents, shifts, xis, sigmas):
-        try:
-            if not np.isfinite(resolvents[r]).all() and not values.finite()[r]:
-                raise _non_finite_propagation()
-            xis[r], sigmas[r] = _solve_row(cond, resolvents[r], shifts[r])
-        except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            outcomes[r] = _failure(exc)
+    diagonal, finite = resolvents.ndim == 2, None
+    blown = ~np.isfinite(resolvents).all(axis=(1,) if diagonal else (1, 2))
+    if blown.any():
+        finite = values.finite()
+        blown &= ~finite
+    outcomes = [_non_finite_propagation() if skip else None for skip in blown.tolist()]
+    rows = np.flatnonzero(~blown)
+    stack = resolvents[rows]
+    singular_values = np.abs(stack) if diagonal else np.linalg.svd(stack, compute_uv=False)
+    sigmas = np.zeros(len(shifts))
+    sigmas[rows], errors = check_resolvent(cond, singular_values)
+    for r, error in zip(rows.tolist(), errors):
+        outcomes[r] = error
+    regular = np.array([error is None for error in errors], dtype=bool)
+    rows, stack = rows[regular], stack[regular]
+    xis, shift = np.zeros_like(shifts), shifts[rows]
+    xis[rows] = shift / stack if diagonal else np.linalg.solve(stack, shift[..., None])[..., 0]
     states = values.rebuild(xis)
     finite_states = np.isfinite(states).all(axis=(1, 2))
-    for r, (sigma, finite) in enumerate(zip(sigmas.tolist(), finite_states)):
+    if finite is None and not finite_states.all():
+        finite = values.finite()
+    for r, (sigma, finite_row) in enumerate(zip(sigmas.tolist(), finite_states)):
         if outcomes[r] is not None:
             continue
-        if finite:
+        if finite_row:
             outcomes[r] = (states[r], states[r, 0], sigma)
-        elif values.finite()[r]:
+        elif finite[r]:
             outcomes[r] = ConvergenceError("iteration produced non-finite states")
         else:
             outcomes[r] = _non_finite_propagation()
     return outcomes
-
-
-def _solve_together(
-    resolvents: np.ndarray, shifts: np.ndarray, xis: np.ndarray, sigmas: np.ndarray
-) -> np.ndarray:
-    """Xi and sigma_min, written into ``xis`` and ``sigmas``, of the rows
-    of resolvents (R, n, n), or eigenvalues (R, n), that are finite and
-    above the floor, for their data shifts (R, n): one stacked SVD (or the
-    moduli), the floor test on all rows at once and one stacked solve (or
-    division).  Returns the indices of the rows it leaves to solve alone:
-    those not finite or at the floor, or all rows where a stacked call
-    raises."""
-    diagonal = resolvents.ndim == 2
-    rows = np.flatnonzero(np.isfinite(resolvents).all(axis=(1,) if diagonal else (1, 2)))
-    if not rows.size:
-        return np.arange(len(shifts))
-    try:
-        stack = resolvents[rows]
-        singular_values = np.abs(stack) if diagonal else np.linalg.svd(stack, compute_uv=False)
-        sigma, floor = resolvent_floor(singular_values)
-        regular = ~(sigma <= floor)
-        sigmas[rows] = sigma
-        rows, stack = rows[regular], stack[regular]
-        if diagonal:
-            xis[rows] = shifts[rows] / stack
-        else:
-            xis[rows] = np.linalg.solve(stack, shifts[rows, :, None])[..., 0]
-    except (np.linalg.LinAlgError, FloatingPointError):
-        return np.arange(len(shifts))
-    alone = np.ones(len(shifts), dtype=bool)
-    alone[rows] = False
-    return np.flatnonzero(alone)
-
-
-def _solve_row(cond: AveragingCondition, resolvent: np.ndarray, shift: np.ndarray):
-    """Xi and sigma_min of one row's resolvent equation on its data shift,
-    the body of a row that :func:`_solve_rows` solves alone: one SVD,
-    whose sigma_min reaches the report, and a solve; or, where the
-    resolvent is diagonal in the sweep's basis (its eigenvalues, shape
-    (n,)), their moduli, its singular values, and a division."""
-    diagonal = resolvent.ndim == 1
-    singular_values = np.abs(resolvent) if diagonal else np.linalg.svd(resolvent, compute_uv=False)
-    sigma = check_resolvent(cond, singular_values)
-    return (shift / resolvent if diagonal else np.linalg.solve(resolvent, shift)), sigma
 
 
 def _non_finite_propagation() -> ConvergenceError:

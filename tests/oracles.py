@@ -683,9 +683,11 @@ def initial_state_map(cond: AveragingCondition, prop, M: np.ndarray, f_traj) -> 
     _check_grid(f_traj, prop)
     M = np.asarray(M, dtype=float)
     values = prop.sweep(cond, _states_of(f_traj)[None])
-    (resolvent,), (shift,) = resolvent_matrix(values), data_shift(values, M[None])
-    check_resolvent(cond, np.linalg.svd(resolvent, compute_uv=False))
-    return np.linalg.solve(resolvent, shift)
+    resolvents, shifts = resolvent_matrix(values), data_shift(values, M[None])
+    _, (error,) = check_resolvent(cond, np.linalg.svd(resolvents, compute_uv=False))
+    if error is not None:
+        raise error
+    return np.linalg.solve(resolvents[0], shifts[0])
 
 
 @dataclass(frozen=True)

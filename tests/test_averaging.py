@@ -7,6 +7,7 @@ import oracles
 from avgrec.averaging import (
     AveragingCondition,
     Variant,
+    check_resolvent,
     data_shift,
     duhamel_sums,
     node_weights,
@@ -299,6 +300,23 @@ class TestApplyPsi:
         cond = AveragingCondition.from_preset(entry["path"].grid, Variant.TIME_AVERAGE, "constant")
         with pytest.raises(ValueError):
             apply_psi(Trajectory(other, np.zeros((other.K + 1, 16))), entry["stepper"], cond)
+
+
+def test_check_resolvent_tests_each_row_of_a_stack_against_its_floor():
+    # Rows above, below and exactly at the floor, 1e-10 times the spectral
+    # norm: a resolvent at the floor is singular.
+    grid_t = TimeGrid(T=0.5, K=8)
+    cond = AveragingCondition.from_preset(grid_t, Variant.TIME_AVERAGE)
+    singular_values = np.array([[1.0, 0.5, 0.1], [2.0, 1.0, 1e-12], [1.0, 0.5, 1e-10]])
+    sigmas, errors = check_resolvent(cond, singular_values)
+    assert sigmas.tolist() == [0.1, 1e-12, 1e-10]
+    assert errors[0] is None
+    assert all(isinstance(error, SingularOperatorError) for error in errors[1:])
+    assert [str(error) for error in errors[1:]] == [
+        "time_average resolvent is numerically singular (sigma_min=1.000e-12 <= floor=2.000e-10)",
+        "time_average resolvent is numerically singular (sigma_min=1.000e-10 <= floor=1.000e-10)",
+    ]
+    assert [error.sigma_min for error in errors[1:]] == [1e-12, 1e-10]
 
 
 class TestInitialStateMap:

@@ -440,9 +440,10 @@ def test_stepper_rows_are_their_own_sweeps(variant):
 
 
 def test_a_nan_resolvent_fails_its_own_row(monkeypatch):
-    # One row's resolvent turns NaN once its Duhamel sums grow: that row's
-    # own SVD raises and it fails as its single-row recovery does, leaving
-    # the computable regime, while the others go on.
+    # One row's resolvent turns NaN once its Duhamel sums grow: the stacked
+    # SVD raises, the sweep is redone row by row, and that row fails as its
+    # single-row recovery does, leaving the computable regime, while the
+    # others go on.
     original = avgrec.solver.resolvent_matrix
 
     def spoiled(values):
@@ -460,11 +461,12 @@ def test_a_nan_resolvent_fails_its_own_row(monkeypatch):
     assert result.rows[0].converged
 
 
-@pytest.mark.parametrize("width", [1, 3, 8])
-def test_a_dense_route_makes_one_svd_and_one_solve_per_sweep(width, monkeypatch):
-    # Every row starts from one constant state away from zero, so that every
-    # sweep goes dense: its rows take one stacked SVD and one stacked solve,
-    # whatever the batch holds.
+def dense_route_calls(monkeypatch, width, floor_row=None):
+    """The rows of a batch of ``width`` recoveries, each started from one
+    constant state away from zero so that every sweep goes dense, with the
+    np.linalg.svd and np.linalg.solve calls they made and the width of each
+    sweep.  With ``floor_row``, the first sweep zeroes a column of that
+    row's resolvent, which puts it at the floor."""
     calls, sweeps = [], []
     for name in ("svd", "solve"):
 
@@ -473,13 +475,23 @@ def test_a_dense_route_makes_one_svd_and_one_solve_per_sweep(width, monkeypatch)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    original = avgrec.solver._sweep
+    original_sweep, original_propagation = avgrec.solver._sweep, avgrec.solver._propagation
 
     def recorded(model, cond, Ms, states, config):
         sweeps.append(len(states))
-        return original(model, cond, Ms, states, config)
+        return original_sweep(model, cond, Ms, states, config)
+
+    def spoiled(cond, path, f_states, config, base):
+        groups = original_propagation(cond, path, f_states, config, base)
+        if floor_row is None or len(sweeps) > 1:
+            return groups
+        ((rows, values),) = groups
+        resolvent = values.resolvent.copy()
+        resolvent[floor_row, :, 0] = 0.0
+        return [(rows, dataclasses.replace(values, resolvent=resolvent))]
 
     monkeypatch.setattr(avgrec.solver, "_sweep", recorded)
+    monkeypatch.setattr(avgrec.solver, "_propagation", spoiled)
     data = [amp * DIRECTION for amp in np.linspace(0.01, 0.1, width)]
     start = Trajectory(GRID, np.full((K + 1, N), 2e-3))
     with warnings.catch_warnings():
@@ -487,8 +499,27 @@ def test_a_dense_route_makes_one_svd_and_one_solve_per_sweep(width, monkeypatch)
         rows = avgrec.solver._recover_rows(
             CHEMO, condition(Variant.TERMINAL_DIFFERENCE), data, [start] * width, RecoveryConfig()
         )
+    return rows, calls, sweeps
+
+
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_a_dense_route_makes_one_svd_and_one_solve_per_sweep(width, monkeypatch):
+    # A dense route's rows take one stacked SVD and one stacked solve,
+    # whatever the batch holds.
+    rows, calls, sweeps = dense_route_calls(monkeypatch, width)
     assert all(row.error is None for row in rows)
     assert sweeps[0] == width and len(sweeps) >= 3
+    assert calls == ["svd", "solve"] * len(sweeps)
+
+
+@pytest.mark.parametrize("width", [2, 8])
+def test_a_row_at_the_floor_takes_no_svd_of_its_own(width, monkeypatch):
+    # The row at the floor gets its error from the stacked SVD, and the
+    # other rows still make one stacked solve.
+    rows, calls, sweeps = dense_route_calls(monkeypatch, width, floor_row=width // 2)
+    assert isinstance(rows[width // 2].error, SingularOperatorError)
+    assert all(row.error is None for k, row in enumerate(rows) if k != width // 2)
+    assert sweeps[0] == width and sweeps[1] == width - 1
     assert calls == ["svd", "solve"] * len(sweeps)
 
 

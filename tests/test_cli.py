@@ -371,27 +371,51 @@ def test_experiment_script_prints_its_table(script, capsys):
 def test_perf_pairs_summarises_canned_runs():
     # Ten pairs of result lines as perfbench/run.py prints them, its info
     # line first: the tree wins nine on solve_s and clears REV's spread;
-    # setup_s ties every pair, peak_rss_mb is worse beyond the spread, and
-    # sweep_ms, which no run reported, has no line.
+    # setup_s ties every pair, peak_rss_mb is worse beyond the spread and,
+    # by 4%, beyond a 1% bound, and sweep_ms, which no run reported, has no
+    # line.  REV's u0_rel_err and build_s spread by 31% of their medians,
+    # past a 25% bound: u0_rel_err stays unresolved, while every tree run of
+    # build_s beats every REV run.
     pairs = load_script("perf_pairs")
 
-    def output(solve_s, rss):
-        metrics = {"solve_s": solve_s, "setup_s": 0.1, "peak_rss_mb": rss}
-        result = {k: {"value": v, "unit": "x"} for k, v in metrics.items()}
+    def output(k, solve_s, rss, err, build_s):
+        metrics = {
+            "solve_s": solve_s, "setup_s": 0.1, "peak_rss_mb": rss,
+            "u0_rel_err": err, "build_s": build_s,
+        }
+        result = {name: {"value": v, "unit": "x"} for name, v in metrics.items()}
         return json.dumps({"ops": 9}) + "\n" + json.dumps({"metrics": result}) + "\n"
 
-    rev = [pairs.read_metrics(output(0.027 + 0.0001 * k, 50.0)) for k in range(10)]
-    tree = [pairs.read_metrics(output(0.025 + 0.0001 * k, 52.0)) for k in range(9)]
-    tree.append(pairs.read_metrics(output(0.03, 52.0)))
-    metrics = [(name, "lower") for name in ("solve_s", "sweep_ms", "setup_s", "peak_rss_mb")]
+    spread = [1.0 + 0.1 * k for k in range(10)]
+    rev = [
+        pairs.read_metrics(output(k, 0.027 + 0.0001 * k, 50.0, spread[k], spread[k]))
+        for k in range(10)
+    ]
+    tree = [
+        pairs.read_metrics(output(k, 0.025 + 0.0001 * k, 52.0, spread[k] + 0.01, 0.5))
+        for k in range(9)
+    ]
+    tree.append(pairs.read_metrics(output(9, 0.03, 52.0, spread[9] + 0.01, 0.5)))
+    metrics = [
+        (name, "lower", bound)
+        for name, bound in (
+            ("solve_s", 0.25), ("sweep_ms", 0.25), ("setup_s", 0.25), ("peak_rss_mb", 0.01),
+            ("u0_rel_err", 0.25), ("build_s", 0.25),
+        )
+    ]
     assert pairs.report("scan-terminal", 3, metrics, rev, tree) == [
         "scan-terminal seed 3, 10 pairs",
         "  solve_s (lower is better): REV 0.02745 [0.027225, 0.027675]"
-        "  tree 0.02545 [0.025225, 0.025675]  tree won 9/10, lost 1  better by more than REV's IQR  GAIN",
+        "  tree 0.02545 [0.025225, 0.025675]  tree won 9/10, lost 1  better by more than REV's IQR  GAIN"
+        "  bound 0.25: within bound",
         "  setup_s (lower is better): REV 0.1 [0.1, 0.1]  tree 0.1 [0.1, 0.1]"
-        "  tree won 0/10, lost 0  within REV's IQR",
+        "  tree won 0/10, lost 0  within REV's IQR  bound 0.25: within bound",
         "  peak_rss_mb (lower is better): REV 50 [50, 50]  tree 52 [52, 52]"
-        "  tree won 0/10, lost 10  worse by more than REV's IQR",
+        "  tree won 0/10, lost 10  worse by more than REV's IQR  bound 0.01: worse than bound",
+        "  u0_rel_err (lower is better): REV 1.45 [1.225, 1.675]  tree 1.46 [1.235, 1.685]"
+        "  tree won 0/10, lost 10  within REV's IQR  bound 0.25: unresolved",
+        "  build_s (lower is better): REV 1.45 [1.225, 1.675]  tree 0.5 [0.5, 0.5]"
+        "  tree won 10/10, lost 0  better by more than REV's IQR  GAIN  bound 0.25: within bound",
     ]
     # Fewer than ten pairs cannot support a claim: refused before any run.
     with pytest.raises(SystemExit) as refused:

@@ -1,11 +1,13 @@
 """Stacked per-node model work: one call on a stack (..., n) of states must
 equal the stack of single-state calls bit for bit."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import avgrec.models
 from avgrec import spatial
-from avgrec.averaging import AveragingCondition, Variant, observe
+from avgrec.averaging import AveragingCondition, Variant, data_shift, observe
 from avgrec.errors import ConvergenceError, NumericalError
 from avgrec.evolution import PropagatorMethod, TimeGrid
 from avgrec.models import (
@@ -176,6 +178,15 @@ def test_stacked_ops_match_per_slice(n):
     solved = np.linalg.solve(resolvents, shifts[..., None])[..., 0]
     for r in range(R):
         assert same_bytes(solved[r], np.linalg.solve(resolvents[r], shifts[r]))
+    # An eigenbasis route takes its rows' data into the basis by one stacked
+    # product (averaging.data_shift), at every batch width.
+    grid = build_grid(n, 1.0, BoundaryKind.NEUMANN)
+    basis = assemble_laplacian(grid).eigenvectors
+    for width in (1, 2, 8, 14):
+        Ms, sums = rng.standard_normal((2, width, n))
+        shifted = data_shift(SimpleNamespace(basis=basis, sums=sums), Ms)
+        for r in range(width):
+            assert same_bytes(shifted[r], Ms[r] @ basis - sums[r])
     # One observe of every row under each variant, on the node-major view
     # (K+1, R, ...) of the rows' columns, eigenvalues or sums (R, K+1, ...);
     # and the eigenbasis rows rebuilt by one product with V^T.
@@ -187,8 +198,6 @@ def test_stacked_ops_match_per_slice(n):
             observed = observe(cond, stack.swapaxes(0, 1))
             for r in range(R):
                 assert same_bytes(observed[r], observe(cond, stack[r]))
-    grid = build_grid(n, 1.0, BoundaryKind.NEUMANN)
-    basis = assemble_laplacian(grid).eigenvectors
     eigenvalues, sums = rng.standard_normal((2, R, 65, n))
     xis = rng.standard_normal((R, n))
     rebuilt = (eigenvalues * xis[:, None] + sums) @ basis.T
