@@ -177,8 +177,9 @@ class SweepValues:
     (R, n), in V's coordinates where V is set; ``rebuild``, from the rows'
     Xi (R, n), in V's coordinates where V is set, to their states
     U(t_i, 0) Xi + G_i (R, K+1, n), whose node 0 is Xi; and ``finite``,
-    whether each row's propagation is finite (R,), read only where a row's
-    resolvent or states are not."""
+    whether each row's propagation is finite (R,), read only to name the
+    error of a sweep whose resolvents or states are not: the solve raises
+    it for all R rows, and the sweep redoes them one by one."""
 
     resolvent: np.ndarray
     sums: np.ndarray
@@ -198,13 +199,14 @@ def _column_values(cond, column: np.ndarray, sums: np.ndarray, basis=None) -> Sw
     or, with the basis V, their eigenvalues (R, K+1, n), and their Duhamel
     sums G (R, K+1, n), in V's coordinates where V is set: observed by one
     ``averaging.observe`` each (:func:`_observed_rows`) and rebuilt as
-    column Xi + G, row by row, or, with V, all rows times V^T in one
-    product; each row's values are its own sweep's bit for bit."""
+    column Xi + G, all rows in one stacked product, or, with V, all rows
+    times V^T in one product; each row's values are its own sweep's bit
+    for bit."""
 
     def rebuild(xi):
         with np.errstate(invalid="ignore"):  # inf * 0 of a non-finite column
             if basis is None:
-                return np.array([c @ x + g for c, x, g in zip(column, xi, sums)])
+                return np.matmul(column, xi[:, None, :, None])[..., 0] + sums
             return (column * xi[:, None] + sums) @ basis.T
 
     return SweepValues(

@@ -67,12 +67,13 @@ norm, ``linearise``, propagation build and recursion (each row on its
 own route: one modal sweep of the rows in the eigenbasis, one elimination
 and stacked passes for the stepper's other rows, and the kernel series'
 other rows one by one) and distance; each route's rows then solve
-together, one stacked SVD and one floor test, the rows at the floor
-failing there, and one stacked solve (or the moduli and one division),
-and are rebuilt and checked together.  Each stacked call equals the
-per-row call slice by slice, bit for bit.  A stacked stage that fails,
-the SVD and the solve among them, is redone row by row, so that each row
-meets its own error.  A row leaves the batch
+together, one stacked SVD and one floor test, and one stacked solve (or
+the moduli and one division), and are rebuilt and checked together.
+Each stacked call equals the per-row call slice by slice, bit for bit.
+Every stacked stage either serves all its rows or raises, and a sweep
+that raises is redone row by row, so that each row meets its own error;
+the floor is the one exception, a verdict per row that fails the rows at
+the floor in place.  A row leaves the batch
 where its own recovery would stop, with the same error, message and
 partial report.  A batch holds as many rows as fit the memory budget at
 the per-row peak of a sweep.
@@ -143,11 +144,11 @@ class RecoveryConfig:
             raise ConfigurationError(
                 f"[solver] max_iters: must be at least 1, got {self.max_iters}"
             )
-        if self.tol_fixed_point <= 0:
+        if not self.tol_fixed_point > 0:
             raise ConfigurationError(
                 f"[solver] tol: fixed-point tolerance must be positive, got {self.tol_fixed_point}"
             )
-        if self.ball_L <= 0:
+        if not self.ball_L > 0:
             raise ConfigurationError(
                 f"[solver] ball_l: iteration ball radius must be positive, got {self.ball_L}"
             )
@@ -277,10 +278,11 @@ def _sweep(
     one propagation build and recursion (:func:`_propagation`) and one
     distance of the rows that solved; each of these equals the per-row call
     slice by slice, bit for bit.  Each route's rows solve their resolvent
-    equations and are rebuilt together (:func:`_solve_rows`).  Where any
-    stage fails, a stacked SVD or solve included, the sweep is redone row
-    by row, each row as a batch of one, so that each row meets its own
-    error.
+    equations and are rebuilt together (:func:`_solve_rows`).  Every stage
+    serves all its rows or raises; where one raises, the sweep is redone
+    row by row, each row as a batch of one, so that each row meets its own
+    error.  The floor is the one verdict given per row: a row at the floor
+    fails in place, and the other rows go on in the same sweep.
     """
     try:
         path, f_states = operator_path(model, cond.grid, states)
@@ -308,53 +310,41 @@ def _sweep(
 
 def _solve_rows(cond: AveragingCondition, values: SweepValues, Ms: np.ndarray) -> list:
     """(the states of u_new, Xi, sigma_min) of each row of one route's
-    sweep values for its data, or the error that ends its recovery: a
-    non-finite propagation, a singular resolvent, or non-finite states.
+    sweep values for its data, or the SingularOperatorError of a row whose
+    resolvent sits at the floor.
 
-    A row whose resolvent is not finite on a non-finite propagation meets
-    that error.  The other rows take one stacked SVD (or, where the
-    resolvent is diagonal in the sweep's basis, the moduli of its
-    eigenvalues) and one floor test (``averaging.check_resolvent``), which
-    gives the rows at the floor their error, and the rows above it one
-    stacked solve (or division), each row its own call's bit for bit.  A
-    stacked call that raises (the SVD of a stack holding a NaN resolvent)
-    reaches :func:`_sweep`, which redoes the sweep row by row.  The rows are
-    rebuilt together, a failed row from Xi = 0, and their states checked at
-    once.  A non-finite step spreads into the resolvent or the states, so
-    the propagation is read (``values.finite``, once) only where one of
-    them is not finite."""
+    The rows take one stacked SVD (or, where the resolvent is diagonal in
+    the sweep's basis, the moduli of its eigenvalues) and one floor test
+    (``averaging.check_resolvent``), which fails the rows at the floor in
+    place, and the rows above it take one stacked solve (or division),
+    each row its own call's bit for bit; then all rows are rebuilt
+    together, a row at the floor from Xi = 0, and the states of the
+    others checked at once.  Any other failure raises for the whole
+    route, to :func:`_sweep`'s row-by-row redo: a resolvent that is not
+    finite on a non-finite propagation, the SVD's error (that of a stack
+    holding a NaN resolvent on a finite one), and rebuilt states that are
+    not finite, named by whether the propagation is.  A non-finite step
+    spreads into the resolvent or the states, so the propagation is read
+    (``values.finite``) only where one of them is not finite."""
     resolvents, shifts = resolvent_matrix(values), data_shift(values, Ms)
-    diagonal, finite = resolvents.ndim == 2, None
-    blown = ~np.isfinite(resolvents).all(axis=(1,) if diagonal else (1, 2))
-    if blown.any():
-        finite = values.finite()
-        blown &= ~finite
-    outcomes = [_non_finite_propagation() if skip else None for skip in blown.tolist()]
-    rows = np.flatnonzero(~blown)
-    stack = resolvents[rows]
-    singular_values = np.abs(stack) if diagonal else np.linalg.svd(stack, compute_uv=False)
-    sigmas = np.zeros(len(shifts))
-    sigmas[rows], errors = check_resolvent(cond, singular_values)
-    for r, error in zip(rows.tolist(), errors):
-        outcomes[r] = error
-    regular = np.array([error is None for error in errors], dtype=bool)
-    rows, stack = rows[regular], stack[regular]
-    xis, shift = np.zeros_like(shifts), shifts[rows]
+    diagonal = resolvents.ndim == 2
+    if not np.isfinite(resolvents).all() and not values.finite().all():
+        raise _non_finite_propagation()
+    sigmas, errors = check_resolvent(
+        cond, np.abs(resolvents) if diagonal else np.linalg.svd(resolvents, compute_uv=False)
+    )
+    rows = np.flatnonzero([error is None for error in errors])
+    xis, stack, shift = np.zeros_like(shifts), resolvents[rows], shifts[rows]
     xis[rows] = shift / stack if diagonal else np.linalg.solve(stack, shift[..., None])[..., 0]
     states = values.rebuild(xis)
-    finite_states = np.isfinite(states).all(axis=(1, 2))
-    if finite is None and not finite_states.all():
-        finite = values.finite()
-    for r, (sigma, finite_row) in enumerate(zip(sigmas.tolist(), finite_states)):
-        if outcomes[r] is not None:
-            continue
-        if finite_row:
-            outcomes[r] = (states[r], states[r, 0], sigma)
-        elif finite[r]:
-            outcomes[r] = ConvergenceError("iteration produced non-finite states")
-        else:
-            outcomes[r] = _non_finite_propagation()
-    return outcomes
+    if not np.isfinite(states[rows]).all():
+        if values.finite().all():
+            raise ConvergenceError("iteration produced non-finite states")
+        raise _non_finite_propagation()
+    return [
+        (states[r], states[r, 0], sigma) if error is None else error
+        for r, (sigma, error) in enumerate(zip(sigmas.tolist(), errors))
+    ]
 
 
 def _non_finite_propagation() -> ConvergenceError:

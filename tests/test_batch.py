@@ -596,3 +596,74 @@ def test_mixed_failures_in_one_batch_fail_their_own_rows(monkeypatch):
     assert str(rows[3].error) == "iteration left the computable regime: SVD did not converge"
     assert str(rows[4].error) == "iteration produced a non-finite propagation"
     assert all(len(row.report.sigma_min_history) == 1 for row in rows[2:])
+
+
+def spoil_propagation(values, spoiled):
+    """A dense route's sweep values whose ``spoiled`` rows have an infinite
+    resolvent on a non-finite propagation."""
+    resolvent, finite = values.resolvent.copy(), values.finite() & ~spoiled
+    resolvent[spoiled] = np.inf
+    return dataclasses.replace(values, resolvent=resolvent, finite=lambda: finite)
+
+
+def spoil_states(values, spoiled):
+    """A dense route's sweep values whose ``spoiled`` rows rebuild NaN states
+    on a finite propagation."""
+
+    def rebuild(xi):
+        states = values.rebuild(xi)
+        states[spoiled] = np.nan
+        return states
+
+    return dataclasses.replace(values, rebuild=rebuild)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (spoil_propagation, "iteration produced a non-finite propagation"),
+        (spoil_states, "iteration produced non-finite states"),
+    ],
+)
+def test_a_non_finite_row_sends_its_batch_to_the_row_by_row_redo(spoil, message, monkeypatch):
+    # From its first dense sweep on, a row is spoiled by the size of its own
+    # observed Duhamel sums, which only the 1.0 row reaches.  The first
+    # sweep is modal; the second, dense, raises for the whole batch and is
+    # redone as one sweep per row, the spoiled row failing in its own.  Each
+    # row ends as its one-row recovery does.
+    original, widths = avgrec.solver._propagation, []
+
+    def spoiled(cond, path, f_states, config, base):
+        groups = []
+        for rows, values in original(cond, path, f_states, config, base):
+            if values.basis is None:
+                values = spoil(values, np.abs(values.sums).max(axis=-1) > 1e-2)
+            groups.append((rows, values))
+        return groups
+
+    original_sweep = avgrec.solver._sweep
+
+    def recorded(model, cond, Ms, states, config):
+        widths.append(len(states))
+        return original_sweep(model, cond, Ms, states, config)
+
+    monkeypatch.setattr(avgrec.solver, "_propagation", spoiled)
+    monkeypatch.setattr(avgrec.solver, "_sweep", recorded)
+    cond, config = condition(Variant.TERMINAL_DIFFERENCE), RecoveryConfig(**LADDER_CONFIG)
+    data = [amp * DIRECTION for amp in (0.01, 0.03, 0.1, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = avgrec.solver._recover_rows(CHEMO, cond, data, [None] * len(data), config)
+        assert widths[:6] == [4, 4, 1, 1, 1, 1] and widths[6] == 3
+        for row, M in zip(rows, data):
+            try:
+                xi, traj, report = fixed_point_recover(CHEMO, cond, M, config)
+            except NumericalError as exc:
+                assert (type(row.error), str(row.error)) == (type(exc), str(exc))
+                assert row.error.report == exc.report
+                continue
+            assert row.error is None and row.report == report
+            assert np.array_equal(row.xi, xi) and np.array_equal(row.states, traj.states)
+    assert [row.error is None for row in rows] == [True, True, True, False]
+    assert str(rows[3].error) == message
+    assert len(rows[3].report.sigma_min_history) == 1

@@ -423,6 +423,48 @@ def test_perf_pairs_summarises_canned_runs():
     assert refused.value.code == 2
 
 
+LOC_MODULE = '''"""Module docstring,
+
+over three lines."""
+import os  # a trailing comment leaves a code line
+
+# a comment line
+TEMPLATE = """
+# inside a string: code, not a comment
+"""
+
+
+class Sample:
+    """Class docstring."""
+
+    def method(self):
+        """Function
+        docstring."""
+        # another comment line
+        return os.sep
+'''
+
+
+def test_loc_splits_a_canned_module(tmp_path):
+    # Lines 1-3, 13 and 16-17 are docstrings, the blank line 2 among them;
+    # 6 and 18 are comments; 5, 10, 11 and 14 are blank; the other seven,
+    # the string's lines 7-9 included, are code.
+    loc = load_script("loc")
+    counts = {"code": 7, "docstring": 6, "comment": 2, "blank": 4}
+    assert loc.split(LOC_MODULE) == counts
+    package = tmp_path / "src" / "avgrec"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(LOC_MODULE)
+    (package / "b.py").write_text("x = 1\n\n")
+    modules = loc.package_split(tmp_path)
+    assert list(modules) == ["a.py", "b.py", "total"]
+    assert modules["total"] == {"code": 8, "docstring": 6, "comment": 2, "blank": 5}
+    assert loc.table("tree", {"total": counts})[2].split() == ["total", "19", "7", "6", "2", "4"]
+    assert loc.change(modules["total"], counts) == (
+        "change: lines -2, code -1, docstring +0, comment +0, blank -1"
+    )
+
+
 def test_census_names_each_differing_run(tmp_path):
     census = load_script("census")
     run = {"exit": 0, "stdout": "a", "stderr": "b", "files": {"report.json": "c"}}

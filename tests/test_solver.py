@@ -311,6 +311,16 @@ class TestFixedPointRecover:
         with pytest.raises(ConfigurationError, match="max_iters"):
             RecoveryConfig(max_iters=0)
 
+    @pytest.mark.parametrize(
+        "key, field", [("tol", "tol_fixed_point"), ("ball_l", "ball_L")]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan")])
+    def test_nonpositive_or_nan_tolerance_and_radius_rejected(self, key, field, value):
+        # NaN <= 0 is false: a NaN tolerance would run every sweep and end
+        # in "no convergence", so the checks read "not x > 0".
+        with pytest.raises(ConfigurationError, match=rf"^\[solver\] {key}: .* must be positive"):
+            RecoveryConfig(**{field: value})
+
     def test_failed_sweep_counts_its_ball_exits(self, small_chemo):
         # Every state of the start leaves the ball, and NaN data make the
         # first sweep's states non-finite: the report counts the exits the
