@@ -73,15 +73,18 @@ several threads at once.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .averaging import node_weights, observe
 from .errors import NumericalError
-from .spatial import BaseOperator, band_stack, laplacian_stencil, matrix_exponential
+from .spatial import BaseOperator, band_stack, laplacian_stencil, matrix_exponential, read_only
 
 # Largest estimated peak (bytes) admitted for either propagation; see
 # series_peak_bytes and stepper_peak_bytes.
@@ -90,31 +93,37 @@ MEMORY_BUDGET = 2 * 2**30
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_j = j*T/K, j = 0..K."""
+    """Uniform grid t_j = j*T/K, j = 0..K.  K is held as a Python int; the
+    nodes and trapezoid weights are computed once per grid, read-only."""
 
     T: float
     K: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
-        if self.K < 1:
-            raise ValueError(f"need at least one step, got K={self.K}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got T={self.T}")
+        try:
+            K = operator.index(self.K)
+        except TypeError:
+            raise ValueError(f"the number of steps must be an integer, got K={self.K!r}") from None
+        if K < 1:
+            raise ValueError(f"need at least one step, got K={K}")
+        object.__setattr__(self, "K", K)
 
     @property
     def h(self) -> float:
         return self.T / self.K
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.K + 1)
+        return read_only(np.linspace(0.0, self.T, self.K + 1))
 
-    @property
+    @cached_property
     def trapezoid_weights(self) -> np.ndarray:
         """Composite trapezoid weights on [0, T]: h/2 at both ends, h inside."""
         qw = np.full(self.K + 1, self.h)
         qw[0] = qw[-1] = 0.5 * self.h
-        return qw
+        return read_only(qw)
 
 
 @dataclass(frozen=True, eq=False)

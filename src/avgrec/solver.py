@@ -80,6 +80,7 @@ the per-row peak of a sweep.
 """
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -108,7 +109,7 @@ from .evolution import (
     stepper_peak_bytes,
 )
 from .models import ball_norm
-from .spatial import modal_norm, modal_weights
+from .spatial import modal_weights
 
 DIVERGENCE_FACTOR = 1e8
 
@@ -140,10 +141,15 @@ class RecoveryConfig:
     method: PropagatorMethod = PropagatorMethod.STEPPER
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        try:
+            max_iters = operator.index(self.max_iters)
+        except TypeError:
+            max_iters = 0
+        if max_iters < 1:
             raise ConfigurationError(
-                f"[solver] max_iters: must be at least 1, got {self.max_iters}"
+                f"[solver] max_iters: must be an integer of at least 1, got {self.max_iters}"
             )
+        self.max_iters = max_iters
         if not self.tol_fixed_point > 0:
             raise ConfigurationError(
                 f"[solver] tol: fixed-point tolerance must be positive, got {self.tol_fixed_point}"
@@ -191,22 +197,46 @@ def weighted_distance(u, v, model, grid: TimeGrid) -> float | np.ndarray:
     Hoelder exponent rho.  The t=0 node is excluded from
     the weighted part (the weight vanishes there); the Hoelder quotient runs
     over adjacent and dyadic gaps only, a gap whose quotient is NaN left out.
+
+    Every norm is ``spatial.modal_norm``'s rounding, sqrt(sum(w c^2) h),
+    reduced in one pass: one modal transform of u - v, squared once for
+    the xi and sup parts, and per dyadic gap one difference, square and
+    reduce over the modes in one reused scratch stack the coefficients'
+    size.  Each reduce writes its own slice of one buffer of squared norms
+    per row, which then takes one scaling, one sqrt and one
+    ``np.maximum.reduceat`` for the sup part and every gap's peak.
     """
-    book, base = model.exponents, model.base
-    xi_weights, beta_weights = (modal_weights(base, 2.0 * order) for order in (book.xi, book.beta))
+    book, base, K = model.exponents, model.base, grid.K
     # (..., K+1, n) modal coefficients of the differences; the transform is
     # linear, so a difference of nodes is the difference of their rows.
     coeffs = (u - v) @ base.eigenvectors
-    xi_norms = modal_norm(base, coeffs, xi_weights)[..., 1:]
-    xi_part = (grid.nodes[1:] ** book.mu * xi_norms).max(axis=-1)
-    sup_part = modal_norm(base, coeffs, beta_weights).max(axis=-1)
-    holder = np.zeros(coeffs.shape[:-2])
-    gap = 1
-    while gap <= grid.K:
-        seg_norms = modal_norm(base, coeffs[..., gap:, :] - coeffs[..., :-gap, :], beta_weights)
-        holder = np.fmax(holder, seg_norms.max(axis=-1) / (gap * grid.h) ** book.rho)
-        gap *= 2
-    distance = xi_part + sup_part + holder
+    gaps = [1 << p for p in range(K.bit_length())]
+    # Each row's norms: xi at every node, beta at every node (the sup part),
+    # then beta of each gap's K+1-gap differences.
+    starts = np.cumsum([0, K + 1, K + 1] + [K + 1 - gap for gap in gaps])
+    norms = np.empty(coeffs.shape[:-2] + (starts[-1],))
+    squares = np.square(coeffs)
+    scratch = np.multiply(modal_weights(base, 2.0 * book.xi), squares)
+    np.add.reduce(scratch, axis=-1, out=norms[..., : K + 1])
+    # (1 - lambda)^0 is 1.0 and 1.0 * x is x, so beta = 0 skips the weights.
+    beta_weights = modal_weights(base, 2.0 * book.beta) if book.beta != 0 else None
+    # Gap 0 is the sup part, on the squares themselves.
+    for gap, start, stop in zip([0] + gaps, starts[1:], starts[2:]):
+        part = squares
+        if gap:
+            part = scratch[..., : K + 1 - gap, :]
+            np.subtract(coeffs[..., gap:, :], coeffs[..., :-gap, :], out=part)
+            np.square(part, out=part)
+        if beta_weights is not None:
+            np.multiply(beta_weights, part, out=part)
+        np.add.reduce(part, axis=-1, out=norms[..., start:stop])
+    norms *= base.grid.spacing
+    np.sqrt(norms, out=norms)
+    xi_part = (grid.nodes[1:] ** book.mu * norms[..., 1 : K + 1]).max(axis=-1)
+    peaks = np.maximum.reduceat(norms, starts[1:-1], axis=-1)
+    denominators = np.array([(gap * grid.h) ** book.rho for gap in gaps])
+    holder = np.fmax.reduce(peaks[..., 1:] / denominators, axis=-1, initial=0.0)
+    distance = xi_part + peaks[..., 0] + holder
     return float(distance) if distance.ndim == 0 else distance
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,15 +151,22 @@ class BaseOperator:
     eigenvectors: np.ndarray
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: a constant that callers share."""
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=16)
 def laplacian_stencil(grid: Grid1D) -> tuple:
     """(sub, main, sup) diagonals of the Laplacian before its 1/h^2 factor:
     ones off the diagonal, -2 on it, and -1 at the two ends of a Neumann
-    grid."""
+    grid.  Computed once per grid, as read-only arrays."""
     n = grid.n
     main = np.full(n, -2.0)
     if grid.bc is BoundaryKind.NEUMANN:
         main[[0, -1]] = -1.0
-    return np.ones(n - 1), main, np.ones(n - 1)
+    return tuple(read_only(band) for band in (np.ones(n - 1), main, np.ones(n - 1)))
 
 
 def assemble_laplacian(grid: Grid1D) -> BaseOperator:

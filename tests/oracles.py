@@ -30,6 +30,9 @@ can check the recursions against them:
 * the IMEX march by one LAPACK gtsv call per step
   (:func:`gtsv_forward_solve`), which the package's scalar elimination
   must equal bit for bit;
+* :func:`per_gap_distance`, the iteration distance with one
+  ``modal_norm`` per part and dyadic gap, which the package's one-pass
+  reduction must equal bit for bit;
 * :class:`ShiftedModel` recentres a model at an equilibrium, and
   :class:`RDTermsModel` gives the reaction-diffusion model the variable
   face coefficient, weighted and nonlinear functionals, drift and
@@ -82,6 +85,8 @@ from avgrec.spatial import (
     first_difference,
     matrix_exponential,
     matvec,
+    modal_norm,
+    modal_weights,
     smallest_singular_value,
     sobolev_norm,
 )
@@ -920,6 +925,25 @@ def equilibrium_shift(model, v_star: np.ndarray, tol: float | None = None) -> Sh
             f"v* is not an equilibrium: residual {residual:.3e} exceeds tolerance {tol:.3e}"
         )
     return ShiftedModel(inner=model, v_star=v_star)
+
+
+def per_gap_distance(u, v, model, grid: TimeGrid) -> float | np.ndarray:
+    """:func:`avgrec.solver.weighted_distance` by one ``modal_norm`` per
+    part and per dyadic gap, each over its own temporaries."""
+    book, base = model.exponents, model.base
+    xi_weights, beta_weights = (modal_weights(base, 2.0 * order) for order in (book.xi, book.beta))
+    coeffs = (u - v) @ base.eigenvectors
+    xi_norms = modal_norm(base, coeffs, xi_weights)[..., 1:]
+    xi_part = (grid.nodes[1:] ** book.mu * xi_norms).max(axis=-1)
+    sup_part = modal_norm(base, coeffs, beta_weights).max(axis=-1)
+    holder = np.zeros(coeffs.shape[:-2])
+    gap = 1
+    while gap <= grid.K:
+        seg_norms = modal_norm(base, coeffs[..., gap:, :] - coeffs[..., :-gap, :], beta_weights)
+        holder = np.fmax(holder, seg_norms.max(axis=-1) / (gap * grid.h) ** book.rho)
+        gap *= 2
+    distance = xi_part + sup_part + holder
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:

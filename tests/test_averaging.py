@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from avgrec.averaging import (
+    WEIGHT_PRESETS,
     AveragingCondition,
     Variant,
     check_resolvent,
@@ -61,6 +62,15 @@ class TestAveragingCondition:
         for K in (1, 2, 7, 64):
             grid_t = TimeGrid(T=2.5, K=K)
             assert grid_t.trapezoid_weights.sum() == pytest.approx(2.5, rel=1e-14)
+
+    @pytest.mark.parametrize("preset", sorted(WEIGHT_PRESETS))
+    def test_weight_preset_returns_an_array_the_caller_owns(self, preset):
+        # The grid's nodes are shared and read-only; a preset's samples are not.
+        grid_t = TimeGrid(T=1.0, K=8)
+        samples = weight_samples(grid_t, preset)
+        assert samples.flags.writeable and not np.shares_memory(samples, grid_t.nodes)
+        samples[:] = -1.0
+        assert grid_t.nodes[-1] == 1.0
 
     def test_time_average_needs_nonzero_initial_weight(self):
         grid_t = TimeGrid(T=1.0, K=8)

@@ -32,6 +32,7 @@ from avgrec.spatial import (
     assemble_laplacian,
     band_stack,
     build_grid,
+    laplacian_stencil,
     matrix_exponential,
 )
 
@@ -89,6 +90,28 @@ class TestTimeGrid:
             TimeGrid(T=-1.0, K=4)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, K=0)
+
+    @pytest.mark.parametrize(
+        "T, K", [(0.5, 2.5), (0.5, 4.0), (0.5, np.float64(4.0)), (math.nan, 4), (math.inf, 4)]
+    )
+    def test_rejects_a_fractional_step_count_or_an_unbounded_horizon(self, T, K):
+        # Each used to construct, then fail in nodes with a TypeError or
+        # give NaN nodes.
+        message = r"^(horizon must be positive and finite|the number of steps must be an integer)"
+        with pytest.raises(ValueError, match=message):
+            TimeGrid(T=T, K=K)
+
+    def test_constants_are_computed_once_and_read_only(self):
+        grid = TimeGrid(T=0.5, K=np.int64(8))
+        assert type(grid.K) is int and grid.K == 8
+        stencil = laplacian_stencil(build_grid(8, 1.0, BoundaryKind.NEUMANN))
+        assert laplacian_stencil(build_grid(8, 1.0, BoundaryKind.NEUMANN)) is stencil
+        for constant in (grid.nodes, grid.trapezoid_weights, *stencil):
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 1.0
+        assert grid.nodes is grid.nodes and grid.trapezoid_weights is grid.trapezoid_weights
+        assert grid.nodes[0] == 0.0 and grid.trapezoid_weights[0] == 0.5 * grid.h
+        assert stencil[1].tolist() == [-1.0] + [-2.0] * 6 + [-1.0]
 
 
 class TestFrozenSemigroup:

@@ -311,6 +311,18 @@ class TestFixedPointRecover:
         with pytest.raises(ConfigurationError, match="max_iters"):
             RecoveryConfig(max_iters=0)
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), np.float64(3.0), "3", None])
+    def test_non_integer_iteration_cap_rejected(self, value):
+        # 2.5 < 1 and nan < 1 are false: the cap used to construct and then
+        # fail the recovery's range() with a TypeError.
+        with pytest.raises(ConfigurationError, match=r"^\[solver\] max_iters: "):
+            RecoveryConfig(max_iters=value)
+
+    @pytest.mark.parametrize("value", [1, 30, np.int64(4), np.int32(2)])
+    def test_integer_iteration_cap_held_as_an_int(self, value):
+        config = RecoveryConfig(max_iters=value)
+        assert type(config.max_iters) is int and config.max_iters == value
+
     @pytest.mark.parametrize(
         "key, field", [("tol", "tol_fixed_point"), ("ball_l", "ball_L")]
     )

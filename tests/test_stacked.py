@@ -1,5 +1,6 @@
 """Stacked per-node model work: one call on a stack (..., n) of states must
 equal the stack of single-state calls bit for bit."""
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from avgrec.models import (
     LinearTestModel,
     NonlocalRDModel,
     ball_norm,
+    generic_exponents,
 )
 from avgrec.solver import (
     RecoveryConfig,
@@ -32,7 +34,7 @@ from avgrec.spatial import (
     sobolev_norm,
 )
 
-from oracles import RDTermsModel, ShiftedModel
+from oracles import RDTermsModel, ShiftedModel, per_gap_distance
 
 RNG = np.random.default_rng(67)
 
@@ -157,7 +159,8 @@ def test_stacked_ops_match_per_slice(n):
     # strided view of the elimination's (n+1, R K, n+1) stack of rows, into
     # the chain's blocks; the model takes one stacked linearise and ball
     # norm, and the distance of every row in one modal transform and
-    # modal_norm.  Each slice must be the per-row call's bit for bit.
+    # one-pass reduction.  Each slice must be the per-row call's bit for
+    # bit.
     rng = np.random.default_rng(n)
     R, K, m = 3, 6, n + 1
     rows = rng.standard_normal((m, R * K, m))
@@ -203,15 +206,22 @@ def test_stacked_ops_match_per_slice(n):
     rebuilt = (eigenvalues * xis[:, None] + sums) @ basis.T
     for r in range(R):
         assert same_bytes(rebuilt[r], (eigenvalues[r] * xis[r] + sums[r]) @ basis.T)
-    # The distance's modal transform and norms at a scan's batch shape.
+    # The distance's modal transform and norms at a scan's batch shape: the
+    # sums over the modes written into a slice of one norms buffer, and one
+    # maximum.reduceat over its segments.
     base = assemble_laplacian(grid)
     diffs = rng.standard_normal((8, 65, n))
     coeffs = diffs @ base.eigenvectors
     weights = spatial.modal_weights(base, 0.7)
     modal_norms = spatial.modal_norm(base, coeffs, weights)
+    norms = np.zeros((8, 100))
+    np.add.reduce(weights * coeffs**2, axis=-1, out=norms[:, 30:95])
+    peaks = np.maximum.reduceat(norms, [30, 31, 60], axis=-1)
     for r in range(len(diffs)):
         assert same_bytes(coeffs[r], diffs[r] @ base.eigenvectors)
         assert same_bytes(modal_norms[r], spatial.modal_norm(base, coeffs[r], weights))
+        assert same_bytes(norms[r, 30:95], np.sum(weights * coeffs[r] ** 2, axis=-1))
+        assert same_bytes(peaks[r], np.maximum.reduceat(norms[r], [30, 31, 60]))
     for model in (
         ChemotaxisModel.default(grid, delta=0.5),
         NonlocalRDModel.default(grid),
@@ -366,6 +376,49 @@ def test_stacked_distance_matches_per_pair(model_class, bc, R):
     # A zero difference is exactly 0.0, stacked and alone.
     assert weighted_distance(us, us, model, grid_t).tolist() == [0.0] * R
     assert weighted_distance(us[0], us[0], model, grid_t) == 0.0
+
+
+def beta_model(bc: BoundaryKind, beta: float, n: int = 12) -> SimpleNamespace:
+    """What the distance reads of a model, its base Laplacian and exponent
+    book, with the generic book at beta > 0, so that the sup and Hoelder
+    parts are weighted; every shipped model has beta = 0."""
+    book = replace(generic_exponents(), beta=beta)
+    assert all(holds for _, holds in book.checks())
+    return SimpleNamespace(base=assemble_laplacian(build_grid(n, 1.0, bc)), exponents=book)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 64, 96, 256])
+@pytest.mark.parametrize("R", [None, 1, 3, 8])  # None: one (K+1, n) pair
+@pytest.mark.parametrize("beta", [0.0, 0.04])
+def test_one_pass_distance_equals_the_per_gap_oracle(beta, R, K):
+    # The one-pass reduction gives the per-gap modal_norm's bits.  Node 0
+    # differs by exact zeros; with three rows or more, row 1 is a zero
+    # difference and row 2 holds a NaN, whose gap quotients fmax leaves
+    # out (its sup part is NaN all the same), and with eight, row 3 holds
+    # an infinity, whose differences of gaps are NaN.
+    bc = BoundaryKind.DIRICHLET if beta else BoundaryKind.NEUMANN
+    model = beta_model(bc, beta) if beta else ChemotaxisModel.default(build_grid(12, 1.0, bc))
+    assert model.exponents.beta == beta
+    grid_t = TimeGrid(T=0.5, K=K)
+    lead = () if R is None else (R,)
+    us, vs = np.random.default_rng(K).standard_normal((2, *lead, K + 1, 12))
+    us[..., 0, :] = vs[..., 0, :]
+    if R is not None and R >= 3:
+        us[1] = vs[1]
+        us[2, K // 2, 5] = np.nan
+    if R == 8:
+        us[3, K, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = weighted_distance(us, vs, model, grid_t)
+        want = per_gap_distance(us, vs, model, grid_t)
+    if R is None:
+        assert isinstance(got, float) and np.float64(got).tobytes() == np.float64(want).tobytes()
+        return
+    assert got.shape == (R,) and np.array_equal(got, want, equal_nan=True)
+    finite = np.isfinite(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    if R >= 3:
+        assert got[1] == 0.0 and np.isnan(got[2]) and finite.sum() == R - 1 - (R == 8)
 
 
 def test_stacked_distance_raises_where_a_pair_would():
